@@ -345,8 +345,8 @@ func run(o runOptions) error {
 	}
 	fmt.Fprintf(out, "%s: %d faults, %d patterns, method=%s\n", c.Name, res.Total, len(T), o.method)
 	if cfg.Prescreen {
-		fmt.Fprintf(out, "  prescreen: %d bit-parallel passes dropped %d faults in %s (MOT stage %s)\n",
-			res.Stages.PrescreenPasses, res.Stages.PrescreenDropped,
+		fmt.Fprintf(out, "  prescreen: %d bit-parallel passes dropped %d faults, pruned %d by condition (C) in %s (MOT stage %s)\n",
+			res.Stages.PrescreenPasses, res.Stages.PrescreenDropped, res.Stages.PrescreenPrunedC,
 			res.Stages.PrescreenTime.Round(time.Microsecond),
 			res.Stages.MOTTime.Round(time.Microsecond))
 	}

@@ -25,10 +25,10 @@ import (
 
 	"repro/internal/cir"
 	"repro/internal/fault"
-	"repro/internal/xtrace"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
+	"repro/internal/xtrace"
 )
 
 // Lanes is the number of machines per batch: lane 0 is fault-free and
@@ -90,6 +90,13 @@ type batch struct {
 	branch [][]branchForce
 	vals   []VV
 	state  []VV
+	// seenX and passC are the condition (C) lane profile of a run that
+	// asks for it (see run): seenX marks the lanes whose effective
+	// present state has held an X at some frame <= u (N_sv(u) > 0 for
+	// some u so far), passC the lanes with an X output at a frame where
+	// the fault-free output is binary, after an X state at or before
+	// that frame (N_sv(u) > 0 and N_out(u) > 0 for some u).
+	seenX, passC laneSet
 }
 
 // newBatch prepares injection tables for a fault group.
@@ -219,7 +226,7 @@ func RunParallel(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, wo
 // it simulates the whole list over up to `workers` goroutines and
 // additionally reports the work performed.
 func RunStats(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int) ([]seqsim.FaultResult, Stats, error) {
-	return RunStatsTraced(c, T, faults, workers, Trace{})
+	return runAll(c, T, faults, workers, Trace{}, nil)
 }
 
 // Trace carries the optional span instrumentation of a bit-parallel
@@ -231,8 +238,26 @@ type Trace struct {
 	Parent xtrace.SpanID
 }
 
-// RunStatsTraced is RunStats with per-batch span instrumentation.
-func RunStatsTraced(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int, tr Trace) ([]seqsim.FaultResult, Stats, error) {
+// RunConditionC is the MOT prescreen's entry point: RunStats with
+// per-batch span instrumentation that also classifies every undetected
+// fault by the paper's necessary condition (C), from the frames its
+// lane already evaluates. failsC[k] reports that fault k is undetected
+// and fails (C) — no time unit u < L has an unspecified faulty state
+// variable while some output at u' >= u is specified in the fault-free
+// machine and unspecified in the faulty one — exactly the verdict the
+// serial N_sv/N_out profile of the faulty trace yields.
+func RunConditionC(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int, tr Trace) (results []seqsim.FaultResult, failsC []bool, st Stats, err error) {
+	failsC = make([]bool, len(faults))
+	results, st, err = runAll(c, T, faults, workers, tr, failsC)
+	if err != nil {
+		return nil, nil, st, err
+	}
+	return results, failsC, st, nil
+}
+
+// runAll distributes the batches over up to `workers` goroutines.
+// failsC, when non-nil, receives the per-fault condition (C) verdict.
+func runAll(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
 	var st Stats
 	nBatches := Batches(len(faults))
 	if workers > nBatches {
@@ -246,7 +271,7 @@ func RunStatsTraced(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault,
 			end := min(start+Lanes-1, len(faults))
 			sp := buf.Begin("batch", tr.Parent, uint64(start/(Lanes-1)))
 			buf.AttrInt(sp, "faults", int64(end-start))
-			err := runGroup(c, T, faults[start:end], results[start:end], &st)
+			err := runGroup(c, T, faults[start:end], results[start:end], part(failsC, start, end), &st)
 			buf.End(sp)
 			if err != nil {
 				return nil, st, err
@@ -277,7 +302,7 @@ func RunStatsTraced(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault,
 				end := min(start+Lanes-1, len(faults))
 				sp := buf.Begin("batch", tr.Parent, uint64(bi))
 				buf.AttrInt(sp, "faults", int64(end-start))
-				err := runGroup(c, T, faults[start:end], results[start:end], &st)
+				err := runGroup(c, T, faults[start:end], results[start:end], part(failsC, start, end), &st)
 				buf.End(sp)
 				if err != nil {
 					errs[w] = err
@@ -298,26 +323,36 @@ func RunStatsTraced(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault,
 	return results, st, nil
 }
 
+// part returns v[start:end], or nil for a nil v.
+func part(v []bool, start, end int) []bool {
+	if v == nil {
+		return nil
+	}
+	return v[start:end]
+}
+
 // runGroup simulates one batch of at most Lanes-1 faults.
-func runGroup(c *netlist.Circuit, T seqsim.Sequence, group []fault.Fault, results []seqsim.FaultResult, st *Stats) error {
+func runGroup(c *netlist.Circuit, T seqsim.Sequence, group []fault.Fault, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
 	b, err := newBatch(c, group)
 	if err != nil {
 		return err
 	}
-	return b.run(T, results, st)
+	return b.run(T, results, failsC, st)
 }
 
 // run simulates the batch and fills results (one per fault lane),
-// accumulating frame counts into st (nil-safe).
-func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, st *Stats) error {
+// accumulating frame counts into st (nil-safe). A non-nil failsC (one
+// per fault lane) additionally receives the condition (C) verdict.
+func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
 	cc := b.cc
 	for k := range results {
 		results[k] = seqsim.FaultResult{Fault: b.faults[k]}
 	}
-	// Initial state: X everywhere, with stem faults on Q nodes injected
-	// when the state is loaded each frame.
+	// Initial state: the power-up values (X for the standard unknown),
+	// with stem faults on Q nodes injected when the state is loaded each
+	// frame.
 	for i := range b.state {
-		b.state[i] = VV{}
+		b.state[i] = cir.Broadcast4(cc.FFInit[i])
 	}
 	// allFaults masks the occupied fault lanes; once every one is
 	// resolved the remaining frames cannot change any result (the serial
@@ -334,6 +369,12 @@ func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, st *Stats) 
 	// unread words.
 	const allBits = ^uint64(0)
 	nw := (len(results) + 1 + 63) >> 6
+	// The condition (C) lane profile is kept only when failsC asks for
+	// it. The all-X power-up state usually puts every lane into seenX at
+	// frame 0, which ends the per-FF scan.
+	cond := failsC != nil
+	scanX := cond
+	b.seenX, b.passC = laneSet{}, laneSet{}
 	for u, pat := range T {
 		if len(pat) != cc.NumInputs() {
 			return fmt.Errorf("bitsim: pattern %d has %d values, circuit has %d inputs",
@@ -344,6 +385,9 @@ func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, st *Stats) 
 		}
 		for i, q := range cc.FFQ {
 			b.vals[q] = b.stems[q].apply(b.state[i])
+		}
+		if scanX {
+			scanX = b.scanStateX(nw, &allFaults)
 		}
 		// The gate fold is inlined over the live words — this loop is
 		// the hot core of the whole prescreen, and the shared VV4Fold's
@@ -453,6 +497,9 @@ func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, st *Stats) 
 				}
 			}
 		}
+		if cond {
+			b.markPassC(nw)
+		}
 		if resolved == allFaults {
 			// Early exit: the remaining frames cannot change any result.
 			st.add(int64(u+1), int64(len(T)-u-1))
@@ -464,5 +511,36 @@ func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, st *Stats) 
 		}
 	}
 	st.add(int64(len(T)), 0)
+	for k := range failsC {
+		lane := uint(k + 1)
+		failsC[k] = !results[k].Detected && b.passC[lane>>6]&(1<<(lane&63)) == 0
+	}
 	return nil
+}
+
+// scanStateX adds to seenX the occupied lanes whose loaded present
+// state holds an X, and reports whether some occupied lane is still
+// missing from it.
+func (b *batch) scanStateX(nw int, occupied *laneSet) bool {
+	for _, q := range b.cc.FFQ {
+		v := &b.vals[q]
+		for w := 0; w < nw; w++ {
+			b.seenX[w] |= ^(v.One[w] | v.Zero[w]) & occupied[w]
+		}
+	}
+	return b.seenX != *occupied
+}
+
+// markPassC adds to passC the seenX lanes with an X on a primary output
+// whose fault-free value (lane 0) is binary.
+func (b *batch) markPassC(nw int) {
+	for _, id := range b.cc.Outputs {
+		v := &b.vals[id]
+		if v.Lane(0) == logic.X {
+			continue
+		}
+		for w := 0; w < nw; w++ {
+			b.passC[w] |= ^(v.One[w] | v.Zero[w]) & b.seenX[w]
+		}
+	}
 }

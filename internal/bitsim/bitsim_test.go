@@ -302,3 +302,49 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		t.Fatal("broken sequence not reported")
 	}
 }
+
+// TestRunHonoursFFInit checks that the lanes load the power-up state
+// from the compiled FFInit like the serial simulator: with q powering
+// up at 1 and d = AND(q, a) held at a = 1, the fault-free machine is
+// specified from frame 0, so q/SA0 is detected at frame 0 — under an
+// all-X start neither engine could detect anything.
+func TestRunHonoursFFInit(t *testing.T) {
+	b := netlist.NewBuilder("init1")
+	a := b.Input("a")
+	q := b.FlipFlop("q", b.Signal("d"))
+	b.Gate(logic.And, "d", q, a)
+	b.Gate(logic.Buf, "y", q)
+	b.Output("y")
+	c, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.FFs[0].Init = logic.One // before the first compile
+	T := seqsim.Sequence{{logic.One}, {logic.One}, {logic.One}}
+	faults := fault.List(c)
+	fast, err := Run(c, T, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := seqsim.New(c)
+	good, err := s.Run(T, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := s.RunFaults(T, good, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detected := 0
+	for k := range faults {
+		if fast[k] != slow[k] {
+			t.Errorf("fault %s: bitsim %+v, serial %+v", faults[k].Name(c), fast[k], slow[k])
+		}
+		if fast[k].Detected {
+			detected++
+		}
+	}
+	if detected == 0 {
+		t.Error("no fault detected: the power-up value was not honoured")
+	}
+}

@@ -80,15 +80,16 @@ type Config struct {
 	// no cap. Pairs are collected in ascending time order, which the
 	// selection criteria prefer anyway (N_out is non-increasing in time).
 	MaxPairs int
-	// Prescreen enables the batched bit-parallel conventional stage in
-	// Run and RunParallel: the whole fault list is first simulated 255
-	// faulty machines per word (internal/bitsim), faults detected
-	// conventionally are classified directly from the lane results, and
-	// only the survivors enter the per-fault MOT pipeline. Outcomes are
-	// identical with the prescreen off (every fault then runs the serial
-	// step 0 inside SimulateFault); the off mode exists as a cross-check
-	// fallback and is asserted bit-identical by the prescreen tests.
-	// SimulateFault itself never prescreens.
+	// Prescreen enables the batched bit-parallel stage in Run and
+	// RunParallel: the whole fault list is first simulated 255 faulty
+	// machines per word (internal/bitsim). Faults detected
+	// conventionally, and undetected faults failing condition (C) in
+	// their lane, are classified directly from the lane results; only
+	// the rest enter the per-fault MOT pipeline. Outcomes are identical
+	// with the prescreen off (every fault then runs the serial step 0
+	// and condition (C) inside SimulateFault); the off mode is the
+	// cross-check oracle and is asserted bit-identical by the prescreen
+	// tests. SimulateFault itself never prescreens.
 	Prescreen bool
 	// BitParallelResim enables the bit-parallel Section 3.4
 	// resimulation: all expanded sequences of a fault pack into the

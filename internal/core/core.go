@@ -1013,6 +1013,10 @@ type Stages struct {
 	// DetectedConventional directly from the prescreen lane results and
 	// therefore never handed to the per-fault MOT pipeline.
 	PrescreenDropped int
+	// PrescreenPrunedC is the number of undetected faults the prescreen
+	// lanes found failing condition (C); they are classified without
+	// entering the per-fault MOT pipeline either.
+	PrescreenPrunedC int
 	// PrescreenFrames is the number of time frames the bit-parallel
 	// prescreen actually simulated; PrescreenSavedFrames counts frames
 	// skipped by its all-lanes-resolved early exit.
@@ -1026,16 +1030,17 @@ type Stages struct {
 	// only the cache lookup.
 	CompileTime time.Duration
 	// MOTTime is the wall-clock duration of the per-fault stage (the
-	// serial step 0 for survivors plus the MOT analysis proper).
+	// serial step 0 for the faults entering it plus the MOT analysis
+	// proper).
 	MOTTime time.Duration
 
 	// The fields below are populated only with Config.Metrics.
 
-	// Step0Time covers the serial conventional resimulation of prescreen
-	// survivors plus the condition (C) profile; CollectTime the pair
-	// collection of Section 3.1 including its implication runs;
-	// ExpandTime Procedure 2; ResimTime the Section 3.4 resimulation
-	// (both including the portfolio retry).
+	// Step0Time covers the serial conventional resimulation of the
+	// faults entering the pipeline plus the condition (C) profile;
+	// CollectTime the pair collection of Section 3.1 including its
+	// implication runs; ExpandTime Procedure 2; ResimTime the Section
+	// 3.4 resimulation (both including the portfolio retry).
 	Step0Time   time.Duration
 	CollectTime time.Duration
 	// ImplyTime estimates the implication share of CollectTime from a
@@ -1056,8 +1061,8 @@ type Stages struct {
 	ResimVectorPasses    int64
 	ResimVectorFrames    int64
 	ResimSerialFallbacks int64
-	// MOTFaults counts the faults that entered the per-fault pipeline
-	// (everything the prescreen did not drop).
+	// MOTFaults counts the faults that entered the per-fault pipeline:
+	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.
 	MOTFaults int
 	// Pool instruments the PR 2 pooling layer (reuse hits, slab
 	// recycles, arena high-water marks).
@@ -1082,9 +1087,9 @@ func (r *Result) AvgCounters() (det, conf, extra float64) {
 
 // Run simulates every fault in the list. The optional progress callback
 // is invoked after each fault. With Config.Prescreen the whole list is
-// first classified by batched bit-parallel conventional simulation and
-// only the surviving faults run the per-fault pipeline; outcomes are
-// identical either way.
+// first classified by batched bit-parallel simulation (conventional
+// detection and condition (C)) and only the undetected faults passing
+// (C) run the per-fault pipeline; outcomes are identical either way.
 func (s *Simulator) Run(faults []fault.Fault, progress func(done, total int)) (*Result, error) {
 	return s.RunContext(context.Background(), faults, progress)
 }
@@ -1119,12 +1124,9 @@ func (s *Simulator) RunContext(ctx context.Context, faults []fault.Fault, progre
 			live.flush(s)
 			return nil, err
 		}
-		var o FaultOutcome
-		entered := false
-		if pre != nil && pre[k].Detected {
-			o = FaultOutcome{Fault: f, Outcome: DetectedConventional, At: pre[k].At}
-		} else {
-			entered = true
+		o, settled := pre.outcome(k, f)
+		entered := !settled
+		if entered {
 			ws.begin(s, k, f)
 			if o, err = s.SimulateFault(f); err != nil {
 				return nil, fmt.Errorf("core: fault %s: %w", f.Name(s.c), err)
@@ -1188,8 +1190,8 @@ func (r *Result) tally(o FaultOutcome) {
 // worker clones the simulator (sharing the immutable circuit, test
 // sequence and fault-free trace); results are identical to Run and are
 // returned in fault-list order. With Config.Prescreen the bit-parallel
-// conventional stage runs first (its batches spread over the same
-// worker count) and only surviving faults are handed to the pool.
+// stage runs first (its batches spread over the same worker count) and
+// only the faults it leaves unsettled are handed to the pool.
 func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
 	return s.RunParallelContext(context.Background(), faults, workers, progress)
 }
@@ -1220,19 +1222,19 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	motStart := time.Now()
 	sc.beginStage("mot")
 	outcomes := make([]FaultOutcome, len(faults))
-	// todo lists the fault indices that survived the prescreen and need
+	// todo lists the fault indices the prescreen did not settle: they need
 	// the per-fault pipeline.
 	var todo []int
 	for k := range faults {
-		if pre != nil && pre[k].Detected {
-			outcomes[k] = FaultOutcome{Fault: faults[k], Outcome: DetectedConventional, At: pre[k].At}
+		if o, ok := pre.outcome(k, faults[k]); ok {
+			outcomes[k] = o
 			continue
 		}
 		todo = append(todo, k)
 	}
-	dropped := len(faults) - len(todo)
+	settled := len(faults) - len(todo)
 	if progress != nil {
-		for d := 1; d <= dropped; d++ {
+		for d := 1; d <= settled; d++ {
 			progress(d, len(faults))
 		}
 	}
@@ -1265,7 +1267,7 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 		nextIdx int64 = -1
 		failed  atomic.Bool
 		mu      sync.Mutex
-		count   = dropped
+		count   = settled
 		wg      sync.WaitGroup
 	)
 	for w := 0; w < nw; w++ {

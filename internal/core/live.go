@@ -38,6 +38,7 @@ type LiveStats struct {
 
 	prescreenPasses  atomic.Int64
 	prescreenDropped atomic.Int64
+	prescreenPrunedC atomic.Int64
 	prescreenFrames  atomic.Int64
 
 	motFaults  atomic.Int64
@@ -93,6 +94,7 @@ type LiveSnapshot struct {
 
 	PrescreenPasses  int64 `json:"prescreen_passes"`
 	PrescreenDropped int64 `json:"prescreen_dropped"`
+	PrescreenPrunedC int64 `json:"prescreen_pruned_c"`
 	PrescreenFrames  int64 `json:"prescreen_frames"`
 
 	MOTFaults  int64 `json:"mot_faults"`
@@ -139,6 +141,7 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		PrunedConditionC:     l.prunedC.Load(),
 		PrescreenPasses:      l.prescreenPasses.Load(),
 		PrescreenDropped:     l.prescreenDropped.Load(),
+		PrescreenPrunedC:     l.prescreenPrunedC.Load(),
 		PrescreenFrames:      l.prescreenFrames.Load(),
 		MOTFaults:            l.motFaults.Load(),
 		Pairs:                l.pairs.Load(),
@@ -184,22 +187,25 @@ func (s *Simulator) beginLive(total int) {
 }
 
 // publishPrescreen folds the completed prescreen stage into the live
-// stats. In RunParallel the prescreen-dropped faults never reach a
-// worker, so their classification is published here as well; the serial
-// Run loop instead routes dropped faults through its publisher like any
-// other outcome (droppedDone false).
-func (s *Simulator) publishPrescreen(res *Result, droppedDone bool) {
+// stats. In RunParallel the faults the prescreen settles (dropped or
+// lane-pruned by condition (C)) never reach a worker, so their
+// classification is published here as well; the serial Run loop instead
+// routes them through its publisher like any other outcome (settledDone
+// false).
+func (s *Simulator) publishPrescreen(res *Result, settledDone bool) {
 	live := s.cfg.Live
 	if live == nil {
 		return
 	}
-	live.prescreenPasses.Add(int64(res.Stages.PrescreenPasses))
-	live.prescreenDropped.Add(int64(res.Stages.PrescreenDropped))
-	live.prescreenFrames.Add(res.Stages.PrescreenFrames)
-	if droppedDone {
-		d := int64(res.Stages.PrescreenDropped)
-		live.faultsDone.Add(d)
-		live.conv.Add(d)
+	st := &res.Stages
+	live.prescreenPasses.Add(int64(st.PrescreenPasses))
+	live.prescreenDropped.Add(int64(st.PrescreenDropped))
+	live.prescreenPrunedC.Add(int64(st.PrescreenPrunedC))
+	live.prescreenFrames.Add(st.PrescreenFrames)
+	if settledDone {
+		live.faultsDone.Add(int64(st.PrescreenDropped + st.PrescreenPrunedC))
+		live.conv.Add(int64(st.PrescreenDropped))
+		live.prunedC.Add(int64(st.PrescreenPrunedC))
 	}
 }
 
@@ -249,7 +255,7 @@ func (s *Simulator) newLivePublisher() *livePublisher {
 }
 
 // observe records one classified fault. entered reports whether the
-// fault ran the per-fault MOT pipeline (false for prescreen-dropped
+// fault ran the per-fault MOT pipeline (false for prescreen-settled
 // faults routed through the serial loop).
 func (p *livePublisher) observe(s *Simulator, o *FaultOutcome, entered bool) {
 	if p == nil {

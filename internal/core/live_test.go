@@ -71,6 +71,7 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			{"PrunedConditionC", s.PrunedConditionC, int64(res.PrunedConditionC)},
 			{"PrescreenPasses", s.PrescreenPasses, int64(st.PrescreenPasses)},
 			{"PrescreenDropped", s.PrescreenDropped, int64(st.PrescreenDropped)},
+			{"PrescreenPrunedC", s.PrescreenPrunedC, int64(st.PrescreenPrunedC)},
 			{"PrescreenFrames", s.PrescreenFrames, st.PrescreenFrames},
 			{"MOTFaults", s.MOTFaults, int64(st.MOTFaults)},
 			{"Pairs", s.Pairs, int64(res.Pairs)},

@@ -6,6 +6,7 @@ import (
 	"repro/internal/bitsim"
 	"repro/internal/circuits"
 	"repro/internal/fault"
+	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
 	"repro/internal/tgen"
@@ -67,8 +68,23 @@ func crossCheck(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fa
 		t.Errorf("prescreen dropped %d faults, conventional detections = %d",
 			resOn.Stages.PrescreenDropped, resOn.Conv)
 	}
-	if resOff.Stages.PrescreenPasses != 0 || resOff.Stages.PrescreenDropped != 0 {
+	// The lanes prune exactly the (C) failures the serial oracle finds,
+	// so only the (C) passers enter the per-fault pipeline.
+	for name, res := range map[string]*Result{"parallel": resPar, "serial": resOn} {
+		st := res.Stages
+		if st.PrescreenPrunedC != res.PrunedConditionC {
+			t.Errorf("%s: prescreen pruned %d faults by (C), run pruned %d",
+				name, st.PrescreenPrunedC, res.PrunedConditionC)
+		}
+		if want := res.Total - st.PrescreenDropped - st.PrescreenPrunedC; st.MOTFaults != want {
+			t.Errorf("%s: MOTFaults = %d, want total - dropped - prunedC = %d", name, st.MOTFaults, want)
+		}
+	}
+	if resOff.Stages.PrescreenPasses != 0 || resOff.Stages.PrescreenDropped != 0 || resOff.Stages.PrescreenPrunedC != 0 {
 		t.Errorf("prescreen-off run recorded prescreen work: %+v", resOff.Stages)
+	}
+	if resOff.Stages.MOTFaults != resOff.Total {
+		t.Errorf("prescreen-off MOTFaults = %d, want every fault (%d)", resOff.Stages.MOTFaults, resOff.Total)
 	}
 }
 
@@ -167,5 +183,94 @@ func TestRunParallelErrorDrains(t *testing.T) {
 		if _, err := s.Run(faults, nil); err == nil {
 			t.Errorf("prescreen=%v: serial run did not report broken sequence", prescreen)
 		}
+	}
+}
+
+// checkLaneConditionC compares the prescreen lanes' condition (C)
+// verdict for every fault with the serial oracle — step 0 followed by
+// the N_sv/N_out profile and conditionC — and returns how many faults
+// failed and passed (C).
+func checkLaneConditionC(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault) (fail, pass int) {
+	t.Helper()
+	s, err := NewSimulator(c, T, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pre, failsC, _, err := bitsim.RunConditionC(c, T, faults, 2, bitsim.Trace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, f := range faults {
+		bad, _, detected, err := s.runBad(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pre[k].Detected != detected {
+			t.Fatalf("%s: lane detected=%v, serial %v", f.Name(c), pre[k].Detected, detected)
+		}
+		want := false
+		if !detected {
+			want = !conditionC(s.profile(bad))
+			if want {
+				fail++
+			} else {
+				pass++
+			}
+		}
+		if failsC[k] != want {
+			t.Errorf("%s (lane %d of batch %d): lane failsC=%v, serial profile says %v",
+				f.Name(c), k%(bitsim.Lanes-1)+1, k/(bitsim.Lanes-1), failsC[k], want)
+		}
+	}
+	return fail, pass
+}
+
+// TestPrescreenLaneConditionC checks the lane (C) verdict fault by
+// fault on the uncollapsed lists, so faults sit on every lane-word
+// boundary of the 255-fault batches.
+func TestPrescreenLaneConditionC(t *testing.T) {
+	for _, name := range []string{"s27", "sg208", "sg298", "sg641"} {
+		c, err := circuits.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		T := tgen.Random(c.NumInputs(), 32, 7)
+		fail, pass := checkLaneConditionC(t, c, T, fault.List(c))
+		t.Logf("%s: %d faults, %d fail (C), %d pass", name, len(fault.List(c)), fail, pass)
+		if name != "s27" && (fail == 0 || pass == 0) {
+			t.Errorf("%s: (C) verdicts one-sided (%d fail, %d pass); the check is vacuous", name, fail, pass)
+		}
+	}
+}
+
+// TestPrescreenLaneConditionCStateSpecified uses a 1-FF circuit whose
+// Q stem faults specify the whole state, so those lanes never see an X
+// state and the lane X scan cannot stop at frame 0. With a binary
+// power-up value and an X on an input mid-sequence, the other lanes'
+// first X state also arrives late, after some outputs were already
+// unspecified.
+func TestPrescreenLaneConditionCStateSpecified(t *testing.T) {
+	for _, init := range []logic.Val{logic.X, logic.One, logic.Zero} {
+		b := netlist.NewBuilder("ff1")
+		a := b.Input("a")
+		e := b.Input("e")
+		q := b.FlipFlop("q", b.Signal("d"))
+		b.Gate(logic.Xor, "d", q, a)
+		b.Gate(logic.And, "y", q, e)
+		b.Gate(logic.Nor, "z", a, e)
+		b.Output("y")
+		b.Output("z")
+		c, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.FFs[0].Init = init
+		x, o, z := logic.X, logic.One, logic.Zero
+		T := seqsim.Sequence{{o, z}, {z, x}, {o, o}, {x, o}, {z, o}, {o, x}, {z, z}, {o, o}}
+		fail, pass := checkLaneConditionC(t, c, T, fault.List(c))
+		if fail == 0 {
+			t.Errorf("init %v: no fault fails (C); the Q stem lanes were not exercised", init)
+		}
+		t.Logf("init %v: %d fail (C), %d pass", init, fail, pass)
 	}
 }

@@ -77,8 +77,8 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.MOTFaults != par.Stages.MOTFaults {
 		t.Errorf("MOTFaults: serial %d, parallel %d", ser.Stages.MOTFaults, par.Stages.MOTFaults)
 	}
-	if want := len(faults) - ser.Stages.PrescreenDropped; ser.Stages.MOTFaults != want {
-		t.Errorf("MOTFaults = %d, want %d (total - dropped)", ser.Stages.MOTFaults, want)
+	if want := len(faults) - ser.Stages.PrescreenDropped - ser.Stages.PrescreenPrunedC; ser.Stages.MOTFaults != want {
+		t.Errorf("MOTFaults = %d, want %d (total - dropped - lane-pruned)", ser.Stages.MOTFaults, want)
 	}
 	if ser.Stages.ImplyCalls != par.Stages.ImplyCalls {
 		t.Errorf("ImplyCalls: serial %d, parallel %d", ser.Stages.ImplyCalls, par.Stages.ImplyCalls)

@@ -33,10 +33,11 @@ type Window struct {
 
 // windowSlot is one ring bucket. epoch is the absolute interval number
 // (now / interval) the slot currently accumulates; a slot whose epoch
-// trails the current interval is stale and rotates before reuse.
+// trails the current interval is stale and rotates before reuse. The
+// slot's observation count is the sum of its bucket counts, so a
+// snapshot's count always equals its bucket total.
 type windowSlot struct {
 	epoch  atomic.Int64
-	count  atomic.Int64
 	sum    atomic.Int64
 	min    atomic.Int64
 	max    atomic.Int64
@@ -84,7 +85,6 @@ func (w *Window) Observe(v int64) {
 		i++
 	}
 	s.counts[i].Add(1)
-	s.count.Add(1)
 	s.sum.Add(v)
 	for {
 		cur := s.min.Load()
@@ -111,7 +111,6 @@ func (w *Window) rotate(s *windowSlot, e int64) {
 	for i := range s.counts {
 		s.counts[i].Store(0)
 	}
-	s.count.Store(0)
 	s.sum.Store(0)
 	s.min.Store(maxInt64Bound)
 	s.max.Store(-maxInt64Bound - 1)
@@ -141,7 +140,12 @@ func (w *Window) Stats(span time.Duration) Snapshot {
 		if e < 0 || e > cur || e <= cur-need {
 			continue
 		}
-		c := s.count.Load()
+		var c int64
+		for j := range counts {
+			n := s.counts[j].Load()
+			counts[j] += n
+			c += n
+		}
 		if c == 0 {
 			continue
 		}
@@ -154,9 +158,6 @@ func (w *Window) Stats(span time.Duration) Snapshot {
 			snap.Max = mx
 		}
 		first = false
-		for j := range counts {
-			counts[j] += s.counts[j].Load()
-		}
 	}
 	if snap.Count > 0 {
 		snap.Mean = float64(snap.Sum) / float64(snap.Count)

@@ -43,6 +43,7 @@ type RunReport struct {
 type StagesReport struct {
 	PrescreenPasses      int   `json:"prescreen_passes"`
 	PrescreenDropped     int   `json:"prescreen_dropped"`
+	PrescreenPrunedC     int   `json:"prescreen_pruned_c"`
 	PrescreenFrames      int64 `json:"prescreen_frames"`
 	PrescreenSavedFrames int64 `json:"prescreen_saved_frames"`
 	PrescreenNS          int64 `json:"prescreen_ns"`
@@ -98,6 +99,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 		Stages: StagesReport{
 			PrescreenPasses:      st.PrescreenPasses,
 			PrescreenDropped:     st.PrescreenDropped,
+			PrescreenPrunedC:     st.PrescreenPrunedC,
 			PrescreenFrames:      st.PrescreenFrames,
 			PrescreenSavedFrames: st.PrescreenSavedFrames,
 			PrescreenNS:          int64(st.PrescreenTime),
@@ -227,8 +229,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.RunsDone, s.RunsStarted, s.FaultsDone, s.FaultsTotal)
 	fmt.Fprintf(&sb, "    detected: %d conventional + %d MOT, %d undetected (%d pruned by condition C)\n",
 		s.Conv, s.MOT, s.Undetected(), s.PrunedConditionC)
-	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults (%d frames)\n",
-		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenFrames)
+	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames)\n",
+		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls)
 	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames, %d serial fallbacks\n",

@@ -67,14 +67,25 @@ const (
 	StatusCanceled = "canceled"
 )
 
-// Run is one registered simulation run. The immutable inputs are built
-// at submission time (so request errors surface on POST, not later);
-// the mutable lifecycle state lives behind mu.
+// Run is one registered simulation run. The inputs are built at
+// submission time (so request errors surface on POST, not later); the
+// mutable lifecycle state lives behind mu. Once the run ends, its
+// working set (circuit, sequence, fault list, warm state and per-fault
+// result) is released and only what Status reports is kept, so a
+// registry of finished runs costs little memory.
 type Run struct {
 	ID      string
 	Req     RunRequest
 	Created time.Time
 
+	// circuitName, patterns and nfaults describe the inputs for Status;
+	// they outlive the inputs themselves.
+	circuitName string
+	patterns    int
+	nfaults     int
+
+	// circuit, seq, faults and warm are the run's working set, set at
+	// submission and released (nil) once the run ends.
 	circuit *netlist.Circuit
 	seq     seqsim.Sequence
 	faults  []fault.Fault
@@ -95,11 +106,15 @@ type Run struct {
 	tracer *xtrace.Tracer
 	cancel context.CancelFunc
 
-	mu        sync.Mutex
-	status    string
-	started   time.Time
-	finished  time.Time
-	result    *core.Result
+	mu       sync.Mutex
+	status   string
+	started  time.Time
+	finished time.Time
+	// report and attrs summarize a successful run: the report GET
+	// /runs/{id} returns and the run-finished log attributes, both built
+	// once from the result when the run ends.
+	report    *report.RunReport
+	attrs     []any
 	runErr    error
 	resources *RunResources
 }
@@ -257,22 +272,25 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 	}
 
 	r := &Run{
-		Req:     req,
-		Created: now,
-		circuit: c,
-		seq:     T,
-		faults:  faults,
-		cfg:     cfg,
-		method:  method,
-		workers: workers,
-		warm:    warm,
-		goodKey: gk,
-		cache:   s.cache,
-		info:    info,
-		live:    &core.LiveStats{},
-		events:  newEventLog(),
-		tracer:  xtrace.New(xtrace.Options{Ring: s.ring}),
-		status:  StatusQueued,
+		Req:         req,
+		Created:     now,
+		circuitName: c.Name,
+		patterns:    len(T),
+		nfaults:     len(faults),
+		circuit:     c,
+		seq:         T,
+		faults:      faults,
+		cfg:         cfg,
+		method:      method,
+		workers:     workers,
+		warm:        warm,
+		goodKey:     gk,
+		cache:       s.cache,
+		info:        info,
+		live:        &core.LiveStats{},
+		events:      newEventLog(),
+		tracer:      xtrace.New(xtrace.Options{Ring: s.ring}),
+		status:      StatusQueued,
 	}
 	r.cfg.Live = r.live
 	r.cfg.Tracer = r.tracer
@@ -288,12 +306,12 @@ func (r *Run) Status() RunStatus {
 	defer r.mu.Unlock()
 	st := RunStatus{
 		ID:        r.ID,
-		Circuit:   r.circuit.Name,
+		Circuit:   r.circuitName,
 		Method:    r.method,
 		Status:    r.status,
 		Workers:   r.workers,
-		Patterns:  len(r.seq),
-		Faults:    len(r.faults),
+		Patterns:  r.patterns,
+		Faults:    r.nfaults,
 		CreatedAt: r.Created,
 		Live:      r.live.Snapshot(),
 	}
@@ -313,21 +331,11 @@ func (r *Run) Status() RunStatus {
 		t := r.finished
 		st.FinishedAt = &t
 	}
-	if r.result != nil {
-		rep := report.NewRunReport(r.result, r.method, len(r.seq), r.workers, r.finished.Sub(r.started))
-		st.Report = &rep
-	}
+	st.Report = r.report
 	if r.runErr != nil {
 		st.Error = r.runErr.Error()
 	}
 	return st
-}
-
-// setResources records the run's measured resource usage.
-func (r *Run) setResources(cpu time.Duration, allocBytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.resources = &RunResources{CPUSeconds: cpu.Seconds(), AllocBytes: allocBytes}
 }
 
 // progressEvery is the cadence of the progress events on a run's event
@@ -336,7 +344,11 @@ const progressEvery = 200 * time.Millisecond
 
 // execute runs the simulation to completion, feeding the event stream.
 // It is called on its own goroutine with the slot already acquired.
-func (r *Run) execute(ctx context.Context) {
+// The run's resource usage is handed to account and recorded on the run
+// before the terminal status is published, so a client that sees the
+// run end also sees its resources and the server's aggregate counters.
+func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, allocBytes int64)) {
+	before := sampleResources()
 	r.mu.Lock()
 	r.status = StatusRunning
 	r.started = time.Now()
@@ -378,13 +390,18 @@ func (r *Run) execute(ctx context.Context) {
 	}
 	close(stop)
 	tickWG.Wait()
+	cpu, alloc := sampleResources().delta(before)
+	account(cpu, alloc)
 
 	r.mu.Lock()
+	r.resources = &RunResources{CPUSeconds: cpu.Seconds(), AllocBytes: alloc}
 	r.finished = time.Now()
 	switch {
 	case err == nil:
 		r.status = StatusDone
-		r.result = res
+		rep := report.NewRunReport(res, r.method, r.patterns, r.workers, r.finished.Sub(r.started))
+		r.report = &rep
+		r.attrs = report.ResultAttrs(res)
 	case errors.Is(err, context.Canceled):
 		r.status = StatusCanceled
 		r.runErr = err
@@ -393,6 +410,7 @@ func (r *Run) execute(ctx context.Context) {
 		r.runErr = err
 	}
 	status := r.status
+	r.release()
 	r.mu.Unlock()
 
 	// Final snapshot (equal to the merged result counters), then the
@@ -404,6 +422,13 @@ func (r *Run) execute(ctx context.Context) {
 	}
 	r.event("status", fin)
 	r.events.close()
+}
+
+// release drops the run's working set once it has ended: nothing reads
+// the inputs afterwards, and the result lives on only as the report.
+// Called with r.mu held.
+func (r *Run) release() {
+	r.circuit, r.seq, r.faults, r.warm = nil, nil, nil, core.Warm{}
 }
 
 // event marshals payload and appends it to the run's stream.

@@ -13,7 +13,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/profiling"
-	"repro/internal/report"
 	"repro/internal/xtrace"
 )
 
@@ -165,7 +164,7 @@ func NewServer(cfg Config) *Server {
 	metrics.RegisterWindow(s.reg, cfg.Prefix+"_run_seconds", "Run wall time", 1e-9, s.runWin)
 	s.reg.CounterFloatFunc(cfg.Prefix+"_run_cpu_seconds_total",
 		"CPU time (user+system) attributed to run execution; overlapping runs each absorb the process total.",
-		func() float64 { return float64(s.runCPUNS.Load()) * 1e-9 })
+		func() float64 { return time.Duration(s.runCPUNS.Load()).Seconds() })
 	s.reg.CounterFunc(cfg.Prefix+"_run_alloc_bytes_total",
 		"Heap bytes allocated during run execution; overlapping runs each absorb the process total.",
 		func() int64 { return s.runAllocBytes.Load() })
@@ -230,6 +229,7 @@ func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
 	a.PrunedConditionC += b.PrunedConditionC
 	a.PrescreenPasses += b.PrescreenPasses
 	a.PrescreenDropped += b.PrescreenDropped
+	a.PrescreenPrunedC += b.PrescreenPrunedC
 	a.PrescreenFrames += b.PrescreenFrames
 	a.MOTFaults += b.MOTFaults
 	a.Pairs += b.Pairs
@@ -370,8 +370,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Run-ID", id)
 
 	s.log.Info("run submitted", "run", id,
-		"circuit", run.circuit.Name, "method", run.method,
-		"faults", len(run.faults), "patterns", len(run.seq), "workers", run.workers)
+		"circuit", run.circuitName, "method", run.method,
+		"faults", run.nfaults, "patterns", run.patterns, "workers", run.workers)
 
 	go func() {
 		defer s.wg.Done()
@@ -390,18 +390,17 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			run.started = now
 			run.finished = now
 			run.runErr = ctx.Err()
+			run.release()
 			run.mu.Unlock()
 			run.event("status", map[string]any{"status": StatusCanceled})
 			run.events.close()
 			s.log.Info("run canceled while queued", "run", id)
 			return
 		}
-		before := sampleResources()
-		run.execute(ctx)
-		cpu, alloc := sampleResources().delta(before)
-		run.setResources(cpu, alloc)
-		s.runCPUNS.Add(int64(cpu))
-		s.runAllocBytes.Add(alloc)
+		run.execute(ctx, func(cpu time.Duration, alloc int64) {
+			s.runCPUNS.Add(int64(cpu))
+			s.runAllocBytes.Add(alloc)
+		})
 		st := run.Status()
 		attrs := []any{"run", id, "status", st.Status}
 		if st.StartedAt != nil && st.FinishedAt != nil {
@@ -410,7 +409,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			attrs = append(attrs, "elapsed", elapsed.Round(time.Millisecond))
 		}
 		if st.Status == StatusDone {
-			attrs = append(attrs, report.ResultAttrs(run.result)...)
+			run.mu.Lock()
+			attrs = append(attrs, run.attrs...)
+			run.mu.Unlock()
 			s.log.Info("run finished", attrs...)
 		} else {
 			attrs = append(attrs, "error", st.Error)

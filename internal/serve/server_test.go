@@ -181,6 +181,7 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_pruned_condition_c_total":    float64(rep.PrunedC),
 		"motserve_prescreen_passes_total":      float64(rep.Stages.PrescreenPasses),
 		"motserve_prescreen_dropped_total":     float64(rep.Stages.PrescreenDropped),
+		"motserve_prescreen_pruned_c_total":    float64(rep.Stages.PrescreenPrunedC),
 		"motserve_prescreen_frames_total":      float64(rep.Stages.PrescreenFrames),
 		"motserve_mot_faults_total":            float64(rep.Stages.MOTFaults),
 		"motserve_pairs_total":                 float64(rep.Pairs),
@@ -382,6 +383,47 @@ func TestServerInlineBenchAndVectors(t *testing.T) {
 	if fin.Report.Conv != want.Conv || fin.Report.MOT != want.MOT || fin.Faults != want.Total {
 		t.Errorf("server run %+v != direct run conv=%d mot=%d total=%d",
 			fin.Report, want.Conv, want.MOT, want.Total)
+	}
+}
+
+// TestServerFinishedRunReleasesWorkingSet checks that a finished run
+// drops its circuit, sequence, fault list and warm state, while GET
+// /runs/{id} keeps serving the same status and report bytes.
+func TestServerFinishedRunReleasesWorkingSet(t *testing.T) {
+	s, ts := newTestServer(t)
+	st := postRun(t, ts, RunRequest{Circuit: "sg208", Random: 48, Workers: 2})
+	fin := waitDone(t, ts, st.ID)
+	if fin.Status != StatusDone || fin.Report == nil {
+		t.Fatalf("status = %q (%s), report %v", fin.Status, fin.Error, fin.Report)
+	}
+	s.mu.Lock()
+	run := s.runs[st.ID]
+	s.mu.Unlock()
+	run.mu.Lock()
+	kept := run.circuit != nil || run.seq != nil || run.faults != nil ||
+		run.warm.CC != nil || run.warm.Good != nil
+	run.mu.Unlock()
+	if kept {
+		t.Error("finished run still holds its working set")
+	}
+	if fin.Circuit != "sg208" || fin.Patterns != 48 || fin.Faults != fin.Report.Faults {
+		t.Errorf("status inputs = %s/%d patterns/%d faults, report has %d faults",
+			fin.Circuit, fin.Patterns, fin.Faults, fin.Report.Faults)
+	}
+	get := func() []byte {
+		resp, err := http.Get(ts.URL + "/runs/" + st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if a, b := get(), get(); string(a) != string(b) {
+		t.Errorf("GET /runs/%s differs between fetches:\n%s\n---\n%s", st.ID, a, b)
 	}
 }
 

@@ -45,6 +45,8 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.PrescreenPasses }},
 	{"prescreen_dropped_total", "Faults classified directly by the prescreen.", false,
 		func(s core.LiveSnapshot) int64 { return s.PrescreenDropped }},
+	{"prescreen_pruned_c_total", "Undetected faults the prescreen lanes pruned by condition (C).", false,
+		func(s core.LiveSnapshot) int64 { return s.PrescreenPrunedC }},
 	{"prescreen_frames_total", "Time frames simulated by the bit-parallel prescreen.", false,
 		func(s core.LiveSnapshot) int64 { return s.PrescreenFrames }},
 	{"mot_faults_total", "Faults that entered the per-fault MOT pipeline.", false,

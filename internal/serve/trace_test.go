@@ -84,8 +84,10 @@ func TestServerTraceEndpoint(t *testing.T) {
 		}
 	}
 	// Fault spans wrap the per-fault MOT pipeline, so at full sampling
-	// there is one per fault the prescreen did not already resolve.
-	if want := fin.Faults - fin.Report.Stages.PrescreenDropped; names["fault"] != want {
+	// there is one per fault the prescreen did not already settle: not
+	// dropped as conventionally detected, not pruned by condition (C).
+	stages := fin.Report.Stages
+	if want := fin.Faults - stages.PrescreenDropped - stages.PrescreenPrunedC; names["fault"] != want || want != stages.MOTFaults {
 		t.Errorf("trace has %d fault spans, want %d (full sampling, faults past prescreen)", names["fault"], want)
 	}
 }
