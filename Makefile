@@ -42,7 +42,7 @@ bench:
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
 # regression probe. Combine with benchdiff:
 #   make bench-lite | tee benchdiff.out
-#   go run ./cmd/benchdiff -baseline BENCH_PR9.json benchdiff.out
+#   go run ./cmd/benchdiff -baseline BENCH_PR14.json benchdiff.out
 bench-lite:
 	$(GO) test -run xxx -bench 'Table2_sg298|LiveOverhead|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
 

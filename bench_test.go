@@ -272,9 +272,10 @@ func BenchmarkPrescreenOff_sg344(b *testing.B) { benchPrescreen(b, "sg344", fals
 // --- Bit-parallel resimulation: 256-lane expansion stage ---
 
 // benchResimBitParallel measures the whole-list pipeline with the
-// bit-parallel Section 3.4 resimulation on vs. off. sg298 is the
-// resimulation-heavy workload (many MOT-pipeline faults with large
-// expansion sets); the outcomes are identical either way and the stage
+// bit-parallel Section 3.4 resimulation on vs. off. sg298 has many
+// MOT-pipeline faults with large expansion sets but small regions;
+// sg641's regions are large enough to show what the event-driven lane
+// pass skips. The outcomes are identical either way and the stage
 // counters are asserted to reflect the selected path.
 func benchResimBitParallel(b *testing.B, name string, on bool) {
 	e, err := circuits.SuiteEntryByName(name)
@@ -308,6 +309,8 @@ func benchResimBitParallel(b *testing.B, name string, on bool) {
 
 func BenchmarkResimBitParallelOn_sg298(b *testing.B)  { benchResimBitParallel(b, "sg298", true) }
 func BenchmarkResimBitParallelOff_sg298(b *testing.B) { benchResimBitParallel(b, "sg298", false) }
+func BenchmarkResimBitParallelOn_sg641(b *testing.B)  { benchResimBitParallel(b, "sg641", true) }
+func BenchmarkResimBitParallelOff_sg641(b *testing.B) { benchResimBitParallel(b, "sg641", false) }
 
 // --- Ablations (DESIGN.md §5) ---
 

@@ -351,9 +351,9 @@ func run(o runOptions) error {
 			res.Stages.MOTTime.Round(time.Microsecond))
 	}
 	if cfg.BitParallelResim && res.Stages.ResimVectorPasses > 0 {
-		fmt.Fprintf(out, "  resim: %d vector passes over %d frames (%d serial fallbacks)\n",
+		fmt.Fprintf(out, "  resim: %d vector passes over %d frames, %d gate evals (%d serial fallbacks)\n",
 			res.Stages.ResimVectorPasses, res.Stages.ResimVectorFrames,
-			res.Stages.ResimSerialFallbacks)
+			res.Stages.ResimGateEvals, res.Stages.ResimSerialFallbacks)
 	}
 	fmt.Fprintf(out, "  detected conventionally: %d\n", res.Conv)
 	fmt.Fprintf(out, "  detected by MOT beyond conventional: %d (%d by identification alone)\n", res.MOT, res.Identified)

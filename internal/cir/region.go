@@ -10,9 +10,11 @@ package cir
 // next-state inputs where they can refine the sequence or expose an
 // infeasibility conflict. Seeding the closure with every flip-flop the
 // expansion assigned restores exactness — any flip-flop whose next-state
-// (D) node lies outside the region reads only fault-free, unexpanded
-// values and therefore can never refine or conflict, and any node
-// outside the region evaluates to the retained fault-free value.
+// (D) node lies outside the region reads only unexpanded values and
+// therefore can never refine or conflict, and any node outside the
+// region keeps its retained faulty-trace value. The closure is also
+// closed under fanout, so the events of a LaneEval pass seeded at region
+// Q nodes never leave it.
 //
 // Like Cone, a Region depends only on the sites, never on the stuck
 // polarity, but unlike cones regions are not cached per fault: the seed
@@ -29,10 +31,9 @@ import (
 // Region; a Region is not safe for concurrent use (the CC it is filled
 // from is).
 type Region struct {
-	// Gates lists the region's gates in ascending topological level:
-	// evaluating them in slice order after the region's source nodes
-	// (frontier, flip-flop Q loads, the stem fault node) are set yields
-	// every region node value.
+	// Gates lists the region's gates in ascending topological level, so
+	// a gate's readers always sit at later positions: LaneEval schedules
+	// events as a bitmap over these positions.
 	Gates []netlist.GateID
 	// QFFs lists (ascending) the indices of flip-flops whose Q node is
 	// in the region: exactly the state variables whose lane values must
@@ -46,18 +47,13 @@ type Region struct {
 	// outputs in the region: the only outputs where a detection can
 	// occur (the region contains the fault's active cone).
 	Outs []int32
-	// Frontier lists the nodes outside the region that region gates
-	// read: their values never diverge from the fault-free machine, so
-	// one broadcast of the retained fault-free value per frame feeds
-	// every region gate that reads them. Primary inputs read by region
-	// gates appear here too (a fault-free input value is the pattern
-	// value itself).
-	Frontier []netlist.NodeID
 
-	nodes   []netlist.NodeID // marked region nodes, for sparse clearing
-	inNode  []bool
-	inGate  []bool
-	inFront []bool
+	nodes  []netlist.NodeID // marked region nodes, for sparse clearing
+	inNode []bool
+	inGate []bool
+	// pos maps a region gate to its position in Gates; entries of gates
+	// outside the region are stale and never read.
+	pos     []int32
 	stack   []netlist.NodeID
 	byLevel [][]netlist.GateID // level-bucket scratch for the gate sort
 }
@@ -67,7 +63,7 @@ func (cc *CC) NewRegion() *Region {
 	return &Region{
 		inNode:  make([]bool, cc.NumNodes()),
 		inGate:  make([]bool, cc.NumGates()),
-		inFront: make([]bool, cc.NumNodes()),
+		pos:     make([]int32, cc.NumGates()),
 		byLevel: make([][]netlist.GateID, cc.MaxLevel+1),
 	}
 }
@@ -87,15 +83,11 @@ func (cc *CC) FillRegion(f *fault.Fault, seedFFs []int32, r *Region) {
 	for _, g := range r.Gates {
 		r.inGate[g] = false
 	}
-	for _, n := range r.Frontier {
-		r.inFront[n] = false
-	}
 	r.nodes = r.nodes[:0]
 	r.Gates = r.Gates[:0]
 	r.QFFs = r.QFFs[:0]
 	r.DFFs = r.DFFs[:0]
 	r.Outs = r.Outs[:0]
-	r.Frontier = r.Frontier[:0]
 	r.stack = r.stack[:0]
 	if f.Node != netlist.NoNode {
 		if f.IsStem() {
@@ -135,18 +127,8 @@ func (cc *CC) FillRegion(f *fault.Fault, seedFFs []int32, r *Region) {
 			r.Outs = append(r.Outs, int32(j))
 		}
 	}
-	// Frontier: nodes read by region gates that the region never writes.
-	for _, g := range r.Gates {
-		for k := cc.FaninStart[g]; k < cc.FaninStart[g+1]; k++ {
-			n := cc.Fanin[k]
-			if !r.inNode[n] && !r.inFront[n] {
-				r.inFront[n] = true
-				r.Frontier = append(r.Frontier, n)
-			}
-		}
-	}
-	// Sort Gates by ascending level with a bucket pass so slice-order
-	// evaluation respects combinational dependencies inside the region.
+	// Sort Gates by ascending level with a bucket pass so position
+	// order respects combinational dependencies inside the region.
 	for _, g := range r.Gates {
 		l := cc.Level[g]
 		r.byLevel[l] = append(r.byLevel[l], g)
@@ -155,6 +137,9 @@ func (cc *CC) FillRegion(f *fault.Fault, seedFFs []int32, r *Region) {
 	for l := range r.byLevel {
 		r.Gates = append(r.Gates, r.byLevel[l]...)
 		r.byLevel[l] = r.byLevel[l][:0]
+	}
+	for p, g := range r.Gates {
+		r.pos[g] = int32(p)
 	}
 }
 

@@ -1056,10 +1056,14 @@ type Stages struct {
 	// expansion resimulated under Config.BitParallelResim, portfolio
 	// retries included. ResimVectorFrames counts the time frames those
 	// passes evaluated (frames with no active lane are skipped and not
-	// counted). ResimSerialFallbacks counts expansions whose sequence
-	// set exceeded the 256-lane word and ran the serial path instead.
+	// counted), and ResimGateEvals the gates they evaluated (only gates
+	// a lane-divergent value reaches are evaluated, so a frame with no
+	// divergence counts none). ResimSerialFallbacks counts expansions
+	// whose sequence set exceeded the 256-lane word and ran the serial
+	// path instead.
 	ResimVectorPasses    int64
 	ResimVectorFrames    int64
+	ResimGateEvals       int64
 	ResimSerialFallbacks int64
 	// MOTFaults counts the faults that entered the per-fault pipeline:
 	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.

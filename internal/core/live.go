@@ -52,6 +52,7 @@ type LiveStats struct {
 
 	resimVectorPasses    atomic.Int64
 	resimVectorFrames    atomic.Int64
+	resimGateEvals       atomic.Int64
 	resimSerialFallbacks atomic.Int64
 
 	step0NS   atomic.Int64
@@ -110,6 +111,7 @@ type LiveSnapshot struct {
 
 	ResimVectorPasses    int64 `json:"resim_vector_passes"`
 	ResimVectorFrames    int64 `json:"resim_vector_frames"`
+	ResimGateEvals       int64 `json:"resim_gate_evals"`
 	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
 
 	Step0NS   int64 `json:"step0_ns"`
@@ -150,6 +152,7 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		ImplyCalls:           l.implyCalls.Load(),
 		ResimVectorPasses:    l.resimVectorPasses.Load(),
 		ResimVectorFrames:    l.resimVectorFrames.Load(),
+		ResimGateEvals:       l.resimGateEvals.Load(),
 		ResimSerialFallbacks: l.resimSerialFallbacks.Load(),
 		Step0NS:              l.step0NS.Load(),
 		CollectNS:            l.collectNS.Load(),
@@ -237,6 +240,7 @@ type livePublisher struct {
 	lastImplySmps int64
 	lastResimVP   int64
 	lastResimVF   int64
+	lastResimGE   int64
 	lastResimSF   int64
 	lastSim       seqsim.SimStats
 }
@@ -318,8 +322,10 @@ func (p *livePublisher) flush(s *Simulator) {
 		p.lastImply, p.lastImplyNS, p.lastImplySmps = st.implyCalls, st.implySampleNS, st.implySamples
 		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
 		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
+		l.resimGateEvals.Add(st.resimGateEvals - p.lastResimGE)
 		l.resimSerialFallbacks.Add(st.resimSerialFallbacks - p.lastResimSF)
 		p.lastResimVP, p.lastResimVF, p.lastResimSF = st.resimVectorPasses, st.resimVectorFrames, st.resimSerialFallbacks
+		p.lastResimGE = st.resimGateEvals
 
 		sim := s.sim.Stats()
 		l.deltaFrames.Add(sim.DeltaFrames - p.lastSim.DeltaFrames)

@@ -71,10 +71,11 @@ type simPools struct {
 	region *cir.Region
 	// qPos maps an FF index to its position in region.QFFs.
 	qPos []int32
-	// vvVals, vvFlat/vvState and vvMarks are the vector frame's node
-	// values, the packed per-frame lane states ((L+1) rows carved from
-	// one slab) and the per-frame marked-lane masks.
-	vvVals  []cir.VV4
+	// lanes is the event-driven vector frame evaluator (its overlay
+	// holds the frame's divergent node values); vvFlat/vvState and
+	// vvMarks are the packed per-frame lane states ((L+1) rows carved
+	// from one slab) and the per-frame marked-lane masks.
+	lanes   *cir.LaneEval
 	vvFlat  []cir.VV4
 	vvState [][]cir.VV4
 	vvMarks []laneMask
@@ -82,19 +83,22 @@ type simPools struct {
 
 // runBad simulates the faulty machine for f, reusing the pooled trace.
 // The Reference configuration keeps the allocate-per-fault RunFault path.
+// Per-frame node values are kept whenever a later stage reads them: the
+// implication engine and the vector resimulation's overlay baseline.
 func (s *Simulator) runBad(f fault.Fault) (*seqsim.Trace, seqsim.Detection, bool, error) {
+	keepNodes := s.cfg.UseBackwardImplications || s.cfg.BitParallelResim
 	if s.cfg.Reference {
-		return s.sim.RunFault(s.T, s.good, f, s.cfg.UseBackwardImplications)
+		return s.sim.RunFault(s.T, s.good, f, keepNodes)
 	}
 	if s.pools.badTrace == nil {
-		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), s.cfg.UseBackwardImplications)
+		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), keepNodes)
 		if st := s.stats; st != nil {
 			st.pool.TraceAllocs++
 		}
 	} else if st := s.stats; st != nil {
 		st.pool.TraceReuses++
 	}
-	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, s.cfg.UseBackwardImplications)
+	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, keepNodes)
 	return s.pools.badTrace, at, detected, err
 }
 

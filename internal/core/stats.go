@@ -93,12 +93,13 @@ type runStats struct {
 	implySampleNS int64
 	implySamples  int64
 	motFaults     int64
-	// resimVectorPasses/resimVectorFrames count the bit-parallel
-	// resimulation passes and the frames they evaluated;
-	// resimSerialFallbacks the expansions that exceeded lane capacity
-	// and ran the serial path (see Stages).
+	// resimVectorPasses/resimVectorFrames/resimGateEvals count the
+	// bit-parallel resimulation passes, the frames and the gates they
+	// evaluated; resimSerialFallbacks the expansions that exceeded lane
+	// capacity and ran the serial path (see Stages).
 	resimVectorPasses    int64
 	resimVectorFrames    int64
+	resimGateEvals       int64
 	resimSerialFallbacks int64
 	pool                 PoolStats
 }
@@ -254,6 +255,7 @@ func (st *Stages) mergeStats(rs *runStats) {
 	st.ImplyCalls += rs.implyCalls
 	st.ResimVectorPasses += rs.resimVectorPasses
 	st.ResimVectorFrames += rs.resimVectorFrames
+	st.ResimGateEvals += rs.resimGateEvals
 	st.ResimSerialFallbacks += rs.resimSerialFallbacks
 	st.MOTFaults += int(rs.motFaults)
 	st.Pool.merge(rs.pool)

@@ -86,6 +86,16 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.ImplyCalls == 0 {
 		t.Error("ImplyCalls = 0; implication instrumentation not reached")
 	}
+	type resimCounts struct{ passes, frames, gateEvals, fallbacks int64 }
+	resim := func(st Stages) resimCounts {
+		return resimCounts{st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks}
+	}
+	if resim(ser.Stages) != resim(par.Stages) {
+		t.Errorf("resim counters differ: serial %+v, parallel %+v", resim(ser.Stages), resim(par.Stages))
+	}
+	if ser.Stages.ResimGateEvals == 0 {
+		t.Error("ResimGateEvals = 0; vector resimulation not counted")
+	}
 	if poolSums(ser.Stages.Pool) != poolSums(par.Stages.Pool) {
 		t.Errorf("pool sums differ:\n  serial:   %+v\n  parallel: %+v", ser.Stages.Pool, par.Stages.Pool)
 	}

@@ -15,15 +15,23 @@ package core
 //
 // The pass is confined to the fault's *region* (cir.Region): the
 // sequential fanout closure of the fault site plus the Q nodes of every
-// state variable the expansion assigned. Values outside the region
-// never diverge from the retained fault-free trace — expansion assigns
-// only state variables (whose Q nodes seed the closure), dynamic
-// refinements land only on flip-flops whose D node is inside the
-// region (so their Q is too, by the closure), and the region contains
-// the fault's active cone — so frontier nodes are broadcast from
-// good.Nodes, detection scans region outputs only, and next-state
-// comparison visits region D nodes only. Each confinement is exact,
-// not an approximation.
+// state variable the expansion assigned. Within it, frames evaluate
+// event-driven (cir.LaneEval) as a sparse overlay on the retained
+// faulty trace bad.Nodes[u]. Every lane is a refinement of that trace:
+// packing starts each lane at bad.States, expansion assigns only
+// unspecified state variables, and resimulation refines only
+// unspecified ones. A frame therefore seeds only the region Q nodes
+// whose lane state differs from bad.States[u] on an active lane, and
+// evaluates only the gates those values reach. A gate whose inputs all
+// equal the trace produces exactly the trace value, so every untouched
+// node equals bad.Nodes[u] on every active lane; a frame with no seeds
+// evaluates no gate at all. Nodes outside the region never diverge:
+// expansion assigns only state variables (whose Q nodes seed the
+// closure), dynamic refinements land only on flip-flops whose D node is
+// inside the region (so their Q is too, by the closure), and the region
+// is closed under fanout. Detection scans region outputs only and the
+// next-state comparison visits region D nodes only, both reading
+// through the overlay. Each confinement is exact, not an approximation.
 
 import (
 	"repro/internal/cir"
@@ -38,13 +46,15 @@ type laneMask [4]uint64
 
 // ResimTrace summarizes the resimulation passes of one fault for the
 // JSONL trace: how many expansions resimulated bit-parallel, the frames
-// those vector passes evaluated, the lanes they packed (summed over
-// passes — the portfolio retry adds a second pass), and how many
-// expansions exceeded the 256-lane word and fell back to the serial
-// path. All fields are deterministic for a given configuration.
+// those vector passes evaluated and the gates they evaluated, the lanes
+// they packed (summed over passes — the portfolio retry adds a second
+// pass), and how many expansions exceeded the 256-lane word and fell
+// back to the serial path. All fields are deterministic for a given
+// configuration.
 type ResimTrace struct {
 	VectorPasses    int `json:"resim_vector_passes,omitempty"`
 	VectorFrames    int `json:"resim_vector_frames,omitempty"`
+	GateEvals       int `json:"resim_gate_evals,omitempty"`
 	Lanes           int `json:"resim_lanes,omitempty"`
 	SerialFallbacks int `json:"resim_serial_fallbacks,omitempty"`
 }
@@ -89,25 +99,24 @@ func (s *Simulator) resimRegion(f *fault.Fault) *cir.Region {
 	return s.pools.region
 }
 
-// vresimScratch returns the node-value vector, the (L+1) packed state
+// vresimScratch returns the lane evaluator, the (L+1) packed state
 // rows of nq lane words each, and the per-frame lane-mark masks. None
 // need clearing: every row and mask is fully initialized by the pack
-// stage, and region evaluation writes every node it reads.
-func (s *Simulator) vresimScratch(nq int) (vals []cir.VV4, state [][]cir.VV4, markRows []laneMask) {
-	nNodes, rows := s.c.NumNodes(), len(s.T)+1
+// stage, and the evaluator's overlay is epoch-stamped.
+func (s *Simulator) vresimScratch(nq int) (ev *cir.LaneEval, state [][]cir.VV4, markRows []laneMask) {
+	rows := len(s.T) + 1
 	need := rows * nq
 	if s.cfg.Reference {
-		vals = make([]cir.VV4, nNodes)
 		flat := make([]cir.VV4, need)
 		state = make([][]cir.VV4, rows)
 		for u := 0; u < rows; u++ {
 			state[u] = flat[u*nq : (u+1)*nq : (u+1)*nq]
 		}
-		return vals, state, make([]laneMask, rows)
+		return s.cc.NewLaneEval(), state, make([]laneMask, rows)
 	}
 	p := &s.pools
-	if cap(p.vvVals) < nNodes {
-		p.vvVals = make([]cir.VV4, nNodes)
+	if p.lanes == nil {
+		p.lanes = s.cc.NewLaneEval()
 	}
 	if cap(p.vvFlat) < need {
 		p.vvFlat = make([]cir.VV4, need)
@@ -124,7 +133,7 @@ func (s *Simulator) vresimScratch(nq int) (vals []cir.VV4, state [][]cir.VV4, ma
 	if cap(p.vvMarks) < rows {
 		p.vvMarks = make([]laneMask, rows)
 	}
-	return p.vvVals[:nNodes], state, p.vvMarks[:rows]
+	return p.lanes, state, p.vvMarks[:rows]
 }
 
 // qPosScratch returns the FF-index -> region.QFFs-position map. Only
@@ -142,15 +151,16 @@ func (s *Simulator) qPosScratch() []int32 {
 
 // resimulateVV is the bit-parallel implementation of resimulate: every
 // sequence occupies one lane, and each frame evaluates the fault's
-// region once for all sequences. Caller guarantees len(seqs) <= 256 and
-// that seqs came from the immediately preceding expand call (whose
-// assigned state variables, still in pools.seedFFs, seed the region).
+// region once for all sequences. Caller guarantees len(seqs) <= 256,
+// that bad retains node values, and that seqs came from the
+// immediately preceding expand call (whose assigned state variables,
+// still in pools.seedFFs, seed the region).
 func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
 	cc := s.cc
 	L := len(s.T)
 	n := len(seqs)
 	reg := s.resimRegion(f)
-	vals, state, markRows := s.vresimScratch(len(reg.QFFs))
+	ev, state, markRows := s.vresimScratch(len(reg.QFFs))
 	qPos := s.qPosScratch()
 	for qi, j := range reg.QFFs {
 		qPos[j] = int32(qi)
@@ -216,9 +226,9 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 
 	stem := f.IsStem()
 	stuck := cir.Broadcast4(f.Stuck)
-	badNodes := bad.Nodes
+	ev.BeginPass(reg, f, nw)
 	var resolvedM laneMask
-	frames := 0
+	frames, gateEvals := 0, 0
 	for u := 0; u < L && resolvedM != all; u++ {
 		var active laneMask
 		anyActive := uint64(0)
@@ -230,202 +240,16 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 			continue
 		}
 		frames++
+
+		// Frame evaluation: seed the region Q nodes whose packed state
+		// differs from the trace on an active lane, then evaluate the
+		// gates their values reach.
+		ev.BeginFrame(bad.Nodes[u], active)
 		row := state[u]
-
-		// Clean-frame fast path: when no still-active lane's packed
-		// state differs from the base faulty trace at u, every active
-		// lane's frame values equal bad.Nodes[u], so detection and the
-		// next-state comparison lift from the retained scalar trace and
-		// the dense region evaluation is skipped entirely. This is the
-		// common tail of a pass: expansion injections sit at a few
-		// frames, and once the lanes that own them detect or conflict,
-		// the surviving lanes ride the base trace through the rest of
-		// the marked window. (bad.Nodes is retained whenever backward
-		// implications are on; without it every frame takes the dense
-		// path below.)
-		if badNodes != nil {
-			badRow := bad.States[u]
-			dirty := uint64(0)
-			for qi, j := range reg.QFFs {
-				var bOne, bZero uint64
-				switch badRow[j] {
-				case logic.One:
-					bOne = allBits
-				case logic.Zero:
-					bZero = allBits
-				}
-				c := &row[qi]
-				for w := 0; w < nw; w++ {
-					dirty |= (c.One[w] ^ bOne | c.Zero[w] ^ bZero) & active[w]
-				}
-			}
-			if dirty == 0 {
-				bn := badNodes[u]
-				goodOuts := s.good.Outputs[u]
-				detected := false
-				for _, oj := range reg.Outs {
-					g := goodOuts[oj]
-					v := bn[cc.Outputs[oj]]
-					if g.IsBinary() && v.IsBinary() && v != g {
-						detected = true
-						break
-					}
-				}
-				if detected {
-					// Every active lane detects here, exactly the
-					// dense path's det == active case.
-					for w := 0; w < nw; w++ {
-						resolvedM[w] |= active[w]
-					}
-					continue
-				}
-				next := state[u+1]
-				nextMarks := &markRows[u+1]
-				act := active
-				for _, j := range reg.DFFs {
-					dv := bn[cc.FFD[j]]
-					if stem && cc.FFQ[j] == f.Node {
-						dv = f.Stuck
-					}
-					var vOne, vZero uint64
-					switch dv {
-					case logic.One:
-						vOne = allBits
-					case logic.Zero:
-						vZero = allBits
-					default:
-						continue // X next value: no refine, no conflict
-					}
-					cell := &next[qPos[j]]
-					for w := 0; w < nw; w++ {
-						a := act[w]
-						if a == 0 {
-							continue
-						}
-						nOne, nZero := cell.One[w], cell.Zero[w]
-						conflict := (vOne&nZero | vZero&nOne) & a
-						refine := (vOne | vZero) &^ (nOne | nZero) & a
-						cell.One[w] = nOne | vOne&refine
-						cell.Zero[w] = nZero | vZero&refine
-						nextMarks[w] |= refine
-						resolvedM[w] |= conflict
-						act[w] = a &^ conflict
-					}
-				}
-				continue
-			}
-		}
-
-		// Frame evaluation confined to the region: frontier nodes carry
-		// the fault-free value on every lane, region Q nodes load the
-		// packed state, a stem fault site is stuck on every lane (its
-		// driver, if any, is skipped), and region gates evaluate in
-		// level order. The gate fold is inlined over the live words —
-		// this loop is the hot core of the pass, and the shared
-		// VV4Fold's per-gate constructor and per-fanin call overhead
-		// dominate it otherwise. Only the fault's own branch gate (at
-		// most one per region) takes the shared fold, to keep the fast
-		// path free of the pin-override test.
-		goodNodes := s.good.Nodes[u]
-		for _, id := range reg.Frontier {
-			var one, zero uint64
-			switch goodNodes[id] {
-			case logic.One:
-				one = allBits
-			case logic.Zero:
-				zero = allBits
-			}
-			v := &vals[id]
-			for w := 0; w < nw; w++ {
-				v.One[w], v.Zero[w] = one, zero
-			}
-		}
 		for qi, j := range reg.QFFs {
-			v, c := &vals[cc.FFQ[j]], &row[qi]
-			for w := 0; w < nw; w++ {
-				v.One[w], v.Zero[w] = c.One[w], c.Zero[w]
-			}
+			ev.Seed(cc.FFQ[j], &row[qi])
 		}
-		if stem {
-			vals[f.Node] = stuck
-		}
-		for _, gi := range reg.Gates {
-			out := cc.GOut[gi]
-			if stem && out == f.Node {
-				continue
-			}
-			if !stem && gi == f.Gate {
-				// Branch fault: the faulty pin observes the stuck value.
-				fo := cir.StartVV4(cc.Ops[gi])
-				lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
-				for k := lo; k < hi; k++ {
-					if k-lo == f.Pin {
-						fo.Add(stuck)
-					} else {
-						fo.Add(vals[cc.Fanin[k]])
-					}
-				}
-				vals[out] = fo.Result()
-				continue
-			}
-			op := cc.Ops[gi]
-			lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
-			var one, zero [4]uint64
-			switch op {
-			case logic.And, logic.Nand:
-				for w := 0; w < nw; w++ {
-					one[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &vals[cc.Fanin[k]]
-					for w := 0; w < nw; w++ {
-						one[w] &= in.One[w]
-						zero[w] |= in.Zero[w]
-					}
-				}
-			case logic.Xor, logic.Xnor:
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &vals[cc.Fanin[k]]
-					for w := 0; w < nw; w++ {
-						o := one[w]&in.Zero[w] | zero[w]&in.One[w]
-						zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
-						one[w] = o
-					}
-				}
-			case logic.Const0:
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-			case logic.Const1:
-				for w := 0; w < nw; w++ {
-					one[w] = allBits
-				}
-			default: // Or, Nor, Buf, Not: the or-fold
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &vals[cc.Fanin[k]]
-					for w := 0; w < nw; w++ {
-						one[w] |= in.One[w]
-						zero[w] &= in.Zero[w]
-					}
-				}
-			}
-			v := &vals[out]
-			if op != logic.Const0 && op != logic.Const1 && op.Inverting() {
-				for w := 0; w < nw; w++ {
-					v.One[w], v.Zero[w] = zero[w], one[w]
-				}
-			} else {
-				for w := 0; w < nw; w++ {
-					v.One[w], v.Zero[w] = one[w], zero[w]
-				}
-			}
-		}
+		gateEvals += ev.Drain()
 
 		// Detections: a lane whose binary output value contradicts a
 		// binary fault-free response resolves, exactly the serial scan.
@@ -437,7 +261,7 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 			if !g.IsBinary() {
 				continue
 			}
-			v := &vals[cc.Outputs[oj]]
+			v := ev.Value(cc.Outputs[oj])
 			mism := &v.One
 			if g == logic.One {
 				mism = &v.Zero
@@ -468,11 +292,11 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		next := state[u+1]
 		nextMarks := &markRows[u+1]
 		for _, j := range reg.DFFs {
-			v := vals[cc.FFD[j]]
+			v := ev.Value(cc.FFD[j])
 			if stem && cc.FFQ[j] == f.Node {
 				// The stem fault holds this flip-flop's observed next
 				// state at the stuck value (fault.Observed).
-				v = stuck
+				v = &stuck
 			}
 			cell := &next[qPos[j]]
 			for w := 0; w < nw; w++ {
@@ -496,12 +320,14 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 	if st := s.stats; st != nil {
 		st.resimVectorPasses++
 		st.resimVectorFrames += int64(frames)
+		st.resimGateEvals += int64(gateEvals)
 	}
 	if s.hist != nil {
 		s.hist.ResimLanesPerPass.Observe(int64(n))
 	}
 	s.lastResim.VectorPasses++
 	s.lastResim.VectorFrames += frames
+	s.lastResim.GateEvals += gateEvals
 	s.lastResim.Lanes += n
 	return resolvedM == all
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/bench"
@@ -103,6 +104,33 @@ func TestBPResimCrossCheckLongList(t *testing.T) {
 	crossCheckBPResim(t, c, T, faults, DefaultConfig())
 }
 
+// TestBPResimCrossCheckSuite runs collapsed suite lists past the tiny
+// circuits: regions span several bitmap words, NStates 200 packs more
+// than one 64-lane word per pass, and the [4] baseline (backward
+// implications off) exercises the retained faulty-trace rows the
+// vector pass reads as its overlay baseline.
+func TestBPResimCrossCheckSuite(t *testing.T) {
+	for _, name := range []string{"sg298", "sg641"} {
+		e, err := circuits.SuiteEntryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := e.Build()
+		faults := fault.CollapsedList(c)
+		T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
+		for _, nstates := range []int{64, 200} {
+			for _, bi := range []bool{true, false} {
+				t.Run(fmt.Sprintf("%s/nstates%d/bi=%v", name, nstates, bi), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.NStates = nstates
+					cfg.UseBackwardImplications = bi
+					crossCheckBPResim(t, c, T, faults, cfg)
+				})
+			}
+		}
+	}
+}
+
 // TestBPResimCrossCheckVariants sweeps the configuration axes that
 // change what reaches resimulation: the [4] baseline (no implication
 // pruning, more surviving sequences), deep backward implications, the
@@ -133,8 +161,8 @@ func TestBPResimCrossCheckVariants(t *testing.T) {
 	}
 }
 
-// fuzzResimBench adds a reconvergent output so region frontiers carry
-// fault-free values into live gates.
+// fuzzResimBench adds a reconvergent output so evaluated gates read
+// lane-divergent values next to values read through from the trace.
 const fuzzResimBench = `
 INPUT(a)
 OUTPUT(o1)

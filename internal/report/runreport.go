@@ -59,6 +59,7 @@ type StagesReport struct {
 	ImplyCalls           int64 `json:"imply_calls"`
 	ResimVectorPasses    int64 `json:"resim_vector_passes"`
 	ResimVectorFrames    int64 `json:"resim_vector_frames"`
+	ResimGateEvals       int64 `json:"resim_gate_evals"`
 	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
 
 	MOTFaults int             `json:"mot_faults"`
@@ -113,6 +114,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ImplyCalls:           st.ImplyCalls,
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
+			ResimGateEvals:       st.ResimGateEvals,
 			ResimSerialFallbacks: st.ResimSerialFallbacks,
 			MOTFaults:            st.MOTFaults,
 			Pool:                 st.Pool,
@@ -181,8 +183,8 @@ func FormatRunStats(res *core.Result) string {
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  implication calls: %d\n", st.ImplyCalls)
 	if st.ResimVectorPasses > 0 || st.ResimSerialFallbacks > 0 {
-		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames, %d serial fallbacks\n",
-			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimSerialFallbacks)
+		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
+			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks)
 	}
 	if st.PrescreenFrames > 0 {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit\n",
@@ -233,8 +235,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls)
-	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames, %d serial fallbacks\n",
-		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimSerialFallbacks)
+	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
+		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals, s.ResimSerialFallbacks)
 	fmt.Fprintf(&sb, "    serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
 		s.DeltaFrames, s.DeltaGateEvals, s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
 	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply~%.3f) expand=%.3f resim=%.3f total=%.3f\n",

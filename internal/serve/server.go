@@ -239,6 +239,7 @@ func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
 	a.ImplyNS += b.ImplyNS
 	a.ResimVectorPasses += b.ResimVectorPasses
 	a.ResimVectorFrames += b.ResimVectorFrames
+	a.ResimGateEvals += b.ResimGateEvals
 	a.ResimSerialFallbacks += b.ResimSerialFallbacks
 	a.Step0NS += b.Step0NS
 	a.CollectNS += b.CollectNS
