@@ -37,14 +37,14 @@ verify: build test vet race
 
 # Whole-list MOT benchmarks (Table 2 circuits) with allocation stats.
 bench:
-	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
+	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel|Conventional' -benchmem -benchtime 2x -count 3 .
 
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
 # regression probe. Combine with benchdiff:
 #   make bench-lite | tee benchdiff.out
-#   go run ./cmd/benchdiff -baseline BENCH_PR14.json benchdiff.out
+#   go run ./cmd/benchdiff -baseline BENCH_PR15.json benchdiff.out
 bench-lite:
-	$(GO) test -run xxx -bench 'Table2_sg298|LiveOverhead|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
+	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
 
 # Sample span trace of a fully sampled sg298 run, loadable in
 # ui.perfetto.dev or chrome://tracing. CI uploads it as an artifact.
@@ -63,5 +63,5 @@ bench-collect:
 # to compare against a specific PR.
 BENCH_BASELINE ?=
 benchdiff:
-	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel' -benchmem -benchtime 2x -count 3 . | tee benchdiff.out
+	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel|Conventional' -benchmem -benchtime 2x -count 3 . | tee benchdiff.out
 	$(GO) run ./cmd/benchdiff $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE)) benchdiff.out

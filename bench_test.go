@@ -269,6 +269,31 @@ func BenchmarkPrescreenOff_sg298(b *testing.B) { benchPrescreen(b, "sg298", fals
 func BenchmarkPrescreenOn_sg344(b *testing.B)  { benchPrescreen(b, "sg344", true) }
 func BenchmarkPrescreenOff_sg344(b *testing.B) { benchPrescreen(b, "sg344", false) }
 
+// BenchmarkConventional_sg5378 measures the bit-parallel conventional
+// simulation kernel alone: bitsim.RunStats over the collapsed sg5378
+// list with 64 random vectors on one worker, the fault-free trace
+// included. Most gates stay off the event schedule in most frames, so
+// this is where the event-driven evaluation pays; GateEvals reports the
+// gates it evaluated per run.
+func BenchmarkConventional_sg5378(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg5378")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.Build()
+	T := tgen.Random(c.NumInputs(), 64, e.SeqSeed)
+	faults := fault.CollapsedList(c)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var st bitsim.Stats
+	for i := 0; i < b.N; i++ {
+		if _, st, err = bitsim.RunStats(c, T, faults, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.GateEvals), "gate-evals/op")
+}
+
 // --- Bit-parallel resimulation: 256-lane expansion stage ---
 
 // benchResimBitParallel measures the whole-list pipeline with the
@@ -509,7 +534,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 }
 
 // BenchmarkAblationFrameEval compares the three conventional-simulation
-// engines: bit-parallel (63 machines per word), event-driven serial, and
+// engines: bit-parallel (255 machines per batch), event-driven serial, and
 // full-pass serial.
 func BenchmarkAblationFrameEval(b *testing.B) {
 	e, _ := circuits.SuiteEntryByName("sg641")

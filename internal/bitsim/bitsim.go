@@ -7,14 +7,17 @@
 // accelerates the conventional-simulation stage and is validated
 // lane-for-lane against the serial simulator.
 //
-// The circuit structure and the lane-wise gate semantics come from the
-// compiled IR (internal/cir): the frame loop walks the CSR arrays and
-// every gate evaluates the cir.VV4 fold semantics, inlined over only
-// the words that hold occupied lanes (partial batches narrow to one or
-// two words). What stays here is fault injection — the dense per-node
-// stem table and per-gate branch table are batch-specific (each batch
-// carries a different 255-fault lane assignment), not circuit
-// structure.
+// Every lane of a batch is a variation of the fault-free machine, so a
+// frame evaluates only where the lanes differ from it: each worker's
+// evaluator keeps an epoch-stamped overlay on the fault-free trace (a
+// node nobody wrote reads through to its fault-free value, broadcast to
+// every lane) and evaluates only the gates a lane-divergent value
+// reaches, in level order (see evaluator). Frames where most gates
+// diverge run a plain sweep over the same tables instead. The circuit
+// structure and the lane-wise gate semantics come from the compiled IR
+// (internal/cir); what stays here is fault injection, which is
+// batch-specific: each batch carries a different 255-fault lane
+// assignment.
 package bitsim
 
 import (
@@ -45,7 +48,6 @@ const laneWords = 4
 type stemForce struct {
 	maskOne  [laneWords]uint64 // lanes stuck at 1
 	maskZero [laneWords]uint64 // lanes stuck at 0
-	any      bool
 }
 
 // set marks lane k stuck at v.
@@ -56,14 +58,10 @@ func (s *stemForce) set(k uint, v logic.Val) {
 	} else {
 		s.maskZero[w] |= bit
 	}
-	s.any = true
 }
 
 // apply injects the stem faults into a node value.
 func (s *stemForce) apply(v VV) VV {
-	if !s.any {
-		return v
-	}
 	for w := 0; w < laneWords; w++ {
 		mask := s.maskOne[w] | s.maskZero[w]
 		v.One[w] = v.One[w]&^mask | s.maskOne[w]
@@ -72,104 +70,275 @@ func (s *stemForce) apply(v VV) VV {
 	return v
 }
 
-// branchForce is one branch-fault injection at a gate input pin.
-type branchForce struct {
-	pin   int32
-	force stemForce
+// gateRec is one gate's evaluation record, stored by position in
+// cc.Order: output node and its fanin range in layout.fanin.
+type gateRec struct {
+	out    netlist.NodeID
+	lo, hi int32
+	op     logic.Op
 }
 
-// batch simulates one group of at most Lanes-1 faults.
-type batch struct {
+// layout is the read-only, position-ordered view of the compiled
+// circuit the evaluators of one run share: gates[p] is cc.Order[p] with
+// its fanin copied contiguously in that order, so a sweep reads the
+// gate records and fanin lists front to back, and fanPos is cc's fanout
+// CSR with each reading gate replaced by its position, so an event
+// schedules readers without a gate-to-position lookup. A gate's readers
+// sit at strictly higher levels, hence at later positions.
+type layout struct {
 	cc     *cir.CC
-	faults []fault.Fault
-	// stems[id] is the accumulated stem-fault injection at node id; a
-	// dense table indexed by NodeID keeps the per-gate, per-frame lookup
-	// off the map path.
-	stems []stemForce
-	// branch[gi] lists the branch-fault injections at gate gi's pins.
-	branch [][]branchForce
-	vals   []VV
-	state  []VV
-	// seenX and passC are the condition (C) lane profile of a run that
-	// asks for it (see run): seenX marks the lanes whose effective
-	// present state has held an X at some frame <= u (N_sv(u) > 0 for
-	// some u so far), passC the lanes with an X output at a frame where
-	// the fault-free output is binary, after an X state at or before
-	// that frame (N_sv(u) > 0 and N_out(u) > 0 for some u).
-	seenX, passC laneSet
+	gates  []gateRec
+	fanin  []netlist.NodeID
+	pos    []int32 // pos[gi]: position of gate gi in cc.Order
+	fanPos []int32
 }
 
-// newBatch prepares injection tables for a fault group.
-func newBatch(c *netlist.Circuit, faults []fault.Fault) (*batch, error) {
-	if len(faults) > Lanes-1 {
-		return nil, fmt.Errorf("bitsim: batch of %d faults exceeds %d lanes", len(faults), Lanes-1)
-	}
-	cc := cir.For(c)
-	b := &batch{
+// newLayout builds the position-ordered view of cc.
+func newLayout(cc *cir.CC) *layout {
+	l := &layout{
 		cc:     cc,
-		faults: faults,
-		stems:  make([]stemForce, cc.NumNodes()),
-		branch: make([][]branchForce, cc.NumGates()),
-		vals:   make([]VV, cc.NumNodes()),
-		state:  make([]VV, cc.NumFFs()),
+		gates:  make([]gateRec, len(cc.Order)),
+		fanin:  make([]netlist.NodeID, 0, len(cc.Fanin)),
+		pos:    make([]int32, cc.NumGates()),
+		fanPos: make([]int32, len(cc.FanoutGate)),
 	}
+	for p, gi := range cc.Order {
+		l.pos[gi] = int32(p)
+		lo := int32(len(l.fanin))
+		l.fanin = append(l.fanin, cc.FaninOf(gi)...)
+		l.gates[p] = gateRec{out: cc.GOut[gi], lo: lo, hi: int32(len(l.fanin)), op: cc.Ops[gi]}
+	}
+	for k, gi := range cc.FanoutGate {
+		l.fanPos[k] = l.pos[gi]
+	}
+	return l
+}
+
+// evaluator is one worker's event-driven 256-lane simulator: the
+// overlay, schedule and fault-injection tables are sized for the
+// circuit once and reused by every batch the worker runs. It is not
+// safe for concurrent use.
+//
+// A frame diverges from the fault-free trace only where a fault reaches.
+// Exactness rests on gate determinism: a gate with no fault injected
+// whose inputs carry the fault-free values on every active lane outputs
+// the fault-free value on those lanes, so skipping it changes no lane
+// that matters. Active lanes are the occupied, still-undetected ones; a
+// detected lane's result is final and its values are never read again,
+// so a value differing only there is no event.
+type evaluator struct {
+	*layout
+	good *seqsim.Trace
+
+	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch,
+	// or in a sweep frame (sweep set), where every node is written.
+	vals  []VV
+	stamp []uint32
+	epoch uint32
+	sweep bool
+	// base is the fault-free frame the overlay diverges from, bound per
+	// frame and never written.
+	base []logic.Val
+	// active masks the occupied, undetected lanes; nw is the number of
+	// lane words holding occupied lanes. Words at and above nw are never
+	// read, and values outside active are unspecified.
+	active laneSet
+	nw     int
+	// pending is the schedule bitmap over gate positions, all-zero
+	// outside an event frame.
+	pending []uint64
+
+	// Fault injection of the bound batch. stemAt[n] is 1 + the index in
+	// forces of node n's stem injection (0: none); brAt[k] is 1 + the
+	// index in brs of the branch injection on the gate input pin at
+	// layout.fanin[k] (0: none). sites lists the positions of the gates
+	// with a stem fault on their output or branch faults on their pins
+	// (event seeds, every frame; a gate may repeat), qStems the
+	// flip-flops whose Q node carries a stem fault. All of it is reset
+	// sparsely from stemNodes and brPins when the batch ends.
+	stemAt    []int32
+	forces    []stemForce
+	stemNodes []netlist.NodeID
+	brAt      []int32
+	brs       []stemForce
+	brPins    []int32
+	sites     []int32
+	qStems    []int32
+
+	// state[i] is flip-flop i's latched lane state where div[i] is set.
+	// latched lists those flip-flops: the ones whose D value diverged
+	// from the fault-free next state on an active lane. Every other
+	// flip-flop holds its fault-free state.
+	state   []VV
+	div     []bool
+	latched []int32
+
+	// seenX and passC are the condition (C) lane profile of a run that
+	// asks for it: seenX marks the lanes whose effective present state
+	// has held an X at some frame <= u (N_sv(u) > 0 for some u so far),
+	// passC the lanes with an X output at a frame where the fault-free
+	// output is binary, after an X state at or before that frame
+	// (N_sv(u) > 0 and N_out(u) > 0 for some u).
+	seenX, passC laneSet
+
+	// evals counts the gates evaluated by the current batch.
+	evals int64
+}
+
+// newEvaluator returns an evaluator over the layout, reading the
+// fault-free trace good.
+func newEvaluator(l *layout, good *seqsim.Trace) *evaluator {
+	cc := l.cc
+	return &evaluator{
+		layout:  l,
+		good:    good,
+		vals:    make([]VV, cc.NumNodes()),
+		stamp:   make([]uint32, cc.NumNodes()),
+		pending: make([]uint64, (len(l.gates)+63)>>6),
+		stemAt:  make([]int32, cc.NumNodes()),
+		forces:  make([]stemForce, 0, Lanes-1),
+		brAt:    make([]int32, len(l.fanin)),
+		brs:     make([]stemForce, 0, Lanes-1),
+		state:   make([]VV, cc.NumFFs()),
+		div:     make([]bool, cc.NumFFs()),
+	}
+}
+
+// load binds a batch: fault k occupies lane k+1.
+func (e *evaluator) load(faults []fault.Fault) error {
+	if len(faults) > Lanes-1 {
+		return fmt.Errorf("bitsim: batch of %d faults exceeds %d lanes", len(faults), Lanes-1)
+	}
+	cc := e.cc
 	for k, f := range faults {
+		lane := uint(k + 1)
 		if f.IsStem() {
-			b.stems[f.Node].set(uint(k+1), f.Stuck)
+			s := e.stemAt[f.Node]
+			if s == 0 {
+				e.forces = append(e.forces, stemForce{})
+				s = int32(len(e.forces))
+				e.stemAt[f.Node] = s
+				e.stemNodes = append(e.stemNodes, f.Node)
+				if d := cc.Driver[f.Node]; d != netlist.NoGate {
+					e.sites = append(e.sites, e.pos[d])
+				} else if i := cc.FFOf[f.Node]; i >= 0 {
+					e.qStems = append(e.qStems, i)
+				}
+			}
+			e.forces[s-1].set(lane, f.Stuck)
 			continue
 		}
-		var force stemForce
-		force.set(uint(k+1), f.Stuck)
-		b.branch[f.Gate] = append(b.branch[f.Gate], branchForce{pin: f.Pin, force: force})
+		p := e.pos[f.Gate]
+		pin := e.gates[p].lo + f.Pin
+		if e.brAt[pin] == 0 {
+			e.brs = append(e.brs, stemForce{})
+			e.brAt[pin] = int32(len(e.brs))
+			e.brPins = append(e.brPins, pin)
+			e.sites = append(e.sites, p)
+		}
+		e.brs[e.brAt[pin]-1].set(lane, f.Stuck)
 	}
-	return b, nil
+	return nil
+}
+
+// unload resets the injection tables and latched state of the bound
+// batch, leaving the evaluator ready for the next one.
+func (e *evaluator) unload() {
+	for _, id := range e.stemNodes {
+		e.stemAt[id] = 0
+	}
+	for _, k := range e.brPins {
+		e.brAt[k] = 0
+	}
+	for _, i := range e.latched {
+		e.div[i] = false
+	}
+	e.stemNodes, e.brPins, e.sites, e.qStems, e.latched = e.stemNodes[:0], e.brPins[:0], e.sites[:0], e.qStems[:0], e.latched[:0]
+	e.forces, e.brs = e.forces[:0], e.brs[:0]
+}
+
+// written reports whether node id holds a live value this frame;
+// otherwise it carries its fault-free value on every active lane.
+func (e *evaluator) written(id netlist.NodeID) bool {
+	return e.sweep || e.stamp[id] == e.epoch
+}
+
+// value returns node id's lane values this frame. The result is
+// read-only.
+func (e *evaluator) value(id netlist.NodeID) *VV {
+	if e.sweep {
+		return &e.vals[id]
+	}
+	return e.overlay(id)
+}
+
+// overlay is value in an event frame.
+func (e *evaluator) overlay(id netlist.NodeID) *VV {
+	if e.stamp[id] == e.epoch {
+		return &e.vals[id]
+	}
+	return cir.LaneBroadcast(e.base[id])
 }
 
 // read returns the value gate gi sees on pin pi of node id.
-func (b *batch) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
-	v := b.vals[id]
-	for i := range b.branch[gi] {
-		if bf := &b.branch[gi][i]; bf.pin == pi {
-			v = bf.force.apply(v)
-		}
+func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
+	v := *e.value(id)
+	if j := e.brAt[e.gates[e.pos[gi]].lo+pi]; j != 0 {
+		v = e.brs[j-1].apply(v)
 	}
 	return v
 }
 
-// readPin is batch.read for the inlined gate fold in run: when any of
-// the gate's branch injections sits on pin pi, the patched value is
-// built in *tmp and returned; otherwise the unpatched in passes through.
-func readPin(brs []branchForce, pi int32, in *VV, tmp *VV) *VV {
-	patched := false
-	for i := range brs {
-		if bf := &brs[i]; bf.pin == pi {
-			if !patched {
-				*tmp = *in
-				patched = true
-			}
-			*tmp = bf.force.apply(*tmp)
-		}
-	}
-	if !patched {
-		return in
-	}
-	return tmp
-}
-
 // evalGate streams gate gi's observed inputs through the shared
-// lane-wise fold. run inlines the same semantics over the live words;
+// lane-wise fold. eval inlines the same semantics over the live words;
 // evalGate is retained as the readable reference implementation the
 // per-lane gate property test checks against logic.Eval (the inlined
 // loop is itself checked lane-for-lane against the serial simulator by
 // the whole-run cross-check tests).
-func (b *batch) evalGate(gi netlist.GateID) VV {
-	cc := b.cc
+func (e *evaluator) evalGate(gi netlist.GateID) VV {
+	cc := e.cc
 	fo := cir.StartVV4(cc.Ops[gi])
 	lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
 	for k := lo; k < hi; k++ {
-		fo.Add(b.read(gi, k-lo, cc.Fanin[k]))
+		fo.Add(e.read(gi, k-lo, cc.Fanin[k]))
 	}
 	return fo.Result()
+}
+
+// differs reports whether (one, zero) differs from node id's fault-free
+// value on an active lane.
+func (e *evaluator) differs(id netlist.NodeID, one, zero *[laneWords]uint64) bool {
+	b := cir.LaneBroadcast(e.base[id])
+	diff := uint64(0)
+	for w := 0; w < e.nw; w++ {
+		// ^ and | share a precedence level: parenthesize both XORs.
+		diff |= ((one[w] ^ b.One[w]) | (zero[w] ^ b.Zero[w])) & e.active[w]
+	}
+	return diff != 0
+}
+
+// store records (one, zero) as node id's value and schedules every
+// reading gate.
+func (e *evaluator) store(id netlist.NodeID, one, zero *[laneWords]uint64) {
+	v := &e.vals[id]
+	for w := 0; w < e.nw; w++ {
+		v.One[w], v.Zero[w] = one[w], zero[w]
+	}
+	e.stamp[id] = e.epoch
+	cc := e.cc
+	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
+		p := e.fanPos[k]
+		e.pending[p>>6] |= 1 << (p & 63)
+	}
+}
+
+// seed loads node id (a primary input or flip-flop Q node) with lane
+// values v; it is an event only when v differs from the fault-free value
+// on an active lane.
+func (e *evaluator) seed(id netlist.NodeID, v *VV) {
+	if e.differs(id, &v.One, &v.Zero) {
+		e.store(id, &v.One, &v.Zero)
+	}
 }
 
 // Batches returns the number of (Lanes-1)-fault batches needed to
@@ -195,16 +364,21 @@ type Stats struct {
 	// dropping).
 	Frames      int64 `json:"frames"`
 	SavedFrames int64 `json:"saved_frames"`
+	// GateEvals is the number of gates evaluated across all frames: only
+	// the gates a lane-divergent value reaches in event frames, every
+	// gate in sweep frames.
+	GateEvals int64 `json:"gate_evals"`
 }
 
-// add folds one batch's frame counts into s.
-func (s *Stats) add(frames, saved int64) {
+// add folds one batch's frame and gate counts into s.
+func (s *Stats) add(frames, saved, evals int64) {
 	if s == nil {
 		return
 	}
 	atomic.AddInt64(&s.Batches, 1)
 	atomic.AddInt64(&s.Frames, frames)
 	atomic.AddInt64(&s.SavedFrames, saved)
+	atomic.AddInt64(&s.GateEvals, evals)
 }
 
 // Run simulates the test sequence for every fault (in batches of 255),
@@ -224,9 +398,10 @@ func RunParallel(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, wo
 
 // RunStats is the instrumented entry point behind Run and RunParallel:
 // it simulates the whole list over up to `workers` goroutines and
-// additionally reports the work performed.
+// additionally reports the work performed. The fault-free trace the
+// lanes diverge from is simulated once per call.
 func RunStats(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int) ([]seqsim.FaultResult, Stats, error) {
-	return runAll(c, T, faults, workers, Trace{}, nil)
+	return runAll(c, T, nil, faults, workers, Trace{}, nil)
 }
 
 // Trace carries the optional span instrumentation of a bit-parallel
@@ -245,33 +420,50 @@ type Trace struct {
 // and fails (C) — no time unit u < L has an unspecified faulty state
 // variable while some output at u' >= u is specified in the fault-free
 // machine and unspecified in the faulty one — exactly the verdict the
-// serial N_sv/N_out profile of the faulty trace yields.
-func RunConditionC(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int, tr Trace) (results []seqsim.FaultResult, failsC []bool, st Stats, err error) {
+// serial N_sv/N_out profile of the faulty trace yields. good is the
+// fault-free trace of T with node values kept (seqsim keepNodes); nil
+// simulates it.
+func RunConditionC(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace) (results []seqsim.FaultResult, failsC []bool, st Stats, err error) {
 	failsC = make([]bool, len(faults))
-	results, st, err = runAll(c, T, faults, workers, tr, failsC)
+	results, st, err = runAll(c, T, good, faults, workers, tr, failsC)
 	if err != nil {
 		return nil, nil, st, err
 	}
 	return results, failsC, st, nil
 }
 
-// runAll distributes the batches over up to `workers` goroutines.
-// failsC, when non-nil, receives the per-fault condition (C) verdict.
-func runAll(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
+// runAll distributes the batches over up to `workers` goroutines, each
+// with its own evaluator. failsC, when non-nil, receives the per-fault
+// condition (C) verdict.
+func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
 	var st Stats
-	nBatches := Batches(len(faults))
-	if workers > nBatches {
-		workers = nBatches
-	}
 	results := make([]seqsim.FaultResult, len(faults))
+	if len(faults) == 0 {
+		return results, st, nil
+	}
+	cc := cir.For(c)
+	switch {
+	case good == nil:
+		var err error
+		if good, err = seqsim.NewCompiled(cc).Run(T, nil, true); err != nil {
+			return nil, st, fmt.Errorf("bitsim: fault-free simulation: %w", err)
+		}
+	case good.Len() < len(T) || len(good.Nodes) < len(T):
+		return nil, st, fmt.Errorf("bitsim: fault-free trace covers %d frames with node values, sequence has %d",
+			len(good.Nodes), len(T))
+	}
+	l := newLayout(cc)
+	nBatches := Batches(len(faults))
+	workers = min(workers, nBatches)
 	if workers < 2 {
 		buf := tr.Tracer.NewTrack("prescreen")
 		defer buf.Flush()
+		e := newEvaluator(l, good)
 		for start := 0; start < len(faults); start += Lanes - 1 {
 			end := min(start+Lanes-1, len(faults))
 			sp := buf.Begin("batch", tr.Parent, uint64(start/(Lanes-1)))
 			buf.AttrInt(sp, "faults", int64(end-start))
-			err := runGroup(c, T, faults[start:end], results[start:end], part(failsC, start, end), &st)
+			err := e.run(T, faults[start:end], results[start:end], part(failsC, start, end), &st)
 			buf.End(sp)
 			if err != nil {
 				return nil, st, err
@@ -293,6 +485,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers
 				buf = tr.Tracer.NewTrack(fmt.Sprintf("prescreen %02d", w))
 				defer buf.Flush()
 			}
+			e := newEvaluator(l, good)
 			for {
 				bi := int(atomic.AddInt64(&next, 1))
 				if bi >= nBatches {
@@ -302,7 +495,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers
 				end := min(start+Lanes-1, len(faults))
 				sp := buf.Begin("batch", tr.Parent, uint64(bi))
 				buf.AttrInt(sp, "faults", int64(end-start))
-				err := runGroup(c, T, faults[start:end], results[start:end], part(failsC, start, end), &st)
+				err := e.run(T, faults[start:end], results[start:end], part(failsC, start, end), &st)
 				buf.End(sp)
 				if err != nil {
 					errs[w] = err
@@ -331,216 +524,453 @@ func part(v []bool, start, end int) []bool {
 	return v[start:end]
 }
 
-// runGroup simulates one batch of at most Lanes-1 faults.
-func runGroup(c *netlist.Circuit, T seqsim.Sequence, group []fault.Fault, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
-	b, err := newBatch(c, group)
-	if err != nil {
+// run simulates one batch of at most Lanes-1 faults and fills results
+// (one per fault lane), accumulating frame and gate counts into st
+// (nil-safe). A non-nil failsC (one per fault lane) additionally
+// receives the condition (C) verdict.
+//
+// Each frame is either an event frame, evaluating only the gates a
+// lane-divergent value reaches, or a sweep frame, evaluating every gate
+// without the per-node overlay bookkeeping. A frame sweeps when more
+// than half the gates were active in the previous one — fault sites or
+// gates with an input that differed from the fault-free trace on an
+// active lane, exactly the gates an event frame evaluates. That is the
+// regime where the event bookkeeping costs more than it skips (on the
+// smallest suite circuits nearly every gate is active in nearly every
+// frame). The first frame is an event frame.
+func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
+	if err := e.load(group); err != nil {
 		return err
 	}
-	return b.run(T, results, failsC, st)
-}
-
-// run simulates the batch and fills results (one per fault lane),
-// accumulating frame counts into st (nil-safe). A non-nil failsC (one
-// per fault lane) additionally receives the condition (C) verdict.
-func (b *batch) run(T seqsim.Sequence, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
-	cc := b.cc
+	defer e.unload()
+	cc := e.cc
 	for k := range results {
-		results[k] = seqsim.FaultResult{Fault: b.faults[k]}
+		results[k] = seqsim.FaultResult{Fault: group[k]}
 	}
-	// Initial state: the power-up values (X for the standard unknown),
-	// with stem faults on Q nodes injected when the state is loaded each
-	// frame.
-	for i := range b.state {
-		b.state[i] = cir.Broadcast4(cc.FFInit[i])
-	}
-	// allFaults masks the occupied fault lanes; once every one is
+	// active starts as every occupied fault lane; once every one is
 	// resolved the remaining frames cannot change any result (the serial
 	// simulator drops faults the same way).
-	var allFaults, resolved laneSet
+	e.active = laneSet{}
 	for k := range results {
-		allFaults.add(uint(k + 1))
+		e.active.add(uint(k + 1))
 	}
-	// Lanes above len(faults) are never occupied, so a partial batch
-	// (the tail of every fault list) evaluates only the words that hold
-	// lanes. Words at and above nw keep stale frame values; nothing
-	// below reads them — detection and the fold loops stop at nw, and
-	// the full-width state latch only carries them back into equally
-	// unread words.
-	const allBits = ^uint64(0)
-	nw := (len(results) + 1 + 63) >> 6
+	// Lanes above len(group) are never occupied, so a partial batch (the
+	// tail of every fault list) evaluates only the words that hold lanes.
+	e.nw = (len(results) + 1 + 63) >> 6
 	// The condition (C) lane profile is kept only when failsC asks for
 	// it. The all-X power-up state usually puts every lane into seenX at
 	// frame 0, which ends the per-FF scan.
 	cond := failsC != nil
 	scanX := cond
-	b.seenX, b.passC = laneSet{}, laneSet{}
+	e.seenX, e.passC = laneSet{}, laneSet{}
+	e.evals = 0
+	sweep := false
 	for u, pat := range T {
 		if len(pat) != cc.NumInputs() {
 			return fmt.Errorf("bitsim: pattern %d has %d values, circuit has %d inputs",
 				u, len(pat), cc.NumInputs())
 		}
-		for i, id := range cc.Inputs {
-			b.vals[id] = b.stems[id].apply(cir.Broadcast4(pat[i]))
-		}
-		for i, q := range cc.FFQ {
-			b.vals[q] = b.stems[q].apply(b.state[i])
+		e.beginFrame(e.good.Nodes[u], sweep)
+		var busy int
+		if sweep {
+			busy = e.sweepFrame(pat)
+		} else {
+			busy = e.eventFrame(pat)
 		}
 		if scanX {
-			scanX = b.scanStateX(nw, &allFaults)
+			scanX = e.scanX()
 		}
-		// The gate fold is inlined over the live words — this loop is
-		// the hot core of the whole prescreen, and the shared VV4Fold's
-		// per-gate constructor and per-fanin call overhead dominate it
-		// otherwise. Branch-fault pins are patched into a local copy of
-		// the read value, mirroring batch.read.
-		var tmp VV
-		for _, gi := range cc.Order {
-			op := cc.Ops[gi]
-			lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
-			brs := b.branch[gi]
-			var one, zero [laneWords]uint64
-			switch op {
-			case logic.And, logic.Nand:
-				for w := 0; w < nw; w++ {
-					one[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &b.vals[cc.Fanin[k]]
-					if len(brs) != 0 {
-						in = readPin(brs, k-lo, in, &tmp)
-					}
-					for w := 0; w < nw; w++ {
-						one[w] &= in.One[w]
-						zero[w] |= in.Zero[w]
-					}
-				}
-			case logic.Xor, logic.Xnor:
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &b.vals[cc.Fanin[k]]
-					if len(brs) != 0 {
-						in = readPin(brs, k-lo, in, &tmp)
-					}
-					for w := 0; w < nw; w++ {
-						o := one[w]&in.Zero[w] | zero[w]&in.One[w]
-						zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
-						one[w] = o
-					}
-				}
-			case logic.Const0:
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-			case logic.Const1:
-				for w := 0; w < nw; w++ {
-					one[w] = allBits
-				}
-			default: // Or, Nor, Buf, Not: the or-fold
-				for w := 0; w < nw; w++ {
-					zero[w] = allBits
-				}
-				for k := lo; k < hi; k++ {
-					in := &b.vals[cc.Fanin[k]]
-					if len(brs) != 0 {
-						in = readPin(brs, k-lo, in, &tmp)
-					}
-					for w := 0; w < nw; w++ {
-						one[w] |= in.One[w]
-						zero[w] &= in.Zero[w]
-					}
-				}
-			}
-			out := cc.GOut[gi]
-			v := &b.vals[out]
-			if op != logic.Const0 && op != logic.Const1 && op.Inverting() {
-				one, zero = zero, one
-			}
-			if st := &b.stems[out]; st.any {
-				for w := 0; w < nw; w++ {
-					mask := st.maskOne[w] | st.maskZero[w]
-					v.One[w] = one[w]&^mask | st.maskOne[w]
-					v.Zero[w] = zero[w]&^mask | st.maskZero[w]
-				}
-			} else {
-				for w := 0; w < nw; w++ {
-					v.One[w], v.Zero[w] = one[w], zero[w]
-				}
-			}
-		}
-		// Detections: lane 0 is the fault-free machine.
-		for j, id := range cc.Outputs {
-			v := b.vals[id]
-			var mism *[laneWords]uint64
-			switch v.Lane(0) {
-			case logic.One:
-				mism = &v.Zero
-			case logic.Zero:
-				mism = &v.One
-			default:
-				continue
-			}
-			for w := 0; w < nw; w++ {
-				detected := mism[w] &^ resolved[w]
-				if w == 0 {
-					detected &^= 1 // lane 0 is the fault-free machine
-				}
-				for detected != 0 {
-					bit := uint(bits.TrailingZeros64(detected))
-					detected &^= 1 << bit
-					resolved[w] |= 1 << bit
-					k := uint(w)<<6 + bit
-					results[k-1].Detected = true
-					results[k-1].At = seqsim.Detection{Time: u, Output: j}
-				}
-			}
-		}
+		e.detect(u, results)
 		if cond {
-			b.markPassC(nw)
+			e.markC()
 		}
-		if resolved == allFaults {
+		if e.active == (laneSet{}) {
 			// Early exit: the remaining frames cannot change any result.
-			st.add(int64(u+1), int64(len(T)-u-1))
+			st.add(int64(u+1), int64(len(T)-u-1), e.evals)
 			return nil
 		}
-		// Latch the next state, observing stem faults on Q nodes.
-		for i, q := range cc.FFQ {
-			b.state[i] = b.stems[q].apply(b.vals[cc.FFD[i]])
-		}
+		e.latch()
+		sweep = 2*busy > len(e.gates)
 	}
-	st.add(int64(len(T)), 0)
+	st.add(int64(len(T)), 0, e.evals)
 	for k := range failsC {
 		lane := uint(k + 1)
-		failsC[k] = !results[k].Detected && b.passC[lane>>6]&(1<<(lane&63)) == 0
+		failsC[k] = !results[k].Detected && e.passC[lane>>6]&(1<<(lane&63)) == 0
 	}
 	return nil
 }
 
-// scanStateX adds to seenX the occupied lanes whose loaded present
-// state holds an X, and reports whether some occupied lane is still
-// missing from it.
-func (b *batch) scanStateX(nw int, occupied *laneSet) bool {
-	for _, q := range b.cc.FFQ {
-		v := &b.vals[q]
-		for w := 0; w < nw; w++ {
-			b.seenX[w] |= ^(v.One[w] | v.Zero[w]) & occupied[w]
-		}
+// beginFrame starts a frame over the fault-free node values base: the
+// overlay empties (epoch bump, no clearing).
+func (e *evaluator) beginFrame(base []logic.Val, sweep bool) {
+	e.base, e.sweep = base, sweep
+	e.epoch++
+	if e.epoch == 0 {
+		// uint32 wrap: stale stamps could alias the new epoch.
+		clear(e.stamp)
+		e.epoch = 1
 	}
-	return b.seenX != *occupied
 }
 
-// markPassC adds to passC the seenX lanes with an X on a primary output
-// whose fault-free value (lane 0) is binary.
-func (b *batch) markPassC(nw int) {
-	for _, id := range b.cc.Outputs {
-		v := &b.vals[id]
-		if v.Lane(0) == logic.X {
+// eventFrame seeds the frame's divergences — stem-faulted primary
+// inputs, flip-flops whose latched state diverged or whose Q node is
+// stem-faulted, and every fault-site gate — and evaluates the gates
+// they reach in level order. It returns the number of gates evaluated.
+func (e *evaluator) eventFrame(pat seqsim.Pattern) int {
+	cc := e.cc
+	start := e.evals
+	for i, id := range cc.Inputs {
+		if s := e.stemAt[id]; s != 0 {
+			v := e.forces[s-1].apply(cir.Broadcast4(pat[i]))
+			e.seed(id, &v)
+		}
+	}
+	for _, i := range e.latched {
+		q := cc.FFQ[i]
+		v := e.state[i]
+		if s := e.stemAt[q]; s != 0 {
+			v = e.forces[s-1].apply(v)
+		}
+		e.seed(q, &v)
+	}
+	for _, i := range e.qStems {
+		if !e.div[i] {
+			q := cc.FFQ[i]
+			v := e.forces[e.stemAt[q]-1].apply(*cir.LaneBroadcast(e.base[q]))
+			e.seed(q, &v)
+		}
+	}
+	for _, p := range e.sites {
+		e.pending[p>>6] |= 1 << (p & 63)
+	}
+	e.drain()
+	return int(e.evals - start)
+}
+
+// drain evaluates every scheduled gate in ascending position order,
+// feeding output changes back into the schedule. Pushes land only on
+// later positions: higher bits of the current word (picked up by the
+// inner re-read) or later words.
+func (e *evaluator) drain() {
+	for w := range e.pending {
+		for e.pending[w] != 0 {
+			bit := bits.TrailingZeros64(e.pending[w])
+			e.pending[w] &^= 1 << bit
+			p := w<<6 | bit
+			e.evals++
+			one, zero := e.eval(p)
+			if out := e.gates[p].out; e.differs(out, &one, &zero) {
+				e.store(out, &one, &zero)
+			}
+		}
+	}
+}
+
+// sampleStride spaces the gates a sweep frame checks to estimate how
+// many gates were active.
+const sampleStride = 8
+
+// sweepFrame loads every primary input and flip-flop and evaluates
+// every gate in level order straight into vals, with no stamps or
+// schedule; the fold is eval's, reading vals directly. It returns the
+// number of active gates — fault sites and gates with an input that
+// differs from the fault-free trace on an active lane — estimated from
+// every sampleStride-th gate.
+func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
+	cc, nw := e.cc, e.nw
+	for i, id := range cc.Inputs {
+		v := &e.vals[id]
+		*v = *cir.LaneBroadcast(pat[i])
+		if s := e.stemAt[id]; s != 0 {
+			*v = e.forces[s-1].apply(*v)
+		}
+	}
+	for i, q := range cc.FFQ {
+		v := &e.vals[q]
+		if e.div[i] {
+			*v = e.state[i]
+		} else {
+			*v = *cir.LaneBroadcast(e.base[q])
+		}
+		if s := e.stemAt[q]; s != 0 {
+			*v = e.forces[s-1].apply(*v)
+		}
+	}
+	const allBits = ^uint64(0)
+	var tmp VV
+	for p := range e.gates {
+		g := &e.gates[p]
+		var one, zero [laneWords]uint64
+		switch g.op {
+		case logic.And, logic.Nand:
+			for w := 0; w < nw; w++ {
+				one[w] = allBits
+			}
+			for k := g.lo; k < g.hi; k++ {
+				in := &e.vals[e.fanin[k]]
+				if j := e.brAt[k]; j != 0 {
+					tmp = e.brs[j-1].apply(*in)
+					in = &tmp
+				}
+				for w := 0; w < nw; w++ {
+					one[w] &= in.One[w]
+					zero[w] |= in.Zero[w]
+				}
+			}
+		case logic.Xor, logic.Xnor:
+			for w := 0; w < nw; w++ {
+				zero[w] = allBits
+			}
+			for k := g.lo; k < g.hi; k++ {
+				in := &e.vals[e.fanin[k]]
+				if j := e.brAt[k]; j != 0 {
+					tmp = e.brs[j-1].apply(*in)
+					in = &tmp
+				}
+				for w := 0; w < nw; w++ {
+					o := one[w]&in.Zero[w] | zero[w]&in.One[w]
+					zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
+					one[w] = o
+				}
+			}
+		case logic.Const0:
+			for w := 0; w < nw; w++ {
+				zero[w] = allBits
+			}
+		case logic.Const1:
+			for w := 0; w < nw; w++ {
+				one[w] = allBits
+			}
+		default: // Or, Nor, Buf, Not: the or-fold
+			for w := 0; w < nw; w++ {
+				zero[w] = allBits
+			}
+			for k := g.lo; k < g.hi; k++ {
+				in := &e.vals[e.fanin[k]]
+				if j := e.brAt[k]; j != 0 {
+					tmp = e.brs[j-1].apply(*in)
+					in = &tmp
+				}
+				for w := 0; w < nw; w++ {
+					one[w] |= in.One[w]
+					zero[w] &= in.Zero[w]
+				}
+			}
+		}
+		if g.op != logic.Const0 && g.op != logic.Const1 && g.op.Inverting() {
+			one, zero = zero, one
+		}
+		v := &e.vals[g.out]
+		if s := e.stemAt[g.out]; s != 0 {
+			f := &e.forces[s-1]
+			for w := 0; w < nw; w++ {
+				mask := f.maskOne[w] | f.maskZero[w]
+				v.One[w] = one[w]&^mask | f.maskOne[w]
+				v.Zero[w] = zero[w]&^mask | f.maskZero[w]
+			}
+		} else {
+			for w := 0; w < nw; w++ {
+				v.One[w], v.Zero[w] = one[w], zero[w]
+			}
+		}
+	}
+	e.evals += int64(len(e.gates))
+	hit, samples := 0, 0
+	for p := 0; p < len(e.gates); p += sampleStride {
+		samples++
+		g := &e.gates[p]
+		if e.stemAt[g.out] != 0 {
+			hit++
 			continue
 		}
-		for w := 0; w < nw; w++ {
-			b.passC[w] |= ^(v.One[w] | v.Zero[w]) & b.seenX[w]
+		for k := g.lo; k < g.hi; k++ {
+			id := e.fanin[k]
+			if v := &e.vals[id]; e.brAt[k] != 0 || e.differs(id, &v.One, &v.Zero) {
+				hit++
+				break
+			}
 		}
+	}
+	return hit * len(e.gates) / max(samples, 1)
+}
+
+// eval evaluates the gate at position p over the live words, injecting
+// the batch's branch faults on its pins and stem faults on its output.
+// The fold is inlined per operator: this is the hot core of the whole
+// prescreen, and the shared VV4Fold's per-gate constructor and
+// per-fanin call overhead dominate it otherwise. Branch-fault pins are
+// patched into a local copy of the read value, mirroring read.
+func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
+	const allBits = ^uint64(0)
+	nw := e.nw
+	g := &e.gates[p]
+	var tmp VV
+	switch g.op {
+	case logic.And, logic.Nand:
+		for w := 0; w < nw; w++ {
+			one[w] = allBits
+		}
+		for k := g.lo; k < g.hi; k++ {
+			in := e.overlay(e.fanin[k])
+			if j := e.brAt[k]; j != 0 {
+				tmp = e.brs[j-1].apply(*in)
+				in = &tmp
+			}
+			for w := 0; w < nw; w++ {
+				one[w] &= in.One[w]
+				zero[w] |= in.Zero[w]
+			}
+		}
+	case logic.Xor, logic.Xnor:
+		for w := 0; w < nw; w++ {
+			zero[w] = allBits
+		}
+		for k := g.lo; k < g.hi; k++ {
+			in := e.overlay(e.fanin[k])
+			if j := e.brAt[k]; j != 0 {
+				tmp = e.brs[j-1].apply(*in)
+				in = &tmp
+			}
+			for w := 0; w < nw; w++ {
+				o := one[w]&in.Zero[w] | zero[w]&in.One[w]
+				zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
+				one[w] = o
+			}
+		}
+	case logic.Const0:
+		for w := 0; w < nw; w++ {
+			zero[w] = allBits
+		}
+	case logic.Const1:
+		for w := 0; w < nw; w++ {
+			one[w] = allBits
+		}
+	default: // Or, Nor, Buf, Not: the or-fold
+		for w := 0; w < nw; w++ {
+			zero[w] = allBits
+		}
+		for k := g.lo; k < g.hi; k++ {
+			in := e.overlay(e.fanin[k])
+			if j := e.brAt[k]; j != 0 {
+				tmp = e.brs[j-1].apply(*in)
+				in = &tmp
+			}
+			for w := 0; w < nw; w++ {
+				one[w] |= in.One[w]
+				zero[w] &= in.Zero[w]
+			}
+		}
+	}
+	if g.op != logic.Const0 && g.op != logic.Const1 && g.op.Inverting() {
+		one, zero = zero, one
+	}
+	if s := e.stemAt[g.out]; s != 0 {
+		f := &e.forces[s-1]
+		for w := 0; w < nw; w++ {
+			mask := f.maskOne[w] | f.maskZero[w]
+			one[w] = one[w]&^mask | f.maskOne[w]
+			zero[w] = zero[w]&^mask | f.maskZero[w]
+		}
+	}
+	return one, zero
+}
+
+// scanX adds to seenX the active lanes whose loaded present state holds
+// an X, and reports whether some active lane is still missing from it.
+// A flip-flop nobody wrote holds its fault-free state on every active
+// lane.
+func (e *evaluator) scanX() bool {
+	for _, q := range e.cc.FFQ {
+		if !e.written(q) {
+			if e.base[q] == logic.X {
+				for w := range e.seenX {
+					e.seenX[w] |= e.active[w]
+				}
+			}
+			continue
+		}
+		v := &e.vals[q]
+		for w := 0; w < e.nw; w++ {
+			e.seenX[w] |= ^(v.One[w] | v.Zero[w]) & e.active[w]
+		}
+	}
+	for w := range e.active {
+		if e.active[w]&^e.seenX[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// detect records frame u's detections: active lanes whose output is the
+// binary complement of a binary fault-free output. An output nobody
+// wrote carries the fault-free value and cannot mismatch. Detected lanes
+// leave the active set; the first output in declaration order is the
+// detection site, as in the serial simulator.
+func (e *evaluator) detect(u int, results []seqsim.FaultResult) {
+	for j, id := range e.cc.Outputs {
+		if !e.written(id) {
+			continue
+		}
+		v := &e.vals[id]
+		var mism *[laneWords]uint64
+		switch e.base[id] {
+		case logic.One:
+			mism = &v.Zero
+		case logic.Zero:
+			mism = &v.One
+		default:
+			continue
+		}
+		for w := 0; w < e.nw; w++ {
+			detected := mism[w] & e.active[w]
+			e.active[w] &^= detected
+			for detected != 0 {
+				bit := uint(bits.TrailingZeros64(detected))
+				detected &^= 1 << bit
+				k := uint(w)<<6 + bit
+				results[k-1].Detected = true
+				results[k-1].At = seqsim.Detection{Time: u, Output: j}
+			}
+		}
+	}
+}
+
+// markC adds to passC the seenX lanes with an X on a primary output
+// whose fault-free value is binary. An output nobody wrote carries that
+// binary value.
+func (e *evaluator) markC() {
+	for _, id := range e.cc.Outputs {
+		if e.base[id] == logic.X || !e.written(id) {
+			continue
+		}
+		v := &e.vals[id]
+		for w := 0; w < e.nw; w++ {
+			e.passC[w] |= ^(v.One[w] | v.Zero[w]) & e.seenX[w]
+		}
+	}
+}
+
+// latch records the next state: the flip-flops whose D value diverged
+// from the fault-free next state on an active lane keep their lane
+// state, every other one returns to the fault-free trace. Stem faults on
+// Q nodes are injected when the state is loaded.
+func (e *evaluator) latch() {
+	cc := e.cc
+	for _, i := range e.latched {
+		e.div[i] = false
+	}
+	e.latched = e.latched[:0]
+	for i, d := range cc.FFD {
+		if e.sweep {
+			if v := &e.vals[d]; !e.differs(d, &v.One, &v.Zero) {
+				continue
+			}
+		} else if e.stamp[d] != e.epoch {
+			continue
+		}
+		e.state[i] = e.vals[d]
+		e.div[i] = true
+		e.latched = append(e.latched, int32(i))
 	}
 }

@@ -3,6 +3,7 @@ package bitsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/bench"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
+	"repro/internal/tgen"
 )
 
 func TestVVHelpers(t *testing.T) {
@@ -38,7 +40,7 @@ func TestVVHelpers(t *testing.T) {
 func TestBatchTooLarge(t *testing.T) {
 	c := circuits.S27()
 	faults := make([]fault.Fault, Lanes)
-	if _, err := newBatch(c, faults); err == nil {
+	if err := newEvaluator(newLayout(cir.For(c)), nil).load(faults); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }
@@ -74,10 +76,9 @@ func TestGateEvalMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bt, err := newBatch(c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A sweep frame reads every node straight from vals.
+		e := newEvaluator(newLayout(cir.For(c)), nil)
+		e.sweep = true
 		// Random lane values per input.
 		scalar := make([][]logic.Val, n)
 		for i := range ins {
@@ -88,9 +89,9 @@ func TestGateEvalMatchesScalar(t *testing.T) {
 				scalar[i][k] = v
 				vv.SetLane(uint(k), v)
 			}
-			bt.vals[ins[i]] = vv
+			e.vals[ins[i]] = vv
 		}
-		out := bt.evalGate(0)
+		out := e.evalGate(0)
 		in := make([]logic.Val, n)
 		for k := 0; k < Lanes; k++ {
 			for i := range in {
@@ -346,5 +347,70 @@ func TestRunHonoursFFInit(t *testing.T) {
 	}
 	if detected == 0 {
 		t.Error("no fault detected: the power-up value was not honoured")
+	}
+}
+
+// TestRunConditionCParallelMatchesRunStats runs the prescreen entry
+// point on circuits large enough that most gates stay off the event
+// schedule, at 1 and 3 workers, with a caller-supplied fault-free trace
+// and with nil (simulated inside): the results, the (C) verdicts and
+// every work counter must agree, and equal RunStats'.
+func TestRunConditionCParallelMatchesRunStats(t *testing.T) {
+	for _, name := range []string{"sg641", "sg1423"} {
+		e, err := circuits.SuiteEntryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := e.Build()
+		T := tgen.Random(c.NumInputs(), 32, e.SeqSeed)
+		faults := fault.CollapsedList(c)
+		want, wantSt, err := RunStats(c, T, faults, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good, err := seqsim.New(c).Run(T, nil, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantC []bool
+		for _, workers := range []int{1, 3} {
+			for _, g := range []*seqsim.Trace{good, nil} {
+				res, failsC, st, err := RunConditionC(c, T, g, faults, workers, Trace{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(res, want) {
+					t.Fatalf("%s workers=%d trace=%v: results differ from RunStats", name, workers, g != nil)
+				}
+				if st != wantSt {
+					t.Fatalf("%s workers=%d trace=%v: stats %+v, RunStats %+v", name, workers, g != nil, st, wantSt)
+				}
+				if wantC == nil {
+					wantC = failsC
+				} else if !reflect.DeepEqual(failsC, wantC) {
+					t.Fatalf("%s workers=%d trace=%v: (C) verdicts differ", name, workers, g != nil)
+				}
+			}
+		}
+		dense := wantSt.Frames * int64(len(c.Gates))
+		t.Logf("%s: %d gate evals over %d frames, %.1f%% of a dense sweep", name, wantSt.GateEvals, wantSt.Frames,
+			100*float64(wantSt.GateEvals)/float64(dense))
+		if name == "sg1423" && wantSt.GateEvals >= dense {
+			t.Errorf("%s: %d gate evals, dense sweep is %d: the event driver never skipped a gate", name, wantSt.GateEvals, dense)
+		}
+	}
+}
+
+// TestRunConditionCTraceTooShort checks that a fault-free trace that
+// does not cover the sequence is refused.
+func TestRunConditionCTraceTooShort(t *testing.T) {
+	c := circuits.S27()
+	T := tgen.Random(c.NumInputs(), 8, 1)
+	good, err := seqsim.New(c).Run(T[:4], nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, err := RunConditionC(c, T, good, fault.CollapsedList(c), 1, Trace{}); err == nil {
+		t.Fatal("short fault-free trace accepted")
 	}
 }

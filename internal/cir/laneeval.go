@@ -36,6 +36,10 @@ var laneBroadcast = [...]VV4{
 	logic.X:    Broadcast4(logic.X),
 }
 
+// LaneBroadcast returns Broadcast4(v) from a shared table. The result is
+// read-only.
+func LaneBroadcast(v logic.Val) *VV4 { return &laneBroadcast[v] }
+
 // LaneEval is the event-driven 256-lane evaluator: scratch for one
 // goroutine running resimulation passes over regions of one compiled
 // circuit. It is not safe for concurrent use; create one per worker.

@@ -1022,6 +1022,10 @@ type Stages struct {
 	// skipped by its all-lanes-resolved early exit.
 	PrescreenFrames      int64
 	PrescreenSavedFrames int64
+	// PrescreenGateEvals is the number of gates the prescreen evaluated
+	// across those frames: only the gates a lane-divergent value reaches
+	// in its event frames, every gate in its sweep frames.
+	PrescreenGateEvals int64
 	// PrescreenTime is the wall-clock duration of the prescreen stage.
 	PrescreenTime time.Duration
 	// CompileTime is the wall-clock duration of the circuit IR compile

@@ -36,10 +36,11 @@ type LiveStats struct {
 	mot         atomic.Int64
 	prunedC     atomic.Int64
 
-	prescreenPasses  atomic.Int64
-	prescreenDropped atomic.Int64
-	prescreenPrunedC atomic.Int64
-	prescreenFrames  atomic.Int64
+	prescreenPasses    atomic.Int64
+	prescreenDropped   atomic.Int64
+	prescreenPrunedC   atomic.Int64
+	prescreenFrames    atomic.Int64
+	prescreenGateEvals atomic.Int64
 
 	motFaults  atomic.Int64
 	pairs      atomic.Int64
@@ -93,10 +94,11 @@ type LiveSnapshot struct {
 	MOT              int64 `json:"detected_mot"`
 	PrunedConditionC int64 `json:"pruned_condition_c"`
 
-	PrescreenPasses  int64 `json:"prescreen_passes"`
-	PrescreenDropped int64 `json:"prescreen_dropped"`
-	PrescreenPrunedC int64 `json:"prescreen_pruned_c"`
-	PrescreenFrames  int64 `json:"prescreen_frames"`
+	PrescreenPasses    int64 `json:"prescreen_passes"`
+	PrescreenDropped   int64 `json:"prescreen_dropped"`
+	PrescreenPrunedC   int64 `json:"prescreen_pruned_c"`
+	PrescreenFrames    int64 `json:"prescreen_frames"`
+	PrescreenGateEvals int64 `json:"prescreen_gate_evals"`
 
 	MOTFaults  int64 `json:"mot_faults"`
 	Pairs      int64 `json:"pairs"`
@@ -145,6 +147,7 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		PrescreenDropped:     l.prescreenDropped.Load(),
 		PrescreenPrunedC:     l.prescreenPrunedC.Load(),
 		PrescreenFrames:      l.prescreenFrames.Load(),
+		PrescreenGateEvals:   l.prescreenGateEvals.Load(),
 		MOTFaults:            l.motFaults.Load(),
 		Pairs:                l.pairs.Load(),
 		Expansions:           l.expansions.Load(),
@@ -205,6 +208,7 @@ func (s *Simulator) publishPrescreen(res *Result, settledDone bool) {
 	live.prescreenDropped.Add(int64(st.PrescreenDropped))
 	live.prescreenPrunedC.Add(int64(st.PrescreenPrunedC))
 	live.prescreenFrames.Add(st.PrescreenFrames)
+	live.prescreenGateEvals.Add(st.PrescreenGateEvals)
 	if settledDone {
 		live.faultsDone.Add(int64(st.PrescreenDropped + st.PrescreenPrunedC))
 		live.conv.Add(int64(st.PrescreenDropped))

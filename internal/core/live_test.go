@@ -73,6 +73,7 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			{"PrescreenDropped", s.PrescreenDropped, int64(st.PrescreenDropped)},
 			{"PrescreenPrunedC", s.PrescreenPrunedC, int64(st.PrescreenPrunedC)},
 			{"PrescreenFrames", s.PrescreenFrames, st.PrescreenFrames},
+			{"PrescreenGateEvals", s.PrescreenGateEvals, st.PrescreenGateEvals},
 			{"MOTFaults", s.MOTFaults, int64(st.MOTFaults)},
 			{"Pairs", s.Pairs, int64(res.Pairs)},
 			{"Expansions", s.Expansions, int64(res.Expansions)},
@@ -128,6 +129,7 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 			{"DeltaFrames", prev.DeltaFrames, cur.DeltaFrames},
 			{"Step0NS", prev.Step0NS, cur.Step0NS},
 			{"PrescreenFrames", prev.PrescreenFrames, cur.PrescreenFrames},
+			{"PrescreenGateEvals", prev.PrescreenGateEvals, cur.PrescreenGateEvals},
 		} {
 			if p.cur < p.prev {
 				t.Errorf("fault %d/%d: %s went backward: %d -> %d", done, total, p.name, p.prev, p.cur)

@@ -50,7 +50,7 @@ func (s *Simulator) prescreen(faults []fault.Fault, workers int, res *Result, sc
 	}
 	start := time.Now()
 	preID := sc.beginStage("prescreen")
-	pre, failsC, st, err := bitsim.RunConditionC(s.c, s.T, faults, workers,
+	pre, failsC, st, err := bitsim.RunConditionC(s.c, s.T, s.good, faults, workers,
 		bitsim.Trace{Tracer: s.cfg.Tracer, Parent: preID})
 	sc.endStage()
 	if err != nil {
@@ -59,6 +59,7 @@ func (s *Simulator) prescreen(faults []fault.Fault, workers int, res *Result, sc
 	res.Stages.PrescreenPasses = int(st.Batches)
 	res.Stages.PrescreenFrames = st.Frames
 	res.Stages.PrescreenSavedFrames = st.SavedFrames
+	res.Stages.PrescreenGateEvals = st.GateEvals
 	for k, r := range pre {
 		switch {
 		case r.Detected:

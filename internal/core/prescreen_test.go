@@ -94,8 +94,11 @@ func TestPrescreenCrossCheckS27(t *testing.T) {
 	crossCheck(t, c, T, fault.CollapsedList(c))
 }
 
+// TestPrescreenCrossCheckSuite runs the suite circuits against the
+// prescreen-off serial oracle. sg641 and sg1423 are large enough that
+// most gates stay off the prescreen's event schedule in most frames.
 func TestPrescreenCrossCheckSuite(t *testing.T) {
-	for _, name := range []string{"sg208", "sg298"} {
+	for _, name := range []string{"sg208", "sg298", "sg641", "sg1423"} {
 		e, err := circuits.SuiteEntryByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -196,7 +199,7 @@ func checkLaneConditionC(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, failsC, _, err := bitsim.RunConditionC(c, T, faults, 2, bitsim.Trace{})
+	pre, failsC, _, err := bitsim.RunConditionC(c, T, nil, faults, 2, bitsim.Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,13 +109,14 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 		t.Errorf("event counters empty: %+v", ser.Stages.Sim)
 	}
 	if ser.Stages.PrescreenFrames != par.Stages.PrescreenFrames ||
-		ser.Stages.PrescreenSavedFrames != par.Stages.PrescreenSavedFrames {
-		t.Errorf("prescreen frames differ: serial %d/%d, parallel %d/%d",
-			ser.Stages.PrescreenFrames, ser.Stages.PrescreenSavedFrames,
-			par.Stages.PrescreenFrames, par.Stages.PrescreenSavedFrames)
+		ser.Stages.PrescreenSavedFrames != par.Stages.PrescreenSavedFrames ||
+		ser.Stages.PrescreenGateEvals != par.Stages.PrescreenGateEvals {
+		t.Errorf("prescreen counters differ: serial %d/%d/%d, parallel %d/%d/%d",
+			ser.Stages.PrescreenFrames, ser.Stages.PrescreenSavedFrames, ser.Stages.PrescreenGateEvals,
+			par.Stages.PrescreenFrames, par.Stages.PrescreenSavedFrames, par.Stages.PrescreenGateEvals)
 	}
-	if ser.Stages.PrescreenFrames == 0 {
-		t.Error("PrescreenFrames = 0; prescreen instrumentation not reached")
+	if ser.Stages.PrescreenFrames == 0 || ser.Stages.PrescreenGateEvals == 0 {
+		t.Error("PrescreenFrames or PrescreenGateEvals = 0; prescreen instrumentation not reached")
 	}
 	if ser.Stages.Step0Time <= 0 || ser.Stages.CollectTime <= 0 {
 		t.Errorf("serial stage times not recorded: %+v", ser.Stages)

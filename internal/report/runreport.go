@@ -46,6 +46,7 @@ type StagesReport struct {
 	PrescreenPrunedC     int   `json:"prescreen_pruned_c"`
 	PrescreenFrames      int64 `json:"prescreen_frames"`
 	PrescreenSavedFrames int64 `json:"prescreen_saved_frames"`
+	PrescreenGateEvals   int64 `json:"prescreen_gate_evals"`
 	PrescreenNS          int64 `json:"prescreen_ns"`
 	CompileNS            int64 `json:"compile_ns"`
 	MOTNS                int64 `json:"mot_ns"`
@@ -103,6 +104,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			PrescreenPrunedC:     st.PrescreenPrunedC,
 			PrescreenFrames:      st.PrescreenFrames,
 			PrescreenSavedFrames: st.PrescreenSavedFrames,
+			PrescreenGateEvals:   st.PrescreenGateEvals,
 			PrescreenNS:          int64(st.PrescreenTime),
 			CompileNS:            int64(st.CompileTime),
 			MOTNS:                int64(st.MOTTime),
@@ -187,8 +189,8 @@ func FormatRunStats(res *core.Result) string {
 			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks)
 	}
 	if st.PrescreenFrames > 0 {
-		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit\n",
-			st.PrescreenFrames, st.PrescreenSavedFrames)
+		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit (%d gate evals)\n",
+			st.PrescreenFrames, st.PrescreenSavedFrames, st.PrescreenGateEvals)
 	}
 	if sim := st.Sim; sim.DeltaFrames+sim.EventFrames+sim.FullFrames > 0 {
 		fmt.Fprintf(&sb, "  serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
@@ -231,8 +233,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.RunsDone, s.RunsStarted, s.FaultsDone, s.FaultsTotal)
 	fmt.Fprintf(&sb, "    detected: %d conventional + %d MOT, %d undetected (%d pruned by condition C)\n",
 		s.Conv, s.MOT, s.Undetected(), s.PrunedConditionC)
-	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames)\n",
-		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames)
+	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)\n",
+		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls)
 	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",

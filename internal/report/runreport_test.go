@@ -136,9 +136,9 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 		fmt.Sprintf("1/1 runs, %d/%d faults", res.Total, res.Total),
 		fmt.Sprintf("detected: %d conventional + %d MOT, %d undetected (%d pruned by condition C)",
 			res.Conv, res.MOT, res.Total-res.Detected(), res.PrunedConditionC),
-		fmt.Sprintf("prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames)",
+		fmt.Sprintf("prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)",
 			res.Stages.PrescreenPasses, res.Stages.PrescreenDropped, res.Stages.PrescreenPrunedC,
-			res.Stages.PrescreenFrames),
+			res.Stages.PrescreenFrames, res.Stages.PrescreenGateEvals),
 		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls",
 			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls),
 		fmt.Sprintf("serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full",

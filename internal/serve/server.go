@@ -231,6 +231,7 @@ func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
 	a.PrescreenDropped += b.PrescreenDropped
 	a.PrescreenPrunedC += b.PrescreenPrunedC
 	a.PrescreenFrames += b.PrescreenFrames
+	a.PrescreenGateEvals += b.PrescreenGateEvals
 	a.MOTFaults += b.MOTFaults
 	a.Pairs += b.Pairs
 	a.Expansions += b.Expansions

@@ -183,6 +183,7 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_prescreen_dropped_total":     float64(rep.Stages.PrescreenDropped),
 		"motserve_prescreen_pruned_c_total":    float64(rep.Stages.PrescreenPrunedC),
 		"motserve_prescreen_frames_total":      float64(rep.Stages.PrescreenFrames),
+		"motserve_prescreen_gate_evals_total":  float64(rep.Stages.PrescreenGateEvals),
 		"motserve_mot_faults_total":            float64(rep.Stages.MOTFaults),
 		"motserve_pairs_total":                 float64(rep.Pairs),
 		"motserve_expansions_total":            float64(rep.Expansions),

@@ -49,6 +49,8 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.PrescreenPrunedC }},
 	{"prescreen_frames_total", "Time frames simulated by the bit-parallel prescreen.", false,
 		func(s core.LiveSnapshot) int64 { return s.PrescreenFrames }},
+	{"prescreen_gate_evals_total", "Gates evaluated by the bit-parallel prescreen.", false,
+		func(s core.LiveSnapshot) int64 { return s.PrescreenGateEvals }},
 	{"mot_faults_total", "Faults that entered the per-fault MOT pipeline.", false,
 		func(s core.LiveSnapshot) int64 { return s.MOTFaults }},
 	{"pairs_total", "Candidate (time unit, state variable) pairs collected.", false,

@@ -231,7 +231,7 @@ func DefaultGreedyConfig() GreedyConfig { return tgen.DefaultGreedyConfig() }
 type ConventionalResult = seqsim.FaultResult
 
 // Conventional runs conventional three-valued fault simulation for every
-// fault, 63 faulty machines at a time using the bit-parallel engine. It
+// fault, 255 faulty machines at a time using the bit-parallel engine. It
 // is the fast path when the multiple observation time analysis is not
 // needed.
 func Conventional(c *Circuit, T Sequence, faults []Fault) ([]ConventionalResult, error) {
