@@ -51,11 +51,12 @@ bench-lite:
 trace:
 	$(GO) run ./cmd/motfsim -circuit sg298 -random 144 -workers 4 -span-trace sg298.trace.json -span-sample 1
 
-# Pair-collection and implication micro-benchmarks: pooled/trail path
-# against the retained allocate-per-pair reference.
+# Pair-collection and implication micro-benchmarks: the pooled path
+# (lane passes: CollectPairs, ImplyLanes) against the serial trail frame
+# (ImplyReuse) and the retained allocate-per-pair reference.
 bench-collect:
 	$(GO) test -run xxx -bench 'CollectPairs|SimulateList' -benchmem ./internal/core
-	$(GO) test -run xxx -bench 'Imply' -benchmem ./internal/implic
+	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic
 
 # Fresh whole-list bench run compared against a recorded baseline; fails
 # on any median slowdown beyond 10%. With no BENCH_BASELINE, benchdiff

@@ -57,6 +57,27 @@ func main() {
 	}
 }
 
+// Connection timeouts. A client gets readHeaderTimeout to send its
+// request headers, so a slow or stalled one cannot hold a connection
+// open for free, and an idle keep-alive connection closes after
+// idleTimeout. There is deliberately no read or write timeout on the
+// whole request: /runs/{id}/events streams for as long as a run lasts.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the listener's http.Server with the connection
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func run(addr string, maxRuns, maxConc int, cacheMiB int64, logJSON bool, drainFor time.Duration, traceSample float64, flightRecorder int) error {
 	if traceSample < 0 || traceSample > 1 {
 		return fmt.Errorf("-trace-sample must be in [0, 1], got %g", traceSample)
@@ -81,7 +102,7 @@ func run(addr string, maxRuns, maxConc int, cacheMiB int64, logJSON bool, drainF
 		TraceSample:    traceSample,
 		FlightRecorder: flightRecorder,
 	})
-	httpSrv := &http.Server{Addr: addr, Handler: s.Handler()}
+	httpSrv := newHTTPServer(addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -158,3 +158,19 @@ func TestRunBadAddress(t *testing.T) {
 		t.Fatal("out-of-range -trace-sample accepted")
 	}
 }
+
+// TestHTTPServerTimeouts pins the connection timeouts of the listener:
+// a header deadline and an idle deadline, and no whole-request read or
+// write deadline, which would cut off event streams.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout != 10*time.Second {
+		t.Errorf("ReadHeaderTimeout = %v, want 10s", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout != 2*time.Minute {
+		t.Errorf("IdleTimeout = %v, want 2m", srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Errorf("ReadTimeout/WriteTimeout = %v/%v, want none", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

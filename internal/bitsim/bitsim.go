@@ -280,31 +280,6 @@ func (e *evaluator) overlay(id netlist.NodeID) *VV {
 	return cir.LaneBroadcast(e.base[id])
 }
 
-// read returns the value gate gi sees on pin pi of node id.
-func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
-	v := *e.value(id)
-	if j := e.brAt[e.gates[e.pos[gi]].lo+pi]; j != 0 {
-		v = e.brs[j-1].apply(v)
-	}
-	return v
-}
-
-// evalGate streams gate gi's observed inputs through the shared
-// lane-wise fold. eval inlines the same semantics over the live words;
-// evalGate is retained as the readable reference implementation the
-// per-lane gate property test checks against logic.Eval (the inlined
-// loop is itself checked lane-for-lane against the serial simulator by
-// the whole-run cross-check tests).
-func (e *evaluator) evalGate(gi netlist.GateID) VV {
-	cc := e.cc
-	fo := cir.StartVV4(cc.Ops[gi])
-	lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
-	for k := lo; k < hi; k++ {
-		fo.Add(e.read(gi, k-lo, cc.Fanin[k]))
-	}
-	return fo.Result()
-}
-
 // differs reports whether (one, zero) differs from node id's fault-free
 // value on an active lane.
 func (e *evaluator) differs(id netlist.NodeID, one, zero *[laneWords]uint64) bool {

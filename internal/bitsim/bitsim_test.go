@@ -53,6 +53,30 @@ func TestPatternWidthChecked(t *testing.T) {
 	}
 }
 
+// read returns the value gate gi sees on pin pi of node id.
+func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
+	v := *e.value(id)
+	if j := e.brAt[e.gates[e.pos[gi]].lo+pi]; j != 0 {
+		v = e.brs[j-1].apply(v)
+	}
+	return v
+}
+
+// evalGate streams gate gi's observed inputs through the shared
+// lane-wise fold: the readable reference for the evaluator's inlined
+// eval loop, checked against logic.Eval by the per-lane gate property
+// test (the inlined loop is itself checked lane-for-lane against the
+// serial simulator by the whole-run cross-check tests).
+func (e *evaluator) evalGate(gi netlist.GateID) VV {
+	cc := e.cc
+	fo := cir.StartVV4(cc.Ops[gi])
+	lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
+	for k := lo; k < hi; k++ {
+		fo.Add(e.read(gi, k-lo, cc.Fanin[k]))
+	}
+	return fo.Result()
+}
+
 // gateEvalReference cross-checks evalGate against logic.Eval lane by lane
 // for random VV inputs.
 func TestGateEvalMatchesScalar(t *testing.T) {

@@ -52,8 +52,8 @@ func collectSetup(b *testing.B, cfg Config) (*Simulator, fault.Fault, *seqsim.Tr
 	return s, bestFault, bestBad, bestNout
 }
 
-// BenchmarkCollectPairs measures the pooled/trail pair-collection path:
-// one frame per time unit restored by trail undo, arena-backed pair data.
+// BenchmarkCollectPairs measures the pooled pair-collection path: one
+// lane implication pass per time unit, arena-backed pair data.
 func BenchmarkCollectPairs(b *testing.B) {
 	s, f, bad, nout := collectSetup(b, DefaultConfig())
 	b.ReportAllocs()

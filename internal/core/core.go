@@ -263,10 +263,6 @@ func (s *Simulator) SimulateFault(f fault.Fault) (FaultOutcome, error) {
 	st.times.Total += total
 	d := st.times.sub(before.times)
 	d.Total = total
-	if samples := st.implySamples - before.implySamples; samples > 0 {
-		d.Imply = (st.implySampleNS - before.implySampleNS) *
-			(st.implyCalls - before.implyCalls) / samples
-	}
 	s.lastStages = d
 	if err == nil && s.hist != nil {
 		cone := int64(s.sim.ConeSize())
@@ -394,6 +390,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 // With backward implications disabled (the [4] baseline), every pair is
 // trivial: expansion specifies exactly the selected variable.
 //
+// Under the paper's schedule (two-pass, one time unit of backward
+// implication) every time unit's assertions run in lane passes
+// (collectLanes); the Fixpoint schedule and BackwardDepth > 1 run one
+// serial frame per side.
+//
 // The returned slice and the slices inside each pairInfo are backed by
 // per-simulator arenas truncated at the next collectPairs call; they stay
 // valid for the remainder of this fault's pipeline only. Config.Reference
@@ -402,6 +403,12 @@ func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) 
 	if s.cfg.Reference {
 		return s.collectPairsRef(f, bad, nout)
 	}
+	return s.collectPairsPooled(f, bad, nout, s.lanesCollect())
+}
+
+// collectPairsPooled is collectPairs on the pooled path; lanes selects
+// lane passes over serial frames for the implication pairs.
+func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout []int, lanes bool) []pairInfo {
 	L := len(s.T)
 	nFF := s.c.NumFFs()
 	s.resetCollect()
@@ -423,6 +430,10 @@ func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) 
 	for u := 1; u < L; u++ {
 		if nout[u-1] == 0 || capReached() {
 			break // nout is non-increasing: later units are useless too
+		}
+		if lanes {
+			pairs = s.collectLanes(f, bad, u, pairs)
+			continue
 		}
 		// One pooled frame per time unit: it is built from bad.Nodes[u-1]
 		// once and restored by a trail undo after each side of each pair.
@@ -551,35 +562,26 @@ func (s *Simulator) collectOneInto(fr *implic.Frame, f *fault.Fault, bad *seqsim
 	return p
 }
 
-// imply runs the configured implication schedule. With metrics on,
-// calls are counted and one in 2^implySampleShift is timed; ImplyTime
-// is estimated from that sample so the two clock reads stay off most
-// of these very hot calls.
+// imply runs the configured implication schedule on a serial frame.
+// With metrics on, calls are counted and timed.
 func (s *Simulator) imply(fr *implic.Frame) bool {
 	st := s.stats
 	if st == nil {
-		if s.cfg.Schedule == Fixpoint {
-			return fr.ImplyFixpoint(s.cfg.FixpointRounds)
-		}
-		return fr.ImplyTwoPass()
+		return s.implySchedule(fr)
 	}
 	st.implyCalls++
-	if st.implyCalls&(1<<implySampleShift-1) != 0 {
-		if s.cfg.Schedule == Fixpoint {
-			return fr.ImplyFixpoint(s.cfg.FixpointRounds)
-		}
-		return fr.ImplyTwoPass()
-	}
 	start := time.Now()
-	var ok bool
-	if s.cfg.Schedule == Fixpoint {
-		ok = fr.ImplyFixpoint(s.cfg.FixpointRounds)
-	} else {
-		ok = fr.ImplyTwoPass()
-	}
-	st.implySampleNS += int64(time.Since(start))
-	st.implySamples++
+	ok := s.implySchedule(fr)
+	st.times.Imply += int64(time.Since(start))
 	return ok
+}
+
+// implySchedule runs the configured schedule on fr.
+func (s *Simulator) implySchedule(fr *implic.Frame) bool {
+	if s.cfg.Schedule == Fixpoint {
+		return fr.ImplyFixpoint(s.cfg.FixpointRounds)
+	}
+	return fr.ImplyTwoPass()
 }
 
 // frameDetects reports whether the frame's outputs contradict the
@@ -1047,15 +1049,21 @@ type Stages struct {
 	// 3.4 resimulation (both including the portfolio retry).
 	Step0Time   time.Duration
 	CollectTime time.Duration
-	// ImplyTime estimates the implication share of CollectTime from a
-	// timed 1-in-2^implySampleShift sample of implication calls; it is a
-	// subset of CollectTime, not an additional stage.
+	// ImplyTime is the implication share of CollectTime: the lane
+	// implication passes plus the serial implication calls, timed
+	// directly. It is a subset of CollectTime, not an additional stage.
 	ImplyTime  time.Duration
 	ExpandTime time.Duration
 	ResimTime  time.Duration
-	// ImplyCalls counts in-frame implication runs (both sides of every
-	// collected pair plus deep-backward chasing).
+	// ImplyCalls counts in-frame implication runs: one per asserted
+	// side of every collected pair (a lane of a lane pass or a serial
+	// call; a side whose assertion conflicts outright runs none), plus
+	// deep-backward chasing.
 	ImplyCalls int64
+	// ImplyLaneEvals counts the gates the lane implication passes
+	// evaluated, backward and forward closures together (only gates a
+	// lane-divergent value reaches are evaluated).
+	ImplyLaneEvals int64
 	// ResimVectorPasses counts bit-parallel resimulation passes — one per
 	// expansion resimulated under Config.BitParallelResim, portfolio
 	// retries included. ResimVectorFrames counts the time frames those

@@ -20,8 +20,7 @@ const defaultLiveEvery = 32
 // Snapshot. Every field is monotonically non-decreasing while runs
 // execute, so scraping it as Prometheus counters is sound. After a run
 // returns, the final values equal the merged Result/Result.Stages
-// counters of all runs published into it (time estimates excepted; see
-// Snapshot.ImplyNS).
+// counters of all runs published into it.
 //
 // The zero value is ready to use. Multiple runs may share one LiveStats
 // (cmd/mottables publishes the whole suite into one); the counters then
@@ -47,9 +46,9 @@ type LiveStats struct {
 	expansions atomic.Int64
 	sequences  atomic.Int64
 
-	implyCalls    atomic.Int64
-	implySampleNS atomic.Int64
-	implySamples  atomic.Int64
+	implyCalls     atomic.Int64
+	implyLaneEvals atomic.Int64
+	implyNS        atomic.Int64
 
 	resimVectorPasses    atomic.Int64
 	resimVectorFrames    atomic.Int64
@@ -105,11 +104,9 @@ type LiveSnapshot struct {
 	Expansions int64 `json:"expansions"`
 	Sequences  int64 `json:"sequences"`
 
-	ImplyCalls int64 `json:"imply_calls"`
-	// ImplyNS is estimated from the sampled implication timings exactly
-	// like Stages.ImplyTime, but over the global sample pool rather than
-	// per worker, so the two estimates may differ slightly.
-	ImplyNS int64 `json:"imply_ns"`
+	ImplyCalls     int64 `json:"imply_calls"`
+	ImplyLaneEvals int64 `json:"imply_lane_evals"`
+	ImplyNS        int64 `json:"imply_ns"`
 
 	ResimVectorPasses    int64 `json:"resim_vector_passes"`
 	ResimVectorFrames    int64 `json:"resim_vector_frames"`
@@ -135,7 +132,7 @@ type LiveSnapshot struct {
 // ahead on one counter relative to another; each field on its own never
 // goes backward between snapshots.
 func (l *LiveStats) Snapshot() LiveSnapshot {
-	s := LiveSnapshot{
+	return LiveSnapshot{
 		RunsStarted:          l.runsStarted.Load(),
 		RunsDone:             l.runsDone.Load(),
 		FaultsTotal:          l.faultsTotal.Load(),
@@ -153,6 +150,8 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		Expansions:           l.expansions.Load(),
 		Sequences:            l.sequences.Load(),
 		ImplyCalls:           l.implyCalls.Load(),
+		ImplyLaneEvals:       l.implyLaneEvals.Load(),
+		ImplyNS:              l.implyNS.Load(),
 		ResimVectorPasses:    l.resimVectorPasses.Load(),
 		ResimVectorFrames:    l.resimVectorFrames.Load(),
 		ResimGateEvals:       l.resimGateEvals.Load(),
@@ -169,10 +168,6 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		EventGateEvals:       l.eventGateEvals.Load(),
 		Events:               l.events.Load(),
 	}
-	if samples := l.implySamples.Load(); samples > 0 {
-		s.ImplyNS = l.implySampleNS.Load() * s.ImplyCalls / samples
-	}
-	return s
 }
 
 // Undetected returns the faults classified so far as undetected.
@@ -238,15 +233,14 @@ type livePublisher struct {
 	pairs, expansions, sequences int64
 
 	// Published baselines for the cumulative per-worker accumulators.
-	lastTimes     StageNS
-	lastImply     int64
-	lastImplyNS   int64
-	lastImplySmps int64
-	lastResimVP   int64
-	lastResimVF   int64
-	lastResimGE   int64
-	lastResimSF   int64
-	lastSim       seqsim.SimStats
+	lastTimes   StageNS
+	lastImply   int64
+	lastImplyLE int64
+	lastResimVP int64
+	lastResimVF int64
+	lastResimGE int64
+	lastResimSF int64
+	lastSim     seqsim.SimStats
 }
 
 // newLivePublisher returns a publisher for this simulator's goroutine,
@@ -320,10 +314,10 @@ func (p *livePublisher) flush(s *Simulator) {
 		l.expandNS.Add(d.Expand)
 		l.resimNS.Add(d.Resim)
 		l.totalNS.Add(d.Total)
+		l.implyNS.Add(d.Imply)
 		l.implyCalls.Add(st.implyCalls - p.lastImply)
-		l.implySampleNS.Add(st.implySampleNS - p.lastImplyNS)
-		l.implySamples.Add(st.implySamples - p.lastImplySmps)
-		p.lastImply, p.lastImplyNS, p.lastImplySmps = st.implyCalls, st.implySampleNS, st.implySamples
+		l.implyLaneEvals.Add(st.implyLaneEvals - p.lastImplyLE)
+		p.lastImply, p.lastImplyLE = st.implyCalls, st.implyLaneEvals
 		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
 		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
 		l.resimGateEvals.Add(st.resimGateEvals - p.lastResimGE)

@@ -79,6 +79,8 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			{"Expansions", s.Expansions, int64(res.Expansions)},
 			{"Sequences", s.Sequences, int64(res.Sequences)},
 			{"ImplyCalls", s.ImplyCalls, st.ImplyCalls},
+			{"ImplyLaneEvals", s.ImplyLaneEvals, st.ImplyLaneEvals},
+			{"ImplyNS", s.ImplyNS, int64(st.ImplyTime)},
 			{"DeltaFrames", s.DeltaFrames, st.Sim.DeltaFrames},
 			{"DeltaGateEvals", s.DeltaGateEvals, st.Sim.DeltaGateEvals},
 			{"FullFrames", s.FullFrames, st.Sim.FullFrames},
@@ -125,6 +127,7 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 			{"PrunedConditionC", prev.PrunedConditionC, cur.PrunedConditionC},
 			{"MOTFaults", prev.MOTFaults, cur.MOTFaults},
 			{"ImplyCalls", prev.ImplyCalls, cur.ImplyCalls},
+			{"ImplyLaneEvals", prev.ImplyLaneEvals, cur.ImplyLaneEvals},
 			{"Pairs", prev.Pairs, cur.Pairs},
 			{"DeltaFrames", prev.DeltaFrames, cur.DeltaFrames},
 			{"Step0NS", prev.Step0NS, cur.Step0NS},

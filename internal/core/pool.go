@@ -23,10 +23,17 @@ import (
 // slices are reset at each use; expansion sequences cycle through seqFree
 // across faults.
 type simPools struct {
-	// pairFrame is the shared implication frame for pair collection. It
-	// is reset to the frame u-1 base once per time unit and restored by
-	// an O(changed) trail undo after each side of each pair.
+	// pairFrame is the serial implication frame of pair collection under
+	// the Fixpoint schedule or BackwardDepth > 1. It is reset to the
+	// frame u-1 base once per time unit and restored by an O(changed)
+	// trail undo after each side of each pair.
 	pairFrame *implic.Frame
+	// laneFrame is the lane implication kernel of pair collection
+	// (collectLanes); laneXs lists the unspecified state variables of
+	// the current time unit and laneHot the ones some lane specified.
+	laneFrame *implic.LaneFrame
+	laneXs    []int
+	laneHot   []laneHot
 	// deepFrames[d] is the frame reused at chase level d of deepBackward.
 	deepFrames []*implic.Frame
 	// deepNewly buffers the newly specified present-state variables of
@@ -125,6 +132,21 @@ func (s *Simulator) pairFrame(f *fault.Fault, base []logic.Val) *implic.Frame {
 		st.pool.FrameReuses++
 	}
 	return s.pools.pairFrame
+}
+
+// laneFrame returns the pooled lane implication kernel.
+func (s *Simulator) laneFrame() *implic.LaneFrame {
+	if s.pools.laneFrame == nil {
+		s.pools.laneFrame = implic.NewLaneFrame(s.cc)
+		if st := s.stats; st != nil {
+			st.pool.FrameAllocs++
+		}
+		return s.pools.laneFrame
+	}
+	if st := s.stats; st != nil {
+		st.pool.FrameReuses++
+	}
+	return s.pools.laneFrame
 }
 
 // deepFrame returns the pooled frame for chase level d of deepBackward,

@@ -88,11 +88,10 @@ func max64(a, b int64) int64 {
 type runStats struct {
 	times      StageNS
 	implyCalls int64
-	// implySampleNS/implySamples hold the timed 1-in-2^implySampleShift
-	// sample of implication calls from which ImplyTime is estimated.
-	implySampleNS int64
-	implySamples  int64
-	motFaults     int64
+	// implyLaneEvals counts the gates evaluated by lane implication
+	// passes (see Stages.ImplyLaneEvals).
+	implyLaneEvals int64
+	motFaults      int64
 	// resimVectorPasses/resimVectorFrames/resimGateEvals count the
 	// bit-parallel resimulation passes, the frames and the gates they
 	// evaluated; resimSerialFallbacks the expansions that exceeded lane
@@ -135,13 +134,6 @@ func (rs *runStats) tick(last *time.Time, f stageField) {
 	}
 	*last = now
 }
-
-// implySampleShift sets the implication timing sample rate: one in
-// 2^implySampleShift implication calls is timed, and ImplyTime is
-// scaled back up from the sample. Sampling keeps the two extra clock
-// reads off most of the (very hot) implication calls; even small runs
-// make thousands of calls, so 1-in-64 still gives a stable estimate.
-const implySampleShift = 6
 
 // RunMetrics holds the per-fault distribution histograms of one run.
 // The histograms are concurrency-safe (see internal/metrics) and are
@@ -248,11 +240,9 @@ func (st *Stages) mergeStats(rs *runStats) {
 	st.CollectTime += time.Duration(rs.times.Collect)
 	st.ExpandTime += time.Duration(rs.times.Expand)
 	st.ResimTime += time.Duration(rs.times.Resim)
-	if rs.implySamples > 0 {
-		// Scale the timed sample back up to an estimate over all calls.
-		st.ImplyTime += time.Duration(rs.implySampleNS * rs.implyCalls / rs.implySamples)
-	}
+	st.ImplyTime += time.Duration(rs.times.Imply)
 	st.ImplyCalls += rs.implyCalls
+	st.ImplyLaneEvals += rs.implyLaneEvals
 	st.ResimVectorPasses += rs.resimVectorPasses
 	st.ResimVectorFrames += rs.resimVectorFrames
 	st.ResimGateEvals += rs.resimGateEvals

@@ -86,6 +86,12 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.ImplyCalls == 0 {
 		t.Error("ImplyCalls = 0; implication instrumentation not reached")
 	}
+	if ser.Stages.ImplyLaneEvals != par.Stages.ImplyLaneEvals {
+		t.Errorf("ImplyLaneEvals: serial %d, parallel %d", ser.Stages.ImplyLaneEvals, par.Stages.ImplyLaneEvals)
+	}
+	if ser.Stages.ImplyLaneEvals == 0 {
+		t.Error("ImplyLaneEvals = 0; lane implication passes not counted")
+	}
 	type resimCounts struct{ passes, frames, gateEvals, fallbacks int64 }
 	resim := func(st Stages) resimCounts {
 		return resimCounts{st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks}

@@ -3,6 +3,7 @@ package implic
 import (
 	"testing"
 
+	"repro/internal/cir"
 	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -74,5 +75,23 @@ func BenchmarkImplyNew(b *testing.B) {
 				_ = fr.AssignNextState(ff, logic.Val(a)) && fr.ImplyTwoPass()
 			}
 		}
+	}
+}
+
+// BenchmarkImplyLanes measures the lane kernel on the same frame and
+// assertions as BenchmarkImplyReuse: per round one pass carrying both
+// values of every candidate flip-flop, lane 2k+α asserting the k-th.
+func BenchmarkImplyLanes(b *testing.B) {
+	c, base, ffs := implySetup(b)
+	lf := NewLaneFrame(cir.For(c))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lf.Begin(nil, base, 2*len(ffs))
+		for k, ff := range ffs {
+			lf.AssertNextState(ff, 2*k, logic.Zero)
+			lf.AssertNextState(ff, 2*k+1, logic.One)
+		}
+		lf.Imply()
 	}
 }

@@ -1,0 +1,124 @@
+package implic
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/cir"
+	"repro/internal/circuits"
+	"repro/internal/fault"
+	"repro/internal/logic"
+	"repro/internal/netlist"
+	"repro/internal/seqsim"
+)
+
+// laneCircuits are the circuits FuzzImplyLanes draws from: every one
+// has at most 16 flip-flops.
+var laneCircuits = func() []*netlist.Circuit {
+	cs := []*netlist.Circuit{circuits.S27(), circuits.Fig4(), circuits.Intro(), circuits.Table1()}
+	for _, name := range []string{"sg208", "sg298", "sg344", "sg420"} {
+		e, err := circuits.SuiteEntryByName(name)
+		if err != nil {
+			panic(err)
+		}
+		cs = append(cs, e.Build())
+	}
+	return cs
+}()
+
+// randVal draws 0, 1 or X, X with probability xPct percent.
+func randVal(rng *rand.Rand, xPct int) logic.Val {
+	if rng.Intn(100) < xPct {
+		return logic.X
+	}
+	return logic.Val(rng.Intn(2))
+}
+
+// FuzzImplyLanes checks the lane kernel against the serial frame, lane
+// by lane. A case draws a circuit, a fault of its uncollapsed list and
+// a base frame simulated by seqsim under that fault from random
+// three-valued inputs and present state. The pass asserts both values
+// of every flip-flop, the list repeated to fill one to four words so
+// the same assertion sits in several words. Each lane must agree with
+// AssignNextState + ImplyTwoPass on the same assertion: the conflict
+// verdict, and on lanes without conflict every node value, hence every
+// output and NextState.
+func FuzzImplyLanes(f *testing.F) {
+	for seed := int64(0); seed < 64; seed++ {
+		f.Add(seed, uint8(seed), uint16(seed*37), uint8(seed*5))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, circ uint8, faultIdx uint16, shape uint8) {
+		c := laneCircuits[int(circ)%len(laneCircuits)]
+		cc := cir.For(c)
+		faults := fault.List(c)
+		flt := faults[int(faultIdx)%len(faults)]
+		rng := rand.New(rand.NewSource(seed))
+		xPct := []int{10, 40, 80, 100}[shape&3]
+		pi := make([]logic.Val, c.NumInputs())
+		for i := range pi {
+			pi[i] = randVal(rng, xPct/2)
+		}
+		ps := make([]logic.Val, c.NumFFs())
+		for i := range ps {
+			ps[i] = randVal(rng, xPct)
+		}
+		base := make([]logic.Val, c.NumNodes())
+		seqsim.EvalFrame(c, pi, ps, &flt, base)
+
+		type assertion struct {
+			ff int
+			v  logic.Val
+		}
+		var as []assertion
+		reps := 1 + int(shape>>2)%8
+		for r := 0; r < reps && len(as)+2*c.NumFFs() <= MaxLanes; r++ {
+			for i := 0; i < c.NumFFs(); i++ {
+				as = append(as, assertion{i, logic.Zero}, assertion{i, logic.One})
+			}
+		}
+		lf := NewLaneFrame(cc)
+		// A first pass on another assertion set leaves stale overlay
+		// entries the real pass must not read.
+		lf.Begin(&flt, base, 1)
+		lf.AssertNextState(rng.Intn(c.NumFFs()), 0, logic.Val(rng.Intn(2)))
+		lf.Imply()
+
+		lf.Begin(&flt, base, len(as))
+		for l, a := range as {
+			lf.AssertNextState(a.ff, l, a.v)
+		}
+		lf.Imply()
+		conf := lf.Conflicts()
+
+		fr := NewCompiled(cc, &flt, base)
+		for l, a := range as {
+			mark := fr.Mark()
+			ok := fr.AssignNextState(a.ff, a.v) && fr.ImplyTwoPass()
+			lane := uint(l)
+			if laneConf := conf[l>>6]>>(l&63)&1 != 0; laneConf == ok {
+				t.Fatalf("%s, fault %s, lane %d (Y%d=%v): lane conflict %v, serial conflict %v",
+					c.Name, flt.Name(c), l, a.ff, a.v, laneConf, !ok)
+			}
+			if ok {
+				for n := range fr.Values() {
+					id := netlist.NodeID(n)
+					if got, want := lf.Value(id).Lane(lane), fr.Value(id); got != want {
+						t.Fatalf("%s, fault %s, lane %d (Y%d=%v): node %s = %v, serial %v",
+							c.Name, flt.Name(c), l, a.ff, a.v, c.NodeName(id), got, want)
+					}
+				}
+				for j := 0; j < c.NumOutputs(); j++ {
+					if got, want := lf.Output(j).Lane(lane), fr.Output(j); got != want {
+						t.Fatalf("%s, fault %s, lane %d: output %d = %v, serial %v", c.Name, flt.Name(c), l, j, got, want)
+					}
+				}
+				for i := 0; i < c.NumFFs(); i++ {
+					if got, want := lf.NextState(i).Lane(lane), fr.NextState(i); got != want {
+						t.Fatalf("%s, fault %s, lane %d: next state %d = %v, serial %v", c.Name, flt.Name(c), l, i, got, want)
+					}
+				}
+			}
+			fr.UndoTo(mark)
+		}
+	})
+}

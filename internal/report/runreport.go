@@ -58,6 +58,7 @@ type StagesReport struct {
 	ResimNS   int64 `json:"resim_ns"`
 
 	ImplyCalls           int64 `json:"imply_calls"`
+	ImplyLaneEvals       int64 `json:"imply_lane_evals"`
 	ResimVectorPasses    int64 `json:"resim_vector_passes"`
 	ResimVectorFrames    int64 `json:"resim_vector_frames"`
 	ResimGateEvals       int64 `json:"resim_gate_evals"`
@@ -114,6 +115,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ExpandNS:             int64(st.ExpandTime),
 			ResimNS:              int64(st.ResimTime),
 			ImplyCalls:           st.ImplyCalls,
+			ImplyLaneEvals:       st.ImplyLaneEvals,
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
@@ -183,7 +185,7 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "    %-24s %12s  %6s\n", r.name, r.d.Round(time.Microsecond), pct(r.d, cpu))
 	}
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "  implication calls: %d\n", st.ImplyCalls)
+	fmt.Fprintf(&sb, "  implication calls: %d (%d lane gate evals)\n", st.ImplyCalls, st.ImplyLaneEvals)
 	if st.ResimVectorPasses > 0 || st.ResimSerialFallbacks > 0 {
 		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
 			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks)
@@ -225,8 +227,7 @@ func FormatRunStats(res *core.Result) string {
 // FormatLiveSnapshot renders a live snapshot in the FormatRunStats
 // idiom. After a run completes the counter lines render exactly the
 // merged Result/Stages values (the stage-seconds line is a wall-clock
-// measurement and the implication estimate is computed globally rather
-// than per worker, so those may differ from the Stages durations).
+// measurement and may differ from the Stages durations).
 func FormatLiveSnapshot(s core.LiveSnapshot) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "  live snapshot (%d/%d runs, %d/%d faults):\n",
@@ -235,8 +236,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.Conv, s.MOT, s.Undetected(), s.PrunedConditionC)
 	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)\n",
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
-	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls\n",
-		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls)
+	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals)\n",
+		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals)
 	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
 		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals, s.ResimSerialFallbacks)
 	fmt.Fprintf(&sb, "    serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -237,6 +238,7 @@ func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
 	a.Expansions += b.Expansions
 	a.Sequences += b.Sequences
 	a.ImplyCalls += b.ImplyCalls
+	a.ImplyLaneEvals += b.ImplyLaneEvals
 	a.ImplyNS += b.ImplyNS
 	a.ResimVectorPasses += b.ResimVectorPasses
 	a.ResimVectorFrames += b.ResimVectorFrames
@@ -319,14 +321,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
+// maxRequestBytes caps a POST /runs body. The largest suite netlist's
+// .bench text (sg35932) is about 150 KiB, so inline netlists and vector
+// sets far beyond the suite fit, while one request can no longer make
+// the server buffer an unbounded body.
+const maxRequestBytes = 16 << 20
+
 // handleCreate is POST /runs: validate, compile, register, and start
 // the run (queued until an execution slot frees up). Responds 202 with
-// the initial status.
+// the initial status, or 413 when the body exceeds maxRequestBytes.
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 		return
 	}

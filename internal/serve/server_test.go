@@ -189,6 +189,7 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_expansions_total":            float64(rep.Expansions),
 		"motserve_sequences_total":             float64(rep.Sequences),
 		"motserve_imply_calls_total":           float64(rep.Stages.ImplyCalls),
+		"motserve_imply_lane_evals_total":      float64(rep.Stages.ImplyLaneEvals),
 		"motserve_delta_frames_total":          float64(rep.Stages.Sim.DeltaFrames),
 		"motserve_full_frames_total":           float64(rep.Stages.Sim.FullFrames),
 	} {
@@ -336,6 +337,38 @@ func TestServerRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing run: status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServerCreateBodyTooLarge checks that POST /runs stops reading a
+// body past maxRequestBytes and answers 413 without registering a run,
+// while a body just under the cap is still decoded (and rejected as a
+// bad netlist, not as too large).
+func TestServerCreateBodyTooLarge(t *testing.T) {
+	s, ts := newTestServer(t)
+	for _, tc := range []struct {
+		name string
+		pad  int
+		want int
+	}{
+		{"over", maxRequestBytes, http.StatusRequestEntityTooLarge},
+		{"under", maxRequestBytes - 64, http.StatusBadRequest},
+	} {
+		body := `{"bench":"` + strings.Repeat("a", tc.pad) + `"}`
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("%s: status = %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.runs)
+	s.mu.Unlock()
+	if n != 0 {
+		t.Errorf("%d runs registered, want 0", n)
 	}
 }
 

@@ -61,6 +61,8 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.Sequences }},
 	{"imply_calls_total", "In-frame implication runs.", false,
 		func(s core.LiveSnapshot) int64 { return s.ImplyCalls }},
+	{"imply_lane_evals_total", "Gates evaluated by lane implication passes.", false,
+		func(s core.LiveSnapshot) int64 { return s.ImplyLaneEvals }},
 	{"resim_vector_passes_total", "Bit-parallel resimulation vector passes.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorPasses }},
 	{"resim_vector_frames_total", "Time frames evaluated by bit-parallel resimulation.", false,
@@ -85,7 +87,7 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.Step0NS }},
 	{"stage_collect_seconds_total", "CPU time in pair collection (Section 3.1).", true,
 		func(s core.LiveSnapshot) int64 { return s.CollectNS }},
-	{"stage_imply_seconds_total", "Estimated CPU time in implications (subset of collect).", true,
+	{"stage_imply_seconds_total", "CPU time in implications (subset of collect).", true,
 		func(s core.LiveSnapshot) int64 { return s.ImplyNS }},
 	{"stage_expand_seconds_total", "CPU time in state expansion (Procedure 2).", true,
 		func(s core.LiveSnapshot) int64 { return s.ExpandNS }},
