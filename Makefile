@@ -5,9 +5,10 @@
 GO ?= go
 
 # Test names covering code that runs concurrently or reuses pooled state:
-# RunParallel scheduling, the bit-parallel prescreen, the trail/pool
-# cross-checks (pools must be per-worker, never shared), the bit-parallel
-# resimulation cross-checks (per-worker regions and lane scratch), the
+# RunParallel scheduling and the golden per-fault traces at 1 and 4
+# workers, the bit-parallel prescreen, the trail/pool cross-checks (pools
+# must be per-worker, never shared), the bit-parallel resimulation
+# cross-checks (per-worker lane evaluators and lane columns), the
 # event-driven evaluator cross-checks (per-worker EventEval scratch and
 # shared schedules), the shared compiled-IR reads in internal/cir,
 # metric registry scrapes under concurrent writers, the serve run
@@ -17,9 +18,9 @@ GO ?= go
 # (lock-free Observe racing slot rotation and scrapes), and histogram
 # exemplar slots (CAS writers racing exposition reads).
 RACE_PATTERN := Parallel|Prescreen|Pooled|CrossCheck|Server|Span|Event|Window|Exemplar
-RACE_PKGS    := ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
+RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
-.PHONY: build test vet race verify bench bench-lite bench-collect benchdiff trace
+.PHONY: build test vet race perfbench-test verify bench bench-lite bench-collect benchdiff trace
 
 build:
 	$(GO) build ./...
@@ -33,7 +34,13 @@ vet:
 race:
 	$(GO) test -race -run '$(RACE_PATTERN)' $(RACE_PKGS)
 
-verify: build test vet race
+# The benchmark has its own module (perfbench/go.mod), so the root
+# `go test ./...` never compiles it: vet and test it in place, so an
+# internal API change cannot break `bash perfbench/run.sh` unnoticed.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+verify: build test vet race perfbench-test
 
 # Whole-list MOT benchmarks (Table 2 circuits) with allocation stats.
 bench:
@@ -53,9 +60,10 @@ trace:
 
 # Pair-collection and implication micro-benchmarks: the pooled path
 # (lane passes: CollectPairs, ImplyLanes) against the serial trail frame
-# (ImplyReuse) and the retained allocate-per-pair reference.
+# (ImplyReuse) and the retained allocate-per-pair reference; plus the
+# bit-parallel resimulation kernel (ResimulateVV).
 bench-collect:
-	$(GO) test -run xxx -bench 'CollectPairs|SimulateList' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic
 
 # Fresh whole-list bench run compared against a recorded baseline; fails

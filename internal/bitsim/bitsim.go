@@ -89,7 +89,7 @@ type layout struct {
 	cc     *cir.CC
 	gates  []gateRec
 	fanin  []netlist.NodeID
-	pos    []int32 // pos[gi]: position of gate gi in cc.Order
+	pos    []int32 // pos[gi]: position of gate gi in cc.Order (cc.OrderPos)
 	fanPos []int32
 }
 
@@ -99,11 +99,10 @@ func newLayout(cc *cir.CC) *layout {
 		cc:     cc,
 		gates:  make([]gateRec, len(cc.Order)),
 		fanin:  make([]netlist.NodeID, 0, len(cc.Fanin)),
-		pos:    make([]int32, cc.NumGates()),
+		pos:    cc.OrderPos,
 		fanPos: make([]int32, len(cc.FanoutGate)),
 	}
 	for p, gi := range cc.Order {
-		l.pos[gi] = int32(p)
 		lo := int32(len(l.fanin))
 		l.fanin = append(l.fanin, cc.FaninOf(gi)...)
 		l.gates[p] = gateRec{out: cc.GOut[gi], lo: lo, hi: int32(len(l.fanin)), op: cc.Ops[gi]}

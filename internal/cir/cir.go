@@ -74,6 +74,10 @@ type CC struct {
 	Order      []netlist.GateID
 	LevelStart []int32
 	MaxLevel   int32
+	// OrderPos is the inverse of Order: OrderPos[gi] is gate gi's
+	// position. A gate's readers sit at strictly higher levels, hence at
+	// later positions, so position bitmaps drain in dependency order.
+	OrderPos []int32
 
 	// Index maps, in declaration order.
 
@@ -104,10 +108,13 @@ type CC struct {
 	// Per-site active-cone cache (see ConeOf): one slot per possible stem
 	// site (node) and branch site (reading gate), filled lazily under
 	// coneMu using the shared scratch cone and read lock-free thereafter.
+	// coneSet (under coneMu) holds the distinct snapshots by content
+	// hash; slots of sites with equal cones share one snapshot.
 	conesNode   []atomic.Pointer[Cone]
 	conesGate   []atomic.Pointer[Cone]
 	coneMu      sync.Mutex
 	coneScratch *Cone
+	coneSet     map[uint64][]*Cone
 }
 
 // gateMeta is the packed per-gate record EvalGate reads.
@@ -151,6 +158,7 @@ func Compile(c *netlist.Circuit) *CC {
 		DOf:        make([]int32, nNodes),
 		OutPos:     make([]int32, nNodes),
 		Order:      c.Order,
+		OrderPos:   make([]int32, nGates),
 		MaxLevel:   c.MaxLevel,
 		Inputs:     c.Inputs,
 		Outputs:    c.Outputs,
@@ -220,8 +228,9 @@ func Compile(c *netlist.Circuit) *CC {
 	// counting: LevelStart[l] is the prefix sum of gate counts below l.
 	cc.LevelStart = make([]int32, cc.MaxLevel+2)
 	counts := make([]int32, cc.MaxLevel+2)
-	for _, gi := range cc.Order {
+	for p, gi := range cc.Order {
 		counts[cc.Level[gi]]++
+		cc.OrderPos[gi] = int32(p)
 	}
 	pos := int32(0)
 	for l := int32(0); l <= cc.MaxLevel+1; l++ {
@@ -298,18 +307,19 @@ func (cc *CC) MemSize() int64 {
 	n := int64(len(cc.Ops))*int64(unsafe.Sizeof(logic.Op(0))) +
 		int64(len(cc.GOut)+len(cc.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
 		int64(len(cc.Level)+len(cc.FaninStart)+len(cc.FanoutStart)+len(cc.FanoutPin)+
-			len(cc.FFOf)+len(cc.DOf)+len(cc.OutPos)+len(cc.LevelStart))*4 +
+			len(cc.FFOf)+len(cc.DOf)+len(cc.OutPos)+len(cc.LevelStart)+len(cc.OrderPos))*4 +
 		int64(len(cc.FanoutGate)+len(cc.Driver)+len(cc.Order))*int64(unsafe.Sizeof(netlist.GateID(0))) +
 		int64(len(cc.Inputs)+len(cc.Outputs)+len(cc.FFQ)+len(cc.FFD))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
 		int64(len(cc.FFInit)) +
 		int64(len(cc.meta))*int64(unsafe.Sizeof(gateMeta{})) +
 		cc.fullSched.memSize() +
 		int64(len(cc.conesNode)+len(cc.conesGate))*int64(unsafe.Sizeof(atomic.Pointer[Cone]{}))
-	for i := range cc.conesNode {
-		n += cc.conesNode[i].Load().memSize()
-	}
-	for i := range cc.conesGate {
-		n += cc.conesGate[i].Load().memSize()
+	cc.coneMu.Lock()
+	defer cc.coneMu.Unlock()
+	for _, cones := range cc.coneSet {
+		for _, co := range cones {
+			n += co.memSize()
+		}
 	}
 	return n
 }

@@ -416,9 +416,12 @@ func TestForCache(t *testing.T) {
 // TestConeOfCache checks the per-site cone cache: repeated lookups
 // return the identical shared snapshot, faults at one site (either
 // polarity, any pin of one gate) share it, the lists match a
-// FillCone-filled cone, and NoFault maps to the empty cone.
+// FillCone-filled cone, sites with equal cones share one snapshot and
+// sites with different cones do not, and NoFault maps to the empty
+// cone.
 func TestConeOfCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
+	shared := 0
 	for trial := 0; trial < 10; trial++ {
 		c, err := randomCircuit(rng, 2+rng.Intn(4), 1+rng.Intn(5), 8+rng.Intn(40))
 		if err != nil {
@@ -427,6 +430,8 @@ func TestConeOfCache(t *testing.T) {
 		cc := cir.Compile(c)
 		scratch := cc.NewCone()
 		bySite := make(map[string]*cir.Cone)
+		byContent := make(map[string]*cir.Cone)
+		sites := make(map[*cir.Cone]map[string]bool)
 		for _, f := range fault.List(c) {
 			co := cc.ConeOf(&f)
 			if co2 := cc.ConeOf(&f); co2 != co {
@@ -453,9 +458,31 @@ func TestConeOfCache(t *testing.T) {
 					t.Fatalf("%s: cached cone gate %d not in FillCone set", f.Name(c), g)
 				}
 			}
+			gates := slices.Clone(co.Gates)
+			slices.Sort(gates)
+			key := fmt.Sprint(gates, co.FFs, co.Outs)
+			if prev, ok := byContent[key]; ok && prev != co {
+				t.Fatalf("%s: equal cones at two sites are distinct snapshots", f.Name(c))
+			}
+			byContent[key] = co
+			if sites[co] == nil {
+				sites[co] = make(map[string]bool)
+			}
+			sites[co][site] = true
+		}
+		if len(byContent) != len(sites) {
+			t.Fatalf("%d distinct cone contents in %d snapshots", len(byContent), len(sites))
+		}
+		for _, ss := range sites {
+			if len(ss) > 1 {
+				shared++
+			}
 		}
 		if co := cc.ConeOf(&cir.NoFault); co.Size() != 0 || len(co.FFs) != 0 || len(co.Outs) != 0 {
 			t.Fatalf("NoFault ConeOf not empty: %d gates", co.Size())
 		}
+	}
+	if shared == 0 {
+		t.Fatal("no snapshot was shared by two sites")
 	}
 }

@@ -15,6 +15,7 @@ package cir
 // unaffected.
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -126,9 +127,48 @@ func (cc *CC) ConeOf(f *fault.Fault) *Cone {
 		cc.coneScratch = cc.NewCone()
 	}
 	cc.FillCone(f, cc.coneScratch)
-	co := cc.coneScratch.snapshot()
+	co := cc.internCone(cc.coneScratch)
 	slot.Store(co)
 	return co
+}
+
+// internCone returns a snapshot of the filled cone co, shared with
+// every earlier site whose cone has the same gate set, flip-flops and
+// outputs. All sites feeding one strongly connected block of flip-flops
+// share its sequential closure, so distinct cones are few: about one
+// site in fifteen on the sg298 stand-ins. Gates stay in discovery
+// order, so equal sets are compared through co's gate markers, in time
+// linear in the cone like FillCone itself. Callers hold coneMu.
+func (cc *CC) internCone(co *Cone) *Cone {
+	// The gate-set hash is a sum of mixed IDs, so it ignores order.
+	var h uint64
+	for _, g := range co.Gates {
+		x := (uint64(uint32(g)) + 1) * 0x9e3779b97f4a7c15
+		h += x ^ x>>31
+	}
+	h = fnvList(fnvList(h, co.FFs), co.Outs)
+	outside := func(g netlist.GateID) bool { return !co.inGate[g] }
+	for _, s := range cc.coneSet[h] {
+		if len(s.Gates) == len(co.Gates) && slices.Equal(s.FFs, co.FFs) &&
+			slices.Equal(s.Outs, co.Outs) && !slices.ContainsFunc(s.Gates, outside) {
+			return s
+		}
+	}
+	s := co.snapshot()
+	if cc.coneSet == nil {
+		cc.coneSet = make(map[uint64][]*Cone)
+	}
+	cc.coneSet[h] = append(cc.coneSet[h], s)
+	return s
+}
+
+// fnvList folds xs and a list terminator into the FNV-1a hash h.
+func fnvList(h uint64, xs []int32) uint64 {
+	const prime = 1099511628211
+	for _, x := range xs {
+		h = (h ^ uint64(uint32(x))) * prime
+	}
+	return (h ^ 0xff) * prime
 }
 
 // Size returns the number of gates in the cone.

@@ -1,7 +1,6 @@
 package cir
 
-// Event-driven 256-lane evaluation over a resimulation region: the
-// vector counterpart of EventEval.
+// Event-driven 256-lane evaluation: the vector counterpart of EventEval.
 //
 // Every lane of a resimulation pass is a variation of one retained
 // scalar frame (the fault's step-0 faulty trace row): most nodes carry
@@ -14,11 +13,15 @@ package cir
 // baseline values produces the baseline output, so skipping it changes
 // no lane.
 //
-// The schedule is a bitmap over positions in the region's level-sorted
-// Gates: a push is one bit set, and a drain is an ascending
+// The schedule is a bitmap over whole-circuit positions in cc.Order
+// (cc.OrderPos): a push is one bit set, and a drain is an ascending
 // TrailingZeros scan. A gate's readers sit at strictly higher levels,
 // hence at later positions, so every gate is evaluated at most once per
-// frame and each bit is cleared as the scan passes it.
+// frame and each bit is cleared as the scan passes it. Events only ever
+// follow fanout, so a frame's work is bounded by the fanout closure of
+// its seeds, with no per-pass region to compute. The evaluator records
+// the nodes it stores per frame (Touched), so a caller scans only the
+// divergent flip-flop and output nodes instead of every candidate.
 
 import (
 	"math/bits"
@@ -41,12 +44,12 @@ var laneBroadcast = [...]VV4{
 func LaneBroadcast(v logic.Val) *VV4 { return &laneBroadcast[v] }
 
 // LaneEval is the event-driven 256-lane evaluator: scratch for one
-// goroutine running resimulation passes over regions of one compiled
-// circuit. It is not safe for concurrent use; create one per worker.
+// goroutine running resimulation passes over one compiled circuit. It
+// is not safe for concurrent use; create one per worker.
 //
-// A pass runs as BeginPass (bind region, fault and live word count),
-// then per frame BeginFrame (bind baseline and active lanes, bump the
-// epoch), any number of Seed calls, one Drain, and Value reads. Values
+// A pass runs as BeginPass (bind fault and live word count), then per
+// frame BeginFrame (bind baseline and active lanes, bump the epoch), any
+// number of Seed calls, one Drain, and Value and Touched reads. Values
 // are exact on the frame's active lanes of the live words only; other
 // lanes hold unspecified values.
 type LaneEval struct {
@@ -66,10 +69,11 @@ type LaneEval struct {
 	// never read or written.
 	nw int
 
-	// reg is the bound region; pending is the schedule bitmap over
-	// positions in reg.Gates, all-zero outside Drain.
-	reg     *Region
+	// pending is the schedule bitmap over cc.Order positions, all-zero
+	// outside Drain.
 	pending []uint64
+	// touched lists the nodes stored this frame, in store order.
+	touched []netlist.NodeID
 
 	// The bound fault: stem is the stem fault node (never evaluated),
 	// branch/pin the branch fault's gate and input position (folded with
@@ -83,24 +87,17 @@ type LaneEval struct {
 // NewLaneEval returns a lane evaluator sized for the circuit.
 func (cc *CC) NewLaneEval() *LaneEval {
 	return &LaneEval{
-		cc:    cc,
-		vals:  make([]VV4, cc.NumNodes()),
-		stamp: make([]uint32, cc.NumNodes()),
+		cc:      cc,
+		vals:    make([]VV4, cc.NumNodes()),
+		stamp:   make([]uint32, cc.NumNodes()),
+		pending: make([]uint64, (len(cc.Order)+63)>>6),
 	}
 }
 
-// BeginPass binds the region every frame of the pass evaluates in,
-// fault f (non-nil; use &NoFault) and the live word count nw in [1, 4].
-// The region must stay unchanged until the pass ends.
-func (e *LaneEval) BeginPass(reg *Region, f *fault.Fault, nw int) {
-	e.reg, e.nw = reg, nw
-	words := (len(reg.Gates) + 63) >> 6
-	if cap(e.pending) < words {
-		e.pending = make([]uint64, words)
-	} else {
-		e.pending = e.pending[:words]
-		clear(e.pending)
-	}
+// BeginPass binds fault f (non-nil; use &NoFault) and the live word
+// count nw in [1, 4] for every frame of the pass.
+func (e *LaneEval) BeginPass(f *fault.Fault, nw int) {
+	e.nw = nw
 	e.stem, e.branch, e.pin = netlist.NoNode, netlist.NoGate, 0
 	if f.Node != netlist.NoNode {
 		if f.IsStem() {
@@ -120,6 +117,7 @@ func (e *LaneEval) BeginPass(reg *Region, f *fault.Fault, nw int) {
 func (e *LaneEval) BeginFrame(base []logic.Val, active [4]uint64) {
 	e.base = base
 	e.active = active
+	e.touched = e.touched[:0]
 	e.epoch++
 	if e.epoch == 0 {
 		// uint32 wrap: stale stamps could alias the new epoch.
@@ -150,6 +148,13 @@ func (e *LaneEval) Value(id netlist.NodeID) *VV4 {
 	return &laneBroadcast[e.base[id]]
 }
 
+// Touched lists the nodes whose overlay value this frame differs from
+// the baseline on an active lane, in the order they were stored: the
+// seeded nodes first, then gate outputs in ascending cc.Order position.
+// Every other node holds the baseline on every active lane. The slice
+// is valid until the next BeginFrame.
+func (e *LaneEval) Touched() []netlist.NodeID { return e.touched }
+
 // differs reports whether (one, zero) differs from node id's baseline
 // on an active lane of the live words.
 func (e *LaneEval) differs(id netlist.NodeID, one, zero *[4]uint64) bool {
@@ -163,14 +168,18 @@ func (e *LaneEval) differs(id netlist.NodeID, one, zero *[4]uint64) bool {
 }
 
 // store records (one, zero) as node id's value and schedules every
-// reading gate. Readers of a region node are region gates.
+// reading gate.
 func (e *LaneEval) store(id netlist.NodeID, one, zero *[4]uint64) {
 	v := &e.vals[id]
 	for w := 0; w < e.nw; w++ {
 		v.One[w], v.Zero[w] = one[w], zero[w]
 	}
-	e.stamp[id] = e.epoch
-	cc, pos := e.cc, e.reg.pos
+	if e.stamp[id] != e.epoch {
+		e.stamp[id] = e.epoch
+		e.touched = append(e.touched, id)
+	}
+	cc := e.cc
+	pos := cc.OrderPos
 	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
 		p := pos[cc.FanoutGate[k]]
 		e.pending[p>>6] |= 1 << (p & 63)
@@ -187,7 +196,10 @@ func (e *LaneEval) store(id netlist.NodeID, one, zero *[4]uint64) {
 // shared VV4Fold, to keep the pin-override test off the common path.
 func (e *LaneEval) Drain() int {
 	const allBits = ^uint64(0)
-	cc, gates, nw := e.cc, e.reg.Gates, e.nw
+	if len(e.touched) == 0 {
+		return 0 // nothing seeded: nothing scheduled
+	}
+	cc, gates, nw := e.cc, e.cc.Order, e.nw
 	evals := 0
 	for w := range e.pending {
 		for e.pending[w] != 0 {

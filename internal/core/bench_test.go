@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/circuits"
@@ -112,4 +113,62 @@ func BenchmarkSimulateListReference(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.Reference = true
 	benchSimulateList(b, cfg)
+}
+
+// resimSink keeps the benchmarked resimulation results live.
+var resimSink bool
+
+// BenchmarkResimulateVV measures the bit-parallel resimulation kernel:
+// both vector passes (the proposed expansion and the portfolio retry)
+// of the first sg1423 fault, in collapsed-list order, that resimulates
+// twice. Expansion runs once in setup; each iteration replays the two
+// passes on their recorded sequences and seeds.
+func BenchmarkResimulateVV(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg1423")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.Build()
+	s, err := NewSimulator(c, tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var f fault.Fault
+	found := false
+	for _, g := range fault.CollapsedList(c) {
+		if _, err := s.SimulateFault(g); err != nil {
+			b.Fatal(err)
+		}
+		if s.lastResim.VectorPasses == 2 {
+			f, found = g, true
+			break
+		}
+	}
+	if !found {
+		b.Fatal("no fault resimulates twice")
+	}
+	bad, _, _, err := s.sim.RunFault(s.T, s.good, f, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nsv, nout := s.profile(bad)
+	type pass struct {
+		seqs  []*sequence
+		marks []bool
+		seeds []int32
+	}
+	var passes []pass
+	for _, pairs := range [][]pairInfo{s.collectPairs(&f, bad, nout), s.trivialPairs(bad, nout)} {
+		var out FaultOutcome
+		seqs, marks := s.expand(pairs, bad, nsv, nout, &out)
+		passes = append(passes, pass{seqs, slices.Clone(marks), slices.Clone(s.pools.seedFFs)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range passes {
+			s.pools.seedFFs = p.seeds
+			resimSink = s.resimulateVV(&f, bad, p.seqs, p.marks)
+		}
+	}
 }

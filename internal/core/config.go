@@ -94,7 +94,7 @@ type Config struct {
 	// BitParallelResim enables the bit-parallel Section 3.4
 	// resimulation: all expanded sequences of a fault pack into the
 	// lanes of one 256-lane word and resimulate in a single
-	// region-confined vector pass per expansion (vresim.go), falling
+	// divergence-driven vector pass per expansion (vresim.go), falling
 	// back to the serial path only when a sequence set exceeds the lane
 	// capacity. Outcomes are identical with it off (every sequence then
 	// resimulates serially); the off mode exists as a cross-check

@@ -680,9 +680,10 @@ func cloneStates(src [][]logic.Val) [][]logic.Val {
 // set of marked time units for resimulation.
 func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int, out *FaultOutcome) ([]*sequence, []bool) {
 	marks := s.marksScratch()
-	// Track which state variables this expansion assigns: they seed the
-	// bit-parallel resimulation's region closure and bound its lane-diff
-	// packing scan (vresim.go).
+	// Track which state variables this expansion assigns: they are the
+	// bit-parallel resimulation's initial lane columns and bound its
+	// lane-diff packing scan (vresim.go). Phase 2 also stamps the cells
+	// it assigns, for the step 3 check (unassigned).
 	s.seedReset()
 	s0 := s.seqFromStates(bad.States)
 	seqs := []*sequence{s0}
@@ -740,6 +741,12 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		for _, j := range p.sv {
 			s.seedAdd(j)
 		}
+		stamp := s.pools.assignStamp[p.u*s.c.NumFFs():]
+		for a := range p.extra {
+			for _, x := range p.extra[a] {
+				stamp[x.j] = s.pools.seedGen
+			}
+		}
 		marks[p.u] = true
 		grown := make([]*sequence, 0, 2*len(seqs))
 		for _, sq := range seqs {
@@ -779,7 +786,11 @@ func (s *Simulator) selectPair(pairs []pairInfo, seqs []*sequence, nsv, nout []i
 		if nout[p.u] == 0 || nsv[p.u] == 0 {
 			continue
 		}
-		if !expandable(p, seqs) {
+		ok := s.unassigned(p, seqs)
+		if unassignedHook != nil {
+			unassignedHook(p, seqs, ok)
+		}
+		if !ok {
 			continue
 		}
 		e0, e1 := len(p.extra[0]), len(p.extra[1])
@@ -813,18 +824,29 @@ func (s *Simulator) selectPair(pairs []pairInfo, seqs []*sequence, nsv, nout []i
 	return best
 }
 
-// expandable checks the Procedure 2 step 3 constraint for pair p.
-func expandable(p *pairInfo, seqs []*sequence) bool {
-	for _, sq := range seqs {
-		row := sq.states[p.u]
-		for _, j := range p.sv {
-			if row[j] != logic.X {
-				return false
-			}
+// unassigned is the Procedure 2 step 3 check for pair p in O(|sv|):
+// every sequence descends from seqs[0] (s0) and phase 2 writes only the
+// pair extras at p.u, so a variable is specified at p.u in some sequence
+// exactly when it is specified in s0 or an earlier step of this expand
+// assigned it (assignStamp). A Simulator outside expand has an empty
+// stamp set.
+func (s *Simulator) unassigned(p *pairInfo, seqs []*sequence) bool {
+	row := seqs[0].states[p.u]
+	var stamp []int32
+	if k := p.u * len(row); k < len(s.pools.assignStamp) {
+		stamp = s.pools.assignStamp[k : k+len(row)]
+	}
+	for _, j := range p.sv {
+		if row[j] != logic.X || (stamp != nil && stamp[j] == s.pools.seedGen) {
+			return false
 		}
 	}
 	return true
 }
+
+// unassignedHook, when set (tests only), observes every step 3 decision
+// selectPair makes, so it can be checked against the full scan.
+var unassignedHook func(p *pairInfo, seqs []*sequence, got bool)
 
 // resimulate implements Section 3.4: every sequence is resimulated at its
 // marked time units (propagating newly specified state variables forward)
@@ -833,12 +855,12 @@ func expandable(p *pairInfo, seqs []*sequence) bool {
 // resolves.
 //
 // With Config.BitParallelResim every sequence rides one lane of a
-// 256-lane word and the whole set resimulates in one region-confined
+// 256-lane word and the whole set resimulates in one divergence-driven
 // vector pass (resimulateVV), byte-identical to the serial path below;
 // sequence sets beyond the lane capacity fall back to the serial path.
 // bad is the faulty-machine trace the sequences expanded from, and seqs
 // must come from the immediately preceding expand call (its assigned
-// state variables seed the vector pass's region).
+// state variables are the vector pass's initial lane columns).
 func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
 	if s.cfg.BitParallelResim {
 		if len(seqs) <= cir.Lanes4 {

@@ -69,23 +69,20 @@ type simPools struct {
 
 	// Bit-parallel resimulation scratch (vresim.go). seedStamp/seedGen/
 	// seedFFs are the epoch-stamped set of state variables assigned by
-	// the current expand call — the Q-side seeds of the region closure.
-	seedStamp []int32
-	seedGen   int32
-	seedFFs   []int32
-	// region is the per-fault evaluation region, refilled per
-	// resimulation pass (the seed set differs per expansion).
-	region *cir.Region
-	// qPos maps an FF index to its position in region.QFFs.
-	qPos []int32
+	// the current expand call — the initial lane columns. assignStamp,
+	// indexed u*NumFFs+j and stamped with the same generation, marks the
+	// cells phase 2 of that call assigned (the step 3 check).
+	seedStamp   []int32
+	seedGen     int32
+	seedFFs     []int32
+	assignStamp []int32
 	// lanes is the event-driven vector frame evaluator (its overlay
-	// holds the frame's divergent node values); vvFlat/vvState and
-	// vvMarks are the packed per-frame lane states ((L+1) rows carved
-	// from one slab) and the per-frame marked-lane masks.
-	lanes   *cir.LaneEval
-	vvFlat  []cir.VV4
-	vvState [][]cir.VV4
-	vvMarks []laneMask
+	// holds the frame's divergent node values); laneCols the packed lane
+	// state of the divergent flip-flops, and vvMarks the per-frame
+	// marked-lane masks.
+	lanes    *cir.LaneEval
+	laneCols laneCols
+	vvMarks  []laneMask
 }
 
 // runBad simulates the faulty machine for f, reusing the pooled trace.

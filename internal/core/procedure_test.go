@@ -122,6 +122,21 @@ func seqOf(t *testing.T, rows ...string) *sequence {
 	return &sequence{states: states}
 }
 
+// expandable is the full-scan Procedure 2 step 3 check for pair p:
+// every state variable in sv(u, i) is unspecified at time u in every
+// sequence. It is the oracle for selectPair's O(|sv|) unassigned.
+func expandable(p *pairInfo, seqs []*sequence) bool {
+	for _, sq := range seqs {
+		row := sq.states[p.u]
+		for _, j := range p.sv {
+			if row[j] != logic.X {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 func TestExpandableConstraint(t *testing.T) {
 	p := &pairInfo{u: 1, i: 0, sv: []int{0, 1}}
 	all := []*sequence{seqOf(t, "xx", "xx", "xx")}

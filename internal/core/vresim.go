@@ -7,33 +7,39 @@ package core
 // handful of injected state-variable values, so almost all of that work
 // is redundant across sequences. Here every sequence rides one lane of
 // a 256-lane cir.VV4 word: lane k carries sequence k's state values,
-// and one vector pass over the fault's region evaluates every sequence
-// at once. Per-lane bit masks replace the serial per-sequence control
-// flow (marked time units, detection, infeasibility conflicts), with
-// semantics proved lane-for-lane identical to the serial path and
-// asserted so by the cross-check tests.
+// and one vector pass evaluates every sequence at once. Per-lane bit
+// masks replace the serial per-sequence control flow (marked time
+// units, detection, infeasibility conflicts), with semantics proved
+// lane-for-lane identical to the serial path and asserted so by the
+// cross-check tests.
 //
-// The pass is confined to the fault's *region* (cir.Region): the
-// sequential fanout closure of the fault site plus the Q nodes of every
-// state variable the expansion assigned. Within it, frames evaluate
-// event-driven (cir.LaneEval) as a sparse overlay on the retained
-// faulty trace bad.Nodes[u]. Every lane is a refinement of that trace:
-// packing starts each lane at bad.States, expansion assigns only
-// unspecified state variables, and resimulation refines only
-// unspecified ones. A frame therefore seeds only the region Q nodes
-// whose lane state differs from bad.States[u] on an active lane, and
-// evaluates only the gates those values reach. A gate whose inputs all
-// equal the trace produces exactly the trace value, so every untouched
-// node equals bad.Nodes[u] on every active lane; a frame with no seeds
-// evaluates no gate at all. Nodes outside the region never diverge:
-// expansion assigns only state variables (whose Q nodes seed the
-// closure), dynamic refinements land only on flip-flops whose D node is
-// inside the region (so their Q is too, by the closure), and the region
-// is closed under fanout. Detection scans region outputs only and the
-// next-state comparison visits region D nodes only, both reading
-// through the overlay. Each confinement is exact, not an approximation.
+// The pass costs what the lanes diverge, not what the circuit holds.
+// Every lane is a refinement of the retained faulty trace: packing
+// starts each lane at bad.States, expansion assigns only unspecified
+// state variables, and resimulation refines only unspecified ones.
+// Packed lane state is therefore kept only for the flip-flops that can
+// diverge from the trace: the ones the expansion assigned (seedFFs),
+// plus a column created the first time the next-state step refines a
+// flip-flop that has none. Every other flip-flop holds bad.States on
+// every lane.
+//
+// Each frame evaluates event-driven (cir.LaneEval) as a sparse overlay
+// on bad.Nodes[u]: it seeds the column Q nodes, and only those whose
+// lanes differ from the trace on an active lane start events. A gate
+// whose inputs all equal the trace produces exactly the trace value, so
+// every node the evaluator did not touch equals bad.Nodes[u] on every
+// active lane, and a frame with no seeds evaluates no gate at all. Such
+// an untouched node can neither detect (the fault survived step 0, so
+// the trace never contradicts a binary fault-free output) nor refine or
+// conflict at a flip-flop (every lane already refines bad.States[u+1],
+// which is that value observed through the fault). Detection therefore
+// scans only touched output nodes, and the next-state step visits only
+// touched D nodes, in ascending flip-flop order as the serial loop
+// does. Each restriction is exact, not an approximation.
 
 import (
+	"slices"
+
 	"repro/internal/cir"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -59,21 +65,24 @@ type ResimTrace struct {
 	SerialFallbacks int `json:"resim_serial_fallbacks,omitempty"`
 }
 
-// seedReset starts a new epoch of the expansion-assigned state-variable
-// set (the region seeds). expand calls it once per invocation.
+// seedReset starts a new epoch of the expansion's assignment sets: the
+// expansion-assigned state variables (the initial lane columns) and the
+// (u, j) cells phase 2 assigned (the step 3 check). expand calls it
+// once per invocation.
 func (s *Simulator) seedReset() {
-	if len(s.pools.seedStamp) != s.c.NumFFs() {
-		s.pools.seedStamp = make([]int32, s.c.NumFFs())
-		s.pools.seedGen = 0
+	p := &s.pools
+	if nff := s.c.NumFFs(); len(p.seedStamp) != nff {
+		p.seedStamp = make([]int32, nff)
+		p.assignStamp = make([]int32, (len(s.T)+1)*nff)
+		p.seedGen = 0
 	}
-	s.pools.seedGen++
-	if s.pools.seedGen <= 0 { // generation counter wrapped: restamp from 1
-		for i := range s.pools.seedStamp {
-			s.pools.seedStamp[i] = 0
-		}
-		s.pools.seedGen = 1
+	p.seedGen++
+	if p.seedGen <= 0 { // generation counter wrapped: restamp from 1
+		clear(p.seedStamp)
+		clear(p.assignStamp)
+		p.seedGen = 1
 	}
-	s.pools.seedFFs = s.pools.seedFFs[:0]
+	p.seedFFs = p.seedFFs[:0]
 }
 
 // seedAdd records state variable j as assigned by the current expand.
@@ -84,87 +93,90 @@ func (s *Simulator) seedAdd(j int) {
 	}
 }
 
-// resimRegion fills (and in Reference mode allocates) the region for
-// the current fault and seed set.
-func (s *Simulator) resimRegion(f *fault.Fault) *cir.Region {
-	if s.cfg.Reference {
-		r := s.cc.NewRegion()
-		s.cc.FillRegion(f, s.pools.seedFFs, r)
-		return r
-	}
-	if s.pools.region == nil {
-		s.pools.region = s.cc.NewRegion()
-	}
-	s.cc.FillRegion(f, s.pools.seedFFs, s.pools.region)
-	return s.pools.region
+// laneCols is the packed lane state of one pass, kept only for the
+// flip-flops whose lanes can diverge from the base trace: column c holds
+// flip-flop ffs[c]'s L+1 rows, carved from one slab in creation order.
+// The slab has room for every flip-flop, so it is allocated once per
+// simulator. Only the first nw words of a cell are live.
+type laneCols struct {
+	col  []int32 // col[j]: flip-flop j's column, or -1
+	ffs  []int32
+	rows int
+	slab []cir.VV4
+	// dffs is per-frame scratch: the touched D nodes' flip-flops.
+	dffs []int32
 }
 
-// vresimScratch returns the lane evaluator, the (L+1) packed state
-// rows of nq lane words each, and the per-frame lane-mark masks. None
-// need clearing: every row and mask is fully initialized by the pack
-// stage, and the evaluator's overlay is epoch-stamped.
-func (s *Simulator) vresimScratch(nq int) (ev *cir.LaneEval, state [][]cir.VV4, markRows []laneMask) {
-	rows := len(s.T) + 1
-	need := rows * nq
-	if s.cfg.Reference {
-		flat := make([]cir.VV4, need)
-		state = make([][]cir.VV4, rows)
-		for u := 0; u < rows; u++ {
-			state[u] = flat[u*nq : (u+1)*nq : (u+1)*nq]
+// reset empties the column set for a pass over rows time units of a
+// circuit with nff flip-flops.
+func (lc *laneCols) reset(nff, rows int) {
+	if len(lc.col) != nff || lc.rows != rows {
+		lc.col = make([]int32, nff)
+		for j := range lc.col {
+			lc.col[j] = -1
 		}
-		return s.cc.NewLaneEval(), state, make([]laneMask, rows)
+		lc.rows = rows
+		lc.slab = make([]cir.VV4, 0, nff*rows)
+	} else {
+		for _, j := range lc.ffs {
+			lc.col[j] = -1
+		}
+	}
+	lc.ffs = lc.ffs[:0]
+	lc.slab = lc.slab[:0]
+}
+
+// add creates flip-flop j's column and fills rows [from, rows) of it
+// with the base trace values states[u][j] on the nw live words. Rows
+// below from are left unspecified; the caller never reads them.
+func (lc *laneCols) add(j int32, states [][]logic.Val, from, nw int) int32 {
+	c := int32(len(lc.ffs))
+	lc.col[j] = c
+	lc.ffs = append(lc.ffs, j)
+	n := len(lc.slab)
+	lc.slab = lc.slab[:n+lc.rows]
+	for u := from; u < lc.rows; u++ {
+		b, cell := cir.LaneBroadcast(states[u][j]), &lc.slab[n+u]
+		for w := 0; w < nw; w++ {
+			cell.One[w], cell.Zero[w] = b.One[w], b.Zero[w]
+		}
+	}
+	return c
+}
+
+// cell returns column c's row u.
+func (lc *laneCols) cell(c int32, u int) *cir.VV4 { return &lc.slab[int(c)*lc.rows+u] }
+
+// vresimScratch returns the lane evaluator, the lane columns and the
+// (L+1) per-frame lane-mark masks. None need clearing: the columns are
+// reset per pass, every mask is fully initialized by the pack stage,
+// and the evaluator's overlay is epoch-stamped.
+func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows []laneMask) {
+	rows := len(s.T) + 1
+	if s.cfg.Reference {
+		return s.cc.NewLaneEval(), &laneCols{}, make([]laneMask, rows)
 	}
 	p := &s.pools
 	if p.lanes == nil {
 		p.lanes = s.cc.NewLaneEval()
 	}
-	if cap(p.vvFlat) < need {
-		p.vvFlat = make([]cir.VV4, need)
-	}
-	flat := p.vvFlat[:need]
-	if cap(p.vvState) < rows {
-		p.vvState = make([][]cir.VV4, rows)
-	}
-	p.vvState = p.vvState[:rows]
-	state = p.vvState
-	for u := 0; u < rows; u++ {
-		state[u] = flat[u*nq : (u+1)*nq : (u+1)*nq]
-	}
 	if cap(p.vvMarks) < rows {
 		p.vvMarks = make([]laneMask, rows)
 	}
-	return p.lanes, state, p.vvMarks[:rows]
-}
-
-// qPosScratch returns the FF-index -> region.QFFs-position map. Only
-// entries for the current region's QFFs are filled; stale entries are
-// never read (every lookup is for a flip-flop whose Q is in the region).
-func (s *Simulator) qPosScratch() []int32 {
-	if s.cfg.Reference {
-		return make([]int32, s.c.NumFFs())
-	}
-	if len(s.pools.qPos) != s.c.NumFFs() {
-		s.pools.qPos = make([]int32, s.c.NumFFs())
-	}
-	return s.pools.qPos
+	return p.lanes, &p.laneCols, p.vvMarks[:rows]
 }
 
 // resimulateVV is the bit-parallel implementation of resimulate: every
-// sequence occupies one lane, and each frame evaluates the fault's
-// region once for all sequences. Caller guarantees len(seqs) <= 256,
-// that bad retains node values, and that seqs came from the
-// immediately preceding expand call (whose assigned state variables,
-// still in pools.seedFFs, seed the region).
+// sequence occupies one lane, and each frame evaluates the lanes'
+// divergence from the base trace once for all sequences. Caller
+// guarantees len(seqs) <= 256, that bad retains node values, and that
+// seqs came from the immediately preceding expand call (whose assigned
+// state variables, still in pools.seedFFs, are the initial columns).
 func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
 	cc := s.cc
 	L := len(s.T)
 	n := len(seqs)
-	reg := s.resimRegion(f)
-	ev, state, markRows := s.vresimScratch(len(reg.QFFs))
-	qPos := s.qPosScratch()
-	for qi, j := range reg.QFFs {
-		qPos[j] = int32(qi)
-	}
+	ev, lc, markRows := s.vresimScratch()
 
 	// all marks the occupied lanes. Only the first nw words hold any —
 	// the default NStates cap of 64 fills exactly one — so every plane
@@ -189,21 +201,11 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 	// cells are scanned for per-lane diffs. The serial path's
 	// per-sequence copy of baseMarks becomes an all-lanes mask per
 	// marked unit.
+	lc.reset(cc.NumFFs(), L+1)
+	for _, j := range s.pools.seedFFs {
+		lc.add(j, bad.States, 0, nw)
+	}
 	for u := 0; u <= L; u++ {
-		row, badRow := state[u], bad.States[u]
-		for qi, j := range reg.QFFs {
-			var one, zero uint64
-			switch badRow[j] {
-			case logic.One:
-				one = allBits
-			case logic.Zero:
-				zero = allBits
-			}
-			c := &row[qi]
-			for w := 0; w < nw; w++ {
-				c.One[w], c.Zero[w] = one, zero
-			}
-		}
 		if baseMarks[u] {
 			markRows[u] = all
 		} else {
@@ -216,9 +218,9 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 				continue
 			}
 			row, badRow := sq.states[u], bad.States[u]
-			for _, j := range s.pools.seedFFs {
+			for c, j := range lc.ffs {
 				if v := row[j]; v != badRow[j] {
-					state[u][qPos[j]].SetLane(uint(k), v)
+					lc.cell(int32(c), u).SetLane(uint(k), v)
 				}
 			}
 		}
@@ -226,7 +228,7 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 
 	stem := f.IsStem()
 	stuck := cir.Broadcast4(f.Stuck)
-	ev.BeginPass(reg, f, nw)
+	ev.BeginPass(f, nw)
 	var resolvedM laneMask
 	frames, gateEvals := 0, 0
 	for u := 0; u < L && resolvedM != all; u++ {
@@ -241,27 +243,31 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		}
 		frames++
 
-		// Frame evaluation: seed the region Q nodes whose packed state
-		// differs from the trace on an active lane, then evaluate the
-		// gates their values reach.
+		// Frame evaluation: seed every column's Q node (only the ones
+		// whose lanes differ from the trace on an active lane start
+		// events), then evaluate the gates their values reach.
 		ev.BeginFrame(bad.Nodes[u], active)
-		row := state[u]
-		for qi, j := range reg.QFFs {
-			ev.Seed(cc.FFQ[j], &row[qi])
+		for c, j := range lc.ffs {
+			ev.Seed(cc.FFQ[j], lc.cell(int32(c), u))
 		}
 		gateEvals += ev.Drain()
+		touched := ev.Touched()
 
 		// Detections: a lane whose binary output value contradicts a
 		// binary fault-free response resolves, exactly the serial scan.
-		// Only region outputs can differ (the region contains the cone).
+		// Only touched outputs can differ from the (undetecting) trace.
 		var det laneMask
 		goodOuts := s.good.Outputs[u]
-		for _, oj := range reg.Outs {
+		for _, id := range touched {
+			oj := cc.OutPos[id]
+			if oj < 0 {
+				continue
+			}
 			g := goodOuts[oj]
 			if !g.IsBinary() {
 				continue
 			}
-			v := ev.Value(cc.Outputs[oj])
+			v := ev.Value(id)
 			mism := &v.One
 			if g == logic.One {
 				mism = &v.Zero
@@ -289,16 +295,35 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		// against X refines the lane (and marks u+1 for it), against the
 		// opposite binary value conflicts (infeasible sequence, lane
 		// resolved, later flip-flops untouched — act drops the lane).
-		next := state[u+1]
+		// Only touched D nodes can refine or conflict; they are visited
+		// in ascending flip-flop order, as the serial loop does. A
+		// flip-flop without a column compares against its trace value
+		// and gets a column the first time it refines.
+		dffs := lc.dffs[:0]
+		for _, id := range touched {
+			if j := cc.DOf[id]; j >= 0 {
+				dffs = append(dffs, j)
+			}
+		}
+		slices.Sort(dffs)
+		lc.dffs = dffs
 		nextMarks := &markRows[u+1]
-		for _, j := range reg.DFFs {
+		for _, j := range dffs {
 			v := ev.Value(cc.FFD[j])
 			if stem && cc.FFQ[j] == f.Node {
 				// The stem fault holds this flip-flop's observed next
 				// state at the stuck value (fault.Observed).
 				v = &stuck
 			}
-			cell := &next[qPos[j]]
+			c := lc.col[j]
+			var tmp cir.VV4
+			cell := &tmp
+			if c >= 0 {
+				cell = lc.cell(c, u+1)
+			} else {
+				tmp = *cir.LaneBroadcast(bad.States[u+1][j])
+			}
+			refined := uint64(0)
 			for w := 0; w < nw; w++ {
 				a := act[w]
 				if a == 0 {
@@ -311,8 +336,13 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 				cell.One[w] = nOne | one&refine
 				cell.Zero[w] = nZero | zero&refine
 				nextMarks[w] |= refine
+				refined |= refine
 				resolvedM[w] |= conflict
 				act[w] = a &^ conflict
+			}
+			if c < 0 && refined != 0 {
+				c = lc.add(j, bad.States, u+2, nw)
+				*lc.cell(c, u+1) = tmp
 			}
 		}
 	}

@@ -17,8 +17,8 @@ import (
 // resimulation on and off and asserts every FaultOutcome is
 // byte-identical (FaultOutcome has no reference-typed fields, so != is
 // an exact field-by-field comparison). The bit-parallel path is
-// exercised serially and through RunParallel (per-worker regions and
-// lane scratch).
+// exercised serially and through RunParallel (per-worker lane
+// evaluators and lane columns).
 func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
 	t.Helper()
 	serial := cfg
@@ -91,8 +91,8 @@ func TestBPResimCrossCheckSynthetic(t *testing.T) {
 }
 
 // TestBPResimCrossCheckLongList covers the uncollapsed sg208 list: one
-// simulator's pooled region, lane scratch and seed sets serve hundreds
-// of consecutive faults with widely varying expansion shapes.
+// simulator's pooled lane evaluator, lane columns and seed sets serve
+// hundreds of consecutive faults with widely varying expansion shapes.
 func TestBPResimCrossCheckLongList(t *testing.T) {
 	e, err := circuits.SuiteEntryByName("sg208")
 	if err != nil {
@@ -105,7 +105,7 @@ func TestBPResimCrossCheckLongList(t *testing.T) {
 }
 
 // TestBPResimCrossCheckSuite runs collapsed suite lists past the tiny
-// circuits: regions span several bitmap words, NStates 200 packs more
+// circuits: schedules span several bitmap words, NStates 200 packs more
 // than one 64-lane word per pass, and the [4] baseline (backward
 // implications off) exercises the retained faulty-trace rows the
 // vector pass reads as its overlay baseline.
@@ -135,8 +135,8 @@ func TestBPResimCrossCheckSuite(t *testing.T) {
 // change what reaches resimulation: the [4] baseline (no implication
 // pruning, more surviving sequences), deep backward implications, the
 // fixpoint schedule, a tight pair cap, a small sequence budget (more
-// portfolio retries), the Reference allocation mode (fresh region and
-// lane scratch per pass), and the prescreen off (conventionally
+// portfolio retries), the Reference allocation mode (fresh lane
+// evaluator and columns per pass), and the prescreen off (conventionally
 // detected faults resimulate too).
 func TestBPResimCrossCheckVariants(t *testing.T) {
 	c := circuits.S27()

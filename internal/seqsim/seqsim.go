@@ -308,9 +308,8 @@ func EvalFrame(c *netlist.Circuit, pi Pattern, ps []logic.Val, f *fault.Fault, v
 // touch the work counters. The serial resimulation of expanded
 // sequences goes through here: an expanded sequence specifies arbitrary
 // state variables, so the frame cannot be confined to the fault's
-// active cone alone (the bit-parallel path instead confines itself to
-// the cir.Region closure of the fault site plus the assigned state
-// variables).
+// active cone alone (the bit-parallel path instead evaluates only the
+// gates the lanes' divergence from the retained faulty trace reaches).
 func (s *Simulator) EvalFrame(pi Pattern, ps []logic.Val, f *fault.Fault, vals []logic.Val) {
 	s.ev.EvalFrame(pi, ps, f, vals)
 }

@@ -42,7 +42,8 @@ type RunRequest struct {
 	Method string `json:"method,omitempty"`
 	// NStates overrides the expansion budget (default 64).
 	NStates int `json:"nstates,omitempty"`
-	// Workers bounds the fault-simulation goroutines (default NumCPU).
+	// Workers bounds the fault-simulation goroutines (default and
+	// maximum NumCPU).
 	Workers int `json:"workers,omitempty"`
 	// Prescreen and Metrics default to on; send false to disable.
 	Prescreen *bool `json:"prescreen,omitempty"`
@@ -149,6 +150,17 @@ type RunStatus struct {
 	Error  string            `json:"error,omitempty"`
 }
 
+// Request bounds: a POST /runs above either is refused with 400 before
+// any work starts. MaxPatterns caps the test sequence, random or inline
+// vectors; MaxNStates caps the expansion budget, which expansion fills
+// by doubling its sequences, each a copy of the per-frame state. Workers
+// above runtime.NumCPU() are clamped to it instead: outcomes do not
+// depend on the worker count.
+const (
+	MaxPatterns = 4096
+	MaxNStates  = 1024
+)
+
 // buildRun validates a request and assembles everything the run needs,
 // reusing the server's cross-run cache where the request's content
 // matches a previous submission: a circuit hit skips parsing and
@@ -165,6 +177,10 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 		return nil, fmt.Errorf("request sets both circuit and bench")
 	case req.Circuit == "" && req.Bench == "":
 		return nil, fmt.Errorf("request needs a circuit name or an inline bench netlist")
+	case req.Random > MaxPatterns:
+		return nil, fmt.Errorf("random %d exceeds the limit of %d patterns", req.Random, MaxPatterns)
+	case req.NStates > MaxNStates:
+		return nil, fmt.Errorf("nstates %d exceeds the limit of %d", req.NStates, MaxNStates)
 	}
 	src := srcKey(req)
 	if e, ok := s.cache.circuit(src); ok {
@@ -194,6 +210,9 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 		}
 		if len(T) == 0 {
 			return nil, fmt.Errorf("vectors text contains no patterns")
+		}
+		if len(T) > MaxPatterns {
+			return nil, fmt.Errorf("vectors text has %d patterns, exceeding the limit of %d", len(T), MaxPatterns)
 		}
 		if len(T[0]) != c.NumInputs() {
 			return nil, fmt.Errorf("vectors have %d inputs, circuit %s has %d",
@@ -248,7 +267,7 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 	}
 
 	workers := req.Workers
-	if workers <= 0 {
+	if workers <= 0 || workers > runtime.NumCPU() {
 		workers = runtime.NumCPU()
 	}
 

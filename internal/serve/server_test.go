@@ -9,6 +9,8 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -337,6 +339,63 @@ func TestServerRequestValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("missing run: status = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestServerRequestBounds checks the numeric request bounds: random,
+// inline vectors and nstates above their limits are refused with a 400
+// naming the limit and register no run, the limits themselves are
+// accepted, and workers beyond NumCPU are clamped to it.
+func TestServerRequestBounds(t *testing.T) {
+	s, ts := newTestServer(t)
+	vecs := func(n int) string { return strings.Repeat("0000\n", n) }
+	for _, tc := range []struct {
+		name    string
+		req     RunRequest
+		limit   int // 0: accepted
+		workers int
+	}{
+		{"random over", RunRequest{Circuit: "s27", Random: MaxPatterns + 1}, MaxPatterns, 0},
+		{"random 1e9", RunRequest{Circuit: "s27", Random: 1e9}, MaxPatterns, 0},
+		{"vectors over", RunRequest{Circuit: "s27", Vectors: vecs(MaxPatterns + 1)}, MaxPatterns, 0},
+		{"nstates over", RunRequest{Circuit: "s27", NStates: 1 << 20}, MaxNStates, 0},
+		{"random at limit", RunRequest{Circuit: "s27", Random: MaxPatterns, Workers: 1}, 0, 1},
+		{"vectors at limit", RunRequest{Circuit: "s27", Vectors: vecs(MaxPatterns), Workers: 1}, 0, 1},
+		{"nstates at limit", RunRequest{Circuit: "s27", NStates: MaxNStates, Workers: 1}, 0, 1},
+		{"workers clamped", RunRequest{Circuit: "s27", Workers: 1e7}, 0, runtime.NumCPU()},
+	} {
+		body, _ := json.Marshal(tc.req)
+		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if tc.limit > 0 {
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), strconv.Itoa(tc.limit)) {
+				t.Errorf("%s: %d %s, want 400 naming the limit %d", tc.name, resp.StatusCode, msg, tc.limit)
+			}
+			continue
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s: %d %s, want 202", tc.name, resp.StatusCode, msg)
+		}
+		var st RunStatus
+		if err := json.Unmarshal(msg, &st); err != nil {
+			t.Fatal(err)
+		}
+		if st.Workers != tc.workers {
+			t.Errorf("%s: workers = %d, want %d", tc.name, st.Workers, tc.workers)
+		}
+		if fin := waitDone(t, ts, st.ID); fin.Status != StatusDone {
+			t.Errorf("%s: status = %q (%s)", tc.name, fin.Status, fin.Error)
+		}
+	}
+	s.mu.Lock()
+	n := len(s.runs)
+	s.mu.Unlock()
+	if n != 4 {
+		t.Errorf("%d runs registered, want the 4 accepted", n)
 	}
 }
 
