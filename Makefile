@@ -49,7 +49,7 @@ bench:
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
 # regression probe. Combine with benchdiff:
 #   make bench-lite | tee benchdiff.out
-#   go run ./cmd/benchdiff -baseline BENCH_PR15.json benchdiff.out
+#   go run ./cmd/benchdiff benchdiff.out   # baseline: highest BENCH_PR<n>.json
 bench-lite:
 	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
 
@@ -68,7 +68,7 @@ bench-collect:
 
 # Fresh whole-list bench run compared against a recorded baseline; fails
 # on any median slowdown beyond 10%. With no BENCH_BASELINE, benchdiff
-# picks the newest BENCH_*.json; set BENCH_BASELINE=BENCH_PR2.json (etc.)
+# picks the BENCH_PR<n>.json with the highest n; set BENCH_BASELINE=BENCH_PR2.json (etc.)
 # to compare against a specific PR.
 BENCH_BASELINE ?=
 benchdiff:

@@ -4,9 +4,10 @@
 //	go test -run xxx -bench 'Table2|Prescreen' -benchmem -benchtime 2x -count 3 . > bench.out
 //	benchdiff -baseline BENCH_PR2.json bench.out
 //
-// With no -baseline, the newest BENCH_*.json in the current directory
-// (by modification time) is used, so the default always compares against
-// the most recently recorded PR.
+// With no -baseline, the BENCH_PR<n>.json in the current directory with
+// the highest PR number n is used, so the default always compares
+// against the most recently recorded PR. (Modification times say
+// nothing in a fresh checkout, where every file has the same one.)
 //
 // For every benchmark present in both the baseline's "after" section and
 // the fresh run, it compares median ns/op and prints the delta; any
@@ -31,7 +32,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 )
 
 // benchEntry mirrors one benchmark record of the baseline JSON.
@@ -51,7 +51,7 @@ type baselineFile struct {
 
 func main() {
 	var (
-		baselinePath = flag.String("baseline", "", "baseline JSON file (compared against its \"after\" section); default: newest BENCH_*.json")
+		baselinePath = flag.String("baseline", "", "baseline JSON file (compared against its \"after\" section); default: the BENCH_PR<n>.json with the highest n")
 		threshold    = flag.Float64("threshold", 10, "flag slowdowns beyond this percentage")
 		jsonPath     = flag.String("json", "", "also write the comparison as JSON to this file (- for stdout)")
 	)
@@ -110,25 +110,22 @@ func writeJSONReport(path string, rep *diffReport) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// newestBaseline returns the BENCH_*.json file in dir with the latest
-// modification time.
+// newestBaseline returns the BENCH_PR<n>.json file in dir with the
+// highest PR number n: BENCH_PR17.json sorts after BENCH_PR9.json.
 func newestBaseline(dir string) (string, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_*.json"))
+	matches, err := filepath.Glob(filepath.Join(dir, "BENCH_PR*.json"))
 	if err != nil {
 		return "", err
 	}
-	best, bestTime := "", time.Time{}
+	best, bestPR := "", -1
 	for _, m := range matches {
-		fi, err := os.Stat(m)
-		if err != nil {
-			continue
-		}
-		if best == "" || fi.ModTime().After(bestTime) {
-			best, bestTime = m, fi.ModTime()
+		num := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(m), "BENCH_PR"), ".json")
+		if pr, err := strconv.Atoi(num); err == nil && pr > bestPR {
+			best, bestPR = m, pr
 		}
 	}
 	if best == "" {
-		return "", fmt.Errorf("no BENCH_*.json baseline found in %s (pass -baseline)", dir)
+		return "", fmt.Errorf("no BENCH_PR<n>.json baseline found in %s (pass -baseline)", dir)
 	}
 	return best, nil
 }

@@ -163,3 +163,25 @@ func TestRunErrors(t *testing.T) {
 		t.Error("benchless input accepted")
 	}
 }
+
+// TestNewestBaselineByPRNumber checks the default baseline pick: the
+// highest PR number wins, numerically (PR17 after PR9) and whatever the
+// files' modification times say; other names are ignored.
+func TestNewestBaselineByPRNumber(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"BENCH_PR9.json", "BENCH_PR17.json", "BENCH_PR2.json", "BENCH_notes.json"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(sampleBaseline), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, err := newestBaseline(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if filepath.Base(got) != "BENCH_PR17.json" {
+		t.Fatalf("newestBaseline = %s, want BENCH_PR17.json", got)
+	}
+	if _, err := newestBaseline(t.TempDir()); err == nil {
+		t.Error("empty directory yielded a baseline")
+	}
+}

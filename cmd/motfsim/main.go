@@ -71,7 +71,7 @@ func main() {
 	flag.BoolVar(&o.stats, "stats", false, "print circuit statistics and exit")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "fault-simulation worker goroutines (must be positive)")
 	flag.BoolVar(&o.prescreen, "prescreen", true, "bit-parallel conventional prescreen before the per-fault MOT pipeline")
-	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (one 256-lane pass per expansion)")
+	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (64-lane passes, one per 64 sequences)")
 	flag.BoolVar(&o.eventSim, "event-sim", true, "event-driven sparse-delta faulty-frame evaluation (off: level-order copy-and-propagate)")
 	flag.BoolVar(&o.coneOrder, "cone-order", false, "simulate faults in cone-locality order (deterministic; groups overlapping active cones)")
 	flag.BoolVar(&o.metrics, "metrics", true, "collect the per-stage breakdown and per-fault histograms")

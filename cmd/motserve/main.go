@@ -42,7 +42,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "listen address")
-		maxRuns  = flag.Int("max-runs", 64, "maximum registered runs (finished runs stay registered)")
+		maxRuns  = flag.Int("max-runs", 64, "maximum registered runs (the oldest finished runs are evicted to make room)")
 		maxConc  = flag.Int("max-concurrent", max(1, runtime.NumCPU()/2), "runs executing simultaneously; further submissions queue")
 		cacheMiB = flag.Int64("cache-size", 256, "cross-run cache budget in MiB (compiled circuits and fault-free traces); 0 disables")
 		logJSON  = flag.Bool("log-json", false, "emit structured logs as JSON instead of text")

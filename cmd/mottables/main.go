@@ -76,7 +76,7 @@ func main() {
 	flag.StringVar(&o.hitecCircuit, "hitec-circuit", "sg5378", "suite circuit for the deterministic-sequence experiment")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "fault-simulation worker goroutines (must be positive)")
 	flag.BoolVar(&o.prescreen, "prescreen", true, "bit-parallel conventional prescreen before the per-fault MOT pipeline")
-	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (one 256-lane pass per expansion)")
+	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (64-lane passes, one per 64 sequences)")
 	flag.BoolVar(&o.eventSim, "event-sim", true, "event-driven sparse-delta faulty-frame evaluation (off: level-order copy-and-propagate)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live Prometheus metrics, /healthz and pprof on this address during the suite run")
 	flag.StringVar(&o.prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")

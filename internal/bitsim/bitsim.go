@@ -70,49 +70,6 @@ func (s *stemForce) apply(v VV) VV {
 	return v
 }
 
-// gateRec is one gate's evaluation record, stored by position in
-// cc.Order: output node and its fanin range in layout.fanin.
-type gateRec struct {
-	out    netlist.NodeID
-	lo, hi int32
-	op     logic.Op
-}
-
-// layout is the read-only, position-ordered view of the compiled
-// circuit the evaluators of one run share: gates[p] is cc.Order[p] with
-// its fanin copied contiguously in that order, so a sweep reads the
-// gate records and fanin lists front to back, and fanPos is cc's fanout
-// CSR with each reading gate replaced by its position, so an event
-// schedules readers without a gate-to-position lookup. A gate's readers
-// sit at strictly higher levels, hence at later positions.
-type layout struct {
-	cc     *cir.CC
-	gates  []gateRec
-	fanin  []netlist.NodeID
-	pos    []int32 // pos[gi]: position of gate gi in cc.Order (cc.OrderPos)
-	fanPos []int32
-}
-
-// newLayout builds the position-ordered view of cc.
-func newLayout(cc *cir.CC) *layout {
-	l := &layout{
-		cc:     cc,
-		gates:  make([]gateRec, len(cc.Order)),
-		fanin:  make([]netlist.NodeID, 0, len(cc.Fanin)),
-		pos:    cc.OrderPos,
-		fanPos: make([]int32, len(cc.FanoutGate)),
-	}
-	for p, gi := range cc.Order {
-		lo := int32(len(l.fanin))
-		l.fanin = append(l.fanin, cc.FaninOf(gi)...)
-		l.gates[p] = gateRec{out: cc.GOut[gi], lo: lo, hi: int32(len(l.fanin)), op: cc.Ops[gi]}
-	}
-	for k, gi := range cc.FanoutGate {
-		l.fanPos[k] = l.pos[gi]
-	}
-	return l
-}
-
 // evaluator is one worker's event-driven 256-lane simulator: the
 // overlay, schedule and fault-injection tables are sized for the
 // circuit once and reused by every batch the worker runs. It is not
@@ -126,7 +83,10 @@ func newLayout(cc *cir.CC) *layout {
 // detected lane's result is final and its values are never read again,
 // so a value differing only there is no event.
 type evaluator struct {
-	*layout
+	// Positions is cc's position-ordered view: gate records, fanin and
+	// fanout by position in cc.Order.
+	*cir.Positions
+	cc   *cir.CC
 	good *seqsim.Trace
 
 	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch,
@@ -150,7 +110,7 @@ type evaluator struct {
 	// Fault injection of the bound batch. stemAt[n] is 1 + the index in
 	// forces of node n's stem injection (0: none); brAt[k] is 1 + the
 	// index in brs of the branch injection on the gate input pin at
-	// layout.fanin[k] (0: none). sites lists the positions of the gates
+	// Fanin[k] (0: none). sites lists the positions of the gates
 	// with a stem fault on their output or branch faults on their pins
 	// (event seeds, every frame; a gate may repeat), qStems the
 	// flip-flops whose Q node carries a stem fault. All of it is reset
@@ -184,22 +144,23 @@ type evaluator struct {
 	evals int64
 }
 
-// newEvaluator returns an evaluator over the layout, reading the
-// fault-free trace good.
-func newEvaluator(l *layout, good *seqsim.Trace) *evaluator {
-	cc := l.cc
+// newEvaluator returns an evaluator over cc, reading the fault-free
+// trace good.
+func newEvaluator(cc *cir.CC, good *seqsim.Trace) *evaluator {
+	pos := cc.Positions()
 	return &evaluator{
-		layout:  l,
-		good:    good,
-		vals:    make([]VV, cc.NumNodes()),
-		stamp:   make([]uint32, cc.NumNodes()),
-		pending: make([]uint64, (len(l.gates)+63)>>6),
-		stemAt:  make([]int32, cc.NumNodes()),
-		forces:  make([]stemForce, 0, Lanes-1),
-		brAt:    make([]int32, len(l.fanin)),
-		brs:     make([]stemForce, 0, Lanes-1),
-		state:   make([]VV, cc.NumFFs()),
-		div:     make([]bool, cc.NumFFs()),
+		Positions: pos,
+		cc:        cc,
+		good:      good,
+		vals:      make([]VV, cc.NumNodes()),
+		stamp:     make([]uint32, cc.NumNodes()),
+		pending:   make([]uint64, (len(pos.Gates)+63)>>6),
+		stemAt:    make([]int32, cc.NumNodes()),
+		forces:    make([]stemForce, 0, Lanes-1),
+		brAt:      make([]int32, len(pos.Fanin)),
+		brs:       make([]stemForce, 0, Lanes-1),
+		state:     make([]VV, cc.NumFFs()),
+		div:       make([]bool, cc.NumFFs()),
 	}
 }
 
@@ -219,7 +180,7 @@ func (e *evaluator) load(faults []fault.Fault) error {
 				e.stemAt[f.Node] = s
 				e.stemNodes = append(e.stemNodes, f.Node)
 				if d := cc.Driver[f.Node]; d != netlist.NoGate {
-					e.sites = append(e.sites, e.pos[d])
+					e.sites = append(e.sites, e.cc.OrderPos[d])
 				} else if i := cc.FFOf[f.Node]; i >= 0 {
 					e.qStems = append(e.qStems, i)
 				}
@@ -227,8 +188,8 @@ func (e *evaluator) load(faults []fault.Fault) error {
 			e.forces[s-1].set(lane, f.Stuck)
 			continue
 		}
-		p := e.pos[f.Gate]
-		pin := e.gates[p].lo + f.Pin
+		p := e.cc.OrderPos[f.Gate]
+		pin := e.Gates[p].Lo + f.Pin
 		if e.brAt[pin] == 0 {
 			e.brs = append(e.brs, stemForce{})
 			e.brAt[pin] = int32(len(e.brs))
@@ -301,7 +262,7 @@ func (e *evaluator) store(id netlist.NodeID, one, zero *[laneWords]uint64) {
 	e.stamp[id] = e.epoch
 	cc := e.cc
 	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
-		p := e.fanPos[k]
+		p := e.Fanout[k]
 		e.pending[p>>6] |= 1 << (p & 63)
 	}
 }
@@ -426,13 +387,12 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 		return nil, st, fmt.Errorf("bitsim: fault-free trace covers %d frames with node values, sequence has %d",
 			len(good.Nodes), len(T))
 	}
-	l := newLayout(cc)
 	nBatches := Batches(len(faults))
 	workers = min(workers, nBatches)
 	if workers < 2 {
 		buf := tr.Tracer.NewTrack("prescreen")
 		defer buf.Flush()
-		e := newEvaluator(l, good)
+		e := newEvaluator(cc, good)
 		for start := 0; start < len(faults); start += Lanes - 1 {
 			end := min(start+Lanes-1, len(faults))
 			sp := buf.Begin("batch", tr.Parent, uint64(start/(Lanes-1)))
@@ -459,7 +419,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 				buf = tr.Tracer.NewTrack(fmt.Sprintf("prescreen %02d", w))
 				defer buf.Flush()
 			}
-			e := newEvaluator(l, good)
+			e := newEvaluator(cc, good)
 			for {
 				bi := int(atomic.AddInt64(&next, 1))
 				if bi >= nBatches {
@@ -564,7 +524,7 @@ func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim
 			return nil
 		}
 		e.latch()
-		sweep = 2*busy > len(e.gates)
+		sweep = 2*busy > len(e.Gates)
 	}
 	st.add(int64(len(T)), 0, e.evals)
 	for k := range failsC {
@@ -633,7 +593,7 @@ func (e *evaluator) drain() {
 			p := w<<6 | bit
 			e.evals++
 			one, zero := e.eval(p)
-			if out := e.gates[p].out; e.differs(out, &one, &zero) {
+			if out := e.Gates[p].Out; e.differs(out, &one, &zero) {
 				e.store(out, &one, &zero)
 			}
 		}
@@ -672,16 +632,16 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 	}
 	const allBits = ^uint64(0)
 	var tmp VV
-	for p := range e.gates {
-		g := &e.gates[p]
+	for p := range e.Gates {
+		g := &e.Gates[p]
 		var one, zero [laneWords]uint64
-		switch g.op {
+		switch g.Op {
 		case logic.And, logic.Nand:
 			for w := 0; w < nw; w++ {
 				one[w] = allBits
 			}
-			for k := g.lo; k < g.hi; k++ {
-				in := &e.vals[e.fanin[k]]
+			for k := g.Lo; k < g.Hi; k++ {
+				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
@@ -695,8 +655,8 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 			for w := 0; w < nw; w++ {
 				zero[w] = allBits
 			}
-			for k := g.lo; k < g.hi; k++ {
-				in := &e.vals[e.fanin[k]]
+			for k := g.Lo; k < g.Hi; k++ {
+				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
@@ -719,8 +679,8 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 			for w := 0; w < nw; w++ {
 				zero[w] = allBits
 			}
-			for k := g.lo; k < g.hi; k++ {
-				in := &e.vals[e.fanin[k]]
+			for k := g.Lo; k < g.Hi; k++ {
+				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
@@ -731,11 +691,11 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 				}
 			}
 		}
-		if g.op != logic.Const0 && g.op != logic.Const1 && g.op.Inverting() {
+		if g.Op != logic.Const0 && g.Op != logic.Const1 && g.Op.Inverting() {
 			one, zero = zero, one
 		}
-		v := &e.vals[g.out]
-		if s := e.stemAt[g.out]; s != 0 {
+		v := &e.vals[g.Out]
+		if s := e.stemAt[g.Out]; s != 0 {
 			f := &e.forces[s-1]
 			for w := 0; w < nw; w++ {
 				mask := f.maskOne[w] | f.maskZero[w]
@@ -748,24 +708,24 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 			}
 		}
 	}
-	e.evals += int64(len(e.gates))
+	e.evals += int64(len(e.Gates))
 	hit, samples := 0, 0
-	for p := 0; p < len(e.gates); p += sampleStride {
+	for p := 0; p < len(e.Gates); p += sampleStride {
 		samples++
-		g := &e.gates[p]
-		if e.stemAt[g.out] != 0 {
+		g := &e.Gates[p]
+		if e.stemAt[g.Out] != 0 {
 			hit++
 			continue
 		}
-		for k := g.lo; k < g.hi; k++ {
-			id := e.fanin[k]
+		for k := g.Lo; k < g.Hi; k++ {
+			id := e.Fanin[k]
 			if v := &e.vals[id]; e.brAt[k] != 0 || e.differs(id, &v.One, &v.Zero) {
 				hit++
 				break
 			}
 		}
 	}
-	return hit * len(e.gates) / max(samples, 1)
+	return hit * len(e.Gates) / max(samples, 1)
 }
 
 // eval evaluates the gate at position p over the live words, injecting
@@ -777,15 +737,15 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
 	const allBits = ^uint64(0)
 	nw := e.nw
-	g := &e.gates[p]
+	g := &e.Gates[p]
 	var tmp VV
-	switch g.op {
+	switch g.Op {
 	case logic.And, logic.Nand:
 		for w := 0; w < nw; w++ {
 			one[w] = allBits
 		}
-		for k := g.lo; k < g.hi; k++ {
-			in := e.overlay(e.fanin[k])
+		for k := g.Lo; k < g.Hi; k++ {
+			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
@@ -799,8 +759,8 @@ func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
 		for w := 0; w < nw; w++ {
 			zero[w] = allBits
 		}
-		for k := g.lo; k < g.hi; k++ {
-			in := e.overlay(e.fanin[k])
+		for k := g.Lo; k < g.Hi; k++ {
+			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
@@ -823,8 +783,8 @@ func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
 		for w := 0; w < nw; w++ {
 			zero[w] = allBits
 		}
-		for k := g.lo; k < g.hi; k++ {
-			in := e.overlay(e.fanin[k])
+		for k := g.Lo; k < g.Hi; k++ {
+			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
@@ -835,10 +795,10 @@ func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
 			}
 		}
 	}
-	if g.op != logic.Const0 && g.op != logic.Const1 && g.op.Inverting() {
+	if g.Op != logic.Const0 && g.Op != logic.Const1 && g.Op.Inverting() {
 		one, zero = zero, one
 	}
-	if s := e.stemAt[g.out]; s != 0 {
+	if s := e.stemAt[g.Out]; s != 0 {
 		f := &e.forces[s-1]
 		for w := 0; w < nw; w++ {
 			mask := f.maskOne[w] | f.maskZero[w]

@@ -40,7 +40,7 @@ func TestVVHelpers(t *testing.T) {
 func TestBatchTooLarge(t *testing.T) {
 	c := circuits.S27()
 	faults := make([]fault.Fault, Lanes)
-	if err := newEvaluator(newLayout(cir.For(c)), nil).load(faults); err == nil {
+	if err := newEvaluator(cir.For(c), nil).load(faults); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }
@@ -56,7 +56,7 @@ func TestPatternWidthChecked(t *testing.T) {
 // read returns the value gate gi sees on pin pi of node id.
 func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
 	v := *e.value(id)
-	if j := e.brAt[e.gates[e.pos[gi]].lo+pi]; j != 0 {
+	if j := e.brAt[e.Gates[e.cc.OrderPos[gi]].Lo+pi]; j != 0 {
 		v = e.brs[j-1].apply(v)
 	}
 	return v
@@ -101,7 +101,7 @@ func TestGateEvalMatchesScalar(t *testing.T) {
 			t.Fatal(err)
 		}
 		// A sweep frame reads every node straight from vals.
-		e := newEvaluator(newLayout(cir.For(c)), nil)
+		e := newEvaluator(cir.For(c), nil)
 		e.sweep = true
 		// Random lane values per input.
 		scalar := make([][]logic.Val, n)

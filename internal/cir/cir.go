@@ -99,7 +99,12 @@ type CC struct {
 	// node, fanin range) into one record so EvalGate touches a single
 	// cache line per gate instead of gathering from four arrays. It is
 	// derived from Ops/GOut/FaninStart in Compile.
-	meta []gateMeta
+	meta []GateRec
+
+	// pos is the position-ordered view (Positions), built once on first
+	// use under posOnce; MemSize reads it without the Once.
+	posOnce sync.Once
+	pos     atomic.Pointer[Positions]
 
 	// fullSched is the whole-circuit event schedule (see event.go),
 	// derived from the level buckets in Compile.
@@ -117,11 +122,12 @@ type CC struct {
 	coneSet     map[uint64][]*Cone
 }
 
-// gateMeta is the packed per-gate record EvalGate reads.
-type gateMeta struct {
-	out    netlist.NodeID
-	lo, hi int32
-	op     logic.Op
+// GateRec is one gate's packed evaluation record: output node, fanin
+// range [Lo, Hi) and operator.
+type GateRec struct {
+	Out    netlist.NodeID
+	Lo, Hi int32
+	Op     logic.Op
 }
 
 // NumNodes returns the number of signal nodes.
@@ -186,13 +192,13 @@ func Compile(c *netlist.Circuit) *CC {
 		}
 	}
 	cc.FaninStart[nGates] = int32(len(cc.Fanin))
-	cc.meta = make([]gateMeta, nGates)
+	cc.meta = make([]GateRec, nGates)
 	for gi := range cc.meta {
-		cc.meta[gi] = gateMeta{
-			out: cc.GOut[gi],
-			lo:  cc.FaninStart[gi],
-			hi:  cc.FaninStart[gi+1],
-			op:  cc.Ops[gi],
+		cc.meta[gi] = GateRec{
+			Out: cc.GOut[gi],
+			Lo:  cc.FaninStart[gi],
+			Hi:  cc.FaninStart[gi+1],
+			Op:  cc.Ops[gi],
 		}
 	}
 	// CSR fanout and node roles.
@@ -253,6 +259,44 @@ func Compile(c *netlist.Circuit) *CC {
 	return cc
 }
 
+// Positions is the position-ordered view of a compiled circuit that the
+// lane kernels (LaneEval, bitsim's evaluator) sweep and schedule over.
+// Gates[p] is gate Order[p]'s record, its Lo/Hi range indexing Fanin,
+// which holds the fanin lists copied contiguously in that order, so a
+// sweep reads both front to back. Fanout is the fanout CSR (offsets
+// FanoutStart) with each reading gate replaced by its position, so an
+// event schedules readers without a gate-to-position lookup.
+type Positions struct {
+	Gates  []GateRec
+	Fanin  []netlist.NodeID
+	Fanout []int32
+}
+
+// Positions returns cc's position-ordered view, built on first use and
+// shared read-only by every caller.
+func (cc *CC) Positions() *Positions {
+	cc.posOnce.Do(cc.buildPositions)
+	return cc.pos.Load()
+}
+
+// buildPositions fills the position view of Positions.
+func (cc *CC) buildPositions() {
+	p := &Positions{
+		Gates:  make([]GateRec, len(cc.Order)),
+		Fanin:  make([]netlist.NodeID, 0, len(cc.Fanin)),
+		Fanout: make([]int32, len(cc.FanoutGate)),
+	}
+	for i, gi := range cc.Order {
+		lo := int32(len(p.Fanin))
+		p.Fanin = append(p.Fanin, cc.FaninOf(gi)...)
+		p.Gates[i] = GateRec{Out: cc.GOut[gi], Lo: lo, Hi: int32(len(p.Fanin)), Op: cc.Ops[gi]}
+	}
+	for k, gi := range cc.FanoutGate {
+		p.Fanout[k] = cc.OrderPos[gi]
+	}
+	cc.pos.Store(p)
+}
+
 // forCacheCap bounds the per-process compile cache by circuit count.
 // The cache used to be an unbounded pointer-keyed sync.Map, which grows
 // without limit in a long-running service where every inline-netlist
@@ -301,8 +345,9 @@ func Drop(c *netlist.Circuit) {
 }
 
 // MemSize estimates the compiled circuit's resident bytes: the flat
-// arrays plus the cone snapshots cached so far. It is an accounting
-// estimate for cache budgeting, not an exact heap measurement.
+// arrays plus the position view and cone snapshots built so far. It is
+// an accounting estimate for cache budgeting, not an exact heap
+// measurement.
 func (cc *CC) MemSize() int64 {
 	n := int64(len(cc.Ops))*int64(unsafe.Sizeof(logic.Op(0))) +
 		int64(len(cc.GOut)+len(cc.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
@@ -311,9 +356,13 @@ func (cc *CC) MemSize() int64 {
 		int64(len(cc.FanoutGate)+len(cc.Driver)+len(cc.Order))*int64(unsafe.Sizeof(netlist.GateID(0))) +
 		int64(len(cc.Inputs)+len(cc.Outputs)+len(cc.FFQ)+len(cc.FFD))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
 		int64(len(cc.FFInit)) +
-		int64(len(cc.meta))*int64(unsafe.Sizeof(gateMeta{})) +
+		int64(len(cc.meta))*int64(unsafe.Sizeof(GateRec{})) +
 		cc.fullSched.memSize() +
 		int64(len(cc.conesNode)+len(cc.conesGate))*int64(unsafe.Sizeof(atomic.Pointer[Cone]{}))
+	if p := cc.pos.Load(); p != nil {
+		n += int64(len(p.Gates))*int64(unsafe.Sizeof(GateRec{})) +
+			int64(len(p.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) + int64(len(p.Fanout))*4
+	}
 	cc.coneMu.Lock()
 	defer cc.coneMu.Unlock()
 	for _, cones := range cc.coneSet {
@@ -402,10 +451,10 @@ func (e *Evaluator) CC() *CC { return e.cc }
 func (e *Evaluator) EvalGate(gi netlist.GateID, f *fault.Fault, vals []logic.Val) logic.Val {
 	cc := e.cc
 	m := &cc.meta[gi]
-	if v, ok := f.StuckNode(m.out); ok {
+	if v, ok := f.StuckNode(m.Out); ok {
 		return v
 	}
-	fanin := cc.Fanin[m.lo:m.hi]
+	fanin := cc.Fanin[m.Lo:m.Hi]
 	// Gather through a stack buffer (spilling to the heap scratch only
 	// for the rare very-wide gate): the hot path stays allocation-free
 	// and bounds-check-free.
@@ -417,7 +466,7 @@ func (e *Evaluator) EvalGate(gi netlist.GateID, f *fault.Fault, vals []logic.Val
 	for p, id := range fanin {
 		in[p] = f.SeenBy(gi, int32(p), id, vals[id])
 	}
-	return EvalOp(m.op, in)
+	return EvalOp(m.Op, in)
 }
 
 // EvalFrame computes the effective value of every node for one time

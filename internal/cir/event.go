@@ -278,10 +278,10 @@ func (e *EventEval) Drain(f *fault.Fault) int {
 func (e *EventEval) evalGate(gi netlist.GateID, f *fault.Fault) logic.Val {
 	cc := e.cc
 	m := &cc.meta[gi]
-	if v, ok := f.StuckNode(m.out); ok {
+	if v, ok := f.StuckNode(m.Out); ok {
 		return v
 	}
-	fanin := cc.Fanin[m.lo:m.hi]
+	fanin := cc.Fanin[m.Lo:m.Hi]
 	var buf [8]logic.Val
 	in := e.in[:len(fanin)]
 	if len(fanin) <= len(buf) {
@@ -290,7 +290,7 @@ func (e *EventEval) evalGate(gi netlist.GateID, f *fault.Fault) logic.Val {
 	for p, id := range fanin {
 		in[p] = f.SeenBy(gi, int32(p), id, e.Read(id))
 	}
-	return EvalOp(m.op, in)
+	return EvalOp(m.Op, in)
 }
 
 // Touched returns the frame's divergent nodes in write order — a view

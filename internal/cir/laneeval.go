@@ -1,27 +1,31 @@
 package cir
 
-// Event-driven 256-lane evaluation: the vector counterpart of EventEval.
+// Event-driven 64-lane evaluation: the vector counterpart of EventEval.
 //
 // Every lane of a resimulation pass is a variation of one retained
 // scalar frame (the fault's step-0 faulty trace row): most nodes carry
 // that frame's value on every live lane, and only the few whose inputs
 // changed need a vector gate evaluation. LaneEval keeps exactly those
-// divergent nodes in an epoch-stamped VV4 overlay over the scalar
+// divergent nodes in an epoch-stamped overlay of one-word VV values
+// (one One/Zero word pair, 16 bytes, per node) over the scalar
 // baseline. Unstamped nodes read through to the baseline, broadcast to
 // all lanes, so a frame costs nothing for the gates no event reaches.
 // Exactness is gate determinism: a gate whose inputs all carry the
 // baseline values produces the baseline output, so skipping it changes
-// no lane.
+// no lane. A pass is one 64-bit word of lanes; callers with more lanes
+// run them as several passes.
 //
-// The schedule is a bitmap over whole-circuit positions in cc.Order
-// (cc.OrderPos): a push is one bit set, and a drain is an ascending
-// TrailingZeros scan. A gate's readers sit at strictly higher levels,
-// hence at later positions, so every gate is evaluated at most once per
-// frame and each bit is cleared as the scan passes it. Events only ever
-// follow fanout, so a frame's work is bounded by the fanout closure of
-// its seeds, with no per-pass region to compute. The evaluator records
-// the nodes it stores per frame (Touched), so a caller scans only the
-// divergent flip-flop and output nodes instead of every candidate.
+// The schedule is a bitmap over whole-circuit positions in cc.Order,
+// and the drain walks the compiled circuit's position-ordered view
+// (cc.Positions), which bitsim's evaluator shares: a push is one bit
+// set, and a drain is an ascending TrailingZeros scan. A gate's readers
+// sit at strictly higher levels, hence at later positions, so every
+// gate is evaluated at most once per frame and each bit is cleared as
+// the scan passes it. Events only ever follow fanout, so a frame's work
+// is bounded by the fanout closure of its seeds, with no per-pass
+// region to compute. The evaluator records the nodes it stores per
+// frame (Touched), so a caller scans only the divergent flip-flop and
+// output nodes instead of every candidate.
 
 import (
 	"math/bits"
@@ -31,32 +35,29 @@ import (
 	"repro/internal/netlist"
 )
 
-// laneBroadcast[v] is Broadcast4(v), indexed by logic.Val: an
-// unstamped node reads its baseline value through one table lookup.
-var laneBroadcast = [...]VV4{
-	logic.Zero: Broadcast4(logic.Zero),
-	logic.One:  Broadcast4(logic.One),
-	logic.X:    Broadcast4(logic.X),
+// vvBroadcast[v] is Broadcast(v), indexed by logic.Val: an unstamped
+// node reads its baseline value through one table lookup.
+var vvBroadcast = [...]VV{
+	logic.Zero: Broadcast(logic.Zero),
+	logic.One:  Broadcast(logic.One),
+	logic.X:    Broadcast(logic.X),
 }
 
-// LaneBroadcast returns Broadcast4(v) from a shared table. The result is
-// read-only.
-func LaneBroadcast(v logic.Val) *VV4 { return &laneBroadcast[v] }
-
-// LaneEval is the event-driven 256-lane evaluator: scratch for one
+// LaneEval is the event-driven 64-lane evaluator: scratch for one
 // goroutine running resimulation passes over one compiled circuit. It
 // is not safe for concurrent use; create one per worker.
 //
-// A pass runs as BeginPass (bind fault and live word count), then per
-// frame BeginFrame (bind baseline and active lanes, bump the epoch), any
-// number of Seed calls, one Drain, and Value and Touched reads. Values
-// are exact on the frame's active lanes of the live words only; other
-// lanes hold unspecified values.
+// A pass runs as BeginPass (bind the fault), then per frame BeginFrame
+// (bind baseline and active lanes, bump the epoch), any number of Seed
+// calls, one Drain, and Value and Touched reads. Values are exact on
+// the frame's active lanes only; other lanes hold unspecified values.
 type LaneEval struct {
 	cc *CC
+	// pos is cc.Positions(): gate records, fanin and fanout by position.
+	pos *Positions
 
 	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch.
-	vals  []VV4
+	vals  []VV
 	stamp []uint32
 	epoch uint32
 	// base is the scalar frame the overlay diverges from, bound per
@@ -64,10 +65,7 @@ type LaneEval struct {
 	base []logic.Val
 	// active masks the lanes whose values matter this frame: a value
 	// that differs from the baseline on other lanes only is no event.
-	active [4]uint64
-	// nw is the number of live lane words; words at and above it are
-	// never read or written.
-	nw int
+	active uint64
 
 	// pending is the schedule bitmap over cc.Order positions, all-zero
 	// outside Drain.
@@ -76,37 +74,38 @@ type LaneEval struct {
 	touched []netlist.NodeID
 
 	// The bound fault: stem is the stem fault node (never evaluated),
-	// branch/pin the branch fault's gate and input position (folded with
-	// the stuck value on that pin), stuck the stuck value on every lane.
+	// branch/pin the branch fault gate's position and input pin (folded
+	// with the stuck value on that pin, -1: none), stuck the stuck value
+	// on every lane.
 	stem   netlist.NodeID
-	branch netlist.GateID
+	branch int
 	pin    int32
-	stuck  VV4
+	stuck  VV
 }
 
 // NewLaneEval returns a lane evaluator sized for the circuit.
 func (cc *CC) NewLaneEval() *LaneEval {
 	return &LaneEval{
 		cc:      cc,
-		vals:    make([]VV4, cc.NumNodes()),
+		pos:     cc.Positions(),
+		vals:    make([]VV, cc.NumNodes()),
 		stamp:   make([]uint32, cc.NumNodes()),
 		pending: make([]uint64, (len(cc.Order)+63)>>6),
 	}
 }
 
-// BeginPass binds fault f (non-nil; use &NoFault) and the live word
-// count nw in [1, 4] for every frame of the pass.
-func (e *LaneEval) BeginPass(f *fault.Fault, nw int) {
-	e.nw = nw
-	e.stem, e.branch, e.pin = netlist.NoNode, netlist.NoGate, 0
+// BeginPass binds fault f (non-nil; use &NoFault) for every frame of
+// the pass.
+func (e *LaneEval) BeginPass(f *fault.Fault) {
+	e.stem, e.branch, e.pin = netlist.NoNode, -1, 0
 	if f.Node != netlist.NoNode {
 		if f.IsStem() {
 			e.stem = f.Node
 		} else {
-			e.branch, e.pin = f.Gate, f.Pin
+			e.branch, e.pin = int(e.cc.OrderPos[f.Gate]), f.Pin
 		}
 	}
-	e.stuck = Broadcast4(f.Stuck)
+	e.stuck = vvBroadcast[f.Stuck]
 }
 
 // BeginFrame starts a new frame: the overlay empties (epoch bump, no
@@ -114,7 +113,7 @@ func (e *LaneEval) BeginPass(f *fault.Fault, nw int) {
 // lanes whose values must be exact. base is aliased, not copied, and
 // must already hold the faulty frame the lanes vary: it carries the
 // stem fault value and the branch fault gate's faulty output.
-func (e *LaneEval) BeginFrame(base []logic.Val, active [4]uint64) {
+func (e *LaneEval) BeginFrame(base []logic.Val, active uint64) {
 	e.base = base
 	e.active = active
 	e.touched = e.touched[:0]
@@ -126,26 +125,23 @@ func (e *LaneEval) BeginFrame(base []logic.Val, active [4]uint64) {
 	}
 }
 
-// Seed loads node id (a region source, typically a flip-flop Q node)
-// with lane values v. It is an event only when v differs from the
-// baseline on an active lane; the stem fault node is never seeded, as
-// it holds the stuck value whatever drives it.
-func (e *LaneEval) Seed(id netlist.NodeID, v *VV4) {
-	if id == e.stem {
-		return
-	}
-	if e.differs(id, &v.One, &v.Zero) {
-		e.store(id, &v.One, &v.Zero)
+// Seed loads node id (typically a flip-flop Q node) with lane values v.
+// It is an event only when v differs from the baseline on an active
+// lane; the stem fault node is never seeded, as it holds the stuck
+// value whatever drives it.
+func (e *LaneEval) Seed(id netlist.NodeID, v VV) {
+	if id != e.stem && e.differs(id, v) {
+		e.store(id, v)
 	}
 }
 
 // Value returns node id's lane values this frame: the overlay if the
-// node diverged, else the baseline broadcast. The result is read-only.
-func (e *LaneEval) Value(id netlist.NodeID) *VV4 {
+// node diverged, else the baseline broadcast.
+func (e *LaneEval) Value(id netlist.NodeID) VV {
 	if e.stamp[id] == e.epoch {
-		return &e.vals[id]
+		return e.vals[id]
 	}
-	return &laneBroadcast[e.base[id]]
+	return vvBroadcast[e.base[id]]
 }
 
 // Touched lists the nodes whose overlay value this frame differs from
@@ -155,33 +151,23 @@ func (e *LaneEval) Value(id netlist.NodeID) *VV4 {
 // is valid until the next BeginFrame.
 func (e *LaneEval) Touched() []netlist.NodeID { return e.touched }
 
-// differs reports whether (one, zero) differs from node id's baseline
-// on an active lane of the live words.
-func (e *LaneEval) differs(id netlist.NodeID, one, zero *[4]uint64) bool {
-	b := &laneBroadcast[e.base[id]]
-	diff := uint64(0)
-	for w := 0; w < e.nw; w++ {
-		// ^ and | share a precedence level: parenthesize both XORs.
-		diff |= ((one[w] ^ b.One[w]) | (zero[w] ^ b.Zero[w])) & e.active[w]
-	}
-	return diff != 0
+// differs reports whether v differs from node id's baseline on an
+// active lane.
+func (e *LaneEval) differs(id netlist.NodeID, v VV) bool {
+	b := vvBroadcast[e.base[id]]
+	// ^ and | share a precedence level: parenthesize both XORs.
+	return ((v.One^b.One)|(v.Zero^b.Zero))&e.active != 0
 }
 
-// store records (one, zero) as node id's value and schedules every
-// reading gate.
-func (e *LaneEval) store(id netlist.NodeID, one, zero *[4]uint64) {
-	v := &e.vals[id]
-	for w := 0; w < e.nw; w++ {
-		v.One[w], v.Zero[w] = one[w], zero[w]
-	}
+// store records v as node id's value and schedules every reading gate.
+func (e *LaneEval) store(id netlist.NodeID, v VV) {
+	e.vals[id] = v
 	if e.stamp[id] != e.epoch {
 		e.stamp[id] = e.epoch
 		e.touched = append(e.touched, id)
 	}
-	cc := e.cc
-	pos := cc.OrderPos
-	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
-		p := pos[cc.FanoutGate[k]]
+	start := e.cc.FanoutStart
+	for _, p := range e.pos.Fanout[start[id]:start[id+1]] {
 		e.pending[p>>6] |= 1 << (p & 63)
 	}
 }
@@ -191,82 +177,65 @@ func (e *LaneEval) store(id netlist.NodeID, one, zero *[4]uint64) {
 // of gates evaluated. Pushes land only on later positions: higher bits
 // of the current word (picked up by the inner re-read) or later words.
 //
-// The gate fold is inlined per operator over the live words: this loop
-// is the hot core of resimulation. Only the branch fault gate takes the
-// shared VV4Fold, to keep the pin-override test off the common path.
+// The gate fold is inlined per operator: this loop is the hot core of
+// resimulation. Only the branch fault gate takes the shared VVFold, to
+// keep the pin-override test off the common path.
 func (e *LaneEval) Drain() int {
-	const allBits = ^uint64(0)
 	if len(e.touched) == 0 {
 		return 0 // nothing seeded: nothing scheduled
 	}
-	cc, gates, nw := e.cc, e.cc.Order, e.nw
+	gates, fanin := e.pos.Gates, e.pos.Fanin
 	evals := 0
 	for w := range e.pending {
 		for e.pending[w] != 0 {
 			bit := bits.TrailingZeros64(e.pending[w])
 			e.pending[w] &^= 1 << bit
-			gi := gates[w<<6|bit]
-			m := &cc.meta[gi]
-			if m.out == e.stem {
+			p := w<<6 | bit
+			g := &gates[p]
+			if g.Out == e.stem {
 				continue
 			}
 			evals++
-			var one, zero [4]uint64
-			if gi == e.branch {
-				fo := StartVV4(m.op)
-				for k := m.lo; k < m.hi; k++ {
-					if k-m.lo == e.pin {
+			var v VV
+			ins := fanin[g.Lo:g.Hi]
+			switch {
+			case p == e.branch:
+				fo := StartVV(g.Op)
+				for k, id := range ins {
+					if int32(k) == e.pin {
 						fo.Add(e.stuck)
 					} else {
-						fo.Add(*e.Value(cc.Fanin[k]))
+						fo.Add(e.Value(id))
 					}
 				}
-				r := fo.Result()
-				one, zero = r.One, r.Zero
-			} else {
-				switch m.op {
-				case logic.And, logic.Nand:
-					for w := 0; w < nw; w++ {
-						one[w] = allBits
-					}
-					for k := m.lo; k < m.hi; k++ {
-						in := e.Value(cc.Fanin[k])
-						for w := 0; w < nw; w++ {
-							one[w] &= in.One[w]
-							zero[w] |= in.Zero[w]
-						}
-					}
-				case logic.Xor, logic.Xnor:
-					for w := 0; w < nw; w++ {
-						zero[w] = allBits
-					}
-					for k := m.lo; k < m.hi; k++ {
-						in := e.Value(cc.Fanin[k])
-						for w := 0; w < nw; w++ {
-							o := one[w]&in.Zero[w] | zero[w]&in.One[w]
-							zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
-							one[w] = o
-						}
-					}
-				default: // Or, Nor, Buf, Not: the or-fold
-					// (Constants have no fanin, so no event schedules them.)
-					for w := 0; w < nw; w++ {
-						zero[w] = allBits
-					}
-					for k := m.lo; k < m.hi; k++ {
-						in := e.Value(cc.Fanin[k])
-						for w := 0; w < nw; w++ {
-							one[w] |= in.One[w]
-							zero[w] &= in.Zero[w]
-						}
-					}
+				v = fo.Result()
+			case g.Op == logic.And || g.Op == logic.Nand:
+				v.One = ^uint64(0)
+				for _, id := range ins {
+					in := e.Value(id)
+					v.One &= in.One
+					v.Zero |= in.Zero
 				}
-				if m.op.Inverting() {
-					one, zero = zero, one
+			case g.Op == logic.Xor || g.Op == logic.Xnor:
+				v.Zero = ^uint64(0)
+				for _, id := range ins {
+					in := e.Value(id)
+					v.One, v.Zero = v.One&in.Zero|v.Zero&in.One, v.One&in.One|v.Zero&in.Zero
+				}
+			default: // Or, Nor, Buf, Not: the or-fold
+				// (Constants have no fanin, so no event schedules them.)
+				v.Zero = ^uint64(0)
+				for _, id := range ins {
+					in := e.Value(id)
+					v.One |= in.One
+					v.Zero &= in.Zero
 				}
 			}
-			if e.differs(m.out, &one, &zero) {
-				e.store(m.out, &one, &zero)
+			if p != e.branch && g.Op.Inverting() {
+				v.One, v.Zero = v.Zero, v.One
+			}
+			if e.differs(g.Out, v) {
+				e.store(g.Out, v)
 			}
 		}
 	}

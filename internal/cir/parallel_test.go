@@ -75,3 +75,52 @@ func TestConeParallelCrossCheck(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPositionsParallel builds a fresh circuit's position view from many
+// goroutines at once: every caller must get the same view, and it must
+// list the gates in cc.Order with their fanin and the fanout CSR
+// rewritten to positions. Run under -race it checks the first-use build.
+func TestPositionsParallel(t *testing.T) {
+	c, err := randomCircuit(rand.New(rand.NewSource(61)), 4, 4, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cir.Compile(c)
+	const n = 8
+	got := make([]*cir.Positions, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = cc.Positions()
+		}(g)
+	}
+	wg.Wait()
+	pos := got[0]
+	for g, p := range got {
+		if p != pos {
+			t.Fatalf("caller %d got a different view", g)
+		}
+	}
+	for p, gi := range cc.Order {
+		r := pos.Gates[p]
+		if r.Out != cc.GOut[gi] || r.Op != cc.Ops[gi] {
+			t.Fatalf("position %d: record %+v, gate %d", p, r, gi)
+		}
+		in := cc.FaninOf(gi)
+		if int(r.Hi-r.Lo) != len(in) {
+			t.Fatalf("position %d: %d fanin, gate has %d", p, r.Hi-r.Lo, len(in))
+		}
+		for k, id := range in {
+			if pos.Fanin[int(r.Lo)+k] != id {
+				t.Fatalf("position %d pin %d: fanin %d, want %d", p, k, pos.Fanin[int(r.Lo)+k], id)
+			}
+		}
+	}
+	for k, gi := range cc.FanoutGate {
+		if pos.Fanout[k] != cc.OrderPos[gi] {
+			t.Fatalf("fanout %d: position %d, want %d", k, pos.Fanout[k], cc.OrderPos[gi])
+		}
+	}
+}

@@ -4,8 +4,8 @@ package cir
 // backed by [4]uint64 words so a single value carries four VV's worth of
 // lanes. Pure Go word-parallel operations — each lane-wise op is four
 // independent uint64 ops the compiler keeps in registers; no explicit
-// SIMD. bitsim packs 255 faulty machines per word with these, and the
-// core resimulation stage packs one fault's expanded state sequences.
+// SIMD. bitsim packs 255 faulty machines per word with these, and
+// implic's lane frame packs one time unit's implication assertions.
 
 import "repro/internal/logic"
 
@@ -30,6 +30,18 @@ func Broadcast4(v logic.Val) VV4 {
 	}
 	return VV4{}
 }
+
+// laneBroadcast[v] is Broadcast4(v), indexed by logic.Val.
+var laneBroadcast = [...]VV4{
+	logic.Zero: Broadcast4(logic.Zero),
+	logic.One:  Broadcast4(logic.One),
+	logic.X:    Broadcast4(logic.X),
+}
+
+// LaneBroadcast returns Broadcast4(v) from a shared table: an unstamped
+// node of a 256-lane overlay reads its baseline value through one
+// lookup. The result is read-only.
+func LaneBroadcast(v logic.Val) *VV4 { return &laneBroadcast[v] }
 
 // Lane extracts the value of lane k.
 func (v VV4) Lane(k uint) logic.Val {

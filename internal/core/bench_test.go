@@ -122,7 +122,7 @@ var resimSink bool
 // both vector passes (the proposed expansion and the portfolio retry)
 // of the first sg1423 fault, in collapsed-list order, that resimulates
 // twice. Expansion runs once in setup; each iteration replays the two
-// passes on their recorded sequences and seeds.
+// passes on copies of their expansions.
 func BenchmarkResimulateVV(b *testing.B) {
 	e, err := circuits.SuiteEntryByName("sg1423")
 	if err != nil {
@@ -152,23 +152,22 @@ func BenchmarkResimulateVV(b *testing.B) {
 		b.Fatal(err)
 	}
 	nsv, nout := s.profile(bad)
-	type pass struct {
-		seqs  []*sequence
-		marks []bool
-		seeds []int32
-	}
-	var passes []pass
+	var passes []*expansion
 	for _, pairs := range [][]pairInfo{s.collectPairs(&f, bad, nout), s.trivialPairs(bad, nout)} {
 		var out FaultOutcome
-		seqs, marks := s.expand(pairs, bad, nsv, nout, &out)
-		passes = append(passes, pass{seqs, slices.Clone(marks), slices.Clone(s.pools.seedFFs)})
+		x := s.expand(pairs, bad, nsv, nout, &out)
+		passes = append(passes, &expansion{
+			s0:    cloneStates(x.s0),
+			steps: slices.Clone(x.steps),
+			marks: slices.Clone(x.marks),
+			seeds: slices.Clone(x.seeds),
+		})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, p := range passes {
-			s.pools.seedFFs = p.seeds
-			resimSink = s.resimulateVV(&f, bad, p.seqs, p.marks)
+		for _, x := range passes {
+			resimSink = s.resimulateVV(&f, bad, x)
 		}
 	}
 }

@@ -92,14 +92,12 @@ type Config struct {
 	// tests. SimulateFault itself never prescreens.
 	Prescreen bool
 	// BitParallelResim enables the bit-parallel Section 3.4
-	// resimulation: all expanded sequences of a fault pack into the
-	// lanes of one 256-lane word and resimulate in a single
-	// divergence-driven vector pass per expansion (vresim.go), falling
-	// back to the serial path only when a sequence set exceeds the lane
-	// capacity. Outcomes are identical with it off (every sequence then
-	// resimulates serially); the off mode exists as a cross-check
-	// fallback and is asserted bit-identical by the resim cross-check
-	// tests.
+	// resimulation: the expanded sequences of a fault pack into the
+	// lanes of 64-lane words and resimulate in divergence-driven vector
+	// passes, one per 64 sequences (vresim.go). Outcomes are identical
+	// with it off (every sequence then resimulates serially); the off
+	// mode exists as a cross-check fallback and is asserted
+	// bit-identical by the resim cross-check tests.
 	BitParallelResim bool
 	// EventSim enables the event-driven sparse-delta frame evaluator
 	// (cir.EventEval): faulty frames seed events at the fault site and

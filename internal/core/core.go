@@ -337,16 +337,15 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 
 	// Section 3.3: state expansion (Procedure 2).
 	ph := s.beginPhase("expand", 0)
-	seqs, marks := s.expand(pairs, bad, nsv, nout, &out)
+	x := s.expand(pairs, bad, nsv, nout, &out)
 	s.endPhase(ph)
 	st.tick(&last, stageExpand)
 
 	// Section 3.4: resimulation after expansion.
-	out.Sequences = len(seqs)
+	out.Sequences = x.lanes()
 	ph = s.beginPhase("resim", 0)
-	detected = s.resimulate(&f, bad, seqs, marks)
+	detected = s.resimulate(&f, bad, x)
 	s.endPhase(ph)
-	s.releaseSeqs(seqs)
 	st.tick(&last, stageResim)
 	if detected {
 		out.Outcome = DetectedMOT
@@ -363,20 +362,18 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	if s.cfg.UseBackwardImplications {
 		var retry FaultOutcome
 		ph = s.beginPhase("expand", 1)
-		seqs, marks = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
+		x = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
 		s.endPhase(ph)
 		st.tick(&last, stageExpand)
 		ph = s.beginPhase("resim", 1)
-		detected = s.resimulate(&f, bad, seqs, marks)
+		detected = s.resimulate(&f, bad, x)
 		s.endPhase(ph)
-		nseq := len(seqs)
-		s.releaseSeqs(seqs)
 		st.tick(&last, stageResim)
 		if detected {
 			out.Outcome = DetectedMOT
 			out.Expansions += retry.Expansions
 			out.Counters.add(retry.Counters)
-			out.Sequences = nseq
+			out.Sequences = x.lanes()
 		}
 	}
 	return out, nil
@@ -424,7 +421,7 @@ func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout [
 			if bad.States[0][i] != logic.X || capReached() {
 				continue
 			}
-			pairs = append(pairs, s.trivialPairPooled(0, i))
+			pairs = append(pairs, s.trivialPair(0, i))
 		}
 	}
 	for u := 1; u < L; u++ {
@@ -443,7 +440,7 @@ func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout [
 				continue
 			}
 			if !s.cfg.UseBackwardImplications {
-				pairs = append(pairs, s.trivialPairPooled(u, i))
+				pairs = append(pairs, s.trivialPair(u, i))
 				continue
 			}
 			if fr == nil {
@@ -463,35 +460,44 @@ func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout [
 // trivialPairs enumerates trivial (single-variable) pairs for every
 // candidate (u, i), as the [4] baseline does; used as the phase 2
 // fallback when every collected pair is blocked by the expandability
-// constraint.
+// constraint, and by the portfolio retry. The result is reused by the
+// next call. expand's fallback may recompute it while the retry's own
+// trivial pairs are in use; the list is a function of (bad, nout), so
+// that rewrites identical values.
 func (s *Simulator) trivialPairs(bad *seqsim.Trace, nout []int) []pairInfo {
-	var out []pairInfo
-	for u := 0; u < len(s.T); u++ {
-		if nout[u] == 0 {
-			break // non-increasing
-		}
+	out := s.pools.trivialPairs[:0]
+fill:
+	for u := 0; u < len(s.T) && nout[u] > 0; u++ { // nout is non-increasing
 		for i := 0; i < s.c.NumFFs(); i++ {
 			if bad.States[u][i] != logic.X {
 				continue
 			}
 			if s.cfg.MaxPairs > 0 && len(out) >= s.cfg.MaxPairs {
-				return out
+				break fill
 			}
-			out = append(out, trivialPair(u, i))
+			out = append(out, s.trivialPair(u, i))
 		}
 	}
+	s.pools.trivialPairs = out
 	return out
 }
 
-// trivialPair is the pair used at u = 0 and throughout the [4] baseline.
-func trivialPair(u, i int) pairInfo {
+// trivialPair is the pair used at u = 0 and throughout the [4]
+// baseline: extra(u, i, a) = {(i, a)} and sv(u, i) = {i}. Its slices
+// come from a per-simulator table built once, so every trivial pair of
+// flip-flop i shares them; nothing mutates a pair after creation.
+func (s *Simulator) trivialPair(u, i int) pairInfo {
+	t := &s.pools.trivial
+	if nFF := s.c.NumFFs(); len(t.sv) != nFF {
+		t.zero, t.one, t.sv = make([]svAssign, nFF), make([]svAssign, nFF), make([]int, nFF)
+		for j := range t.sv {
+			t.zero[j], t.one[j], t.sv[j] = svAssign{j: j, v: logic.Zero}, svAssign{j: j, v: logic.One}, j
+		}
+	}
 	return pairInfo{
 		u: u, i: i,
-		extra: [2][]svAssign{
-			{{j: i, v: logic.Zero}},
-			{{j: i, v: logic.One}},
-		},
-		sv: []int{i},
+		extra: [2][]svAssign{t.zero[i : i+1 : i+1], t.one[i : i+1 : i+1]},
+		sv:    t.sv[i : i+1 : i+1],
 	}
 }
 
@@ -649,44 +655,81 @@ func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.F
 }
 
 // sequence is one expanded state sequence: states[u][j] is the value of
-// state variable j at time u, u in [0, L].
-//
-// Pooled sequences (see Simulator.newSeq) additionally carry the flat
-// value slab the rows are carved from, so a clone is a single copy and a
-// released sequence can be recycled. Sequences built directly from a
-// states matrix (tests, the Reference path) leave flat nil and behave
-// identically.
+// state variable j at time u, u in [0, L]. Only the serial resimulation
+// twin and the tests materialize sequences (expansion.sequences).
 type sequence struct {
 	states [][]logic.Val
-	flat   []logic.Val
 }
 
-// cloneStates deep-copies a state matrix.
-func cloneStates(src [][]logic.Val) [][]logic.Val {
-	dst := make([][]logic.Val, len(src))
-	for u := range src {
-		row := make([]logic.Val, len(src[u]))
-		copy(row, src[u])
-		dst[u] = row
+// expStep is one phase-2 step of Procedure 2 (steps 5-9): every
+// sequence splits at time unit u, the original taking extra[0] and its
+// duplicate extra[1].
+type expStep struct {
+	u     int
+	extra [2][]svAssign
+}
+
+// expansion is the result of one expand call without the sequences it
+// stands for: the base sequence s0 (the faulty trace plus phase 1's
+// forced values) and the phase-2 steps. Sequence l of the 2^len(steps)
+// takes side bit len(steps)-1-k of l at step k, the order Procedure 2's
+// duplication loop appends them in (sequences). The step 3 check
+// guarantees every cell a step writes is X in s0 and written by no
+// other step, so sequence l holds s0's value or its chosen side's in
+// every cell. marks lists the time units phase 1 or a step wrote, and
+// seeds the state variables they assigned, in first-assignment order.
+type expansion struct {
+	s0    [][]logic.Val
+	steps []expStep
+	marks []bool
+	seeds []int32
+}
+
+// lanes returns the number of sequences the expansion stands for.
+func (x *expansion) lanes() int { return 1 << len(x.steps) }
+
+// sequences materializes the expansion's sequences with Procedure 2's
+// duplication loop, sequence l at index l. Their rows are carved from
+// one slab.
+func (x *expansion) sequences() []*sequence {
+	rows, nFF := len(x.s0), len(x.s0[0])
+	flat := make([]logic.Val, x.lanes()*rows*nFF)
+	carve := func(src [][]logic.Val) *sequence {
+		sq := &sequence{states: make([][]logic.Val, rows)}
+		for u := range sq.states {
+			sq.states[u], flat = flat[:nFF:nFF], flat[nFF:]
+			copy(sq.states[u], src[u])
+		}
+		return sq
 	}
-	return dst
+	seqs := []*sequence{carve(x.s0)}
+	for _, st := range x.steps {
+		grown := make([]*sequence, 0, 2*len(seqs))
+		for _, sq := range seqs {
+			dup := carve(sq.states)
+			for _, a := range st.extra[0] {
+				sq.states[st.u][a.j] = a.v
+			}
+			for _, a := range st.extra[1] {
+				dup.states[st.u][a.j] = a.v
+			}
+			grown = append(grown, sq, dup)
+		}
+		seqs = grown
+	}
+	return seqs
 }
 
 // expand implements Procedure 2: phase 1 applies every single-sided pair
 // (one value conflicted or detected) by forcing the surviving value's
 // implications into the base sequence; phase 2 repeatedly selects the
 // best remaining pair by the four criteria and duplicates every sequence
-// until the N_STATES budget is reached. It returns the sequences and the
-// set of marked time units for resimulation.
-func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int, out *FaultOutcome) ([]*sequence, []bool) {
-	marks := s.marksScratch()
-	// Track which state variables this expansion assigns: they are the
-	// bit-parallel resimulation's initial lane columns and bound its
-	// lane-diff packing scan (vresim.go). Phase 2 also stamps the cells
-	// it assigns, for the step 3 check (unassigned).
-	s.seedReset()
-	s0 := s.seqFromStates(bad.States)
-	seqs := []*sequence{s0}
+// until the N_STATES budget is reached. It returns the expansion, which
+// records the duplications as steps instead of copying sequences; it
+// is valid until the next expand call.
+func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int, out *FaultOutcome) *expansion {
+	x := s.newExpansion(bad.States)
+	s0 := x.s0
 
 	// Phase 1 (Procedure 2, step 2).
 	for k := range pairs {
@@ -707,12 +750,12 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		}
 		out.Counters.add(p.counters())
 		for _, a := range p.extra[survivor] {
-			if s0.states[p.u][a.j] == logic.X {
-				s0.states[p.u][a.j] = a.v
+			if s0[p.u][a.j] == logic.X {
+				s0[p.u][a.j] = a.v
 			}
-			s.seedAdd(a.j)
+			s.seedAdd(x, a.j)
 		}
-		marks[p.u] = true
+		x.marks[p.u] = true
 	}
 
 	// Phase 2 (Procedure 2, steps 3-10). When backward implications are
@@ -723,14 +766,14 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 	// preserves the paper's observation that every fault detected by [4]
 	// is also detected by the proposed procedure.
 	var fallback []pairInfo
-	for len(seqs) < s.cfg.NStates {
-		best := s.selectPair(pairs, seqs, nsv, nout)
+	for x.lanes() < s.cfg.NStates {
+		best := s.selectPair(pairs, x, nsv, nout)
 		if best < 0 && s.cfg.UseBackwardImplications {
 			if fallback == nil {
 				fallback = s.trivialPairs(bad, nout)
 			}
 			pairs = fallback
-			best = s.selectPair(pairs, seqs, nsv, nout)
+			best = s.selectPair(pairs, x, nsv, nout)
 		}
 		if best < 0 {
 			break
@@ -739,32 +782,21 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		out.Counters.add(p.counters())
 		out.Expansions++
 		for _, j := range p.sv {
-			s.seedAdd(j)
+			s.seedAdd(x, j)
 		}
 		stamp := s.pools.assignStamp[p.u*s.c.NumFFs():]
 		for a := range p.extra {
-			for _, x := range p.extra[a] {
-				stamp[x.j] = s.pools.seedGen
+			for _, e := range p.extra[a] {
+				stamp[e.j] = s.pools.seedGen
 			}
 		}
-		marks[p.u] = true
-		grown := make([]*sequence, 0, 2*len(seqs))
-		for _, sq := range seqs {
-			dup := s.cloneSeq(sq)
-			for _, a := range p.extra[0] {
-				sq.states[p.u][a.j] = a.v
-			}
-			for _, a := range p.extra[1] {
-				dup.states[p.u][a.j] = a.v
-			}
-			grown = append(grown, sq, dup)
-		}
-		seqs = grown
+		x.marks[p.u] = true
+		x.steps = append(x.steps, expStep{u: p.u, extra: p.extra})
 	}
 	if st := s.stats; st != nil {
-		st.pool.SeqLivePeak = max64(st.pool.SeqLivePeak, int64(len(seqs)))
+		st.pool.SeqLivePeak = max64(st.pool.SeqLivePeak, int64(x.lanes()))
 	}
-	return seqs, marks
+	return x
 }
 
 // selectPair returns the index of the best expandable pair under the
@@ -775,7 +807,7 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 // N_sv(u); (3) maximum over pairs of min(|extra 0|, |extra 1|); (4)
 // maximum of max(|extra 0|, |extra 1|). Remaining ties break toward the
 // smallest (u, i) for determinism.
-func (s *Simulator) selectPair(pairs []pairInfo, seqs []*sequence, nsv, nout []int) int {
+func (s *Simulator) selectPair(pairs []pairInfo, x *expansion, nsv, nout []int) int {
 	best := -1
 	var bNout, bNsv, bMin, bMax int
 	for k := range pairs {
@@ -786,9 +818,9 @@ func (s *Simulator) selectPair(pairs []pairInfo, seqs []*sequence, nsv, nout []i
 		if nout[p.u] == 0 || nsv[p.u] == 0 {
 			continue
 		}
-		ok := s.unassigned(p, seqs)
+		ok := s.unassigned(p, x)
 		if unassignedHook != nil {
-			unassignedHook(p, seqs, ok)
+			unassignedHook(p, x, ok)
 		}
 		if !ok {
 			continue
@@ -825,13 +857,13 @@ func (s *Simulator) selectPair(pairs []pairInfo, seqs []*sequence, nsv, nout []i
 }
 
 // unassigned is the Procedure 2 step 3 check for pair p in O(|sv|):
-// every sequence descends from seqs[0] (s0) and phase 2 writes only the
-// pair extras at p.u, so a variable is specified at p.u in some sequence
+// every sequence descends from s0 and phase 2 writes only the pair
+// extras at p.u, so a variable is specified at p.u in some sequence
 // exactly when it is specified in s0 or an earlier step of this expand
 // assigned it (assignStamp). A Simulator outside expand has an empty
 // stamp set.
-func (s *Simulator) unassigned(p *pairInfo, seqs []*sequence) bool {
-	row := seqs[0].states[p.u]
+func (s *Simulator) unassigned(p *pairInfo, x *expansion) bool {
+	row := x.s0[p.u]
 	var stamp []int32
 	if k := p.u * len(row); k < len(s.pools.assignStamp) {
 		stamp = s.pools.assignStamp[k : k+len(row)]
@@ -846,7 +878,7 @@ func (s *Simulator) unassigned(p *pairInfo, seqs []*sequence) bool {
 
 // unassignedHook, when set (tests only), observes every step 3 decision
 // selectPair makes, so it can be checked against the full scan.
-var unassignedHook func(p *pairInfo, seqs []*sequence, got bool)
+var unassignedHook func(p *pairInfo, x *expansion, got bool)
 
 // resimulate implements Section 3.4: every sequence is resimulated at its
 // marked time units (propagating newly specified state variables forward)
@@ -855,22 +887,15 @@ var unassignedHook func(p *pairInfo, seqs []*sequence, got bool)
 // resolves.
 //
 // With Config.BitParallelResim every sequence rides one lane of a
-// 256-lane word and the whole set resimulates in one divergence-driven
-// vector pass (resimulateVV), byte-identical to the serial path below;
-// sequence sets beyond the lane capacity fall back to the serial path.
-// bad is the faulty-machine trace the sequences expanded from, and seqs
-// must come from the immediately preceding expand call (its assigned
-// state variables are the vector pass's initial lane columns).
-func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
+// 64-lane word and the expansion resimulates in divergence-driven vector
+// passes of 64 lanes each (resimulateVV), byte-identical to the serial
+// path below, which materializes the sequences. bad is the
+// faulty-machine trace the expansion x came from.
+func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
 	if s.cfg.BitParallelResim {
-		if len(seqs) <= cir.Lanes4 {
-			return s.resimulateVV(f, bad, seqs, baseMarks)
-		}
-		if st := s.stats; st != nil {
-			st.resimSerialFallbacks++
-		}
-		s.lastResim.SerialFallbacks++
+		return s.resimulateVV(f, bad, x)
 	}
+	seqs, baseMarks := x.sequences(), x.marks
 	if s.cfg.EventSim && bad.Nodes != nil {
 		return s.resimulateSparse(f, bad, seqs, baseMarks)
 	}
@@ -1086,15 +1111,17 @@ type Stages struct {
 	// evaluated, backward and forward closures together (only gates a
 	// lane-divergent value reaches are evaluated).
 	ImplyLaneEvals int64
-	// ResimVectorPasses counts bit-parallel resimulation passes — one per
-	// expansion resimulated under Config.BitParallelResim, portfolio
-	// retries included. ResimVectorFrames counts the time frames those
+	// ResimVectorPasses counts bit-parallel resimulation passes of up to
+	// 64 lanes under Config.BitParallelResim, portfolio retries
+	// included. ResimVectorFrames counts the time frames those
 	// passes evaluated (frames with no active lane are skipped and not
 	// counted), and ResimGateEvals the gates they evaluated (only gates
 	// a lane-divergent value reaches are evaluated, so a frame with no
-	// divergence counts none). ResimSerialFallbacks counts expansions
-	// whose sequence set exceeded the 256-lane word and ran the serial
-	// path instead.
+	// divergence counts none). Expansions of more than 64 sequences
+	// run one pass per 64-lane chunk, stopping at the first chunk that
+	// leaves a lane unresolved. ResimSerialFallbacks is always 0: every
+	// expansion resimulates bit-parallel. It stays for report
+	// compatibility.
 	ResimVectorPasses    int64
 	ResimVectorFrames    int64
 	ResimGateEvals       int64

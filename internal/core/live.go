@@ -50,10 +50,9 @@ type LiveStats struct {
 	implyLaneEvals atomic.Int64
 	implyNS        atomic.Int64
 
-	resimVectorPasses    atomic.Int64
-	resimVectorFrames    atomic.Int64
-	resimGateEvals       atomic.Int64
-	resimSerialFallbacks atomic.Int64
+	resimVectorPasses atomic.Int64
+	resimVectorFrames atomic.Int64
+	resimGateEvals    atomic.Int64
 
 	step0NS   atomic.Int64
 	collectNS atomic.Int64
@@ -111,7 +110,7 @@ type LiveSnapshot struct {
 	ResimVectorPasses    int64 `json:"resim_vector_passes"`
 	ResimVectorFrames    int64 `json:"resim_vector_frames"`
 	ResimGateEvals       int64 `json:"resim_gate_evals"`
-	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
+	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"` // always 0, see Stages
 
 	Step0NS   int64 `json:"step0_ns"`
 	CollectNS int64 `json:"collect_ns"`
@@ -133,40 +132,39 @@ type LiveSnapshot struct {
 // goes backward between snapshots.
 func (l *LiveStats) Snapshot() LiveSnapshot {
 	return LiveSnapshot{
-		RunsStarted:          l.runsStarted.Load(),
-		RunsDone:             l.runsDone.Load(),
-		FaultsTotal:          l.faultsTotal.Load(),
-		FaultsDone:           l.faultsDone.Load(),
-		Conv:                 l.conv.Load(),
-		MOT:                  l.mot.Load(),
-		PrunedConditionC:     l.prunedC.Load(),
-		PrescreenPasses:      l.prescreenPasses.Load(),
-		PrescreenDropped:     l.prescreenDropped.Load(),
-		PrescreenPrunedC:     l.prescreenPrunedC.Load(),
-		PrescreenFrames:      l.prescreenFrames.Load(),
-		PrescreenGateEvals:   l.prescreenGateEvals.Load(),
-		MOTFaults:            l.motFaults.Load(),
-		Pairs:                l.pairs.Load(),
-		Expansions:           l.expansions.Load(),
-		Sequences:            l.sequences.Load(),
-		ImplyCalls:           l.implyCalls.Load(),
-		ImplyLaneEvals:       l.implyLaneEvals.Load(),
-		ImplyNS:              l.implyNS.Load(),
-		ResimVectorPasses:    l.resimVectorPasses.Load(),
-		ResimVectorFrames:    l.resimVectorFrames.Load(),
-		ResimGateEvals:       l.resimGateEvals.Load(),
-		ResimSerialFallbacks: l.resimSerialFallbacks.Load(),
-		Step0NS:              l.step0NS.Load(),
-		CollectNS:            l.collectNS.Load(),
-		ExpandNS:             l.expandNS.Load(),
-		ResimNS:              l.resimNS.Load(),
-		TotalNS:              l.totalNS.Load(),
-		DeltaFrames:          l.deltaFrames.Load(),
-		DeltaGateEvals:       l.deltaGateEvals.Load(),
-		FullFrames:           l.fullFrames.Load(),
-		EventFrames:          l.eventFrames.Load(),
-		EventGateEvals:       l.eventGateEvals.Load(),
-		Events:               l.events.Load(),
+		RunsStarted:        l.runsStarted.Load(),
+		RunsDone:           l.runsDone.Load(),
+		FaultsTotal:        l.faultsTotal.Load(),
+		FaultsDone:         l.faultsDone.Load(),
+		Conv:               l.conv.Load(),
+		MOT:                l.mot.Load(),
+		PrunedConditionC:   l.prunedC.Load(),
+		PrescreenPasses:    l.prescreenPasses.Load(),
+		PrescreenDropped:   l.prescreenDropped.Load(),
+		PrescreenPrunedC:   l.prescreenPrunedC.Load(),
+		PrescreenFrames:    l.prescreenFrames.Load(),
+		PrescreenGateEvals: l.prescreenGateEvals.Load(),
+		MOTFaults:          l.motFaults.Load(),
+		Pairs:              l.pairs.Load(),
+		Expansions:         l.expansions.Load(),
+		Sequences:          l.sequences.Load(),
+		ImplyCalls:         l.implyCalls.Load(),
+		ImplyLaneEvals:     l.implyLaneEvals.Load(),
+		ImplyNS:            l.implyNS.Load(),
+		ResimVectorPasses:  l.resimVectorPasses.Load(),
+		ResimVectorFrames:  l.resimVectorFrames.Load(),
+		ResimGateEvals:     l.resimGateEvals.Load(),
+		Step0NS:            l.step0NS.Load(),
+		CollectNS:          l.collectNS.Load(),
+		ExpandNS:           l.expandNS.Load(),
+		ResimNS:            l.resimNS.Load(),
+		TotalNS:            l.totalNS.Load(),
+		DeltaFrames:        l.deltaFrames.Load(),
+		DeltaGateEvals:     l.deltaGateEvals.Load(),
+		FullFrames:         l.fullFrames.Load(),
+		EventFrames:        l.eventFrames.Load(),
+		EventGateEvals:     l.eventGateEvals.Load(),
+		Events:             l.events.Load(),
 	}
 }
 
@@ -239,7 +237,6 @@ type livePublisher struct {
 	lastResimVP int64
 	lastResimVF int64
 	lastResimGE int64
-	lastResimSF int64
 	lastSim     seqsim.SimStats
 }
 
@@ -321,8 +318,7 @@ func (p *livePublisher) flush(s *Simulator) {
 		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
 		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
 		l.resimGateEvals.Add(st.resimGateEvals - p.lastResimGE)
-		l.resimSerialFallbacks.Add(st.resimSerialFallbacks - p.lastResimSF)
-		p.lastResimVP, p.lastResimVF, p.lastResimSF = st.resimVectorPasses, st.resimVectorFrames, st.resimSerialFallbacks
+		p.lastResimVP, p.lastResimVF = st.resimVectorPasses, st.resimVectorFrames
 		p.lastResimGE = st.resimGateEvals
 
 		sim := s.sim.Stats()

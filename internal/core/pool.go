@@ -20,8 +20,8 @@ import (
 // Lifecycle: the pair-collection arenas (svArena, svIdxArena, pairs) are
 // truncated at the start of each fault's collectPairs and stay valid for
 // the rest of that fault's pipeline; the implication frames and scratch
-// slices are reset at each use; expansion sequences cycle through seqFree
-// across faults.
+// slices are reset at each use; the expansion scratch is reset by each
+// expand call.
 type simPools struct {
 	// pairFrame is the serial implication frame of pair collection under
 	// the Fixpoint schedule or BackwardDepth > 1. It is reset to the
@@ -52,14 +52,21 @@ type simPools struct {
 	// and pairInfo.sv.
 	svArena    []svAssign
 	svIdxArena []int
-	// pairs backs the slice returned by collectPairs.
-	pairs []pairInfo
-	// seqFree recycles expansion sequences (flat value slab plus row
-	// headers) across faults.
-	seqFree []*sequence
-	// expMarks, resimVals and resimMarks are per-call scratch for expand
-	// and resimulate.
-	expMarks   []bool
+	// pairs backs the slice returned by collectPairs, trivialPairs the
+	// one trivialPairs returns.
+	pairs        []pairInfo
+	trivialPairs []pairInfo
+	// trivial holds every flip-flop's trivial pair slices (trivialPair):
+	// zero[i] = (i, 0), one[i] = (i, 1), sv[i] = i.
+	trivial struct {
+		zero, one []svAssign
+		sv        []int
+	}
+	// exp is the expansion expand fills, its s0 rows carved from one
+	// slab allocated once.
+	exp expansion
+	// resimVals and resimMarks are per-call scratch for the serial
+	// resimulate.
 	resimVals  []logic.Val
 	resimMarks []bool
 	// badTrace is the reused faulty-machine trace filled by RunFaultInto.
@@ -67,14 +74,13 @@ type simPools struct {
 	// returning.
 	badTrace *seqsim.Trace
 
-	// Bit-parallel resimulation scratch (vresim.go). seedStamp/seedGen/
-	// seedFFs are the epoch-stamped set of state variables assigned by
-	// the current expand call — the initial lane columns. assignStamp,
-	// indexed u*NumFFs+j and stamped with the same generation, marks the
-	// cells phase 2 of that call assigned (the step 3 check).
+	// Expansion assignment sets (vresim.go). seedStamp/seedGen are the
+	// epoch-stamped membership of the current expand call's seeds (the
+	// initial lane columns). assignStamp, indexed u*NumFFs+j and stamped
+	// with the same generation, marks the cells phase 2 of that call
+	// assigned (the step 3 check).
 	seedStamp   []int32
 	seedGen     int32
-	seedFFs     []int32
 	assignStamp []int32
 	// lanes is the event-driven vector frame evaluator (its overlay
 	// holds the frame's divergent node values); laneCols the packed lane
@@ -82,7 +88,7 @@ type simPools struct {
 	// marked-lane masks.
 	lanes    *cir.LaneEval
 	laneCols laneCols
-	vvMarks  []laneMask
+	vvMarks  []uint64
 }
 
 // runBad simulates the faulty machine for f, reusing the pooled trace.
@@ -215,106 +221,31 @@ func (s *Simulator) internExtra(list []svAssign) []svAssign {
 	return s.pools.svArena[start:end:end]
 }
 
-// internExtra1 interns a single assignment without a temporary slice.
-func (s *Simulator) internExtra1(a svAssign) []svAssign {
-	start := len(s.pools.svArena)
-	s.pools.svArena = append(s.pools.svArena, a)
-	end := len(s.pools.svArena)
-	return s.pools.svArena[start:end:end]
-}
-
-// trivialPairPooled is trivialPair with arena-backed slices.
-func (s *Simulator) trivialPairPooled(u, i int) pairInfo {
-	var p pairInfo
-	p.u, p.i = u, i
-	p.extra[0] = s.internExtra1(svAssign{j: i, v: logic.Zero})
-	p.extra[1] = s.internExtra1(svAssign{j: i, v: logic.One})
-	s.svReset()
-	s.svAdd(i)
-	p.sv = s.svTake()
-	return p
-}
-
-// newSeq returns a sequence sized for this simulator (L+1 rows of nFF
-// values backed by one flat slab), recycling a released one when possible.
-// Row contents are unspecified.
-func (s *Simulator) newSeq() *sequence {
-	rows, nFF := len(s.T)+1, s.c.NumFFs()
-	need := rows * nFF
-	if n := len(s.pools.seqFree); n > 0 {
-		sq := s.pools.seqFree[n-1]
-		s.pools.seqFree[n-1] = nil
-		s.pools.seqFree = s.pools.seqFree[:n-1]
-		if cap(sq.flat) >= need && len(sq.states) == rows {
-			sq.flat = sq.flat[:need]
-			if st := s.stats; st != nil {
-				st.pool.SeqReuses++
-			}
-			return sq
-		}
-	}
-	if st := s.stats; st != nil {
-		st.pool.SeqAllocs++
-	}
-	sq := &sequence{
-		flat:   make([]logic.Val, need),
-		states: make([][]logic.Val, rows),
-	}
-	for u := 0; u < rows; u++ {
-		sq.states[u] = sq.flat[u*nFF : (u+1)*nFF : (u+1)*nFF]
-	}
-	return sq
-}
-
-// seqFromStates builds the expansion's base sequence from a state matrix.
-func (s *Simulator) seqFromStates(states [][]logic.Val) *sequence {
+// newExpansion returns an empty expansion whose s0 holds a copy of
+// states, and starts a new epoch of the expansion's assignment sets.
+// Outside Config.Reference it is the pooled expansion, valid until the
+// next call.
+func (s *Simulator) newExpansion(states [][]logic.Val) *expansion {
+	s.seedReset()
+	x := &s.pools.exp
 	if s.cfg.Reference {
-		return &sequence{states: cloneStates(states)}
+		x = &expansion{}
 	}
-	sq := s.newSeq()
+	if nFF := s.c.NumFFs(); len(x.s0) != len(states) {
+		flat := make([]logic.Val, len(states)*nFF)
+		x.s0 = make([][]logic.Val, len(states))
+		for u := range x.s0 {
+			x.s0[u] = flat[u*nFF : (u+1)*nFF : (u+1)*nFF]
+		}
+		x.marks = make([]bool, len(states))
+	} else {
+		clear(x.marks)
+	}
 	for u, row := range states {
-		copy(sq.states[u], row)
+		copy(x.s0[u], row)
 	}
-	return sq
-}
-
-// cloneSeq duplicates a sequence for a phase-2 expansion.
-func (s *Simulator) cloneSeq(src *sequence) *sequence {
-	if s.cfg.Reference {
-		return &sequence{states: cloneStates(src.states)}
-	}
-	dst := s.newSeq()
-	copy(dst.flat, src.flat)
-	return dst
-}
-
-// releaseSeqs returns expansion sequences to the pool once resimulation is
-// done with them. Only flat-backed (pooled) sequences are recycled.
-func (s *Simulator) releaseSeqs(seqs []*sequence) {
-	for _, sq := range seqs {
-		if sq.flat != nil {
-			s.pools.seqFree = append(s.pools.seqFree, sq)
-		}
-	}
-}
-
-// marksScratch returns a zeroed []bool of length L+1 for expand's marked
-// time units. The buffer is reused across expand calls within a fault (the
-// retry's expansion never reads the first expansion's marks).
-func (s *Simulator) marksScratch() []bool {
-	n := len(s.T) + 1
-	if s.cfg.Reference {
-		return make([]bool, n)
-	}
-	if cap(s.pools.expMarks) < n {
-		s.pools.expMarks = make([]bool, n)
-		return s.pools.expMarks
-	}
-	marks := s.pools.expMarks[:n]
-	for i := range marks {
-		marks[i] = false
-	}
-	return marks
+	x.steps, x.seeds = x.steps[:0], x.seeds[:0]
+	return x
 }
 
 // resimScratch returns the node-value and marks buffers for resimulate.

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/circuits"
 	"repro/internal/logic"
 	"repro/internal/seqsim"
 )
@@ -94,7 +95,8 @@ func TestPairCounters(t *testing.T) {
 }
 
 func TestTrivialPair(t *testing.T) {
-	p := trivialPair(3, 2)
+	s := &Simulator{c: circuits.S27()}
+	p := s.trivialPair(3, 2)
 	if p.u != 3 || p.i != 2 {
 		t.Fatal("wrong coordinates")
 	}
@@ -109,6 +111,10 @@ func TestTrivialPair(t *testing.T) {
 	}
 	if p.resolved(0) || p.resolved(1) {
 		t.Error("trivial pair should be unresolved")
+	}
+	// Every trivial pair of a flip-flop shares the table's slices.
+	if q := s.trivialPair(0, 2); &q.extra[0][0] != &p.extra[0][0] || &q.sv[0] != &p.sv[0] {
+		t.Error("trivial pairs of one flip-flop do not share their slices")
 	}
 }
 
@@ -167,13 +173,13 @@ func mkPair(u, i, n0, n1 int) pairInfo {
 
 func TestSelectPairCriteria(t *testing.T) {
 	s := &Simulator{}
-	seqs := []*sequence{seqOf(t, "xxxx", "xxxx", "xxxx")}
+	x := &expansion{s0: seqOf(t, "xxxx", "xxxx", "xxxx").states}
 
 	// Criterion 1: maximum N_out wins.
 	pairs := []pairInfo{mkPair(1, 0, 5, 5), mkPair(0, 1, 1, 1)}
 	nsv := []int{4, 4, 4}
 	nout := []int{9, 3}
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != 1 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != 1 {
 		t.Errorf("criterion 1: selected %d, want 1 (max N_out)", got)
 	}
 
@@ -181,7 +187,7 @@ func TestSelectPairCriteria(t *testing.T) {
 	pairs = []pairInfo{mkPair(0, 0, 5, 5), mkPair(1, 1, 1, 1)}
 	nsv = []int{4, 2, 4}
 	nout = []int{7, 7}
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != 1 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != 1 {
 		t.Errorf("criterion 2: selected %d, want 1 (min N_sv)", got)
 	}
 
@@ -189,28 +195,39 @@ func TestSelectPairCriteria(t *testing.T) {
 	pairs = []pairInfo{mkPair(0, 0, 1, 4), mkPair(0, 1, 2, 2)}
 	nsv = []int{4, 4}
 	nout = []int{7, 7}
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != 1 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != 1 {
 		t.Errorf("criterion 3: selected %d, want 1 (max of min extra)", got)
 	}
 
 	// Criterion 4: larger max(extra0, extra1) among equal mins.
 	pairs = []pairInfo{mkPair(0, 0, 2, 2), mkPair(0, 1, 2, 3)}
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != 1 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != 1 {
 		t.Errorf("criterion 4: selected %d, want 1 (max of max extra)", got)
 	}
 
 	// Resolved pairs are never selected.
 	pairs[1].conf[0] = true
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != 0 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != 0 {
 		t.Errorf("resolved pair selected: got %d, want 0", got)
 	}
 
 	// Zero N_out disqualifies.
 	pairs = []pairInfo{mkPair(1, 0, 2, 2)}
 	nout = []int{3, 0}
-	if got := s.selectPair(pairs, seqs, nsv, nout); got != -1 {
+	if got := s.selectPair(pairs, x, nsv, nout); got != -1 {
 		t.Errorf("pair at N_out=0 selected: got %d", got)
 	}
+}
+
+// cloneStates deep-copies a state matrix.
+func cloneStates(src [][]logic.Val) [][]logic.Val {
+	dst := make([][]logic.Val, len(src))
+	for u := range src {
+		row := make([]logic.Val, len(src[u]))
+		copy(row, src[u])
+		dst[u] = row
+	}
+	return dst
 }
 
 func TestCloneStatesIndependent(t *testing.T) {

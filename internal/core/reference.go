@@ -29,7 +29,7 @@ func (s *Simulator) collectPairsRef(f *fault.Fault, bad *seqsim.Trace, nout []in
 			if bad.States[0][i] != logic.X || capReached() {
 				continue
 			}
-			pairs = append(pairs, trivialPair(0, i))
+			pairs = append(pairs, s.trivialPair(0, i))
 		}
 	}
 	for u := 1; u < L; u++ {
@@ -41,7 +41,7 @@ func (s *Simulator) collectPairsRef(f *fault.Fault, bad *seqsim.Trace, nout []in
 				continue
 			}
 			if !s.cfg.UseBackwardImplications {
-				pairs = append(pairs, trivialPair(u, i))
+				pairs = append(pairs, s.trivialPair(u, i))
 				continue
 			}
 			pairs = append(pairs, s.collectOneRef(f, bad, u, i))

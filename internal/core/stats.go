@@ -44,10 +44,6 @@ type PoolStats struct {
 	// frame versus a fresh implic.New.
 	FrameReuses int64 `json:"frame_reuses"`
 	FrameAllocs int64 `json:"frame_allocs"`
-	// SeqReuses/SeqAllocs count expansion sequences recycled from the
-	// slab free list versus freshly allocated.
-	SeqReuses int64 `json:"seq_reuses"`
-	SeqAllocs int64 `json:"seq_allocs"`
 	// TraceReuses/TraceAllocs count faulty-trace acquisitions served by
 	// the pooled RunFaultInto trace versus a fresh NewTrace.
 	TraceReuses int64 `json:"trace_reuses"`
@@ -56,8 +52,8 @@ type PoolStats struct {
 	// arena (entries); SVIdxArenaPeak of the sv-index arena.
 	SVArenaPeak    int64 `json:"sv_arena_peak"`
 	SVIdxArenaPeak int64 `json:"sv_idx_arena_peak"`
-	// SeqLivePeak is the maximum number of expansion sequences alive at
-	// once (the N_STATES budget bounds it from above).
+	// SeqLivePeak is the largest number of sequences one expansion
+	// stood for (below twice the N_STATES budget).
 	SeqLivePeak int64 `json:"seq_live_peak"`
 }
 
@@ -65,8 +61,6 @@ type PoolStats struct {
 func (p *PoolStats) merge(other PoolStats) {
 	p.FrameReuses += other.FrameReuses
 	p.FrameAllocs += other.FrameAllocs
-	p.SeqReuses += other.SeqReuses
-	p.SeqAllocs += other.SeqAllocs
 	p.TraceReuses += other.TraceReuses
 	p.TraceAllocs += other.TraceAllocs
 	p.SVArenaPeak = max64(p.SVArenaPeak, other.SVArenaPeak)
@@ -94,13 +88,11 @@ type runStats struct {
 	motFaults      int64
 	// resimVectorPasses/resimVectorFrames/resimGateEvals count the
 	// bit-parallel resimulation passes, the frames and the gates they
-	// evaluated; resimSerialFallbacks the expansions that exceeded lane
-	// capacity and ran the serial path (see Stages).
-	resimVectorPasses    int64
-	resimVectorFrames    int64
-	resimGateEvals       int64
-	resimSerialFallbacks int64
-	pool                 PoolStats
+	// evaluated (see Stages).
+	resimVectorPasses int64
+	resimVectorFrames int64
+	resimGateEvals    int64
+	pool              PoolStats
 }
 
 // stageField selects the accumulator tick targets.
@@ -160,7 +152,7 @@ type RunMetrics struct {
 	ConeGatesPerFault *metrics.Histogram
 	// ResimLanesPerPass is the distribution of lane occupancy (sequences
 	// packed per word) over bit-parallel resimulation passes — how full
-	// the 256-lane words run in practice. Empty when
+	// the 64-lane words run in practice. Empty when
 	// Config.BitParallelResim is off.
 	ResimLanesPerPass *metrics.Histogram
 	// EventsPerFrame is the distribution of node value changes (events)
@@ -246,7 +238,6 @@ func (st *Stages) mergeStats(rs *runStats) {
 	st.ResimVectorPasses += rs.resimVectorPasses
 	st.ResimVectorFrames += rs.resimVectorFrames
 	st.ResimGateEvals += rs.resimGateEvals
-	st.ResimSerialFallbacks += rs.resimSerialFallbacks
 	st.MOTFaults += int(rs.motFaults)
 	st.Pool.merge(rs.pool)
 }

@@ -29,10 +29,9 @@ func statsSetup(t *testing.T) (*netlist.Circuit, seqsim.Sequence, []fault.Fault)
 // poolSums reduces PoolStats to its scheduling-invariant view: the
 // alloc/reuse split shifts with the worker count (each worker allocates
 // its own first frame) but the sums and the per-fault peaks do not.
-func poolSums(p PoolStats) [6]int64 {
-	return [6]int64{
+func poolSums(p PoolStats) [5]int64 {
+	return [5]int64{
 		p.FrameReuses + p.FrameAllocs,
-		p.SeqReuses + p.SeqAllocs,
 		p.TraceReuses + p.TraceAllocs,
 		p.SVArenaPeak,
 		p.SVIdxArenaPeak,

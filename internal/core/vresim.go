@@ -6,22 +6,32 @@ package core
 // evaluations. The expanded sequences of one fault differ only in a
 // handful of injected state-variable values, so almost all of that work
 // is redundant across sequences. Here every sequence rides one lane of
-// a 256-lane cir.VV4 word: lane k carries sequence k's state values,
-// and one vector pass evaluates every sequence at once. Per-lane bit
-// masks replace the serial per-sequence control flow (marked time
-// units, detection, infeasibility conflicts), with semantics proved
+// a 64-bit cir.VV word: lane l carries sequence l's state values, and
+// one vector pass evaluates 64 sequences at once. Per-lane bit masks
+// replace the serial per-sequence control flow (marked time units,
+// detection, infeasibility conflicts), with semantics proved
 // lane-for-lane identical to the serial path and asserted so by the
-// cross-check tests.
+// cross-check tests. Expansions of more than 64 sequences run as
+// 64-lane chunks, one pass each: every mask is per lane, so a lane's
+// outcome does not depend on the chunk it rides, and the fault stays
+// undetected at the first chunk that leaves a lane unresolved.
+//
+// The sequences are never materialized. expand returns the base
+// sequence s0 and the phase-2 steps; lane l takes side bit
+// steps-1-k of l at step k (expansion). Within a 64-lane chunk that
+// side is a fixed bit pattern for the six lowest bits and constant
+// otherwise, so packing costs one mask operation per assigned cell:
+// the step 3 check guarantees the cell is X in s0 and written by no
+// other step.
 //
 // The pass costs what the lanes diverge, not what the circuit holds.
-// Every lane is a refinement of the retained faulty trace: packing
-// starts each lane at bad.States, expansion assigns only unspecified
-// state variables, and resimulation refines only unspecified ones.
-// Packed lane state is therefore kept only for the flip-flops that can
-// diverge from the trace: the ones the expansion assigned (seedFFs),
-// plus a column created the first time the next-state step refines a
-// flip-flop that has none. Every other flip-flop holds bad.States on
-// every lane.
+// Every lane is a refinement of the retained faulty trace: s0 starts
+// from bad.States, expansion assigns only unspecified state variables,
+// and resimulation refines only unspecified ones. Packed lane state is
+// therefore kept only for the flip-flops that can diverge from the
+// trace: the ones the expansion assigned (its seeds), plus a column
+// created the first time the next-state step refines a flip-flop that
+// has none. Every other flip-flop holds bad.States on every lane.
 //
 // Each frame evaluates event-driven (cir.LaneEval) as a sparse overlay
 // on bad.Nodes[u]: it seeds the column Q nodes, and only those whose
@@ -46,29 +56,22 @@ import (
 	"repro/internal/seqsim"
 )
 
-// laneMask is a 256-lane membership mask, one bit per packed sequence,
-// mirroring the VV4 word layout.
-type laneMask [4]uint64
-
 // ResimTrace summarizes the resimulation passes of one fault for the
-// JSONL trace: how many expansions resimulated bit-parallel, the frames
-// those vector passes evaluated and the gates they evaluated, the lanes
-// they packed (summed over passes — the portfolio retry adds a second
-// pass), and how many expansions exceeded the 256-lane word and fell
-// back to the serial path. All fields are deterministic for a given
-// configuration.
+// JSONL trace: how many 64-lane vector passes ran, the frames those
+// passes evaluated and the gates they evaluated, and the lanes they
+// packed (summed over passes — the portfolio retry adds a second
+// pass, and an expansion of more than 64 sequences one per chunk). All
+// fields are deterministic for a given configuration.
 type ResimTrace struct {
-	VectorPasses    int `json:"resim_vector_passes,omitempty"`
-	VectorFrames    int `json:"resim_vector_frames,omitempty"`
-	GateEvals       int `json:"resim_gate_evals,omitempty"`
-	Lanes           int `json:"resim_lanes,omitempty"`
-	SerialFallbacks int `json:"resim_serial_fallbacks,omitempty"`
+	VectorPasses int `json:"resim_vector_passes,omitempty"`
+	VectorFrames int `json:"resim_vector_frames,omitempty"`
+	GateEvals    int `json:"resim_gate_evals,omitempty"`
+	Lanes        int `json:"resim_lanes,omitempty"`
 }
 
 // seedReset starts a new epoch of the expansion's assignment sets: the
 // expansion-assigned state variables (the initial lane columns) and the
-// (u, j) cells phase 2 assigned (the step 3 check). expand calls it
-// once per invocation.
+// (u, j) cells phase 2 assigned (the step 3 check).
 func (s *Simulator) seedReset() {
 	p := &s.pools
 	if nff := s.c.NumFFs(); len(p.seedStamp) != nff {
@@ -82,14 +85,13 @@ func (s *Simulator) seedReset() {
 		clear(p.assignStamp)
 		p.seedGen = 1
 	}
-	p.seedFFs = p.seedFFs[:0]
 }
 
-// seedAdd records state variable j as assigned by the current expand.
-func (s *Simulator) seedAdd(j int) {
+// seedAdd records state variable j as assigned by expansion x.
+func (s *Simulator) seedAdd(x *expansion, j int) {
 	if s.pools.seedStamp[j] != s.pools.seedGen {
 		s.pools.seedStamp[j] = s.pools.seedGen
-		s.pools.seedFFs = append(s.pools.seedFFs, int32(j))
+		x.seeds = append(x.seeds, int32(j))
 	}
 }
 
@@ -97,12 +99,12 @@ func (s *Simulator) seedAdd(j int) {
 // flip-flops whose lanes can diverge from the base trace: column c holds
 // flip-flop ffs[c]'s L+1 rows, carved from one slab in creation order.
 // The slab has room for every flip-flop, so it is allocated once per
-// simulator. Only the first nw words of a cell are live.
+// simulator.
 type laneCols struct {
 	col  []int32 // col[j]: flip-flop j's column, or -1
 	ffs  []int32
 	rows int
-	slab []cir.VV4
+	slab []cir.VV
 	// dffs is per-frame scratch: the touched D nodes' flip-flops.
 	dffs []int32
 }
@@ -116,7 +118,7 @@ func (lc *laneCols) reset(nff, rows int) {
 			lc.col[j] = -1
 		}
 		lc.rows = rows
-		lc.slab = make([]cir.VV4, 0, nff*rows)
+		lc.slab = make([]cir.VV, 0, nff*rows)
 	} else {
 		for _, j := range lc.ffs {
 			lc.col[j] = -1
@@ -127,118 +129,137 @@ func (lc *laneCols) reset(nff, rows int) {
 }
 
 // add creates flip-flop j's column and fills rows [from, rows) of it
-// with the base trace values states[u][j] on the nw live words. Rows
-// below from are left unspecified; the caller never reads them.
-func (lc *laneCols) add(j int32, states [][]logic.Val, from, nw int) int32 {
+// with states[u][j] on every lane. Rows below from are left
+// unspecified; the caller never reads them.
+func (lc *laneCols) add(j int32, states [][]logic.Val, from int) int32 {
 	c := int32(len(lc.ffs))
 	lc.col[j] = c
 	lc.ffs = append(lc.ffs, j)
 	n := len(lc.slab)
 	lc.slab = lc.slab[:n+lc.rows]
 	for u := from; u < lc.rows; u++ {
-		b, cell := cir.LaneBroadcast(states[u][j]), &lc.slab[n+u]
-		for w := 0; w < nw; w++ {
-			cell.One[w], cell.Zero[w] = b.One[w], b.Zero[w]
-		}
+		lc.slab[n+u] = cir.Broadcast(states[u][j])
 	}
 	return c
 }
 
 // cell returns column c's row u.
-func (lc *laneCols) cell(c int32, u int) *cir.VV4 { return &lc.slab[int(c)*lc.rows+u] }
+func (lc *laneCols) cell(c int32, u int) *cir.VV { return &lc.slab[int(c)*lc.rows+u] }
+
+// laneBit[b] has bit l set exactly when bit b of l is, for l in [0, 64):
+// the lanes of a 64-lane chunk that take side 1 at a step decided by
+// lane bit b.
+var laneBit = [6]uint64{
+	0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+	0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000,
+}
+
+// pack loads the lane columns of the chunk of lanes [lo, lo+64) masked
+// by all: every seed column starts as s0's value on every lane, and
+// each step sets its assignments on the lanes that take that side.
+func (lc *laneCols) pack(x *expansion, lo int, all uint64) {
+	for _, j := range x.seeds {
+		lc.add(j, x.s0, 0)
+	}
+	for k, st := range x.steps {
+		var side1 uint64
+		if b := len(x.steps) - 1 - k; b < len(laneBit) {
+			side1 = laneBit[b]
+		} else if lo>>b&1 == 1 {
+			side1 = ^uint64(0)
+		}
+		side := [2]uint64{all &^ side1, all & side1}
+		for a := range st.extra {
+			for _, e := range st.extra[a] {
+				cell := lc.cell(lc.col[e.j], st.u)
+				if e.v == logic.One {
+					cell.One |= side[a]
+				} else {
+					cell.Zero |= side[a]
+				}
+			}
+		}
+	}
+}
 
 // vresimScratch returns the lane evaluator, the lane columns and the
 // (L+1) per-frame lane-mark masks. None need clearing: the columns are
-// reset per pass, every mask is fully initialized by the pack stage,
-// and the evaluator's overlay is epoch-stamped.
-func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows []laneMask) {
+// reset per pass, every mask is initialized by the pass, and the
+// evaluator's overlay is epoch-stamped.
+func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows []uint64) {
 	rows := len(s.T) + 1
 	if s.cfg.Reference {
-		return s.cc.NewLaneEval(), &laneCols{}, make([]laneMask, rows)
+		return s.cc.NewLaneEval(), &laneCols{}, make([]uint64, rows)
 	}
 	p := &s.pools
 	if p.lanes == nil {
 		p.lanes = s.cc.NewLaneEval()
 	}
 	if cap(p.vvMarks) < rows {
-		p.vvMarks = make([]laneMask, rows)
+		p.vvMarks = make([]uint64, rows)
 	}
 	return p.lanes, &p.laneCols, p.vvMarks[:rows]
 }
 
 // resimulateVV is the bit-parallel implementation of resimulate: every
-// sequence occupies one lane, and each frame evaluates the lanes'
-// divergence from the base trace once for all sequences. Caller
-// guarantees len(seqs) <= 256, that bad retains node values, and that
-// seqs came from the immediately preceding expand call (whose assigned
-// state variables, still in pools.seedFFs, are the initial columns).
-func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
+// sequence of expansion x occupies one lane, and each frame of a pass
+// evaluates the divergence of 64 lanes from the base trace at once. It
+// returns false at the first 64-lane chunk that leaves a lane
+// unresolved. Caller guarantees that bad retains node values and is
+// the trace x expanded from.
+func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
+	ev, lc, markRows := s.vresimScratch()
+	n := x.lanes()
+	resolved := true
+	for lo := 0; lo < n && resolved; lo += 64 {
+		all := ^uint64(0)
+		if n-lo < 64 {
+			all = 1<<uint(n-lo) - 1
+		}
+		var frames, gateEvals int
+		resolved, frames, gateEvals = s.resimPass(f, bad, x, lo, all, ev, lc, markRows)
+		if st := s.stats; st != nil {
+			st.resimVectorPasses++
+			st.resimVectorFrames += int64(frames)
+			st.resimGateEvals += int64(gateEvals)
+		}
+		if s.hist != nil {
+			s.hist.ResimLanesPerPass.Observe(int64(min(n-lo, 64)))
+		}
+		s.lastResim.VectorPasses++
+		s.lastResim.VectorFrames += frames
+		s.lastResim.GateEvals += gateEvals
+		s.lastResim.Lanes += min(n-lo, 64)
+	}
+	return resolved
+}
+
+// resimPass resimulates the lanes all of the 64-lane chunk starting at
+// lane lo and reports whether every one resolved, with the frames and
+// gates it evaluated.
+func (s *Simulator) resimPass(f *fault.Fault, bad *seqsim.Trace, x *expansion, lo int, all uint64,
+	ev *cir.LaneEval, lc *laneCols, markRows []uint64) (ok bool, frames, gateEvals int) {
 	cc := s.cc
 	L := len(s.T)
-	n := len(seqs)
-	ev, lc, markRows := s.vresimScratch()
 
-	// all marks the occupied lanes. Only the first nw words hold any —
-	// the default NStates cap of 64 fills exactly one — so every plane
-	// loop below runs to nw, not 4. Words at and above nw hold stale
-	// garbage from earlier passes; they are never read, because every
-	// mask is a subset of all, which is zero there.
-	const allBits = ^uint64(0)
-	nw := (n + 63) >> 6
-	var all laneMask
-	for w := 0; w < 4; w++ {
-		switch {
-		case n >= (w+1)*64:
-			all[w] = allBits
-		case n > w*64:
-			all[w] = 1<<uint(n-w*64) - 1
-		}
-	}
-
-	// Pack. Every lane starts as the shared base (bad) trace; sequences
-	// diverge from it only at marked time units on expansion-assigned
-	// state variables (expand marks every unit it writes), so only those
-	// cells are scanned for per-lane diffs. The serial path's
-	// per-sequence copy of baseMarks becomes an all-lanes mask per
-	// marked unit.
+	// Pack. Every lane starts as s0, and the serial path's per-sequence
+	// copy of the marks becomes an all-lanes mask per marked unit.
 	lc.reset(cc.NumFFs(), L+1)
-	for _, j := range s.pools.seedFFs {
-		lc.add(j, bad.States, 0, nw)
-	}
+	lc.pack(x, lo, all)
 	for u := 0; u <= L; u++ {
-		if baseMarks[u] {
+		markRows[u] = 0
+		if x.marks[u] {
 			markRows[u] = all
-		} else {
-			markRows[u] = laneMask{}
-		}
-	}
-	for k, sq := range seqs {
-		for u := 0; u < L; u++ {
-			if !baseMarks[u] {
-				continue
-			}
-			row, badRow := sq.states[u], bad.States[u]
-			for c, j := range lc.ffs {
-				if v := row[j]; v != badRow[j] {
-					lc.cell(int32(c), u).SetLane(uint(k), v)
-				}
-			}
 		}
 	}
 
 	stem := f.IsStem()
-	stuck := cir.Broadcast4(f.Stuck)
-	ev.BeginPass(f, nw)
-	var resolvedM laneMask
-	frames, gateEvals := 0, 0
-	for u := 0; u < L && resolvedM != all; u++ {
-		var active laneMask
-		anyActive := uint64(0)
-		for w := 0; w < nw; w++ {
-			active[w] = markRows[u][w] &^ resolvedM[w]
-			anyActive |= active[w]
-		}
-		if anyActive == 0 {
+	stuck := cir.Broadcast(f.Stuck)
+	ev.BeginPass(f)
+	var resolved uint64
+	for u := 0; u < L && resolved != all; u++ {
+		active := markRows[u] &^ resolved
+		if active == 0 {
 			continue
 		}
 		frames++
@@ -248,7 +269,7 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		// events), then evaluate the gates their values reach.
 		ev.BeginFrame(bad.Nodes[u], active)
 		for c, j := range lc.ffs {
-			ev.Seed(cc.FFQ[j], lc.cell(int32(c), u))
+			ev.Seed(cc.FFQ[j], *lc.cell(int32(c), u))
 		}
 		gateEvals += ev.Drain()
 		touched := ev.Touched()
@@ -256,35 +277,24 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		// Detections: a lane whose binary output value contradicts a
 		// binary fault-free response resolves, exactly the serial scan.
 		// Only touched outputs can differ from the (undetecting) trace.
-		var det laneMask
+		var det uint64
 		goodOuts := s.good.Outputs[u]
 		for _, id := range touched {
 			oj := cc.OutPos[id]
 			if oj < 0 {
 				continue
 			}
-			g := goodOuts[oj]
-			if !g.IsBinary() {
-				continue
-			}
-			v := ev.Value(id)
-			mism := &v.One
-			if g == logic.One {
-				mism = &v.Zero
-			}
-			for w := 0; w < nw; w++ {
-				det[w] |= mism[w]
+			switch goodOuts[oj] {
+			case logic.Zero:
+				det |= ev.Value(id).One
+			case logic.One:
+				det |= ev.Value(id).Zero
 			}
 		}
-		var act laneMask
-		anyAct := uint64(0)
-		for w := 0; w < nw; w++ {
-			det[w] &= active[w]
-			resolvedM[w] |= det[w]
-			act[w] = active[w] &^ det[w]
-			anyAct |= act[w]
-		}
-		if anyAct == 0 {
+		det &= active
+		resolved |= det
+		act := active &^ det
+		if act == 0 {
 			// Every active lane detected this frame; the serial path
 			// breaks out before the next-state step, so do we.
 			continue
@@ -307,57 +317,33 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, seqs []*sequ
 		}
 		slices.Sort(dffs)
 		lc.dffs = dffs
-		nextMarks := &markRows[u+1]
 		for _, j := range dffs {
 			v := ev.Value(cc.FFD[j])
 			if stem && cc.FFQ[j] == f.Node {
 				// The stem fault holds this flip-flop's observed next
 				// state at the stuck value (fault.Observed).
-				v = &stuck
+				v = stuck
 			}
 			c := lc.col[j]
-			var tmp cir.VV4
-			cell := &tmp
+			next := cir.Broadcast(bad.States[u+1][j])
 			if c >= 0 {
-				cell = lc.cell(c, u+1)
-			} else {
-				tmp = *cir.LaneBroadcast(bad.States[u+1][j])
+				next = *lc.cell(c, u+1)
 			}
-			refined := uint64(0)
-			for w := 0; w < nw; w++ {
-				a := act[w]
-				if a == 0 {
-					continue
+			conflict := (v.One&next.Zero | v.Zero&next.One) & act
+			if refine := (v.One | v.Zero) &^ (next.One | next.Zero) & act; refine != 0 {
+				if c < 0 {
+					c = lc.add(j, bad.States, u+1)
 				}
-				one, zero := v.One[w], v.Zero[w]
-				nOne, nZero := cell.One[w], cell.Zero[w]
-				conflict := (one&nZero | zero&nOne) & a
-				refine := (one | zero) &^ (nOne | nZero) & a
-				cell.One[w] = nOne | one&refine
-				cell.Zero[w] = nZero | zero&refine
-				nextMarks[w] |= refine
-				refined |= refine
-				resolvedM[w] |= conflict
-				act[w] = a &^ conflict
+				cell := lc.cell(c, u+1)
+				cell.One |= v.One & refine
+				cell.Zero |= v.Zero & refine
+				markRows[u+1] |= refine
 			}
-			if c < 0 && refined != 0 {
-				c = lc.add(j, bad.States, u+2, nw)
-				*lc.cell(c, u+1) = tmp
+			resolved |= conflict
+			if act &^= conflict; act == 0 {
+				break
 			}
 		}
 	}
-
-	if st := s.stats; st != nil {
-		st.resimVectorPasses++
-		st.resimVectorFrames += int64(frames)
-		st.resimGateEvals += int64(gateEvals)
-	}
-	if s.hist != nil {
-		s.hist.ResimLanesPerPass.Observe(int64(n))
-	}
-	s.lastResim.VectorPasses++
-	s.lastResim.VectorFrames += frames
-	s.lastResim.GateEvals += gateEvals
-	s.lastResim.Lanes += n
-	return resolvedM == all
+	return resolved == all, frames, gateEvals
 }

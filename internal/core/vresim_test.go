@@ -105,10 +105,11 @@ func TestBPResimCrossCheckLongList(t *testing.T) {
 }
 
 // TestBPResimCrossCheckSuite runs collapsed suite lists past the tiny
-// circuits: schedules span several bitmap words, NStates 200 packs more
-// than one 64-lane word per pass, and the [4] baseline (backward
-// implications off) exercises the retained faulty-trace rows the
-// vector pass reads as its overlay baseline.
+// circuits: schedules span several bitmap words, NStates 200 runs up to
+// four 64-lane passes per expansion and NStates 512 eight, past the old
+// 256-lane word, and the [4] baseline (backward implications off)
+// exercises the retained faulty-trace rows the vector pass reads as its
+// overlay baseline.
 func TestBPResimCrossCheckSuite(t *testing.T) {
 	for _, name := range []string{"sg298", "sg641"} {
 		e, err := circuits.SuiteEntryByName(name)
@@ -118,7 +119,7 @@ func TestBPResimCrossCheckSuite(t *testing.T) {
 		c := e.Build()
 		faults := fault.CollapsedList(c)
 		T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
-		for _, nstates := range []int{64, 200} {
+		for _, nstates := range []int{64, 200, 512} {
 			for _, bi := range []bool{true, false} {
 				t.Run(fmt.Sprintf("%s/nstates%d/bi=%v", name, nstates, bi), func(t *testing.T) {
 					cfg := DefaultConfig()
@@ -177,11 +178,14 @@ o2 = AND(a, q2)
 o3 = OR(q1, q2)
 `
 
-// FuzzResimCrossCheck drives hand-built divergent expansion sets
-// through both resimulation paths and asserts they agree. The fuzz
-// input is decoded as (time unit, state variable, value) triples under
-// the expand invariants: assignments are binary, land at time units
-// below L, and mark the unit they write.
+// FuzzResimCrossCheck drives hand-built divergent expansions through
+// both resimulation paths and asserts they agree. The fuzz input is
+// decoded under the expand invariants: data[0] picks up to three steps,
+// then (time unit, state variable, value) triples go round-robin to s0
+// and the steps. An s0 triple assigns a binary value at a time unit
+// below L (phase 1); a step takes the time unit of its first triple and
+// assigns its side (bit 1 of the value byte) only cells that are X in
+// s0 and unwritten by other steps. Every written unit is marked.
 func FuzzResimCrossCheck(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 0, 0, 1})
@@ -211,21 +215,47 @@ func FuzzResimCrossCheck(f *testing.F) {
 			t.Fatal(err)
 		}
 		nFF := c.NumFFs()
-		n := 1 + int(data[0])%4
+		nsteps := int(data[0]) % 4
 		data = data[1:]
-		seqs := make([]*sequence, n)
-		for k := range seqs {
-			seqs[k] = &sequence{states: cloneStates(bad.States)}
-		}
-		marks := make([]bool, L+1)
+		x := handExpansion(bad)
+		// s0 triples first: a step may write only cells X in the final s0.
 		for i := 0; i+2 < len(data); i += 3 {
-			u := int(data[i]) % L
-			j := int(data[i+1]) % nFF
-			v := logic.FromBool(data[i+2]%2 == 1)
-			sq := seqs[(i/3)%n]
-			sq.states[u][j] = v
-			marks[u] = true
+			if (i/3)%(nsteps+1) == 0 {
+				u := int(data[i]) % L
+				x.s0[u][int(data[i+1])%nFF] = logic.FromBool(data[i+2]%2 == 1)
+				x.marks[u] = true
+			}
 		}
-		testResimulate(t, s, &fl, bad, seqs, marks)
+		x.steps = make([]expStep, nsteps)
+		started := make([]bool, nsteps)
+		written := map[[2]int]int{} // (u, j) -> step
+		for i := 0; i+2 < len(data); i += 3 {
+			k := (i/3)%(nsteps+1) - 1
+			if k < 0 {
+				continue
+			}
+			st := &x.steps[k]
+			if !started[k] {
+				started[k], st.u = true, int(data[i])%L
+			}
+			j, side := int(data[i+1])%nFF, int(data[i+2]>>1)&1
+			v := logic.FromBool(data[i+2]%2 == 1)
+			cell := [2]int{st.u, j}
+			if w, ok := written[cell]; x.s0[st.u][j] != logic.X || (ok && w != k) {
+				continue
+			}
+			dup := false
+			for _, e := range st.extra[side] {
+				dup = dup || e.j == j
+			}
+			if !dup {
+				written[cell] = k
+				st.extra[side] = append(st.extra[side], svAssign{j: j, v: v})
+			}
+		}
+		for _, st := range x.steps {
+			x.marks[st.u] = true
+		}
+		testResimulate(t, s, &fl, bad, x)
 	})
 }

@@ -199,8 +199,8 @@ func FormatRunStats(res *core.Result) string {
 			sim.DeltaFrames, sim.DeltaGateEvals, sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
 	}
 	if p := st.Pool; p != (core.PoolStats{}) {
-		fmt.Fprintf(&sb, "  pools: frames %d reused / %d allocated; seqs %d reused / %d allocated; traces %d reused / %d allocated\n",
-			p.FrameReuses, p.FrameAllocs, p.SeqReuses, p.SeqAllocs, p.TraceReuses, p.TraceAllocs)
+		fmt.Fprintf(&sb, "  pools: frames %d reused / %d allocated; traces %d reused / %d allocated\n",
+			p.FrameReuses, p.FrameAllocs, p.TraceReuses, p.TraceAllocs)
 		fmt.Fprintf(&sb, "  arena peaks: sv=%d svIdx=%d liveSeqs=%d\n",
 			p.SVArenaPeak, p.SVIdxArenaPeak, p.SeqLivePeak)
 	}

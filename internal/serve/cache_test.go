@@ -164,11 +164,15 @@ obs = BUFF(q)
 // TestServerMaxRunsConcurrentSubmit is the regression test for the
 // registry-cap race: the capacity check and the insert used to happen
 // under separate lock acquisitions, so a burst of concurrent
-// submissions could all pass the check and overfill the registry. With
-// the single critical section exactly MaxRuns submissions are accepted.
+// submissions could all pass the check and overfill the registry. The
+// test holds the only execution slot, so every accepted run stays
+// queued and none can be evicted to make room: with the single critical
+// section exactly MaxRuns submissions are accepted.
 func TestServerMaxRunsConcurrentSubmit(t *testing.T) {
 	const maxRuns = 4
 	s, ts := serverWith(t, Config{MaxConcurrent: 1, MaxRuns: maxRuns})
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
 
 	const submitters = 32
 	codes := make([]int, submitters)

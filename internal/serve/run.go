@@ -153,7 +153,8 @@ type RunStatus struct {
 // Request bounds: a POST /runs above either is refused with 400 before
 // any work starts. MaxPatterns caps the test sequence, random or inline
 // vectors; MaxNStates caps the expansion budget, which expansion fills
-// by doubling its sequences, each a copy of the per-frame state. Workers
+// by doubling its sequences, each resimulated on a lane (one vector
+// pass per 64 sequences). Workers
 // above runtime.NumCPU() are clamped to it instead: outcomes do not
 // depend on the worker count.
 const (
@@ -441,6 +442,13 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 	}
 	r.event("status", fin)
 	r.events.close()
+}
+
+// ended reports whether the run has finished: done, failed or canceled.
+func (r *Run) ended() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.status == StatusDone || r.status == StatusFailed || r.status == StatusCanceled
 }
 
 // release drops the run's working set once it has ended: nothing reads

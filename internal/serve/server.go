@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,9 +23,12 @@ type Config struct {
 	// MaxConcurrent bounds simultaneously executing runs; further
 	// submissions queue. Zero means 1.
 	MaxConcurrent int
-	// MaxRuns caps the registry size (runs are retained after finishing
-	// so their counters stay scrapeable); submissions beyond the cap are
-	// rejected with 503. Zero means 64.
+	// MaxRuns caps the registry size. Finished runs (done, failed or
+	// canceled) stay registered until a submission finds the registry
+	// full; then the oldest finished runs are evicted, their counters
+	// folded into the server's retired totals. A submission is rejected
+	// with 503 only when every slot holds a queued or running run. Zero
+	// means 64.
 	MaxRuns int
 	// CacheBytes is the byte budget of the cross-run memoization cache
 	// (compiled circuits and fault-free traces, keyed by request
@@ -73,6 +77,10 @@ type Server struct {
 	nextID int
 	closed bool
 	wg     sync.WaitGroup
+	// retired and retiredSpans hold the final live snapshots and span
+	// stats of the evicted runs, so the summed counters stay monotonic.
+	retired      core.LiveSnapshot
+	retiredSpans xtrace.Stats
 
 	httpRequests *metrics.Counter
 
@@ -89,9 +97,10 @@ type Server struct {
 }
 
 // NewServer builds a server and registers its metrics: every core
-// live-snapshot counter summed across all registered runs (monotonic —
-// runs are never removed, only canceled), the per-fault histograms of
-// the most recently started run, and server-level gauges.
+// live-snapshot counter summed across all registered and evicted runs
+// (monotonic — an evicted run's final counters are retired, not
+// dropped), the per-fault histograms of the most recently started run,
+// and server-level gauges.
 func NewServer(cfg Config) *Server {
 	if cfg.MaxConcurrent <= 0 {
 		cfg.MaxConcurrent = 1
@@ -187,13 +196,15 @@ func httpLatencyBounds() []int64 { return metrics.ExpBounds(1<<16, 4, 12) }
 // the plausible span of whole-run wall times.
 func runLatencyBounds() []int64 { return metrics.ExpBounds(1e6, 4, 13) }
 
-// spanStats sums span accounting over the HTTP tracer and every run
-// tracer. Runs are never removed from the registry, so both sums are
+// spanStats sums span accounting over the HTTP tracer, every run
+// tracer and the evicted runs' retired stats, so both sums are
 // monotonic and sound to scrape as counters.
 func (s *Server) spanStats() xtrace.Stats {
 	sum := s.tracer.Stats()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sum.Spans += s.retiredSpans.Spans
+	sum.Dropped += s.retiredSpans.Dropped
 	for _, r := range s.runs {
 		st := r.tracer.Stats()
 		sum.Spans += st.Spans
@@ -206,13 +217,14 @@ func (s *Server) spanStats() xtrace.Stats {
 // embedding extra metrics).
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// liveSnapshot sums the per-run snapshots. Each run's snapshot is
-// monotonic and runs are never removed from the registry, so every
-// summed field is monotonic too — sound to scrape as counters.
+// liveSnapshot sums the per-run snapshots and the retired ones. Each
+// run's snapshot is monotonic and an evicted run's final snapshot is
+// retired under the same lock, so every summed field is monotonic too —
+// sound to scrape as counters.
 func (s *Server) liveSnapshot() core.LiveSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var sum core.LiveSnapshot
+	sum := s.retired
 	for _, r := range s.runs {
 		sum = addSnapshots(sum, r.live.Snapshot())
 	}
@@ -355,9 +367,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	run.cancel = cancel
 
 	// One critical section checks the shutdown flag, re-checks the
-	// registry cap, and reserves the slot (ID + map insert). Splitting
-	// the cap check from the insert would let concurrent submissions
-	// all pass the check and overfill the registry.
+	// registry cap (evicting finished runs to make room), and reserves
+	// the slot (ID + map insert). Splitting the cap check from the
+	// insert would let concurrent submissions all pass the check and
+	// overfill the registry.
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -365,11 +378,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, fmt.Errorf("server shutting down"))
 		return
 	}
-	if len(s.runs) >= s.cfg.MaxRuns {
+	if len(s.runs) >= s.cfg.MaxRuns && s.evictFinished(len(s.runs)-s.cfg.MaxRuns+1) == 0 {
 		s.mu.Unlock()
 		cancel()
 		httpError(w, http.StatusServiceUnavailable,
-			fmt.Errorf("run registry full (%d runs)", s.cfg.MaxRuns))
+			fmt.Errorf("run registry full (%d queued or running runs)", s.cfg.MaxRuns))
 		return
 	}
 	s.nextID++
@@ -438,7 +451,35 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, run.Status())
 }
 
-// handleList is GET /runs: all runs in creation order.
+// evictFinished removes up to n of the oldest finished runs (done,
+// failed or canceled) from the registry and returns how many it
+// removed. Each run's final live snapshot and span stats are folded
+// into the retired totals first. Called with s.mu held.
+func (s *Server) evictFinished(n int) int {
+	evicted := 0
+	kept := s.order[:0]
+	for _, id := range s.order {
+		r := s.runs[id]
+		if evicted == n || !r.ended() {
+			kept = append(kept, id)
+			continue
+		}
+		s.retired = addSnapshots(s.retired, r.live.Snapshot())
+		st := r.tracer.Stats()
+		s.retiredSpans.Spans += st.Spans
+		s.retiredSpans.Dropped += st.Dropped
+		delete(s.runs, id)
+		evicted++
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
+	return evicted
+}
+
+// handleList is GET /runs: all runs in creation order, as
+// {"runs": [...]}. The list grows with the registry (a finished run's
+// status carries its report), so it is streamed one compact status at
+// a time instead of being marshaled, indented, as one value in memory.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	runs := make([]*Run, 0, len(s.order))
@@ -446,11 +487,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		runs = append(runs, s.runs[id])
 	}
 	s.mu.Unlock()
-	out := make([]RunStatus, len(runs))
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	bw := bufio.NewWriter(w)
+	enc := json.NewEncoder(bw)
+	bw.WriteString(`{"runs":[`)
 	for i, run := range runs {
-		out[i] = run.Status()
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		_ = enc.Encode(run.Status())
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"runs": out})
+	bw.WriteString("]}\n")
+	_ = bw.Flush()
 }
 
 // lookup fetches a run by the {id} path value, or writes 404.
@@ -473,8 +522,8 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleDelete is DELETE /runs/{id}: cancel the run. The run stays
-// registered (status canceled) so the aggregate counters stay
-// monotonic; deleting a finished run is a no-op cancel.
+// registered (status canceled) until evicted to make room; deleting a
+// finished run is a no-op cancel.
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	run := s.lookup(w, r)
 	if run == nil {

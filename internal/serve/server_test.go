@@ -558,3 +558,48 @@ func TestRunTelemetryFinalScrape(t *testing.T) {
 }
 
 func boolPtr(b bool) *bool { return &b }
+
+// TestServerRegistryEvictsFinished is the regression test for the
+// registry wall: finished runs used to stay registered forever, so a
+// server answered 503 to every submission after its MaxRuns-th. Now a
+// full registry evicts its oldest finished runs: 3×MaxRuns sequential
+// runs are all accepted, every /metrics counter stays monotonic across
+// the evictions, and an evicted run's ID answers 404.
+func TestServerRegistryEvictsFinished(t *testing.T) {
+	const maxRuns = 4
+	s, ts := serverWith(t, Config{MaxConcurrent: 1, MaxRuns: maxRuns})
+	var ids []string
+	prev := scrape(t, ts)
+	for i := 0; i < 3*maxRuns; i++ {
+		st := postRun(t, ts, RunRequest{Circuit: "s27", Random: 8, Seed: int64(i + 1), Workers: 1})
+		if got := waitDone(t, ts, st.ID); got.Status != StatusDone {
+			t.Fatalf("run %d (%s) ended %s: %s", i, st.ID, got.Status, got.Error)
+		}
+		ids = append(ids, st.ID)
+		cur := scrape(t, ts)
+		for name, v := range prev {
+			if strings.HasSuffix(name, "_total") && cur[name] < v {
+				t.Fatalf("after run %d: counter %s fell %v -> %v", i, name, v, cur[name])
+			}
+		}
+		prev = cur
+	}
+	if got := prev["motserve_runs_started_total"]; got != 3*maxRuns {
+		t.Errorf("motserve_runs_started_total = %v, want %d", got, 3*maxRuns)
+	}
+	s.mu.Lock()
+	n := len(s.runs)
+	s.mu.Unlock()
+	if n > maxRuns {
+		t.Errorf("registry holds %d runs, cap %d", n, maxRuns)
+	}
+	resp, err := http.Get(ts.URL + "/runs/" + ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET evicted run %s = %d, want 404", ids[0], resp.StatusCode)
+	}
+	getStatus(t, ts, ids[len(ids)-1]) // the newest run is still registered
+}

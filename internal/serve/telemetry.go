@@ -69,7 +69,7 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorFrames }},
 	{"resim_gate_evals_total", "Gates evaluated by bit-parallel resimulation.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimGateEvals }},
-	{"resim_serial_fallbacks_total", "Expansions that exceeded lane capacity and resimulated serially.", false,
+	{"resim_serial_fallbacks_total", "Always 0: every expansion resimulates bit-parallel, in 64-lane passes.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimSerialFallbacks }},
 	{"delta_frames_total", "Event-driven (delta) frames simulated by the serial engine.", false,
 		func(s core.LiveSnapshot) int64 { return s.DeltaFrames }},
