@@ -6,6 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/report"
 )
 
 // goldenTrace regenerates the per-fault JSONL trace `motfsim -circuit
@@ -60,5 +63,45 @@ func TestGoldenTraceParallel(t *testing.T) {
 				t.Fatalf("trace has %d lines, golden has %d", len(gl), len(wl))
 			})
 		}
+	}
+}
+
+// goldenCircuits is the Table 2/3 golden subset: every suite circuit
+// whose proposed and baseline runs finish well under a second together.
+var goldenCircuits = []string{"sg208", "sg298", "sg344", "sg420", "sg641", "sg713", "sg1423"}
+
+// TestGoldenTables regenerates the Table 2 and Table 3 CSV rows of the
+// golden subset at one and four workers and compares them byte for
+// byte with testdata/golden_table2.csv and golden_table3.csv. The rows
+// are deterministic counts (detections, and the Section 3.3 averages),
+// so an engine change that claims identical outputs must keep them.
+// Regenerate a file only for a change meant to alter outcomes; the
+// files are the CSV lines of
+//
+//	go run ./cmd/mottables -table 2 -csv -circuits sg208,sg298,sg344,sg420,sg641,sg713,sg1423
+//
+// (and -table 3) without the title and shape lines.
+func TestGoldenTables(t *testing.T) {
+	want2, err := os.ReadFile(filepath.Join("testdata", "golden_table2.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want3, err := os.ReadFile(filepath.Join("testdata", "golden_table3.csv"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			runs, err := experiments.RunSuite(goldenCircuits, experiments.Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := report.CSVTable2(experiments.Table2Rows(runs)); got != string(want2) {
+				t.Errorf("Table 2 rows differ:\n got %s\nwant %s", got, want2)
+			}
+			if got := report.CSVTable3(experiments.Table3Rows(runs)); got != string(want3) {
+				t.Errorf("Table 3 rows differ:\n got %s\nwant %s", got, want3)
+			}
+		})
 	}
 }
