@@ -1,23 +1,24 @@
 # Verify recipe from ROADMAP.md. `make verify` is the full gate:
-# build + tests + vet + race tests over the parallel, prescreen and
-# pooled-frame paths.
+# build + tests + vet + race tests over the parallel and prescreen
+# paths.
 
 GO ?= go
 
 # Test names covering code that runs concurrently or reuses pooled state:
-# RunParallel scheduling and the golden per-fault traces at 1 and 4
-# workers, the bit-parallel prescreen, the trail/pool cross-checks (pools
-# must be per-worker, never shared), the bit-parallel resimulation
-# cross-checks (per-worker lane evaluators and lane columns), the
-# event-driven evaluator cross-checks (per-worker EventEval scratch and
-# shared schedules), the shared compiled-IR reads in internal/cir,
+# RunParallel scheduling, the golden per-fault traces at 1 and 4 workers
+# and the parallel pool-isolation run (pools must be per-worker, never
+# shared), the bit-parallel prescreen, the reference cross-checks of pair
+# collection and bit-parallel resimulation (per-worker lane evaluators
+# and lane columns), the event-driven evaluator tests (per-worker
+# EventEval scratch and shared schedules), the shared compiled-IR reads
+# in internal/cir,
 # metric registry scrapes under concurrent writers, the serve run
 # registry, the cross-run LRU cache under concurrent submitters, the
 # xtrace span buffers (per-worker writers merging into one tracer while
 # exports/scrapes read it), the rolling-window SLO aggregators
 # (lock-free Observe racing slot rotation and scrapes), and histogram
 # exemplar slots (CAS writers racing exposition reads).
-RACE_PATTERN := Parallel|Prescreen|Pooled|CrossCheck|Server|Span|Event|Window|Exemplar
+RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
 .PHONY: build test vet race perfbench-test verify bench bench-lite bench-collect benchdiff trace
@@ -58,10 +59,11 @@ bench-lite:
 trace:
 	$(GO) run ./cmd/motfsim -circuit sg298 -random 144 -workers 4 -span-trace sg298.trace.json -span-sample 1
 
-# Pair-collection and implication micro-benchmarks: the pooled path
-# (lane passes: CollectPairs, ImplyLanes) against the serial trail frame
-# (ImplyReuse) and the retained allocate-per-pair reference; plus the
-# bit-parallel resimulation kernel (ResimulateVV).
+# Pair-collection and implication micro-benchmarks: the lane passes
+# (CollectPairs, ImplyLanes) against the serial trail frame (ImplyReuse)
+# and a fresh frame per call (ImplyNew); the whole per-fault pipeline
+# (SimulateList); and the bit-parallel resimulation kernel
+# (ResimulateVV).
 bench-collect:
 	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic

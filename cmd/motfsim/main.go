@@ -41,8 +41,6 @@ type runOptions struct {
 	full, list, stats  bool
 	workers            int
 	prescreen          bool
-	bpResim            bool
-	eventSim           bool
 	coneOrder          bool
 	metrics            bool
 	jsonOut            bool
@@ -71,8 +69,6 @@ func main() {
 	flag.BoolVar(&o.stats, "stats", false, "print circuit statistics and exit")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "fault-simulation worker goroutines (must be positive)")
 	flag.BoolVar(&o.prescreen, "prescreen", true, "bit-parallel conventional prescreen before the per-fault MOT pipeline")
-	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (64-lane passes, one per 64 sequences)")
-	flag.BoolVar(&o.eventSim, "event-sim", true, "event-driven sparse-delta faulty-frame evaluation (off: level-order copy-and-propagate)")
 	flag.BoolVar(&o.coneOrder, "cone-order", false, "simulate faults in cone-locality order (deterministic; groups overlapping active cones)")
 	flag.BoolVar(&o.metrics, "metrics", true, "collect the per-stage breakdown and per-fault histograms")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the run summary as JSON instead of text")
@@ -283,8 +279,6 @@ func run(o runOptions) error {
 	}
 	cfg.NStates = max(1, o.nstates)
 	cfg.Prescreen = o.prescreen
-	cfg.BitParallelResim = o.bpResim
-	cfg.EventSim = o.eventSim
 	cfg.Metrics = o.metrics
 	cfg.TraceTimings = o.traceTimings
 	if o.spanTracePath != "" {
@@ -350,10 +344,9 @@ func run(o runOptions) error {
 			res.Stages.PrescreenTime.Round(time.Microsecond),
 			res.Stages.MOTTime.Round(time.Microsecond))
 	}
-	if cfg.BitParallelResim && res.Stages.ResimVectorPasses > 0 {
-		fmt.Fprintf(out, "  resim: %d vector passes over %d frames, %d gate evals (%d serial fallbacks)\n",
-			res.Stages.ResimVectorPasses, res.Stages.ResimVectorFrames,
-			res.Stages.ResimGateEvals, res.Stages.ResimSerialFallbacks)
+	if res.Stages.ResimVectorPasses > 0 {
+		fmt.Fprintf(out, "  resim: %d vector passes over %d frames, %d gate evals\n",
+			res.Stages.ResimVectorPasses, res.Stages.ResimVectorFrames, res.Stages.ResimGateEvals)
 	}
 	fmt.Fprintf(out, "  detected conventionally: %d\n", res.Conv)
 	fmt.Fprintf(out, "  detected by MOT beyond conventional: %d (%d by identification alone)\n", res.MOT, res.Identified)

@@ -53,8 +53,6 @@ type runOptions struct {
 	hitecCircuit string
 	workers      int
 	prescreen    bool
-	bpResim      bool
-	eventSim     bool
 	metricsAddr  string
 	spanSample   float64
 	prof         profiling.Options
@@ -76,8 +74,6 @@ func main() {
 	flag.StringVar(&o.hitecCircuit, "hitec-circuit", "sg5378", "suite circuit for the deterministic-sequence experiment")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "fault-simulation worker goroutines (must be positive)")
 	flag.BoolVar(&o.prescreen, "prescreen", true, "bit-parallel conventional prescreen before the per-fault MOT pipeline")
-	flag.BoolVar(&o.bpResim, "bp-resim", true, "bit-parallel expanded-sequence resimulation (64-lane passes, one per 64 sequences)")
-	flag.BoolVar(&o.eventSim, "event-sim", true, "event-driven sparse-delta faulty-frame evaluation (off: level-order copy-and-propagate)")
 	flag.StringVar(&o.metricsAddr, "metrics-addr", "", "serve live Prometheus metrics, /healthz and pprof on this address during the suite run")
 	flag.StringVar(&o.prof.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&o.prof.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
@@ -176,14 +172,12 @@ func run(o runOptions) error {
 		names = strings.Split(o.circuits, ",")
 	}
 	opts := experiments.Options{
-		NStates:                 o.nstates,
-		SkipBaselineScaled:      o.skipNA,
-		Workers:                 o.workers,
-		DisablePrescreen:        !o.prescreen,
-		DisableBitParallelResim: !o.bpResim,
-		DisableEventSim:         !o.eventSim,
-		Tracer:                  tracer,
-		TraceSampleRate:         o.spanSample,
+		NStates:            o.nstates,
+		SkipBaselineScaled: o.skipNA,
+		Workers:            o.workers,
+		DisablePrescreen:   !o.prescreen,
+		Tracer:             tracer,
+		TraceSampleRate:    o.spanSample,
 	}
 	if o.metricsAddr != "" {
 		reg, live := serve.NewRunTelemetry("mottables")

@@ -79,9 +79,9 @@ func (cc *CC) buildSched(gates []netlist.GateID, counts []int32, s *Sched) {
 }
 
 // FullSched returns the whole-circuit event schedule (every gate, every
-// occupied level), built once at Compile. It backs full-seeding entry
-// points (FrameDelta, the serial sparse resimulation) where the
-// perturbed region is not confined to a cone.
+// occupied level), built once at Compile. It backs the full-seeding
+// entry point (seqsim's FrameDelta) where the perturbed region is not
+// confined to a cone.
 func (cc *CC) FullSched() *Sched { return &cc.fullSched }
 
 // EventEval is the event-driven sparse-delta frame evaluator: scratch

@@ -67,22 +67,6 @@ func BenchmarkCollectPairs(b *testing.B) {
 	}
 }
 
-// BenchmarkCollectPairsReference measures the retained allocate-per-pair
-// path (a fresh implication frame per pair side) on the same workload.
-func BenchmarkCollectPairsReference(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Reference = true
-	s, f, bad, nout := collectSetup(b, cfg)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pairs := s.collectPairs(&f, bad, nout)
-		if len(pairs) == 0 {
-			b.Fatal("no pairs")
-		}
-	}
-}
-
 // benchSimulateList measures the whole per-fault MOT pipeline (without the
 // bit-parallel prescreen) over the collapsed fault list.
 func benchSimulateList(b *testing.B, cfg Config) {
@@ -108,12 +92,6 @@ func benchSimulateList(b *testing.B, cfg Config) {
 }
 
 func BenchmarkSimulateList(b *testing.B) { benchSimulateList(b, DefaultConfig()) }
-
-func BenchmarkSimulateListReference(b *testing.B) {
-	cfg := DefaultConfig()
-	cfg.Reference = true
-	benchSimulateList(b, cfg)
-}
 
 // resimSink keeps the benchmarked resimulation results live.
 var resimSink bool
@@ -167,7 +145,7 @@ func BenchmarkResimulateVV(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, x := range passes {
-			resimSink = s.resimulateVV(&f, bad, x)
+			resimSink = s.resimulate(&f, bad, x)
 		}
 	}
 }

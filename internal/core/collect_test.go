@@ -11,6 +11,12 @@ import (
 	"repro/internal/seqsim"
 )
 
+// collectOne collects the single pair (u, i) on the pooled serial
+// frame reset to bad.Nodes[u-1].
+func (s *Simulator) collectOne(f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
+	return s.collectOneInto(s.pairFrame(f, bad.Nodes[u-1]), f, bad, u, i)
+}
+
 // TestCollectOneMatchesFigure3 pins the collection step (Section 3.1) to
 // the paper's Figure 3 values on the real s27. The circuit is s27 plus a
 // dead cone carrying an undetectable branch fault, so the faulty trace

@@ -91,32 +91,6 @@ type Config struct {
 	// cross-check oracle and is asserted bit-identical by the prescreen
 	// tests. SimulateFault itself never prescreens.
 	Prescreen bool
-	// BitParallelResim enables the bit-parallel Section 3.4
-	// resimulation: the expanded sequences of a fault pack into the
-	// lanes of 64-lane words and resimulate in divergence-driven vector
-	// passes, one per 64 sequences (vresim.go). Outcomes are identical
-	// with it off (every sequence then resimulates serially); the off
-	// mode exists as a cross-check fallback and is asserted
-	// bit-identical by the resim cross-check tests.
-	BitParallelResim bool
-	// EventSim enables the event-driven sparse-delta frame evaluator
-	// (cir.EventEval): faulty frames seed events at the fault site and
-	// the changed present-state lines, visit only gates whose inputs
-	// changed, and store only divergent values in an epoch-stamped
-	// overlay — eliminating the per-frame whole-circuit copy of the
-	// level-order cone walk. Outcomes, JSONL traces and per-fault
-	// counters are byte-identical with it off (every frame then takes
-	// the retained level-order path); the off mode exists as a
-	// cross-check fallback and is asserted bit-identical by the
-	// event-sim cross-check and fuzz tests.
-	EventSim bool
-	// Reference selects the retained allocate-per-pair implementation of
-	// the pair-collection and expansion path: a fresh implication frame
-	// per pair side, map-backed sv sets, and freshly allocated sequences.
-	// Outcomes are byte-identical to the default pooled/trail path; the
-	// mode exists for cross-check tests and as the allocation baseline in
-	// benchmarks.
-	Reference bool
 	// IdentificationOnly stops the pipeline after Section 3.2: faults are
 	// credited only when the collected implication information alone
 	// proves detection, with no state expansion or resimulation. This
@@ -187,8 +161,6 @@ func DefaultConfig() Config {
 		BackwardDepth:           1,
 		MaxPairs:                4096,
 		Prescreen:               true,
-		BitParallelResim:        true,
-		EventSim:                true,
 		Metrics:                 true,
 	}
 }

@@ -72,16 +72,14 @@ type Simulator struct {
 	// SimulateFault call, consumed by the trace emitter.
 	lastStages StageNS
 	// lastResim summarizes the resimulation passes of the most recent
-	// SimulateFault call (vector passes, lanes packed, serial
-	// fallbacks), consumed by the trace emitter. Deterministic, unlike
-	// lastStages.
+	// SimulateFault call (vector passes, frames, gate evaluations,
+	// lanes packed), consumed by the trace emitter. Deterministic,
+	// unlike lastStages.
 	lastResim ResimTrace
 	// lastEvents summarizes the step-0 frame-evaluation work of the most
 	// recent SimulateFault call (frames, events, gate evaluations),
-	// consumed by the trace emitter and span attributes. The counters are
-	// evaluator-invariant: the event-driven and level-order paths visit
-	// the same gates and change the same nodes, so the summary is
-	// byte-identical across Config.EventSim settings and worker counts.
+	// consumed by the trace emitter and span attributes. The summary is
+	// byte-identical across worker counts.
 	lastEvents SimTrace
 	// tbuf/span carry the open span of the fault currently in
 	// SimulateFault (see span.go); span is 0 — and the sub-span hooks
@@ -133,7 +131,6 @@ func NewSimulatorWarm(c *netlist.Circuit, T seqsim.Sequence, cfg Config, w Warm)
 		return nil, fmt.Errorf("core: warm CC was compiled from a different circuit")
 	}
 	sim := seqsim.NewCompiled(cc)
-	sim.SetEventSim(cfg.EventSim)
 	good := w.Good
 	switch {
 	case good == nil:
@@ -394,12 +391,8 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 //
 // The returned slice and the slices inside each pairInfo are backed by
 // per-simulator arenas truncated at the next collectPairs call; they stay
-// valid for the remainder of this fault's pipeline only. Config.Reference
-// selects the retained allocate-per-pair implementation instead.
+// valid for the remainder of this fault's pipeline only.
 func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
-	if s.cfg.Reference {
-		return s.collectPairsRef(f, bad, nout)
-	}
 	return s.collectPairsPooled(f, bad, nout, s.lanesCollect())
 }
 
@@ -501,21 +494,13 @@ func (s *Simulator) trivialPair(u, i int) pairInfo {
 	}
 }
 
-// collectOne performs backward implication of y_i at time u for both
-// values, recording the first applicable result: conflict, detection, or
-// the extra specified state variables (Section 3.1).
-func (s *Simulator) collectOne(f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
-	if s.cfg.Reference {
-		return s.collectOneRef(f, bad, u, i)
-	}
-	fr := s.pairFrame(f, bad.Nodes[u-1])
-	return s.collectOneInto(fr, f, bad, u, i)
-}
-
-// collectOneInto is collectOne on a caller-provided frame already reset to
-// bad.Nodes[u-1]: each side assigns y_i = alpha, implies, inspects, and
-// restores the frame with an O(changed) trail undo, so the same frame
-// serves every pair at time u without re-copying the base assignment.
+// collectOneInto performs backward implication of y_i at time u for
+// both values, recording the first applicable result: conflict,
+// detection, or the extra specified state variables (Section 3.1). fr
+// is a caller-provided frame already reset to bad.Nodes[u-1]: each side
+// assigns y_i = alpha, implies, inspects, and restores the frame with
+// an O(changed) trail undo, so the same frame serves every pair at time
+// u without re-copying the base assignment.
 func (s *Simulator) collectOneInto(fr *implic.Frame, f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
 	p := pairInfo{u: u, i: i}
 	s.svReset()
@@ -618,9 +603,6 @@ const (
 // is safe to reuse across levels because each level consumes it fully
 // before the next level truncates it.
 func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.Frame, u, depth int) deepResult {
-	if s.cfg.Reference {
-		return s.deepBackwardRef(f, bad, fr, u, depth)
-	}
 	for level := 0; depth > 0 && u > 0; level++ {
 		newly := s.pools.deepNewly[:0]
 		for j := 0; j < s.c.NumFFs(); j++ {
@@ -654,13 +636,6 @@ func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.F
 	return deepNothing
 }
 
-// sequence is one expanded state sequence: states[u][j] is the value of
-// state variable j at time u, u in [0, L]. Only the serial resimulation
-// twin and the tests materialize sequences (expansion.sequences).
-type sequence struct {
-	states [][]logic.Val
-}
-
 // expStep is one phase-2 step of Procedure 2 (steps 5-9): every
 // sequence splits at time unit u, the original taking extra[0] and its
 // duplicate extra[1].
@@ -673,7 +648,7 @@ type expStep struct {
 // stands for: the base sequence s0 (the faulty trace plus phase 1's
 // forced values) and the phase-2 steps. Sequence l of the 2^len(steps)
 // takes side bit len(steps)-1-k of l at step k, the order Procedure 2's
-// duplication loop appends them in (sequences). The step 3 check
+// duplication loop appends them in. The step 3 check
 // guarantees every cell a step writes is X in s0 and written by no
 // other step, so sequence l holds s0's value or its chosen side's in
 // every cell. marks lists the time units phase 1 or a step wrote, and
@@ -687,38 +662,6 @@ type expansion struct {
 
 // lanes returns the number of sequences the expansion stands for.
 func (x *expansion) lanes() int { return 1 << len(x.steps) }
-
-// sequences materializes the expansion's sequences with Procedure 2's
-// duplication loop, sequence l at index l. Their rows are carved from
-// one slab.
-func (x *expansion) sequences() []*sequence {
-	rows, nFF := len(x.s0), len(x.s0[0])
-	flat := make([]logic.Val, x.lanes()*rows*nFF)
-	carve := func(src [][]logic.Val) *sequence {
-		sq := &sequence{states: make([][]logic.Val, rows)}
-		for u := range sq.states {
-			sq.states[u], flat = flat[:nFF:nFF], flat[nFF:]
-			copy(sq.states[u], src[u])
-		}
-		return sq
-	}
-	seqs := []*sequence{carve(x.s0)}
-	for _, st := range x.steps {
-		grown := make([]*sequence, 0, 2*len(seqs))
-		for _, sq := range seqs {
-			dup := carve(sq.states)
-			for _, a := range st.extra[0] {
-				sq.states[st.u][a.j] = a.v
-			}
-			for _, a := range st.extra[1] {
-				dup.states[st.u][a.j] = a.v
-			}
-			grown = append(grown, sq, dup)
-		}
-		seqs = grown
-	}
-	return seqs
-}
 
 // expand implements Procedure 2: phase 1 applies every single-sided pair
 // (one value conflicted or detected) by forcing the surviving value's
@@ -880,138 +823,6 @@ func (s *Simulator) unassigned(p *pairInfo, x *expansion) bool {
 // selectPair makes, so it can be checked against the full scan.
 var unassignedHook func(p *pairInfo, x *expansion, got bool)
 
-// resimulate implements Section 3.4: every sequence is resimulated at its
-// marked time units (propagating newly specified state variables forward)
-// until it is resolved by a detection or an infeasibility conflict, or
-// until no marked units remain. The fault is detected when every sequence
-// resolves.
-//
-// With Config.BitParallelResim every sequence rides one lane of a
-// 64-lane word and the expansion resimulates in divergence-driven vector
-// passes of 64 lanes each (resimulateVV), byte-identical to the serial
-// path below, which materializes the sequences. bad is the
-// faulty-machine trace the expansion x came from.
-func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
-	if s.cfg.BitParallelResim {
-		return s.resimulateVV(f, bad, x)
-	}
-	seqs, baseMarks := x.sequences(), x.marks
-	if s.cfg.EventSim && bad.Nodes != nil {
-		return s.resimulateSparse(f, bad, seqs, baseMarks)
-	}
-	c := s.c
-	L := len(s.T)
-	// Pooled scratch: EvalFrame writes every node and the base marks are
-	// copied over the full buffer per sequence, so neither needs clearing.
-	vals, marks := s.resimScratch()
-	for _, sq := range seqs {
-		copy(marks, baseMarks)
-		resolved := false
-		for u := 0; u < L && !resolved; u++ {
-			if !marks[u] {
-				continue
-			}
-			s.sim.EvalFrame(s.T[u], sq.states[u], f, vals)
-			// Output conflict with the fault-free response: detection.
-			g := s.good.Outputs[u]
-			for j, id := range c.Outputs {
-				v := vals[id]
-				if v.IsBinary() && g[j].IsBinary() && v != g[j] {
-					resolved = true
-					break
-				}
-			}
-			if resolved {
-				break
-			}
-			// Compare the computed next state with the sequence's state at
-			// u+1: a conflict means the sequence is infeasible; new values
-			// refine it and mark u+1.
-			next := sq.states[u+1]
-			for j, ff := range c.FFs {
-				v := f.Observed(ff.Q, vals[ff.D])
-				if !v.IsBinary() {
-					continue
-				}
-				switch next[j] {
-				case logic.X:
-					next[j] = v
-					marks[u+1] = true
-				case v:
-					// consistent
-				default:
-					resolved = true // infeasible state sequence
-				}
-				if resolved {
-					break
-				}
-			}
-		}
-		if !resolved {
-			return false
-		}
-	}
-	return true
-}
-
-// resimulateSparse is resimulate's serial loop on the event-driven
-// sparse evaluator: each marked frame is evaluated as an
-// EvalFrameSparse overlay over the retained step-0 faulty-trace row
-// instead of a dense EvalFrame, so per-frame work scales with the
-// expansion's divergence from the base trace rather than with circuit
-// size. Outcomes are byte-identical to the dense loop (asserted by the
-// event-sim cross-check tests). Caller guarantees bad retains node
-// values.
-func (s *Simulator) resimulateSparse(f *fault.Fault, bad *seqsim.Trace, seqs []*sequence, baseMarks []bool) bool {
-	c := s.c
-	L := len(s.T)
-	marks := s.resimMarksScratch()
-	for _, sq := range seqs {
-		copy(marks, baseMarks)
-		resolved := false
-		for u := 0; u < L && !resolved; u++ {
-			if !marks[u] {
-				continue
-			}
-			fr := s.sim.EvalFrameSparse(sq.states[u], bad.Nodes[u], f)
-			g := s.good.Outputs[u]
-			for j, id := range c.Outputs {
-				v := fr.Read(id)
-				if v.IsBinary() && g[j].IsBinary() && v != g[j] {
-					resolved = true
-					break
-				}
-			}
-			if resolved {
-				break
-			}
-			next := sq.states[u+1]
-			for j, ff := range c.FFs {
-				v := f.Observed(ff.Q, fr.Read(ff.D))
-				if !v.IsBinary() {
-					continue
-				}
-				switch next[j] {
-				case logic.X:
-					next[j] = v
-					marks[u+1] = true
-				case v:
-					// consistent
-				default:
-					resolved = true // infeasible state sequence
-				}
-				if resolved {
-					break
-				}
-			}
-		}
-		if !resolved {
-			return false
-		}
-	}
-	return true
-}
-
 // Result aggregates a whole-fault-list run.
 type Result struct {
 	Circuit  string
@@ -1112,20 +923,16 @@ type Stages struct {
 	// lane-divergent value reaches are evaluated).
 	ImplyLaneEvals int64
 	// ResimVectorPasses counts bit-parallel resimulation passes of up to
-	// 64 lanes under Config.BitParallelResim, portfolio retries
-	// included. ResimVectorFrames counts the time frames those
-	// passes evaluated (frames with no active lane are skipped and not
-	// counted), and ResimGateEvals the gates they evaluated (only gates
-	// a lane-divergent value reaches are evaluated, so a frame with no
-	// divergence counts none). Expansions of more than 64 sequences
-	// run one pass per 64-lane chunk, stopping at the first chunk that
-	// leaves a lane unresolved. ResimSerialFallbacks is always 0: every
-	// expansion resimulates bit-parallel. It stays for report
-	// compatibility.
-	ResimVectorPasses    int64
-	ResimVectorFrames    int64
-	ResimGateEvals       int64
-	ResimSerialFallbacks int64
+	// 64 lanes, portfolio retries included. ResimVectorFrames counts the
+	// time frames those passes evaluated (frames with no active lane are
+	// skipped and not counted), and ResimGateEvals the gates they
+	// evaluated (only gates a lane-divergent value reaches are evaluated,
+	// so a frame with no divergence counts none). Expansions of more
+	// than 64 sequences run one pass per 64-lane chunk, stopping at the
+	// first chunk that leaves a lane unresolved.
+	ResimVectorPasses int64
+	ResimVectorFrames int64
+	ResimGateEvals    int64
 	// MOTFaults counts the faults that entered the per-fault pipeline:
 	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.
 	MOTFaults int
@@ -1133,7 +940,7 @@ type Stages struct {
 	// recycles, arena high-water marks).
 	Pool PoolStats
 	// Sim counts the serial simulator's work during step 0 (frames by
-	// evaluation mode, delta-propagation gate evaluations).
+	// evaluation mode, sparse-frame gate evaluations).
 	Sim seqsim.SimStats
 }
 
@@ -1319,7 +1126,6 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 			sim:  seqsim.NewCompiled(s.cc),
 			hist: s.hist,
 		}
-		worker.sim.SetEventSim(s.cfg.EventSim)
 		if s.hist != nil {
 			worker.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
 		}

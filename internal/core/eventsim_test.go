@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/bench"
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -11,30 +10,31 @@ import (
 	"repro/internal/tgen"
 )
 
-// crossCheckEventSim runs the fault list with the event-driven
-// faulty-frame evaluator on and off and asserts every FaultOutcome is
-// byte-identical (FaultOutcome has no reference-typed fields, so != is
-// an exact field-by-field comparison). The event-driven path is
-// exercised serially and through RunParallel (per-worker EventEval
-// scratch and schedule binding).
+// crossCheckEventSim runs the fault list on the production simulator,
+// whose faulty frames are event-driven sparse overlays, serially and
+// through RunParallel (per-worker EventEval scratch and schedule
+// binding), and asserts every FaultOutcome is byte-identical to a
+// serial run whose seqsim simulator is the full-pass reference
+// (seqsim.NewFullPass: every gate of every faulty frame). FaultOutcome
+// has no reference-typed fields, so != is an exact field-by-field
+// comparison.
 func crossCheckEventSim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
 	t.Helper()
-	level := cfg
-	level.EventSim = false
-	event := cfg
-	event.EventSim = true
-
-	simLevel, err := NewSimulator(c, T, level)
+	simFull, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEvent, err := NewSimulator(c, T, event)
+	simFull.sim = seqsim.NewFullPass(c)
+	simEvent, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resLevel, err := simLevel.Run(faults, nil)
+	resFull, err := simFull.Run(faults, nil)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st := resFull.Stages.Sim; cfg.Metrics && st.EventFrames != 0 {
+		t.Fatalf("full-pass reference ran event frames: %+v", st)
 	}
 	resEvent, err := simEvent.Run(faults, nil)
 	if err != nil {
@@ -46,21 +46,21 @@ func crossCheckEventSim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, fau
 	}
 
 	for name, res := range map[string]*Result{"serial": resEvent, "parallel": resPar} {
-		if len(res.Outcomes) != len(resLevel.Outcomes) {
-			t.Fatalf("%s: %d event-driven outcomes, %d level-order", name, len(res.Outcomes), len(resLevel.Outcomes))
+		if len(res.Outcomes) != len(resFull.Outcomes) {
+			t.Fatalf("%s: %d event-driven outcomes, %d full-pass", name, len(res.Outcomes), len(resFull.Outcomes))
 		}
 		for k := range res.Outcomes {
-			if res.Outcomes[k] != resLevel.Outcomes[k] {
-				t.Fatalf("%s: fault %s differs from level-order:\n  event-driven: %+v\n  level-order:  %+v",
-					name, faults[k].Name(c), res.Outcomes[k], resLevel.Outcomes[k])
+			if res.Outcomes[k] != resFull.Outcomes[k] {
+				t.Fatalf("%s: fault %s differs from full-pass:\n  event-driven: %+v\n  full-pass:    %+v",
+					name, faults[k].Name(c), res.Outcomes[k], resFull.Outcomes[k])
 			}
 		}
-		if res.Conv != resLevel.Conv || res.MOT != resLevel.MOT || res.Sum != resLevel.Sum ||
-			res.Expansions != resLevel.Expansions || res.Pairs != resLevel.Pairs ||
-			res.Sequences != resLevel.Sequences || res.Identified != resLevel.Identified ||
-			res.PrunedConditionC != resLevel.PrunedConditionC {
-			t.Fatalf("%s: aggregates differ from level-order:\n  event-driven: %+v\n  level-order:  %+v",
-				name, res, resLevel)
+		if res.Conv != resFull.Conv || res.MOT != resFull.MOT || res.Sum != resFull.Sum ||
+			res.Expansions != resFull.Expansions || res.Pairs != resFull.Pairs ||
+			res.Sequences != resFull.Sequences || res.Identified != resFull.Identified ||
+			res.PrunedConditionC != resFull.PrunedConditionC {
+			t.Fatalf("%s: aggregates differ from full-pass:\n  event-driven: %+v\n  full-pass:    %+v",
+				name, res, resFull)
 		}
 	}
 }
@@ -106,11 +106,8 @@ func TestEventSimCrossCheckLongList(t *testing.T) {
 // TestEventSimCrossCheckVariants sweeps the configuration axes that
 // change which frames the evaluator sees: the [4] baseline, deep
 // backward implications, the fixpoint schedule, tight pair and sequence
-// budgets, the Reference allocation mode, the prescreen off
-// (conventionally detected faults run the per-fault pipeline too), and
-// the bit-parallel resimulation off — the variant that routes marked
-// resimulation frames through the sparse serial path (EvalFrameSparse)
-// instead of the 256-lane pass.
+// budgets, and the prescreen off (conventionally detected faults run
+// the per-fault pipeline too).
 func TestEventSimCrossCheckVariants(t *testing.T) {
 	c := circuits.S27()
 	T := tgen.Random(c.NumInputs(), 20, 27)
@@ -122,9 +119,7 @@ func TestEventSimCrossCheckVariants(t *testing.T) {
 		"fixpoint":     func(cfg *Config) { cfg.Schedule = Fixpoint },
 		"maxpairs4":    func(cfg *Config) { cfg.MaxPairs = 4 },
 		"nstates2":     func(cfg *Config) { cfg.NStates = 2 },
-		"reference":    func(cfg *Config) { cfg.Reference = true },
 		"no-prescreen": func(cfg *Config) { cfg.Prescreen = false },
-		"no-bp-resim":  func(cfg *Config) { cfg.BitParallelResim = false },
 	}
 	for name, tweak := range variants {
 		t.Run(name, func(t *testing.T) {
@@ -135,117 +130,14 @@ func TestEventSimCrossCheckVariants(t *testing.T) {
 	}
 }
 
-// TestEventSimCrossCheckNoBPResimLongList exercises the sparse serial
-// resimulation path (EvalFrameSparse) at scale: the uncollapsed sg208
-// list with the bit-parallel resim disabled, so every expansion's
-// marked frames re-evaluate through the event queue against the stored
-// bad-trace baseline.
-func TestEventSimCrossCheckNoBPResimLongList(t *testing.T) {
-	e, err := circuits.SuiteEntryByName("sg208")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := e.Build()
-	T := tgen.Random(c.NumInputs(), 24, e.SeqSeed)
-	cfg := DefaultConfig()
-	cfg.BitParallelResim = false
-	crossCheckEventSim(t, c, T, fault.List(c), cfg)
-}
-
-// TestEventSimTraceCrossCheck asserts the JSONL trace is byte-identical
-// with the event-driven evaluator on and off, for both serial and
-// 4-worker runs: the per-fault sim counters in the trace come from the
-// step-0 window only, where both evaluators visit exactly the same
-// gates (the level-order path is also change-driven), so the evaluator
-// choice must be invisible in every traced field.
-func TestEventSimTraceCrossCheck(t *testing.T) {
-	c, T, faults := statsSetup(t)
-	on := DefaultConfig()
-	off := DefaultConfig()
-	off.EventSim = false
-	trOn1, _ := traceRun(t, c, T, faults, on, 1)
-	trOff1, _ := traceRun(t, c, T, faults, off, 1)
-	if trOn1 != trOff1 {
-		t.Fatalf("serial trace differs between event-driven and level-order:\n--- event ---\n%s\n--- level ---\n%s", trOn1, trOff1)
-	}
-	trOn4, _ := traceRun(t, c, T, faults, on, 4)
-	trOff4, _ := traceRun(t, c, T, faults, off, 4)
-	if trOn4 != trOn1 {
-		t.Fatalf("event-driven trace differs between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", trOn1, trOn4)
-	}
-	if trOff4 != trOff1 {
-		t.Fatalf("level-order trace differs between 1 and 4 workers:\n--- 1 ---\n%s\n--- 4 ---\n%s", trOff1, trOff4)
-	}
-}
-
-// FuzzEventSimCrossCheck drives random short fault lists and pattern
-// sequences through whole runs with the event-driven evaluator on and
-// off and asserts identical outcomes. The fuzz input picks the pattern
-// seed, the sequence length and which collapsed faults to simulate.
-func FuzzEventSimCrossCheck(f *testing.F) {
-	f.Add([]byte{0})
-	f.Add([]byte{1, 2, 3})
-	f.Add([]byte{7, 0, 255, 16, 4})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) == 0 {
-			return
-		}
-		c, err := bench.ParseString("fuzzevent", fuzzResimBench)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seed := int64(data[0])
-		L := 2 + int(data[0])%6
-		T := tgen.Random(c.NumInputs(), L, seed)
-		all := fault.CollapsedList(c)
-		var faults []fault.Fault
-		for i, b := range data[1:] {
-			if i >= 8 {
-				break
-			}
-			faults = append(faults, all[int(b)%len(all)])
-		}
-		if len(faults) == 0 {
-			faults = all
-		}
-		cfg := DefaultConfig()
-		if len(data) > 1 && data[1]%2 == 1 {
-			cfg.BitParallelResim = false
-		}
-		level := cfg
-		level.EventSim = false
-		simLevel, err := NewSimulator(c, T, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		simEvent, err := NewSimulator(c, T, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resLevel, err := simLevel.Run(faults, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resEvent, err := simEvent.Run(faults, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := range resEvent.Outcomes {
-			if resEvent.Outcomes[k] != resLevel.Outcomes[k] {
-				t.Fatalf("fault %s differs:\n  event-driven: %+v\n  level-order:  %+v",
-					faults[k].Name(c), resEvent.Outcomes[k], resLevel.Outcomes[k])
-			}
-		}
-	})
-}
-
-// TestEventSimLiveCounters asserts the live snapshot carries the event
-// counters when the evaluator is on, agrees between worker counts, and
-// zeroes them when it is off.
+// TestEventSimLiveCounters asserts the live snapshot carries the
+// event-driven evaluator's counters and that they agree between worker
+// counts.
 func TestEventSimLiveCounters(t *testing.T) {
 	c, T, faults := statsSetup(t)
-	run := func(cfg Config, workers int) *LiveSnapshot {
+	run := func(workers int) *LiveSnapshot {
 		live := &LiveStats{}
+		cfg := DefaultConfig()
 		cfg.Live = live
 		s, err := NewSimulator(c, T, cfg)
 		if err != nil {
@@ -262,23 +154,12 @@ func TestEventSimLiveCounters(t *testing.T) {
 		snap := live.Snapshot()
 		return &snap
 	}
-	on := run(DefaultConfig(), 1)
+	on := run(1)
 	if on.EventFrames == 0 || on.EventGateEvals == 0 || on.Events == 0 {
 		t.Errorf("event-driven live counters empty: %+v", on)
 	}
-	par := run(DefaultConfig(), 8)
+	par := run(8)
 	if par.EventFrames != on.EventFrames || par.EventGateEvals != on.EventGateEvals || par.Events != on.Events {
 		t.Errorf("live event counters differ between 1 and 8 workers:\n  1: %+v\n  8: %+v", on, par)
-	}
-	off := DefaultConfig()
-	off.EventSim = false
-	snapOff := run(off, 1)
-	if snapOff.EventFrames != 0 || snapOff.EventGateEvals != 0 {
-		t.Errorf("level-order run bumped event-frame counters: %+v", snapOff)
-	}
-	if snapOff.DeltaFrames == 0 || snapOff.Events == 0 {
-		// The level-order path is change-driven too: it counts the same
-		// Events it would enqueue, which is what the parity tests rely on.
-		t.Errorf("level-order run recorded no delta frames/events: %+v", snapOff)
 	}
 }

@@ -20,7 +20,7 @@ type laneHot struct {
 // lanesCollect reports whether pair collection runs in lane passes:
 // backward implications on, the two-pass schedule, and one time unit
 // of backward implication (deeper chasing needs each side's serial
-// frame). Config.Reference never reaches collectPairs' lane path.
+// frame).
 func (s *Simulator) lanesCollect() bool {
 	return s.cfg.UseBackwardImplications && s.cfg.Schedule == TwoPass && s.cfg.BackwardDepth <= 1
 }

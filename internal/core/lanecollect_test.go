@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -31,14 +32,29 @@ func samePair(a, b *pairInfo) bool {
 		slices.Equal(a.sv, b.sv)
 }
 
+// samePairs fails the test unless got and want hold identical pairs in
+// the same order.
+func samePairs(t *testing.T, tag string, got, want []pairInfo) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, reference %d", tag, len(got), len(want))
+	}
+	for p := range got {
+		if !samePair(&got[p], &want[p]) {
+			t.Fatalf("%s: pair %d differs:\n  got:       %+v\n  reference: %+v", tag, p, got[p], want[p])
+		}
+	}
+}
+
 // TestCollectLanesCrossCheck asserts that pair collection in lane
-// passes returns exactly the pairs of the serial per-side frames
-// (collectOneInto): the same pairs in the same (u, i) order, with equal
-// conflict and detection flags, extra lists (ascending j) and sv sets,
-// for the faults of the collapsed lists of sg208 to sg1423 that reach
-// collection. Every fault is collected once uncapped and once with a
-// MaxPairs cap that cuts its list in the middle, usually inside a time
-// unit, so the cut must fall on the same pair.
+// passes, the pooled serial per-side frames (collectOneInto) and the
+// allocate-per-pair reference (collectPairsRef) return exactly the same
+// pairs in the same (u, i) order, with equal conflict and detection
+// flags, extra lists (ascending j) and sv sets, for the faults of the
+// collapsed lists of sg208 to sg1423 that reach collection. Every fault
+// is collected once uncapped and once with a MaxPairs cap that cuts its
+// list in the middle, usually inside a time unit, so the cut must fall
+// on the same pair.
 func TestCollectLanesCrossCheck(t *testing.T) {
 	type input struct {
 		name  string
@@ -73,17 +89,11 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 			s.cfg.MaxPairs = 0
 			check := func(f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
 				t.Helper()
+				ref := s.collectPairsRef(&f, bad, nout)
 				lanes := clonePairs(s.collectPairsPooled(&f, bad, nout, true))
+				samePairs(t, fmt.Sprintf("%s (cap %d) lanes", f.Name(c), s.cfg.MaxPairs), lanes, ref)
 				serial := s.collectPairsPooled(&f, bad, nout, false)
-				if len(lanes) != len(serial) {
-					t.Fatalf("%s (cap %d): %d lane pairs, %d serial", f.Name(c), s.cfg.MaxPairs, len(lanes), len(serial))
-				}
-				for p := range lanes {
-					if !samePair(&lanes[p], &serial[p]) {
-						t.Fatalf("%s (cap %d): pair %d differs:\n  lanes:  %+v\n  serial: %+v",
-							f.Name(c), s.cfg.MaxPairs, p, lanes[p], serial[p])
-					}
-				}
+				samePairs(t, fmt.Sprintf("%s (cap %d) serial", f.Name(c), s.cfg.MaxPairs), serial, ref)
 				return lanes
 			}
 			var faults, pairs, conf, det, maxX int
@@ -129,6 +139,61 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 				faults, pairs, conf, det, 2*maxX)
 			if pairs == 0 {
 				t.Fatal("no fault reached lane collection")
+			}
+		})
+	}
+}
+
+// TestCollectDeepCrossCheck asserts that with BackwardDepth 2 the
+// pooled serial collection (deepBackward on the level-indexed frame
+// pool) returns exactly the reference's pairs (deepBackwardRef, a fresh
+// frame per level), for the collapsed lists of sg344, sg420 and sg1423,
+// the suite circuits where the deeper chase settles sides that one
+// time unit of backward implication leaves open.
+func TestCollectDeepCrossCheck(t *testing.T) {
+	for _, name := range []string{"sg344", "sg420", "sg1423"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := circuits.SuiteEntryByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := e.Build()
+			cfg := DefaultConfig()
+			cfg.BackwardDepth = 2
+			s, err := NewSimulator(c, tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.lanesCollect() {
+				t.Fatal("BackwardDepth 2 must collect on serial frames")
+			}
+			var pairs, deep int
+			for _, f := range fault.CollapsedList(c) {
+				bad, _, detected, err := s.runBad(f)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if detected {
+					continue
+				}
+				nsv, nout := s.profile(bad)
+				if !conditionC(nsv, nout) {
+					continue
+				}
+				ref := s.collectPairsRef(&f, bad, nout)
+				samePairs(t, f.Name(c), s.collectPairs(&f, bad, nout), ref)
+				pairs += len(ref)
+				s.cfg.BackwardDepth = 1
+				for k, p := range s.collectPairsPooled(&f, bad, nout, false) {
+					if p.conf != ref[k].conf || p.detect != ref[k].detect {
+						deep++
+					}
+				}
+				s.cfg.BackwardDepth = 2
+			}
+			t.Logf("%d pairs, %d settled further by the deeper chase", pairs, deep)
+			if deep == 0 {
+				t.Fatal("the deeper chase settled no side")
 			}
 		})
 	}

@@ -60,8 +60,6 @@ type LiveStats struct {
 	resimNS   atomic.Int64
 	totalNS   atomic.Int64
 
-	deltaFrames    atomic.Int64
-	deltaGateEvals atomic.Int64
 	fullFrames     atomic.Int64
 	eventFrames    atomic.Int64
 	eventGateEvals atomic.Int64
@@ -107,10 +105,9 @@ type LiveSnapshot struct {
 	ImplyLaneEvals int64 `json:"imply_lane_evals"`
 	ImplyNS        int64 `json:"imply_ns"`
 
-	ResimVectorPasses    int64 `json:"resim_vector_passes"`
-	ResimVectorFrames    int64 `json:"resim_vector_frames"`
-	ResimGateEvals       int64 `json:"resim_gate_evals"`
-	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"` // always 0, see Stages
+	ResimVectorPasses int64 `json:"resim_vector_passes"`
+	ResimVectorFrames int64 `json:"resim_vector_frames"`
+	ResimGateEvals    int64 `json:"resim_gate_evals"`
 
 	Step0NS   int64 `json:"step0_ns"`
 	CollectNS int64 `json:"collect_ns"`
@@ -118,8 +115,6 @@ type LiveSnapshot struct {
 	ResimNS   int64 `json:"resim_ns"`
 	TotalNS   int64 `json:"total_ns"`
 
-	DeltaFrames    int64 `json:"delta_frames"`
-	DeltaGateEvals int64 `json:"delta_gate_evals"`
 	FullFrames     int64 `json:"full_frames"`
 	EventFrames    int64 `json:"event_frames"`
 	EventGateEvals int64 `json:"event_gate_evals"`
@@ -159,8 +154,6 @@ func (l *LiveStats) Snapshot() LiveSnapshot {
 		ExpandNS:           l.expandNS.Load(),
 		ResimNS:            l.resimNS.Load(),
 		TotalNS:            l.totalNS.Load(),
-		DeltaFrames:        l.deltaFrames.Load(),
-		DeltaGateEvals:     l.deltaGateEvals.Load(),
 		FullFrames:         l.fullFrames.Load(),
 		EventFrames:        l.eventFrames.Load(),
 		EventGateEvals:     l.eventGateEvals.Load(),
@@ -322,8 +315,6 @@ func (p *livePublisher) flush(s *Simulator) {
 		p.lastResimGE = st.resimGateEvals
 
 		sim := s.sim.Stats()
-		l.deltaFrames.Add(sim.DeltaFrames - p.lastSim.DeltaFrames)
-		l.deltaGateEvals.Add(sim.DeltaGateEvals - p.lastSim.DeltaGateEvals)
 		l.fullFrames.Add(sim.FullFrames - p.lastSim.FullFrames)
 		l.eventFrames.Add(sim.EventFrames - p.lastSim.EventFrames)
 		l.eventGateEvals.Add(sim.EventGateEvals - p.lastSim.EventGateEvals)

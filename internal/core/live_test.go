@@ -81,9 +81,10 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			{"ImplyCalls", s.ImplyCalls, st.ImplyCalls},
 			{"ImplyLaneEvals", s.ImplyLaneEvals, st.ImplyLaneEvals},
 			{"ImplyNS", s.ImplyNS, int64(st.ImplyTime)},
-			{"DeltaFrames", s.DeltaFrames, st.Sim.DeltaFrames},
-			{"DeltaGateEvals", s.DeltaGateEvals, st.Sim.DeltaGateEvals},
 			{"FullFrames", s.FullFrames, st.Sim.FullFrames},
+			{"EventFrames", s.EventFrames, st.Sim.EventFrames},
+			{"EventGateEvals", s.EventGateEvals, st.Sim.EventGateEvals},
+			{"Events", s.Events, st.Sim.Events},
 		}
 		for _, c := range checks {
 			if c.got != c.want {
@@ -129,7 +130,7 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 			{"ImplyCalls", prev.ImplyCalls, cur.ImplyCalls},
 			{"ImplyLaneEvals", prev.ImplyLaneEvals, cur.ImplyLaneEvals},
 			{"Pairs", prev.Pairs, cur.Pairs},
-			{"DeltaFrames", prev.DeltaFrames, cur.DeltaFrames},
+			{"EventFrames", prev.EventFrames, cur.EventFrames},
 			{"Step0NS", prev.Step0NS, cur.Step0NS},
 			{"PrescreenFrames", prev.PrescreenFrames, cur.PrescreenFrames},
 			{"PrescreenGateEvals", prev.PrescreenGateEvals, cur.PrescreenGateEvals},
@@ -164,7 +165,7 @@ func TestLiveMetricsOffStillCounts(t *testing.T) {
 		t.Errorf("snapshot counters wrong with metrics off: %+v vs result %d/%d/%d",
 			s, res.Total, res.Conv, res.MOT)
 	}
-	if s.ImplyCalls != 0 || s.Step0NS != 0 || s.DeltaFrames != 0 {
+	if s.ImplyCalls != 0 || s.Step0NS != 0 || s.EventFrames != 0 {
 		t.Errorf("metrics-off run published pipeline internals: %+v", s)
 	}
 	if s.MOTFaults == 0 {

@@ -65,10 +65,6 @@ type simPools struct {
 	// exp is the expansion expand fills, its s0 rows carved from one
 	// slab allocated once.
 	exp expansion
-	// resimVals and resimMarks are per-call scratch for the serial
-	// resimulate.
-	resimVals  []logic.Val
-	resimMarks []bool
 	// badTrace is the reused faulty-machine trace filled by RunFaultInto.
 	// Safe to recycle per fault: SimulateFault consumes it entirely before
 	// returning.
@@ -92,23 +88,18 @@ type simPools struct {
 }
 
 // runBad simulates the faulty machine for f, reusing the pooled trace.
-// The Reference configuration keeps the allocate-per-fault RunFault path.
-// Per-frame node values are kept whenever a later stage reads them: the
-// implication engine and the vector resimulation's overlay baseline.
+// Per-frame node values are always kept: the implication engine and the
+// vector resimulation's overlay baseline read them.
 func (s *Simulator) runBad(f fault.Fault) (*seqsim.Trace, seqsim.Detection, bool, error) {
-	keepNodes := s.cfg.UseBackwardImplications || s.cfg.BitParallelResim
-	if s.cfg.Reference {
-		return s.sim.RunFault(s.T, s.good, f, keepNodes)
-	}
 	if s.pools.badTrace == nil {
-		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), keepNodes)
+		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), true)
 		if st := s.stats; st != nil {
 			st.pool.TraceAllocs++
 		}
 	} else if st := s.stats; st != nil {
 		st.pool.TraceReuses++
 	}
-	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, keepNodes)
+	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, true)
 	return s.pools.badTrace, at, detected, err
 }
 
@@ -223,14 +214,10 @@ func (s *Simulator) internExtra(list []svAssign) []svAssign {
 
 // newExpansion returns an empty expansion whose s0 holds a copy of
 // states, and starts a new epoch of the expansion's assignment sets.
-// Outside Config.Reference it is the pooled expansion, valid until the
-// next call.
+// It is the pooled expansion, valid until the next call.
 func (s *Simulator) newExpansion(states [][]logic.Val) *expansion {
 	s.seedReset()
 	x := &s.pools.exp
-	if s.cfg.Reference {
-		x = &expansion{}
-	}
 	if nFF := s.c.NumFFs(); len(x.s0) != len(states) {
 		flat := make([]logic.Val, len(states)*nFF)
 		x.s0 = make([][]logic.Val, len(states))
@@ -246,36 +233,4 @@ func (s *Simulator) newExpansion(states [][]logic.Val) *expansion {
 	}
 	x.steps, x.seeds = x.steps[:0], x.seeds[:0]
 	return x
-}
-
-// resimScratch returns the node-value and marks buffers for resimulate.
-// Neither needs clearing: EvalFrame writes every node, and resimulate
-// copies the base marks over the full marks buffer per sequence.
-func (s *Simulator) resimScratch() ([]logic.Val, []bool) {
-	nNodes, nMarks := s.c.NumNodes(), len(s.T)+1
-	if s.cfg.Reference {
-		return make([]logic.Val, nNodes), make([]bool, nMarks)
-	}
-	if cap(s.pools.resimVals) < nNodes {
-		s.pools.resimVals = make([]logic.Val, nNodes)
-	}
-	if cap(s.pools.resimMarks) < nMarks {
-		s.pools.resimMarks = make([]bool, nMarks)
-	}
-	return s.pools.resimVals[:nNodes], s.pools.resimMarks[:nMarks]
-}
-
-// resimMarksScratch returns only the marks buffer, for the sparse
-// resimulation path (resimulateSparse): frame values live in the event
-// evaluator's overlay, so the dense node-value buffer is never
-// allocated there.
-func (s *Simulator) resimMarksScratch() []bool {
-	nMarks := len(s.T) + 1
-	if s.cfg.Reference {
-		return make([]bool, nMarks)
-	}
-	if cap(s.pools.resimMarks) < nMarks {
-		s.pools.resimMarks = make([]bool, nMarks)
-	}
-	return s.pools.resimMarks[:nMarks]
 }

@@ -10,58 +10,52 @@ import (
 	"repro/internal/tgen"
 )
 
-// crossCheckPooled runs the fault list with the default pooled/trail path
-// and with Config.Reference (the retained allocate-per-pair path) and
-// asserts every FaultOutcome is byte-identical: outcome, detection site,
-// counters, expansions, sequences, pairs, and the classification flags.
-// FaultOutcome has no reference-typed fields, so != is an exact
-// field-by-field comparison. The pooled path is exercised serially (one
-// simulator reusing its pools across the whole list) and in parallel
-// (per-worker pools).
+// crossCheckPooled checks the pooled pair collection against the
+// allocate-per-pair reference over a whole fault list: every fault
+// that reaches collection (not detected conventionally, passing
+// condition (C)) must collect exactly collectPairsRef's pairs, on
+// whichever collector cfg selects (lane passes, or the pooled serial
+// frames under the Fixpoint schedule and BackwardDepth > 1), with one
+// simulator's pools serving the whole list. The list then runs
+// serially and through RunParallel (per-worker pools), and every
+// FaultOutcome must be byte-identical between the two (FaultOutcome
+// has no reference-typed fields, so != is an exact field-by-field
+// comparison).
 func crossCheckPooled(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
 	t.Helper()
-	ref := cfg
-	ref.Reference = true
-	pooled := cfg
-	pooled.Reference = false
-
-	simRef, err := NewSimulator(c, T, ref)
+	sim, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simPooled, err := NewSimulator(c, T, pooled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resRef, err := simRef.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPooled, err := simPooled.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPar, err := simPooled.RunParallel(faults, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, res := range map[string]*Result{"serial": resPooled, "parallel": resPar} {
-		if len(res.Outcomes) != len(resRef.Outcomes) {
-			t.Fatalf("%s: %d pooled outcomes, %d reference", name, len(res.Outcomes), len(resRef.Outcomes))
+	collected := 0
+	for _, f := range faults {
+		bad, _, detected, err := sim.runBad(f)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for k := range res.Outcomes {
-			if res.Outcomes[k] != resRef.Outcomes[k] {
-				t.Fatalf("%s: fault %s differs from reference:\n  pooled: %+v\n  ref:    %+v",
-					name, faults[k].Name(c), res.Outcomes[k], resRef.Outcomes[k])
-			}
+		if detected {
+			continue
 		}
-		if res.Conv != resRef.Conv || res.MOT != resRef.MOT || res.Sum != resRef.Sum ||
-			res.Expansions != resRef.Expansions || res.Pairs != resRef.Pairs ||
-			res.Sequences != resRef.Sequences || res.Identified != resRef.Identified ||
-			res.PrunedConditionC != resRef.PrunedConditionC {
-			t.Fatalf("%s: aggregates differ from reference:\n  pooled: %+v\n  ref:    %+v",
-				name, res, resRef)
+		nsv, nout := sim.profile(bad)
+		if !conditionC(nsv, nout) {
+			continue
+		}
+		samePairs(t, f.Name(c), sim.collectPairs(&f, bad, nout), sim.collectPairsRef(&f, bad, nout))
+		collected++
+	}
+	t.Logf("%d of %d faults reached collection", collected, len(faults))
+	res, err := sim.Run(faults, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := sim.RunParallel(faults, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range par.Outcomes {
+		if par.Outcomes[k] != res.Outcomes[k] {
+			t.Fatalf("fault %s differs between parallel and serial:\n  parallel: %+v\n  serial:   %+v",
+				faults[k].Name(c), par.Outcomes[k], res.Outcomes[k])
 		}
 	}
 }
@@ -91,8 +85,7 @@ func TestPooledCrossCheckSynthetic(t *testing.T) {
 
 // TestPooledCrossCheckLongList covers a fault list well beyond 64 faults
 // (the uncollapsed sg208 list), so one simulator's pools serve hundreds of
-// consecutive faults, including the frame-cache reuse across time units
-// and the sequence free-list cycling through the portfolio retry.
+// consecutive faults.
 func TestPooledCrossCheckLongList(t *testing.T) {
 	e, err := circuits.SuiteEntryByName("sg208")
 	if err != nil {
@@ -110,7 +103,9 @@ func TestPooledCrossCheckLongList(t *testing.T) {
 // TestPooledCrossCheckVariants sweeps the configuration axes that steer
 // the pooled code down different paths: the [4] baseline (pooled trivial
 // pairs only), deep backward implications (the level-indexed frame pool),
-// the fixpoint schedule, a tight pair cap, and identification-only mode.
+// the fixpoint schedule (serial frames), a tight pair cap,
+// identification-only mode, a small sequence budget and the prescreen
+// off.
 func TestPooledCrossCheckVariants(t *testing.T) {
 	c := circuits.S27()
 	T := tgen.Random(c.NumInputs(), 20, 27)

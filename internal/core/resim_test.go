@@ -62,7 +62,8 @@ func handExpansion(bad *seqsim.Trace) *expansion {
 // testResimulate mirrors the expand/resimulate coupling for hand-built
 // expansions: it records as seeds the state variables s0 or a step
 // assigns (as expand does), then runs the bit-parallel pass and the
-// serial path over the materialized sequences and asserts they agree.
+// serial reference over the materialized sequences and asserts they
+// agree.
 func testResimulate(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
 	t.Helper()
 	s.seedReset()
@@ -81,10 +82,8 @@ func testResimulate(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trac
 			}
 		}
 	}
-	bp := s.resimulateVV(f, bad, x)
-	s.cfg.BitParallelResim = false
-	serial := s.resimulate(f, bad, x)
-	s.cfg.BitParallelResim = true
+	bp := s.resimulate(f, bad, x)
+	serial := s.resimulateRef(f, x)
 	if bp != serial {
 		t.Fatalf("bit-parallel resimulate = %v, serial = %v", bp, serial)
 	}

@@ -36,8 +36,7 @@ func (s StageNS) sub(before StageNS) StageNS {
 // PoolStats instruments the PR 2 pooling layer: how often the pooled
 // resources were reused versus freshly allocated, and the arena
 // high-water marks. Counts are summed across RunParallel workers; peaks
-// take the maximum. Reference-mode runs record nothing here (that path
-// allocates per pair by design).
+// take the maximum.
 type PoolStats struct {
 	// FrameReuses/FrameAllocs count implication-frame acquisitions (pair
 	// frame and deep-backward frames) served by ResetFault on a pooled
@@ -152,18 +151,15 @@ type RunMetrics struct {
 	ConeGatesPerFault *metrics.Histogram
 	// ResimLanesPerPass is the distribution of lane occupancy (sequences
 	// packed per word) over bit-parallel resimulation passes — how full
-	// the 64-lane words run in practice. Empty when
-	// Config.BitParallelResim is off.
+	// the 64-lane words run in practice.
 	ResimLanesPerPass *metrics.Histogram
 	// EventsPerFrame is the distribution of node value changes (events)
 	// per event-driven sparse frame — how little of the circuit a faulty
-	// frame actually perturbs. Empty when Config.EventSim is off (the
-	// level-order path does not observe per-frame distributions).
+	// frame actually perturbs.
 	EventsPerFrame *metrics.Histogram
 	// GatesVisitedPerFrame is the distribution of gate evaluations per
 	// event-driven sparse frame — the work left after event confinement,
-	// versus the cone sizes in ConeGatesPerFault. Empty when
-	// Config.EventSim is off.
+	// versus the cone sizes in ConeGatesPerFault.
 	GatesVisitedPerFrame *metrics.Histogram
 }
 

@@ -91,9 +91,9 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.ImplyLaneEvals == 0 {
 		t.Error("ImplyLaneEvals = 0; lane implication passes not counted")
 	}
-	type resimCounts struct{ passes, frames, gateEvals, fallbacks int64 }
+	type resimCounts struct{ passes, frames, gateEvals int64 }
 	resim := func(st Stages) resimCounts {
-		return resimCounts{st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks}
+		return resimCounts{st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals}
 	}
 	if resim(ser.Stages) != resim(par.Stages) {
 		t.Errorf("resim counters differ: serial %+v, parallel %+v", resim(ser.Stages), resim(par.Stages))
@@ -253,24 +253,10 @@ func TestTraceWorkersCrossCheck(t *testing.T) {
 	}
 }
 
-// TestTraceReferencePooledCrossCheck asserts the pooled and Reference
-// pipelines emit byte-identical traces — the pooling layer must not
-// change any traced value.
-func TestTraceReferencePooledCrossCheck(t *testing.T) {
-	c, T, faults := statsSetup(t)
-	pooled, _ := traceRun(t, c, T, faults, DefaultConfig(), 1)
-	ref := DefaultConfig()
-	ref.Reference = true
-	refTr, _ := traceRun(t, c, T, faults, ref, 4)
-	if pooled != refTr {
-		t.Fatalf("trace differs between pooled and Reference:\n--- pooled ---\n%s\n--- reference ---\n%s", pooled, refTr)
-	}
-}
-
-// TestTraceTimingsPooled checks the opt-in timing fields: present on
+// TestTraceTimingsParallel checks the opt-in timing fields: present on
 // faults that entered the per-fault pipeline, absent without the flag,
 // and rejected without Metrics.
-func TestTraceTimingsPooled(t *testing.T) {
+func TestTraceTimingsParallel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.TraceTimings = true
 	cfg.Metrics = false

@@ -10,10 +10,7 @@ import (
 // SimTrace summarizes the step-0 frame evaluations of one fault for the
 // JSONL trace and span attributes: sparse faulty frames evaluated,
 // node value changes (events) propagated, and gate evaluations
-// performed. The counters are evaluator-invariant — the event-driven
-// and level-order paths evaluate the same gate set and change the same
-// nodes — so the summary is byte-identical across Config.EventSim
-// settings, bit-parallel-resim settings, and worker counts.
+// performed. The summary is byte-identical across worker counts.
 type SimTrace struct {
 	Frames    int64 `json:"sim_frames,omitempty"`
 	Events    int64 `json:"sim_events,omitempty"`
@@ -21,13 +18,12 @@ type SimTrace struct {
 }
 
 // simTraceDelta summarizes the sparse-frame work between two readings
-// of a simulator's counters, folding the two evaluator modes together
-// (exactly one runs per frame, and they do identical work).
+// of a simulator's counters.
 func simTraceDelta(before, after seqsim.SimStats) SimTrace {
 	return SimTrace{
-		Frames:    (after.DeltaFrames + after.EventFrames) - (before.DeltaFrames + before.EventFrames),
+		Frames:    after.EventFrames - before.EventFrames,
 		Events:    after.Events - before.Events,
-		GateEvals: (after.DeltaGateEvals + after.EventGateEvals) - (before.DeltaGateEvals + before.EventGateEvals),
+		GateEvals: after.EventGateEvals - before.EventGateEvals,
 	}
 }
 
@@ -40,10 +36,9 @@ type TraceDetection struct {
 // TraceEvent is one per-fault line of the JSONL trace: the fault, its
 // outcome, and the pipeline counters that led there. Every field except
 // Timing is fully determined by the circuit, test sequence and
-// configuration, so the trace is byte-identical across worker counts and
-// across the pooled and Reference implementations. Timing (present only
-// with Config.TraceTimings) carries wall-clock stage durations and is
-// inherently nondeterministic.
+// configuration, so the trace is byte-identical across worker counts.
+// Timing (present only with Config.TraceTimings) carries wall-clock
+// stage durations and is inherently nondeterministic.
 type TraceEvent struct {
 	Fault   string          `json:"fault"`
 	Outcome string          `json:"outcome"`

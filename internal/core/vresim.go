@@ -2,15 +2,16 @@ package core
 
 // Bit-parallel resimulation of expanded state sequences (Section 3.4).
 //
-// The serial resimulate walks one sequence at a time through full-frame
-// evaluations. The expanded sequences of one fault differ only in a
-// handful of injected state-variable values, so almost all of that work
-// is redundant across sequences. Here every sequence rides one lane of
-// a 64-bit cir.VV word: lane l carries sequence l's state values, and
-// one vector pass evaluates 64 sequences at once. Per-lane bit masks
-// replace the serial per-sequence control flow (marked time units,
+// The paper resimulates one sequence at a time through full-frame
+// evaluations (resimulateRef in the tests, the reference this file is
+// checked against). The expanded sequences of one fault differ only in
+// a handful of injected state-variable values, so almost all of that
+// work is redundant across sequences. Here every sequence rides one
+// lane of a 64-bit cir.VV word: lane l carries sequence l's state
+// values, and one vector pass evaluates 64 sequences at once. Per-lane
+// bit masks replace the per-sequence control flow (marked time units,
 // detection, infeasibility conflicts), with semantics proved
-// lane-for-lane identical to the serial path and asserted so by the
+// lane-for-lane identical to the serial loop and asserted so by the
 // cross-check tests. Expansions of more than 64 sequences run as
 // 64-lane chunks, one pass each: every mask is per lane, so a lane's
 // outcome does not depend on the chunk it rides, and the fault stays
@@ -188,9 +189,6 @@ func (lc *laneCols) pack(x *expansion, lo int, all uint64) {
 // evaluator's overlay is epoch-stamped.
 func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows []uint64) {
 	rows := len(s.T) + 1
-	if s.cfg.Reference {
-		return s.cc.NewLaneEval(), &laneCols{}, make([]uint64, rows)
-	}
 	p := &s.pools
 	if p.lanes == nil {
 		p.lanes = s.cc.NewLaneEval()
@@ -201,13 +199,18 @@ func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows 
 	return p.lanes, &p.laneCols, p.vvMarks[:rows]
 }
 
-// resimulateVV is the bit-parallel implementation of resimulate: every
-// sequence of expansion x occupies one lane, and each frame of a pass
-// evaluates the divergence of 64 lanes from the base trace at once. It
-// returns false at the first 64-lane chunk that leaves a lane
+// resimulate implements Section 3.4: every sequence is resimulated at
+// its marked time units (propagating newly specified state variables
+// forward) until it is resolved by a detection or an infeasibility
+// conflict, or until no marked units remain. The fault is detected when
+// every sequence resolves.
+//
+// Every sequence of expansion x occupies one lane, and each frame of a
+// pass evaluates the divergence of 64 lanes from the base trace at
+// once. It returns false at the first 64-lane chunk that leaves a lane
 // unresolved. Caller guarantees that bad retains node values and is
 // the trace x expanded from.
-func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
+func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
 	ev, lc, markRows := s.vresimScratch()
 	n := x.lanes()
 	resolved := true
@@ -231,8 +234,15 @@ func (s *Simulator) resimulateVV(f *fault.Fault, bad *seqsim.Trace, x *expansion
 		s.lastResim.GateEvals += gateEvals
 		s.lastResim.Lanes += min(n-lo, 64)
 	}
+	if resimHook != nil {
+		resimHook(s, f, bad, x, resolved)
+	}
 	return resolved
 }
+
+// resimHook, when set (tests only), observes every resimulate verdict,
+// so it can be checked against the serial reference.
+var resimHook func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion, got bool)
 
 // resimPass resimulates the lanes all of the 64-lane chunk starting at
 // lane lo and reports whether every one resolved, with the frames and

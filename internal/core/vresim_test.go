@@ -13,58 +13,53 @@ import (
 	"repro/internal/tgen"
 )
 
-// crossCheckBPResim runs the fault list with the bit-parallel
-// resimulation on and off and asserts every FaultOutcome is
-// byte-identical (FaultOutcome has no reference-typed fields, so != is
-// an exact field-by-field comparison). The bit-parallel path is
-// exercised serially and through RunParallel (per-worker lane
-// evaluators and lane columns).
-func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) {
+// crossCheckBPResim runs the fault list serially with resimHook
+// checking every expansion's vector-pass verdict against the serial
+// reference (resimulateRef), then through RunParallel (per-worker lane
+// evaluators and lane columns), and asserts every parallel FaultOutcome
+// is byte-identical to the serial one (FaultOutcome has no
+// reference-typed fields, so != is an exact field-by-field
+// comparison). It returns the number of expansions checked.
+func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, cfg Config) int {
 	t.Helper()
-	serial := cfg
-	serial.BitParallelResim = false
-	vector := cfg
-	vector.BitParallelResim = true
-
-	simSerial, err := NewSimulator(c, T, serial)
+	sim, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	simVector, err := NewSimulator(c, T, vector)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resSerial, err := simSerial.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resVector, err := simVector.Run(faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resPar, err := simVector.RunParallel(faults, 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for name, res := range map[string]*Result{"serial": resVector, "parallel": resPar} {
-		if len(res.Outcomes) != len(resSerial.Outcomes) {
-			t.Fatalf("%s: %d bit-parallel outcomes, %d serial", name, len(res.Outcomes), len(resSerial.Outcomes))
-		}
-		for k := range res.Outcomes {
-			if res.Outcomes[k] != resSerial.Outcomes[k] {
-				t.Fatalf("%s: fault %s differs from serial resim:\n  bit-parallel: %+v\n  serial:       %+v",
-					name, faults[k].Name(c), res.Outcomes[k], resSerial.Outcomes[k])
+	checked, mismatches := 0, 0
+	resimHook = func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion, got bool) {
+		checked++
+		if want := s.resimulateRef(f, x); got != want {
+			if mismatches++; mismatches <= 5 {
+				t.Errorf("fault %s, %d steps: vector pass %v, reference %v", f.Name(c), len(x.steps), got, want)
 			}
 		}
-		if res.Conv != resSerial.Conv || res.MOT != resSerial.MOT || res.Sum != resSerial.Sum ||
-			res.Expansions != resSerial.Expansions || res.Pairs != resSerial.Pairs ||
-			res.Sequences != resSerial.Sequences || res.Identified != resSerial.Identified ||
-			res.PrunedConditionC != resSerial.PrunedConditionC {
-			t.Fatalf("%s: aggregates differ from serial resim:\n  bit-parallel: %+v\n  serial:       %+v",
-				name, res, resSerial)
+	}
+	res, err := sim.Run(faults, nil)
+	resimHook = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := sim.RunParallel(faults, 4, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(par.Outcomes) != len(res.Outcomes) {
+		t.Fatalf("%d parallel outcomes, %d serial", len(par.Outcomes), len(res.Outcomes))
+	}
+	for k := range par.Outcomes {
+		if par.Outcomes[k] != res.Outcomes[k] {
+			t.Fatalf("fault %s differs between parallel and serial:\n  parallel: %+v\n  serial:   %+v",
+				faults[k].Name(c), par.Outcomes[k], res.Outcomes[k])
 		}
 	}
+	if par.Conv != res.Conv || par.MOT != res.MOT || par.Sum != res.Sum ||
+		par.Expansions != res.Expansions || par.Pairs != res.Pairs ||
+		par.Sequences != res.Sequences || par.Identified != res.Identified ||
+		par.PrunedConditionC != res.PrunedConditionC {
+		t.Fatalf("aggregates differ between parallel and serial:\n  parallel: %+v\n  serial:   %+v", par, res)
+	}
+	return checked
 }
 
 func TestBPResimCrossCheckS27(t *testing.T) {
@@ -125,7 +120,9 @@ func TestBPResimCrossCheckSuite(t *testing.T) {
 					cfg := DefaultConfig()
 					cfg.NStates = nstates
 					cfg.UseBackwardImplications = bi
-					crossCheckBPResim(t, c, T, faults, cfg)
+					if n := crossCheckBPResim(t, c, T, faults, cfg); n == 0 {
+						t.Fatal("no expansion reached resimulation")
+					}
 				})
 			}
 		}
@@ -136,9 +133,8 @@ func TestBPResimCrossCheckSuite(t *testing.T) {
 // change what reaches resimulation: the [4] baseline (no implication
 // pruning, more surviving sequences), deep backward implications, the
 // fixpoint schedule, a tight pair cap, a small sequence budget (more
-// portfolio retries), the Reference allocation mode (fresh lane
-// evaluator and columns per pass), and the prescreen off (conventionally
-// detected faults resimulate too).
+// portfolio retries), and the prescreen off (conventionally detected
+// faults resimulate too).
 func TestBPResimCrossCheckVariants(t *testing.T) {
 	c := circuits.S27()
 	T := tgen.Random(c.NumInputs(), 20, 27)
@@ -150,7 +146,6 @@ func TestBPResimCrossCheckVariants(t *testing.T) {
 		"fixpoint":     func(cfg *Config) { cfg.Schedule = Fixpoint },
 		"maxpairs4":    func(cfg *Config) { cfg.MaxPairs = 4 },
 		"nstates2":     func(cfg *Config) { cfg.NStates = 2 },
-		"reference":    func(cfg *Config) { cfg.Reference = true },
 		"no-prescreen": func(cfg *Config) { cfg.Prescreen = false },
 	}
 	for name, tweak := range variants {
@@ -179,7 +174,7 @@ o3 = OR(q1, q2)
 `
 
 // FuzzResimCrossCheck drives hand-built divergent expansions through
-// both resimulation paths and asserts they agree. The fuzz input is
+// the vector pass and the serial reference and asserts they agree. The fuzz input is
 // decoded under the expand invariants: data[0] picks up to three steps,
 // then (time unit, state variable, value) triples go round-robin to s0
 // and the steps. An s0 triple assigns a binary value at a time unit

@@ -46,16 +46,6 @@ type Options struct {
 	// (on by default via core.DefaultConfig). Results are identical
 	// either way; disabling it exists for cross-checking and timing.
 	DisablePrescreen bool
-	// DisableBitParallelResim turns off the bit-parallel Section 3.4
-	// resimulation (on by default via core.DefaultConfig), forcing the
-	// serial per-sequence path. Results are identical either way;
-	// disabling it exists for cross-checking and timing.
-	DisableBitParallelResim bool
-	// DisableEventSim turns off the event-driven sparse-delta frame
-	// evaluator (on by default via core.DefaultConfig), forcing the
-	// level-order copy-and-propagate path. Results are identical either
-	// way; disabling it exists for cross-checking and timing.
-	DisableEventSim bool
 	// Progress, when non-nil, receives per-fault progress.
 	Progress func(circuit string, done, total int)
 	// Live, when non-nil, receives coarse-cadence live snapshots from
@@ -79,14 +69,6 @@ func (o Options) configs() (core.Config, core.Config) {
 	if o.DisablePrescreen {
 		p.Prescreen = false
 		b.Prescreen = false
-	}
-	if o.DisableBitParallelResim {
-		p.BitParallelResim = false
-		b.BitParallelResim = false
-	}
-	if o.DisableEventSim {
-		p.EventSim = false
-		b.EventSim = false
 	}
 	p.Live = o.Live
 	b.Live = o.Live

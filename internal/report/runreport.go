@@ -57,11 +57,14 @@ type StagesReport struct {
 	ExpandNS  int64 `json:"expand_ns"`
 	ResimNS   int64 `json:"resim_ns"`
 
-	ImplyCalls           int64 `json:"imply_calls"`
-	ImplyLaneEvals       int64 `json:"imply_lane_evals"`
-	ResimVectorPasses    int64 `json:"resim_vector_passes"`
-	ResimVectorFrames    int64 `json:"resim_vector_frames"`
-	ResimGateEvals       int64 `json:"resim_gate_evals"`
+	ImplyCalls        int64 `json:"imply_calls"`
+	ImplyLaneEvals    int64 `json:"imply_lane_evals"`
+	ResimVectorPasses int64 `json:"resim_vector_passes"`
+	ResimVectorFrames int64 `json:"resim_vector_frames"`
+	ResimGateEvals    int64 `json:"resim_gate_evals"`
+	// ResimSerialFallbacks is always 0: every expansion resimulates
+	// bit-parallel. The field stays because the benchmark harness
+	// (perfbench) reads it for its core.resim_serial_fallbacks row.
 	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
 
 	MOTFaults int             `json:"mot_faults"`
@@ -119,7 +122,6 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
-			ResimSerialFallbacks: st.ResimSerialFallbacks,
 			MOTFaults:            st.MOTFaults,
 			Pool:                 st.Pool,
 			Sim:                  st.Sim,
@@ -186,17 +188,17 @@ func FormatRunStats(res *core.Result) string {
 	}
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  implication calls: %d (%d lane gate evals)\n", st.ImplyCalls, st.ImplyLaneEvals)
-	if st.ResimVectorPasses > 0 || st.ResimSerialFallbacks > 0 {
-		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
-			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimSerialFallbacks)
+	if st.ResimVectorPasses > 0 {
+		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
+			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals)
 	}
 	if st.PrescreenFrames > 0 {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit (%d gate evals)\n",
 			st.PrescreenFrames, st.PrescreenSavedFrames, st.PrescreenGateEvals)
 	}
-	if sim := st.Sim; sim.DeltaFrames+sim.EventFrames+sim.FullFrames > 0 {
-		fmt.Fprintf(&sb, "  serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
-			sim.DeltaFrames, sim.DeltaGateEvals, sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
+	if sim := st.Sim; sim.EventFrames+sim.FullFrames > 0 {
+		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events), %d full\n",
+			sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
 	}
 	if p := st.Pool; p != (core.PoolStats{}) {
 		fmt.Fprintf(&sb, "  pools: frames %d reused / %d allocated; traces %d reused / %d allocated\n",
@@ -238,10 +240,10 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals)\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals)
-	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d serial fallbacks\n",
-		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals, s.ResimSerialFallbacks)
-	fmt.Fprintf(&sb, "    serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full\n",
-		s.DeltaFrames, s.DeltaGateEvals, s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
+	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
+		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals)
+	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events), %d full\n",
+		s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
 	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply~%.3f) expand=%.3f resim=%.3f total=%.3f\n",
 		float64(s.Step0NS)/1e9, float64(s.CollectNS)/1e9, float64(s.ImplyNS)/1e9,
 		float64(s.ExpandNS)/1e9, float64(s.ResimNS)/1e9, float64(s.TotalNS)/1e9)

@@ -141,8 +141,7 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 			res.Stages.PrescreenFrames, res.Stages.PrescreenGateEvals),
 		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals)",
 			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals),
-		fmt.Sprintf("serial sim frames: %d delta (%d gate evals), %d event (%d gate evals, %d events), %d full",
-			res.Stages.Sim.DeltaFrames, res.Stages.Sim.DeltaGateEvals,
+		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events), %d full",
 			res.Stages.Sim.EventFrames, res.Stages.Sim.EventGateEvals, res.Stages.Sim.Events,
 			res.Stages.Sim.FullFrames),
 	} {

@@ -55,14 +55,14 @@ func compareTraces(t *testing.T, tag string, a, b *Trace) {
 	for u := range a.States {
 		for j := range a.States[u] {
 			if a.States[u][j] != b.States[u][j] {
-				t.Fatalf("%s: state[%d][%d] event=%v level=%v", tag, u, j, a.States[u][j], b.States[u][j])
+				t.Fatalf("%s: state[%d][%d] event=%v full=%v", tag, u, j, a.States[u][j], b.States[u][j])
 			}
 		}
 	}
 	for u := range a.Outputs {
 		for j := range a.Outputs[u] {
 			if a.Outputs[u][j] != b.Outputs[u][j] {
-				t.Fatalf("%s: output[%d][%d] event=%v level=%v", tag, u, j, a.Outputs[u][j], b.Outputs[u][j])
+				t.Fatalf("%s: output[%d][%d] event=%v full=%v", tag, u, j, a.Outputs[u][j], b.Outputs[u][j])
 			}
 		}
 	}
@@ -72,19 +72,19 @@ func compareTraces(t *testing.T, tag string, a, b *Trace) {
 	for u := range a.Nodes {
 		for n := range a.Nodes[u] {
 			if a.Nodes[u][n] != b.Nodes[u][n] {
-				t.Fatalf("%s: node[%d][%d] event=%v level=%v", tag, u, n, a.Nodes[u][n], b.Nodes[u][n])
+				t.Fatalf("%s: node[%d][%d] event=%v full=%v", tag, u, n, a.Nodes[u][n], b.Nodes[u][n])
 			}
 		}
 	}
 }
 
-// TestEventSimMatchesLevelOrder is the evaluator-twin property test:
-// the event-driven sparse-delta evaluator and the retained level-order
-// copy-and-propagate path must produce byte-identical traces (states,
-// outputs and per-node rows), identical detections, and — because the
-// level path is change-driven too — identical gate-visit and event
-// counts, for random circuits, faults and sequences including 3- and
-// 4-input gates.
+// TestEventSimMatchesLevelOrder is the evaluator property test: the
+// event-driven sparse-delta evaluator and the full-pass reference
+// (every gate of every faulty frame in level order, NewFullPass) must
+// produce byte-identical traces (states, outputs and per-node rows) and
+// identical detections, and evaluate the same number of faulty frames,
+// each in its own mode, for random circuits, faults and sequences
+// including 3- and 4-input gates.
 func TestEventSimMatchesLevelOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 40; trial++ {
@@ -94,8 +94,7 @@ func TestEventSimMatchesLevelOrder(t *testing.T) {
 		}
 		T := randomSequence(rng, c.NumInputs(), 2+rng.Intn(5))
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
+		lv := NewFullPass(c)
 		good, err := ev.Run(T, nil, true)
 		if err != nil {
 			t.Fatal(err)
@@ -115,26 +114,22 @@ func TestEventSimMatchesLevelOrder(t *testing.T) {
 			}
 			tag := fmt.Sprintf("trial %d fault %s", trial, f.Name(c))
 			if detEv != detLv || atEv != atLv {
-				t.Fatalf("%s: detection event=(%v,%+v) level=(%v,%+v)", tag, detEv, atEv, detLv, atLv)
+				t.Fatalf("%s: detection event=(%v,%+v) full=(%v,%+v)", tag, detEv, atEv, detLv, atLv)
 			}
 			compareTraces(t, tag, trEv, trLv)
 
 			se, sl := ev.Stats(), lv.Stats()
-			if se.DeltaFrames != 0 || sl.EventFrames != 0 {
-				t.Fatalf("%s: evaluators crossed paths: event=%+v level=%+v", tag, se, sl)
-			}
-			if se.EventFrames != sl.DeltaFrames || se.EventGateEvals != sl.DeltaGateEvals ||
-				se.Events != sl.Events || se.FullFrames != sl.FullFrames {
-				t.Fatalf("%s: counter parity broken:\n  event: %+v\n  level: %+v", tag, se, sl)
+			if se.FullFrames != 0 || sl.EventFrames != 0 || se.EventFrames != sl.FullFrames {
+				t.Fatalf("%s: frame counters:\n  event: %+v\n  full:  %+v", tag, se, sl)
 			}
 		}
 	}
 }
 
 // TestEventSimFrameDeltaMatches checks the exported FrameDelta entry
-// point: with the event evaluator on it must reproduce the level-order
-// result and the full re-evaluation exactly, for random frames, faults
-// and divergent present states.
+// point: it must reproduce the full re-evaluation (EvalFrame) exactly,
+// for random frames with X inputs, faults and divergent present states,
+// including 3- and 4-input gates.
 func TestEventSimFrameDeltaMatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	for trial := 0; trial < 30; trial++ {
@@ -143,8 +138,6 @@ func TestEventSimFrameDeltaMatches(t *testing.T) {
 			continue
 		}
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
 		pat := make(Pattern, c.NumInputs())
 		for i := range pat {
 			pat[i] = logic.Val(rng.Intn(3))
@@ -163,11 +156,10 @@ func TestEventSimFrameDeltaMatches(t *testing.T) {
 		want := make([]logic.Val, c.NumNodes())
 		EvalFrame(c, pat, badPS, &f, want)
 		gotEv := ev.FrameDelta(pat, badPS, goodVals, &f)
-		gotLv := lv.FrameDelta(pat, badPS, goodVals, &f)
 		for n := range want {
-			if gotEv[n] != want[n] || gotLv[n] != want[n] {
-				t.Fatalf("trial %d fault %s: node %s event=%v level=%v full=%v",
-					trial, f.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], gotLv[n], want[n])
+			if gotEv[n] != want[n] {
+				t.Fatalf("trial %d fault %s: node %s event=%v full=%v",
+					trial, f.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], want[n])
 			}
 		}
 		// Fault-free frames must pass through unchanged too.
@@ -200,8 +192,7 @@ o2 = XNOR(q1, q2)
 
 // FuzzEventSimFrameDelta decodes the fuzz input as a frame (pattern
 // bits, present-state values, fault pick) and asserts the event-driven
-// FrameDelta agrees with the level-order twin and with a full
-// re-evaluation.
+// FrameDelta agrees with a full re-evaluation (EvalFrame).
 func FuzzEventSimFrameDelta(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte{1, 2, 3, 4})
@@ -212,8 +203,6 @@ func FuzzEventSimFrameDelta(f *testing.F) {
 		}
 		c := mustParse(t, "eventfuzz", eventFuzzBench)
 		ev := New(c)
-		lv := New(c)
-		lv.SetEventSim(false)
 		at := func(i int) byte {
 			if i < len(data) {
 				return data[i]
@@ -237,11 +226,10 @@ func FuzzEventSimFrameDelta(f *testing.F) {
 		want := make([]logic.Val, c.NumNodes())
 		EvalFrame(c, pat, badPS, &fl, want)
 		gotEv := ev.FrameDelta(pat, badPS, goodVals, &fl)
-		gotLv := lv.FrameDelta(pat, badPS, goodVals, &fl)
 		for n := range want {
-			if gotEv[n] != want[n] || gotLv[n] != want[n] {
-				t.Fatalf("fault %s: node %s event=%v level=%v full=%v",
-					fl.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], gotLv[n], want[n])
+			if gotEv[n] != want[n] {
+				t.Fatalf("fault %s: node %s event=%v full=%v",
+					fl.Name(c), c.NodeName(netlist.NodeID(n)), gotEv[n], want[n])
 			}
 		}
 	})

@@ -115,38 +115,28 @@ func (t *Trace) MemSize() int64 {
 }
 
 // SimStats counts the work a Simulator performed: time frames by
-// evaluation mode, gate evaluations on the sparse paths, and node value
+// evaluation mode, gate evaluations on the sparse path, and node value
 // changes (events). The counters are plain fields maintained by the
 // simulator's single goroutine; merge per-worker copies with Merge.
 type SimStats struct {
-	// DeltaFrames counts faulty frames evaluated by the level-order
-	// copy-and-propagate evaluator; EventFrames counts frames evaluated
-	// by the event-driven sparse-delta evaluator (no baseline copy);
-	// FullFrames counts frames where every gate was evaluated (fault-free
-	// runs, the full-pass evaluator, and faulty frames without a
-	// baseline). The two sparse modes are mutually exclusive per frame
-	// (Config.EventSim selects one), visit the same gates, and change the
-	// same nodes — only the frame counters differ between them.
-	DeltaFrames int64 `json:"delta_frames"`
+	// EventFrames counts frames evaluated by the event-driven
+	// sparse-delta evaluator (no baseline copy); FullFrames counts
+	// frames where every gate was evaluated (fault-free runs, the
+	// full-pass evaluator, and faulty frames without a baseline).
 	EventFrames int64 `json:"event_frames"`
 	FullFrames  int64 `json:"full_frames"`
-	// DeltaGateEvals/EventGateEvals count gate evaluations performed by
-	// the respective sparse frames — the activity the
-	// single-fault-propagation speedup leaves.
-	DeltaGateEvals int64 `json:"delta_gate_evals"`
+	// EventGateEvals counts gate evaluations performed by the sparse
+	// frames — the activity the single-fault-propagation speedup leaves.
 	EventGateEvals int64 `json:"event_gate_evals"`
-	// Events counts node value changes across all sparse frames (both
-	// modes): the divergence the sparse evaluators actually track. It is
-	// identical whichever evaluator runs.
+	// Events counts node value changes across all sparse frames: the
+	// divergence the sparse evaluator actually tracks.
 	Events int64 `json:"events"`
 }
 
 // Merge adds other into s.
 func (s *SimStats) Merge(other SimStats) {
-	s.DeltaFrames += other.DeltaFrames
 	s.EventFrames += other.EventFrames
 	s.FullFrames += other.FullFrames
-	s.DeltaGateEvals += other.DeltaGateEvals
 	s.EventGateEvals += other.EventGateEvals
 	s.Events += other.Events
 }
@@ -160,18 +150,12 @@ type Simulator struct {
 
 	// scratch buffer reused across frames
 	vals []logic.Val
-
-	// delta-evaluation worklist state (the level-order evaluator)
-	dirty   []bool
-	levelQ  [][]netlist.GateID
+	// useFull selects the full-pass evaluator (NewFullPass).
 	useFull bool
 
-	// event-driven sparse-delta evaluator state. eventSim selects it for
-	// faulty frames (the default); the level-order path above is the
-	// retained cross-check twin. eev is created on first use;
-	// frameSparse reports that the most recent faulty frame lives in
-	// eev's overlay instead of s.vals.
-	eventSim    bool
+	// event-driven sparse-delta evaluator state: eev is created on first
+	// use; frameSparse reports that the most recent faulty frame lives
+	// in eev's overlay instead of s.vals.
 	eev         *cir.EventEval
 	frameSparse bool
 
@@ -214,21 +198,12 @@ func New(c *netlist.Circuit) *Simulator {
 // sharing cc read-only with any other evaluator.
 func NewCompiled(cc *cir.CC) *Simulator {
 	return &Simulator{
-		cc:       cc,
-		ev:       cc.NewEvaluator(),
-		vals:     make([]logic.Val, cc.NumNodes()),
-		dirty:    make([]bool, cc.NumGates()),
-		levelQ:   make([][]netlist.GateID, cc.MaxLevel+1),
-		cone:     cc.ConeOf(&cir.NoFault),
-		eventSim: true,
+		cc:   cc,
+		ev:   cc.NewEvaluator(),
+		vals: make([]logic.Val, cc.NumNodes()),
+		cone: cc.ConeOf(&cir.NoFault),
 	}
 }
-
-// SetEventSim selects the evaluator for sparse faulty frames: the
-// event-driven sparse-delta evaluator (on, the default) or the retained
-// level-order copy-and-propagate twin (off). Results are byte-identical
-// either way; the switch exists for cross-checking and timing.
-func (s *Simulator) SetEventSim(on bool) { s.eventSim = on }
 
 // SetFrameHists installs per-frame distribution sinks for the event
 // path: events (node value changes) and gates visited per sparse frame.
@@ -258,8 +233,8 @@ func (s *Simulator) FlushFrameHists() {
 	}
 }
 
-// ensureEEV lazily builds the event evaluator (full-pass and
-// level-order-only simulators never pay for it).
+// ensureEEV lazily builds the event evaluator (full-pass simulators
+// never pay for it).
 func (s *Simulator) ensureEEV() *cir.EventEval {
 	if s.eev == nil {
 		s.eev = s.cc.NewEventEval()
@@ -268,8 +243,9 @@ func (s *Simulator) ensureEEV() *cir.EventEval {
 }
 
 // NewFullPass returns a Simulator that evaluates every gate in every
-// faulty frame with no cone restriction (the straightforward reference
-// evaluator). Results are identical to New; only performance differs.
+// faulty frame with no cone restriction: the straightforward reference
+// evaluator the event-driven frames are tested against. Results are
+// identical to New; only performance differs.
 func NewFullPass(c *netlist.Circuit) *Simulator {
 	s := New(c)
 	s.useFull = true
@@ -296,22 +272,10 @@ func (s *Simulator) ConeSize() int { return s.cone.Size() }
 // holds its stuck value and the value its driver would compute is
 // discarded, since no reader can observe it.
 //
-// The free function compiles (or re-uses the cached compile of) c and
-// allocates a small evaluator per call; hot paths should hold a Simulator
-// and use its EvalFrame method instead.
+// It compiles (or re-uses the cached compile of) c and allocates a small
+// evaluator per call; hot paths should hold a cir.Evaluator instead.
 func EvalFrame(c *netlist.Circuit, pi Pattern, ps []logic.Val, f *fault.Fault, vals []logic.Val) {
 	cir.For(c).NewEvaluator().EvalFrame(pi, ps, f, vals)
-}
-
-// EvalFrame is the free EvalFrame on the simulator's compiled circuit,
-// reusing its gather scratch and performing no allocation. It does not
-// touch the work counters. The serial resimulation of expanded
-// sequences goes through here: an expanded sequence specifies arbitrary
-// state variables, so the frame cannot be confined to the fault's
-// active cone alone (the bit-parallel path instead evaluates only the
-// gates the lanes' divergence from the retained faulty trace reaches).
-func (s *Simulator) EvalFrame(pi Pattern, ps []logic.Val, f *fault.Fault, vals []logic.Val) {
-	s.ev.EvalFrame(pi, ps, f, vals)
 }
 
 // initialStateInto writes the effective all-X initial state under fault f.
@@ -575,12 +539,11 @@ func (s *Simulator) RunFaultInto(tr *Trace, T Sequence, good *Trace, f fault.Fau
 	return Detection{}, false, nil
 }
 
-// evalFaultyFrame computes the faulty frame u values into s.vals given the
-// effective faulty present state ps. With the full-pass evaluator this is
-// a full EvalFrame; otherwise the faulty values are derived from the
-// fault-free frame by event-driven propagation of differences seeded from
-// the active cone (the cone's present-state differences and the fault
-// site).
+// evalFaultyFrame computes the faulty frame u values given the effective
+// faulty present state ps. With the full-pass evaluator, or without
+// fault-free node values, this is a full EvalFrame into s.vals;
+// otherwise the frame is an event-driven sparse overlay on the
+// fault-free frame (evalFrameEventCone).
 func (s *Simulator) evalFaultyFrame(pat Pattern, ps []logic.Val, good *Trace, u int, f *fault.Fault) {
 	s.frameSparse = false
 	if s.useFull || good.Nodes == nil {
@@ -588,20 +551,18 @@ func (s *Simulator) evalFaultyFrame(pat Pattern, ps []logic.Val, good *Trace, u 
 		s.stats.FullFrames++
 		return
 	}
-	if s.eventSim {
-		s.evalFrameEventCone(ps, good.Nodes[u], f)
-		s.frameSparse = true
-		return
-	}
-	s.evalFrameDeltaCone(pat, ps, good.Nodes[u], f)
+	s.evalFrameEventCone(ps, good.Nodes[u], f)
+	s.frameSparse = true
 }
 
-// evalFrameEventCone is the event-driven twin of evalFrameDeltaCone:
-// the faulty frame is evaluated as a sparse overlay over the fault-free
-// frame, seeded from the active cone's present-state differences and
-// the fault site, with no whole-circuit copy. The frame's values stay
-// in the overlay (frameSparse); the read phase patches them over the
-// fault-free rows on demand.
+// evalFrameEventCone evaluates the faulty frame as a sparse overlay
+// over the fault-free frame, seeded from the active cone's
+// present-state differences and the fault site, with no whole-circuit
+// copy. Only the cone's flip-flops can carry a faulty present-state
+// difference, and the pattern is the one the baseline was simulated
+// with, so non-cone seeds would be no-ops and are skipped. The frame's
+// values stay in the overlay (frameSparse); the read phase patches them
+// over the fault-free rows on demand.
 func (s *Simulator) evalFrameEventCone(ps []logic.Val, goodVals []logic.Val, f *fault.Fault) {
 	cc := s.cc
 	eev := s.ensureEEV()
@@ -614,8 +575,10 @@ func (s *Simulator) evalFrameEventCone(ps []logic.Val, goodVals []logic.Val, f *
 	s.finishEventFrame(eev, f)
 }
 
-// seedFaultSiteEvent seeds the event queue with the fault site,
-// mirroring seedFaultSite on the level-order path.
+// seedFaultSiteEvent seeds the event queue with the fault site: a stem
+// fault forces its node's stuck value (its driver is never evaluated
+// into the node); a branch fault re-evaluates the one gate that reads
+// the stuck pin.
 func (s *Simulator) seedFaultSiteEvent(eev *cir.EventEval, f *fault.Fault) {
 	if f.Node == netlist.NoNode {
 		return
@@ -678,8 +641,7 @@ func (s *Simulator) frameNextStateInto(good *Trace, u int, f *fault.Fault, st []
 }
 
 // frameNodesInto writes the faulty frame u's dense node values into
-// row: a baseline copy patched with the overlay for a sparse frame
-// (one memmove instead of the level-order path's copy-then-recopy).
+// row: a baseline copy patched with the overlay for a sparse frame.
 func (s *Simulator) frameNodesInto(good *Trace, u int, row []logic.Val) {
 	if !s.frameSparse {
 		copy(row, s.vals)
@@ -690,9 +652,9 @@ func (s *Simulator) frameNodesInto(good *Trace, u int, row []logic.Val) {
 }
 
 // FrameDelta computes the faulty values of one frame from a fault-free
-// baseline of the same frame, by copying the baseline and event-driven
-// propagation of the differences (the present-state differences and the
-// fault site). The returned slice is the simulator's scratch buffer,
+// baseline of the same frame, by event-driven propagation of the
+// differences (the present-state differences and the fault site) over
+// the baseline. The returned slice is the simulator's scratch buffer,
 // valid until the next call.
 //
 // Unlike the RunFault path, FrameDelta seeds every primary input and
@@ -703,19 +665,6 @@ func (s *Simulator) FrameDelta(pat Pattern, ps []logic.Val, goodVals []logic.Val
 	if f == nil {
 		f = &cir.NoFault
 	}
-	if s.eventSim {
-		s.evalFrameEventFull(pat, ps, goodVals, f)
-	} else {
-		s.evalFrameDelta(pat, ps, goodVals, f)
-	}
-	return s.vals
-}
-
-// evalFrameEventFull is the event-driven twin of evalFrameDelta: full
-// (every input, every state variable, fault site) seeding over the
-// whole-circuit schedule, materialized densely into s.vals to keep
-// FrameDelta's contract.
-func (s *Simulator) evalFrameEventFull(pat Pattern, ps []logic.Val, goodVals []logic.Val, f *fault.Fault) {
 	cc := s.cc
 	eev := s.ensureEEV()
 	eev.BeginFrame(goodVals, cc.FullSched())
@@ -730,119 +679,5 @@ func (s *Simulator) evalFrameEventFull(pat Pattern, ps []logic.Val, goodVals []l
 	copy(s.vals, goodVals)
 	eev.MaterializeInto(s.vals)
 	s.frameSparse = false
-}
-
-// EvalFrameSparse evaluates one faulty frame against a dense baseline
-// row of the same fault (base must hold the node values of a frame
-// simulated under the same input pattern and the same fault — e.g. a
-// retained step-0 bad-trace row), seeding only the present-state
-// lines: input and fault-site seeds are no-ops against such a baseline.
-// The frame's values stay sparse; read them through the returned event
-// evaluator, which is valid until the next frame evaluated on this
-// simulator. The caller owns interpretation of f == nil (treated as
-// fault-free).
-func (s *Simulator) EvalFrameSparse(ps []logic.Val, base []logic.Val, f *fault.Fault) *cir.EventEval {
-	if f == nil {
-		f = &cir.NoFault
-	}
-	cc := s.cc
-	eev := s.ensureEEV()
-	eev.BeginFrame(base, cc.FullSched())
-	for i, q := range cc.FFQ {
-		eev.Set(q, f.Observed(q, ps[i]))
-	}
-	s.finishEventFrame(eev, f)
-	return eev
-}
-
-// evalFrameDelta computes faulty frame values by copying the fault-free
-// frame and propagating only the gates whose inputs differ, with full
-// (every input, every state variable) seeding.
-func (s *Simulator) evalFrameDelta(pat Pattern, ps []logic.Val, goodVals []logic.Val, f *fault.Fault) {
-	cc := s.cc
-	copy(s.vals, goodVals)
-	// Seed: primary inputs (stem faults there), present-state differences,
-	// the fault site itself.
-	for i, id := range cc.Inputs {
-		s.touch(id, f.Observed(id, pat[i]))
-	}
-	for i, q := range cc.FFQ {
-		s.touch(q, f.Observed(q, ps[i]))
-	}
-	s.seedFaultSite(f)
-	s.drain(f)
-}
-
-// evalFrameDeltaCone is evalFrameDelta seeded from the active cone: only
-// the cone's flip-flops can carry a faulty present-state difference, and
-// the pattern applied to the faulty machine is the one the baseline was
-// simulated with, so non-cone seeds are no-ops by construction and are
-// skipped entirely. This is the classic single-fault-propagation speedup
-// restricted further to the fault's sequential fanout closure.
-func (s *Simulator) evalFrameDeltaCone(pat Pattern, ps []logic.Val, goodVals []logic.Val, f *fault.Fault) {
-	cc := s.cc
-	copy(s.vals, goodVals)
-	for _, i := range s.cone.FFs {
-		q := cc.FFQ[i]
-		s.touch(q, f.Observed(q, ps[i]))
-	}
-	s.seedFaultSite(f)
-	s.drain(f)
-}
-
-// seedFaultSite seeds the delta worklist with the fault site: a stem
-// fault forces its node's stuck value; a branch fault re-evaluates the
-// one gate that reads the stuck pin.
-func (s *Simulator) seedFaultSite(f *fault.Fault) {
-	if f.Node == netlist.NoNode {
-		return
-	}
-	if f.IsStem() {
-		if v, ok := f.StuckNode(f.Node); ok {
-			s.touch(f.Node, v)
-		}
-		// The driver of a stuck node must never overwrite it; it is
-		// simply never re-evaluated into the node.
-	} else {
-		s.push(f.Gate)
-	}
-}
-
-// drain evaluates the queued gates level by level, propagating changes.
-func (s *Simulator) drain(f *fault.Fault) {
-	cc := s.cc
-	for lvl := int32(1); lvl <= cc.MaxLevel; lvl++ {
-		q := s.levelQ[lvl]
-		s.levelQ[lvl] = q[:0]
-		s.stats.DeltaGateEvals += int64(len(q))
-		for _, gi := range q {
-			s.dirty[gi] = false
-			s.touch(cc.GOut[gi], s.ev.EvalGate(gi, f, s.vals))
-		}
-	}
-	s.stats.DeltaFrames++
-}
-
-// push enqueues a gate for delta evaluation once. A method rather than a
-// closure inside the drain loop: closures capturing s would escape and
-// allocate on every faulty frame.
-func (s *Simulator) push(g netlist.GateID) {
-	if !s.dirty[g] {
-		s.dirty[g] = true
-		lvl := s.cc.Level[g]
-		s.levelQ[lvl] = append(s.levelQ[lvl], g)
-	}
-}
-
-// touch writes a node value and, when it changed, enqueues its fanout.
-func (s *Simulator) touch(id netlist.NodeID, v logic.Val) {
-	if s.vals[id] == v {
-		return
-	}
-	s.vals[id] = v
-	s.stats.Events++
-	cc := s.cc
-	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
-		s.push(cc.FanoutGate[k])
-	}
+	return s.vals
 }

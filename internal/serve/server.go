@@ -255,14 +255,11 @@ func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
 	a.ResimVectorPasses += b.ResimVectorPasses
 	a.ResimVectorFrames += b.ResimVectorFrames
 	a.ResimGateEvals += b.ResimGateEvals
-	a.ResimSerialFallbacks += b.ResimSerialFallbacks
 	a.Step0NS += b.Step0NS
 	a.CollectNS += b.CollectNS
 	a.ExpandNS += b.ExpandNS
 	a.ResimNS += b.ResimNS
 	a.TotalNS += b.TotalNS
-	a.DeltaFrames += b.DeltaFrames
-	a.DeltaGateEvals += b.DeltaGateEvals
 	a.FullFrames += b.FullFrames
 	a.EventFrames += b.EventFrames
 	a.EventGateEvals += b.EventGateEvals

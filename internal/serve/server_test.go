@@ -145,7 +145,7 @@ func TestServerRunLifecycle(t *testing.T) {
 	for {
 		samples := scrape(t, ts)
 		done := samples["motserve_faults_done_total"]
-		frames := samples["motserve_prescreen_frames_total"] + samples["motserve_delta_frames_total"] +
+		frames := samples["motserve_prescreen_frames_total"] + samples["motserve_event_frames_total"] +
 			samples["motserve_full_frames_total"]
 		if done < lastDone || frames < lastFrames {
 			t.Fatalf("counters went backward: done %v->%v frames %v->%v", lastDone, done, lastFrames, frames)
@@ -192,7 +192,8 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_sequences_total":             float64(rep.Sequences),
 		"motserve_imply_calls_total":           float64(rep.Stages.ImplyCalls),
 		"motserve_imply_lane_evals_total":      float64(rep.Stages.ImplyLaneEvals),
-		"motserve_delta_frames_total":          float64(rep.Stages.Sim.DeltaFrames),
+		"motserve_event_frames_total":          float64(rep.Stages.Sim.EventFrames),
+		"motserve_event_gate_evals_total":      float64(rep.Stages.Sim.EventGateEvals),
 		"motserve_full_frames_total":           float64(rep.Stages.Sim.FullFrames),
 	} {
 		if got := samples[name]; got != want {

@@ -69,12 +69,6 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorFrames }},
 	{"resim_gate_evals_total", "Gates evaluated by bit-parallel resimulation.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimGateEvals }},
-	{"resim_serial_fallbacks_total", "Always 0: every expansion resimulates bit-parallel, in 64-lane passes.", false,
-		func(s core.LiveSnapshot) int64 { return s.ResimSerialFallbacks }},
-	{"delta_frames_total", "Event-driven (delta) frames simulated by the serial engine.", false,
-		func(s core.LiveSnapshot) int64 { return s.DeltaFrames }},
-	{"delta_gate_evals_total", "Gate evaluations inside delta frames.", false,
-		func(s core.LiveSnapshot) int64 { return s.DeltaGateEvals }},
 	{"full_frames_total", "Full-pass frames simulated by the serial engine.", false,
 		func(s core.LiveSnapshot) int64 { return s.FullFrames }},
 	{"event_frames_total", "Sparse frames simulated by the event-driven evaluator.", false,
