@@ -16,9 +16,10 @@ GO ?= go
 # registry, the cross-run LRU cache under concurrent submitters, the
 # xtrace span buffers (per-worker writers merging into one tracer while
 # exports/scrapes read it), the rolling-window SLO aggregators
-# (lock-free Observe racing slot rotation and scrapes), and histogram
-# exemplar slots (CAS writers racing exposition reads).
-RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar
+# (lock-free Observe racing slot rotation and scrapes), histogram
+# exemplar slots (CAS writers racing exposition reads), and the
+# mutex-guarded live snapshot (workers publishing while Snapshot scrapes).
+RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
 .PHONY: build test vet race perfbench-test verify bench bench-lite bench-collect benchdiff trace

@@ -117,7 +117,7 @@ func BenchmarkResimulateVV(b *testing.B) {
 		if _, err := s.SimulateFault(g); err != nil {
 			b.Fatal(err)
 		}
-		if s.lastResim.VectorPasses == 2 {
+		if s.rec.resim.VectorPasses == 2 {
 			f, found = g, true
 			break
 		}

@@ -118,7 +118,7 @@ type Config struct {
 	// Tracer, when non-nil, receives hierarchical spans from Run and
 	// RunParallel: a run span over the whole fault list, stage spans for
 	// the prescreen (with one span per bit-parallel batch) and the
-	// per-fault MOT stage, one span per parallel worker, and — for the
+	// per-fault MOT stage, one span per fault-loop worker, and — for the
 	// faults selected by TraceSampleRate — a span per fault with
 	// expand/resim sub-spans. Span IDs derive from deterministic keys
 	// (fault index, batch index, stage name), so the span set, parent
@@ -137,7 +137,7 @@ type Config struct {
 	// while it executes: every worker folds its pending per-fault deltas
 	// into the shared LiveStats every LiveEvery faults, so an HTTP
 	// scraper (cmd/motserve, the batch CLIs' -metrics-addr) can watch an
-	// in-flight run without adding atomics to the per-fault hot path.
+	// in-flight run without a lock on the per-fault hot path.
 	// The stage-time and frame-counter fields additionally require
 	// Metrics; the detection counters work either way. Multiple runs may
 	// share one LiveStats, aggregating their counters.

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -57,30 +58,20 @@ type Simulator struct {
 	good    *seqsim.Trace
 	sim     *seqsim.Simulator
 	// pools holds this simulator's reusable frames, arenas and scratch
-	// buffers (see pool.go). RunParallel workers each get a fresh
-	// Simulator value, so pools are never shared between goroutines.
+	// buffers (see pool.go). Each fault-loop worker owns one Simulator,
+	// so pools are never shared between goroutines.
 	pools simPools
-	// stats accumulates this simulator's stage times and pool counters
-	// (see stats.go); nil when Config.Metrics is off. Owned by this
-	// simulator's goroutine — plain fields, no atomics.
-	stats *runStats
+	// poolStats counts this simulator's pool reuses and arena peaks (see
+	// stats.go); nil when Config.Metrics is off.
+	poolStats *PoolStats
 	// hist is the run's shared per-fault histogram set (concurrency-safe;
-	// RunParallel workers all point at the parent's). Nil when metrics
+	// every fault-loop worker points at the caller's). Nil when metrics
 	// are off.
 	hist *RunMetrics
-	// lastStages is the stage-time breakdown of the most recent
-	// SimulateFault call, consumed by the trace emitter.
-	lastStages StageNS
-	// lastResim summarizes the resimulation passes of the most recent
-	// SimulateFault call (vector passes, frames, gate evaluations,
-	// lanes packed), consumed by the trace emitter. Deterministic,
-	// unlike lastStages.
-	lastResim ResimTrace
-	// lastEvents summarizes the step-0 frame-evaluation work of the most
-	// recent SimulateFault call (frames, events, gate evaluations),
-	// consumed by the trace emitter and span attributes. The summary is
-	// byte-identical across worker counts.
-	lastEvents SimTrace
+	// rec is the record of the most recent SimulateFault call, written
+	// by the pipeline's instrumentation sites and read by every
+	// reporting sink (see faultRecord).
+	rec faultRecord
 	// tbuf/span carry the open span of the fault currently in
 	// SimulateFault (see span.go); span is 0 — and the sub-span hooks
 	// cost one comparison — when the fault is unsampled or tracing is
@@ -143,11 +134,7 @@ func NewSimulatorWarm(c *netlist.Circuit, T seqsim.Sequence, cfg Config, w Warm)
 	case len(T) > 0 && good.Nodes == nil:
 		return nil, fmt.Errorf("core: warm good trace has no node values (need keepNodes)")
 	}
-	s := &Simulator{c: c, cc: cc, compile: compile, cfg: cfg, T: T, good: good, sim: sim}
-	if cfg.Metrics {
-		s.stats = &runStats{}
-	}
-	return s, nil
+	return &Simulator{c: c, cc: cc, compile: compile, cfg: cfg, T: T, good: good, sim: sim}, nil
 }
 
 // Good returns the fault-free trace. It is read-only to the simulator
@@ -243,56 +230,45 @@ func conditionC(nsv, nout []int) bool {
 	return false
 }
 
-// SimulateFault runs the full per-fault pipeline. With Config.Metrics
-// it additionally accumulates the per-stage breakdown and per-fault
-// histograms (see Stages and RunMetrics); outcomes are identical either
+// SimulateFault runs the full per-fault pipeline and fills the
+// simulator's faultRecord for it. With Config.Metrics the record
+// additionally carries the stage times; outcomes are identical either
 // way.
 func (s *Simulator) SimulateFault(f fault.Fault) (FaultOutcome, error) {
-	st := s.stats
-	if st == nil {
-		return s.simulateFault(f)
+	s.rec = faultRecord{}
+	s.sim.ResetStats()
+	var start time.Time
+	if s.cfg.Metrics {
+		start = time.Now()
 	}
-	st.motFaults++
-	before := *st
-	start := time.Now()
 	out, err := s.simulateFault(f)
-	total := int64(time.Since(start))
-	st.times.Total += total
-	d := st.times.sub(before.times)
-	d.Total = total
-	s.lastStages = d
-	if err == nil && s.hist != nil {
-		cone := int64(s.sim.ConeSize())
-		s.hist.observeFault(&out, total, cone)
-		if s.span != 0 {
-			// The fault is span-sampled: link its bucket in each histogram
-			// back to the fault and the span via OpenMetrics exemplars.
-			s.hist.exemplarFault(&out, total, cone, f.Name(s.c), fmt.Sprintf("%016x", uint64(s.span)))
-		}
+	if s.cfg.Metrics {
+		s.rec.stages.Total = int64(time.Since(start))
+	}
+	s.rec.sim = s.sim.Stats()
+	if err == nil {
+		s.rec.cone = int64(s.sim.ConeSize())
 	}
 	return out, err
 }
 
-// simulateFault is the pipeline body; stage boundaries tick the stats
-// accumulator (a nil accumulator costs only the branch).
+// simulateFault is the pipeline body; stage boundaries tick the
+// record's stage times (with metrics off, the ticks read no clock).
 func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	out := FaultOutcome{Fault: f}
-	s.lastResim = ResimTrace{}
-	st := s.stats
 	var last time.Time
-	if st != nil {
+	if s.cfg.Metrics {
 		last = time.Now()
 	}
+	ns := &s.rec.stages
 
 	// Step 0: conventional fault simulation with fault dropping.
-	simBefore := s.sim.Stats()
 	bad, at, detected, err := s.runBad(f)
-	s.lastEvents = simTraceDelta(simBefore, s.sim.Stats())
 	if err != nil {
 		return out, err
 	}
 	if detected {
-		st.tick(&last, stageStep0)
+		s.tick(&last, &ns.Step0)
 		out.Outcome = DetectedConventional
 		out.At = at
 		return out, nil
@@ -301,11 +277,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	// Necessary condition (C).
 	nsv, nout := s.profile(bad)
 	if !conditionC(nsv, nout) {
-		st.tick(&last, stageStep0)
+		s.tick(&last, &ns.Step0)
 		out.FailedConditionC = true
 		return out, nil
 	}
-	st.tick(&last, stageStep0)
+	s.tick(&last, &ns.Step0)
 
 	// Section 3.1: collect backward-implication information per pair.
 	pairs := s.collectPairs(&f, bad, nout)
@@ -317,7 +293,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		for k := range pairs {
 			p := &pairs[k]
 			if (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0)) {
-				st.tick(&last, stageCollect)
+				s.tick(&last, &ns.Collect)
 				out.Outcome = DetectedMOT
 				out.ByIdentification = true
 				out.Counters.add(p.counters())
@@ -326,7 +302,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 			}
 		}
 	}
-	st.tick(&last, stageCollect)
+	s.tick(&last, &ns.Collect)
 	if s.cfg.IdentificationOnly {
 		// Low-complexity mode (after [6]): no expansion, no resimulation.
 		return out, nil
@@ -336,14 +312,14 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	ph := s.beginPhase("expand", 0)
 	x := s.expand(pairs, bad, nsv, nout, &out)
 	s.endPhase(ph)
-	st.tick(&last, stageExpand)
+	s.tick(&last, &ns.Expand)
 
 	// Section 3.4: resimulation after expansion.
 	out.Sequences = x.lanes()
 	ph = s.beginPhase("resim", 0)
 	detected = s.resimulate(&f, bad, x)
 	s.endPhase(ph)
-	st.tick(&last, stageResim)
+	s.tick(&last, &ns.Resim)
 	if detected {
 		out.Outcome = DetectedMOT
 		return out, nil
@@ -361,11 +337,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		ph = s.beginPhase("expand", 1)
 		x = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
 		s.endPhase(ph)
-		st.tick(&last, stageExpand)
+		s.tick(&last, &ns.Expand)
 		ph = s.beginPhase("resim", 1)
 		detected = s.resimulate(&f, bad, x)
 		s.endPhase(ph)
-		st.tick(&last, stageResim)
+		s.tick(&last, &ns.Resim)
 		if detected {
 			out.Outcome = DetectedMOT
 			out.Expansions += retry.Expansions
@@ -443,9 +419,9 @@ func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout [
 		}
 	}
 	s.pools.pairs = pairs
-	if st := s.stats; st != nil {
-		st.pool.SVArenaPeak = max64(st.pool.SVArenaPeak, int64(len(s.pools.svArena)))
-		st.pool.SVIdxArenaPeak = max64(st.pool.SVIdxArenaPeak, int64(len(s.pools.svIdxArena)))
+	if ps := s.poolStats; ps != nil {
+		ps.SVArenaPeak = max(ps.SVArenaPeak, int64(len(s.pools.svArena)))
+		ps.SVIdxArenaPeak = max(ps.SVIdxArenaPeak, int64(len(s.pools.svIdxArena)))
 	}
 	return pairs
 }
@@ -553,17 +529,17 @@ func (s *Simulator) collectOneInto(fr *implic.Frame, f *fault.Fault, bad *seqsim
 	return p
 }
 
-// imply runs the configured implication schedule on a serial frame.
-// With metrics on, calls are counted and timed.
+// imply runs the configured implication schedule on a serial frame,
+// counting the call in the fault's record (and, with metrics on,
+// timing it).
 func (s *Simulator) imply(fr *implic.Frame) bool {
-	st := s.stats
-	if st == nil {
+	s.rec.implyCalls++
+	if !s.cfg.Metrics {
 		return s.implySchedule(fr)
 	}
-	st.implyCalls++
 	start := time.Now()
 	ok := s.implySchedule(fr)
-	st.times.Imply += int64(time.Since(start))
+	s.rec.stages.Imply += int64(time.Since(start))
 	return ok
 }
 
@@ -736,8 +712,8 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		x.marks[p.u] = true
 		x.steps = append(x.steps, expStep{u: p.u, extra: p.extra})
 	}
-	if st := s.stats; st != nil {
-		st.pool.SeqLivePeak = max64(st.pool.SeqLivePeak, int64(x.lanes()))
+	if ps := s.poolStats; ps != nil {
+		ps.SeqLivePeak = max(ps.SeqLivePeak, int64(x.lanes()))
 	}
 	return x
 }
@@ -957,87 +933,18 @@ func (r *Result) AvgCounters() (det, conf, extra float64) {
 	return float64(r.Sum.Det) / n, float64(r.Sum.Conf) / n, float64(r.Sum.Extra) / n
 }
 
-// Run simulates every fault in the list. The optional progress callback
-// is invoked after each fault. With Config.Prescreen the whole list is
-// first classified by batched bit-parallel simulation (conventional
-// detection and condition (C)) and only the undetected faults passing
-// (C) run the per-fault pipeline; outcomes are identical either way.
+// Run simulates every fault in the list: RunParallel on one worker.
 func (s *Simulator) Run(faults []fault.Fault, progress func(done, total int)) (*Result, error) {
-	return s.RunContext(context.Background(), faults, progress)
+	return s.RunParallelContext(context.Background(), faults, 1, progress)
 }
 
-// RunContext is Run with cancellation: the fault loop checks ctx before
-// each fault and returns ctx.Err() once it is done or canceled. The
-// prescreen stage runs to completion before the first check (its
-// bit-parallel batches are short relative to the per-fault pipeline).
+// RunContext is Run with cancellation (see RunParallelContext).
 func (s *Simulator) RunContext(ctx context.Context, faults []fault.Fault, progress func(done, total int)) (*Result, error) {
-	res := &Result{Circuit: s.c.Name, Total: len(faults)}
-	res.Stages.CompileTime = s.compile
-	res.Live = s.cfg.Live
-	res.Outcomes = make([]FaultOutcome, 0, len(faults))
-	s.beginRun(res)
-	s.beginLive(len(faults))
-	defer s.cfg.Live.endLive()
-	sc := s.beginRunSpans(len(faults))
-	pre, err := s.prescreen(faults, 1, res, sc)
-	if err != nil {
-		return nil, err
-	}
-	s.publishPrescreen(res, false)
-	live := s.newLivePublisher()
-	traceTimes := s.traceTimes(len(faults))
-	traceResims := s.traceResims(len(faults))
-	traceSims := s.traceSims(len(faults))
-	motStart := time.Now()
-	sc.beginStage("mot")
-	ws := sc.worker(-1)
-	for k, f := range faults {
-		if err := ctx.Err(); err != nil {
-			live.flush(s)
-			return nil, err
-		}
-		o, settled := pre.outcome(k, f)
-		entered := !settled
-		if entered {
-			ws.begin(s, k, f)
-			if o, err = s.SimulateFault(f); err != nil {
-				return nil, fmt.Errorf("core: fault %s: %w", f.Name(s.c), err)
-			}
-			ws.end(s, &o)
-			if traceTimes != nil {
-				traceTimes[k] = s.lastStages
-			}
-			if traceResims != nil {
-				traceResims[k] = s.lastResim
-			}
-			if traceSims != nil {
-				traceSims[k] = s.lastEvents
-			}
-		}
-		live.observe(s, &o, entered)
-		res.tally(o)
-		if progress != nil {
-			progress(k+1, len(faults))
-		}
-	}
-	live.flush(s)
-	ws.close()
-	sc.endStage()
-	s.sim.FlushFrameHists()
-	res.Stages.MOTTime = time.Since(motStart)
-	res.Stages.mergeStats(s.stats)
-	if s.cfg.Metrics {
-		res.Stages.Sim.Merge(s.sim.Stats())
-	}
-	sc.finish(res)
-	if err := s.writeTrace(res, traceTimes, traceResims, traceSims); err != nil {
-		return nil, fmt.Errorf("core: trace: %w", err)
-	}
-	return res, nil
+	return s.RunParallelContext(ctx, faults, 1, progress)
 }
 
-// tally folds one outcome into the aggregate.
-func (r *Result) tally(o FaultOutcome) {
+// tally folds one outcome into the aggregate counters.
+func (r *Result) tally(o *FaultOutcome) {
 	switch o.Outcome {
 	case DetectedConventional:
 		r.Conv++
@@ -1055,30 +962,32 @@ func (r *Result) tally(o FaultOutcome) {
 	r.Expansions += o.Expansions
 	r.Pairs += o.Pairs
 	r.Sequences += o.Sequences
-	r.Outcomes = append(r.Outcomes, o)
 }
 
-// RunParallel simulates the fault list on `workers` goroutines. Each
-// worker clones the simulator (sharing the immutable circuit, test
-// sequence and fault-free trace); results are identical to Run and are
-// returned in fault-list order. With Config.Prescreen the bit-parallel
-// stage runs first (its batches spread over the same worker count) and
-// only the faults it leaves unsettled are handed to the pool.
+// RunParallel simulates the fault list on `workers` goroutines (fewer
+// than 2 means one). Worker 0 runs on the simulator itself; every other
+// worker clones it, sharing the immutable circuit, test sequence and
+// fault-free trace. Results are identical for every worker count and
+// are returned in fault-list order. With Config.Prescreen the whole
+// list is first classified by batched bit-parallel simulation
+// (conventional detection and condition (C), spread over the same
+// worker count) and only the faults it leaves unsettled run the
+// per-fault pipeline; outcomes are identical either way. The optional
+// progress callback is invoked once per fault, the prescreen-settled
+// faults first.
 func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
 	return s.RunParallelContext(context.Background(), faults, workers, progress)
 }
 
 // RunParallelContext is RunParallel with cancellation: workers stop
 // claiming faults once ctx is done and the run returns ctx.Err(). The
-// prescreen stage runs to completion before the first check.
+// prescreen stage runs to completion before the first check. A panic in
+// a worker is contained: the pool drains and the run returns an error
+// naming the fault, with the panic value and stack.
 func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
-	if workers < 2 || len(faults) < 2 {
-		return s.RunContext(ctx, faults, progress)
-	}
-	res := &Result{Circuit: s.c.Name, Total: len(faults)}
+	workers = max(workers, 1)
+	res := &Result{Circuit: s.c.Name, Total: len(faults), Live: s.cfg.Live}
 	res.Stages.CompileTime = s.compile
-	res.Live = s.cfg.Live
-	res.Outcomes = make([]FaultOutcome, 0, len(faults))
 	s.beginRun(res)
 	s.beginLive(len(faults))
 	defer s.cfg.Live.endLive()
@@ -1087,16 +996,19 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	if err != nil {
 		return nil, err
 	}
-	s.publishPrescreen(res, true)
-	traceTimes := s.traceTimes(len(faults))
-	traceResims := s.traceResims(len(faults))
-	traceSims := s.traceSims(len(faults))
+	s.publishPrescreen(res)
+	// recs holds every fault's record for the JSONL trace, in fault-list
+	// order; prescreen-settled faults keep the zero record.
+	var recs []faultRecord
+	if s.cfg.TraceWriter != nil {
+		recs = make([]faultRecord, len(faults))
+	}
 	motStart := time.Now()
 	sc.beginStage("mot")
 	outcomes := make([]FaultOutcome, len(faults))
 	// todo lists the fault indices the prescreen did not settle: they need
 	// the per-fault pipeline.
-	var todo []int
+	todo := make([]int, 0, len(faults))
 	for k := range faults {
 		if o, ok := pre.outcome(k, faults[k]); ok {
 			outcomes[k] = o
@@ -1104,51 +1016,49 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 		}
 		todo = append(todo, k)
 	}
-	settled := len(faults) - len(todo)
+	count := len(faults) - len(todo)
 	if progress != nil {
-		for d := 1; d <= settled; d++ {
+		for d := 1; d <= count; d++ {
 			progress(d, len(faults))
 		}
 	}
-	if workers > len(todo) {
-		workers = len(todo)
+	nw := max(min(workers, len(todo)), 1)
+	sims := make([]*Simulator, nw)
+	sims[0] = s
+	for w := 1; w < nw; w++ {
+		sims[w] = s.clone()
 	}
-	nw := max(workers, 1)
+	pubs := make([]livePublisher, nw)
 	errs := make([]error, nw)
-	// Workers are built up front so their per-worker instrumentation can
-	// be merged into the run totals after the pool drains. Each worker
-	// gets its own runStats (plain fields, single goroutine) and shares
-	// the parent's concurrency-safe histograms.
-	workerSims := make([]*Simulator, nw)
-	for w := range workerSims {
-		worker := &Simulator{
-			c: s.c, cc: s.cc, compile: s.compile, cfg: s.cfg, T: s.T, good: s.good,
-			sim:  seqsim.NewCompiled(s.cc),
-			hist: s.hist,
-		}
-		if s.hist != nil {
-			worker.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
-		}
-		if s.cfg.Metrics {
-			worker.stats = &runStats{}
-		}
-		workerSims[w] = worker
-	}
 	var (
 		nextIdx int64 = -1
 		failed  atomic.Bool
 		mu      sync.Mutex
-		count   = settled
 		wg      sync.WaitGroup
 	)
-	for w := 0; w < nw; w++ {
+	// drain stops the pool promptly after a failure: it flags the failure
+	// and pushes the shared index past the end so no worker claims
+	// further faults from the list.
+	drain := func() {
+		failed.Store(true)
+		atomic.StoreInt64(&nextIdx, int64(len(todo)))
+	}
+	for w := range sims {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			worker := workerSims[w]
-			live := worker.newLivePublisher()
-			defer live.flush(worker)
-			defer worker.sim.FlushFrameHists()
+			sim, pub := sims[w], &pubs[w]
+			pub.init(s.cfg)
+			k := -1
+			defer func() {
+				if p := recover(); p != nil {
+					sim.tbuf, sim.span = nil, 0
+					errs[w] = fmt.Errorf("core: fault %s: panic: %v\n%s", panicName(faults, k, s.c), p, debug.Stack())
+					drain()
+				}
+			}()
+			defer pub.flush()
+			defer sim.sim.FlushFrameHists()
 			ws := sc.worker(w)
 			defer ws.close()
 			for {
@@ -1158,35 +1068,27 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 				}
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
-					failed.Store(true)
-					atomic.StoreInt64(&nextIdx, int64(len(todo)))
+					drain()
 					return
 				}
-				k := todo[t]
-				ws.begin(worker, k, faults[k])
-				o, err := worker.SimulateFault(faults[k])
-				ws.end(worker, &o)
+				k = todo[t]
+				ws.begin(sim, k, faults[k])
+				o, err := sim.SimulateFault(faults[k])
+				if err == nil {
+					sim.observeHist(&o)
+				}
+				ws.end(sim, &o)
 				if err != nil {
 					errs[w] = fmt.Errorf("core: fault %s: %w", faults[k].Name(s.c), err)
-					// Drain the pool promptly: flag the failure and push the
-					// shared index past the end so no worker claims further
-					// faults from the list.
-					failed.Store(true)
-					atomic.StoreInt64(&nextIdx, int64(len(todo)))
+					drain()
 					return
 				}
-				live.observe(worker, &o, true)
-				outcomes[k] = o
-				if traceTimes != nil {
+				pub.observe(&o, &sim.rec)
+				if recs != nil {
 					// Distinct index per fault: no write races between workers.
-					traceTimes[k] = worker.lastStages
+					recs[k] = sim.rec
 				}
-				if traceResims != nil {
-					traceResims[k] = worker.lastResim
-				}
-				if traceSims != nil {
-					traceSims[k] = worker.lastEvents
-				}
+				outcomes[k] = o
 				if progress != nil {
 					mu.Lock()
 					count++
@@ -1203,19 +1105,52 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 			return nil, err
 		}
 	}
-	for _, o := range outcomes {
-		res.tally(o)
+	res.Outcomes = outcomes
+	for k := range outcomes {
+		res.tally(&outcomes[k])
 	}
 	res.Stages.MOTTime = time.Since(motStart)
-	for _, worker := range workerSims {
-		res.Stages.mergeStats(worker.stats)
-		if s.cfg.Metrics {
-			res.Stages.Sim.Merge(worker.sim.Stats())
+	if s.cfg.Metrics {
+		for w, sim := range sims {
+			res.Stages.add(pubs[w].total)
+			res.Stages.Pool.merge(*sim.poolStats)
 		}
 	}
 	sc.finish(res)
-	if err := s.writeTrace(res, traceTimes, traceResims, traceSims); err != nil {
+	if err := s.writeTrace(res, recs); err != nil {
 		return nil, fmt.Errorf("core: trace: %w", err)
 	}
 	return res, nil
+}
+
+// panicName names fault k for a recovered panic: its usual name, or
+// its raw fields when the fault itself is what cannot be named.
+func panicName(faults []fault.Fault, k int, c *netlist.Circuit) (name string) {
+	if k < 0 {
+		return "(none claimed)"
+	}
+	defer func() {
+		if recover() != nil {
+			name = fmt.Sprintf("%+v", faults[k])
+		}
+	}()
+	return faults[k].Name(c)
+}
+
+// clone returns a fault-loop worker for s: a simulator sharing its
+// circuit, compiled IR, sequence, fault-free trace and run histograms,
+// with its own frame evaluator and pools.
+func (s *Simulator) clone() *Simulator {
+	c := &Simulator{
+		c: s.c, cc: s.cc, compile: s.compile, cfg: s.cfg, T: s.T, good: s.good,
+		sim:  seqsim.NewCompiled(s.cc),
+		hist: s.hist,
+	}
+	if s.hist != nil {
+		c.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
+	}
+	if s.cfg.Metrics {
+		c.poolStats = &PoolStats{}
+	}
+	return c
 }

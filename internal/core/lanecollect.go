@@ -45,7 +45,6 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 	if s.cfg.MaxPairs > 0 && len(pairs)+len(cands) > s.cfg.MaxPairs {
 		cands = cands[:s.cfg.MaxPairs-len(pairs)]
 	}
-	st := s.stats
 	good := s.good.Outputs[u-1]
 	for len(cands) > 0 {
 		chunk := cands[:min(len(cands), implic.MaxLanes/2)]
@@ -54,7 +53,7 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 
 		lf := s.laneFrame()
 		var start time.Time
-		if st != nil {
+		if s.cfg.Metrics {
 			start = time.Now()
 		}
 		lf.Begin(f, bad.Nodes[u-1], 2*len(chunk))
@@ -67,11 +66,11 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 			}
 		}
 		evals := lf.Imply()
-		if st != nil {
-			st.times.Imply += int64(time.Since(start))
-			st.implyCalls += int64(asserted)
-			st.implyLaneEvals += int64(evals)
+		if s.cfg.Metrics {
+			s.rec.stages.Imply += int64(time.Since(start))
 		}
+		s.rec.implyCalls += int64(asserted)
+		s.rec.implyLaneEvals += int64(evals)
 
 		// Verdicts: conflicted lanes, then lanes whose outputs contradict
 		// the fault-free outputs.

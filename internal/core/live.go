@@ -1,17 +1,16 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
-
-	"repro/internal/seqsim"
 )
 
 // defaultLiveEvery is the publication cadence when Config.LiveEvery is
-// zero: each executing worker folds its pending deltas into the shared
-// LiveStats after this many faults. The cadence keeps every atomic off
-// the per-fault hot path — between publications a worker touches only
-// its own plain-field accumulators — while a scrape still sees an
-// in-flight run move every few milliseconds on the suite circuits.
+// zero: each executing worker folds its pending delta into the shared
+// LiveStats after this many faults. The cadence keeps the lock off the
+// per-fault hot path — between publications a worker touches only its
+// own plain-field accumulator — while a scrape still sees an in-flight
+// run move every few milliseconds on the suite circuits.
 const defaultLiveEvery = 32
 
 // LiveStats is a concurrency-safe view of one or more in-flight
@@ -26,48 +25,12 @@ const defaultLiveEvery = 32
 // (cmd/mottables publishes the whole suite into one); the counters then
 // aggregate across runs.
 type LiveStats struct {
-	runsStarted atomic.Int64
-	runsDone    atomic.Int64
-
-	faultsTotal atomic.Int64
-	faultsDone  atomic.Int64
-	conv        atomic.Int64
-	mot         atomic.Int64
-	prunedC     atomic.Int64
-
-	prescreenPasses    atomic.Int64
-	prescreenDropped   atomic.Int64
-	prescreenPrunedC   atomic.Int64
-	prescreenFrames    atomic.Int64
-	prescreenGateEvals atomic.Int64
-
-	motFaults  atomic.Int64
-	pairs      atomic.Int64
-	expansions atomic.Int64
-	sequences  atomic.Int64
-
-	implyCalls     atomic.Int64
-	implyLaneEvals atomic.Int64
-	implyNS        atomic.Int64
-
-	resimVectorPasses atomic.Int64
-	resimVectorFrames atomic.Int64
-	resimGateEvals    atomic.Int64
-
-	step0NS   atomic.Int64
-	collectNS atomic.Int64
-	expandNS  atomic.Int64
-	resimNS   atomic.Int64
-	totalNS   atomic.Int64
-
-	fullFrames     atomic.Int64
-	eventFrames    atomic.Int64
-	eventGateEvals atomic.Int64
-	events         atomic.Int64
+	mu sync.Mutex
+	s  LiveSnapshot
 
 	// metrics publishes the current run's shared per-fault histograms
 	// (concurrency-safe, observed directly by workers) so a scraper can
-	// expose them mid-run. Set by beginRun when Config.Metrics is on.
+	// expose them mid-run. Set by beginLive when Config.Metrics is on.
 	metrics atomic.Pointer[RunMetrics]
 }
 
@@ -121,44 +84,58 @@ type LiveSnapshot struct {
 	Events         int64 `json:"events"`
 }
 
-// Snapshot copies the current state. Individual fields are read with
-// independent atomic loads, so a snapshot taken mid-run may be slightly
-// ahead on one counter relative to another; each field on its own never
-// goes backward between snapshots.
+// Snapshot copies the current state. Every publication folds in under
+// one lock, so a snapshot is consistent across counters: FaultsDone is
+// never behind Conv + MOT.
 func (l *LiveStats) Snapshot() LiveSnapshot {
-	return LiveSnapshot{
-		RunsStarted:        l.runsStarted.Load(),
-		RunsDone:           l.runsDone.Load(),
-		FaultsTotal:        l.faultsTotal.Load(),
-		FaultsDone:         l.faultsDone.Load(),
-		Conv:               l.conv.Load(),
-		MOT:                l.mot.Load(),
-		PrunedConditionC:   l.prunedC.Load(),
-		PrescreenPasses:    l.prescreenPasses.Load(),
-		PrescreenDropped:   l.prescreenDropped.Load(),
-		PrescreenPrunedC:   l.prescreenPrunedC.Load(),
-		PrescreenFrames:    l.prescreenFrames.Load(),
-		PrescreenGateEvals: l.prescreenGateEvals.Load(),
-		MOTFaults:          l.motFaults.Load(),
-		Pairs:              l.pairs.Load(),
-		Expansions:         l.expansions.Load(),
-		Sequences:          l.sequences.Load(),
-		ImplyCalls:         l.implyCalls.Load(),
-		ImplyLaneEvals:     l.implyLaneEvals.Load(),
-		ImplyNS:            l.implyNS.Load(),
-		ResimVectorPasses:  l.resimVectorPasses.Load(),
-		ResimVectorFrames:  l.resimVectorFrames.Load(),
-		ResimGateEvals:     l.resimGateEvals.Load(),
-		Step0NS:            l.step0NS.Load(),
-		CollectNS:          l.collectNS.Load(),
-		ExpandNS:           l.expandNS.Load(),
-		ResimNS:            l.resimNS.Load(),
-		TotalNS:            l.totalNS.Load(),
-		FullFrames:         l.fullFrames.Load(),
-		EventFrames:        l.eventFrames.Load(),
-		EventGateEvals:     l.eventGateEvals.Load(),
-		Events:             l.events.Load(),
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.s
+}
+
+// add folds a delta into l; a nil l (live stats off) ignores it.
+func (l *LiveStats) add(d LiveSnapshot) {
+	if l == nil {
+		return
 	}
+	l.mu.Lock()
+	l.s.Add(d)
+	l.mu.Unlock()
+}
+
+// Add adds other to s field by field.
+func (s *LiveSnapshot) Add(other LiveSnapshot) {
+	s.RunsStarted += other.RunsStarted
+	s.RunsDone += other.RunsDone
+	s.FaultsTotal += other.FaultsTotal
+	s.FaultsDone += other.FaultsDone
+	s.Conv += other.Conv
+	s.MOT += other.MOT
+	s.PrunedConditionC += other.PrunedConditionC
+	s.PrescreenPasses += other.PrescreenPasses
+	s.PrescreenDropped += other.PrescreenDropped
+	s.PrescreenPrunedC += other.PrescreenPrunedC
+	s.PrescreenFrames += other.PrescreenFrames
+	s.PrescreenGateEvals += other.PrescreenGateEvals
+	s.MOTFaults += other.MOTFaults
+	s.Pairs += other.Pairs
+	s.Expansions += other.Expansions
+	s.Sequences += other.Sequences
+	s.ImplyCalls += other.ImplyCalls
+	s.ImplyLaneEvals += other.ImplyLaneEvals
+	s.ImplyNS += other.ImplyNS
+	s.ResimVectorPasses += other.ResimVectorPasses
+	s.ResimVectorFrames += other.ResimVectorFrames
+	s.ResimGateEvals += other.ResimGateEvals
+	s.Step0NS += other.Step0NS
+	s.CollectNS += other.CollectNS
+	s.ExpandNS += other.ExpandNS
+	s.ResimNS += other.ResimNS
+	s.TotalNS += other.TotalNS
+	s.FullFrames += other.FullFrames
+	s.EventFrames += other.EventFrames
+	s.EventGateEvals += other.EventGateEvals
+	s.Events += other.Events
 }
 
 // Undetected returns the faults classified so far as undetected.
@@ -171,154 +148,99 @@ func (s *Simulator) beginLive(total int) {
 	if live == nil {
 		return
 	}
-	live.runsStarted.Add(1)
-	live.faultsTotal.Add(int64(total))
+	live.add(LiveSnapshot{RunsStarted: 1, FaultsTotal: int64(total)})
 	if s.hist != nil {
 		live.metrics.Store(s.hist)
 	}
 }
 
 // publishPrescreen folds the completed prescreen stage into the live
-// stats. In RunParallel the faults the prescreen settles (dropped or
-// lane-pruned by condition (C)) never reach a worker, so their
-// classification is published here as well; the serial Run loop instead
-// routes them through its publisher like any other outcome (settledDone
-// false).
-func (s *Simulator) publishPrescreen(res *Result, settledDone bool) {
-	live := s.cfg.Live
-	if live == nil {
-		return
-	}
+// stats, with the classification of the faults it settled (dropped or
+// lane-pruned by condition (C)): they never reach a fault-loop worker.
+func (s *Simulator) publishPrescreen(res *Result) {
 	st := &res.Stages
-	live.prescreenPasses.Add(int64(st.PrescreenPasses))
-	live.prescreenDropped.Add(int64(st.PrescreenDropped))
-	live.prescreenPrunedC.Add(int64(st.PrescreenPrunedC))
-	live.prescreenFrames.Add(st.PrescreenFrames)
-	live.prescreenGateEvals.Add(st.PrescreenGateEvals)
-	if settledDone {
-		live.faultsDone.Add(int64(st.PrescreenDropped + st.PrescreenPrunedC))
-		live.conv.Add(int64(st.PrescreenDropped))
-		live.prunedC.Add(int64(st.PrescreenPrunedC))
-	}
+	s.cfg.Live.add(LiveSnapshot{
+		PrescreenPasses:    int64(st.PrescreenPasses),
+		PrescreenDropped:   int64(st.PrescreenDropped),
+		PrescreenPrunedC:   int64(st.PrescreenPrunedC),
+		PrescreenFrames:    st.PrescreenFrames,
+		PrescreenGateEvals: st.PrescreenGateEvals,
+		FaultsDone:         int64(st.PrescreenDropped + st.PrescreenPrunedC),
+		Conv:               int64(st.PrescreenDropped),
+		PrunedConditionC:   int64(st.PrescreenPrunedC),
+	})
 }
 
 // endLive marks one run's publications complete.
-func (l *LiveStats) endLive() {
-	if l != nil {
-		l.runsDone.Add(1)
-	}
-}
+func (l *LiveStats) endLive() { l.add(LiveSnapshot{RunsDone: 1}) }
 
-// livePublisher accumulates one executing goroutine's deltas between
-// publications. All fields are plain — the publisher is owned by a
-// single worker — and only flush touches the shared atomics, so the
-// per-fault cost with live stats enabled is a few plain adds plus one
-// branch, and with them disabled a single nil check in the run loop.
+// livePublisher is one fault-loop worker's accumulator of the faults it
+// ran: pending is the delta since the last publication, total the sum
+// of every published delta, which the worker adds to Result.Stages.
+// Both are plain fields owned by the worker; only flush takes the
+// shared lock.
 type livePublisher struct {
-	live  *LiveStats
-	every int
-	n     int
-
-	done, conv, mot, prunedC     int64
-	motFaults                    int64
-	pairs, expansions, sequences int64
-
-	// Published baselines for the cumulative per-worker accumulators.
-	lastTimes   StageNS
-	lastImply   int64
-	lastImplyLE int64
-	lastResimVP int64
-	lastResimVF int64
-	lastResimGE int64
-	lastSim     seqsim.SimStats
+	live           *LiveStats
+	every, n       int
+	metrics        bool
+	pending, total LiveSnapshot
 }
 
-// newLivePublisher returns a publisher for this simulator's goroutine,
-// or nil when live stats are off.
-func (s *Simulator) newLivePublisher() *livePublisher {
-	if s.cfg.Live == nil {
-		return nil
+// init configures the publisher for a run.
+func (p *livePublisher) init(cfg Config) {
+	p.live, p.metrics, p.every = cfg.Live, cfg.Metrics, cfg.LiveEvery
+	if p.every <= 0 {
+		p.every = defaultLiveEvery
 	}
-	every := s.cfg.LiveEvery
-	if every <= 0 {
-		every = defaultLiveEvery
-	}
-	return &livePublisher{live: s.cfg.Live, every: every}
 }
 
-// observe records one classified fault. entered reports whether the
-// fault ran the per-fault MOT pipeline (false for prescreen-settled
-// faults routed through the serial loop).
-func (p *livePublisher) observe(s *Simulator, o *FaultOutcome, entered bool) {
-	if p == nil {
-		return
-	}
-	p.done++
+// observe folds one fault that ran the per-fault pipeline: its outcome
+// and, with metrics on, its record.
+func (p *livePublisher) observe(o *FaultOutcome, r *faultRecord) {
+	d := &p.pending
+	d.FaultsDone++
+	d.MOTFaults++
 	switch o.Outcome {
 	case DetectedConventional:
-		p.conv++
+		d.Conv++
 	case DetectedMOT:
-		p.mot++
+		d.MOT++
 	default:
 		if o.FailedConditionC {
-			p.prunedC++
+			d.PrunedConditionC++
 		}
 	}
-	if entered {
-		p.motFaults++
+	d.Pairs += int64(o.Pairs)
+	d.Expansions += int64(o.Expansions)
+	d.Sequences += int64(o.Sequences)
+	if p.metrics {
+		d.ImplyCalls += r.implyCalls
+		d.ImplyLaneEvals += r.implyLaneEvals
+		d.ResimVectorPasses += int64(r.resim.VectorPasses)
+		d.ResimVectorFrames += int64(r.resim.VectorFrames)
+		d.ResimGateEvals += int64(r.resim.GateEvals)
+		d.ImplyNS += r.stages.Imply
+		d.Step0NS += r.stages.Step0
+		d.CollectNS += r.stages.Collect
+		d.ExpandNS += r.stages.Expand
+		d.ResimNS += r.stages.Resim
+		d.TotalNS += r.stages.Total
+		d.FullFrames += r.sim.FullFrames
+		d.EventFrames += r.sim.EventFrames
+		d.EventGateEvals += r.sim.EventGateEvals
+		d.Events += r.sim.Events
 	}
-	p.pairs += int64(o.Pairs)
-	p.expansions += int64(o.Expansions)
-	p.sequences += int64(o.Sequences)
-	p.n++
-	if p.n >= p.every {
-		p.flush(s)
+	if p.n++; p.n >= p.every {
+		p.flush()
 	}
 }
 
-// flush publishes the pending deltas. Safe to call at any point
-// (including with nothing pending); Run and RunParallel call it once
-// more after their fault loops so the final snapshot equals the merged
-// Result exactly.
-func (p *livePublisher) flush(s *Simulator) {
-	if p == nil {
-		return
-	}
-	l := p.live
-	l.faultsDone.Add(p.done)
-	l.conv.Add(p.conv)
-	l.mot.Add(p.mot)
-	l.prunedC.Add(p.prunedC)
-	l.motFaults.Add(p.motFaults)
-	l.pairs.Add(p.pairs)
-	l.expansions.Add(p.expansions)
-	l.sequences.Add(p.sequences)
-	p.done, p.conv, p.mot, p.prunedC, p.motFaults = 0, 0, 0, 0, 0
-	p.pairs, p.expansions, p.sequences = 0, 0, 0
-	p.n = 0
-	if st := s.stats; st != nil {
-		d := st.times.sub(p.lastTimes)
-		p.lastTimes = st.times
-		l.step0NS.Add(d.Step0)
-		l.collectNS.Add(d.Collect)
-		l.expandNS.Add(d.Expand)
-		l.resimNS.Add(d.Resim)
-		l.totalNS.Add(d.Total)
-		l.implyNS.Add(d.Imply)
-		l.implyCalls.Add(st.implyCalls - p.lastImply)
-		l.implyLaneEvals.Add(st.implyLaneEvals - p.lastImplyLE)
-		p.lastImply, p.lastImplyLE = st.implyCalls, st.implyLaneEvals
-		l.resimVectorPasses.Add(st.resimVectorPasses - p.lastResimVP)
-		l.resimVectorFrames.Add(st.resimVectorFrames - p.lastResimVF)
-		l.resimGateEvals.Add(st.resimGateEvals - p.lastResimGE)
-		p.lastResimVP, p.lastResimVF = st.resimVectorPasses, st.resimVectorFrames
-		p.lastResimGE = st.resimGateEvals
-
-		sim := s.sim.Stats()
-		l.fullFrames.Add(sim.FullFrames - p.lastSim.FullFrames)
-		l.eventFrames.Add(sim.EventFrames - p.lastSim.EventFrames)
-		l.eventGateEvals.Add(sim.EventGateEvals - p.lastSim.EventGateEvals)
-		l.events.Add(sim.Events - p.lastSim.Events)
-		p.lastSim = sim
-	}
+// flush publishes the pending delta. Safe to call at any point
+// (including with nothing pending); every worker calls it once more
+// after its fault loop, so the final snapshot equals the merged Result
+// exactly.
+func (p *livePublisher) flush() {
+	p.total.Add(p.pending)
+	p.live.add(p.pending)
+	p.pending, p.n = LiveSnapshot{}, 0
 }

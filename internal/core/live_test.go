@@ -3,7 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/fault"
+	"repro/internal/seqsim"
 )
 
 // liveRun executes one whole-list run publishing into a fresh LiveStats.
@@ -39,10 +47,63 @@ func deterministic(s LiveSnapshot) LiveSnapshot {
 	return s
 }
 
+// resultSnapshot is the live snapshot one metrics-enabled run must
+// leave behind, built from its Result: every field, the wall-clock ones
+// included (TotalNS is the sum of the per-fault times the FaultTimeNS
+// histogram observed), since both sides sum the same fault records.
+func resultSnapshot(res *Result) LiveSnapshot {
+	st := &res.Stages
+	return LiveSnapshot{
+		RunsStarted:        1,
+		RunsDone:           1,
+		FaultsTotal:        int64(res.Total),
+		FaultsDone:         int64(res.Total),
+		Conv:               int64(res.Conv),
+		MOT:                int64(res.MOT),
+		PrunedConditionC:   int64(res.PrunedConditionC),
+		PrescreenPasses:    int64(st.PrescreenPasses),
+		PrescreenDropped:   int64(st.PrescreenDropped),
+		PrescreenPrunedC:   int64(st.PrescreenPrunedC),
+		PrescreenFrames:    st.PrescreenFrames,
+		PrescreenGateEvals: st.PrescreenGateEvals,
+		MOTFaults:          int64(st.MOTFaults),
+		Pairs:              int64(res.Pairs),
+		Expansions:         int64(res.Expansions),
+		Sequences:          int64(res.Sequences),
+		ImplyCalls:         st.ImplyCalls,
+		ImplyLaneEvals:     st.ImplyLaneEvals,
+		ImplyNS:            int64(st.ImplyTime),
+		ResimVectorPasses:  st.ResimVectorPasses,
+		ResimVectorFrames:  st.ResimVectorFrames,
+		ResimGateEvals:     st.ResimGateEvals,
+		Step0NS:            int64(st.Step0Time),
+		CollectNS:          int64(st.CollectTime),
+		ExpandNS:           int64(st.ExpandTime),
+		ResimNS:            int64(st.ResimTime),
+		TotalNS:            res.Metrics.FaultTimeNS.Snapshot().Sum,
+		FullFrames:         st.Sim.FullFrames,
+		EventFrames:        st.Sim.EventFrames,
+		EventGateEvals:     st.Sim.EventGateEvals,
+		Events:             st.Sim.Events,
+	}
+}
+
+// diffSnapshots lists the fields where got and want differ.
+func diffSnapshots(got, want LiveSnapshot) []string {
+	var out []string
+	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
+	for i := 0; i < g.NumField(); i++ {
+		if a, b := g.Field(i).Int(), w.Field(i).Int(); a != b {
+			out = append(out, fmt.Sprintf("%s = %d, want %d", g.Type().Field(i).Name, a, b))
+		}
+	}
+	return out
+}
+
 // TestLiveSnapshotSerialParallelCrossCheck asserts the final live
 // snapshot is scheduling-invariant (serial == 8 workers) and equals the
-// merged Result/Result.Stages counters, so a /metrics scrape taken
-// after the run reports exactly what the batch report does.
+// merged Result/Result.Stages counters in every field, so a /metrics
+// scrape taken after the run reports exactly what the batch report does.
 func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 	resS, liveS := liveRun(t, 1, nil)
 	resP, liveP := liveRun(t, 8, nil)
@@ -57,39 +118,8 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 			t.Fatal("Result.Live not set")
 		}
 		s := res.Live.Snapshot()
-		st := res.Stages
-		checks := []struct {
-			name      string
-			got, want int64
-		}{
-			{"RunsStarted", s.RunsStarted, 1},
-			{"RunsDone", s.RunsDone, 1},
-			{"FaultsTotal", s.FaultsTotal, int64(res.Total)},
-			{"FaultsDone", s.FaultsDone, int64(res.Total)},
-			{"Conv", s.Conv, int64(res.Conv)},
-			{"MOT", s.MOT, int64(res.MOT)},
-			{"PrunedConditionC", s.PrunedConditionC, int64(res.PrunedConditionC)},
-			{"PrescreenPasses", s.PrescreenPasses, int64(st.PrescreenPasses)},
-			{"PrescreenDropped", s.PrescreenDropped, int64(st.PrescreenDropped)},
-			{"PrescreenPrunedC", s.PrescreenPrunedC, int64(st.PrescreenPrunedC)},
-			{"PrescreenFrames", s.PrescreenFrames, st.PrescreenFrames},
-			{"PrescreenGateEvals", s.PrescreenGateEvals, st.PrescreenGateEvals},
-			{"MOTFaults", s.MOTFaults, int64(st.MOTFaults)},
-			{"Pairs", s.Pairs, int64(res.Pairs)},
-			{"Expansions", s.Expansions, int64(res.Expansions)},
-			{"Sequences", s.Sequences, int64(res.Sequences)},
-			{"ImplyCalls", s.ImplyCalls, st.ImplyCalls},
-			{"ImplyLaneEvals", s.ImplyLaneEvals, st.ImplyLaneEvals},
-			{"ImplyNS", s.ImplyNS, int64(st.ImplyTime)},
-			{"FullFrames", s.FullFrames, st.Sim.FullFrames},
-			{"EventFrames", s.EventFrames, st.Sim.EventFrames},
-			{"EventGateEvals", s.EventGateEvals, st.Sim.EventGateEvals},
-			{"Events", s.Events, st.Sim.Events},
-		}
-		for _, c := range checks {
-			if c.got != c.want {
-				t.Errorf("final snapshot %s = %d, want %d (merged result)", c.name, c.got, c.want)
-			}
+		for _, d := range diffSnapshots(s, resultSnapshot(res)) {
+			t.Errorf("final snapshot %s (merged result)", d)
 		}
 		if s.Undetected() != int64(res.Total-res.Detected()) {
 			t.Errorf("Undetected() = %d, want %d", s.Undetected(), res.Total-res.Detected())
@@ -100,9 +130,150 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 	}
 }
 
+// sentinelSnapshot builds a LiveSnapshot whose i-th field holds the
+// distinct value i+1, so any field a consumer drops or double-counts is
+// detectable by value.
+func sentinelSnapshot(t *testing.T) LiveSnapshot {
+	t.Helper()
+	var s LiveSnapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		if f.Kind() != reflect.Int64 {
+			t.Fatalf("LiveSnapshot field %s is %s; the sentinel scheme assumes int64 — extend this test",
+				v.Type().Field(i).Name, f.Kind())
+		}
+		f.SetInt(int64(i + 1))
+	}
+	return s
+}
+
+// TestLiveSnapshotAddCoversAllFields guards every aggregate built with
+// Add (LiveStats publications, serve's server-level /metrics sums):
+// adding a field to LiveSnapshot without extending Add fails this test
+// instead of silently freezing one counter.
+func TestLiveSnapshotAddCoversAllFields(t *testing.T) {
+	s := sentinelSnapshot(t)
+	sum := s
+	sum.Add(s)
+	v := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		want := int64(2 * (i + 1))
+		if got := v.Field(i).Int(); got != want {
+			t.Errorf("Add dropped field %s: got %d, want %d", v.Type().Field(i).Name, got, want)
+		}
+	}
+}
+
+// TestLiveScrapeParallel scrapes Snapshot in a loop while a 4-worker
+// run publishes after every fault, and asserts every snapshot is
+// consistent: no field goes backward between scrapes, and FaultsDone
+// never lags Conv + MOT (so Undetected is never negative).
+func TestLiveScrapeParallel(t *testing.T) {
+	c, T, faults := statsSetup(t)
+	cfg := DefaultConfig()
+	live := &LiveStats{}
+	cfg.Live = live
+	cfg.LiveEvery = 1
+	s, err := NewSimulator(c, T, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		var prev LiveSnapshot
+		for {
+			cur := live.Snapshot()
+			pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
+			for i := 0; i < cv.NumField(); i++ {
+				if cv.Field(i).Int() < pv.Field(i).Int() {
+					t.Errorf("scrape %d: %s went backward: %d -> %d",
+						n, cv.Type().Field(i).Name, pv.Field(i).Int(), cv.Field(i).Int())
+				}
+			}
+			if cur.Undetected() < 0 {
+				t.Errorf("scrape %d: FaultsDone %d < Conv %d + MOT %d", n, cur.FaultsDone, cur.Conv, cur.MOT)
+			}
+			prev = cur
+			n++
+			select {
+			case <-done:
+				scrapes <- n
+				return
+			default:
+			}
+		}
+	}()
+	res, err := s.RunParallel(faults, 4, nil)
+	close(done)
+	n := <-scrapes
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := live.Snapshot().FaultsDone; got != int64(res.Total) {
+		t.Errorf("final FaultsDone = %d, want %d", got, res.Total)
+	}
+	t.Logf("%d scrapes during the run", n)
+}
+
+// TestRunParallelPanicContained makes the resimulation panic inside the
+// fault loop and asserts the run returns an error naming the fault, no
+// result, and leaves no worker goroutine behind, at 1 and 4 workers.
+func TestRunParallelPanicContained(t *testing.T) {
+	c, T, faults := statsSetup(t)
+	base := runtime.NumGoroutine()
+	resimHook = func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion, got bool) {
+		panic("injected resim panic")
+	}
+	defer func() { resimHook = nil }()
+	for _, workers := range []int{1, 4} {
+		s, err := NewSimulator(c, T, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunParallel(faults, workers, nil)
+		if res != nil {
+			t.Errorf("workers=%d: panicking run returned a result", workers)
+		}
+		if err == nil {
+			t.Fatalf("workers=%d: panic not reported", workers)
+		}
+		msg := err.Error()
+		if !strings.HasPrefix(msg, "core: fault ") || !strings.Contains(msg, "panic: injected resim panic") {
+			t.Errorf("workers=%d: error does not name the fault and the panic: %.200s", workers, msg)
+		}
+		if !strings.Contains(msg, "goroutine ") {
+			t.Errorf("workers=%d: error carries no stack: %.200s", workers, msg)
+		}
+		named := false
+		for _, f := range faults {
+			if strings.HasPrefix(msg, "core: fault "+f.Name(c)+": panic: ") {
+				named = true
+				break
+			}
+		}
+		if !named {
+			t.Errorf("workers=%d: error names no fault of the list: %.200s", workers, msg)
+		}
+	}
+	// The workers have exited once RunParallel returns; give the runtime a
+	// moment to retire them before counting.
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the panicking runs, %d before", n, base)
+	}
+}
+
 // TestLiveSnapshotMonotonic scrapes the live stats after every fault of
 // a serial run (cadence 1) and asserts every counter only ever grows —
-// the property Prometheus counters require between scrapes.
+// the property Prometheus counters require between scrapes — and that
+// the snapshot is never behind the progress callback: the prescreen
+// publishes the faults it settles (their callbacks come first), and
+// each pipeline fault is published before its callback.
 func TestLiveSnapshotMonotonic(t *testing.T) {
 	c, T, faults := statsSetup(t)
 	cfg := DefaultConfig()
@@ -139,6 +310,9 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 				t.Errorf("fault %d/%d: %s went backward: %d -> %d", done, total, p.name, p.prev, p.cur)
 			}
 		}
+		if cur.FaultsDone < int64(done) {
+			t.Errorf("fault %d/%d: FaultsDone = %d, behind progress", done, total, cur.FaultsDone)
+		}
 		if cur.FaultsDone > prev.FaultsDone {
 			moved++
 		}
@@ -148,8 +322,9 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved < res.Total/2 {
-		t.Errorf("FaultsDone moved on only %d of %d scrapes with cadence 1", moved, res.Total)
+	if moved < res.Stages.MOTFaults {
+		t.Errorf("FaultsDone moved on only %d of %d scrapes with cadence 1 (%d pipeline faults)",
+			moved, res.Total, res.Stages.MOTFaults)
 	}
 	if got := live.Snapshot().FaultsDone; got != int64(res.Total) {
 		t.Errorf("final FaultsDone = %d, want %d", got, res.Total)

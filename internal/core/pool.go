@@ -93,11 +93,11 @@ type simPools struct {
 func (s *Simulator) runBad(f fault.Fault) (*seqsim.Trace, seqsim.Detection, bool, error) {
 	if s.pools.badTrace == nil {
 		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), true)
-		if st := s.stats; st != nil {
-			st.pool.TraceAllocs++
+		if ps := s.poolStats; ps != nil {
+			ps.TraceAllocs++
 		}
-	} else if st := s.stats; st != nil {
-		st.pool.TraceReuses++
+	} else if ps := s.poolStats; ps != nil {
+		ps.TraceReuses++
 	}
 	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, true)
 	return s.pools.badTrace, at, detected, err
@@ -116,14 +116,14 @@ func (s *Simulator) resetCollect() {
 func (s *Simulator) pairFrame(f *fault.Fault, base []logic.Val) *implic.Frame {
 	if s.pools.pairFrame == nil {
 		s.pools.pairFrame = implic.NewCompiled(s.cc, f, base)
-		if st := s.stats; st != nil {
-			st.pool.FrameAllocs++
+		if ps := s.poolStats; ps != nil {
+			ps.FrameAllocs++
 		}
 		return s.pools.pairFrame
 	}
 	s.pools.pairFrame.ResetFault(f, base)
-	if st := s.stats; st != nil {
-		st.pool.FrameReuses++
+	if ps := s.poolStats; ps != nil {
+		ps.FrameReuses++
 	}
 	return s.pools.pairFrame
 }
@@ -132,13 +132,13 @@ func (s *Simulator) pairFrame(f *fault.Fault, base []logic.Val) *implic.Frame {
 func (s *Simulator) laneFrame() *implic.LaneFrame {
 	if s.pools.laneFrame == nil {
 		s.pools.laneFrame = implic.NewLaneFrame(s.cc)
-		if st := s.stats; st != nil {
-			st.pool.FrameAllocs++
+		if ps := s.poolStats; ps != nil {
+			ps.FrameAllocs++
 		}
 		return s.pools.laneFrame
 	}
-	if st := s.stats; st != nil {
-		st.pool.FrameReuses++
+	if ps := s.poolStats; ps != nil {
+		ps.FrameReuses++
 	}
 	return s.pools.laneFrame
 }
@@ -151,15 +151,15 @@ func (s *Simulator) deepFrame(d int, f *fault.Fault, base []logic.Val) *implic.F
 	}
 	if fr := s.pools.deepFrames[d]; fr != nil {
 		fr.ResetFault(f, base)
-		if st := s.stats; st != nil {
-			st.pool.FrameReuses++
+		if ps := s.poolStats; ps != nil {
+			ps.FrameReuses++
 		}
 		return fr
 	}
 	fr := implic.NewCompiled(s.cc, f, base)
 	s.pools.deepFrames[d] = fr
-	if st := s.stats; st != nil {
-		st.pool.FrameAllocs++
+	if ps := s.poolStats; ps != nil {
+		ps.FrameAllocs++
 	}
 	return fr
 }

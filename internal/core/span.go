@@ -78,12 +78,12 @@ func (sc *spanScope) finish(res *Result) {
 	sc.main.Flush()
 }
 
-// workerSpans drives one executing goroutine's per-fault spans on its
-// own track. RunParallel workers (w >= 0) additionally record a
-// "worker" span covering their whole claim loop — the one span kind
-// whose membership depends on scheduling, which is why it is recorded
-// at close time via Tracer.Record rather than held open in the buffer
-// (an open span would block the buffer's incremental flushes).
+// workerSpans drives one fault-loop worker's per-fault spans on its
+// own track, plus a "worker" span covering its whole claim loop — the
+// one span kind whose membership depends on scheduling, which is why
+// it is recorded at close time via Tracer.Record rather than held open
+// in the buffer (an open span would block the buffer's incremental
+// flushes).
 type workerSpans struct {
 	tr      *xtrace.Tracer
 	buf     *xtrace.Buffer
@@ -95,19 +95,14 @@ type workerSpans struct {
 	faults  int64
 }
 
-// worker returns the span driver for one executing goroutine: w < 0 for
-// the serial loop, a worker index for RunParallel workers. Nil scope →
-// nil driver.
+// worker returns the span driver for fault-loop worker w, on track
+// "worker NN". Nil scope → nil driver.
 func (sc *spanScope) worker(w int) *workerSpans {
 	if sc == nil {
 		return nil
 	}
-	label := "faults"
-	if w >= 0 {
-		label = fmt.Sprintf("worker %02d", w)
-	}
 	return &workerSpans{
-		tr: sc.tr, buf: sc.tr.NewTrack(label),
+		tr: sc.tr, buf: sc.tr.NewTrack(fmt.Sprintf("worker %02d", w)),
 		rate: sc.rate, stageID: sc.stageID,
 		w: w, start: sc.tr.Now(),
 	}
@@ -119,9 +114,6 @@ func (ws *workerSpans) close() {
 		return
 	}
 	ws.buf.Flush()
-	if ws.w < 0 {
-		return
-	}
 	ws.tr.Record(xtrace.Span{
 		ID:     xtrace.DeriveID(ws.stageID, "worker", uint64(ws.w)),
 		Parent: ws.stageID,
@@ -158,9 +150,10 @@ func (ws *workerSpans) end(s *Simulator, o *FaultOutcome) {
 	ws.buf.Attr(ws.fref, "outcome", o.Outcome.String())
 	ws.buf.AttrInt(ws.fref, "pairs", int64(o.Pairs))
 	ws.buf.AttrInt(ws.fref, "seqs", int64(o.Sequences))
-	ws.buf.AttrInt(ws.fref, "sim_frames", s.lastEvents.Frames)
-	ws.buf.AttrInt(ws.fref, "sim_events", s.lastEvents.Events)
-	ws.buf.AttrInt(ws.fref, "sim_gate_evals", s.lastEvents.GateEvals)
+	sim := s.rec.simTrace()
+	ws.buf.AttrInt(ws.fref, "sim_frames", sim.Frames)
+	ws.buf.AttrInt(ws.fref, "sim_events", sim.Events)
+	ws.buf.AttrInt(ws.fref, "sim_gate_evals", sim.GateEvals)
 	ws.buf.End(ws.fref)
 	s.tbuf, s.span = nil, 0
 }

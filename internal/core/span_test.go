@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/xtrace"
@@ -13,7 +16,7 @@ import (
 // detSpanKey reduces a span to its deterministic fields: the ID (a hash
 // of parent, name and key), name and attributes. Timestamps, durations
 // and track assignments are scheduling-dependent by design; "worker"
-// spans exist only in parallel runs and are excluded entirely.
+// spans count the faults each worker claimed and are excluded entirely.
 func detSpans(tr *xtrace.Tracer) []string {
 	spans, _ := tr.Snapshot()
 	var out []string
@@ -134,6 +137,42 @@ func TestSpanTreeShape(t *testing.T) {
 		}
 		if s.Name != "run sg208" && s.Dur < 0 {
 			t.Fatalf("span %s never ended", s.Name)
+		}
+	}
+}
+
+// TestSpanWorkerTracks asserts every worker count, one included, puts
+// its fault spans on "worker NN" tracks with one "worker" span per
+// worker, and that the worker spans together claim every pipeline fault.
+func TestSpanWorkerTracks(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		spans, tracks := spanRun(t, workers, 1).Snapshot()
+		var nWorker, claimed, faults int
+		for _, s := range spans {
+			switch s.Name {
+			case "worker":
+				nWorker++
+				if want := fmt.Sprintf("worker %02d", nWorker-1); !slices.Contains(tracks, want) {
+					t.Errorf("workers=%d: no track %q among %q", workers, want, tracks)
+				}
+				for _, a := range s.Attrs {
+					if a.Key == "faults" {
+						n, _ := strconv.Atoi(a.Val)
+						claimed += n
+					}
+				}
+			case "fault":
+				faults++
+				if label := tracks[s.Track]; !strings.HasPrefix(label, "worker ") {
+					t.Errorf("workers=%d: fault span on track %q", workers, label)
+				}
+			}
+		}
+		if nWorker != workers {
+			t.Errorf("workers=%d: %d worker spans", workers, nWorker)
+		}
+		if claimed != faults {
+			t.Errorf("workers=%d: worker spans claim %d faults, %d fault spans (full sampling)", workers, claimed, faults)
 		}
 	}
 }

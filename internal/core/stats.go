@@ -1,17 +1,19 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/metrics"
+	"repro/internal/seqsim"
 )
 
-// StageNS is a per-fault (or per-run delta) stage-time breakdown in
-// nanoseconds. Step0 covers the serial conventional resimulation plus
-// the condition (C) profile; Collect covers pair collection including
-// the implication runs it performs (Imply is the implication share of
-// Collect, not an additional stage); Expand and Resim cover Procedure 2
-// and the Section 3.4 resimulation including the portfolio retry.
+// StageNS is a per-fault stage-time breakdown in nanoseconds. Step0
+// covers the serial conventional resimulation plus the condition (C)
+// profile; Collect covers pair collection including the implication
+// runs it performs (Imply is the implication share of Collect, not an
+// additional stage); Expand and Resim cover Procedure 2 and the
+// Section 3.4 resimulation including the portfolio retry.
 type StageNS struct {
 	Step0   int64 `json:"step0_ns"`
 	Collect int64 `json:"collect_ns"`
@@ -19,18 +21,6 @@ type StageNS struct {
 	Expand  int64 `json:"expand_ns"`
 	Resim   int64 `json:"resim_ns"`
 	Total   int64 `json:"total_ns"`
-}
-
-// sub returns the component-wise difference s - before.
-func (s StageNS) sub(before StageNS) StageNS {
-	return StageNS{
-		Step0:   s.Step0 - before.Step0,
-		Collect: s.Collect - before.Collect,
-		Imply:   s.Imply - before.Imply,
-		Expand:  s.Expand - before.Expand,
-		Resim:   s.Resim - before.Resim,
-		Total:   s.Total - before.Total,
-	}
 }
 
 // PoolStats instruments the PR 2 pooling layer: how often the pooled
@@ -62,67 +52,48 @@ func (p *PoolStats) merge(other PoolStats) {
 	p.FrameAllocs += other.FrameAllocs
 	p.TraceReuses += other.TraceReuses
 	p.TraceAllocs += other.TraceAllocs
-	p.SVArenaPeak = max64(p.SVArenaPeak, other.SVArenaPeak)
-	p.SVIdxArenaPeak = max64(p.SVIdxArenaPeak, other.SVIdxArenaPeak)
-	p.SeqLivePeak = max64(p.SeqLivePeak, other.SeqLivePeak)
+	p.SVArenaPeak = max(p.SVArenaPeak, other.SVArenaPeak)
+	p.SVIdxArenaPeak = max(p.SVIdxArenaPeak, other.SVIdxArenaPeak)
+	p.SeqLivePeak = max(p.SeqLivePeak, other.SeqLivePeak)
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runStats is the per-worker instrumentation accumulator. Each
-// Simulator that executes faults owns exactly one (RunParallel gives
-// every worker its own), so all fields are plain — no atomics on the
-// hot path. Totals merge into Result.Stages once the run completes.
-type runStats struct {
-	times      StageNS
-	implyCalls int64
-	// implyLaneEvals counts the gates evaluated by lane implication
-	// passes (see Stages.ImplyLaneEvals).
+// faultRecord is what one SimulateFault call measured: the one
+// per-fault observation every reporting sink reads (Result.Stages and
+// the live snapshot through livePublisher, the JSONL trace, the fault
+// span's attributes and the run histograms). The pipeline's
+// instrumentation sites write it directly; SimulateFault resets it per
+// fault. Every field but stages is deterministic for a given circuit,
+// sequence, configuration and fault.
+type faultRecord struct {
+	// stages is the fault's stage-time breakdown; zero unless
+	// Config.Metrics is on (the clock is read only then).
+	stages StageNS
+	// implyCalls counts in-frame implication runs and implyLaneEvals
+	// the gates the lane implication passes evaluated (see Stages).
+	implyCalls     int64
 	implyLaneEvals int64
-	motFaults      int64
-	// resimVectorPasses/resimVectorFrames/resimGateEvals count the
-	// bit-parallel resimulation passes, the frames and the gates they
-	// evaluated (see Stages).
-	resimVectorPasses int64
-	resimVectorFrames int64
-	resimGateEvals    int64
-	pool              PoolStats
+	// resim summarizes the fault's resimulation passes.
+	resim ResimTrace
+	// sim is the serial simulator's step-0 work for the fault.
+	sim seqsim.SimStats
+	// cone is the size of the fault's active cone, in gates.
+	cone int64
 }
 
-// stageField selects the accumulator tick targets.
-type stageField uint8
+// simTrace is the record's step-0 summary as the trace and the span
+// attributes report it.
+func (r *faultRecord) simTrace() SimTrace {
+	return SimTrace{Frames: r.sim.EventFrames, Events: r.sim.Events, GateEvals: r.sim.EventGateEvals}
+}
 
-const (
-	stageStep0 stageField = iota
-	stageCollect
-	stageExpand
-	stageResim
-)
-
-// tick accumulates the monotonic time since *last into the selected
-// stage and advances *last. A nil receiver (metrics off) is a no-op and
-// performs no clock read.
-func (rs *runStats) tick(last *time.Time, f stageField) {
-	if rs == nil {
+// tick adds the time since *last to the stage counter *ns and advances
+// *last. With Config.Metrics off it is a no-op and reads no clock.
+func (s *Simulator) tick(last *time.Time, ns *int64) {
+	if !s.cfg.Metrics {
 		return
 	}
 	now := time.Now()
-	d := int64(now.Sub(*last))
-	switch f {
-	case stageStep0:
-		rs.times.Step0 += d
-	case stageCollect:
-		rs.times.Collect += d
-	case stageExpand:
-		rs.times.Expand += d
-	case stageResim:
-		rs.times.Resim += d
-	}
+	*ns += int64(now.Sub(*last))
 	*last = now
 }
 
@@ -178,62 +149,65 @@ func newRunMetrics() *RunMetrics {
 	}
 }
 
-// observeFault records one completed per-fault pipeline execution.
-func (m *RunMetrics) observeFault(o *FaultOutcome, totalNS, coneGates int64) {
+// observeHist feeds the record of the fault s just simulated to the
+// run histograms, and to their exemplars when the fault is
+// span-sampled. A no-op with metrics off.
+func (s *Simulator) observeHist(o *FaultOutcome) {
+	m, r := s.hist, &s.rec
+	if m == nil {
+		return
+	}
 	m.PairsPerFault.Observe(int64(o.Pairs))
 	m.ExpansionsPerFault.Observe(int64(o.Expansions))
 	m.SequencesAtStop.Observe(int64(o.Sequences))
-	m.FaultTimeNS.Observe(totalNS)
-	m.ConeGatesPerFault.Observe(coneGates)
-}
-
-// exemplarFault attaches a span-sampled fault's observations as the
-// exemplars of the buckets they landed in, linking each per-fault
-// histogram back to the fault name and its trace span. Called only for
-// faults that carry a live span, so the unsampled hot path never
-// allocates exemplar labels.
-func (m *RunMetrics) exemplarFault(o *FaultOutcome, totalNS, coneGates int64, faultName, spanHex string) {
-	fl := metrics.Label{Key: "fault", Val: faultName}
-	sl := metrics.Label{Key: "span_id", Val: spanHex}
+	m.FaultTimeNS.Observe(r.stages.Total)
+	m.ConeGatesPerFault.Observe(r.cone)
+	if s.span == 0 {
+		// Unsampled: the hot path never allocates exemplar labels.
+		return
+	}
+	// Link the fault's bucket in each histogram back to the fault and its
+	// span via OpenMetrics exemplars.
+	fl := metrics.Label{Key: "fault", Val: o.Fault.Name(s.c)}
+	sl := metrics.Label{Key: "span_id", Val: fmt.Sprintf("%016x", uint64(s.span))}
 	m.PairsPerFault.SetExemplar(int64(o.Pairs), fl, sl)
 	m.ExpansionsPerFault.SetExemplar(int64(o.Expansions), fl, sl)
 	m.SequencesAtStop.SetExemplar(int64(o.Sequences), fl, sl)
-	m.FaultTimeNS.SetExemplar(totalNS, fl, sl)
-	m.ConeGatesPerFault.SetExemplar(coneGates, fl, sl)
+	m.FaultTimeNS.SetExemplar(r.stages.Total, fl, sl)
+	m.ConeGatesPerFault.SetExemplar(r.cone, fl, sl)
 }
 
 // beginRun resets the per-run instrumentation state on s according to
-// the configuration and attaches the run histograms to res. Serial Run
-// and the RunParallel parent both call it; parallel workers receive
-// their own runStats and share the parent's histograms.
+// the configuration and attaches the run histograms to res; fault-loop
+// workers cloned afterwards share them.
 func (s *Simulator) beginRun(res *Result) {
 	if !s.cfg.Metrics {
-		s.stats, s.hist = nil, nil
+		s.poolStats, s.hist = nil, nil
 		s.sim.SetFrameHists(nil, nil)
 		return
 	}
-	s.stats = &runStats{}
+	s.poolStats = &PoolStats{}
 	s.hist = newRunMetrics()
 	res.Metrics = s.hist
-	s.sim.ResetStats()
 	s.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
 }
 
-// mergeStats folds one worker's accumulator into the run totals.
-func (st *Stages) mergeStats(rs *runStats) {
-	if rs == nil {
-		return
-	}
-	st.Step0Time += time.Duration(rs.times.Step0)
-	st.CollectTime += time.Duration(rs.times.Collect)
-	st.ExpandTime += time.Duration(rs.times.Expand)
-	st.ResimTime += time.Duration(rs.times.Resim)
-	st.ImplyTime += time.Duration(rs.times.Imply)
-	st.ImplyCalls += rs.implyCalls
-	st.ImplyLaneEvals += rs.implyLaneEvals
-	st.ResimVectorPasses += rs.resimVectorPasses
-	st.ResimVectorFrames += rs.resimVectorFrames
-	st.ResimGateEvals += rs.resimGateEvals
-	st.MOTFaults += int(rs.motFaults)
-	st.Pool.merge(rs.pool)
+// add folds one worker's summed records (livePublisher.total) into the
+// run's per-fault breakdown.
+func (st *Stages) add(t LiveSnapshot) {
+	st.MOTFaults += int(t.MOTFaults)
+	st.Step0Time += time.Duration(t.Step0NS)
+	st.CollectTime += time.Duration(t.CollectNS)
+	st.ImplyTime += time.Duration(t.ImplyNS)
+	st.ExpandTime += time.Duration(t.ExpandNS)
+	st.ResimTime += time.Duration(t.ResimNS)
+	st.ImplyCalls += t.ImplyCalls
+	st.ImplyLaneEvals += t.ImplyLaneEvals
+	st.ResimVectorPasses += t.ResimVectorPasses
+	st.ResimVectorFrames += t.ResimVectorFrames
+	st.ResimGateEvals += t.ResimGateEvals
+	st.Sim.Merge(seqsim.SimStats{
+		EventFrames: t.EventFrames, FullFrames: t.FullFrames,
+		EventGateEvals: t.EventGateEvals, Events: t.Events,
+	})
 }

@@ -3,8 +3,6 @@ package core
 import (
 	"bufio"
 	"encoding/json"
-
-	"repro/internal/seqsim"
 )
 
 // SimTrace summarizes the step-0 frame evaluations of one fault for the
@@ -15,16 +13,6 @@ type SimTrace struct {
 	Frames    int64 `json:"sim_frames,omitempty"`
 	Events    int64 `json:"sim_events,omitempty"`
 	GateEvals int64 `json:"sim_gate_evals,omitempty"`
-}
-
-// simTraceDelta summarizes the sparse-frame work between two readings
-// of a simulator's counters.
-func simTraceDelta(before, after seqsim.SimStats) SimTrace {
-	return SimTrace{
-		Frames:    after.EventFrames - before.EventFrames,
-		Events:    after.Events - before.Events,
-		GateEvals: after.EventGateEvals - before.EventGateEvals,
-	}
 }
 
 // TraceDetection is a conventional detection site in a trace event.
@@ -70,8 +58,8 @@ type TraceEvent struct {
 	Timing *StageNS `json:"timing_ns,omitempty"`
 }
 
-// traceEvent builds the trace line for one outcome.
-func (s *Simulator) traceEvent(o *FaultOutcome, timing *StageNS, resim *ResimTrace, sim *SimTrace) TraceEvent {
+// traceEvent builds the trace line for one outcome and its record.
+func (s *Simulator) traceEvent(o *FaultOutcome, r *faultRecord) TraceEvent {
 	ev := TraceEvent{
 		Fault:      o.Fault.Name(s.c),
 		Outcome:    o.Outcome.String(),
@@ -87,41 +75,30 @@ func (s *Simulator) traceEvent(o *FaultOutcome, timing *StageNS, resim *ResimTra
 	if o.Outcome == DetectedConventional {
 		ev.At = &TraceDetection{Time: o.At.Time, Output: o.At.Output}
 	}
-	if resim != nil && *resim != (ResimTrace{}) {
-		ev.Resim = resim
+	if r.resim != (ResimTrace{}) {
+		ev.Resim = &r.resim
 	}
-	if sim != nil && *sim != (SimTrace{}) {
-		ev.Sim = sim
+	if sim := r.simTrace(); sim != (SimTrace{}) {
+		ev.Sim = &sim
 	}
-	ev.Timing = timing
+	if s.cfg.TraceTimings {
+		ev.Timing = &r.stages
+	}
 	return ev
 }
 
 // writeTrace emits one JSONL event per fault to Config.TraceWriter, in
 // fault-list order. It runs after the fault loop completes — never from
 // worker goroutines — so the output is identical for any worker count.
-// traceTimes, traceResims and traceSims are indexed like res.Outcomes
-// and may be nil (no timings / no trace at all).
-func (s *Simulator) writeTrace(res *Result, traceTimes []StageNS, traceResims []ResimTrace, traceSims []SimTrace) error {
+// recs is indexed like res.Outcomes (nil exactly when no trace is
+// requested).
+func (s *Simulator) writeTrace(res *Result, recs []faultRecord) error {
 	if s.cfg.TraceWriter == nil {
 		return nil
 	}
 	bw := bufio.NewWriter(s.cfg.TraceWriter)
 	for k := range res.Outcomes {
-		var timing *StageNS
-		if traceTimes != nil {
-			timing = &traceTimes[k]
-		}
-		var resim *ResimTrace
-		if traceResims != nil {
-			resim = &traceResims[k]
-		}
-		var sim *SimTrace
-		if traceSims != nil {
-			sim = &traceSims[k]
-		}
-		ev := s.traceEvent(&res.Outcomes[k], timing, resim, sim)
-		data, err := json.Marshal(ev)
+		data, err := json.Marshal(s.traceEvent(&res.Outcomes[k], &recs[k]))
 		if err != nil {
 			return err
 		}
@@ -133,33 +110,4 @@ func (s *Simulator) writeTrace(res *Result, traceTimes []StageNS, traceResims []
 		}
 	}
 	return bw.Flush()
-}
-
-// traceTimes allocates the per-fault stage-time buffer when the
-// configuration asks for timed traces.
-func (s *Simulator) traceTimes(n int) []StageNS {
-	if s.cfg.TraceWriter == nil || !s.cfg.TraceTimings {
-		return nil
-	}
-	return make([]StageNS, n)
-}
-
-// traceResims allocates the per-fault resimulation-summary buffer when
-// a trace is requested. Unlike timings the content is deterministic, so
-// it rides along on every trace.
-func (s *Simulator) traceResims(n int) []ResimTrace {
-	if s.cfg.TraceWriter == nil {
-		return nil
-	}
-	return make([]ResimTrace, n)
-}
-
-// traceSims allocates the per-fault frame-evaluation-summary buffer
-// when a trace is requested. Deterministic and evaluator-invariant, so
-// it rides along on every trace.
-func (s *Simulator) traceSims(n int) []SimTrace {
-	if s.cfg.TraceWriter == nil {
-		return nil
-	}
-	return make([]SimTrace, n)
 }

@@ -221,18 +221,15 @@ func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) 
 		}
 		var frames, gateEvals int
 		resolved, frames, gateEvals = s.resimPass(f, bad, x, lo, all, ev, lc, markRows)
-		if st := s.stats; st != nil {
-			st.resimVectorPasses++
-			st.resimVectorFrames += int64(frames)
-			st.resimGateEvals += int64(gateEvals)
-		}
+		lanes := min(n-lo, 64)
 		if s.hist != nil {
-			s.hist.ResimLanesPerPass.Observe(int64(min(n-lo, 64)))
+			s.hist.ResimLanesPerPass.Observe(int64(lanes))
 		}
-		s.lastResim.VectorPasses++
-		s.lastResim.VectorFrames += frames
-		s.lastResim.GateEvals += gateEvals
-		s.lastResim.Lanes += min(n-lo, 64)
+		r := &s.rec.resim
+		r.VectorPasses++
+		r.VectorFrames += frames
+		r.GateEvals += gateEvals
+		r.Lanes += lanes
 	}
 	if resimHook != nil {
 		resimHook(s, f, bad, x, resolved)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"time"
@@ -397,17 +398,7 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 		}
 	}()
 
-	sim, err := core.NewSimulatorWarm(r.circuit, r.seq, r.cfg, r.warm)
-	var res *core.Result
-	if err == nil {
-		// A cold run just paid for the fault-free simulation; bank its
-		// trace so the next submission of the same (circuit, vectors)
-		// pair starts warm.
-		if r.warm.Good == nil {
-			r.cache.addTrace(r.goodKey, sim.Good())
-		}
-		res, err = sim.RunParallelContext(ctx, r.faults, r.workers, nil)
-	}
+	rep, attrs, err := r.simulate(ctx)
 	close(stop)
 	tickWG.Wait()
 	cpu, alloc := sampleResources().delta(before)
@@ -419,9 +410,7 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 	switch {
 	case err == nil:
 		r.status = StatusDone
-		rep := report.NewRunReport(res, r.method, r.patterns, r.workers, r.finished.Sub(r.started))
-		r.report = &rep
-		r.attrs = report.ResultAttrs(res)
+		r.report, r.attrs = rep, attrs
 	case errors.Is(err, context.Canceled):
 		r.status = StatusCanceled
 		r.runErr = err
@@ -442,6 +431,35 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 	}
 	r.event("status", fin)
 	r.events.close()
+}
+
+// simulate runs the simulation and summarizes the result. A panic
+// anywhere in it (building the simulator, the run, the report) is
+// recovered into an error carrying the stack, so the run fails instead
+// of taking the server down.
+func (r *Run) simulate(ctx context.Context) (rep *report.RunReport, attrs []any, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			rep, attrs = nil, nil
+			err = fmt.Errorf("serve: run panic: %v\n%s", p, debug.Stack())
+		}
+	}()
+	sim, err := core.NewSimulatorWarm(r.circuit, r.seq, r.cfg, r.warm)
+	if err != nil {
+		return nil, nil, err
+	}
+	// A cold run just paid for the fault-free simulation; bank its trace
+	// so the next submission of the same (circuit, vectors) pair starts
+	// warm.
+	if r.warm.Good == nil {
+		r.cache.addTrace(r.goodKey, sim.Good())
+	}
+	res, err := sim.RunParallelContext(ctx, r.faults, r.workers, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	rr := report.NewRunReport(res, r.method, r.patterns, r.workers, time.Since(r.started))
+	return &rr, report.ResultAttrs(res), nil
 }
 
 // ended reports whether the run has finished: done, failed or canceled.

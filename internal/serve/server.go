@@ -226,45 +226,9 @@ func (s *Server) liveSnapshot() core.LiveSnapshot {
 	defer s.mu.Unlock()
 	sum := s.retired
 	for _, r := range s.runs {
-		sum = addSnapshots(sum, r.live.Snapshot())
+		sum.Add(r.live.Snapshot())
 	}
 	return sum
-}
-
-// addSnapshots field-wise adds two snapshots.
-func addSnapshots(a, b core.LiveSnapshot) core.LiveSnapshot {
-	a.RunsStarted += b.RunsStarted
-	a.RunsDone += b.RunsDone
-	a.FaultsTotal += b.FaultsTotal
-	a.FaultsDone += b.FaultsDone
-	a.Conv += b.Conv
-	a.MOT += b.MOT
-	a.PrunedConditionC += b.PrunedConditionC
-	a.PrescreenPasses += b.PrescreenPasses
-	a.PrescreenDropped += b.PrescreenDropped
-	a.PrescreenPrunedC += b.PrescreenPrunedC
-	a.PrescreenFrames += b.PrescreenFrames
-	a.PrescreenGateEvals += b.PrescreenGateEvals
-	a.MOTFaults += b.MOTFaults
-	a.Pairs += b.Pairs
-	a.Expansions += b.Expansions
-	a.Sequences += b.Sequences
-	a.ImplyCalls += b.ImplyCalls
-	a.ImplyLaneEvals += b.ImplyLaneEvals
-	a.ImplyNS += b.ImplyNS
-	a.ResimVectorPasses += b.ResimVectorPasses
-	a.ResimVectorFrames += b.ResimVectorFrames
-	a.ResimGateEvals += b.ResimGateEvals
-	a.Step0NS += b.Step0NS
-	a.CollectNS += b.CollectNS
-	a.ExpandNS += b.ExpandNS
-	a.ResimNS += b.ResimNS
-	a.TotalNS += b.TotalNS
-	a.FullFrames += b.FullFrames
-	a.EventFrames += b.EventFrames
-	a.EventGateEvals += b.EventGateEvals
-	a.Events += b.Events
-	return a
 }
 
 // latestMetrics returns the per-fault histograms of the most recently
@@ -461,7 +425,7 @@ func (s *Server) evictFinished(n int) int {
 			kept = append(kept, id)
 			continue
 		}
-		s.retired = addSnapshots(s.retired, r.live.Snapshot())
+		s.retired.Add(r.live.Snapshot())
 		st := r.tracer.Stats()
 		s.retiredSpans.Spans += st.Spans
 		s.retiredSpans.Dropped += st.Dropped

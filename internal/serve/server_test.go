@@ -604,3 +604,35 @@ func TestServerRegistryEvictsFinished(t *testing.T) {
 	}
 	getStatus(t, ts, ids[len(ids)-1]) // the newest run is still registered
 }
+
+// TestServerRunPanicFails makes a run panic outside core's fault loop
+// (building the simulator of a run whose circuit is gone) and inside it
+// (a fault whose site is out of range), and asserts each run ends
+// failed with the panic and its stack in the status and in the
+// terminal event, instead of taking the process down.
+func TestServerRunPanicFails(t *testing.T) {
+	s, _ := newTestServer(t)
+	for name, breakRun := range map[string]func(r *Run){
+		"simulator": func(r *Run) { r.circuit, r.warm = nil, core.Warm{} },
+		"fault":     func(r *Run) { r.faults[0].Node = 1 << 30 },
+	} {
+		r, err := s.buildRun(RunRequest{Circuit: "s27", Random: 8, Prescreen: boolPtr(false)}, time.Now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		breakRun(r)
+		r.execute(context.Background(), func(time.Duration, int64) {})
+		st := r.Status()
+		if st.Status != StatusFailed || !strings.Contains(st.Error, "panic") || !strings.Contains(st.Error, "goroutine ") {
+			t.Errorf("%s: status %q, error %.200q; want failed with the panic and its stack", name, st.Status, st.Error)
+		}
+		events, done, _ := r.events.next(0)
+		if !done || len(events) == 0 {
+			t.Fatalf("%s: event stream not closed", name)
+		}
+		last := events[len(events)-1]
+		if last.Name != "status" || !strings.Contains(last.Data, `"failed"`) || !strings.Contains(last.Data, "panic") {
+			t.Errorf("%s: terminal event %s %.200s; want a failed status carrying the panic", name, last.Name, last.Data)
+		}
+	}
+}

@@ -25,23 +25,6 @@ func sentinelSnapshot(t *testing.T) core.LiveSnapshot {
 	return s
 }
 
-// TestAddSnapshotsCoversAllFields guards the aggregate /metrics path:
-// addSnapshots must sum every LiveSnapshot field, so that adding a
-// field to core without extending the adder fails this test instead of
-// silently freezing one server-level counter.
-func TestAddSnapshotsCoversAllFields(t *testing.T) {
-	s := sentinelSnapshot(t)
-	sum := addSnapshots(s, s)
-	v := reflect.ValueOf(sum)
-	for i := 0; i < v.NumField(); i++ {
-		want := int64(2 * (i + 1))
-		if got := v.Field(i).Int(); got != want {
-			t.Errorf("addSnapshots dropped field %s: got %d, want %d",
-				v.Type().Field(i).Name, got, want)
-		}
-	}
-}
-
 // TestLiveCountersCoverAllFields guards the exposition table: every
 // LiveSnapshot field must be read by exactly one liveCounters entry —
 // no field unexposed, no field scraped under two names.
