@@ -49,11 +49,12 @@ bench:
 	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel|Conventional' -benchmem -benchtime 2x -count 3 .
 
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
-# regression probe. Combine with benchdiff:
+# regression probe — plus the step-0 layer bench on sg15850. Combine
+# with benchdiff:
 #   make bench-lite | tee benchdiff.out
 #   go run ./cmd/benchdiff benchdiff.out   # baseline: highest BENCH_PR<n>.json
 bench-lite:
-	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel' -benchmem -benchtime 2x -count 3 .
+	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel|Step0_sg15850' -benchmem -benchtime 2x -count 3 .
 
 # Sample span trace of a fully sampled sg298 run, loadable in
 # ui.perfetto.dev or chrome://tracing. CI uploads it as an artifact.

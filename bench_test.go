@@ -8,6 +8,8 @@ package motsim
 // shapes (each bench asserts its experiment's qualitative outcome once).
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/bitsim"
@@ -292,6 +294,73 @@ func BenchmarkConventional_sg5378(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(st.GateEvals), "gate-evals/op")
+}
+
+// step0Input is the setup of BenchmarkStep0_sg15850, built once per
+// test binary: the circuit, its 64 random vectors (the first mot-step0
+// vector set), the fault-free trace with node rows, and the faults
+// that reach the per-fault pipeline.
+type step0Input struct {
+	c      *Circuit
+	T      seqsim.Sequence
+	good   *seqsim.Trace
+	faults []fault.Fault
+}
+
+var step0Setup = sync.OnceValues(func() (*step0Input, error) {
+	e, err := circuits.SuiteEntryByName("sg15850")
+	if err != nil {
+		return nil, err
+	}
+	c := e.Build()
+	in := &step0Input{c: c, T: tgen.Random(c.NumInputs(), 64, 4)}
+	sim, err := core.NewSimulator(c, in.T, core.DefaultConfig())
+	if err != nil {
+		return nil, err
+	}
+	res, err := sim.RunParallel(fault.CollapsedList(c), 2, nil)
+	if err != nil {
+		return nil, err
+	}
+	// The prescreen settles every conventionally detected fault and
+	// every fault failing condition (C); the rest run the pipeline.
+	for _, o := range res.Outcomes {
+		if o.Outcome != core.DetectedConventional && !o.FailedConditionC {
+			in.faults = append(in.faults, o.Fault)
+		}
+	}
+	if len(in.faults) != res.Stages.MOTFaults {
+		return nil, fmt.Errorf("selected %d pipeline faults, run reports %d", len(in.faults), res.Stages.MOTFaults)
+	}
+	in.good = sim.Good()
+	return in, nil
+})
+
+// BenchmarkStep0_sg15850 measures step 0 (conventional fault
+// simulation) alone on the mot-step0 circuit: RunFaultInto, keeping
+// node rows as the pipeline does, over the faults that reach the
+// per-fault pipeline for one vector set. Each iteration simulates on a
+// freshly compiled circuit, built outside the timer, as a cold run
+// does, so per-compile costs that step 0 pays are timed.
+func BenchmarkStep0_sg15850(b *testing.B) {
+	in, err := step0Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr := seqsim.NewTrace(in.c, len(in.T), true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sim := seqsim.NewCompiled(cir.Compile(in.c))
+		b.StartTimer()
+		for _, f := range in.faults {
+			if _, _, err := sim.RunFaultInto(tr, in.T, in.good, f, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(in.faults)), "faults/op")
 }
 
 // --- Bit-parallel resimulation: 64-lane expansion stage ---

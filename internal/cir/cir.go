@@ -11,8 +11,9 @@
 // three-valued evaluation, delegating to logic.Eval) and EvalOpVV (the
 // 64-lane bit-parallel evaluation, see vv.go). The sequential fanout
 // cone of a fault site — the only region a fault can ever influence —
-// is computed by FillCone (see cone.go) and drives active-cone faulty
-// simulation in seqsim.
+// is computed by FillCone (see cone.go); it orders fault lists
+// (SortFaultsByCone). Faulty simulation needs no cone: seqsim follows
+// the fault's divergence over the whole-circuit event schedule.
 package cir
 
 import (

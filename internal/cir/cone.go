@@ -2,9 +2,10 @@ package cir
 
 // Per-fault active cones: the sequential fanout closure of a fault
 // site. Only nodes in this closure can ever differ from the fault-free
-// machine, so faulty-frame simulation needs to visit only the cone's
-// gates, seed present-state differences only at the cone's flip-flops,
-// and check detection only at the cone's outputs.
+// machine. Cones describe a fault's reach for fault ordering
+// (SortFaultsByCone); faulty-frame simulation does not use them, since
+// it seeds and reads only the nodes the faulty machine actually changed,
+// a subset of the cone.
 //
 // The closure generalizes netlist.FanoutCone across time frames: the
 // combinational fanout of the fault site is closed over flip-flop

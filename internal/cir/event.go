@@ -11,7 +11,7 @@ package cir
 // starting a new frame is O(1) instead of O(nodes).
 //
 // The schedule is an array-backed bucket list, not a heap: the region a
-// frame can touch (a fault's active cone, or the whole circuit) is
+// frame can touch (a gate set, in practice the whole circuit) is
 // known up front, so each occupied level gets a pre-sized bucket and
 // draining is an ascending scan over the occupied levels only. Because
 // a gate's readers always sit at strictly higher levels, every gate is
@@ -79,9 +79,8 @@ func (cc *CC) buildSched(gates []netlist.GateID, counts []int32, s *Sched) {
 }
 
 // FullSched returns the whole-circuit event schedule (every gate, every
-// occupied level), built once at Compile. It backs the full-seeding
-// entry point (seqsim's FrameDelta) where the perturbed region is not
-// confined to a cone.
+// occupied level), built once at Compile. It backs every seqsim event
+// frame: a faulty frame of step 0 and a FrameDelta frame alike.
 func (cc *CC) FullSched() *Sched { return &cc.fullSched }
 
 // EventEval is the event-driven sparse-delta frame evaluator: scratch
@@ -170,8 +169,9 @@ func (e *EventEval) BeginFrame(base []logic.Val, sched *Sched) {
 // bindSched points the bucket queue at a new schedule, resizing the
 // bucket storage and refreshing the level->bucket map. slotOf entries
 // of levels outside the schedule go stale, which is safe: only gates of
-// the scheduled region are ever enqueued (a cone is closed under
-// fanout, so every reader of a cone node is a cone gate).
+// the scheduled region are ever enqueued (a region closed under fanout,
+// such as a cone or the whole circuit, holds every reader of its
+// nodes).
 func (e *EventEval) bindSched(s *Sched) {
 	e.sched = s
 	total := s.NumGates()

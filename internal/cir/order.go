@@ -1,15 +1,12 @@
 package cir
 
-// Cone-locality fault ordering. The per-site cone cache (ConeOf) and
-// the delta-simulation scratch both reward temporal locality: when
-// consecutive faults share a site, or at least overlapping cones, the
-// second fault finds the cone snapshot warm (the most recent lookups
-// sit at the front of the path to the atomic slot) and its faulty-frame
-// evaluation touches `vals` cache lines the previous fault just wrote.
-// SortFaultsByCone reorders a fault list to exploit this: faults on the
-// same site become adjacent, and sites are grouped by the shape of
-// their cones (first observable output, first state variable, cone
-// size) so neighbouring groups overlap where the circuit allows it.
+// Cone-locality fault ordering. SortFaultsByCone reorders a fault list
+// so faults on the same site become adjacent, and sites are grouped by
+// the shape of their cones (first observable output, first state
+// variable, cone size) so neighbouring groups overlap where the circuit
+// allows it. Faulty simulation itself reads no cone (seqsim follows
+// each fault's divergence), so the order changes no result and buys no
+// cone reuse; it only groups faults with similar reach.
 //
 // The ordering is a pure, deterministic function of the compiled
 // circuit and the input list — it does not depend on cache warmth — so
@@ -55,11 +52,9 @@ func (a coneOrderKey) less(b coneOrderKey) bool {
 const noCone = int32(1<<31 - 1)
 
 // SortFaultsByCone reorders faults in place so faults with identical or
-// overlapping active cones are adjacent (see the package comment
-// above). As a side effect every fault's cone snapshot is computed and
-// cached on cc, so a subsequent simulation of the list — this run's or
-// any later run sharing the compiled circuit — performs no cone
-// traversals at all.
+// overlapping active cones are adjacent (see the comment at the top of
+// this file). It computes every fault's cone snapshot, and they stay
+// cached on cc.
 func SortFaultsByCone(cc *CC, faults []fault.Fault) {
 	keys := make([]coneOrderKey, len(faults))
 	for i := range faults {

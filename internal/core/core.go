@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -246,9 +247,6 @@ func (s *Simulator) SimulateFault(f fault.Fault) (FaultOutcome, error) {
 		s.rec.stages.Total = int64(time.Since(start))
 	}
 	s.rec.sim = s.sim.Stats()
-	if err == nil {
-		s.rec.cone = int64(s.sim.ConeSize())
-	}
 	return out, err
 }
 
@@ -979,11 +977,15 @@ func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func
 	return s.RunParallelContext(context.Background(), faults, workers, progress)
 }
 
+// ErrPanic marks the error of a run whose worker panicked (see
+// RunParallelContext); test for it with errors.Is.
+var ErrPanic = errors.New("panic")
+
 // RunParallelContext is RunParallel with cancellation: workers stop
 // claiming faults once ctx is done and the run returns ctx.Err(). The
 // prescreen stage runs to completion before the first check. A panic in
 // a worker is contained: the pool drains and the run returns an error
-// naming the fault, with the panic value and stack.
+// wrapping ErrPanic, naming the fault, with the panic value and stack.
 func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
 	workers = max(workers, 1)
 	res := &Result{Circuit: s.c.Name, Total: len(faults), Live: s.cfg.Live}
@@ -1053,7 +1055,7 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 			defer func() {
 				if p := recover(); p != nil {
 					sim.tbuf, sim.span = nil, 0
-					errs[w] = fmt.Errorf("core: fault %s: panic: %v\n%s", panicName(faults, k, s.c), p, debug.Stack())
+					errs[w] = fmt.Errorf("core: fault %s: %w: %v\n%s", panicName(faults, k, s.c), ErrPanic, p, debug.Stack())
 					drain()
 				}
 			}()

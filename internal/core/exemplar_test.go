@@ -44,7 +44,6 @@ func TestFaultExemplarsLinkSpans(t *testing.T) {
 		"ExpansionsPerFault": m.ExpansionsPerFault,
 		"SequencesAtStop":    m.SequencesAtStop,
 		"FaultTimeNS":        m.FaultTimeNS,
-		"ConeGatesPerFault":  m.ConeGatesPerFault,
 	} {
 		ex := h.Exemplars()
 		if ex == nil {

@@ -76,8 +76,6 @@ type faultRecord struct {
 	resim ResimTrace
 	// sim is the serial simulator's step-0 work for the fault.
 	sim seqsim.SimStats
-	// cone is the size of the fault's active cone, in gates.
-	cone int64
 }
 
 // simTrace is the record's step-0 summary as the trace and the span
@@ -115,11 +113,6 @@ type RunMetrics struct {
 	// FaultTimeNS is the distribution of per-fault wall time
 	// (SimulateFault, nanoseconds).
 	FaultTimeNS *metrics.Histogram
-	// ConeGatesPerFault is the distribution of active-cone sizes (gates
-	// in the sequential fanout closure of the fault site) over the faults
-	// that entered the per-fault pipeline — the share of the circuit
-	// faulty simulation actually visits per fault.
-	ConeGatesPerFault *metrics.Histogram
 	// ResimLanesPerPass is the distribution of lane occupancy (sequences
 	// packed per word) over bit-parallel resimulation passes — how full
 	// the 64-lane words run in practice.
@@ -129,8 +122,8 @@ type RunMetrics struct {
 	// frame actually perturbs.
 	EventsPerFrame *metrics.Histogram
 	// GatesVisitedPerFrame is the distribution of gate evaluations per
-	// event-driven sparse frame — the work left after event confinement,
-	// versus the cone sizes in ConeGatesPerFault.
+	// event-driven sparse frame — the work step 0 does per frame, which
+	// follows the fault's divergence rather than the circuit size.
 	GatesVisitedPerFrame *metrics.Histogram
 }
 
@@ -142,7 +135,6 @@ func newRunMetrics() *RunMetrics {
 		ExpansionsPerFault:   metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
 		SequencesAtStop:      metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
 		FaultTimeNS:          metrics.NewHistogram(metrics.ExpBounds(1024, 4, 14)...),
-		ConeGatesPerFault:    metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
 		ResimLanesPerPass:    metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
 		EventsPerFrame:       metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
 		GatesVisitedPerFrame: metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
@@ -161,7 +153,6 @@ func (s *Simulator) observeHist(o *FaultOutcome) {
 	m.ExpansionsPerFault.Observe(int64(o.Expansions))
 	m.SequencesAtStop.Observe(int64(o.Sequences))
 	m.FaultTimeNS.Observe(r.stages.Total)
-	m.ConeGatesPerFault.Observe(r.cone)
 	if s.span == 0 {
 		// Unsampled: the hot path never allocates exemplar labels.
 		return
@@ -174,7 +165,6 @@ func (s *Simulator) observeHist(o *FaultOutcome) {
 	m.ExpansionsPerFault.SetExemplar(int64(o.Expansions), fl, sl)
 	m.SequencesAtStop.SetExemplar(int64(o.Sequences), fl, sl)
 	m.FaultTimeNS.SetExemplar(r.stages.Total, fl, sl)
-	m.ConeGatesPerFault.SetExemplar(r.cone, fl, sl)
 }
 
 // beginRun resets the per-run instrumentation state on s according to

@@ -78,7 +78,6 @@ type HistogramsReport struct {
 	ExpansionsPerFault   metrics.Snapshot `json:"expansions_per_fault"`
 	SequencesAtStop      metrics.Snapshot `json:"sequences_at_stop"`
 	FaultTimeNS          metrics.Snapshot `json:"fault_time_ns"`
-	ConeGatesPerFault    metrics.Snapshot `json:"cone_gates_per_fault"`
 	ResimLanesPerPass    metrics.Snapshot `json:"resim_lanes_per_pass"`
 	EventsPerFrame       metrics.Snapshot `json:"events_per_frame"`
 	GatesVisitedPerFrame metrics.Snapshot `json:"gates_visited_per_frame"`
@@ -136,7 +135,6 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ExpansionsPerFault:   m.ExpansionsPerFault.Snapshot(),
 			SequencesAtStop:      m.SequencesAtStop.Snapshot(),
 			FaultTimeNS:          m.FaultTimeNS.Snapshot(),
-			ConeGatesPerFault:    m.ConeGatesPerFault.Snapshot(),
 			ResimLanesPerPass:    m.ResimLanesPerPass.Snapshot(),
 			EventsPerFrame:       m.EventsPerFrame.Snapshot(),
 			GatesVisitedPerFrame: m.GatesVisitedPerFrame.Snapshot(),
@@ -210,7 +208,6 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "  pairs/fault:      %s\n", m.PairsPerFault.Snapshot())
 		fmt.Fprintf(&sb, "  expansions/fault: %s\n", m.ExpansionsPerFault.Snapshot())
 		fmt.Fprintf(&sb, "  sequences @stop:  %s\n", m.SequencesAtStop.Snapshot())
-		fmt.Fprintf(&sb, "  cone gates/fault: %s\n", m.ConeGatesPerFault.Snapshot())
 		if lanes := m.ResimLanesPerPass.Snapshot(); lanes.Count > 0 {
 			fmt.Fprintf(&sb, "  resim lanes/pass: %s\n", lanes)
 		}

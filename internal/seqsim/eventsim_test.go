@@ -173,7 +173,7 @@ func TestEventSimFrameDeltaMatches(t *testing.T) {
 }
 
 // eventFuzzBench mixes arities 1-4 over reconvergent FF fanout so the
-// fuzzer exercises every packed-LUT width and the cone boundary.
+// fuzzer exercises every packed-LUT width and reconvergent divergence.
 const eventFuzzBench = `
 INPUT(a)
 INPUT(b)

@@ -12,7 +12,7 @@ import (
 // goldenRun is an independent sequential simulator written directly
 // against the pointer-chasing netlist model — the shape of the
 // pre-compiled-IR evaluators. It is the byte-identical reference the
-// cone-restricted, delta-evaluating Simulator is cross-checked against.
+// divergence-driven, delta-evaluating Simulator is cross-checked against.
 func goldenRun(c *netlist.Circuit, T Sequence, f *fault.Fault, keepNodes bool) *Trace {
 	tr := &Trace{
 		States:  make([][]logic.Val, 0, len(T)+1),
@@ -86,7 +86,7 @@ func equalRows(a, b [][]logic.Val) bool {
 }
 
 // TestRunMatchesGolden cross-checks the compiled-IR simulator — both the
-// cone-restricted delta path (RunFault against a fault-free baseline)
+// divergence-driven delta path (RunFault against a fault-free baseline)
 // and the full-pass Run — against the golden pointer-model simulator:
 // states, outputs and node streams must be byte-identical, and RunFault
 // must report exactly the golden trace's first detection.

@@ -6,10 +6,12 @@
 // Simulation starts from the all-unspecified (X) initial state and applies
 // one input pattern per time frame, exactly as in the fault simulators the
 // paper builds on [1]. All evaluation runs on the compiled circuit IR
-// (internal/cir); faulty simulation is confined to the fault's active
-// cone — the sequential fanout closure of the fault site — so each faulty
-// frame seeds and checks only the state variables and outputs the fault
-// can influence.
+// (internal/cir). Faulty simulation is driven by the fault's divergence:
+// the simulator carries from frame to frame the set of flip-flops whose
+// faulty present state differs from the fault-free one, and each faulty
+// frame seeds only those flip-flops and the fault site, then reads and
+// checks only the nodes the faulty machine changed. Its cost scales with
+// the divergence, not with the circuit or the fault's fanout.
 package seqsim
 
 import (
@@ -153,11 +155,9 @@ type Simulator struct {
 	// useFull selects the full-pass evaluator (NewFullPass).
 	useFull bool
 
-	// event-driven sparse-delta evaluator state: eev is created on first
-	// use; frameSparse reports that the most recent faulty frame lives
-	// in eev's overlay instead of s.vals.
-	eev         *cir.EventEval
-	frameSparse bool
+	// eev is the event-driven sparse-delta evaluator, created on first
+	// use.
+	eev *cir.EventEval
 
 	// Optional per-frame distribution sinks for the event path (events
 	// and gates visited per sparse frame); nil skips observation. The
@@ -167,15 +167,14 @@ type Simulator struct {
 	histEvents *metrics.HistBatch
 	histGates  *metrics.HistBatch
 
-	// cone is the active cone of the fault most recently passed to
-	// RunFault/RunFaultInto (unused by the full-pass evaluator), a
-	// shared immutable cone from the compiled circuit's per-site cache.
-	// coneFault/coneValid memoize the site it was looked up for: the MOT
-	// pipeline re-runs the same fault many times (step0, portfolio
-	// retries), so even the cache lookup is skipped on repeats.
-	cone      *cir.Cone
-	coneFault fault.Fault
-	coneValid bool
+	// div lists the flip-flops whose faulty present state differs from
+	// the fault-free one in the frame being simulated, apart from siteFF
+	// (the fault-site seed covers it); nextDiv collects the next frame's
+	// set while the frame is read. Only sparse frames maintain them.
+	// siteFF is the flip-flop whose Q node carries the fault's stem
+	// fault, or -1.
+	div, nextDiv []int32
+	siteFF       int32
 
 	stats SimStats
 }
@@ -187,9 +186,9 @@ func (s *Simulator) Stats() SimStats { return s.stats }
 // ResetStats zeroes the work counters.
 func (s *Simulator) ResetStats() { s.stats = SimStats{} }
 
-// New returns a Simulator for the circuit using event-driven (delta) frame
-// evaluation confined to the fault's active cone for faulty frames. The
-// compiled IR is obtained from the process-wide cache (cir.For).
+// New returns a Simulator for the circuit that evaluates faulty frames
+// event-driven (delta) from the fault's divergence. The compiled IR is
+// obtained from the process-wide cache (cir.For).
 func New(c *netlist.Circuit) *Simulator {
 	return NewCompiled(cir.For(c))
 }
@@ -201,7 +200,6 @@ func NewCompiled(cc *cir.CC) *Simulator {
 		cc:   cc,
 		ev:   cc.NewEvaluator(),
 		vals: make([]logic.Val, cc.NumNodes()),
-		cone: cc.ConeOf(&cir.NoFault),
 	}
 }
 
@@ -243,7 +241,7 @@ func (s *Simulator) ensureEEV() *cir.EventEval {
 }
 
 // NewFullPass returns a Simulator that evaluates every gate in every
-// faulty frame with no cone restriction: the straightforward reference
+// faulty frame with no event confinement: the straightforward reference
 // evaluator the event-driven frames are tested against. Results are
 // identical to New; only performance differs.
 func NewFullPass(c *netlist.Circuit) *Simulator {
@@ -257,11 +255,6 @@ func (s *Simulator) Circuit() *netlist.Circuit { return s.cc.Net }
 
 // Compiled returns the compiled IR the simulator runs on.
 func (s *Simulator) Compiled() *cir.CC { return s.cc }
-
-// ConeSize returns the number of gates in the active cone prepared by the
-// most recent RunFault/RunFaultInto call (0 before the first call and for
-// the full-pass evaluator).
-func (s *Simulator) ConeSize() int { return s.cone.Size() }
 
 // EvalFrame computes the effective value of every node for one time frame
 // of circuit c: pi are the primary-input values, ps the effective
@@ -374,11 +367,8 @@ type Detection struct {
 // FirstDetection returns the earliest detection of bad against good, if any.
 func FirstDetection(good, bad *Trace) (Detection, bool) {
 	for u := 0; u < len(good.Outputs) && u < len(bad.Outputs); u++ {
-		g, b := good.Outputs[u], bad.Outputs[u]
-		for j := range g {
-			if g[j].IsBinary() && b[j].IsBinary() && g[j] != b[j] {
-				return Detection{Time: u, Output: j}, true
-			}
+		if j, ok := detectionIn(good.Outputs[u], bad.Outputs[u]); ok {
+			return Detection{Time: u, Output: j}, true
 		}
 	}
 	return Detection{}, false
@@ -395,8 +385,9 @@ type FaultResult struct {
 // fault-free trace good, dropping each fault at its first detection.
 func (s *Simulator) RunFaults(T Sequence, good *Trace, faults []fault.Fault) ([]FaultResult, error) {
 	results := make([]FaultResult, len(faults))
+	tr := NewTrace(s.cc.Net, len(T), false)
 	for i, f := range faults {
-		_, at, detected, err := s.RunFault(T, good, f, false)
+		at, detected, err := s.RunFaultInto(tr, T, good, f, false)
 		if err != nil {
 			return nil, err
 		}
@@ -405,97 +396,30 @@ func (s *Simulator) RunFaults(T Sequence, good *Trace, faults []fault.Fault) ([]
 	return results, nil
 }
 
-// prepareCone fills the active cone for f unless this is the full-pass
-// (cone-free reference) evaluator. It reports whether the cone is in use.
-func (s *Simulator) prepareCone(f *fault.Fault) bool {
-	if s.useFull {
-		return false
-	}
-	// The cone depends only on the fault site, so stuck-at-0 and
-	// stuck-at-1 of the same site (adjacent in fault lists) share it.
-	if s.coneValid && f.Node == s.coneFault.Node && f.Gate == s.coneFault.Gate {
-		return true
-	}
-	s.cone = s.cc.ConeOf(f)
-	s.coneFault, s.coneValid = *f, true
-	return true
-}
-
-// checkDetection scans frame-u outputs in s.vals against the fault-free
-// response. With an active cone only the cone's outputs are scanned —
-// outputs outside the sequential fanout closure of the fault site cannot
-// differ from the fault-free machine. Cone outputs are in ascending
-// position order, so the first detection found is the same (Time, Output)
-// the full scan would report.
-func (s *Simulator) checkDetection(good *Trace, u int, coneActive bool) (Detection, bool) {
-	g := good.Outputs[u]
-	if s.frameSparse {
-		for _, j := range s.cone.Outs {
-			b := s.eev.Read(s.cc.Outputs[j])
-			if g[j].IsBinary() && b.IsBinary() && g[j] != b {
-				return Detection{Time: u, Output: int(j)}, true
-			}
-		}
-		return Detection{}, false
-	}
-	if coneActive {
-		for _, j := range s.cone.Outs {
-			b := s.vals[s.cc.Outputs[j]]
-			if g[j].IsBinary() && b.IsBinary() && g[j] != b {
-				return Detection{Time: u, Output: int(j)}, true
-			}
-		}
-		return Detection{}, false
-	}
-	for j, id := range s.cc.Outputs {
-		b := s.vals[id]
-		if g[j].IsBinary() && b.IsBinary() && g[j] != b {
-			return Detection{Time: u, Output: j}, true
+// detectionIn returns the lowest output position where the faulty
+// response b holds the binary opposite of a binary fault-free response g.
+func detectionIn(g, b []logic.Val) (int, bool) {
+	for j := range g {
+		if g[j].IsBinary() && b[j].IsBinary() && g[j] != b[j] {
+			return j, true
 		}
 	}
-	return Detection{}, false
+	return 0, false
 }
 
 // RunFault simulates one fault against the fault-free trace good, using
-// event-driven propagation confined to the fault's active cone when good
-// retains node values. Simulation stops at the first detection (the fault
-// is dropped); the returned trace is then partial and detected is true.
+// event-driven propagation of the fault's divergence when good retains
+// node values. Simulation stops at the first detection (the fault is
+// dropped); the returned trace is then partial and detected is true.
 // When no detection occurs, the complete faulty trace is returned;
 // keepNodes controls whether it retains per-frame node values (needed by
 // the MOT implication engine).
 func (s *Simulator) RunFault(T Sequence, good *Trace, f fault.Fault, keepNodes bool) (tr *Trace, at Detection, detected bool, err error) {
-	cc := s.cc
-	tr = &Trace{
-		States:  make([][]logic.Val, 0, len(T)+1),
-		Outputs: make([][]logic.Val, 0, len(T)),
+	tr = NewTrace(s.cc.Net, len(T), keepNodes)
+	if at, detected, err = s.RunFaultInto(tr, T, good, f, keepNodes); err != nil {
+		return nil, Detection{}, false, err
 	}
-	if keepNodes {
-		tr.Nodes = make([][]logic.Val, 0, len(T))
-	}
-	coneActive := s.prepareCone(&f)
-	tr.States = append(tr.States, initialState(cc, &f))
-	for u, pat := range T {
-		if len(pat) != cc.NumInputs() {
-			return nil, Detection{}, false, fmt.Errorf("seqsim: pattern %d has %d values, circuit has %d inputs",
-				u, len(pat), cc.NumInputs())
-		}
-		s.evalFaultyFrame(pat, tr.States[u], good, u, &f)
-		out := make([]logic.Val, cc.NumOutputs())
-		s.frameOutputsInto(good, u, out)
-		tr.Outputs = append(tr.Outputs, out)
-		if keepNodes {
-			frame := make([]logic.Val, cc.NumNodes())
-			s.frameNodesInto(good, u, frame)
-			tr.Nodes = append(tr.Nodes, frame)
-		}
-		st := make([]logic.Val, cc.NumFFs())
-		s.frameNextStateInto(good, u, &f, st)
-		tr.States = append(tr.States, st)
-		if d, ok := s.checkDetection(good, u, coneActive); ok {
-			return tr, d, true, nil
-		}
-	}
-	return tr, Detection{}, false, nil
+	return tr, at, detected, nil
 }
 
 // RunFaultInto is RunFault writing into a preallocated trace (see
@@ -516,63 +440,125 @@ func (s *Simulator) RunFaultInto(tr *Trace, T Sequence, good *Trace, f fault.Fau
 	if keepNodes {
 		tr.Nodes = tr.allNodes[:0]
 	}
-	coneActive := s.prepareCone(&f)
-	initialStateInto(cc, &f, tr.States[0])
+	s.beginFault(&f, tr.States[0])
 	for u, pat := range T {
 		if len(pat) != cc.NumInputs() {
 			return Detection{}, false, fmt.Errorf("seqsim: pattern %d has %d values, circuit has %d inputs",
 				u, len(pat), cc.NumInputs())
 		}
-		s.evalFaultyFrame(pat, tr.States[u], good, u, &f)
 		tr.Outputs = tr.allOutputs[:u+1]
-		s.frameOutputsInto(good, u, tr.Outputs[u])
+		var nodes []logic.Val
 		if keepNodes {
 			tr.Nodes = tr.allNodes[:u+1]
-			s.frameNodesInto(good, u, tr.Nodes[u])
+			nodes = tr.Nodes[u]
 		}
 		tr.States = tr.allStates[:u+2]
-		s.frameNextStateInto(good, u, &f, tr.States[u+1])
-		if d, ok := s.checkDetection(good, u, coneActive); ok {
+		if d, ok := s.faultyFrame(pat, tr.States[u], good, u, &f, tr.Outputs[u], tr.States[u+1], nodes); ok {
 			return d, true, nil
 		}
 	}
 	return Detection{}, false, nil
 }
 
-// evalFaultyFrame computes the faulty frame u values given the effective
-// faulty present state ps. With the full-pass evaluator, or without
-// fault-free node values, this is a full EvalFrame into s.vals;
-// otherwise the frame is an event-driven sparse overlay on the
-// fault-free frame (evalFrameEventCone).
-func (s *Simulator) evalFaultyFrame(pat Pattern, ps []logic.Val, good *Trace, u int, f *fault.Fault) {
-	s.frameSparse = false
+// beginFault writes f's effective initial state into st and sets up the
+// per-fault divergence state. The faulty initial state differs from the
+// fault-free one only at the flip-flop of a Q-node stem fault, which the
+// fault-site seed covers, so the divergence set starts empty.
+func (s *Simulator) beginFault(f *fault.Fault, st []logic.Val) {
+	cc := s.cc
+	initialStateInto(cc, f, st)
+	s.siteFF = -1
+	if f.IsStem() && f.Node != netlist.NoNode {
+		s.siteFF = cc.FFOf[f.Node]
+	}
+	s.div = s.div[:0]
+}
+
+// faultyFrame simulates faulty frame u from the effective present state
+// ps, writing the observed outputs into out, the next state into next
+// and, when nodes is non-nil, every node's value into nodes. It reports
+// the frame's detection, if any. With the full-pass evaluator, or
+// without fault-free node values, the frame is a full EvalFrame into
+// s.vals; otherwise it is an event-driven sparse overlay on the
+// fault-free frame (evalSparse, readSparse).
+func (s *Simulator) faultyFrame(pat Pattern, ps []logic.Val, good *Trace, u int, f *fault.Fault, out, next, nodes []logic.Val) (Detection, bool) {
 	if s.useFull || good.Nodes == nil {
 		s.ev.EvalFrame(pat, ps, f, s.vals)
 		s.stats.FullFrames++
-		return
+		outputsInto(s.cc, s.vals, out)
+		if nodes != nil {
+			copy(nodes, s.vals)
+		}
+		nextStateInto(s.cc, f, s.vals, next)
+		j, ok := detectionIn(good.Outputs[u], out)
+		return Detection{Time: u, Output: j}, ok
 	}
-	s.evalFrameEventCone(ps, good.Nodes[u], f)
-	s.frameSparse = true
+	s.evalSparse(ps, good.Nodes[u], f)
+	if nodes != nil {
+		copy(nodes, good.Nodes[u])
+		s.eev.MaterializeInto(nodes)
+	}
+	return s.readSparse(good, u, f, out, next)
 }
 
-// evalFrameEventCone evaluates the faulty frame as a sparse overlay
-// over the fault-free frame, seeded from the active cone's
-// present-state differences and the fault site, with no whole-circuit
-// copy. Only the cone's flip-flops can carry a faulty present-state
-// difference, and the pattern is the one the baseline was simulated
-// with, so non-cone seeds would be no-ops and are skipped. The frame's
-// values stay in the overlay (frameSparse); the read phase patches them
-// over the fault-free rows on demand.
-func (s *Simulator) evalFrameEventCone(ps []logic.Val, goodVals []logic.Val, f *fault.Fault) {
+// evalSparse evaluates a faulty frame as a sparse overlay over the
+// fault-free frame goodVals, on the whole-circuit schedule, seeded with
+// the divergent flip-flops (s.div) and the fault site. Every other
+// flip-flop holds its fault-free value and the pattern is the one the
+// baseline was simulated with, so no other seed could change a value.
+// The frame's values stay in the overlay; readSparse patches them over
+// the fault-free rows.
+func (s *Simulator) evalSparse(ps, goodVals []logic.Val, f *fault.Fault) {
 	cc := s.cc
 	eev := s.ensureEEV()
-	eev.BeginFrame(goodVals, s.cone.Sched())
-	for _, i := range s.cone.FFs {
-		q := cc.FFQ[i]
-		eev.Set(q, f.Observed(q, ps[i]))
+	eev.BeginFrame(goodVals, cc.FullSched())
+	for _, i := range s.div {
+		eev.Set(cc.FFQ[i], ps[i])
 	}
 	s.seedFaultSiteEvent(eev, f)
 	s.finishEventFrame(eev, f)
+}
+
+// readSparse reads sparse frame u in one walk over the nodes the faulty
+// machine changed (eev.Touched): it patches them into the fault-free
+// output row (out, through cc.OutPos) and the fault-free next state
+// (next, through cc.DOf). Both maps are 1:1, since the netlist rejects
+// duplicate outputs and a D node driving two flip-flops. A changed D
+// node differs from its fault-free value, so its flip-flop joins the
+// next frame's divergence set. The flip-flop of a Q-node stem fault is
+// patched to the stuck value whatever its D node does. The detection
+// reported is the one at the lowest output position, as a full scan of
+// the outputs finds it.
+func (s *Simulator) readSparse(good *Trace, u int, f *fault.Fault, out, next []logic.Val) (Detection, bool) {
+	cc, eev := s.cc, s.eev
+	g := good.Outputs[u]
+	copy(out, g)
+	copy(next, good.States[u+1])
+	det := int32(-1)
+	nd := s.nextDiv[:0]
+	for _, n := range eev.Touched() {
+		v := eev.Read(n)
+		if j := cc.OutPos[n]; j >= 0 {
+			out[j] = v
+			if g[j].IsBinary() && v.IsBinary() && g[j] != v && (det < 0 || j < det) {
+				det = j
+			}
+		}
+		// A flip-flop other than the Q-site one latches its D node's value
+		// unchanged.
+		if i := cc.DOf[n]; i >= 0 && i != s.siteFF {
+			next[i] = v
+			nd = append(nd, i)
+		}
+	}
+	if i := s.siteFF; i >= 0 {
+		next[i] = f.Stuck
+	}
+	s.div, s.nextDiv = nd, s.div
+	if det < 0 {
+		return Detection{}, false
+	}
+	return Detection{Time: u, Output: int(det)}, true
 }
 
 // seedFaultSiteEvent seeds the event queue with the fault site: a stem
@@ -607,50 +593,6 @@ func (s *Simulator) finishEventFrame(eev *cir.EventEval, f *fault.Fault) {
 	}
 }
 
-// frameOutputsInto writes the faulty frame u's observed outputs into
-// out. A sparse frame is read as the fault-free output row patched at
-// the cone's output positions — the only outputs that can differ.
-func (s *Simulator) frameOutputsInto(good *Trace, u int, out []logic.Val) {
-	if !s.frameSparse {
-		outputsInto(s.cc, s.vals, out)
-		return
-	}
-	copy(out, good.Outputs[u])
-	for _, j := range s.cone.Outs {
-		out[j] = s.eev.Read(s.cc.Outputs[j])
-	}
-}
-
-// frameNextStateInto writes the faulty frame u's next state into st. A
-// sparse frame is read as the fault-free next state patched at the
-// cone's flip-flops: a flip-flop outside the cone has its D node
-// outside the cone (a cone D node pulls its Q node — hence the
-// flip-flop — into the cone), and a stem fault on a Q node puts that
-// flip-flop in the cone, so every divergent or fault-observed state
-// variable is covered by cone.FFs.
-func (s *Simulator) frameNextStateInto(good *Trace, u int, f *fault.Fault, st []logic.Val) {
-	if !s.frameSparse {
-		nextStateInto(s.cc, f, s.vals, st)
-		return
-	}
-	cc := s.cc
-	copy(st, good.States[u+1])
-	for _, i := range s.cone.FFs {
-		st[i] = f.Observed(cc.FFQ[i], s.eev.Read(cc.FFD[i]))
-	}
-}
-
-// frameNodesInto writes the faulty frame u's dense node values into
-// row: a baseline copy patched with the overlay for a sparse frame.
-func (s *Simulator) frameNodesInto(good *Trace, u int, row []logic.Val) {
-	if !s.frameSparse {
-		copy(row, s.vals)
-		return
-	}
-	copy(row, good.Nodes[u])
-	s.eev.MaterializeInto(row)
-}
-
 // FrameDelta computes the faulty values of one frame from a fault-free
 // baseline of the same frame, by event-driven propagation of the
 // differences (the present-state differences and the fault site) over
@@ -659,8 +601,7 @@ func (s *Simulator) frameNodesInto(good *Trace, u int, row []logic.Val) {
 //
 // Unlike the RunFault path, FrameDelta seeds every primary input and
 // state variable: callers pass externally evolved states that may differ
-// from the baseline anywhere, so the active-cone invariant (differences
-// only inside the fault's sequential fanout closure) does not hold here.
+// from the baseline anywhere, so no divergence set is known here.
 func (s *Simulator) FrameDelta(pat Pattern, ps []logic.Val, goodVals []logic.Val, f *fault.Fault) []logic.Val {
 	if f == nil {
 		f = &cir.NoFault
@@ -678,6 +619,5 @@ func (s *Simulator) FrameDelta(pat Pattern, ps []logic.Val, goodVals []logic.Val
 	s.finishEventFrame(eev, f)
 	copy(s.vals, goodVals)
 	eev.MaterializeInto(s.vals)
-	s.frameSparse = false
 	return s.vals
 }

@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bench"
@@ -102,6 +103,9 @@ type Run struct {
 	goodKey string
 	cache   *runCache
 	info    CacheInfo
+
+	// panicked is the server's count of runs that failed by a panic.
+	panicked *atomic.Int64
 
 	live   *core.LiveStats
 	events *eventLog
@@ -277,12 +281,12 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 	if req.FullFaults {
 		faults = fault.List(c)
 	}
-	// Cone-locality order: consecutive faults share cone snapshots and
-	// scratch cache lines. The ordering is a pure function of the
-	// compiled circuit and the list, so warm and cold submissions of
-	// the same request simulate faults in the same order and their
-	// results stay byte-identical. Side effect: every cone snapshot is
-	// now cached on cc, so a warm rerun performs no cone traversals.
+	// Cone-locality order: faults with similar reach run next to each
+	// other. The ordering is a pure function of the compiled circuit
+	// and the list, so warm and cold submissions of the same request
+	// simulate faults in the same order and their results stay
+	// byte-identical. It computes every fault's cone snapshot on cc
+	// (kept for warm reruns); the simulation itself reads none.
 	cir.SortFaultsByCone(cc, faults)
 
 	warm := core.Warm{CC: cc}
@@ -308,6 +312,7 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 		goodKey:     gk,
 		cache:       s.cache,
 		info:        info,
+		panicked:    &s.runsPanicked,
 		live:        &core.LiveStats{},
 		events:      newEventLog(),
 		tracer:      xtrace.New(xtrace.Options{Ring: s.ring}),
@@ -436,12 +441,16 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 // simulate runs the simulation and summarizes the result. A panic
 // anywhere in it (building the simulator, the run, the report) is
 // recovered into an error carrying the stack, so the run fails instead
-// of taking the server down.
+// of taking the server down. Such a run, and one whose fault loop
+// contained a worker panic (core.ErrPanic), counts as panicked.
 func (r *Run) simulate(ctx context.Context) (rep *report.RunReport, attrs []any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			rep, attrs = nil, nil
 			err = fmt.Errorf("serve: run panic: %v\n%s", p, debug.Stack())
+			r.panicked.Add(1)
+		} else if errors.Is(err, core.ErrPanic) {
+			r.panicked.Add(1)
 		}
 	}()
 	sim, err := core.NewSimulatorWarm(r.circuit, r.seq, r.cfg, r.warm)

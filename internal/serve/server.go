@@ -94,6 +94,9 @@ type Server struct {
 	// (see RunResources) across all completed executions.
 	runCPUNS      atomic.Int64
 	runAllocBytes atomic.Int64
+	// runsPanicked counts runs failed by a recovered panic (see
+	// Run.simulate).
+	runsPanicked atomic.Int64
 }
 
 // NewServer builds a server and registers its metrics: every core
@@ -138,6 +141,8 @@ func NewServer(cfg Config) *Server {
 		s.cache = newRunCache(cfg.CacheBytes)
 	}
 	RegisterLiveCounters(s.reg, cfg.Prefix, s.liveSnapshot)
+	s.reg.CounterFunc(cfg.Prefix+"_runs_panicked_total", "Runs failed by a recovered panic.",
+		func() int64 { return s.runsPanicked.Load() })
 	RegisterLiveHistograms(s.reg, cfg.Prefix, s.latestMetrics)
 	s.reg.GaugeFunc(cfg.Prefix+"_runs_active", "Runs currently executing.", func() float64 {
 		return float64(s.countStatus(StatusRunning))

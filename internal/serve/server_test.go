@@ -176,6 +176,7 @@ func TestServerRunLifecycle(t *testing.T) {
 	for name, want := range map[string]float64{
 		"motserve_runs_started_total":          1,
 		"motserve_runs_done_total":             1,
+		"motserve_runs_panicked_total":         0,
 		"motserve_faults_total":                float64(fin.Faults),
 		"motserve_faults_done_total":           float64(fin.Faults),
 		"motserve_detected_conventional_total": float64(rep.Conv),
@@ -611,7 +612,8 @@ func TestServerRegistryEvictsFinished(t *testing.T) {
 // failed with the panic and its stack in the status and in the
 // terminal event, instead of taking the process down.
 func TestServerRunPanicFails(t *testing.T) {
-	s, _ := newTestServer(t)
+	s, ts := newTestServer(t)
+	panicked := 0.0
 	for name, breakRun := range map[string]func(r *Run){
 		"simulator": func(r *Run) { r.circuit, r.warm = nil, core.Warm{} },
 		"fault":     func(r *Run) { r.faults[0].Node = 1 << 30 },
@@ -633,6 +635,12 @@ func TestServerRunPanicFails(t *testing.T) {
 		last := events[len(events)-1]
 		if last.Name != "status" || !strings.Contains(last.Data, `"failed"`) || !strings.Contains(last.Data, "panic") {
 			t.Errorf("%s: terminal event %s %.200s; want a failed status carrying the panic", name, last.Name, last.Data)
+		}
+		// Both a panic recovered by Run.simulate (simulator) and one the
+		// core fault loop contained (fault) count as a panicked run.
+		panicked++
+		if got := scrape(t, ts)["motserve_runs_panicked_total"]; got != panicked {
+			t.Errorf("%s: motserve_runs_panicked_total = %v, want %v", name, got, panicked)
 		}
 	}
 }

@@ -137,8 +137,6 @@ func RegisterLiveHistograms(reg *metrics.Registry, prefix string, source func() 
 		func(m *core.RunMetrics) *metrics.Histogram { return m.ExpansionsPerFault })
 	hist("sequences_at_stop", "State sequences when expansion stopped.", 1,
 		func(m *core.RunMetrics) *metrics.Histogram { return m.SequencesAtStop })
-	hist("cone_gates_per_fault", "Active-cone sizes of pipeline faults.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.ConeGatesPerFault })
 	hist("resim_lanes_per_pass", "Sequences packed per bit-parallel resimulation pass.", 1,
 		func(m *core.RunMetrics) *metrics.Histogram { return m.ResimLanesPerPass })
 	hist("events_per_frame", "Node value changes per event-driven sparse frame.", 1,

@@ -205,11 +205,10 @@ func Faults(c *Circuit) []Fault { return fault.List(c) }
 func CollapsedFaults(c *Circuit) []Fault { return fault.CollapsedList(c) }
 
 // SortFaultsByCone reorders faults in place so faults with identical or
-// overlapping active cones become adjacent, improving per-site
-// cone-cache and scratch locality in the simulation that follows. The
-// ordering is a deterministic pure function of the circuit and the
-// list. As a side effect every fault's cone snapshot is computed and
-// cached on the compiled circuit.
+// overlapping active cones become adjacent. The ordering is a
+// deterministic pure function of the circuit and the list, and changes
+// no simulation result. As a side effect every fault's cone snapshot is
+// computed and cached on the compiled circuit.
 func SortFaultsByCone(c *Circuit, faults []Fault) { cir.SortFaultsByCone(cir.For(c), faults) }
 
 // RandomSequence returns a seeded random binary test sequence for c.
