@@ -49,21 +49,24 @@ bench:
 	$(GO) test -run xxx -bench 'Table2|Prescreen|ResimBitParallel|Conventional' -benchmem -benchtime 2x -count 3 .
 
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
-# regression probe — plus the step-0 layer bench on sg15850. Combine
-# with benchdiff:
+# regression probe — plus the step-0 layer bench on sg15850 and the
+# pair-collection layer bench on sg5378. Combine with benchdiff:
 #   make bench-lite | tee benchdiff.out
 #   go run ./cmd/benchdiff benchdiff.out   # baseline: highest BENCH_PR<n>.json
 bench-lite:
 	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel|Step0_sg15850' -benchmem -benchtime 2x -count 3 .
+	$(GO) test -run xxx -bench 'CollectPairs_sg5378' -benchmem -benchtime 2x -count 3 ./internal/core
 
 # Sample span trace of a fully sampled sg298 run, loadable in
 # ui.perfetto.dev or chrome://tracing. CI uploads it as an artifact.
 trace:
 	$(GO) run ./cmd/motfsim -circuit sg298 -random 144 -workers 4 -span-trace sg298.trace.json -span-sample 1
 
-# Pair-collection and implication micro-benchmarks: the lane passes
-# (CollectPairs, ImplyLanes) against the serial trail frame (ImplyReuse)
-# and a fresh frame per call (ImplyNew); the whole per-fault pipeline
+# Pair-collection and implication micro-benchmarks: collection of one
+# sg298 fault (CollectPairs) and of every sg5378 pipeline fault with the
+# fault-free lane memo's build (CollectPairs_sg5378), the lane passes
+# (ImplyLanes) against the serial trail frame (ImplyReuse) and a fresh
+# frame per call (ImplyNew); the whole per-fault pipeline
 # (SimulateList); and the bit-parallel resimulation kernel
 # (ResimulateVV).
 bench-collect:

@@ -45,26 +45,13 @@ type Cone struct {
 	inNode []bool
 	inGate []bool
 	stack  []netlist.NodeID
-
-	// sched is the cone's level-bucketed event schedule (see event.go):
-	// the region descriptor the event-driven evaluator drains when this
-	// cone is active. lvlCount is the zeroed per-level scratch buildSched
-	// uses; snapshots carry only sched.
-	sched    Sched
-	lvlCount []int32
 }
-
-// Sched returns the cone's event schedule. The pointer is stable for
-// the cone's lifetime, so evaluators can memoize per-schedule state by
-// identity.
-func (co *Cone) Sched() *Sched { return &co.sched }
 
 // NewCone returns an empty cone sized for the circuit.
 func (cc *CC) NewCone() *Cone {
 	return &Cone{
-		inNode:   make([]bool, cc.NumNodes()),
-		inGate:   make([]bool, cc.NumGates()),
-		lvlCount: make([]int32, cc.MaxLevel+2),
+		inNode: make([]bool, cc.NumNodes()),
+		inGate: make([]bool, cc.NumGates()),
 	}
 }
 
@@ -80,10 +67,6 @@ func (co *Cone) snapshot() *Cone {
 		Gates: append([]netlist.GateID(nil), co.Gates...),
 		FFs:   append([]int32(nil), co.FFs...),
 		Outs:  append([]int32(nil), co.Outs...),
-		sched: Sched{
-			Levels: append([]int32(nil), co.sched.Levels...),
-			Off:    append([]int32(nil), co.sched.Off...),
-		},
 	}
 }
 
@@ -94,10 +77,9 @@ func (co *Cone) memSize() int64 {
 		return 0
 	}
 	return int64(len(co.Gates))*int64(unsafe.Sizeof(netlist.GateID(0))) +
-		int64(len(co.FFs)+len(co.Outs)+len(co.lvlCount))*4 +
+		int64(len(co.FFs)+len(co.Outs))*4 +
 		int64(len(co.nodes)+len(co.stack))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
-		int64(len(co.inNode)+len(co.inGate)) +
-		co.sched.memSize()
+		int64(len(co.inNode)+len(co.inGate))
 }
 
 // ConeOf returns the active cone of f's site, computed at most once per
@@ -196,8 +178,6 @@ func (cc *CC) FillCone(f *fault.Fault, co *Cone) {
 	co.FFs = co.FFs[:0]
 	co.Outs = co.Outs[:0]
 	co.stack = co.stack[:0]
-	co.sched.Levels = co.sched.Levels[:0]
-	co.sched.Off = co.sched.Off[:0]
 	if f.Node == netlist.NoNode {
 		return
 	}
@@ -224,7 +204,7 @@ func (cc *CC) FillCone(f *fault.Fault, co *Cone) {
 	// index maps: FFQ and Outputs are in declaration order, so the lists
 	// come out ascending with no sort call (and none of sort.Slice's
 	// per-call allocations). Gates stays in discovery order — nothing
-	// iterates it positionally; evaluation is driven by the level queues.
+	// iterates it positionally.
 	for i, q := range cc.FFQ {
 		if co.inNode[q] {
 			co.FFs = append(co.FFs, int32(i))
@@ -235,11 +215,6 @@ func (cc *CC) FillCone(f *fault.Fault, co *Cone) {
 			co.Outs = append(co.Outs, int32(j))
 		}
 	}
-	// Level-bucket the cone's gates into its event schedule.
-	if len(co.lvlCount) < int(cc.MaxLevel)+2 {
-		co.lvlCount = make([]int32, cc.MaxLevel+2)
-	}
-	cc.buildSched(co.Gates, co.lvlCount, &co.sched)
 }
 
 // coneAddNode marks a node and queues its fanout for traversal; the

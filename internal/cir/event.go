@@ -26,8 +26,9 @@ import (
 	"repro/internal/netlist"
 )
 
-// Sched is a level-bucketed event schedule over a fixed gate region
-// (a fault's active cone, or the whole circuit). Levels lists the
+// Sched is a level-bucketed event schedule over a fixed gate region:
+// the whole circuit (FullSched) in production, gate subsets in tests
+// that rebind an evaluator between schedules. Levels lists the
 // region's occupied levels in ascending order; the bucket for Levels[k]
 // has capacity Off[k+1]-Off[k] — the number of region gates at that
 // level, which bounds the gates ever enqueued there because a gate
@@ -54,28 +55,6 @@ func (s *Sched) NumGates() int {
 // memSize estimates the schedule's resident bytes for cache accounting.
 func (s *Sched) memSize() int64 {
 	return int64(len(s.Levels)+len(s.Off)) * 4
-}
-
-// buildSched fills s with the level buckets of the given gate set.
-// counts is zeroed scratch with at least MaxLevel+1 entries; it is
-// returned zeroed.
-func (cc *CC) buildSched(gates []netlist.GateID, counts []int32, s *Sched) {
-	s.Levels = s.Levels[:0]
-	s.Off = s.Off[:0]
-	for _, g := range gates {
-		counts[cc.Level[g]]++
-	}
-	s.Off = append(s.Off, 0)
-	off := int32(0)
-	for l := int32(1); l <= cc.MaxLevel; l++ {
-		if counts[l] == 0 {
-			continue
-		}
-		s.Levels = append(s.Levels, l)
-		off += counts[l]
-		s.Off = append(s.Off, off)
-		counts[l] = 0
-	}
 }
 
 // FullSched returns the whole-circuit event schedule (every gate, every

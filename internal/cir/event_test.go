@@ -147,10 +147,10 @@ func TestEventEvalMatchesEvalFrame(t *testing.T) {
 	}
 }
 
-// TestEventEvalSchedRebind drains one evaluator alternately against a
-// fault cone schedule and the full schedule: bindSched must resize the
-// bucket storage and refresh the level map without leaking state from
-// the previous schedule.
+// TestEventEvalSchedRebind drains one evaluator alternately against the
+// schedule of a fault's cone gates and the full schedule: bindSched must
+// resize the bucket storage and refresh the level map without leaking
+// state from the previous schedule.
 func TestEventEvalSchedRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	for trial := 0; trial < 15; trial++ {
@@ -163,8 +163,8 @@ func TestEventEvalSchedRebind(t *testing.T) {
 		eev := cc.NewEventEval()
 		faults := fault.List(c)
 		f := faults[rng.Intn(len(faults))]
-		cone := cc.ConeOf(&f)
-		if cone.Sched().NumGates() == 0 {
+		sched := cc.BuildSched(cc.ConeOf(&f).Gates)
+		if sched.NumGates() == 0 {
 			continue
 		}
 
@@ -194,7 +194,7 @@ func TestEventEvalSchedRebind(t *testing.T) {
 			}
 			want := make([]logic.Val, cc.NumNodes())
 			ev.EvalFrame(pi, ps, &f, want)
-			eev.BeginFrame(base, cone.Sched())
+			eev.BeginFrame(base, sched)
 			if f.IsStem() {
 				if v, ok := f.StuckNode(f.Node); ok {
 					eev.Set(f.Node, v)

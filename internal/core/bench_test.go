@@ -67,6 +67,54 @@ func BenchmarkCollectPairs(b *testing.B) {
 	}
 }
 
+// BenchmarkCollectPairs_sg5378 measures pair collection alone on the
+// mot-resim circuit: every fault that reaches the sg5378 pipeline under
+// its first vector set (64 random patterns, seed 4) collects its pairs,
+// on faulty traces simulated in setup. Each iteration starts from an
+// unbuilt fault-free lane memo, so the memo build every run pays is
+// timed.
+func BenchmarkCollectPairs_sg5378(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg5378")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.Build()
+	s, err := NewSimulator(c, tgen.Random(c.NumInputs(), 64, 4), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type job struct {
+		f    fault.Fault
+		bad  *seqsim.Trace
+		nout []int
+	}
+	var jobs []job
+	for _, f := range fault.CollapsedList(c) {
+		bad, _, detected, err := s.sim.RunFault(s.T, s.good, f, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if detected {
+			continue
+		}
+		if nsv, nout := s.profile(bad); conditionC(nsv, nout) {
+			jobs = append(jobs, job{f, bad, nout})
+		}
+	}
+	pairs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.memo = &memoCell{}
+		pairs = 0
+		for k := range jobs {
+			pairs += len(s.collectPairs(&jobs[k].f, jobs[k].bad, jobs[k].nout))
+		}
+	}
+	b.ReportMetric(float64(len(jobs)), "faults/op")
+	b.ReportMetric(float64(pairs), "pairs/op")
+}
+
 // benchSimulateList measures the whole per-fault MOT pipeline (without the
 // bit-parallel prescreen) over the collapsed fault list.
 func benchSimulateList(b *testing.B, cfg Config) {

@@ -58,6 +58,9 @@ type Simulator struct {
 	T       seqsim.Sequence
 	good    *seqsim.Trace
 	sim     *seqsim.Simulator
+	// memo is the fault-free lane memo of pair collection, built on
+	// first use and shared read-only with every clone.
+	memo *memoCell
 	// pools holds this simulator's reusable frames, arenas and scratch
 	// buffers (see pool.go). Each fault-loop worker owns one Simulator,
 	// so pools are never shared between goroutines.
@@ -135,7 +138,7 @@ func NewSimulatorWarm(c *netlist.Circuit, T seqsim.Sequence, cfg Config, w Warm)
 	case len(T) > 0 && good.Nodes == nil:
 		return nil, fmt.Errorf("core: warm good trace has no node values (need keepNodes)")
 	}
-	return &Simulator{c: c, cc: cc, compile: compile, cfg: cfg, T: T, good: good, sim: sim}, nil
+	return &Simulator{c: c, cc: cc, compile: compile, cfg: cfg, T: T, good: good, sim: sim, memo: &memoCell{}}, nil
 }
 
 // Good returns the fault-free trace. It is read-only to the simulator
@@ -359,20 +362,25 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 // trivial: expansion specifies exactly the selected variable.
 //
 // Under the paper's schedule (two-pass, one time unit of backward
-// implication) every time unit's assertions run in lane passes
-// (collectLanes); the Fixpoint schedule and BackwardDepth > 1 run one
-// serial frame per side.
+// implication) every time unit's candidates come from the fault-free
+// lane memo or from lane passes on the faulty frame (collectLanes); the
+// Fixpoint schedule and BackwardDepth > 1 run one serial frame per
+// side.
 //
 // The returned slice and the slices inside each pairInfo are backed by
 // per-simulator arenas truncated at the next collectPairs call; they stay
 // valid for the remainder of this fault's pipeline only.
 func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
-	return s.collectPairsPooled(f, bad, nout, s.lanesCollect())
+	path := collectSerial
+	if s.lanesCollect() {
+		path = collectMemoLanes
+	}
+	return s.collectPairsPooled(f, bad, nout, path)
 }
 
-// collectPairsPooled is collectPairs on the pooled path; lanes selects
-// lane passes over serial frames for the implication pairs.
-func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout []int, lanes bool) []pairInfo {
+// collectPairsPooled is collectPairs on the pooled path; path selects
+// how the implication pairs are derived.
+func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout []int, path collectPath) []pairInfo {
 	L := len(s.T)
 	nFF := s.c.NumFFs()
 	s.resetCollect()
@@ -395,8 +403,8 @@ func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout [
 		if nout[u-1] == 0 || capReached() {
 			break // nout is non-increasing: later units are useless too
 		}
-		if lanes {
-			pairs = s.collectLanes(f, bad, u, pairs)
+		if path != collectSerial {
+			pairs = s.collectLanes(f, bad, u, pairs, path == collectMemoLanes)
 			continue
 		}
 		// One pooled frame per time unit: it is built from bad.Nodes[u-1]
@@ -888,14 +896,19 @@ type Stages struct {
 	ExpandTime time.Duration
 	ResimTime  time.Duration
 	// ImplyCalls counts in-frame implication runs: one per asserted
-	// side of every collected pair (a lane of a lane pass or a serial
-	// call; a side whose assertion conflicts outright runs none), plus
-	// deep-backward chasing.
+	// side of every collected pair (a lane of a lane pass, a serial call
+	// or a side served from the fault-free lane memo; a side whose
+	// assertion conflicts outright runs none), plus deep-backward
+	// chasing.
 	ImplyCalls int64
 	// ImplyLaneEvals counts the gates the lane implication passes
 	// evaluated, backward and forward closures together (only gates a
-	// lane-divergent value reaches are evaluated).
+	// lane-divergent value reaches are evaluated), the one build of the
+	// fault-free lane memo included.
 	ImplyLaneEvals int64
+	// ImplyMemoHits counts the pairs served from the fault-free lane
+	// memo instead of a lane pass on the faulty frame.
+	ImplyMemoHits int64
 	// ResimVectorPasses counts bit-parallel resimulation passes of up to
 	// 64 lanes, portfolio retries included. ResimVectorFrames counts the
 	// time frames those passes evaluated (frames with no active lane are
@@ -1140,11 +1153,12 @@ func panicName(faults []fault.Fault, k int, c *netlist.Circuit) (name string) {
 }
 
 // clone returns a fault-loop worker for s: a simulator sharing its
-// circuit, compiled IR, sequence, fault-free trace and run histograms,
-// with its own frame evaluator and pools.
+// circuit, compiled IR, sequence, fault-free trace, collection memo and
+// run histograms, with its own frame evaluator and pools.
 func (s *Simulator) clone() *Simulator {
 	c := &Simulator{
 		c: s.c, cc: s.cc, compile: s.compile, cfg: s.cfg, T: s.T, good: s.good,
+		memo: s.memo,
 		sim:  seqsim.NewCompiled(s.cc),
 		hist: s.hist,
 	}

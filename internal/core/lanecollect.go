@@ -25,15 +25,32 @@ func (s *Simulator) lanesCollect() bool {
 	return s.cfg.UseBackwardImplications && s.cfg.Schedule == TwoPass && s.cfg.BackwardDepth <= 1
 }
 
+// collectPath selects how collectPairsPooled derives the implication
+// pairs of time units 0 < u < L.
+type collectPath int
+
+const (
+	// collectSerial runs one serial frame per pair side (collectOneInto).
+	collectSerial collectPath = iota
+	// collectAllLanes runs every candidate in lane passes on the faulty
+	// frame.
+	collectAllLanes
+	// collectMemoLanes serves the candidates the fault's divergence does
+	// not reach from the fault-free lane memo and runs the rest in lane
+	// passes: the production path under lanesCollect.
+	collectMemoLanes
+)
+
 // collectLanes appends the pairs of time unit u (0 < u < L) to pairs.
 // The candidates are the state variables unspecified at u, in
-// ascending order and cut at the MaxPairs cap. Each pass of the lane
-// implication kernel takes up to implic.MaxLanes/2 of them on the same
-// base frame bad.Nodes[u-1]: lane 2k+α asserts Y_i = α for the k-th
-// candidate i. The pairs equal collectOneInto's on the same candidates:
-// conflict first, then detection against the fault-free outputs, then
-// the extra state variables in ascending order.
-func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs []pairInfo) []pairInfo {
+// ascending order and cut at the MaxPairs cap. With memo set, a
+// candidate unspecified in the fault-free state too whose two memo
+// lanes have a clean footprint (collectMemo.dirty) takes its pair from
+// the memo; every other candidate runs in lane passes on the faulty
+// frame (lanePairs). The pairs equal collectOneInto's on the same
+// candidates: conflict first, then detection against the fault-free
+// outputs, then the extra state variables in ascending order.
+func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs []pairInfo, memo bool) []pairInfo {
 	xs := s.pools.laneXs[:0]
 	for j, v := range bad.States[u] {
 		if v == logic.X {
@@ -45,6 +62,82 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 	if s.cfg.MaxPairs > 0 && len(pairs)+len(cands) > s.cfg.MaxPairs {
 		cands = cands[:s.cfg.MaxPairs-len(pairs)]
 	}
+	if !memo {
+		return s.lanePairs(f, bad, u, xs, cands, pairs)
+	}
+
+	// slot[k] is candidate k's memo rank, or -1 when it reruns. The rank
+	// of i is the number of fault-free unspecified state variables below
+	// it, counted in one walk alongside the ascending candidates.
+	m := s.collectMemo()
+	gs := s.good.States[u]
+	dirty := m.dirty(u, f, s.cc, bad.Nodes[u-1], s.good.Nodes[u-1], s.pools.memoDirty)
+	s.pools.memoDirty = dirty
+	slot := s.pools.memoSlot[:0]
+	rerun := s.pools.memoRerun[:0]
+	rank, next := 0, 0
+	for _, i := range cands {
+		for ; next < i; next++ {
+			if gs[next] == logic.X {
+				rank++
+			}
+		}
+		if gs[i] == logic.X && dirty[2*rank>>6]>>(2*rank&63)&3 == 0 {
+			slot = append(slot, int32(rank))
+			continue
+		}
+		slot = append(slot, -1)
+		rerun = append(rerun, i)
+	}
+	s.pools.memoSlot, s.pools.memoRerun = slot, rerun
+	fresh := s.lanePairs(f, bad, u, xs, rerun, s.pools.memoFresh[:0])
+	s.pools.memoFresh = fresh
+
+	bs := bad.States[u]
+	for k, i := range cands {
+		if slot[k] < 0 {
+			pairs = append(pairs, fresh[0])
+			fresh = fresh[1:]
+			continue
+		}
+		p := pairInfo{u: u, i: i}
+		s.svReset()
+		s.svAdd(i)
+		for a := 0; a < 2; a++ {
+			conf, det, extras := m.lane(u, 2*int(slot[k])+a)
+			p.conf[a], p.detect[a] = conf, det
+			if conf || det {
+				continue
+			}
+			// The memo latched over the fault-free unspecified state
+			// variables; the pair keeps the faulty ones.
+			extra := s.pools.extraScratch[:0]
+			for _, e := range extras {
+				if j := int(e >> 1); bs[j] == logic.X {
+					extra = append(extra, svAssign{j: j, v: logic.Val(e & 1)})
+					s.svAdd(j)
+				}
+			}
+			s.pools.extraScratch = extra
+			p.extra[a] = s.internExtra(extra)
+		}
+		p.sv = s.svTake()
+		pairs = append(pairs, p)
+	}
+	// Every memo side asserted on an unspecified D node, as a lane pass
+	// on the faulty frame would have.
+	served := int64(len(cands) - len(rerun))
+	s.rec.implyCalls += 2 * served
+	s.rec.implyMemoHits += served
+	return pairs
+}
+
+// lanePairs appends the pairs of the candidates cands (ascending) of
+// time unit u to pairs, running them in lane passes on the faulty
+// frame bad.Nodes[u-1]: lane 2k+α of a pass asserts Y_i = α for the
+// k-th candidate i of the pass. xs lists every state variable
+// unspecified at u.
+func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cands []int, pairs []pairInfo) []pairInfo {
 	good := s.good.Outputs[u-1]
 	for len(cands) > 0 {
 		chunk := cands[:min(len(cands), implic.MaxLanes/2)]
@@ -72,35 +165,8 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 		s.rec.implyCalls += int64(asserted)
 		s.rec.implyLaneEvals += int64(evals)
 
-		// Verdicts: conflicted lanes, then lanes whose outputs contradict
-		// the fault-free outputs.
-		conf := lf.Conflicts()
-		var det [4]uint64
-		for j, g := range good {
-			if !g.IsBinary() {
-				continue
-			}
-			v := lf.Output(j)
-			wrong := &v.One
-			if g == logic.One {
-				wrong = &v.Zero
-			}
-			for w := 0; w < nw; w++ {
-				det[w] |= wrong[w]
-			}
-		}
-		// The unspecified state variables some unresolved lane latched.
-		hot := s.pools.laneHot[:0]
-		for _, j := range xs {
-			v := lf.NextState(j)
-			set := uint64(0)
-			for w := 0; w < nw; w++ {
-				set |= (v.One[w] | v.Zero[w]) &^ (conf[w] | det[w])
-			}
-			if set != 0 {
-				hot = append(hot, laneHot{j: j, v: v})
-			}
-		}
+		conf, det := laneVerdicts(lf, good, nw)
+		hot := latched(lf, xs, &conf, &det, nw, s.pools.laneHot[:0])
 		s.pools.laneHot = hot
 
 		for k, i := range chunk {
@@ -137,4 +203,41 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 		}
 	}
 	return pairs
+}
+
+// laneVerdicts returns a finished pass's conflicted lanes and the lanes
+// whose outputs contradict the fault-free outputs good.
+func laneVerdicts(lf *implic.LaneFrame, good []logic.Val, nw int) (conf, det [4]uint64) {
+	conf = lf.Conflicts()
+	for j, g := range good {
+		if !g.IsBinary() {
+			continue
+		}
+		v := lf.Output(j)
+		wrong := &v.One
+		if g == logic.One {
+			wrong = &v.Zero
+		}
+		for w := 0; w < nw; w++ {
+			det[w] |= wrong[w]
+		}
+	}
+	return conf, det
+}
+
+// latched appends to hot the state variables of xs that some lane of a
+// finished pass, neither conflicted nor detecting, latched a binary
+// value into.
+func latched(lf *implic.LaneFrame, xs []int, conf, det *[4]uint64, nw int, hot []laneHot) []laneHot {
+	for _, j := range xs {
+		v := lf.NextState(j)
+		set := uint64(0)
+		for w := 0; w < nw; w++ {
+			set |= (v.One[w] | v.Zero[w]) &^ (conf[w] | det[w])
+		}
+		if set != 0 {
+			hot = append(hot, laneHot{j: j, v: v})
+		}
+	}
+	return hot
 }

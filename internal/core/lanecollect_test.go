@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
+	"unsafe"
 
+	"repro/internal/bench"
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/netlist"
@@ -46,23 +49,40 @@ func samePairs(t *testing.T, tag string, got, want []pairInfo) {
 	}
 }
 
-// TestCollectLanesCrossCheck asserts that pair collection in lane
-// passes, the pooled serial per-side frames (collectOneInto) and the
-// allocate-per-pair reference (collectPairsRef) return exactly the same
-// pairs in the same (u, i) order, with equal conflict and detection
-// flags, extra lists (ascending j) and sv sets, for the faults of the
-// collapsed lists of sg208 to sg1423 that reach collection. Every fault
-// is collected once uncapped and once with a MaxPairs cap that cuts its
-// list in the middle, usually inside a time unit, so the cut must fall
-// on the same pair.
-func TestCollectLanesCrossCheck(t *testing.T) {
-	type input struct {
-		name  string
-		build func() (*netlist.Circuit, seqsim.Sequence)
-	}
-	var inputs []input
+// footBench is a circuit where both assertions of a flip-flop derive
+// nothing on the fault-free frame but do on a faulty one: d1 = XOR(a, b)
+// with a and b unspecified, and f stuck-at-1 sets a. Asserting d1 = α
+// then forces b = ¬α on the faulty frame only, which latches d2 = ¬α.
+// Only the gates of the asserted D node put a in the lanes' footprint.
+const footBench = `
+INPUT(in1)
+OUTPUT(o1)
+q1 = DFF(d1)
+q2 = DFF(d2)
+nin1 = NOT(in1)
+f = AND(in1, nin1)
+a = OR(q1, f)
+b = BUF(q2)
+d1 = XOR(a, b)
+d2 = BUF(b)
+o1 = AND(f, q1)
+`
+
+// collectInput is a circuit and test sequence the collection
+// cross-checks run on.
+type collectInput struct {
+	name  string
+	build func() (*netlist.Circuit, seqsim.Sequence)
+}
+
+// collectInputs are the suite circuits sg208 to sg1423; free160, 140 of
+// whose flip-flops never initialize, so its time units carry more than
+// 128 candidates: two lane passes per unit, the first one four words
+// wide; and footBench.
+func collectInputs(t *testing.T) []collectInput {
+	var inputs []collectInput
 	for _, name := range []string{"sg208", "sg298", "sg344", "sg420", "sg641", "sg713", "sg1423"} {
-		inputs = append(inputs, input{name, func() (*netlist.Circuit, seqsim.Sequence) {
+		inputs = append(inputs, collectInput{name, func() (*netlist.Circuit, seqsim.Sequence) {
 			e, err := circuits.SuiteEntryByName(name)
 			if err != nil {
 				t.Fatal(err)
@@ -71,15 +91,31 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 			return c, tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
 		}})
 	}
-	// 140 of free160's flip-flops never initialize, so its time units
-	// carry more than 128 candidates: two lane passes per unit, the first
-	// one four words wide.
-	inputs = append(inputs, input{"free160", func() (*netlist.Circuit, seqsim.Sequence) {
-		c := circuits.MustGenerate(circuits.GenParams{Name: "free160", Inputs: 8, Outputs: 6,
-			FFs: 160, FreeFFs: 140, Gates: 420, Seed: 16})
-		return c, tgen.Random(c.NumInputs(), 12, 160)
-	}})
-	for _, in := range inputs {
+	return append(inputs,
+		collectInput{"free160", func() (*netlist.Circuit, seqsim.Sequence) {
+			c := circuits.MustGenerate(circuits.GenParams{Name: "free160", Inputs: 8, Outputs: 6,
+				FFs: 160, FreeFFs: 140, Gates: 420, Seed: 16})
+			return c, tgen.Random(c.NumInputs(), 12, 160)
+		}},
+		collectInput{"footprint", func() (*netlist.Circuit, seqsim.Sequence) {
+			c, err := bench.ParseString("footprint", footBench)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c, tgen.Random(c.NumInputs(), 4, 1)
+		}})
+}
+
+// crossCheckCollect runs one subtest per collectInputs entry. For every
+// fault of the input's collapsed list that reaches pair collection it
+// calls check once uncapped and once with a MaxPairs cap that cuts the
+// fault's list in the middle, usually inside a time unit, so the cut
+// must fall on the same pair; check returns the pairs it collected,
+// copied out of the arenas. It logs the implication pairs and their
+// settled sides, and fails an input none of whose faults reach lane
+// collection.
+func crossCheckCollect(t *testing.T, check func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo) {
+	for _, in := range collectInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
 			c, T := in.build()
 			s, err := NewSimulator(c, T, DefaultConfig())
@@ -87,15 +123,6 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.cfg.MaxPairs = 0
-			check := func(f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
-				t.Helper()
-				ref := s.collectPairsRef(&f, bad, nout)
-				lanes := clonePairs(s.collectPairsPooled(&f, bad, nout, true))
-				samePairs(t, fmt.Sprintf("%s (cap %d) lanes", f.Name(c), s.cfg.MaxPairs), lanes, ref)
-				serial := s.collectPairsPooled(&f, bad, nout, false)
-				samePairs(t, fmt.Sprintf("%s (cap %d) serial", f.Name(c), s.cfg.MaxPairs), serial, ref)
-				return lanes
-			}
 			var faults, pairs, conf, det, maxX int
 			for _, f := range fault.CollapsedList(c) {
 				bad, _, detected, err := s.runBad(f)
@@ -109,7 +136,7 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 				if !conditionC(nsv, nout) {
 					continue
 				}
-				all := check(f, bad, nout)
+				all := check(t, s, f, bad, nout)
 				faults++
 				for u := 1; u < len(nout) && nout[u-1] > 0; u++ {
 					maxX = max(maxX, nsv[u])
@@ -129,7 +156,7 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 				}
 				if len(all) > 1 {
 					s.cfg.MaxPairs = len(all)/2 + 1
-					if capped := check(f, bad, nout); len(capped) != s.cfg.MaxPairs {
+					if capped := check(t, s, f, bad, nout); len(capped) != s.cfg.MaxPairs {
 						t.Fatalf("%s: %d pairs under the cap %d", f.Name(c), len(capped), s.cfg.MaxPairs)
 					}
 					s.cfg.MaxPairs = 0
@@ -142,6 +169,187 @@ func TestCollectLanesCrossCheck(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestCollectLanesCrossCheck asserts that pair collection in lane
+// passes over every candidate, the pooled serial per-side frames
+// (collectOneInto) and the allocate-per-pair reference
+// (collectPairsRef) return exactly the same pairs in the same (u, i)
+// order, with equal conflict and detection flags, extra lists
+// (ascending j) and sv sets, uncapped and under a mid-list MaxPairs
+// cap (crossCheckCollect).
+func TestCollectLanesCrossCheck(t *testing.T) {
+	crossCheckCollect(t, func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
+		t.Helper()
+		tag := fmt.Sprintf("%s (cap %d)", f.Name(s.c), s.cfg.MaxPairs)
+		ref := s.collectPairsRef(&f, bad, nout)
+		lanes := clonePairs(s.collectPairsPooled(&f, bad, nout, collectAllLanes))
+		samePairs(t, tag+" lanes", lanes, ref)
+		samePairs(t, tag+" serial", s.collectPairsPooled(&f, bad, nout, collectSerial), ref)
+		return lanes
+	})
+}
+
+// TestCollectMemoCrossCheck asserts that the production collection, the
+// fault-free lane memo with reruns on the faulty frame, returns exactly
+// collectPairsRef's pairs and the pairs of lane passes over every
+// candidate, uncapped and under a mid-list MaxPairs cap, with the same
+// ImplyCalls count as the all-candidates passes. Across the inputs the
+// memo must serve pairs of stem faults, branch faults and stem faults
+// on a flip-flop's Q node, and must also rerun some.
+func TestCollectMemoCrossCheck(t *testing.T) {
+	var hits, reruns [3]int64 // stem, branch, Q-node stem
+	crossCheckCollect(t, func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
+		t.Helper()
+		tag := fmt.Sprintf("%s (cap %d)", f.Name(s.c), s.cfg.MaxPairs)
+		s.rec = faultRecord{}
+		all := clonePairs(s.collectPairsPooled(&f, bad, nout, collectAllLanes))
+		calls := s.rec.implyCalls
+		s.rec = faultRecord{}
+		memo := clonePairs(s.collectPairs(&f, bad, nout))
+		if s.rec.implyCalls != calls {
+			t.Fatalf("%s: memo path counts %d implication calls, lane passes %d", tag, s.rec.implyCalls, calls)
+		}
+		served := s.rec.implyMemoHits
+		samePairs(t, tag+" memo vs lanes", memo, all)
+		samePairs(t, tag+" memo vs reference", memo, s.collectPairsRef(&f, bad, nout))
+		kind := 0
+		switch {
+		case !f.IsStem():
+			kind = 1
+		case s.cc.FFOf[f.Node] >= 0:
+			kind = 2
+		}
+		hits[kind] += served
+		implied := int64(0)
+		for _, p := range memo {
+			if p.u > 0 {
+				implied++
+			}
+		}
+		reruns[kind] += implied - served
+		return memo
+	})
+	t.Logf("memo hits (stem, branch, Q stem) %v, reruns %v", hits, reruns)
+	for k, name := range []string{"stem", "branch", "Q-node stem"} {
+		if hits[k] == 0 || reruns[k] == 0 {
+			t.Errorf("%s faults: %d memo hits, %d reruns; want both", name, hits[k], reruns[k])
+		}
+	}
+}
+
+// TestCollectMemoSize bounds the fault-free lane memo of the largest
+// pipeline workload, sg5378 under 64 random patterns, at 0.3 MB of slabs.
+func TestCollectMemoSize(t *testing.T) {
+	e, err := circuits.SuiteEntryByName("sg5378")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := e.Build()
+	s, err := NewSimulator(c, tgen.Random(c.NumInputs(), 64, 4), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := s.collectMemo()
+	size, lanes, extras, entries := len(m.units)*int(unsafe.Sizeof(memoUnit{})), 0, 0, 0
+	for _, mu := range m.units {
+		size += 8*(len(mu.conf)+len(mu.det)+len(mu.footMask)) + 4*(len(mu.extraAt)+len(mu.extras)+len(mu.footAt)+len(mu.footNode))
+		lanes += max(len(mu.extraAt)-1, 0)
+		extras += len(mu.extras)
+		entries += len(mu.footNode)
+	}
+	t.Logf("memo: %d lanes, %d extras, %d footprint entries, %d bytes", lanes, extras, entries, size)
+	if size > 300_000 {
+		t.Errorf("memo holds %d bytes, want at most 300000", size)
+	}
+}
+
+// TestCollectMemoParallelCrossCheck runs sg641 and sg1423 on four
+// workers from fresh simulators, so the workers race the memo's lazy
+// build, and asserts that the outcomes, the JSONL trace and the
+// implication counters equal a one-worker run's.
+func TestCollectMemoParallelCrossCheck(t *testing.T) {
+	for _, name := range []string{"sg641", "sg1423"} {
+		t.Run(name, func(t *testing.T) {
+			e, err := circuits.SuiteEntryByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := e.Build()
+			T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
+			faults := fault.CollapsedList(c)
+			run := func(workers int) (*Result, []byte) {
+				var buf bytes.Buffer
+				cfg := DefaultConfig()
+				cfg.TraceWriter = &buf
+				s, err := NewSimulator(c, T, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.RunParallel(faults, workers, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, buf.Bytes()
+			}
+			ser, serTrace := run(1)
+			par, parTrace := run(4)
+			if !bytes.Equal(serTrace, parTrace) {
+				t.Fatal("JSONL trace differs between 1 and 4 workers")
+			}
+			for k := range ser.Outcomes {
+				if ser.Outcomes[k] != par.Outcomes[k] {
+					t.Fatalf("fault %d: 1 worker %+v, 4 workers %+v", k, ser.Outcomes[k], par.Outcomes[k])
+				}
+			}
+			a, b := ser.Stages, par.Stages
+			if a.ImplyCalls != b.ImplyCalls || a.ImplyLaneEvals != b.ImplyLaneEvals || a.ImplyMemoHits != b.ImplyMemoHits {
+				t.Fatalf("implication counters: 1 worker %d/%d/%d, 4 workers %d/%d/%d",
+					a.ImplyCalls, a.ImplyLaneEvals, a.ImplyMemoHits, b.ImplyCalls, b.ImplyLaneEvals, b.ImplyMemoHits)
+			}
+			if a.ImplyMemoHits == 0 {
+				t.Fatal("no pair served from the memo")
+			}
+		})
+	}
+}
+
+// FuzzCollectMemo checks the memo path pair for pair against
+// collectPairsRef on generated circuits of 2 to 17 flip-flops, some of
+// them never initializing, over every third fault of the uncollapsed
+// list: stem faults, Q-node stem faults and branch faults alike.
+func FuzzCollectMemo(f *testing.F) {
+	for seed := int64(0); seed < 24; seed++ {
+		f.Add(seed, uint8(seed*37), uint8(seed*11), uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, free, pick uint8) {
+		ffs := 3 + int(shape)%16
+		p := circuits.GenParams{Name: "fuzzmemo", Inputs: 2 + int(shape>>4)%3, Outputs: 1 + int(shape>>6),
+			FFs: ffs, FreeFFs: int(free) % (ffs/2 + 1), Gates: 4*ffs + 10 + int(free>>4), Seed: seed}
+		c, err := circuits.Generate(p)
+		if err != nil {
+			t.Skip(err)
+		}
+		s, err := NewSimulator(c, tgen.Random(c.NumInputs(), 6+int(pick)%16, seed), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fl := range fault.List(c) {
+			bad, _, detected, err := s.runBad(fl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if detected {
+				continue
+			}
+			nsv, nout := s.profile(bad)
+			if !conditionC(nsv, nout) {
+				continue
+			}
+			ref := s.collectPairsRef(&fl, bad, nout)
+			samePairs(t, fl.Name(c), s.collectPairs(&fl, bad, nout), ref)
+		}
+	})
 }
 
 // TestCollectDeepCrossCheck asserts that with BackwardDepth 2 the
@@ -184,7 +392,7 @@ func TestCollectDeepCrossCheck(t *testing.T) {
 				samePairs(t, f.Name(c), s.collectPairs(&f, bad, nout), ref)
 				pairs += len(ref)
 				s.cfg.BackwardDepth = 1
-				for k, p := range s.collectPairsPooled(&f, bad, nout, false) {
+				for k, p := range s.collectPairsPooled(&f, bad, nout, collectSerial) {
 					if p.conf != ref[k].conf || p.detect != ref[k].detect {
 						deep++
 					}

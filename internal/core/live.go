@@ -66,6 +66,7 @@ type LiveSnapshot struct {
 
 	ImplyCalls     int64 `json:"imply_calls"`
 	ImplyLaneEvals int64 `json:"imply_lane_evals"`
+	ImplyMemoHits  int64 `json:"imply_memo_hits"`
 	ImplyNS        int64 `json:"imply_ns"`
 
 	ResimVectorPasses int64 `json:"resim_vector_passes"`
@@ -123,6 +124,7 @@ func (s *LiveSnapshot) Add(other LiveSnapshot) {
 	s.Sequences += other.Sequences
 	s.ImplyCalls += other.ImplyCalls
 	s.ImplyLaneEvals += other.ImplyLaneEvals
+	s.ImplyMemoHits += other.ImplyMemoHits
 	s.ImplyNS += other.ImplyNS
 	s.ResimVectorPasses += other.ResimVectorPasses
 	s.ResimVectorFrames += other.ResimVectorFrames
@@ -216,6 +218,7 @@ func (p *livePublisher) observe(o *FaultOutcome, r *faultRecord) {
 	if p.metrics {
 		d.ImplyCalls += r.implyCalls
 		d.ImplyLaneEvals += r.implyLaneEvals
+		d.ImplyMemoHits += r.implyMemoHits
 		d.ResimVectorPasses += int64(r.resim.VectorPasses)
 		d.ResimVectorFrames += int64(r.resim.VectorFrames)
 		d.ResimGateEvals += int64(r.resim.GateEvals)

@@ -72,6 +72,7 @@ func resultSnapshot(res *Result) LiveSnapshot {
 		Sequences:          int64(res.Sequences),
 		ImplyCalls:         st.ImplyCalls,
 		ImplyLaneEvals:     st.ImplyLaneEvals,
+		ImplyMemoHits:      st.ImplyMemoHits,
 		ImplyNS:            int64(st.ImplyTime),
 		ResimVectorPasses:  st.ResimVectorPasses,
 		ResimVectorFrames:  st.ResimVectorFrames,

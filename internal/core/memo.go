@@ -1,0 +1,260 @@
+package core
+
+import (
+	"slices"
+	"sync"
+	"time"
+
+	"repro/internal/cir"
+	"repro/internal/fault"
+	"repro/internal/implic"
+	"repro/internal/logic"
+	"repro/internal/netlist"
+	"repro/internal/seqsim"
+)
+
+// collectMemo is the fault-free lane memo of pair collection (DESIGN
+// §22). For every time unit 0 < u < L it holds the verdicts of one lane
+// implication run on the fault-free frame good.Nodes[u-1] asserting
+// both values of every flip-flop unspecified in good.States[u]. A
+// fault's candidate whose two lanes read no node where the faulty
+// machine differs from the fault-free one gets the same verdicts on the
+// faulty frame, so collectLanes copies its pair from here instead of
+// implying it again. The memo is read-only once built and shared by
+// every fault-loop worker.
+type collectMemo struct {
+	units []memoUnit
+	// evals is the number of gates the build's lane passes evaluated.
+	evals int
+}
+
+// memoUnit is the memo of one time unit: lane 2k+α asserts Y = α for
+// the k-th flip-flop unspecified in the fault-free state. Every slice
+// is exactly sized.
+type memoUnit struct {
+	// conf and det are the unit's lane words: lanes that conflicted,
+	// and lanes whose outputs contradict the fault-free outputs.
+	conf, det []uint64
+	// extraAt[l] to extraAt[l+1] bound lane l's latched state variables
+	// in extras, each j<<1|v, ascending j. Conflicted and detecting
+	// lanes latch none.
+	extraAt, extras []int32
+	// footAt, footNode and footMask are the inverse footprint index,
+	// word by word: entry e in [footAt[w], footAt[w+1]) says that the
+	// lanes footMask[e] of lane word w read node footNode[e]. Each
+	// word's entries are sorted by node.
+	footAt   []int32
+	footNode []netlist.NodeID
+	footMask []uint64
+}
+
+// memoCell builds a simulator's collectMemo once, on the first fault
+// that reaches lane collection; clones share the cell.
+type memoCell struct {
+	once sync.Once
+	m    *collectMemo
+}
+
+// collectMemo returns the simulator's fault-free lane memo, building it
+// on first use. The build's time and lane gate evaluations are charged
+// to the fault whose collection triggered it.
+func (s *Simulator) collectMemo() *collectMemo {
+	s.memo.once.Do(func() {
+		var start time.Time
+		if s.cfg.Metrics {
+			start = time.Now()
+		}
+		s.memo.m = s.buildMemo()
+		if s.cfg.Metrics {
+			s.rec.stages.Imply += int64(time.Since(start))
+		}
+		s.rec.implyLaneEvals += int64(s.memo.m.evals)
+	})
+	return s.memo.m
+}
+
+// buildMemo runs the fault-free lane passes of every time unit and
+// records their verdicts, latched state variables and footprints.
+//
+// A lane's footprint is every node of every gate adjacent (driver or
+// reader) to a node whose value the lane changed, its asserted D node
+// included, plus those nodes themselves. Every rule the kernel fires on
+// the lane reads only such nodes, so a base that agrees with the
+// fault-free frame on the footprint (and binds no fault there) yields
+// the same fixpoint, conflict and detection on the lane.
+func (s *Simulator) buildMemo() *collectMemo {
+	m := &collectMemo{units: make([]memoUnit, max(len(s.T), 1))}
+	// One lane word marks each node at most once, so the scratch
+	// footprint never regrows before a unit spans several words.
+	nn := s.cc.NumNodes()
+	b := &memoScratch{cc: s.cc, lf: s.laneFrame(), mark: make([]uint64, nn), marked: make([]netlist.NodeID, 0, nn)}
+	b.u.footNode, b.u.footMask = make([]netlist.NodeID, 0, nn), make([]uint64, 0, nn)
+	for u := 1; u < len(s.T); u++ {
+		m.units[u] = b.unit(s.good, u)
+	}
+	m.evals = b.evals
+	return m
+}
+
+// memoScratch is buildMemo's working state: u accumulates the unit
+// being built, and each finished unit copies it exactly; mark and marked
+// accumulate one lane word's footprint by node.
+type memoScratch struct {
+	cc    *cir.CC
+	lf    *implic.LaneFrame
+	evals int
+
+	xs  []int
+	hot []laneHot
+	u   memoUnit
+
+	mark   []uint64
+	marked []netlist.NodeID
+}
+
+// unit runs the lane passes of time unit u over the fault-free trace
+// good and returns its memo.
+func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
+	base := good.Nodes[u-1]
+	b.xs = b.xs[:0]
+	for j, v := range good.States[u] {
+		if v == logic.X {
+			b.xs = append(b.xs, j)
+		}
+	}
+	bu := &b.u
+	bu.conf, bu.det, bu.extraAt, bu.extras = bu.conf[:0], bu.det[:0], bu.extraAt[:0], bu.extras[:0]
+	bu.footAt, bu.footNode, bu.footMask = bu.footAt[:0], bu.footNode[:0], bu.footMask[:0]
+	lf := b.lf
+	for c0 := 0; c0 < len(b.xs); c0 += implic.MaxLanes / 2 {
+		chunk := b.xs[c0:min(len(b.xs), c0+implic.MaxLanes/2)]
+		nw := (2*len(chunk) + 63) >> 6
+		lf.Begin(nil, base, 2*len(chunk))
+		for k, i := range chunk {
+			lf.AssertNextState(i, 2*k, logic.Zero)
+			lf.AssertNextState(i, 2*k+1, logic.One)
+		}
+		b.evals += lf.Imply()
+		conf, det := laneVerdicts(lf, good.Outputs[u-1], nw)
+		bu.conf = append(bu.conf, conf[:nw]...)
+		bu.det = append(bu.det, det[:nw]...)
+		b.hot = latched(lf, b.xs, &conf, &det, nw, b.hot[:0])
+		for l := 0; l < 2*len(chunk); l++ {
+			bu.extraAt = append(bu.extraAt, int32(len(bu.extras)))
+			w, bit := l>>6, uint(l&63)
+			if (conf[w]|det[w])>>bit&1 != 0 {
+				continue
+			}
+			for _, h := range b.hot {
+				switch {
+				case h.v.One[w]>>bit&1 != 0:
+					bu.extras = append(bu.extras, int32(h.j)<<1|1)
+				case h.v.Zero[w]>>bit&1 != 0:
+					bu.extras = append(bu.extras, int32(h.j)<<1)
+				}
+			}
+		}
+		// Footprint, one lane word at a time: the gates adjacent to each
+		// node a lane changed, on the lanes that changed it. An asserted
+		// D node is X in the fault-free frame, so its own lanes always
+		// change it. (No rule writes a lane outside the pass.)
+		for w := 0; w < nw; w++ {
+			for _, n := range lf.Touched() {
+				v, bv := lf.Value(n), cir.LaneBroadcast(base[n])
+				if c := v.One[w] ^ bv.One[w] | v.Zero[w] ^ bv.Zero[w]; c != 0 {
+					b.adjacent(n, c)
+				}
+			}
+			b.flush()
+		}
+	}
+	bu.extraAt = append(bu.extraAt, int32(len(bu.extras)))
+	bu.footAt = append(bu.footAt, int32(len(bu.footNode)))
+	return memoUnit{
+		conf: slices.Clone(bu.conf), det: slices.Clone(bu.det),
+		extraAt: slices.Clone(bu.extraAt), extras: slices.Clone(bu.extras),
+		footAt: slices.Clone(bu.footAt), footNode: slices.Clone(bu.footNode), footMask: slices.Clone(bu.footMask),
+	}
+}
+
+// adjacent adds the lanes c to node n and to every node of the gates
+// adjacent to it: its driver and its readers.
+func (b *memoScratch) adjacent(n netlist.NodeID, c uint64) {
+	cc := b.cc
+	b.add(n, c)
+	if d := cc.Driver[n]; d != netlist.NoGate {
+		b.addGate(d, c)
+	}
+	for _, g := range cc.FanoutGate[cc.FanoutStart[n]:cc.FanoutStart[n+1]] {
+		b.addGate(g, c)
+	}
+}
+
+func (b *memoScratch) addGate(g netlist.GateID, c uint64) {
+	cc := b.cc
+	b.add(cc.GOut[g], c)
+	for _, n := range cc.Fanin[cc.FaninStart[g]:cc.FaninStart[g+1]] {
+		b.add(n, c)
+	}
+}
+
+func (b *memoScratch) add(n netlist.NodeID, c uint64) {
+	if b.mark[n] == 0 {
+		b.marked = append(b.marked, n)
+	}
+	b.mark[n] |= c
+}
+
+// flush appends the marked lane word to the unit's footprint index, one
+// entry per node in ascending order, and clears the marks.
+func (b *memoScratch) flush() {
+	bu := &b.u
+	bu.footAt = append(bu.footAt, int32(len(bu.footNode)))
+	slices.Sort(b.marked)
+	for _, n := range b.marked {
+		bu.footNode = append(bu.footNode, n)
+		bu.footMask = append(bu.footMask, b.mark[n])
+		b.mark[n] = 0
+	}
+	b.marked = b.marked[:0]
+}
+
+// dirty fills d with unit u's lanes whose footprint reads a node where
+// the faulty frame bad differs from the fault-free frame, the node of a
+// stem fault, or the output of a branch fault's gate, and returns it.
+// (A stem node that does not differ holds the stuck value, where the
+// stem binding changes no rule; it is marked anyway so that exactness
+// does not rest on that argument.)
+func (m *collectMemo) dirty(u int, f *fault.Fault, cc *cir.CC, bad, good []logic.Val, d []uint64) []uint64 {
+	mu := &m.units[u]
+	d = append(d[:0], make([]uint64, len(mu.conf))...)
+	site := netlist.NoNode
+	if f.Node != netlist.NoNode {
+		site = f.Node
+		if !f.IsStem() {
+			site = cc.GOut[f.Gate]
+		}
+	}
+	for w := range d {
+		for e := mu.footAt[w]; e < mu.footAt[w+1]; e++ {
+			if n := mu.footNode[e]; bad[n] != good[n] || n == site {
+				d[w] |= mu.footMask[e]
+			}
+		}
+	}
+	return d
+}
+
+// lane returns the verdicts and latched state variables of lane l of
+// unit u.
+func (m *collectMemo) lane(u, l int) (conf, det bool, extras []int32) {
+	mu := &m.units[u]
+	w, b := l>>6, uint(l&63)
+	if mu.conf[w]>>b&1 != 0 {
+		return true, false, nil
+	}
+	if mu.det[w]>>b&1 != 0 {
+		return false, true, nil
+	}
+	return false, false, mu.extras[mu.extraAt[l]:mu.extraAt[l+1]]
+}

@@ -34,6 +34,14 @@ type simPools struct {
 	laneFrame *implic.LaneFrame
 	laneXs    []int
 	laneHot   []laneHot
+	// memoDirty, memoSlot, memoRerun and memoFresh are collectLanes'
+	// scratch for the memo path: the unit's dirty lane words, each
+	// candidate's memo rank (-1 to rerun), the candidates to rerun and
+	// their freshly implied pairs.
+	memoDirty []uint64
+	memoSlot  []int32
+	memoRerun []int
+	memoFresh []pairInfo
 	// deepFrames[d] is the frame reused at chase level d of deepBackward.
 	deepFrames []*implic.Frame
 	// deepNewly buffers the newly specified present-state variables of

@@ -68,10 +68,12 @@ type faultRecord struct {
 	// stages is the fault's stage-time breakdown; zero unless
 	// Config.Metrics is on (the clock is read only then).
 	stages StageNS
-	// implyCalls counts in-frame implication runs and implyLaneEvals
-	// the gates the lane implication passes evaluated (see Stages).
+	// implyCalls counts in-frame implication runs, implyLaneEvals the
+	// gates the lane implication passes evaluated and implyMemoHits the
+	// pairs served from the fault-free lane memo (see Stages).
 	implyCalls     int64
 	implyLaneEvals int64
+	implyMemoHits  int64
 	// resim summarizes the fault's resimulation passes.
 	resim ResimTrace
 	// sim is the serial simulator's step-0 work for the fault.
@@ -193,6 +195,7 @@ func (st *Stages) add(t LiveSnapshot) {
 	st.ResimTime += time.Duration(t.ResimNS)
 	st.ImplyCalls += t.ImplyCalls
 	st.ImplyLaneEvals += t.ImplyLaneEvals
+	st.ImplyMemoHits += t.ImplyMemoHits
 	st.ResimVectorPasses += t.ResimVectorPasses
 	st.ResimVectorFrames += t.ResimVectorFrames
 	st.ResimGateEvals += t.ResimGateEvals

@@ -91,6 +91,12 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.ImplyLaneEvals == 0 {
 		t.Error("ImplyLaneEvals = 0; lane implication passes not counted")
 	}
+	if ser.Stages.ImplyMemoHits != par.Stages.ImplyMemoHits {
+		t.Errorf("ImplyMemoHits: serial %d, parallel %d", ser.Stages.ImplyMemoHits, par.Stages.ImplyMemoHits)
+	}
+	if ser.Stages.ImplyMemoHits == 0 {
+		t.Error("ImplyMemoHits = 0; no pair served from the fault-free lane memo")
+	}
 	type resimCounts struct{ passes, frames, gateEvals int64 }
 	resim := func(st Stages) resimCounts {
 		return resimCounts{st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals}

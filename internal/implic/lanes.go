@@ -257,6 +257,12 @@ func (lf *LaneFrame) Value(n netlist.NodeID) *cir.VV4 {
 	return cir.LaneBroadcast(lf.base[n])
 }
 
+// Touched lists the nodes the pass stored in its overlay, in store
+// order: every node whose value diverges from the base on some lane,
+// plus nodes loaded without a change. The slice is read-only and valid
+// until the next Begin.
+func (lf *LaneFrame) Touched() []netlist.NodeID { return lf.touched }
+
 // Output returns the lane values of primary output j.
 func (lf *LaneFrame) Output(j int) *cir.VV4 { return lf.Value(lf.cc.Outputs[j]) }
 

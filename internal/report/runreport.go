@@ -59,6 +59,7 @@ type StagesReport struct {
 
 	ImplyCalls        int64 `json:"imply_calls"`
 	ImplyLaneEvals    int64 `json:"imply_lane_evals"`
+	ImplyMemoHits     int64 `json:"imply_memo_hits"`
 	ResimVectorPasses int64 `json:"resim_vector_passes"`
 	ResimVectorFrames int64 `json:"resim_vector_frames"`
 	ResimGateEvals    int64 `json:"resim_gate_evals"`
@@ -118,6 +119,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimNS:              int64(st.ResimTime),
 			ImplyCalls:           st.ImplyCalls,
 			ImplyLaneEvals:       st.ImplyLaneEvals,
+			ImplyMemoHits:        st.ImplyMemoHits,
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
@@ -185,7 +187,7 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "    %-24s %12s  %6s\n", r.name, r.d.Round(time.Microsecond), pct(r.d, cpu))
 	}
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
-	fmt.Fprintf(&sb, "  implication calls: %d (%d lane gate evals)\n", st.ImplyCalls, st.ImplyLaneEvals)
+	fmt.Fprintf(&sb, "  implication calls: %d (%d lane gate evals, %d memo hits)\n", st.ImplyCalls, st.ImplyLaneEvals, st.ImplyMemoHits)
 	if st.ResimVectorPasses > 0 {
 		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
 			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals)
@@ -235,8 +237,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.Conv, s.MOT, s.Undetected(), s.PrunedConditionC)
 	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)\n",
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
-	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals)\n",
-		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals)
+	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)\n",
+		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals, s.ImplyMemoHits)
 	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
 		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals)
 	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events), %d full\n",

@@ -139,8 +139,9 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 		fmt.Sprintf("prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)",
 			res.Stages.PrescreenPasses, res.Stages.PrescreenDropped, res.Stages.PrescreenPrunedC,
 			res.Stages.PrescreenFrames, res.Stages.PrescreenGateEvals),
-		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals)",
-			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals),
+		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)",
+			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals,
+			res.Stages.ImplyMemoHits),
 		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events), %d full",
 			res.Stages.Sim.EventFrames, res.Stages.Sim.EventGateEvals, res.Stages.Sim.Events,
 			res.Stages.Sim.FullFrames),

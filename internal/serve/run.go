@@ -277,17 +277,14 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 		workers = runtime.NumCPU()
 	}
 
+	// Faults run in list order, as motfsim runs them without
+	// -cone-order: the list is a pure function of the circuit, so warm
+	// and cold submissions of the same request simulate the same faults
+	// in the same order and their results stay byte-identical.
 	faults := fault.CollapsedList(c)
 	if req.FullFaults {
 		faults = fault.List(c)
 	}
-	// Cone-locality order: faults with similar reach run next to each
-	// other. The ordering is a pure function of the compiled circuit
-	// and the list, so warm and cold submissions of the same request
-	// simulate faults in the same order and their results stay
-	// byte-identical. It computes every fault's cone snapshot on cc
-	// (kept for warm reruns); the simulation itself reads none.
-	cir.SortFaultsByCone(cc, faults)
 
 	warm := core.Warm{CC: cc}
 	gk := goodKey(req)

@@ -193,6 +193,7 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_sequences_total":             float64(rep.Sequences),
 		"motserve_imply_calls_total":           float64(rep.Stages.ImplyCalls),
 		"motserve_imply_lane_evals_total":      float64(rep.Stages.ImplyLaneEvals),
+		"motserve_imply_memo_hits_total":       float64(rep.Stages.ImplyMemoHits),
 		"motserve_event_frames_total":          float64(rep.Stages.Sim.EventFrames),
 		"motserve_event_gate_evals_total":      float64(rep.Stages.Sim.EventGateEvals),
 		"motserve_full_frames_total":           float64(rep.Stages.Sim.FullFrames),

@@ -63,6 +63,8 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.ImplyCalls }},
 	{"imply_lane_evals_total", "Gates evaluated by lane implication passes.", false,
 		func(s core.LiveSnapshot) int64 { return s.ImplyLaneEvals }},
+	{"imply_memo_hits_total", "Pair-collection pairs served from the fault-free lane memo.", false,
+		func(s core.LiveSnapshot) int64 { return s.ImplyMemoHits }},
 	{"resim_vector_passes_total", "Bit-parallel resimulation vector passes.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorPasses }},
 	{"resim_vector_frames_total", "Time frames evaluated by bit-parallel resimulation.", false,
