@@ -50,12 +50,13 @@ bench:
 
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
 # regression probe — plus the step-0 layer bench on sg15850 and the
-# pair-collection layer bench on sg5378. Combine with benchdiff:
+# pair-collection and resimulation layer benches on sg5378. Combine
+# with benchdiff:
 #   make bench-lite | tee benchdiff.out
 #   go run ./cmd/benchdiff benchdiff.out   # baseline: highest BENCH_PR<n>.json
 bench-lite:
 	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel|Step0_sg15850' -benchmem -benchtime 2x -count 3 .
-	$(GO) test -run xxx -bench 'CollectPairs_sg5378' -benchmem -benchtime 2x -count 3 ./internal/core
+	$(GO) test -run xxx -bench 'CollectPairs_sg5378|Resim_sg5378' -benchmem -benchtime 2x -count 3 ./internal/core
 
 # Sample span trace of a fully sampled sg298 run, loadable in
 # ui.perfetto.dev or chrome://tracing. CI uploads it as an artifact.
@@ -67,10 +68,11 @@ trace:
 # fault-free lane memo's build (CollectPairs_sg5378), the lane passes
 # (ImplyLanes) against the serial trail frame (ImplyReuse) and a fresh
 # frame per call (ImplyNew); the whole per-fault pipeline
-# (SimulateList); and the bit-parallel resimulation kernel
-# (ResimulateVV).
+# (SimulateList); and the bit-parallel resimulation kernel on one sg1423
+# fault (ResimulateVV) and on both passes of every sg5378 pipeline fault
+# (Resim_sg5378).
 bench-collect:
-	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV|Resim_sg5378' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic
 
 # Fresh whole-list bench run compared against a recorded baseline; fails

@@ -2,18 +2,26 @@ package cir
 
 // Event-driven 64-lane evaluation: the vector counterpart of EventEval.
 //
-// Every lane of a resimulation pass is a variation of one retained
-// scalar frame (the fault's step-0 faulty trace row): most nodes carry
-// that frame's value on every live lane, and only the few whose inputs
-// changed need a vector gate evaluation. LaneEval keeps exactly those
-// divergent nodes in an epoch-stamped overlay of one-word VV values
-// (one One/Zero word pair, 16 bytes, per node) over the scalar
-// baseline. Unstamped nodes read through to the baseline, broadcast to
-// all lanes, so a frame costs nothing for the gates no event reaches.
-// Exactness is gate determinism: a gate whose inputs all carry the
-// baseline values produces the baseline output, so skipping it changes
-// no lane. A pass is one 64-bit word of lanes; callers with more lanes
-// run them as several passes.
+// Every lane of a resimulation pass refines one retained scalar frame
+// (the fault's step-0 faulty trace row): it agrees with the frame on
+// every binary node and may only specify nodes the frame leaves X. Most
+// nodes carry that frame's value on every live lane, and only the few
+// whose inputs changed need a vector gate evaluation. LaneEval keeps
+// exactly those divergent nodes in an epoch-stamped overlay of one-word
+// VV values (one One/Zero word pair, 16 bytes, per node) over the
+// scalar baseline. Unstamped nodes read through to the baseline,
+// broadcast to all lanes, so a frame costs nothing for the gates no
+// event reaches. Two rules skip a scheduled gate, both exact:
+//   - gate determinism: a gate whose inputs all carry the baseline
+//     values produces the baseline output, so a gate no event reaches
+//     is never scheduled;
+//   - monotonicity: three-valued logic is monotone, so a gate whose
+//     baseline output is binary produces that value on every lane that
+//     refines the frame, and the drain pops it without loading its
+//     fanin. This also covers the stem fault node, which holds its
+//     binary stuck value in the baseline.
+// A pass is one 64-bit word of lanes; callers with more lanes run them
+// as several passes.
 //
 // The schedule is a bitmap over whole-circuit positions in cc.Order,
 // and the drain walks the compiled circuit's position-ordered view
@@ -51,6 +59,10 @@ var vvBroadcast = [...]VV{
 // (bind baseline and active lanes, bump the epoch), any number of Seed
 // calls, one Drain, and Value and Touched reads. Values are exact on
 // the frame's active lanes only; other lanes hold unspecified values.
+// Contract: every seeded value refines the baseline on every active
+// lane (it may differ from the baseline only where the baseline is X),
+// so every lane refines the base frame, and a node binary in the
+// baseline is never stored or touched.
 type LaneEval struct {
 	cc *CC
 	// pos is cc.Positions(): gate records, fanin and fanout by position.
@@ -73,11 +85,10 @@ type LaneEval struct {
 	// touched lists the nodes stored this frame, in store order.
 	touched []netlist.NodeID
 
-	// The bound fault: stem is the stem fault node (never evaluated),
-	// branch/pin the branch fault gate's position and input pin (folded
-	// with the stuck value on that pin, -1: none), stuck the stuck value
-	// on every lane.
-	stem   netlist.NodeID
+	// The bound fault: branch/pin the branch fault gate's position and
+	// input pin (folded with the stuck value on that pin, -1: none),
+	// stuck the stuck value on every lane. A stem fault needs no binding:
+	// its node is binary in every baseline.
 	branch int
 	pin    int32
 	stuck  VV
@@ -97,13 +108,9 @@ func (cc *CC) NewLaneEval() *LaneEval {
 // BeginPass binds fault f (non-nil; use &NoFault) for every frame of
 // the pass.
 func (e *LaneEval) BeginPass(f *fault.Fault) {
-	e.stem, e.branch, e.pin = netlist.NoNode, -1, 0
-	if f.Node != netlist.NoNode {
-		if f.IsStem() {
-			e.stem = f.Node
-		} else {
-			e.branch, e.pin = int(e.cc.OrderPos[f.Gate]), f.Pin
-		}
+	e.branch, e.pin = -1, 0
+	if f.Node != netlist.NoNode && !f.IsStem() {
+		e.branch, e.pin = int(e.cc.OrderPos[f.Gate]), f.Pin
 	}
 	e.stuck = vvBroadcast[f.Stuck]
 }
@@ -111,8 +118,9 @@ func (e *LaneEval) BeginPass(f *fault.Fault) {
 // BeginFrame starts a new frame: the overlay empties (epoch bump, no
 // clearing), base becomes the read-through baseline and active the
 // lanes whose values must be exact. base is aliased, not copied, and
-// must already hold the faulty frame the lanes vary: it carries the
-// stem fault value and the branch fault gate's faulty output.
+// must already hold the faulty frame the lanes refine: it carries the
+// stem fault value and the branch fault gate's faulty output. Every
+// lane the frame's seeds describe must refine base (see LaneEval).
 func (e *LaneEval) BeginFrame(base []logic.Val, active uint64) {
 	e.base = base
 	e.active = active
@@ -125,12 +133,12 @@ func (e *LaneEval) BeginFrame(base []logic.Val, active uint64) {
 	}
 }
 
-// Seed loads node id (typically a flip-flop Q node) with lane values v.
-// It is an event only when v differs from the baseline on an active
-// lane; the stem fault node is never seeded, as it holds the stuck
-// value whatever drives it.
+// Seed loads node id (typically a flip-flop Q node) with lane values v,
+// which must refine the baseline value on every active lane. It is an
+// event only when v differs from the baseline on an active lane, which
+// the contract allows only where the baseline is X.
 func (e *LaneEval) Seed(id netlist.NodeID, v VV) {
-	if id != e.stem && e.differs(id, v) {
+	if e.differs(id, v) {
 		e.store(id, v)
 	}
 }
@@ -172,10 +180,12 @@ func (e *LaneEval) store(id netlist.NodeID, v VV) {
 	}
 }
 
-// Drain evaluates every scheduled gate in ascending position order,
-// feeding output changes back into the schedule, and returns the number
-// of gates evaluated. Pushes land only on later positions: higher bits
-// of the current word (picked up by the inner re-read) or later words.
+// Drain evaluates every scheduled gate whose baseline output is X in
+// ascending position order, feeding output changes back into the
+// schedule, and returns the number of gates it folded; a scheduled gate
+// with a binary baseline output is popped and skipped. Pushes land only
+// on later positions: higher bits of the current word (picked up by the
+// inner re-read) or later words.
 //
 // The gate fold is inlined per operator: this loop is the hot core of
 // resimulation. Only the branch fault gate takes the shared VVFold, to
@@ -192,7 +202,9 @@ func (e *LaneEval) Drain() int {
 			e.pending[w] &^= 1 << bit
 			p := w<<6 | bit
 			g := &gates[p]
-			if g.Out == e.stem {
+			if e.base[g.Out] != logic.X {
+				// A binary baseline output is fixed on every lane that
+				// refines the frame: nothing to fold.
 				continue
 			}
 			evals++

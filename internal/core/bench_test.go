@@ -181,19 +181,91 @@ func BenchmarkResimulateVV(b *testing.B) {
 	var passes []*expansion
 	for _, pairs := range [][]pairInfo{s.collectPairs(&f, bad, nout), s.trivialPairs(bad, nout)} {
 		var out FaultOutcome
-		x := s.expand(pairs, bad, nsv, nout, &out)
-		passes = append(passes, &expansion{
-			s0:    cloneStates(x.s0),
-			steps: slices.Clone(x.steps),
-			marks: slices.Clone(x.marks),
-			seeds: slices.Clone(x.seeds),
-		})
+		passes = append(passes, cloneExpansion(s.expand(pairs, bad, nsv, nout, &out)))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, x := range passes {
-			resimSink = s.resimulate(&f, bad, x)
+			resimSink = s.resimulate(&f, bad, x, nout)
 		}
 	}
+}
+
+// cloneExpansion deep-copies x, which is valid only until the next
+// expand call: the steps' extra slices alias the pair arena, which the
+// next collectPairs overwrites.
+func cloneExpansion(x *expansion) *expansion {
+	steps := slices.Clone(x.steps)
+	for k := range steps {
+		for a := range steps[k].extra {
+			steps[k].extra[a] = slices.Clone(steps[k].extra[a])
+		}
+	}
+	return &expansion{s0: cloneStates(x.s0), steps: steps, marks: slices.Clone(x.marks), seeds: slices.Clone(x.seeds)}
+}
+
+// BenchmarkResim_sg5378 measures Section 3.4 resimulation alone on the
+// mot-resim circuit: both resimulation passes (the proposed expansion
+// and, where it fails, the portfolio retry's) of every fault that
+// reaches resimulation in the sg5378 pipeline under its first vector
+// set (64 random patterns, seed 4). Step 0, pair collection and
+// expansion run in setup; each iteration replays the passes on the
+// recorded expansions.
+func BenchmarkResim_sg5378(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg5378")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.Build()
+	s, err := NewSimulator(c, tgen.Random(c.NumInputs(), 64, 4), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type pass struct {
+		f    fault.Fault
+		bad  *seqsim.Trace
+		nout []int
+		x    *expansion
+	}
+	var passes []pass
+	for _, f := range fault.CollapsedList(c) {
+		bad, _, detected, err := s.sim.RunFault(s.T, s.good, f, true)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if detected {
+			continue
+		}
+		nsv, nout := s.profile(bad)
+		if !conditionC(nsv, nout) {
+			continue
+		}
+		pairs := s.collectPairs(&f, bad, nout)
+		if slices.ContainsFunc(pairs, func(p pairInfo) bool {
+			return (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0))
+		}) {
+			continue // detected by identification: no resimulation
+		}
+		var out FaultOutcome
+		x := cloneExpansion(s.expand(pairs, bad, nsv, nout, &out))
+		passes = append(passes, pass{f, bad, nout, x})
+		if !s.resimulate(&f, bad, x, nout) {
+			x = cloneExpansion(s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &out))
+			passes = append(passes, pass{f, bad, nout, x})
+		}
+	}
+	s.rec = faultRecord{}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range passes {
+			p := &passes[k]
+			resimSink = s.resimulate(&p.f, p.bad, p.x, p.nout)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(passes)), "passes/op")
+	b.ReportMetric(float64(s.rec.resim.VectorFrames)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(s.rec.resim.GateEvals)/float64(b.N), "gate-evals/op")
 }

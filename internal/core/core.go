@@ -318,7 +318,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	// Section 3.4: resimulation after expansion.
 	out.Sequences = x.lanes()
 	ph = s.beginPhase("resim", 0)
-	detected = s.resimulate(&f, bad, x)
+	detected = s.resimulate(&f, bad, x, nout)
 	s.endPhase(ph)
 	s.tick(&last, &ns.Resim)
 	if detected {
@@ -340,7 +340,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		s.endPhase(ph)
 		s.tick(&last, &ns.Expand)
 		ph = s.beginPhase("resim", 1)
-		detected = s.resimulate(&f, bad, x)
+		detected = s.resimulate(&f, bad, x, nout)
 		s.endPhase(ph)
 		s.tick(&last, &ns.Resim)
 		if detected {

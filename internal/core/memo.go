@@ -82,13 +82,25 @@ func (s *Simulator) collectMemo() *collectMemo {
 // the lane reads only such nodes, so a base that agrees with the
 // fault-free frame on the footprint (and binds no fault there) yields
 // the same fixpoint, conflict and detection on the lane.
+//
+// The units are carved from seven memo-wide slabs, one per memoUnit
+// field. The lane-count-driven ones (conf, det, extraAt, footAt) are
+// sized exactly up front; extras, footNode and footMask open fresh
+// slabs sized by the entries per lane seen so far (memoScratch.more).
 func (s *Simulator) buildMemo() *collectMemo {
 	m := &collectMemo{units: make([]memoUnit, max(len(s.T), 1))}
-	// One lane word marks each node at most once, so the scratch
-	// footprint never regrows before a unit spans several words.
 	nn := s.cc.NumNodes()
 	b := &memoScratch{cc: s.cc, lf: s.laneFrame(), mark: make([]uint64, nn), marked: make([]netlist.NodeID, 0, nn)}
-	b.u.footNode, b.u.footMask = make([]netlist.NodeID, 0, nn), make([]uint64, 0, nn)
+	units, words := max(len(s.T)-1, 0), 0
+	for u := 1; u < len(s.T); u++ {
+		nx := logic.CountX(s.good.States[u])
+		b.lanesLeft += 2 * nx
+		words += (2*nx + 63) >> 6 // MaxLanes is a whole number of words
+	}
+	b.conf.reserve(words, 0)
+	b.det.reserve(words, 0)
+	b.extraAt.reserve(b.lanesLeft+units, 0)
+	b.footAt.reserve(words+units, 0)
 	for u := 1; u < len(s.T); u++ {
 		m.units[u] = b.unit(s.good, u)
 	}
@@ -96,24 +108,77 @@ func (s *Simulator) buildMemo() *collectMemo {
 	return m
 }
 
-// memoScratch is buildMemo's working state: u accumulates the unit
-// being built, and each finished unit copies it exactly; mark and marked
-// accumulate one lane word's footprint by node.
+// memoScratch is buildMemo's working state: the memo's slabs, the
+// lane counts that size their growth, and the scratch of one unit's
+// passes, sized once: mark and marked accumulate one lane word's
+// footprint by node (a word marks each node at most once).
 type memoScratch struct {
 	cc    *cir.CC
 	lf    *implic.LaneFrame
 	evals int
 
+	conf, det, footMask memoSlab[uint64]
+	extraAt, extras     memoSlab[int32]
+	footAt              memoSlab[int32]
+	footNode            memoSlab[netlist.NodeID]
+	// lanesDone and lanesLeft count the lanes of the units built and
+	// not yet built.
+	lanesDone, lanesLeft int
+
 	xs  []int
 	hot []laneHot
-	u   memoUnit
 
 	mark   []uint64
 	marked []netlist.NodeID
 }
 
+// memoSlab is one of the memo's append-only slabs: a unit is appended
+// at its tail and carved off exactly sized. A unit that outgrows the
+// slab moves, with the entries it has so far, to a fresh slab; carved
+// units are never copied, and stay valid because a slab never moves.
+type memoSlab[T any] struct {
+	buf []T
+	// at is where the unit being built starts in buf; n counts the
+	// entries of the units carved so far.
+	at, n int
+}
+
+// reserve makes room for k more entries of the unit being built; a
+// fresh slab has room for more besides.
+func (s *memoSlab[T]) reserve(k, more int) {
+	if len(s.buf)+k <= cap(s.buf) {
+		return
+	}
+	cur := s.buf[s.at:]
+	s.buf = append(make([]T, 0, len(cur)+k+more), cur...)
+	s.at = 0
+}
+
+// carve returns the unit built since the last carve.
+func (s *memoSlab[T]) carve() []T {
+	u := s.buf[s.at:len(s.buf):len(s.buf)]
+	s.at = len(s.buf)
+	s.n += len(u)
+	return u
+}
+
+// unitLen is the number of entries the unit being built holds so far.
+func (s *memoSlab[T]) unitLen() int32 { return int32(len(s.buf) - s.at) }
+
+// more is the spare room of a fresh slab that holds n entries of the
+// units built so far: as many entries per lane as those units took, for
+// the lanes left, but at most max(n, floor), since the earliest units
+// (the least specified states) have the largest footprints per lane.
+// Before any unit is built it is floor.
+func (b *memoScratch) more(n, floor int) int {
+	if b.lanesDone == 0 {
+		return floor
+	}
+	return min(n*b.lanesLeft/b.lanesDone, max(n, floor))
+}
+
 // unit runs the lane passes of time unit u over the fault-free trace
-// good and returns its memo.
+// good and returns its memo, carved from the slabs.
 func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
 	base := good.Nodes[u-1]
 	b.xs = b.xs[:0]
@@ -122,9 +187,6 @@ func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
 			b.xs = append(b.xs, j)
 		}
 	}
-	bu := &b.u
-	bu.conf, bu.det, bu.extraAt, bu.extras = bu.conf[:0], bu.det[:0], bu.extraAt[:0], bu.extras[:0]
-	bu.footAt, bu.footNode, bu.footMask = bu.footAt[:0], bu.footNode[:0], bu.footMask[:0]
 	lf := b.lf
 	for c0 := 0; c0 < len(b.xs); c0 += implic.MaxLanes / 2 {
 		chunk := b.xs[c0:min(len(b.xs), c0+implic.MaxLanes/2)]
@@ -136,21 +198,22 @@ func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
 		}
 		b.evals += lf.Imply()
 		conf, det := laneVerdicts(lf, good.Outputs[u-1], nw)
-		bu.conf = append(bu.conf, conf[:nw]...)
-		bu.det = append(bu.det, det[:nw]...)
+		b.conf.buf = append(b.conf.buf, conf[:nw]...)
+		b.det.buf = append(b.det.buf, det[:nw]...)
 		b.hot = latched(lf, b.xs, &conf, &det, nw, b.hot[:0])
 		for l := 0; l < 2*len(chunk); l++ {
-			bu.extraAt = append(bu.extraAt, int32(len(bu.extras)))
+			b.extraAt.buf = append(b.extraAt.buf, b.extras.unitLen())
 			w, bit := l>>6, uint(l&63)
 			if (conf[w]|det[w])>>bit&1 != 0 {
 				continue
 			}
+			b.extras.reserve(len(b.hot), b.more(b.extras.n, b.lanesLeft))
 			for _, h := range b.hot {
 				switch {
 				case h.v.One[w]>>bit&1 != 0:
-					bu.extras = append(bu.extras, int32(h.j)<<1|1)
+					b.extras.buf = append(b.extras.buf, int32(h.j)<<1|1)
 				case h.v.Zero[w]>>bit&1 != 0:
-					bu.extras = append(bu.extras, int32(h.j)<<1)
+					b.extras.buf = append(b.extras.buf, int32(h.j)<<1)
 				}
 			}
 		}
@@ -168,12 +231,14 @@ func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
 			b.flush()
 		}
 	}
-	bu.extraAt = append(bu.extraAt, int32(len(bu.extras)))
-	bu.footAt = append(bu.footAt, int32(len(bu.footNode)))
+	b.extraAt.buf = append(b.extraAt.buf, b.extras.unitLen())
+	b.footAt.buf = append(b.footAt.buf, b.footNode.unitLen())
+	b.lanesDone += 2 * len(b.xs)
+	b.lanesLeft -= 2 * len(b.xs)
 	return memoUnit{
-		conf: slices.Clone(bu.conf), det: slices.Clone(bu.det),
-		extraAt: slices.Clone(bu.extraAt), extras: slices.Clone(bu.extras),
-		footAt: slices.Clone(bu.footAt), footNode: slices.Clone(bu.footNode), footMask: slices.Clone(bu.footMask),
+		conf: b.conf.carve(), det: b.det.carve(),
+		extraAt: b.extraAt.carve(), extras: b.extras.carve(),
+		footAt: b.footAt.carve(), footNode: b.footNode.carve(), footMask: b.footMask.carve(),
 	}
 }
 
@@ -208,12 +273,14 @@ func (b *memoScratch) add(n netlist.NodeID, c uint64) {
 // flush appends the marked lane word to the unit's footprint index, one
 // entry per node in ascending order, and clears the marks.
 func (b *memoScratch) flush() {
-	bu := &b.u
-	bu.footAt = append(bu.footAt, int32(len(bu.footNode)))
+	b.footAt.buf = append(b.footAt.buf, b.footNode.unitLen())
+	k, nn := len(b.marked), len(b.mark)
+	b.footNode.reserve(k, b.more(b.footNode.n, nn))
+	b.footMask.reserve(k, b.more(b.footMask.n, nn))
 	slices.Sort(b.marked)
 	for _, n := range b.marked {
-		bu.footNode = append(bu.footNode, n)
-		bu.footMask = append(bu.footMask, b.mark[n])
+		b.footNode.buf = append(b.footNode.buf, n)
+		b.footMask.buf = append(b.footMask.buf, b.mark[n])
 		b.mark[n] = 0
 	}
 	b.marked = b.marked[:0]

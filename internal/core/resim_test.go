@@ -82,7 +82,8 @@ func testResimulate(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trac
 			}
 		}
 	}
-	bp := s.resimulate(f, bad, x)
+	_, nout := s.profile(bad)
+	bp := s.resimulate(f, bad, x, nout)
 	serial := s.resimulateRef(f, x)
 	if bp != serial {
 		t.Fatalf("bit-parallel resimulate = %v, serial = %v", bp, serial)
@@ -165,5 +166,157 @@ func TestResimulateAllSequencesRequired(t *testing.T) {
 	x.steps[0].extra[1] = []svAssign{{j: 0, v: logic.Zero}}
 	if !testResimulate(t, s, &f, bad, x) {
 		t.Fatal("both sides resolve, detection not found")
+	}
+}
+
+// horizonBench gates both outputs with an enable input b: while b = 0
+// the faulty outputs are binary (0), so under a SA1 only the units with
+// b = 1 can detect, and N_out ends at the last of them.
+const horizonBench = `
+INPUT(a)
+INPUT(b)
+OUTPUT(o1)
+OUTPUT(o2)
+q1 = DFF(d1)
+q2 = DFF(d2)
+d1 = NOT(q1)
+d2 = BUFF(q2)
+o1 = AND(a, b, q1)
+o2 = AND(a, b, q2)
+`
+
+// horizonSetup builds a simulator over L patterns with a = 0 and b = 1
+// exactly at units u < enabled, and returns the faulty trace of a
+// stuck-at-1: the last unit with N_out > 0 is enabled-1.
+func horizonSetup(t *testing.T, L, enabled int) (*Simulator, fault.Fault, *seqsim.Trace) {
+	t.Helper()
+	c, err := bench.ParseString("horizon", horizonBench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	T := make(seqsim.Sequence, L)
+	for u := range T {
+		T[u] = seqsim.Pattern{logic.Zero, logic.Zero}
+		if u < enabled {
+			T[u][1] = logic.One
+		}
+	}
+	s, err := NewSimulator(c, T, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := c.NodeByName("a")
+	f := fault.Fault{Node: a, Gate: netlist.NoGate, Stuck: logic.One}
+	bad, _, detected, err := s.sim.RunFault(T, s.good, f, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if detected {
+		t.Fatal("setup fault should not be conventionally detected")
+	}
+	_, nout := s.profile(bad)
+	if last := enabled - 1; nout[last] == 0 || (last+1 < L && nout[last+1] != 0) {
+		t.Fatalf("N_out %v: want the last nonzero unit at %d", nout, last)
+	}
+	return s, f, bad
+}
+
+// horizonResim runs testResimulate on a fresh record and returns its
+// verdict with the vector frames and passes it ran.
+func horizonResim(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion) (ok bool, frames, passes int) {
+	t.Helper()
+	s.rec = faultRecord{}
+	ok = testResimulate(t, s, f, bad, x)
+	return ok, s.rec.resim.VectorFrames, s.rec.resim.VectorPasses
+}
+
+// TestResimHorizonLastNoutUnit: the only detection opportunity is at
+// the last unit with N_out > 0, reached by propagation from a mark
+// before it. q1 = 0 at unit 1 toggles to q1 = 1 at unit 2, where o1
+// detects: the horizon (2) comes from N_out alone, as the last mark is
+// at 1.
+func TestResimHorizonLastNoutUnit(t *testing.T) {
+	s, f, bad := horizonSetup(t, 5, 3)
+	x := handExpansion(bad)
+	x.s0[1][0] = logic.Zero
+	x.marks[1] = true
+	ok, frames, _ := horizonResim(t, s, &f, bad, x)
+	if !ok || frames != 2 {
+		t.Fatalf("resolved %v over %d frames, want a detection at frame 2 after 2 frames", ok, frames)
+	}
+}
+
+// TestResimHorizonLastMarkConflict: the only conflict is at the last
+// marked unit, past every detection opportunity (N_out ends at unit 0).
+// q2 holds its value, so q2 = 0 at unit 3 contradicts q2 = 1 at unit 4:
+// frame 3, the horizon, resolves the lane.
+func TestResimHorizonLastMarkConflict(t *testing.T) {
+	s, f, bad := horizonSetup(t, 6, 1)
+	x := handExpansion(bad)
+	x.s0[3][1] = logic.Zero
+	x.s0[4][1] = logic.One
+	x.marks[3], x.marks[4] = true, true
+	ok, frames, _ := horizonResim(t, s, &f, bad, x)
+	if !ok || frames != 1 {
+		t.Fatalf("resolved %v over %d frames, want a conflict at frame 3 after 1 frame", ok, frames)
+	}
+}
+
+// TestResimHorizonMarkAfterNout: phase 1 marks unit 3, after the last
+// N_out unit (1). q2 = 0 forced at unit 0 propagates to units 1 and 2;
+// with q2 = 1 forced at unit 3 frame 2 (the horizon) conflicts. With
+// q2 = 0 there, nothing resolves, and the marked frame 3 lies past the
+// horizon: the pass fails after frames 0-2, as the full-length
+// reference does.
+func TestResimHorizonMarkAfterNout(t *testing.T) {
+	for _, tc := range []struct {
+		at3    logic.Val
+		want   bool
+		frames int
+	}{
+		{logic.One, true, 3},
+		{logic.Zero, false, 3},
+	} {
+		s, f, bad := horizonSetup(t, 6, 2)
+		x := handExpansion(bad)
+		x.s0[0][1] = logic.Zero
+		x.s0[3][1] = tc.at3
+		x.marks[0], x.marks[3] = true, true
+		ok, frames, _ := horizonResim(t, s, &f, bad, x)
+		if ok != tc.want || frames != tc.frames {
+			t.Fatalf("q2 = %v at unit 3: resolved %v over %d frames, want %v over %d",
+				tc.at3, ok, frames, tc.want, tc.frames)
+		}
+	}
+}
+
+// TestResimHorizonPerChunk: 128 sequences (N_STATES > 64) run as two
+// 64-lane chunks, and each stops at the same horizon. The first step
+// splits the chunks: chunk 0 pins q1 = 1 at unit 0 and detects at
+// frame 0; chunk 1 pins q2 = 0 at unit 0, which propagates until it
+// conflicts with q2 = 1 forced at unit 3 in frame 2, the horizon. Six
+// empty steps at unit 0 fill the chunks.
+func TestResimHorizonPerChunk(t *testing.T) {
+	s, f, bad := horizonSetup(t, 6, 2)
+	x := handExpansion(bad)
+	x.s0[3][1] = logic.One
+	x.marks[0], x.marks[3] = true, true
+	x.steps = append(x.steps, expStep{u: 0, extra: [2][]svAssign{
+		{{j: 0, v: logic.One}},
+		{{j: 1, v: logic.Zero}},
+	}})
+	for k := 0; k < 6; k++ {
+		x.steps = append(x.steps, expStep{u: 0})
+	}
+	ok, frames, passes := horizonResim(t, s, &f, bad, x)
+	if !ok || passes != 2 || frames != 1+3 {
+		t.Fatalf("resolved %v over %d passes and %d frames, want both chunks resolved over 2 passes and 4 frames",
+			ok, passes, frames)
+	}
+	// With q2 = 0 forced at unit 3 instead, chunk 1 survives to the
+	// horizon and the fault stays undetected.
+	x.s0[3][1] = logic.Zero
+	if ok, frames, _ := horizonResim(t, s, &f, bad, x); ok || frames != 1+3 {
+		t.Fatalf("resolved %v over %d frames, want chunk 1 unresolved after 4 frames", ok, frames)
 	}
 }

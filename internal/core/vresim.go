@@ -46,7 +46,16 @@ package core
 // which is that value observed through the fault). Detection therefore
 // scans only touched output nodes, and the next-state step visits only
 // touched D nodes, in ascending flip-flop order as the serial loop
-// does. Each restriction is exact, not an approximation.
+// does. For the same reason a gate whose trace output is binary cannot
+// change on any lane, and the evaluator skips it when an event reaches
+// it.
+//
+// A pass also stops at the fault's resolution horizon (horizon): after
+// the last unit where an output is X in the trace and binary in the
+// fault-free response, and the last unit before an expansion-assigned
+// state, no lane can detect or conflict, so the remaining frames could
+// only refine state. The pass fails there exactly as it would at L.
+// Each restriction is exact, not an approximation.
 
 import (
 	"slices"
@@ -207,11 +216,14 @@ func (s *Simulator) vresimScratch() (ev *cir.LaneEval, cols *laneCols, markRows 
 //
 // Every sequence of expansion x occupies one lane, and each frame of a
 // pass evaluates the divergence of 64 lanes from the base trace at
-// once. It returns false at the first 64-lane chunk that leaves a lane
-// unresolved. Caller guarantees that bad retains node values and is
-// the trace x expanded from.
-func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) bool {
+// once. Each pass stops at the fault's resolution horizon (horizon):
+// no later frame can resolve a lane. It returns false at the first
+// 64-lane chunk that leaves a lane unresolved. Caller guarantees that
+// bad retains node values and is the trace x expanded from, and that
+// nout is bad's N_out profile.
+func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion, nout []int) bool {
 	ev, lc, markRows := s.vresimScratch()
+	last := horizon(x.marks, nout)
 	n := x.lanes()
 	resolved := true
 	for lo := 0; lo < n && resolved; lo += 64 {
@@ -220,7 +232,7 @@ func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) 
 			all = 1<<uint(n-lo) - 1
 		}
 		var frames, gateEvals int
-		resolved, frames, gateEvals = s.resimPass(f, bad, x, lo, all, ev, lc, markRows)
+		resolved, frames, gateEvals = s.resimPass(f, bad, x, lo, all, last, ev, lc, markRows)
 		lanes := min(n-lo, 64)
 		if s.hist != nil {
 			s.hist.ResimLanesPerPass.Observe(int64(lanes))
@@ -241,10 +253,35 @@ func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion) 
 // so it can be checked against the serial reference.
 var resimHook func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion, got bool)
 
+// horizon returns the last time unit at which a resimulation lane can
+// still resolve, or -1 when none can. Every lane refines the faulty
+// trace, and three-valued logic is monotone, so a lane detects only at
+// a unit where some output is X in the faulty trace and binary in the
+// fault-free one: nout is a suffix count, so those units end at the
+// last u with nout[u] > 0. Frame u conflicts only against a next state
+// at u+1 that the expansion assigned, at a marked unit: the trace's own
+// next state is refined by the computed one, and a value the pass
+// refined at u+1 was written by frame u itself, for the same flip-flop.
+func horizon(marks []bool, nout []int) int {
+	last := -1
+	for u := len(marks) - 1; u > 0; u-- {
+		if marks[u] {
+			last = u - 1
+			break
+		}
+	}
+	for u := len(nout) - 1; u > last; u-- {
+		if nout[u] > 0 {
+			return u
+		}
+	}
+	return last
+}
+
 // resimPass resimulates the lanes all of the 64-lane chunk starting at
-// lane lo and reports whether every one resolved, with the frames and
-// gates it evaluated.
-func (s *Simulator) resimPass(f *fault.Fault, bad *seqsim.Trace, x *expansion, lo int, all uint64,
+// lane lo up to time unit last and reports whether every one resolved,
+// with the frames and gates it evaluated.
+func (s *Simulator) resimPass(f *fault.Fault, bad *seqsim.Trace, x *expansion, lo int, all uint64, last int,
 	ev *cir.LaneEval, lc *laneCols, markRows []uint64) (ok bool, frames, gateEvals int) {
 	cc := s.cc
 	L := len(s.T)
@@ -264,7 +301,7 @@ func (s *Simulator) resimPass(f *fault.Fault, bad *seqsim.Trace, x *expansion, l
 	stuck := cir.Broadcast(f.Stuck)
 	ev.BeginPass(f)
 	var resolved uint64
-	for u := 0; u < L && resolved != all; u++ {
+	for u := 0; u <= last && resolved != all; u++ {
 		active := markRows[u] &^ resolved
 		if active == 0 {
 			continue

@@ -179,7 +179,7 @@ func FormatRunStats(res *core.Result) string {
 	}{
 		{"step0 resim + cond(C)", st.Step0Time},
 		{"pair collection", st.CollectTime},
-		{"  implications (est.)", st.ImplyTime},
+		{"  implications", st.ImplyTime},
 		{"expansion", st.ExpandTime},
 		{"resimulation", st.ResimTime},
 	}

@@ -76,10 +76,13 @@ func TestRunReportMetricsOff(t *testing.T) {
 func TestFormatRunStats(t *testing.T) {
 	res := smallRun(t, true)
 	out := FormatRunStats(res)
-	for _, want := range []string{"stage breakdown", "pair collection", "implication calls", "pairs/fault", "fault time"} {
+	for _, want := range []string{"stage breakdown", "pair collection", "\n      implications  ", "implication calls", "pairs/fault", "fault time"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("FormatRunStats missing %q:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "(est.)") {
+		t.Errorf("FormatRunStats labels the directly timed implication row as an estimate:\n%s", out)
 	}
 	if off := FormatRunStats(smallRun(t, false)); off != "" {
 		t.Errorf("metrics-off stats not empty:\n%s", off)
