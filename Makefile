@@ -10,8 +10,9 @@ GO ?= go
 # shared), the bit-parallel prescreen, the reference cross-checks of pair
 # collection and bit-parallel resimulation (per-worker lane evaluators
 # and lane columns), the event-driven evaluator tests (per-worker
-# EventEval scratch and shared schedules), the shared compiled-IR reads
-# in internal/cir,
+# overlays and schedules over the compiled circuit's shared position
+# view), the shared compiled-IR reads in internal/cir (one CC, many
+# goroutines with their own evaluators: TestPositionsParallel), the
 # metric registry scrapes under concurrent writers, the serve run
 # registry, the cross-run LRU cache under concurrent submitters, the
 # xtrace span buffers (per-worker writers merging into one tracer while
@@ -22,7 +23,7 @@ GO ?= go
 RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
-.PHONY: build test vet race perfbench-test verify bench bench-lite bench-collect benchdiff trace
+.PHONY: build test vet race fuzz perfbench-test verify bench bench-lite bench-collect benchdiff trace
 
 build:
 	$(GO) build ./...
@@ -35,6 +36,27 @@ vet:
 
 race:
 	$(GO) test -race -run '$(RACE_PATTERN)' $(RACE_PKGS)
+
+# Fuzz the event kernels and the whole run for FUZZTIME each, beyond
+# their seed corpora (which `go test` already runs): FrameDelta and the
+# divergence-driven step 0 against the full pass, lane implications
+# against the serial frame, the fault-free lane memo and bit-parallel
+# resimulation against their references, and whole runs against the
+# exhaustive oracle. Go fuzzes one target per invocation.
+FUZZTIME ?= 15s
+FUZZ_TARGETS := \
+	./internal/seqsim:FuzzEventSimFrameDelta \
+	./internal/seqsim:FuzzDivergenceMatchesFullPass \
+	./internal/implic:FuzzImplyLanes \
+	./internal/core:FuzzCollectMemo \
+	./internal/core:FuzzResimCrossCheck \
+	./internal/oracle:FuzzOracleSoundness
+
+fuzz:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $${t#*:} ($(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t#*:}$$" -fuzztime $(FUZZTIME) $${t%%:*}; \
+	done
 
 # The benchmark has its own module (perfbench/go.mod), so the root
 # `go test ./...` never compiles it: vet and test it in place, so an

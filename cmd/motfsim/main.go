@@ -41,7 +41,6 @@ type runOptions struct {
 	full, list, stats  bool
 	workers            int
 	prescreen          bool
-	coneOrder          bool
 	metrics            bool
 	jsonOut            bool
 	tracePath          string
@@ -69,7 +68,6 @@ func main() {
 	flag.BoolVar(&o.stats, "stats", false, "print circuit statistics and exit")
 	flag.IntVar(&o.workers, "workers", runtime.NumCPU(), "fault-simulation worker goroutines (must be positive)")
 	flag.BoolVar(&o.prescreen, "prescreen", true, "bit-parallel conventional prescreen before the per-fault MOT pipeline")
-	flag.BoolVar(&o.coneOrder, "cone-order", false, "simulate faults in cone-locality order (deterministic; groups overlapping active cones)")
 	flag.BoolVar(&o.metrics, "metrics", true, "collect the per-stage breakdown and per-fault histograms")
 	flag.BoolVar(&o.jsonOut, "json", false, "emit the run summary as JSON instead of text")
 	flag.StringVar(&o.tracePath, "trace", "", "write a per-fault JSONL trace to this file")
@@ -189,9 +187,6 @@ func run(o runOptions) error {
 	faults := motsim.CollapsedFaults(c)
 	if o.full {
 		faults = motsim.Faults(c)
-	}
-	if o.coneOrder {
-		motsim.SortFaultsByCone(c, faults)
 	}
 
 	var T motsim.Sequence

@@ -191,34 +191,6 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunConeOrder checks -cone-order: the reordered run must report
-// exactly the same summary counts as the default order (detection is
-// per fault, so ordering cannot change it), differing only in the
-// per-fault listing order.
-func TestRunConeOrder(t *testing.T) {
-	summary := func(coneOrder bool) map[string]any {
-		var buf bytes.Buffer
-		o := opts()
-		o.coneOrder = coneOrder
-		o.jsonOut = true
-		o.out = &buf
-		if err := run(o); err != nil {
-			t.Fatal(err)
-		}
-		var rep map[string]any
-		if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	plain, ordered := summary(false), summary(true)
-	for _, key := range []string{"faults", "detected_total", "detected_conventional", "detected_mot", "coverage"} {
-		if plain[key] != ordered[key] {
-			t.Errorf("%s: default order %v != cone order %v", key, plain[key], ordered[key])
-		}
-	}
-}
-
 // TestRunTraceAndProfiles drives a run with the JSONL trace and all
 // three profilers enabled, checking every artifact lands on disk.
 func TestRunTraceAndProfiles(t *testing.T) {

@@ -12,11 +12,11 @@
 // evaluator keeps an epoch-stamped overlay on the fault-free trace (a
 // node nobody wrote reads through to its fault-free value, broadcast to
 // every lane) and evaluates only the gates a lane-divergent value
-// reaches, in level order (see evaluator). Frames where most gates
-// diverge run a plain sweep over the same tables instead. The circuit
-// structure and the lane-wise gate semantics come from the compiled IR
-// (internal/cir); what stays here is fault injection, which is
-// batch-specific: each batch carries a different 255-fault lane
+// reaches, in level order (see evaluator and cir.Overlay). Frames where
+// most gates diverge run a plain sweep over the same tables instead.
+// The circuit structure and the lane-wise gate semantics come from the
+// compiled IR (internal/cir); what stays here is fault injection, which
+// is batch-specific: each batch carries a different 255-fault lane
 // assignment.
 package bitsim
 
@@ -89,11 +89,11 @@ type evaluator struct {
 	cc   *cir.CC
 	good *seqsim.Trace
 
-	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch,
+	// ov holds the node stamps, the touched list (which latch reads) and
+	// the schedule over gate positions: vals[n] is live iff ov marks n,
 	// or in a sweep frame (sweep set), where every node is written.
+	ov    cir.Overlay
 	vals  []VV
-	stamp []uint32
-	epoch uint32
 	sweep bool
 	// base is the fault-free frame the overlay diverges from, bound per
 	// frame and never written.
@@ -103,9 +103,6 @@ type evaluator struct {
 	// read, and values outside active are unspecified.
 	active laneSet
 	nw     int
-	// pending is the schedule bitmap over gate positions, all-zero
-	// outside an event frame.
-	pending []uint64
 
 	// Fault injection of the bound batch. stemAt[n] is 1 + the index in
 	// forces of node n's stem injection (0: none); brAt[k] is 1 + the
@@ -152,9 +149,8 @@ func newEvaluator(cc *cir.CC, good *seqsim.Trace) *evaluator {
 		Positions: pos,
 		cc:        cc,
 		good:      good,
+		ov:        cc.NewOverlay(),
 		vals:      make([]VV, cc.NumNodes()),
-		stamp:     make([]uint32, cc.NumNodes()),
-		pending:   make([]uint64, (len(pos.Gates)+63)>>6),
 		stemAt:    make([]int32, cc.NumNodes()),
 		forces:    make([]stemForce, 0, Lanes-1),
 		brAt:      make([]int32, len(pos.Fanin)),
@@ -220,7 +216,7 @@ func (e *evaluator) unload() {
 // written reports whether node id holds a live value this frame;
 // otherwise it carries its fault-free value on every active lane.
 func (e *evaluator) written(id netlist.NodeID) bool {
-	return e.sweep || e.stamp[id] == e.epoch
+	return e.sweep || e.ov.Live(id)
 }
 
 // value returns node id's lane values this frame. The result is
@@ -234,7 +230,7 @@ func (e *evaluator) value(id netlist.NodeID) *VV {
 
 // overlay is value in an event frame.
 func (e *evaluator) overlay(id netlist.NodeID) *VV {
-	if e.stamp[id] == e.epoch {
+	if e.ov.Live(id) {
 		return &e.vals[id]
 	}
 	return cir.LaneBroadcast(e.base[id])
@@ -259,12 +255,8 @@ func (e *evaluator) store(id netlist.NodeID, one, zero *[laneWords]uint64) {
 	for w := 0; w < e.nw; w++ {
 		v.One[w], v.Zero[w] = one[w], zero[w]
 	}
-	e.stamp[id] = e.epoch
-	cc := e.cc
-	for k := cc.FanoutStart[id]; k < cc.FanoutStart[id+1]; k++ {
-		p := e.Fanout[k]
-		e.pending[p>>6] |= 1 << (p & 63)
-	}
+	e.ov.Mark(id)
+	e.ov.PushReaders(id)
 }
 
 // seed loads node id (a primary input or flip-flop Q node) with lane
@@ -538,12 +530,7 @@ func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim
 // overlay empties (epoch bump, no clearing).
 func (e *evaluator) beginFrame(base []logic.Val, sweep bool) {
 	e.base, e.sweep = base, sweep
-	e.epoch++
-	if e.epoch == 0 {
-		// uint32 wrap: stale stamps could alias the new epoch.
-		clear(e.stamp)
-		e.epoch = 1
-	}
+	e.ov.Begin()
 }
 
 // eventFrame seeds the frame's divergences — stem-faulted primary
@@ -575,7 +562,7 @@ func (e *evaluator) eventFrame(pat seqsim.Pattern) int {
 		}
 	}
 	for _, p := range e.sites {
-		e.pending[p>>6] |= 1 << (p & 63)
+		e.ov.Push(p)
 	}
 	e.drain()
 	return int(e.evals - start)
@@ -583,19 +570,13 @@ func (e *evaluator) eventFrame(pat seqsim.Pattern) int {
 
 // drain evaluates every scheduled gate in ascending position order,
 // feeding output changes back into the schedule. Pushes land only on
-// later positions: higher bits of the current word (picked up by the
-// inner re-read) or later words.
+// later positions, which the ascending scan still reaches.
 func (e *evaluator) drain() {
-	for w := range e.pending {
-		for e.pending[w] != 0 {
-			bit := bits.TrailingZeros64(e.pending[w])
-			e.pending[w] &^= 1 << bit
-			p := w<<6 | bit
-			e.evals++
-			one, zero := e.eval(p)
-			if out := e.Gates[p].Out; e.differs(out, &one, &zero) {
-				e.store(out, &one, &zero)
-			}
+	for p := e.ov.Next(); p >= 0; p = e.ov.Next() {
+		e.evals++
+		one, zero := e.eval(p)
+		if out := e.Gates[p].Out; e.differs(out, &one, &zero) {
+			e.store(out, &one, &zero)
 		}
 	}
 }
@@ -888,23 +869,34 @@ func (e *evaluator) markC() {
 // latch records the next state: the flip-flops whose D value diverged
 // from the fault-free next state on an active lane keep their lane
 // state, every other one returns to the fault-free trace. Stem faults on
-// Q nodes are injected when the state is loaded.
+// Q nodes are injected when the state is loaded. An event frame stores
+// exactly the nodes that diverge, so only its touched D nodes can latch
+// a lane state; a sweep frame writes every node, so every D node is
+// compared.
 func (e *evaluator) latch() {
 	cc := e.cc
 	for _, i := range e.latched {
 		e.div[i] = false
 	}
 	e.latched = e.latched[:0]
-	for i, d := range cc.FFD {
-		if e.sweep {
-			if v := &e.vals[d]; !e.differs(d, &v.One, &v.Zero) {
-				continue
+	if !e.sweep {
+		for _, n := range e.ov.Touched() {
+			if i := cc.DOf[n]; i >= 0 {
+				e.latchFF(i, n)
 			}
-		} else if e.stamp[d] != e.epoch {
-			continue
 		}
-		e.state[i] = e.vals[d]
-		e.div[i] = true
-		e.latched = append(e.latched, int32(i))
+		return
 	}
+	for i, d := range cc.FFD {
+		if v := &e.vals[d]; e.differs(d, &v.One, &v.Zero) {
+			e.latchFF(int32(i), d)
+		}
+	}
+}
+
+// latchFF keeps flip-flop i's lane state, the value of its D node d.
+func (e *evaluator) latchFF(i int32, d netlist.NodeID) {
+	e.state[i] = e.vals[d]
+	e.div[i] = true
+	e.latched = append(e.latched, i)
 }

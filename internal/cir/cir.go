@@ -5,20 +5,18 @@
 //
 // The pointer-chasing netlist.Circuit stays the construction and naming
 // model; CC flattens it into opcode, fanin and fanout arrays in CSR
-// (compressed sparse row) form, level buckets over the evaluation order,
-// and dense per-node role maps (driver, flip-flop, output position).
-// Gate semantics live in exactly one place: EvalOp (the scalar
-// three-valued evaluation, delegating to logic.Eval) and EvalOpVV (the
-// 64-lane bit-parallel evaluation, see vv.go). The sequential fanout
-// cone of a fault site — the only region a fault can ever influence —
-// is computed by FillCone (see cone.go); it orders fault lists
-// (SortFaultsByCone). Faulty simulation needs no cone: seqsim follows
-// the fault's divergence over the whole-circuit event schedule.
+// (compressed sparse row) form, a position-ordered view of the gates in
+// evaluation order (Positions), and dense per-node role maps (driver,
+// flip-flop, output position). Gate semantics live in exactly one place:
+// EvalOp (the scalar three-valued evaluation, delegating to logic.Eval)
+// and EvalOpVV (the 64-lane bit-parallel evaluation, see vv.go). The
+// event-driven kernels (EventEval, LaneEval, bitsim's prescreen
+// evaluator, implic's LaneFrame) share one overlay and position schedule
+// (Overlay), so a faulty frame costs the gates its divergence reaches.
 package cir
 
 import (
 	"sync"
-	"sync/atomic"
 	"unsafe"
 
 	"repro/internal/cache"
@@ -27,9 +25,8 @@ import (
 	"repro/internal/netlist"
 )
 
-// CC is the compiled circuit. The compiled arrays are immutable after
-// Compile (the per-site cone cache fills lazily and atomically); a
-// single CC is safe for concurrent use by any number of evaluators.
+// CC is the compiled circuit. It is immutable after Compile; a single CC
+// is safe for concurrent use by any number of evaluators.
 type CC struct {
 	// Net is the source netlist (names, construction-time structure).
 	Net *netlist.Circuit
@@ -40,8 +37,6 @@ type CC struct {
 	Ops []logic.Op
 	// GOut is the gate output node array.
 	GOut []netlist.NodeID
-	// Level is the topological level of each gate (1-based).
-	Level []int32
 
 	// CSR fanin: gate gi reads Fanin[FaninStart[gi]:FaninStart[gi+1]],
 	// pin p of gi being Fanin[FaninStart[gi]+p].
@@ -70,11 +65,8 @@ type CC struct {
 
 	// Order lists all gates in ascending level order with a deterministic
 	// gate-ID tie-break (identical to Net.Order); evaluating gates in
-	// this order computes every node in one pass. Gates of level l
-	// occupy Order[LevelStart[l]:LevelStart[l+1]] for l in [1, MaxLevel].
-	Order      []netlist.GateID
-	LevelStart []int32
-	MaxLevel   int32
+	// this order computes every node in one pass.
+	Order []netlist.GateID
 	// OrderPos is the inverse of Order: OrderPos[gi] is gate gi's
 	// position. A gate's readers sit at strictly higher levels, hence at
 	// later positions, so position bitmaps drain in dependency order.
@@ -96,31 +88,8 @@ type CC struct {
 	// constants only); Evaluator gather buffers are sized by it.
 	MaxFanin int
 
-	// meta packs each gate's hot evaluation metadata (operator, output
-	// node, fanin range) into one record so EvalGate touches a single
-	// cache line per gate instead of gathering from four arrays. It is
-	// derived from Ops/GOut/FaninStart in Compile.
-	meta []GateRec
-
-	// pos is the position-ordered view (Positions), built once on first
-	// use under posOnce; MemSize reads it without the Once.
-	posOnce sync.Once
-	pos     atomic.Pointer[Positions]
-
-	// fullSched is the whole-circuit event schedule (see event.go),
-	// derived from the level buckets in Compile.
-	fullSched Sched
-
-	// Per-site active-cone cache (see ConeOf): one slot per possible stem
-	// site (node) and branch site (reading gate), filled lazily under
-	// coneMu using the shared scratch cone and read lock-free thereafter.
-	// coneSet (under coneMu) holds the distinct snapshots by content
-	// hash; slots of sites with equal cones share one snapshot.
-	conesNode   []atomic.Pointer[Cone]
-	conesGate   []atomic.Pointer[Cone]
-	coneMu      sync.Mutex
-	coneScratch *Cone
-	coneSet     map[uint64][]*Cone
+	// pos is the position-ordered view (Positions), built in Compile.
+	pos *Positions
 }
 
 // GateRec is one gate's packed evaluation record: output node, fanin
@@ -158,7 +127,6 @@ func Compile(c *netlist.Circuit) *CC {
 		Net:        c,
 		Ops:        make([]logic.Op, nGates),
 		GOut:       make([]netlist.NodeID, nGates),
-		Level:      make([]int32, nGates),
 		FaninStart: make([]int32, nGates+1),
 		Driver:     make([]netlist.GateID, nNodes),
 		FFOf:       make([]int32, nNodes),
@@ -166,14 +134,11 @@ func Compile(c *netlist.Circuit) *CC {
 		OutPos:     make([]int32, nNodes),
 		Order:      c.Order,
 		OrderPos:   make([]int32, nGates),
-		MaxLevel:   c.MaxLevel,
 		Inputs:     c.Inputs,
 		Outputs:    c.Outputs,
 		FFQ:        make([]netlist.NodeID, c.NumFFs()),
 		FFD:        make([]netlist.NodeID, c.NumFFs()),
 		FFInit:     make([]logic.Val, c.NumFFs()),
-		conesNode:  make([]atomic.Pointer[Cone], nNodes),
-		conesGate:  make([]atomic.Pointer[Cone], nGates),
 	}
 	// Gate arrays and CSR fanin.
 	total := 0
@@ -185,7 +150,6 @@ func Compile(c *netlist.Circuit) *CC {
 		g := &c.Gates[gi]
 		cc.Ops[gi] = g.Op
 		cc.GOut[gi] = g.Out
-		cc.Level[gi] = g.Level
 		cc.FaninStart[gi] = int32(len(cc.Fanin))
 		cc.Fanin = append(cc.Fanin, g.In...)
 		if len(g.In) > cc.MaxFanin {
@@ -193,15 +157,6 @@ func Compile(c *netlist.Circuit) *CC {
 		}
 	}
 	cc.FaninStart[nGates] = int32(len(cc.Fanin))
-	cc.meta = make([]GateRec, nGates)
-	for gi := range cc.meta {
-		cc.meta[gi] = GateRec{
-			Out: cc.GOut[gi],
-			Lo:  cc.FaninStart[gi],
-			Hi:  cc.FaninStart[gi+1],
-			Op:  cc.Ops[gi],
-		}
-	}
 	// CSR fanout and node roles.
 	cc.FanoutStart = make([]int32, nNodes+1)
 	nFan := 0
@@ -231,37 +186,15 @@ func Compile(c *netlist.Circuit) *CC {
 		cc.FFD[i] = ff.D
 		cc.FFInit[i] = ff.Init
 	}
-	// Level buckets over Order (Order is sorted by ascending level), by
-	// counting: LevelStart[l] is the prefix sum of gate counts below l.
-	cc.LevelStart = make([]int32, cc.MaxLevel+2)
-	counts := make([]int32, cc.MaxLevel+2)
 	for p, gi := range cc.Order {
-		counts[cc.Level[gi]]++
 		cc.OrderPos[gi] = int32(p)
 	}
-	pos := int32(0)
-	for l := int32(0); l <= cc.MaxLevel+1; l++ {
-		cc.LevelStart[l] = pos
-		if l <= cc.MaxLevel {
-			pos += counts[l]
-		}
-	}
-	// Whole-circuit event schedule: one bucket per occupied level,
-	// derived from the same level buckets.
-	off := int32(0)
-	cc.fullSched.Off = append(cc.fullSched.Off, 0)
-	for l := int32(1); l <= cc.MaxLevel; l++ {
-		if n := cc.LevelStart[l+1] - cc.LevelStart[l]; n > 0 {
-			cc.fullSched.Levels = append(cc.fullSched.Levels, l)
-			off += n
-			cc.fullSched.Off = append(cc.fullSched.Off, off)
-		}
-	}
+	cc.pos = cc.buildPositions()
 	return cc
 }
 
-// Positions is the position-ordered view of a compiled circuit that the
-// lane kernels (LaneEval, bitsim's evaluator) sweep and schedule over.
+// Positions is the position-ordered view of a compiled circuit that
+// every evaluator sweeps and every event kernel schedules over.
 // Gates[p] is gate Order[p]'s record, its Lo/Hi range indexing Fanin,
 // which holds the fanin lists copied contiguously in that order, so a
 // sweep reads both front to back. Fanout is the fanout CSR (offsets
@@ -273,15 +206,13 @@ type Positions struct {
 	Fanout []int32
 }
 
-// Positions returns cc's position-ordered view, built on first use and
-// shared read-only by every caller.
-func (cc *CC) Positions() *Positions {
-	cc.posOnce.Do(cc.buildPositions)
-	return cc.pos.Load()
-}
+// Positions returns cc's position-ordered view, shared read-only by
+// every caller.
+func (cc *CC) Positions() *Positions { return cc.pos }
 
-// buildPositions fills the position view of Positions.
-func (cc *CC) buildPositions() {
+// buildPositions builds the position view from the CSR arrays and
+// OrderPos.
+func (cc *CC) buildPositions() *Positions {
 	p := &Positions{
 		Gates:  make([]GateRec, len(cc.Order)),
 		Fanin:  make([]netlist.NodeID, 0, len(cc.Fanin)),
@@ -295,7 +226,7 @@ func (cc *CC) buildPositions() {
 	for k, gi := range cc.FanoutGate {
 		p.Fanout[k] = cc.OrderPos[gi]
 	}
-	cc.pos.Store(p)
+	return p
 }
 
 // forCacheCap bounds the per-process compile cache by circuit count.
@@ -324,8 +255,7 @@ func For(c *netlist.Circuit) *CC {
 		return cc
 	}
 	// Double-checked under a compile mutex so concurrent first calls on
-	// the same circuit share one CC (and its lazily filled cone cache)
-	// instead of racing to install different copies.
+	// the same circuit share one CC instead of compiling duplicates.
 	compileMu.Lock()
 	defer compileMu.Unlock()
 	if cc, ok := compiled.Get(c); ok {
@@ -337,7 +267,7 @@ func For(c *netlist.Circuit) *CC {
 }
 
 // Drop removes c's compiled IR from the per-process cache, releasing
-// the memory it pins (arrays plus accumulated cone snapshots). Engines
+// the memory its arrays pin. Engines
 // already holding the CC keep working; a later For call recompiles.
 // The service layer calls this when its content-addressed cache evicts
 // a circuit, so the two caches cannot disagree about what is resident.
@@ -346,32 +276,18 @@ func Drop(c *netlist.Circuit) {
 }
 
 // MemSize estimates the compiled circuit's resident bytes: the flat
-// arrays plus the position view and cone snapshots built so far. It is
-// an accounting estimate for cache budgeting, not an exact heap
-// measurement.
+// arrays and the position view. It is an accounting estimate for cache
+// budgeting, not an exact heap measurement.
 func (cc *CC) MemSize() int64 {
-	n := int64(len(cc.Ops))*int64(unsafe.Sizeof(logic.Op(0))) +
-		int64(len(cc.GOut)+len(cc.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
-		int64(len(cc.Level)+len(cc.FaninStart)+len(cc.FanoutStart)+len(cc.FanoutPin)+
-			len(cc.FFOf)+len(cc.DOf)+len(cc.OutPos)+len(cc.LevelStart)+len(cc.OrderPos))*4 +
+	p := cc.pos
+	return int64(len(cc.Ops))*int64(unsafe.Sizeof(logic.Op(0))) +
+		int64(len(cc.GOut)+len(cc.Fanin)+len(p.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
+		int64(len(cc.FaninStart)+len(cc.FanoutStart)+len(cc.FanoutPin)+
+			len(cc.FFOf)+len(cc.DOf)+len(cc.OutPos)+len(cc.OrderPos)+len(p.Fanout))*4 +
 		int64(len(cc.FanoutGate)+len(cc.Driver)+len(cc.Order))*int64(unsafe.Sizeof(netlist.GateID(0))) +
 		int64(len(cc.Inputs)+len(cc.Outputs)+len(cc.FFQ)+len(cc.FFD))*int64(unsafe.Sizeof(netlist.NodeID(0))) +
 		int64(len(cc.FFInit)) +
-		int64(len(cc.meta))*int64(unsafe.Sizeof(GateRec{})) +
-		cc.fullSched.memSize() +
-		int64(len(cc.conesNode)+len(cc.conesGate))*int64(unsafe.Sizeof(atomic.Pointer[Cone]{}))
-	if p := cc.pos.Load(); p != nil {
-		n += int64(len(p.Gates))*int64(unsafe.Sizeof(GateRec{})) +
-			int64(len(p.Fanin))*int64(unsafe.Sizeof(netlist.NodeID(0))) + int64(len(p.Fanout))*4
-	}
-	cc.coneMu.Lock()
-	defer cc.coneMu.Unlock()
-	for _, cones := range cc.coneSet {
-		for _, co := range cones {
-			n += co.memSize()
-		}
-	}
-	return n
+		int64(len(p.Gates))*int64(unsafe.Sizeof(GateRec{}))
 }
 
 // NoFault is the absence of a fault. Evaluation entry points take a
@@ -445,17 +361,19 @@ func (cc *CC) NewEvaluator() *Evaluator {
 // CC returns the compiled circuit the evaluator runs on.
 func (e *Evaluator) CC() *CC { return e.cc }
 
-// EvalGate computes the effective output value of gate gi under fault f
-// (non-nil; use &NoFault) from the node values in vals. "Effective"
-// means the value readers observe: a stem-stuck output holds its stuck
-// value, and branch faults are applied to the pins that read them.
-func (e *Evaluator) EvalGate(gi netlist.GateID, f *fault.Fault, vals []logic.Val) logic.Val {
-	cc := e.cc
-	m := &cc.meta[gi]
-	if v, ok := f.StuckNode(m.Out); ok {
+// evalGate computes the effective output value of the gate at position
+// p under fault f (non-nil; use &NoFault) from the node values in vals.
+// "Effective" means the value readers observe: a stem-stuck output holds
+// its stuck value, and branch faults are applied to the pins that read
+// them.
+func (e *Evaluator) evalGate(p int, f *fault.Fault, vals []logic.Val) logic.Val {
+	pos := e.cc.pos
+	g := &pos.Gates[p]
+	if v, ok := f.StuckNode(g.Out); ok {
 		return v
 	}
-	fanin := cc.Fanin[m.Lo:m.Hi]
+	gi := e.cc.Order[p]
+	fanin := pos.Fanin[g.Lo:g.Hi]
 	// Gather through a stack buffer (spilling to the heap scratch only
 	// for the rare very-wide gate): the hot path stays allocation-free
 	// and bounds-check-free.
@@ -464,10 +382,10 @@ func (e *Evaluator) EvalGate(gi netlist.GateID, f *fault.Fault, vals []logic.Val
 	if len(fanin) <= len(buf) {
 		in = buf[:len(fanin)]
 	}
-	for p, id := range fanin {
-		in[p] = f.SeenBy(gi, int32(p), id, vals[id])
+	for k, id := range fanin {
+		in[k] = f.SeenBy(gi, int32(k), id, vals[id])
 	}
-	return EvalOp(m.Op, in)
+	return EvalOp(g.Op, in)
 }
 
 // EvalFrame computes the effective value of every node for one time
@@ -485,7 +403,7 @@ func (e *Evaluator) EvalFrame(pi, ps []logic.Val, f *fault.Fault, vals []logic.V
 	for i, q := range cc.FFQ {
 		vals[q] = f.Observed(q, ps[i])
 	}
-	for _, gi := range cc.Order {
-		vals[cc.GOut[gi]] = e.EvalGate(gi, f, vals)
+	for p, g := range cc.pos.Gates {
+		vals[g.Out] = e.evalGate(p, f, vals)
 	}
 }

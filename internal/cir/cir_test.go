@@ -3,7 +3,6 @@ package cir_test
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/cir"
@@ -78,8 +77,8 @@ func TestCompileMatchesNetlist(t *testing.T) {
 		for gi := range c.Gates {
 			g := &c.Gates[gi]
 			id := netlist.GateID(gi)
-			if cc.Ops[gi] != g.Op || cc.GOut[gi] != g.Out || cc.Level[gi] != g.Level {
-				t.Fatalf("gate %d: op/out/level mismatch", gi)
+			if cc.Ops[gi] != g.Op || cc.GOut[gi] != g.Out {
+				t.Fatalf("gate %d: op/out mismatch", gi)
 			}
 			fanin := cc.FaninOf(id)
 			if len(fanin) != len(g.In) {
@@ -125,21 +124,51 @@ func TestCompileMatchesNetlist(t *testing.T) {
 				t.Fatalf("ff %d: Q/D/Init mismatch", i)
 			}
 		}
-		// Level buckets must partition Order with matching levels.
 		if len(cc.Order) != len(c.Order) {
 			t.Fatalf("order length %d, want %d", len(cc.Order), len(c.Order))
 		}
-		seen := 0
-		for l := int32(1); l <= cc.MaxLevel; l++ {
-			for _, gi := range cc.Order[cc.LevelStart[l]:cc.LevelStart[l+1]] {
-				if cc.Level[gi] != l {
-					t.Fatalf("level bucket %d holds gate %d of level %d", l, gi, cc.Level[gi])
-				}
-				seen++
+		checkPositions(t, cc)
+	}
+}
+
+// checkPositions checks the invariant every event drain relies on:
+// cc.Positions lists the gates of cc.Order with their fanin, each
+// gate's fanin drivers sit at lower positions (so an ascending drain
+// evaluates a gate after all of its writers), and the position fanout
+// names each reader by its position.
+func checkPositions(t *testing.T, cc *cir.CC) {
+	t.Helper()
+	pos := cc.Positions()
+	if len(pos.Gates) != len(cc.Order) {
+		t.Fatalf("%d position records, %d gates in order", len(pos.Gates), len(cc.Order))
+	}
+	for p, gi := range cc.Order {
+		if cc.OrderPos[gi] != int32(p) {
+			t.Fatalf("OrderPos[%d] = %d, want %d", gi, cc.OrderPos[gi], p)
+		}
+		r := pos.Gates[p]
+		if r.Out != cc.GOut[gi] || r.Op != cc.Ops[gi] {
+			t.Fatalf("position %d: record %+v, gate %d", p, r, gi)
+		}
+		in := cc.FaninOf(gi)
+		if int(r.Hi-r.Lo) != len(in) {
+			t.Fatalf("position %d: %d fanin, gate has %d", p, r.Hi-r.Lo, len(in))
+		}
+		for k, id := range in {
+			if pos.Fanin[int(r.Lo)+k] != id {
+				t.Fatalf("position %d pin %d: fanin %d, want %d", p, k, pos.Fanin[int(r.Lo)+k], id)
+			}
+			if d := cc.Driver[id]; d != netlist.NoGate && cc.OrderPos[d] >= int32(p) {
+				t.Fatalf("position %d pin %d: driver at position %d", p, k, cc.OrderPos[d])
 			}
 		}
-		if seen != len(cc.Order) {
-			t.Fatalf("level buckets cover %d gates, order has %d", seen, len(cc.Order))
+	}
+	if len(pos.Fanout) != len(cc.FanoutGate) {
+		t.Fatalf("%d position fanout entries, %d fanout pins", len(pos.Fanout), len(cc.FanoutGate))
+	}
+	for k, gi := range cc.FanoutGate {
+		if pos.Fanout[k] != cc.OrderPos[gi] {
+			t.Fatalf("fanout %d: position %d, want %d", k, pos.Fanout[k], cc.OrderPos[gi])
 		}
 	}
 }
@@ -270,132 +299,6 @@ func TestEvalOpVVMatchesScalar(t *testing.T) {
 	}
 }
 
-// bruteCone computes the sequential fanout closure of a fault site
-// directly on the pointer-chasing netlist, as the reference for FillCone.
-func bruteCone(c *netlist.Circuit, f fault.Fault) (gates map[netlist.GateID]bool, nodes map[netlist.NodeID]bool) {
-	gates = make(map[netlist.GateID]bool)
-	nodes = make(map[netlist.NodeID]bool)
-	var stack []netlist.NodeID
-	var addNode func(n netlist.NodeID)
-	addNode = func(n netlist.NodeID) {
-		if !nodes[n] {
-			nodes[n] = true
-			stack = append(stack, n)
-		}
-	}
-	addGate := func(g netlist.GateID) {
-		if !gates[g] {
-			gates[g] = true
-			addNode(c.Gates[g].Out)
-		}
-	}
-	if f.IsStem() {
-		addNode(f.Node)
-	} else {
-		addGate(f.Gate)
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pin := range c.Nodes[n].Fanouts {
-			addGate(pin.Gate)
-		}
-		if i := c.Nodes[n].DOf; i >= 0 {
-			addNode(c.FFs[i].Q)
-		}
-	}
-	return gates, nodes
-}
-
-// TestConeMatchesBruteForce checks FillCone's gate/FF/output sets and
-// ordering invariants against the brute-force closure for every fault of
-// random circuits.
-func TestConeMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	for trial := 0; trial < 20; trial++ {
-		c, err := randomCircuit(rng, 2+rng.Intn(4), 1+rng.Intn(5), 8+rng.Intn(40))
-		if err != nil {
-			continue
-		}
-		cc := cir.Compile(c)
-		co := cc.NewCone()
-		for _, f := range fault.List(c) {
-			cc.FillCone(&f, co)
-			gates, nodes := bruteCone(c, f)
-			if len(co.Gates) != len(gates) {
-				t.Fatalf("%s: cone has %d gates, brute force %d", f.Name(c), len(co.Gates), len(gates))
-			}
-			for _, g := range co.Gates {
-				if !gates[g] {
-					t.Fatalf("%s: cone gate %d not in brute-force closure", f.Name(c), g)
-				}
-				if !co.InGate(g) {
-					t.Fatalf("%s: InGate(%d) false for listed gate", f.Name(c), g)
-				}
-			}
-			for n := range nodes {
-				if !co.InNode(n) {
-					t.Fatalf("%s: brute-force node %s not marked in cone", f.Name(c), c.NodeName(n))
-				}
-			}
-			// FFs and Outs must be ascending (detection ordering depends
-			// on Outs; Gates carries no order guarantee).
-			for k := 1; k < len(co.FFs); k++ {
-				if co.FFs[k-1] >= co.FFs[k] {
-					t.Fatalf("%s: cone FFs not ascending", f.Name(c))
-				}
-			}
-			for k := 1; k < len(co.Outs); k++ {
-				if co.Outs[k-1] >= co.Outs[k] {
-					t.Fatalf("%s: cone outputs not ascending", f.Name(c))
-				}
-			}
-			// FF and output membership must match the node set exactly.
-			wantFFs := 0
-			for i, ff := range c.FFs {
-				if nodes[ff.Q] {
-					wantFFs++
-					found := false
-					for _, j := range co.FFs {
-						if int(j) == i {
-							found = true
-						}
-					}
-					if !found {
-						t.Fatalf("%s: flip-flop %d missing from cone FFs", f.Name(c), i)
-					}
-				}
-			}
-			if wantFFs != len(co.FFs) {
-				t.Fatalf("%s: cone has %d FFs, want %d", f.Name(c), len(co.FFs), wantFFs)
-			}
-			wantOuts := 0
-			for j, id := range c.Outputs {
-				if nodes[id] {
-					wantOuts++
-					found := false
-					for _, p := range co.Outs {
-						if int(p) == j {
-							found = true
-						}
-					}
-					if !found {
-						t.Fatalf("%s: output %d missing from cone outputs", f.Name(c), j)
-					}
-				}
-			}
-			if wantOuts != len(co.Outs) {
-				t.Fatalf("%s: cone has %d outputs, want %d", f.Name(c), len(co.Outs), wantOuts)
-			}
-		}
-		// NoFault yields an empty cone even after reuse.
-		cc.FillCone(&cir.NoFault, co)
-		if co.Size() != 0 || len(co.FFs) != 0 || len(co.Outs) != 0 {
-			t.Fatalf("NoFault cone not empty: %d gates", co.Size())
-		}
-	}
-}
-
 // TestForCache checks that For compiles once per circuit and returns the
 // shared instance thereafter.
 func TestForCache(t *testing.T) {
@@ -410,79 +313,5 @@ func TestForCache(t *testing.T) {
 	}
 	if cc.Net != c {
 		t.Fatalf("compiled IR points at wrong netlist")
-	}
-}
-
-// TestConeOfCache checks the per-site cone cache: repeated lookups
-// return the identical shared snapshot, faults at one site (either
-// polarity, any pin of one gate) share it, the lists match a
-// FillCone-filled cone, sites with equal cones share one snapshot and
-// sites with different cones do not, and NoFault maps to the empty
-// cone.
-func TestConeOfCache(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	shared := 0
-	for trial := 0; trial < 10; trial++ {
-		c, err := randomCircuit(rng, 2+rng.Intn(4), 1+rng.Intn(5), 8+rng.Intn(40))
-		if err != nil {
-			continue
-		}
-		cc := cir.Compile(c)
-		scratch := cc.NewCone()
-		bySite := make(map[string]*cir.Cone)
-		byContent := make(map[string]*cir.Cone)
-		sites := make(map[*cir.Cone]map[string]bool)
-		for _, f := range fault.List(c) {
-			co := cc.ConeOf(&f)
-			if co2 := cc.ConeOf(&f); co2 != co {
-				t.Fatalf("%s: repeated ConeOf returned distinct cones", f.Name(c))
-			}
-			var site string
-			if f.IsStem() {
-				site = "n" + c.NodeName(f.Node)
-			} else {
-				site = fmt.Sprintf("g%d", f.Gate)
-			}
-			if prev, ok := bySite[site]; ok && prev != co {
-				t.Fatalf("%s: site %s got a distinct cone per fault", f.Name(c), site)
-			}
-			bySite[site] = co
-			cc.FillCone(&f, scratch)
-			if len(co.Gates) != len(scratch.Gates) ||
-				!slices.Equal(co.FFs, scratch.FFs) ||
-				!slices.Equal(co.Outs, scratch.Outs) {
-				t.Fatalf("%s: cached cone differs from FillCone", f.Name(c))
-			}
-			for _, g := range co.Gates {
-				if !scratch.InGate(g) {
-					t.Fatalf("%s: cached cone gate %d not in FillCone set", f.Name(c), g)
-				}
-			}
-			gates := slices.Clone(co.Gates)
-			slices.Sort(gates)
-			key := fmt.Sprint(gates, co.FFs, co.Outs)
-			if prev, ok := byContent[key]; ok && prev != co {
-				t.Fatalf("%s: equal cones at two sites are distinct snapshots", f.Name(c))
-			}
-			byContent[key] = co
-			if sites[co] == nil {
-				sites[co] = make(map[string]bool)
-			}
-			sites[co][site] = true
-		}
-		if len(byContent) != len(sites) {
-			t.Fatalf("%d distinct cone contents in %d snapshots", len(byContent), len(sites))
-		}
-		for _, ss := range sites {
-			if len(ss) > 1 {
-				shared++
-			}
-		}
-		if co := cc.ConeOf(&cir.NoFault); co.Size() != 0 || len(co.FFs) != 0 || len(co.Outs) != 0 {
-			t.Fatalf("NoFault ConeOf not empty: %d gates", co.Size())
-		}
-	}
-	if shared == 0 {
-		t.Fatal("no snapshot was shared by two sites")
 	}
 }

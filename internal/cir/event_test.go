@@ -1,11 +1,12 @@
 package cir_test
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cir"
-	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 )
@@ -38,42 +39,15 @@ func TestEventEvalOpLUTMatchesLogicEval(t *testing.T) {
 	}
 }
 
-// TestEventFullSchedShape checks the whole-circuit schedule built at
-// Compile: ascending occupied levels, bucket capacities equal to the
-// per-level gate counts, and total capacity equal to the gate count.
-func TestEventFullSchedShape(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 20; trial++ {
-		c, err := randomCircuit(rng, 3, 4, 10+rng.Intn(30))
-		if err != nil {
-			continue
-		}
-		cc := cir.For(c)
-		s := cc.FullSched()
-		if s.NumGates() != cc.NumGates() {
-			t.Fatalf("trial %d: FullSched capacity %d, circuit has %d gates", trial, s.NumGates(), cc.NumGates())
-		}
-		if len(s.Off) != len(s.Levels)+1 || s.Off[0] != 0 {
-			t.Fatalf("trial %d: malformed offsets %v for levels %v", trial, s.Off, s.Levels)
-		}
-		for k, l := range s.Levels {
-			if k > 0 && l <= s.Levels[k-1] {
-				t.Fatalf("trial %d: levels not ascending: %v", trial, s.Levels)
-			}
-			want := cc.LevelStart[l+1] - cc.LevelStart[l]
-			if got := s.Off[k+1] - s.Off[k]; got != want {
-				t.Fatalf("trial %d: level %d bucket capacity %d, want %d", trial, l, got, want)
-			}
-		}
-	}
-}
-
 // TestEventEvalMatchesEvalFrame is the evaluator-level property test:
 // seeding an EventEval with the input/state lines that changed between
 // two frames and draining must reproduce a dense re-evaluation exactly,
 // with Touched listing precisely the divergent nodes. Several frames
 // run on one evaluator so the epoch machinery (no per-frame clears) is
-// exercised across frames with different seed sets.
+// exercised across frames with different seed sets. After the first
+// frame the epoch jumps to just short of the uint32 wrap, so the third
+// frame reuses the first frame's epoch: values the first frame stamped
+// must not leak into it.
 func TestEventEvalMatchesEvalFrame(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 25; trial++ {
@@ -91,6 +65,9 @@ func TestEventEvalMatchesEvalFrame(t *testing.T) {
 		ev.EvalFrame(pi, ps, &cir.NoFault, base)
 
 		for frame := 0; frame < 6; frame++ {
+			if frame == 1 {
+				eev.Overlay().SetEpoch(math.MaxUint32 - 1)
+			}
 			pi2 := append([]logic.Val(nil), pi...)
 			ps2 := append([]logic.Val(nil), ps...)
 			for i := range pi2 {
@@ -106,7 +83,7 @@ func TestEventEvalMatchesEvalFrame(t *testing.T) {
 			want := make([]logic.Val, cc.NumNodes())
 			ev.EvalFrame(pi2, ps2, &cir.NoFault, want)
 
-			eev.BeginFrame(base, cc.FullSched())
+			eev.BeginFrame(base)
 			for i, id := range cc.Inputs {
 				eev.Set(id, pi2[i])
 			}
@@ -147,70 +124,56 @@ func TestEventEvalMatchesEvalFrame(t *testing.T) {
 	}
 }
 
-// TestEventEvalSchedRebind drains one evaluator alternately against the
-// schedule of a fault's cone gates and the full schedule: bindSched must
-// resize the bucket storage and refresh the level map without leaking
-// state from the previous schedule.
-func TestEventEvalSchedRebind(t *testing.T) {
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 15; trial++ {
-		c, err := randomCircuit(rng, 3, 4, 12+rng.Intn(24))
-		if err != nil {
-			continue
-		}
-		cc := cir.For(c)
-		ev := cc.NewEvaluator()
-		eev := cc.NewEventEval()
-		faults := fault.List(c)
-		f := faults[rng.Intn(len(faults))]
-		sched := cc.BuildSched(cc.ConeOf(&f).Gates)
-		if sched.NumGates() == 0 {
-			continue
-		}
+// TestOverlayEpochWrap drives the shared overlay across the uint32
+// epoch wrap: a stamp written before the wrap, at the last epoch or at
+// an epoch the restarted count reaches again, must not read as live
+// after it. It also drains the schedule both ways and checks that the
+// pending range is empty afterwards.
+func TestOverlayEpochWrap(t *testing.T) {
+	c, err := randomCircuit(rand.New(rand.NewSource(67)), 3, 4, 150)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cir.Compile(c)
+	o := cc.NewOverlay()
+	a, b := netlist.NodeID(1), netlist.NodeID(2)
+	o.SetEpoch(0)
+	o.Begin() // epoch 1, the first epoch after a wrap
+	if !o.Mark(a) || o.Mark(a) || !o.Live(a) {
+		t.Fatal("first mark of a node not reported once, or not live")
+	}
+	o.SetEpoch(math.MaxUint32 - 1)
+	o.Begin() // epoch MaxUint32
+	if o.Live(a) || len(o.Touched()) != 0 {
+		t.Fatal("a new frame kept a live node or touched list")
+	}
+	o.Mark(b)
+	o.Begin() // wraps to epoch 1
+	if o.Live(a) || o.Live(b) {
+		t.Fatalf("stamp from before the wrap reads live after it (a %v, b %v)", o.Live(a), o.Live(b))
+	}
 
-		pi := randomVals(rng, cc.NumInputs())
-		ps := randomVals(rng, cc.NumFFs())
-		base := make([]logic.Val, cc.NumNodes())
-		ev.EvalFrame(pi, ps, &cir.NoFault, base)
-
-		for frame := 0; frame < 4; frame++ {
-			// Odd frames: full-schedule perturbation of one input.
-			// Even frames: cone-schedule faulty frame against the same base.
-			if frame%2 == 1 {
-				pi2 := append([]logic.Val(nil), pi...)
-				k := rng.Intn(len(pi2))
-				pi2[k] = logic.Val(rng.Intn(3))
-				want := make([]logic.Val, cc.NumNodes())
-				ev.EvalFrame(pi2, ps, &cir.NoFault, want)
-				eev.BeginFrame(base, cc.FullSched())
-				eev.Set(cc.Inputs[k], pi2[k])
-				eev.Drain(&cir.NoFault)
-				for n := range want {
-					if got := eev.Read(netlist.NodeID(n)); got != want[n] {
-						t.Fatalf("trial %d frame %d (full): node %d event=%v dense=%v", trial, frame, n, got, want[n])
-					}
-				}
-				continue
+	n := cc.NumGates()
+	for _, ascending := range []bool{true, false} {
+		pop, want := o.Next, []int{0, 63, 64, n / 2, n / 2, n - 1}
+		if !ascending {
+			pop, want = o.Last, []int{n - 1, n / 2, n / 2, 64, 63, 0}
+		}
+		for _, p := range []int{n - 1, 0, n / 2, 63, 64, n / 2} {
+			o.Push(int32(p))
+		}
+		var got []int
+		for p := pop(); p >= 0; p = pop() {
+			if p == n/2 && !slices.Contains(got, p) {
+				o.Push(int32(p)) // a push during the drain is drained too
 			}
-			want := make([]logic.Val, cc.NumNodes())
-			ev.EvalFrame(pi, ps, &f, want)
-			eev.BeginFrame(base, sched)
-			if f.IsStem() {
-				if v, ok := f.StuckNode(f.Node); ok {
-					eev.Set(f.Node, v)
-				}
-			} else {
-				eev.Enqueue(f.Gate)
-			}
-			eev.Drain(&f)
-			// Only cone nodes can diverge; the drain must reproduce the
-			// dense faulty frame on every node.
-			for n := range want {
-				if got := eev.Read(netlist.NodeID(n)); got != want[n] {
-					t.Fatalf("trial %d frame %d (cone, fault %s): node %s event=%v dense=%v",
-						trial, frame, f.Name(c), c.NodeName(netlist.NodeID(n)), got, want[n])
-				}
-			}
+			got = append(got, p)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("ascending %v: drained %v, want %v", ascending, got, want)
+		}
+		if lo, hi := o.Range(); lo <= hi {
+			t.Fatalf("ascending %v: pending range [%d, %d] not empty after a drain", ascending, lo, hi)
 		}
 	}
 }

@@ -1,23 +1,12 @@
 package cir
 
-import "repro/internal/netlist"
+// SetEpoch sets the overlay's frame epoch, so a test can reach the
+// uint32 wrap without running four billion frames.
+func (o *Overlay) SetEpoch(epoch uint32) { o.epoch = epoch }
 
-// BuildSched returns the level-bucketed event schedule of a gate subset
-// (one bucket per occupied level, ascending), for tests that bind an
-// evaluator to a schedule other than FullSched.
-func (cc *CC) BuildSched(gates []netlist.GateID) *Sched {
-	counts := make([]int32, cc.MaxLevel+1)
-	for _, g := range gates {
-		counts[cc.Level[g]]++
-	}
-	s := &Sched{Off: []int32{0}}
-	off := int32(0)
-	for l := int32(1); l <= cc.MaxLevel; l++ {
-		if counts[l] > 0 {
-			s.Levels = append(s.Levels, l)
-			off += counts[l]
-			s.Off = append(s.Off, off)
-		}
-	}
-	return s
-}
+// Range returns the pending word range [lo, hi]; lo > hi when it is
+// empty.
+func (o *Overlay) Range() (lo, hi int) { return o.lo, o.hi }
+
+// Overlay returns the event evaluator's overlay.
+func (e *EventEval) Overlay() *Overlay { return &e.ov }

@@ -23,21 +23,19 @@ package cir
 // A pass is one 64-bit word of lanes; callers with more lanes run them
 // as several passes.
 //
-// The schedule is a bitmap over whole-circuit positions in cc.Order,
-// and the drain walks the compiled circuit's position-ordered view
-// (cc.Positions), which bitsim's evaluator shares: a push is one bit
-// set, and a drain is an ascending TrailingZeros scan. A gate's readers
-// sit at strictly higher levels, hence at later positions, so every
-// gate is evaluated at most once per frame and each bit is cleared as
-// the scan passes it. Events only ever follow fanout, so a frame's work
+// The schedule is the shared Overlay's bitmap over whole-circuit
+// positions in cc.Order, and the drain walks the compiled circuit's
+// position-ordered view (cc.Positions): a push is one bit set, and a
+// drain is an ascending scan. A gate's readers sit at strictly higher
+// levels, hence at later positions, so every gate is evaluated at most
+// once per frame and each bit is cleared as the scan passes it. Events
+// only ever follow fanout, so a frame's work
 // is bounded by the fanout closure of its seeds, with no per-pass
 // region to compute. The evaluator records the nodes it stores per
 // frame (Touched), so a caller scans only the divergent flip-flop and
 // output nodes instead of every candidate.
 
 import (
-	"math/bits"
-
 	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
@@ -68,22 +66,17 @@ type LaneEval struct {
 	// pos is cc.Positions(): gate records, fanin and fanout by position.
 	pos *Positions
 
-	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch.
-	vals  []VV
-	stamp []uint32
-	epoch uint32
+	// ov holds the node stamps, the touched list (the nodes stored this
+	// frame, in store order) and the schedule; vals[n] is node n's value
+	// while ov marks n live.
+	ov   Overlay
+	vals []VV
 	// base is the scalar frame the overlay diverges from, bound per
 	// frame and never written.
 	base []logic.Val
 	// active masks the lanes whose values matter this frame: a value
 	// that differs from the baseline on other lanes only is no event.
 	active uint64
-
-	// pending is the schedule bitmap over cc.Order positions, all-zero
-	// outside Drain.
-	pending []uint64
-	// touched lists the nodes stored this frame, in store order.
-	touched []netlist.NodeID
 
 	// The bound fault: branch/pin the branch fault gate's position and
 	// input pin (folded with the stuck value on that pin, -1: none),
@@ -97,11 +90,10 @@ type LaneEval struct {
 // NewLaneEval returns a lane evaluator sized for the circuit.
 func (cc *CC) NewLaneEval() *LaneEval {
 	return &LaneEval{
-		cc:      cc,
-		pos:     cc.Positions(),
-		vals:    make([]VV, cc.NumNodes()),
-		stamp:   make([]uint32, cc.NumNodes()),
-		pending: make([]uint64, (len(cc.Order)+63)>>6),
+		cc:   cc,
+		pos:  cc.Positions(),
+		ov:   cc.NewOverlay(),
+		vals: make([]VV, cc.NumNodes()),
 	}
 }
 
@@ -124,13 +116,7 @@ func (e *LaneEval) BeginPass(f *fault.Fault) {
 func (e *LaneEval) BeginFrame(base []logic.Val, active uint64) {
 	e.base = base
 	e.active = active
-	e.touched = e.touched[:0]
-	e.epoch++
-	if e.epoch == 0 {
-		// uint32 wrap: stale stamps could alias the new epoch.
-		clear(e.stamp)
-		e.epoch = 1
-	}
+	e.ov.Begin()
 }
 
 // Seed loads node id (typically a flip-flop Q node) with lane values v,
@@ -146,7 +132,7 @@ func (e *LaneEval) Seed(id netlist.NodeID, v VV) {
 // Value returns node id's lane values this frame: the overlay if the
 // node diverged, else the baseline broadcast.
 func (e *LaneEval) Value(id netlist.NodeID) VV {
-	if e.stamp[id] == e.epoch {
+	if e.ov.Live(id) {
 		return e.vals[id]
 	}
 	return vvBroadcast[e.base[id]]
@@ -157,7 +143,7 @@ func (e *LaneEval) Value(id netlist.NodeID) VV {
 // seeded nodes first, then gate outputs in ascending cc.Order position.
 // Every other node holds the baseline on every active lane. The slice
 // is valid until the next BeginFrame.
-func (e *LaneEval) Touched() []netlist.NodeID { return e.touched }
+func (e *LaneEval) Touched() []netlist.NodeID { return e.ov.Touched() }
 
 // differs reports whether v differs from node id's baseline on an
 // active lane.
@@ -170,85 +156,70 @@ func (e *LaneEval) differs(id netlist.NodeID, v VV) bool {
 // store records v as node id's value and schedules every reading gate.
 func (e *LaneEval) store(id netlist.NodeID, v VV) {
 	e.vals[id] = v
-	if e.stamp[id] != e.epoch {
-		e.stamp[id] = e.epoch
-		e.touched = append(e.touched, id)
-	}
-	start := e.cc.FanoutStart
-	for _, p := range e.pos.Fanout[start[id]:start[id+1]] {
-		e.pending[p>>6] |= 1 << (p & 63)
-	}
+	e.ov.Mark(id)
+	e.ov.PushReaders(id)
 }
 
 // Drain evaluates every scheduled gate whose baseline output is X in
 // ascending position order, feeding output changes back into the
 // schedule, and returns the number of gates it folded; a scheduled gate
 // with a binary baseline output is popped and skipped. Pushes land only
-// on later positions: higher bits of the current word (picked up by the
-// inner re-read) or later words.
+// on later positions, which the ascending scan still reaches.
 //
 // The gate fold is inlined per operator: this loop is the hot core of
 // resimulation. Only the branch fault gate takes the shared VVFold, to
 // keep the pin-override test off the common path.
 func (e *LaneEval) Drain() int {
-	if len(e.touched) == 0 {
-		return 0 // nothing seeded: nothing scheduled
-	}
 	gates, fanin := e.pos.Gates, e.pos.Fanin
 	evals := 0
-	for w := range e.pending {
-		for e.pending[w] != 0 {
-			bit := bits.TrailingZeros64(e.pending[w])
-			e.pending[w] &^= 1 << bit
-			p := w<<6 | bit
-			g := &gates[p]
-			if e.base[g.Out] != logic.X {
-				// A binary baseline output is fixed on every lane that
-				// refines the frame: nothing to fold.
-				continue
-			}
-			evals++
-			var v VV
-			ins := fanin[g.Lo:g.Hi]
-			switch {
-			case p == e.branch:
-				fo := StartVV(g.Op)
-				for k, id := range ins {
-					if int32(k) == e.pin {
-						fo.Add(e.stuck)
-					} else {
-						fo.Add(e.Value(id))
-					}
-				}
-				v = fo.Result()
-			case g.Op == logic.And || g.Op == logic.Nand:
-				v.One = ^uint64(0)
-				for _, id := range ins {
-					in := e.Value(id)
-					v.One &= in.One
-					v.Zero |= in.Zero
-				}
-			case g.Op == logic.Xor || g.Op == logic.Xnor:
-				v.Zero = ^uint64(0)
-				for _, id := range ins {
-					in := e.Value(id)
-					v.One, v.Zero = v.One&in.Zero|v.Zero&in.One, v.One&in.One|v.Zero&in.Zero
-				}
-			default: // Or, Nor, Buf, Not: the or-fold
-				// (Constants have no fanin, so no event schedules them.)
-				v.Zero = ^uint64(0)
-				for _, id := range ins {
-					in := e.Value(id)
-					v.One |= in.One
-					v.Zero &= in.Zero
+	for p := e.ov.Next(); p >= 0; p = e.ov.Next() {
+		g := &gates[p]
+		if e.base[g.Out] != logic.X {
+			// A binary baseline output is fixed on every lane that
+			// refines the frame: nothing to fold.
+			continue
+		}
+		evals++
+		var v VV
+		ins := fanin[g.Lo:g.Hi]
+		switch {
+		case p == e.branch:
+			fo := StartVV(g.Op)
+			for k, id := range ins {
+				if int32(k) == e.pin {
+					fo.Add(e.stuck)
+				} else {
+					fo.Add(e.Value(id))
 				}
 			}
-			if p != e.branch && g.Op.Inverting() {
-				v.One, v.Zero = v.Zero, v.One
+			v = fo.Result()
+		case g.Op == logic.And || g.Op == logic.Nand:
+			v.One = ^uint64(0)
+			for _, id := range ins {
+				in := e.Value(id)
+				v.One &= in.One
+				v.Zero |= in.Zero
 			}
-			if e.differs(g.Out, v) {
-				e.store(g.Out, v)
+		case g.Op == logic.Xor || g.Op == logic.Xnor:
+			v.Zero = ^uint64(0)
+			for _, id := range ins {
+				in := e.Value(id)
+				v.One, v.Zero = v.One&in.Zero|v.Zero&in.One, v.One&in.One|v.Zero&in.Zero
 			}
+		default: // Or, Nor, Buf, Not: the or-fold
+			// (Constants have no fanin, so no event schedules them.)
+			v.Zero = ^uint64(0)
+			for _, id := range ins {
+				in := e.Value(id)
+				v.One |= in.One
+				v.Zero &= in.Zero
+			}
+		}
+		if p != e.branch && g.Op.Inverting() {
+			v.One, v.Zero = v.Zero, v.One
+		}
+		if e.differs(g.Out, v) {
+			e.store(g.Out, v)
 		}
 	}
 	return evals

@@ -89,9 +89,9 @@ func TestEventSimCrossCheckSynthetic(t *testing.T) {
 }
 
 // TestEventSimCrossCheckLongList covers the uncollapsed sg208 list: one
-// simulator's event scratch, cone schedules and epoch stamps serve
-// hundreds of consecutive faults, crossing the uint32 epoch reuse path
-// many times over.
+// simulator's event scratch, position schedule and epoch stamps serve
+// hundreds of consecutive faults, reusing the overlay across thousands
+// of frames.
 func TestEventSimCrossCheckLongList(t *testing.T) {
 	e, err := circuits.SuiteEntryByName("sg208")
 	if err != nil {

@@ -31,8 +31,6 @@ package implic
 // therefore also closed under the backward rules.
 
 import (
-	"math/bits"
-
 	"repro/internal/cir"
 	"repro/internal/fault"
 	"repro/internal/logic"
@@ -52,15 +50,16 @@ const MaxLanes = cir.Lanes4
 // unspecified values.
 type LaneFrame struct {
 	cc *cir.CC
-	// gates packs each gate's closure metadata into one record.
-	gates []laneGate
+	// pos is cc.Positions(): gate records and fanin by position in
+	// cc.Order, so a gate's fanin drivers sit at lower and its readers
+	// at higher positions.
+	pos *cir.Positions
 
-	// vals/stamp are the overlay: vals[n] is live iff stamp[n] == epoch.
-	// touched lists the live nodes in store order.
-	vals    []cir.VV4
-	stamp   []uint32
-	epoch   uint32
-	touched []netlist.NodeID
+	// ov holds the node stamps, the touched list (the live nodes in
+	// store order) and the schedule over positions; vals[n] is node n's
+	// value while ov marks n live.
+	ov   cir.Overlay
+	vals []cir.VV4
 	// base is the frame every lane starts from, aliased and never
 	// written.
 	base []logic.Val
@@ -71,48 +70,25 @@ type LaneFrame struct {
 	active [4]uint64
 	conf   [4]uint64
 
-	// pending is the schedule bitmap, all-zero outside the closures;
-	// every set bit lies in words [lo, hi].
-	pending []uint64
-	lo, hi  int
-
 	// The bound fault: stem is the stem fault node (stemVal its stuck
-	// value), branch/pin the branch fault's gate and input position,
-	// stuck the stuck value broadcast to every lane.
+	// value), branch/pin the branch fault gate's position (-1: none) and
+	// input pin, stuck the stuck value broadcast to every lane.
 	stem    netlist.NodeID
 	stemVal logic.Val
-	branch  netlist.GateID
+	branch  int
 	pin     int32
 	stuck   cir.VV4
 
 	evals int
 }
 
-// laneGate is one gate's record: output node, CSR fanin bounds,
-// operator, and position in cc.Order. The schedule is a bitmap over
-// those positions, so a gate's fanin drivers sit at lower and its
-// readers at higher positions.
-type laneGate struct {
-	out    netlist.NodeID
-	lo, hi int32
-	pos    int32
-	op     logic.Op
-}
-
 // NewLaneFrame returns a lane implication kernel sized for cc.
 func NewLaneFrame(cc *cir.CC) *LaneFrame {
-	gates := make([]laneGate, cc.NumGates())
-	for p, g := range cc.Order {
-		gates[g] = laneGate{out: cc.GOut[g], lo: cc.FaninStart[g], hi: cc.FaninStart[g+1], pos: int32(p), op: cc.Ops[g]}
-	}
 	return &LaneFrame{
-		cc:      cc,
-		gates:   gates,
-		vals:    make([]cir.VV4, cc.NumNodes()),
-		stamp:   make([]uint32, cc.NumNodes()),
-		pending: make([]uint64, (cc.NumGates()+63)>>6),
-		lo:      (cc.NumGates() + 63) >> 6,
-		hi:      -1,
+		cc:   cc,
+		pos:  cc.Positions(),
+		ov:   cc.NewOverlay(),
+		vals: make([]cir.VV4, cc.NumNodes()),
 	}
 }
 
@@ -133,20 +109,14 @@ func (lf *LaneFrame) Begin(f *fault.Fault, base []logic.Val, lanes int) {
 	if r := lanes & 63; r != 0 {
 		lf.active[lf.nw-1] = 1<<r - 1
 	}
-	lf.touched = lf.touched[:0]
 	lf.evals = 0
-	lf.epoch++
-	if lf.epoch == 0 {
-		// uint32 wrap: stale stamps could alias the new epoch.
-		clear(lf.stamp)
-		lf.epoch = 1
-	}
-	lf.stem, lf.stemVal, lf.branch, lf.pin = netlist.NoNode, logic.X, netlist.NoGate, 0
+	lf.ov.Begin()
+	lf.stem, lf.stemVal, lf.branch, lf.pin = netlist.NoNode, logic.X, -1, 0
 	if f.Node != netlist.NoNode {
 		if f.IsStem() {
 			lf.stem, lf.stemVal = f.Node, f.Stuck
 		} else {
-			lf.branch, lf.pin = f.Gate, f.Pin
+			lf.branch, lf.pin = int(lf.cc.OrderPos[f.Gate]), f.Pin
 		}
 	}
 	lf.stuck = cir.Broadcast4(f.Stuck)
@@ -184,31 +154,17 @@ func (lf *LaneFrame) AssertNextState(i, lane int, v logic.Val) bool {
 // conflict, the forward closure, and returns the number of gates
 // evaluated in lanes.
 func (lf *LaneFrame) Imply() int {
-	cc := lf.cc
 	// Seed the backward closure from the asserted next-state nodes.
-	for _, n := range lf.touched {
-		if d := cc.Driver[n]; d != netlist.NoGate {
-			lf.push(d)
-		}
-		for k := cc.FanoutStart[n]; k < cc.FanoutStart[n+1]; k++ {
-			lf.push(cc.FanoutGate[k])
-		}
+	for _, n := range lf.ov.Touched() {
+		lf.pushDriver(n)
+		lf.pushReaders(n)
 	}
 	// Backward: always take the highest pending position. Inference
 	// schedules fanin drivers below and sibling readers above the gate,
 	// so positions are revisited until nothing is pending.
-	for lf.hi >= 0 {
-		w := lf.hi
-		pw := lf.pending[w]
-		if pw == 0 {
-			lf.hi--
-			continue
-		}
-		bit := 63 - bits.LeadingZeros64(pw)
-		lf.pending[w] = pw &^ (1 << bit)
-		lf.infer(cc.Order[w<<6|bit])
+	for p := lf.ov.Last(); p >= 0; p = lf.ov.Last() {
+		lf.infer(p)
 	}
-	lf.lo = len(lf.pending)
 
 	live := uint64(0)
 	for w := 0; w < lf.nw; w++ {
@@ -218,24 +174,13 @@ func (lf *LaneFrame) Imply() int {
 		// Forward from every node the backward closure (or the
 		// assertions) changed; readers sit at higher positions, so one
 		// ascending scan reaches quiescence.
-		for _, n := range lf.touched {
-			for k := cc.FanoutStart[n]; k < cc.FanoutStart[n+1]; k++ {
-				lf.push(cc.FanoutGate[k])
-			}
+		for _, n := range lf.ov.Touched() {
+			lf.pushReaders(n)
 		}
-		for lf.lo < len(lf.pending) {
-			w := lf.lo
-			pw := lf.pending[w]
-			if pw == 0 {
-				lf.lo++
-				continue
-			}
-			bit := bits.TrailingZeros64(pw)
-			lf.pending[w] = pw &^ (1 << bit)
-			lf.eval(cc.Order[w<<6|bit])
+		for p := lf.ov.Next(); p >= 0; p = lf.ov.Next() {
+			lf.eval(p)
 		}
 	}
-	lf.hi = -1
 	return lf.evals
 }
 
@@ -251,7 +196,7 @@ func (lf *LaneFrame) Conflicts() [4]uint64 {
 // Value returns node n's lane values: the overlay if the node diverged
 // from the base, else the base broadcast. The result is read-only.
 func (lf *LaneFrame) Value(n netlist.NodeID) *cir.VV4 {
-	if lf.stamp[n] == lf.epoch {
+	if lf.ov.Live(n) {
 		return &lf.vals[n]
 	}
 	return cir.LaneBroadcast(lf.base[n])
@@ -261,7 +206,7 @@ func (lf *LaneFrame) Value(n netlist.NodeID) *cir.VV4 {
 // order: every node whose value diverges from the base on some lane,
 // plus nodes loaded without a change. The slice is read-only and valid
 // until the next Begin.
-func (lf *LaneFrame) Touched() []netlist.NodeID { return lf.touched }
+func (lf *LaneFrame) Touched() []netlist.NodeID { return lf.ov.Touched() }
 
 // Output returns the lane values of primary output j.
 func (lf *LaneFrame) Output(j int) *cir.VV4 { return lf.Value(lf.cc.Outputs[j]) }
@@ -279,43 +224,43 @@ func (lf *LaneFrame) NextState(i int) *cir.VV4 {
 // first use in the pass.
 func (lf *LaneFrame) load(n netlist.NodeID) *cir.VV4 {
 	v := &lf.vals[n]
-	if lf.stamp[n] != lf.epoch {
-		lf.stamp[n] = lf.epoch
-		b := cir.LaneBroadcast(lf.base[n])
-		for w := 0; w < lf.nw; w++ {
-			v.One[w], v.Zero[w] = b.One[w], b.Zero[w]
-		}
-		lf.touched = append(lf.touched, n)
+	if lf.ov.Mark(n) {
+		*v = *cir.LaneBroadcast(lf.base[n])
 	}
 	return v
 }
 
-// push schedules gate g unless its output is binary in the base. Such
-// a gate derives nothing in either closure: the base is
+// push schedules the gate at position p unless its output is binary in
+// the base. Such a gate derives nothing in either closure: the base is
 // forward-consistent, so inputs refining the base still evaluate to the
 // base output, and a binary base output is already justified by the
 // base inputs (a controlling input, or all inputs binary), so the
 // backward rules force no input. This also skips the driver of a
 // stuck stem, which holds its binary stuck value.
-func (lf *LaneFrame) push(g netlist.GateID) {
-	r := &lf.gates[g]
-	if lf.base[r.out] != logic.X {
-		return
-	}
-	p := r.pos
-	w := int(p >> 6)
-	lf.pending[w] |= 1 << (p & 63)
-	if w > lf.hi {
-		lf.hi = w
-	}
-	if w < lf.lo {
-		lf.lo = w
+func (lf *LaneFrame) push(p int32) {
+	if lf.base[lf.pos.Gates[p].Out] == logic.X {
+		lf.ov.Push(p)
 	}
 }
 
-// seen returns the lane values pin k of gate g reads from node n.
-func (lf *LaneFrame) seen(g netlist.GateID, k int32, n netlist.NodeID) *cir.VV4 {
-	if g == lf.branch && k == lf.pin {
+// pushDriver schedules the gate driving node n, if any.
+func (lf *LaneFrame) pushDriver(n netlist.NodeID) {
+	if d := lf.cc.Driver[n]; d != netlist.NoGate {
+		lf.push(lf.cc.OrderPos[d])
+	}
+}
+
+// pushReaders schedules every gate reading node n.
+func (lf *LaneFrame) pushReaders(n netlist.NodeID) {
+	for _, p := range lf.ov.Readers(n) {
+		lf.push(p)
+	}
+}
+
+// seen returns the lane values pin k of the gate at position p reads
+// from node n.
+func (lf *LaneFrame) seen(p int, k int32, n netlist.NodeID) *cir.VV4 {
+	if p == lf.branch && k == lf.pin {
 		return &lf.stuck
 	}
 	return lf.Value(n)
@@ -340,42 +285,39 @@ func (lf *LaneFrame) add(n netlist.NodeID, one, zero *[4]uint64) bool {
 // force merges inferred input values (one, zero) into node n and
 // schedules the backward rules the change enables: n's driver (its
 // output became binary) and every other reader whose output is binary
-// on a changed lane.
-func (lf *LaneFrame) force(n netlist.NodeID, one, zero *[4]uint64, from netlist.GateID) {
+// on a changed lane. from is the position of the gate that inferred
+// them.
+func (lf *LaneFrame) force(n netlist.NodeID, one, zero *[4]uint64, from int) {
 	if !lf.add(n, one, zero) {
 		return
 	}
-	cc := lf.cc
-	if d := cc.Driver[n]; d != netlist.NoGate {
-		lf.push(d)
-	}
-	for k := cc.FanoutStart[n]; k < cc.FanoutStart[n+1]; k++ {
-		g := cc.FanoutGate[k]
-		if g == from {
+	lf.pushDriver(n)
+	for _, p := range lf.ov.Readers(n) {
+		if int(p) == from {
 			continue
 		}
-		o := lf.Value(lf.gates[g].out)
+		o := lf.Value(lf.pos.Gates[p].Out)
 		hit := uint64(0)
 		for w := 0; w < lf.nw; w++ {
 			hit |= (o.One[w] | o.Zero[w]) & (one[w] | zero[w])
 		}
 		if hit != 0 {
-			lf.push(g)
+			lf.push(p)
 		}
 	}
 }
 
-// infer applies the backward rules of logic.InferInputsInto at gate g
-// on every live lane whose output is binary: a non-controlled output
+// infer applies the backward rules of logic.InferInputsInto at the gate
+// at position p on every live lane whose output is binary: a non-controlled output
 // forces every X input non-controlling; a controlled output with no
 // controlling input and exactly one X input forces that input; a parity
 // gate (XOR, XNOR, BUF, NOT) with exactly one X input forces it. A gate
 // whose inputs contradict its output conflicts the lane.
-func (lf *LaneFrame) infer(g netlist.GateID) {
-	cc, r := lf.cc, &lf.gates[g]
+func (lf *LaneFrame) infer(p int) {
+	r, fanin := &lf.pos.Gates[p], lf.pos.Fanin
 	lf.evals++
 	nw := lf.nw
-	o := lf.Value(r.out)
+	o := lf.Value(r.Out)
 	var o1, o0 [4]uint64
 	bin := uint64(0)
 	for w := 0; w < nw; w++ {
@@ -387,18 +329,18 @@ func (lf *LaneFrame) infer(g netlist.GateID) {
 	if bin == 0 {
 		return
 	}
-	lo, hi := r.lo, r.hi
+	lo, hi := r.Lo, r.Hi
 	// x1/x2: lanes with at least one / at least two X inputs.
 	var x1, x2, f1, f0 [4]uint64
 	force := uint64(0)
-	switch op := r.op; op {
+	switch op := r.Op; op {
 	case logic.And, logic.Nand, logic.Or, logic.Nor:
 		// c1: the controlling value is 1 (OR family); anyC: lanes with
 		// a controlling input.
 		c1 := op == logic.Or || op == logic.Nor
 		var anyC [4]uint64
 		for k := lo; k < hi; k++ {
-			in := lf.seen(g, k-lo, cc.Fanin[k])
+			in := lf.seen(p, k-lo, fanin[k])
 			cp := &in.Zero
 			if c1 {
 				cp = &in.One
@@ -436,7 +378,7 @@ func (lf *LaneFrame) infer(g netlist.GateID) {
 		}
 		var par [4]uint64
 		for k := lo; k < hi; k++ {
-			in := lf.seen(g, k-lo, cc.Fanin[k])
+			in := lf.seen(p, k-lo, fanin[k])
 			for w := 0; w < nw; w++ {
 				x := ^(in.One[w] | in.Zero[w])
 				x2[w] |= x1[w] & x
@@ -463,8 +405,8 @@ func (lf *LaneFrame) infer(g netlist.GateID) {
 		return
 	}
 	for k := lo; k < hi; k++ {
-		n := cc.Fanin[k]
-		in := lf.seen(g, k-lo, n)
+		n := fanin[k]
+		in := lf.seen(p, k-lo, n)
 		var one, zero [4]uint64
 		hit := uint64(0)
 		for w := 0; w < nw; w++ {
@@ -474,30 +416,31 @@ func (lf *LaneFrame) infer(g netlist.GateID) {
 			hit |= one[w] | zero[w]
 		}
 		if hit != 0 {
-			lf.force(n, &one, &zero, g)
+			lf.force(n, &one, &zero, p)
 		}
 	}
 }
 
-// eval applies forward evaluation at gate g on every live lane, merging
-// the output and scheduling its readers when a lane changed.
-func (lf *LaneFrame) eval(g netlist.GateID) {
+// eval applies forward evaluation at the gate at position p on every
+// live lane, merging the output and scheduling its readers when a lane
+// changed.
+func (lf *LaneFrame) eval(p int) {
 	const allBits = ^uint64(0)
-	cc, r := lf.cc, &lf.gates[g]
+	r, fanin := &lf.pos.Gates[p], lf.pos.Fanin
 	lf.evals++
 	nw := lf.nw
-	out := r.out
+	out := r.Out
 	o := lf.Value(out)
-	lo, hi := r.lo, r.hi
+	lo, hi := r.Lo, r.Hi
 	var one, zero [4]uint64
-	op := r.op
+	op := r.Op
 	switch op {
 	case logic.And, logic.Nand:
 		for w := 0; w < nw; w++ {
 			one[w] = allBits
 		}
 		for k := lo; k < hi; k++ {
-			in := lf.seen(g, k-lo, cc.Fanin[k])
+			in := lf.seen(p, k-lo, fanin[k])
 			for w := 0; w < nw; w++ {
 				one[w] &= in.One[w]
 				zero[w] |= in.Zero[w]
@@ -508,7 +451,7 @@ func (lf *LaneFrame) eval(g netlist.GateID) {
 			zero[w] = allBits
 		}
 		for k := lo; k < hi; k++ {
-			in := lf.seen(g, k-lo, cc.Fanin[k])
+			in := lf.seen(p, k-lo, fanin[k])
 			for w := 0; w < nw; w++ {
 				t := one[w]&in.Zero[w] | zero[w]&in.One[w]
 				zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
@@ -521,7 +464,7 @@ func (lf *LaneFrame) eval(g netlist.GateID) {
 			zero[w] = allBits
 		}
 		for k := lo; k < hi; k++ {
-			in := lf.seen(g, k-lo, cc.Fanin[k])
+			in := lf.seen(p, k-lo, fanin[k])
 			for w := 0; w < nw; w++ {
 				one[w] |= in.One[w]
 				zero[w] &= in.Zero[w]
@@ -542,7 +485,5 @@ func (lf *LaneFrame) eval(g netlist.GateID) {
 	if hit == 0 || !lf.add(out, po, pz) {
 		return
 	}
-	for k := cc.FanoutStart[out]; k < cc.FanoutStart[out+1]; k++ {
-		lf.push(cc.FanoutGate[k])
-	}
+	lf.pushReaders(out)
 }

@@ -502,7 +502,7 @@ func (s *Simulator) faultyFrame(pat Pattern, ps []logic.Val, good *Trace, u int,
 }
 
 // evalSparse evaluates a faulty frame as a sparse overlay over the
-// fault-free frame goodVals, on the whole-circuit schedule, seeded with
+// fault-free frame goodVals, on the whole-circuit position schedule, seeded with
 // the divergent flip-flops (s.div) and the fault site. Every other
 // flip-flop holds its fault-free value and the pattern is the one the
 // baseline was simulated with, so no other seed could change a value.
@@ -511,7 +511,7 @@ func (s *Simulator) faultyFrame(pat Pattern, ps []logic.Val, good *Trace, u int,
 func (s *Simulator) evalSparse(ps, goodVals []logic.Val, f *fault.Fault) {
 	cc := s.cc
 	eev := s.ensureEEV()
-	eev.BeginFrame(goodVals, cc.FullSched())
+	eev.BeginFrame(goodVals)
 	for _, i := range s.div {
 		eev.Set(cc.FFQ[i], ps[i])
 	}
@@ -608,7 +608,7 @@ func (s *Simulator) FrameDelta(pat Pattern, ps []logic.Val, goodVals []logic.Val
 	}
 	cc := s.cc
 	eev := s.ensureEEV()
-	eev.BeginFrame(goodVals, cc.FullSched())
+	eev.BeginFrame(goodVals)
 	for i, id := range cc.Inputs {
 		eev.Set(id, f.Observed(id, pat[i]))
 	}

@@ -277,10 +277,10 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 		workers = runtime.NumCPU()
 	}
 
-	// Faults run in list order, as motfsim runs them without
-	// -cone-order: the list is a pure function of the circuit, so warm
-	// and cold submissions of the same request simulate the same faults
-	// in the same order and their results stay byte-identical.
+	// Faults run in list order, as motfsim runs them: the list is a
+	// pure function of the circuit, so warm and cold submissions of the
+	// same request simulate the same faults in the same order and their
+	// results stay byte-identical.
 	faults := fault.CollapsedList(c)
 	if req.FullFaults {
 		faults = fault.List(c)

@@ -36,7 +36,6 @@ import (
 	"repro/internal/atpg"
 	"repro/internal/bench"
 	"repro/internal/bitsim"
-	"repro/internal/cir"
 	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/fault"
@@ -203,13 +202,6 @@ func Faults(c *Circuit) []Fault { return fault.List(c) }
 
 // CollapsedFaults returns the equivalence-collapsed fault list.
 func CollapsedFaults(c *Circuit) []Fault { return fault.CollapsedList(c) }
-
-// SortFaultsByCone reorders faults in place so faults with identical or
-// overlapping active cones become adjacent. The ordering is a
-// deterministic pure function of the circuit and the list, and changes
-// no simulation result. As a side effect every fault's cone snapshot is
-// computed and cached on the compiled circuit.
-func SortFaultsByCone(c *Circuit, faults []Fault) { cir.SortFaultsByCone(cir.For(c), faults) }
 
 // RandomSequence returns a seeded random binary test sequence for c.
 func RandomSequence(c *Circuit, length int, seed int64) Sequence {
