@@ -39,6 +39,32 @@ func TestEventEvalOpLUTMatchesLogicEval(t *testing.T) {
 	}
 }
 
+// TestEventFullSchedShape checks the whole-circuit schedule every event
+// drain walks: cc.Order lists each gate exactly once, and the position
+// view built at Compile satisfies the position-order invariant, so an
+// ascending drain evaluates every gate after all of its writers.
+func TestEventFullSchedShape(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 20; trial++ {
+		c, err := randomCircuit(rng, 3, 4, 10+rng.Intn(30))
+		if err != nil {
+			continue
+		}
+		cc := cir.For(c)
+		if len(cc.Order) != cc.NumGates() {
+			t.Fatalf("trial %d: schedule holds %d gates, circuit has %d", trial, len(cc.Order), cc.NumGates())
+		}
+		seen := make([]bool, cc.NumGates())
+		for p, gi := range cc.Order {
+			if seen[gi] {
+				t.Fatalf("trial %d: gate %d scheduled twice (again at position %d)", trial, gi, p)
+			}
+			seen[gi] = true
+		}
+		checkPositions(t, cc)
+	}
+}
+
 // TestEventEvalMatchesEvalFrame is the evaluator-level property test:
 // seeding an EventEval with the input/state lines that changed between
 // two frames and draining must reproduce a dense re-evaluation exactly,

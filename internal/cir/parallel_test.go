@@ -11,20 +11,19 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestPositionsParallel shares one freshly compiled circuit across many
-// goroutines, each with its own Evaluator and EventEval over the shared
-// position view, and cross-checks every fault's faulty frame against a
-// serial dense pass. Every caller must get the same view, and it must
-// satisfy the position-order invariant. Run under -race it also proves
-// a CC is safe for concurrent read-only use.
-func TestPositionsParallel(t *testing.T) {
+// TestConeParallelCrossCheck shares one freshly compiled circuit across
+// many goroutines, each with its own Evaluator and EventEval over the
+// shared position view, and cross-checks every fault's faulty frame —
+// dense, and event-driven from the fault site through its fanout cone —
+// against a serial dense pass. Run under -race it also proves a CC is
+// safe for concurrent read-only use.
+func TestConeParallelCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	c, err := randomCircuit(rng, 4, 4, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cc := cir.Compile(c)
-	checkPositions(t, cc)
 	faults := fault.List(c)
 	pi := randomVals(rng, c.NumInputs())
 	ps := randomVals(rng, c.NumFFs())
@@ -84,4 +83,32 @@ func TestPositionsParallel(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPositionsParallel reads a freshly compiled circuit's position view
+// from many goroutines at once: every caller must get the same view, and
+// it must satisfy the position-order invariant.
+func TestPositionsParallel(t *testing.T) {
+	c, err := randomCircuit(rand.New(rand.NewSource(61)), 4, 4, 60)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := cir.Compile(c)
+	const n = 8
+	got := make([]*cir.Positions, n)
+	var wg sync.WaitGroup
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = cc.Positions()
+		}(g)
+	}
+	wg.Wait()
+	for g, p := range got {
+		if p != got[0] {
+			t.Fatalf("caller %d got a different view", g)
+		}
+	}
+	checkPositions(t, cc)
 }
