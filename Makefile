@@ -23,7 +23,7 @@ GO ?= go
 RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
-.PHONY: build test vet race fuzz perfbench-test verify bench bench-lite bench-collect benchdiff trace
+.PHONY: build test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace
 
 build:
 	$(GO) build ./...
@@ -40,8 +40,9 @@ race:
 # Fuzz the event kernels and the whole run for FUZZTIME each, beyond
 # their seed corpora (which `go test` already runs): FrameDelta and the
 # divergence-driven step 0 against the full pass, lane implications
-# against the serial frame, the fault-free lane memo and bit-parallel
-# resimulation against their references, and whole runs against the
+# against the serial frame (two-pass and fixpoint schedules), the
+# fault-free lane memo and bit-parallel resimulation against their
+# references, and whole runs against the
 # exhaustive oracle. Go fuzzes one target per invocation.
 FUZZTIME ?= 15s
 FUZZ_TARGETS := \
@@ -96,6 +97,14 @@ trace:
 bench-collect:
 	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV|Resim_sg5378' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic
+
+# The design-choice ablations of DESIGN.md §5 (BenchmarkAblation*):
+# two-pass vs. fixpoint implications and backward depth 1/2/4 on sg344,
+# the N_STATES sweep on sg298 and the conventional-simulation engines
+# on sg641. Both sides of each implication ablation run on the same
+# lane collector.
+bench-ablation:
+	$(GO) test -run xxx -bench 'Ablation' -benchmem -count 3 .
 
 # Fresh whole-list bench run compared against a recorded baseline; fails
 # on any median slowdown beyond 10%. With no BENCH_BASELINE, benchdiff

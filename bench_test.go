@@ -480,7 +480,7 @@ func BenchmarkAblationNStates(b *testing.B) {
 
 // BenchmarkMetricsOverhead measures the cost of the instrumentation
 // layer on the sg298 whole-list workload: Config.Metrics on (stage
-// timers, pool gauges, per-fault histograms) against off. The
+// timers, per-fault histograms) against off. The
 // acceptance bar is a metrics-on median within 3% of metrics-off.
 func BenchmarkMetricsOverhead(b *testing.B) {
 	e, _ := circuits.SuiteEntryByName("sg298")

@@ -3,7 +3,7 @@
 // summaries, structural observability/controllability sets, sequential
 // depth, and (for small circuits) exact oracle detectability counts.
 // With -mot it also runs the proposed MOT procedure over the collapsed
-// fault list and prints the per-stage time breakdown, pool gauges and
+// fault list and prints the per-stage time breakdown, counters and
 // per-fault histograms.
 //
 //	motstats -circuit s27

@@ -91,7 +91,7 @@ func main() {
 }
 
 // suiteReport is the -json schema: the table rows plus one full
-// per-circuit run report (stage breakdown, pool gauges, histograms) for
+// per-circuit run report (stage breakdown, counters, histograms) for
 // each procedure that ran.
 type suiteReport struct {
 	Table2   []report.Table2Row `json:"table2,omitempty"`

@@ -11,10 +11,18 @@ import (
 	"repro/internal/seqsim"
 )
 
-// collectOne collects the single pair (u, i) on the pooled serial
-// frame reset to bad.Nodes[u-1].
+// collectOne collects the single pair (u, i) in a lane pass of the
+// production collector (lanePairs) on the faulty frame bad.Nodes[u-1],
+// with the deeper chase under BackwardDepth > 1.
 func (s *Simulator) collectOne(f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
-	return s.collectOneInto(s.pairFrame(f, bad.Nodes[u-1]), f, bad, u, i)
+	s.resetCollect()
+	var xs []int
+	for j, v := range bad.States[u] {
+		if v == logic.X {
+			xs = append(xs, j)
+		}
+	}
+	return s.lanePairs(f, bad, u, xs, []int{i}, nil)[0]
 }
 
 // TestCollectOneMatchesFigure3 pins the collection step (Section 3.1) to

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cir"
 	"repro/internal/fault"
-	"repro/internal/implic"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
@@ -65,9 +64,6 @@ type Simulator struct {
 	// buffers (see pool.go). Each fault-loop worker owns one Simulator,
 	// so pools are never shared between goroutines.
 	pools simPools
-	// poolStats counts this simulator's pool reuses and arena peaks (see
-	// stats.go); nil when Config.Metrics is off.
-	poolStats *PoolStats
 	// hist is the run's shared per-fault histogram set (concurrency-safe;
 	// every fault-loop worker points at the caller's). Nil when metrics
 	// are off.
@@ -359,76 +355,43 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 // (no backward implication possible there).
 //
 // With backward implications disabled (the [4] baseline), every pair is
-// trivial: expansion specifies exactly the selected variable.
-//
-// Under the paper's schedule (two-pass, one time unit of backward
-// implication) every time unit's candidates come from the fault-free
-// lane memo or from lane passes on the faulty frame (collectLanes); the
-// Fixpoint schedule and BackwardDepth > 1 run one serial frame per
-// side.
+// trivial: expansion specifies exactly the selected variable. Otherwise
+// every time unit's candidates are implied in lane passes
+// (collectLanes), under the configured schedule; with one time unit of
+// backward implication the fault-free lane memo serves the candidates
+// the fault's divergence does not reach.
 //
 // The returned slice and the slices inside each pairInfo are backed by
 // per-simulator arenas truncated at the next collectPairs call; they stay
 // valid for the remainder of this fault's pipeline only.
 func (s *Simulator) collectPairs(f *fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
-	path := collectSerial
-	if s.lanesCollect() {
-		path = collectMemoLanes
-	}
-	return s.collectPairsPooled(f, bad, nout, path)
+	return s.collectPairsLanes(f, bad, nout, s.cfg.BackwardDepth <= 1)
 }
 
-// collectPairsPooled is collectPairs on the pooled path; path selects
-// how the implication pairs are derived.
-func (s *Simulator) collectPairsPooled(f *fault.Fault, bad *seqsim.Trace, nout []int, path collectPath) []pairInfo {
-	L := len(s.T)
-	nFF := s.c.NumFFs()
+// collectPairsLanes is collectPairs with the memo on or off.
+func (s *Simulator) collectPairsLanes(f *fault.Fault, bad *seqsim.Trace, nout []int, memo bool) []pairInfo {
 	s.resetCollect()
 	pairs := s.pools.pairs
 	capReached := func() bool {
 		return s.cfg.MaxPairs > 0 && len(pairs) >= s.cfg.MaxPairs
 	}
-
-	// u = 0: expansion of the initial state. conf = detect = 0 and
-	// extra(0, i, a) = {(i, a)} by definition (Section 3.1).
-	if nout[0] > 0 {
-		for i := 0; i < nFF; i++ {
-			if bad.States[0][i] != logic.X || capReached() {
-				continue
-			}
-			pairs = append(pairs, s.trivialPair(0, i))
-		}
-	}
-	for u := 1; u < L; u++ {
-		if nout[u-1] == 0 || capReached() {
+	// u = 0 (the initial state) takes trivial pairs: conf = detect = 0
+	// and extra(0, i, a) = {(i, a)} by definition (Section 3.1).
+	for u := 0; u < len(s.T); u++ {
+		if nout[max(u-1, 0)] == 0 || capReached() {
 			break // nout is non-increasing: later units are useless too
 		}
-		if path != collectSerial {
-			pairs = s.collectLanes(f, bad, u, pairs, path == collectMemoLanes)
+		if u > 0 && s.cfg.UseBackwardImplications {
+			pairs = s.collectLanes(f, bad, u, pairs, memo)
 			continue
 		}
-		// One pooled frame per time unit: it is built from bad.Nodes[u-1]
-		// once and restored by a trail undo after each side of each pair.
-		var fr *implic.Frame
-		for i := 0; i < nFF; i++ {
-			if bad.States[u][i] != logic.X || capReached() {
-				continue
-			}
-			if !s.cfg.UseBackwardImplications {
+		for i, v := range bad.States[u] {
+			if v == logic.X && !capReached() {
 				pairs = append(pairs, s.trivialPair(u, i))
-				continue
 			}
-			if fr == nil {
-				fr = s.pairFrame(f, bad.Nodes[u-1])
-			}
-			pairs = append(pairs, s.collectOneInto(fr, f, bad, u, i))
 		}
 	}
 	s.pools.pairs = pairs
-	if ps := s.poolStats; ps != nil {
-		ps.SVArenaPeak = max(ps.SVArenaPeak, int64(len(s.pools.svArena)))
-		ps.SVIdxArenaPeak = max(ps.SVIdxArenaPeak, int64(len(s.pools.svIdxArena)))
-	}
 	return pairs
 }
 
@@ -474,148 +437,6 @@ func (s *Simulator) trivialPair(u, i int) pairInfo {
 		extra: [2][]svAssign{t.zero[i : i+1 : i+1], t.one[i : i+1 : i+1]},
 		sv:    t.sv[i : i+1 : i+1],
 	}
-}
-
-// collectOneInto performs backward implication of y_i at time u for
-// both values, recording the first applicable result: conflict,
-// detection, or the extra specified state variables (Section 3.1). fr
-// is a caller-provided frame already reset to bad.Nodes[u-1]: each side
-// assigns y_i = alpha, implies, inspects, and restores the frame with
-// an O(changed) trail undo, so the same frame serves every pair at time
-// u without re-copying the base assignment.
-func (s *Simulator) collectOneInto(fr *implic.Frame, f *fault.Fault, bad *seqsim.Trace, u, i int) pairInfo {
-	p := pairInfo{u: u, i: i}
-	s.svReset()
-	s.svAdd(i)
-	for a := 0; a < 2; a++ {
-		alpha := logic.Val(a)
-		mark := fr.Mark()
-		ok := fr.AssignNextState(i, alpha) && s.imply(fr)
-		if !ok {
-			p.conf[a] = true
-			fr.UndoTo(mark)
-			continue
-		}
-		if s.frameDetects(fr, u-1) {
-			p.detect[a] = true
-			fr.UndoTo(mark)
-			continue
-		}
-		// Deeper backward implication (extension; BackwardDepth > 1):
-		// chase newly specified present-state variables into earlier
-		// frames, looking for conflicts and detections only.
-		if s.cfg.BackwardDepth > 1 {
-			switch s.deepBackward(f, bad, fr, u-1, s.cfg.BackwardDepth-1) {
-			case deepConflict:
-				p.conf[a] = true
-				fr.UndoTo(mark)
-				continue
-			case deepDetect:
-				p.detect[a] = true
-				fr.UndoTo(mark)
-				continue
-			}
-		}
-		// Record newly specified state variables at time u.
-		extra := s.pools.extraScratch[:0]
-		for j := 0; j < s.c.NumFFs(); j++ {
-			if bad.States[u][j] != logic.X {
-				continue
-			}
-			if v := fr.NextState(j); v.IsBinary() {
-				extra = append(extra, svAssign{j: j, v: v})
-				s.svAdd(j)
-			}
-		}
-		s.pools.extraScratch = extra
-		p.extra[a] = s.internExtra(extra)
-		fr.UndoTo(mark)
-	}
-	p.sv = s.svTake()
-	return p
-}
-
-// imply runs the configured implication schedule on a serial frame,
-// counting the call in the fault's record (and, with metrics on,
-// timing it).
-func (s *Simulator) imply(fr *implic.Frame) bool {
-	s.rec.implyCalls++
-	if !s.cfg.Metrics {
-		return s.implySchedule(fr)
-	}
-	start := time.Now()
-	ok := s.implySchedule(fr)
-	s.rec.stages.Imply += int64(time.Since(start))
-	return ok
-}
-
-// implySchedule runs the configured schedule on fr.
-func (s *Simulator) implySchedule(fr *implic.Frame) bool {
-	if s.cfg.Schedule == Fixpoint {
-		return fr.ImplyFixpoint(s.cfg.FixpointRounds)
-	}
-	return fr.ImplyTwoPass()
-}
-
-// frameDetects reports whether the frame's outputs contradict the
-// fault-free outputs at time unit u.
-func (s *Simulator) frameDetects(fr *implic.Frame, u int) bool {
-	g := s.good.Outputs[u]
-	for j := range g {
-		if v := fr.Output(j); v.IsBinary() && g[j].IsBinary() && v != g[j] {
-			return true
-		}
-	}
-	return false
-}
-
-// deepBackward outcome codes.
-type deepResult uint8
-
-const (
-	deepNothing deepResult = iota
-	deepConflict
-	deepDetect
-)
-
-// deepBackward chases present-state variables newly specified at frame u
-// into frame u-1, asserting the corresponding next-state variables there
-// and running implications, for up to depth further time units. Frames
-// come from a per-simulator pool indexed by chase level; the newly buffer
-// is safe to reuse across levels because each level consumes it fully
-// before the next level truncates it.
-func (s *Simulator) deepBackward(f *fault.Fault, bad *seqsim.Trace, fr *implic.Frame, u, depth int) deepResult {
-	for level := 0; depth > 0 && u > 0; level++ {
-		newly := s.pools.deepNewly[:0]
-		for j := 0; j < s.c.NumFFs(); j++ {
-			if bad.States[u][j] != logic.X {
-				continue
-			}
-			if v := fr.PresentState(j); v.IsBinary() {
-				newly = append(newly, svAssign{j: j, v: v})
-			}
-		}
-		s.pools.deepNewly = newly
-		if len(newly) == 0 {
-			return deepNothing
-		}
-		prev := s.deepFrame(level, f, bad.Nodes[u-1])
-		for _, a := range newly {
-			if !prev.AssignNextState(a.j, a.v) {
-				return deepConflict
-			}
-		}
-		if !s.imply(prev) {
-			return deepConflict
-		}
-		if s.frameDetects(prev, u-1) {
-			return deepDetect
-		}
-		fr = prev
-		u--
-		depth--
-	}
-	return deepNothing
 }
 
 // expStep is one phase-2 step of Procedure 2 (steps 5-9): every
@@ -717,9 +538,6 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		}
 		x.marks[p.u] = true
 		x.steps = append(x.steps, expStep{u: p.u, extra: p.extra})
-	}
-	if ps := s.poolStats; ps != nil {
-		ps.SeqLivePeak = max(ps.SeqLivePeak, int64(x.lanes()))
 	}
 	return x
 }
@@ -890,16 +708,17 @@ type Stages struct {
 	Step0Time   time.Duration
 	CollectTime time.Duration
 	// ImplyTime is the implication share of CollectTime: the lane
-	// implication passes plus the serial implication calls, timed
+	// implication passes and the fault-free lane memo's build, timed
 	// directly. It is a subset of CollectTime, not an additional stage.
 	ImplyTime  time.Duration
 	ExpandTime time.Duration
 	ResimTime  time.Duration
 	// ImplyCalls counts in-frame implication runs: one per asserted
-	// side of every collected pair (a lane of a lane pass, a serial call
-	// or a side served from the fault-free lane memo; a side whose
-	// assertion conflicts outright runs none), plus deep-backward
-	// chasing.
+	// side of every collected pair (a lane of a lane pass or a side
+	// served from the fault-free lane memo; a side whose assertion
+	// conflicts outright runs none), plus one per lane of each
+	// deep-backward chase level (BackwardDepth > 1) whose assertions
+	// all hold.
 	ImplyCalls int64
 	// ImplyLaneEvals counts the gates the lane implication passes
 	// evaluated, backward and forward closures together (only gates a
@@ -923,9 +742,6 @@ type Stages struct {
 	// MOTFaults counts the faults that entered the per-fault pipeline:
 	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.
 	MOTFaults int
-	// Pool instruments the PR 2 pooling layer (reuse hits, slab
-	// recycles, arena high-water marks).
-	Pool PoolStats
 	// Sim counts the serial simulator's work during step 0 (frames by
 	// evaluation mode, sparse-frame gate evaluations).
 	Sim seqsim.SimStats
@@ -1126,9 +942,8 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	}
 	res.Stages.MOTTime = time.Since(motStart)
 	if s.cfg.Metrics {
-		for w, sim := range sims {
+		for w := range sims {
 			res.Stages.add(pubs[w].total)
-			res.Stages.Pool.merge(*sim.poolStats)
 		}
 	}
 	sc.finish(res)
@@ -1164,9 +979,6 @@ func (s *Simulator) clone() *Simulator {
 	}
 	if s.hist != nil {
 		c.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
-	}
-	if s.cfg.Metrics {
-		c.poolStats = &PoolStats{}
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"time"
 
 	"repro/internal/cir"
@@ -17,37 +18,13 @@ type laneHot struct {
 	v *cir.VV4
 }
 
-// lanesCollect reports whether pair collection runs in lane passes:
-// backward implications on, the two-pass schedule, and one time unit
-// of backward implication (deeper chasing needs each side's serial
-// frame).
-func (s *Simulator) lanesCollect() bool {
-	return s.cfg.UseBackwardImplications && s.cfg.Schedule == TwoPass && s.cfg.BackwardDepth <= 1
-}
-
-// collectPath selects how collectPairsPooled derives the implication
-// pairs of time units 0 < u < L.
-type collectPath int
-
-const (
-	// collectSerial runs one serial frame per pair side (collectOneInto).
-	collectSerial collectPath = iota
-	// collectAllLanes runs every candidate in lane passes on the faulty
-	// frame.
-	collectAllLanes
-	// collectMemoLanes serves the candidates the fault's divergence does
-	// not reach from the fault-free lane memo and runs the rest in lane
-	// passes: the production path under lanesCollect.
-	collectMemoLanes
-)
-
 // collectLanes appends the pairs of time unit u (0 < u < L) to pairs.
 // The candidates are the state variables unspecified at u, in
 // ascending order and cut at the MaxPairs cap. With memo set, a
 // candidate unspecified in the fault-free state too whose two memo
 // lanes have a clean footprint (collectMemo.dirty) takes its pair from
 // the memo; every other candidate runs in lane passes on the faulty
-// frame (lanePairs). The pairs equal collectOneInto's on the same
+// frame (lanePairs). The pairs equal collectPairsRef's on the same
 // candidates: conflict first, then detection against the fault-free
 // outputs, then the extra state variables in ascending order.
 func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs []pairInfo, memo bool) []pairInfo {
@@ -135,8 +112,9 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 // lanePairs appends the pairs of the candidates cands (ascending) of
 // time unit u to pairs, running them in lane passes on the faulty
 // frame bad.Nodes[u-1]: lane 2k+α of a pass asserts Y_i = α for the
-// k-th candidate i of the pass. xs lists every state variable
-// unspecified at u.
+// k-th candidate i of the pass. With BackwardDepth > 1 the open sides
+// of each pass chase their present-state values into earlier frames
+// (chase). xs lists every state variable unspecified at u.
 func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cands []int, pairs []pairInfo) []pairInfo {
 	good := s.good.Outputs[u-1]
 	for len(cands) > 0 {
@@ -158,14 +136,13 @@ func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cand
 				}
 			}
 		}
-		evals := lf.Imply()
-		if s.cfg.Metrics {
-			s.rec.stages.Imply += int64(time.Since(start))
-		}
+		s.imply(lf, start)
 		s.rec.implyCalls += int64(asserted)
-		s.rec.implyLaneEvals += int64(evals)
 
 		conf, det := laneVerdicts(lf, good, nw)
+		if s.cfg.BackwardDepth > 1 {
+			s.chase(f, bad, lf, u-1, 2*len(chunk), &conf, &det)
+		}
 		hot := latched(lf, xs, &conf, &det, nw, s.pools.laneHot[:0])
 		s.pools.laneHot = hot
 
@@ -203,6 +180,110 @@ func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cand
 		}
 	}
 	return pairs
+}
+
+// imply runs the configured schedule on a begun and asserted lane
+// pass, charging its gate evaluations, and with metrics on the time
+// since start, to the fault's record.
+func (s *Simulator) imply(lf *implic.LaneFrame, start time.Time) {
+	s.rec.implyLaneEvals += int64(lf.ImplyFixpoint(s.implyRounds()))
+	if s.cfg.Metrics {
+		s.rec.stages.Imply += int64(time.Since(start))
+	}
+}
+
+// implyRounds is the round bound of the configured schedule: one
+// round (the paper's two passes) under TwoPass.
+func (s *Simulator) implyRounds() int {
+	if s.cfg.Schedule == Fixpoint {
+		return s.cfg.FixpointRounds
+	}
+	return 1
+}
+
+// chaseCol is one present-state variable a chase level asserts: the
+// lanes that newly specified it as 0 and as 1.
+type chaseCol struct {
+	j    int
+	vals [2][4]uint64
+}
+
+// chase runs the deeper backward chase (BackwardDepth > 1) of a
+// finished pass lf of n lanes on frame t. Each lane neither conflicted
+// nor detecting asserts, on frame t-1, the present-state values it
+// newly specified on frame t, and so on for up to BackwardDepth-1
+// levels or until frame 0. Every level is one lane pass on the faulty
+// frame with lf's lane layout, so lf's values stay readable. A lane
+// that newly specifies nothing stops; one that conflicts, or whose
+// outputs contradict the fault-free outputs, settles its side: conf or
+// det gains it. A lane counts one implication call per level it
+// asserts at without an outright conflict.
+func (s *Simulator) chase(f *fault.Fault, bad *seqsim.Trace, lf *implic.LaneFrame, t, n int, conf, det *[4]uint64) {
+	nw := (n + 63) >> 6
+	var live [4]uint64
+	for w := 0; w < nw; w++ {
+		live[w] = ^uint64(0)
+		if r := n - 64*w; r < 64 {
+			live[w] = 1<<r - 1
+		}
+		live[w] &^= conf[w] | det[w]
+	}
+	prev := lf
+	for level := 1; level < s.cfg.BackwardDepth && t > 0; level, t = level+1, t-1 {
+		cols := s.pools.chaseCols[:0]
+		var asserting [4]uint64
+		for j, v := range bad.States[t] {
+			if v != logic.X {
+				continue
+			}
+			ps := prev.PresentState(j)
+			c, set := chaseCol{j: j}, uint64(0)
+			for w := 0; w < nw; w++ {
+				c.vals[0][w], c.vals[1][w] = ps.Zero[w]&live[w], ps.One[w]&live[w]
+				set |= c.vals[0][w] | c.vals[1][w]
+				asserting[w] |= c.vals[0][w] | c.vals[1][w]
+			}
+			if set != 0 {
+				cols = append(cols, c)
+			}
+		}
+		s.pools.chaseCols = cols
+		if len(cols) == 0 {
+			return
+		}
+		live = asserting
+
+		df := s.chaseFrame()
+		var start time.Time
+		if s.cfg.Metrics {
+			start = time.Now()
+		}
+		df.Begin(f, bad.Nodes[t-1], n)
+		var outright [4]uint64
+		for _, c := range cols {
+			for a := range c.vals {
+				for w := 0; w < nw; w++ {
+					for m := c.vals[a][w]; m != 0; m &= m - 1 {
+						b := bits.TrailingZeros64(m)
+						if !df.AssertNextState(c.j, w<<6|b, logic.Val(a)) {
+							outright[w] |= 1 << b
+						}
+					}
+				}
+			}
+		}
+		s.imply(df, start)
+		dc, dd := laneVerdicts(df, s.good.Outputs[t-1], nw)
+		for w := 0; w < nw; w++ {
+			s.rec.implyCalls += int64(bits.OnesCount64(live[w] &^ outright[w]))
+			dc[w] &= live[w]
+			dd[w] &= live[w] &^ dc[w]
+			conf[w] |= dc[w]
+			det[w] |= dd[w]
+			live[w] &^= dc[w] | dd[w]
+		}
+		prev = df
+	}
 }
 
 // laneVerdicts returns a finished pass's conflicted lanes and the lanes

@@ -106,113 +106,159 @@ func collectInputs(t *testing.T) []collectInput {
 		}})
 }
 
-// crossCheckCollect runs one subtest per collectInputs entry. For every
-// fault of the input's collapsed list that reaches pair collection it
-// calls check once uncapped and once with a MaxPairs cap that cuts the
-// fault's list in the middle, usually inside a time unit, so the cut
-// must fall on the same pair; check returns the pairs it collected,
-// copied out of the arenas. It logs the implication pairs and their
-// settled sides, and fails an input none of whose faults reach lane
-// collection.
+// collectVariant is a pair-collection configuration the cross-checks
+// run: the paper's two-pass schedule, the Fixpoint schedule, and the
+// deeper backward chase.
+type collectVariant struct {
+	name     string
+	schedule Schedule
+	rounds   int
+	depth    int
+}
+
+// collectVariants are the two-pass schedule, Fixpoint at 1 and 8
+// rounds, and BackwardDepth 2 and 4.
+var collectVariants = []collectVariant{
+	{"two-pass", TwoPass, 8, 1},
+	{"fixpoint1", Fixpoint, 1, 1},
+	{"fixpoint8", Fixpoint, 8, 1},
+	{"deep2", TwoPass, 8, 2},
+	{"deep4", TwoPass, 8, 4},
+}
+
+// config is DefaultConfig under the variant.
+func (v collectVariant) config() Config {
+	cfg := DefaultConfig()
+	cfg.Schedule, cfg.FixpointRounds, cfg.BackwardDepth = v.schedule, v.rounds, v.depth
+	return cfg
+}
+
+// countCalls runs collect on a fresh fault record and returns its pairs,
+// copied out of the arenas, and the implication calls it counted.
+func countCalls(s *Simulator, collect func() []pairInfo) ([]pairInfo, int64) {
+	s.rec = faultRecord{}
+	pairs := clonePairs(collect())
+	return pairs, s.rec.implyCalls
+}
+
+// checkAgainstRef fails the test unless got, collected with calls
+// implication calls, equals collectPairsRef's pairs and call count.
+func checkAgainstRef(t *testing.T, tag string, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int, got []pairInfo, calls int64) {
+	t.Helper()
+	ref, refCalls := countCalls(s, func() []pairInfo { return s.collectPairsRef(&f, bad, nout) })
+	samePairs(t, tag+" vs reference", got, ref)
+	if calls != refCalls {
+		t.Fatalf("%s: %d implication calls, reference %d", tag, calls, refCalls)
+	}
+}
+
+// crossCheckCollect runs one subtest per collectInputs entry, and in it
+// one per collectVariants entry on a simulator of its own (the memo is
+// built under the configured schedule). For every fault of the input's
+// collapsed list that reaches pair collection it calls check once
+// uncapped and once with a MaxPairs cap that cuts the fault's list in
+// the middle, usually inside a time unit, so the cut must fall on the
+// same pair; check returns the pairs it collected, copied out of the
+// arenas. It logs the implication pairs and their settled sides, and
+// fails an input none of whose faults reach lane collection.
 func crossCheckCollect(t *testing.T, check func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo) {
 	for _, in := range collectInputs(t) {
 		t.Run(in.name, func(t *testing.T) {
 			c, T := in.build()
-			s, err := NewSimulator(c, T, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.cfg.MaxPairs = 0
-			var faults, pairs, conf, det, maxX int
-			for _, f := range fault.CollapsedList(c) {
-				bad, _, detected, err := s.runBad(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if detected {
-					continue
-				}
-				nsv, nout := s.profile(bad)
-				if !conditionC(nsv, nout) {
-					continue
-				}
-				all := check(t, s, f, bad, nout)
-				faults++
-				for u := 1; u < len(nout) && nout[u-1] > 0; u++ {
-					maxX = max(maxX, nsv[u])
-				}
-				for _, p := range all {
-					if p.u == 0 {
-						continue
-					}
-					pairs++
-					for a := 0; a < 2; a++ {
-						if p.conf[a] {
-							conf++
-						} else if p.detect[a] {
-							det++
-						}
-					}
-				}
-				if len(all) > 1 {
-					s.cfg.MaxPairs = len(all)/2 + 1
-					if capped := check(t, s, f, bad, nout); len(capped) != s.cfg.MaxPairs {
-						t.Fatalf("%s: %d pairs under the cap %d", f.Name(c), len(capped), s.cfg.MaxPairs)
+			for _, v := range collectVariants {
+				t.Run(v.name, func(t *testing.T) {
+					s, err := NewSimulator(c, T, v.config())
+					if err != nil {
+						t.Fatal(err)
 					}
 					s.cfg.MaxPairs = 0
-				}
-			}
-			t.Logf("%d faults, %d implication pairs, %d conflicting and %d detecting sides, up to %d lanes a unit",
-				faults, pairs, conf, det, 2*maxX)
-			if pairs == 0 {
-				t.Fatal("no fault reached lane collection")
+					var faults, pairs, conf, det, maxX int
+					for _, f := range fault.CollapsedList(c) {
+						bad, _, detected, err := s.runBad(f)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if detected {
+							continue
+						}
+						nsv, nout := s.profile(bad)
+						if !conditionC(nsv, nout) {
+							continue
+						}
+						all := check(t, s, f, bad, nout)
+						faults++
+						for u := 1; u < len(nout) && nout[u-1] > 0; u++ {
+							maxX = max(maxX, nsv[u])
+						}
+						for _, p := range all {
+							if p.u == 0 {
+								continue
+							}
+							pairs++
+							for a := 0; a < 2; a++ {
+								if p.conf[a] {
+									conf++
+								} else if p.detect[a] {
+									det++
+								}
+							}
+						}
+						if len(all) > 1 {
+							s.cfg.MaxPairs = len(all)/2 + 1
+							if capped := check(t, s, f, bad, nout); len(capped) != s.cfg.MaxPairs {
+								t.Fatalf("%s: %d pairs under the cap %d", f.Name(c), len(capped), s.cfg.MaxPairs)
+							}
+							s.cfg.MaxPairs = 0
+						}
+					}
+					t.Logf("%d faults, %d implication pairs, %d conflicting and %d detecting sides, up to %d lanes a unit",
+						faults, pairs, conf, det, 2*maxX)
+					if pairs == 0 {
+						t.Fatal("no fault reached lane collection")
+					}
+				})
 			}
 		})
 	}
 }
 
 // TestCollectLanesCrossCheck asserts that pair collection in lane
-// passes over every candidate, the pooled serial per-side frames
-// (collectOneInto) and the allocate-per-pair reference
+// passes over every candidate and the allocate-per-pair reference
 // (collectPairsRef) return exactly the same pairs in the same (u, i)
 // order, with equal conflict and detection flags, extra lists
-// (ascending j) and sv sets, uncapped and under a mid-list MaxPairs
-// cap (crossCheckCollect).
+// (ascending j) and sv sets, and count the same implication calls,
+// uncapped and under a mid-list MaxPairs cap (crossCheckCollect).
 func TestCollectLanesCrossCheck(t *testing.T) {
 	crossCheckCollect(t, func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
 		t.Helper()
 		tag := fmt.Sprintf("%s (cap %d)", f.Name(s.c), s.cfg.MaxPairs)
-		ref := s.collectPairsRef(&f, bad, nout)
-		lanes := clonePairs(s.collectPairsPooled(&f, bad, nout, collectAllLanes))
-		samePairs(t, tag+" lanes", lanes, ref)
-		samePairs(t, tag+" serial", s.collectPairsPooled(&f, bad, nout, collectSerial), ref)
+		lanes, calls := countCalls(s, func() []pairInfo { return s.collectPairsLanes(&f, bad, nout, false) })
+		checkAgainstRef(t, tag+" lanes", s, f, bad, nout, lanes, calls)
 		return lanes
 	})
 }
 
-// TestCollectMemoCrossCheck asserts that the production collection, the
-// fault-free lane memo with reruns on the faulty frame, returns exactly
+// TestCollectMemoCrossCheck asserts that the production collection
+// (the fault-free lane memo with reruns on the faulty frame, or lane
+// passes over every candidate under BackwardDepth > 1) returns exactly
 // collectPairsRef's pairs and the pairs of lane passes over every
 // candidate, uncapped and under a mid-list MaxPairs cap, with the same
-// ImplyCalls count as the all-candidates passes. Across the inputs the
-// memo must serve pairs of stem faults, branch faults and stem faults
-// on a flip-flop's Q node, and must also rerun some.
+// ImplyCalls count as both. Across the inputs the memo must serve
+// pairs of stem faults, branch faults and stem faults on a flip-flop's
+// Q node, and must also rerun some.
 func TestCollectMemoCrossCheck(t *testing.T) {
 	var hits, reruns [3]int64 // stem, branch, Q-node stem
 	crossCheckCollect(t, func(t *testing.T, s *Simulator, f fault.Fault, bad *seqsim.Trace, nout []int) []pairInfo {
 		t.Helper()
 		tag := fmt.Sprintf("%s (cap %d)", f.Name(s.c), s.cfg.MaxPairs)
-		s.rec = faultRecord{}
-		all := clonePairs(s.collectPairsPooled(&f, bad, nout, collectAllLanes))
-		calls := s.rec.implyCalls
-		s.rec = faultRecord{}
-		memo := clonePairs(s.collectPairs(&f, bad, nout))
-		if s.rec.implyCalls != calls {
-			t.Fatalf("%s: memo path counts %d implication calls, lane passes %d", tag, s.rec.implyCalls, calls)
+		all, calls := countCalls(s, func() []pairInfo { return s.collectPairsLanes(&f, bad, nout, false) })
+		memo, memoCalls := countCalls(s, func() []pairInfo { return s.collectPairs(&f, bad, nout) })
+		if memoCalls != calls {
+			t.Fatalf("%s: memo path counts %d implication calls, lane passes %d", tag, memoCalls, calls)
 		}
 		served := s.rec.implyMemoHits
 		samePairs(t, tag+" memo vs lanes", memo, all)
-		samePairs(t, tag+" memo vs reference", memo, s.collectPairsRef(&f, bad, nout))
+		checkAgainstRef(t, tag+" memo", s, f, bad, nout, memo, memoCalls)
 		kind := 0
 		switch {
 		case !f.IsStem():
@@ -221,13 +267,15 @@ func TestCollectMemoCrossCheck(t *testing.T) {
 			kind = 2
 		}
 		hits[kind] += served
-		implied := int64(0)
-		for _, p := range memo {
-			if p.u > 0 {
-				implied++
+		if s.cfg.BackwardDepth == 1 {
+			implied := int64(0)
+			for _, p := range memo {
+				if p.u > 0 {
+					implied++
+				}
 			}
+			reruns[kind] += implied - served
 		}
-		reruns[kind] += implied - served
 		return memo
 	})
 	t.Logf("memo hits (stem, branch, Q stem) %v, reruns %v", hits, reruns)
@@ -352,12 +400,13 @@ func FuzzCollectMemo(f *testing.F) {
 	})
 }
 
-// TestCollectDeepCrossCheck asserts that with BackwardDepth 2 the
-// pooled serial collection (deepBackward on the level-indexed frame
-// pool) returns exactly the reference's pairs (deepBackwardRef, a fresh
-// frame per level), for the collapsed lists of sg344, sg420 and sg1423,
-// the suite circuits where the deeper chase settles sides that one
-// time unit of backward implication leaves open.
+// TestCollectDeepCrossCheck asserts that with BackwardDepth 2 and 4,
+// under the two-pass schedule and Fixpoint at 1 and 8 rounds, the lane
+// collection with its chase levels returns exactly the reference's
+// pairs (deepBackwardRef, a fresh serial frame per level) and counts
+// the same implication calls, for the collapsed lists of sg344, sg420
+// and sg1423, the suite circuits where the deeper chase settles sides
+// that one time unit of backward implication leaves open.
 func TestCollectDeepCrossCheck(t *testing.T) {
 	for _, name := range []string{"sg344", "sg420", "sg1423"} {
 		t.Run(name, func(t *testing.T) {
@@ -366,42 +415,43 @@ func TestCollectDeepCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := e.Build()
-			cfg := DefaultConfig()
-			cfg.BackwardDepth = 2
-			s, err := NewSimulator(c, tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed), cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.lanesCollect() {
-				t.Fatal("BackwardDepth 2 must collect on serial frames")
-			}
-			var pairs, deep int
-			for _, f := range fault.CollapsedList(c) {
-				bad, _, detected, err := s.runBad(f)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if detected {
-					continue
-				}
-				nsv, nout := s.profile(bad)
-				if !conditionC(nsv, nout) {
-					continue
-				}
-				ref := s.collectPairsRef(&f, bad, nout)
-				samePairs(t, f.Name(c), s.collectPairs(&f, bad, nout), ref)
-				pairs += len(ref)
-				s.cfg.BackwardDepth = 1
-				for k, p := range s.collectPairsPooled(&f, bad, nout, collectSerial) {
-					if p.conf != ref[k].conf || p.detect != ref[k].detect {
-						deep++
+			T := tgen.Random(c.NumInputs(), e.SeqLen, e.SeqSeed)
+			for _, depth := range []int{2, 4} {
+				for _, v := range collectVariants[:3] {
+					v.depth = depth
+					s, err := NewSimulator(c, T, v.config())
+					if err != nil {
+						t.Fatal(err)
+					}
+					var pairs, deep int
+					for _, f := range fault.CollapsedList(c) {
+						bad, _, detected, err := s.runBad(f)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if detected {
+							continue
+						}
+						nsv, nout := s.profile(bad)
+						if !conditionC(nsv, nout) {
+							continue
+						}
+						got, calls := countCalls(s, func() []pairInfo { return s.collectPairs(&f, bad, nout) })
+						checkAgainstRef(t, fmt.Sprintf("%s depth %d %s", f.Name(c), depth, v.name), s, f, bad, nout, got, calls)
+						pairs += len(got)
+						s.cfg.BackwardDepth = 1
+						for k, p := range s.collectPairsLanes(&f, bad, nout, false) {
+							if p.conf != got[k].conf || p.detect != got[k].detect {
+								deep++
+							}
+						}
+						s.cfg.BackwardDepth = depth
+					}
+					t.Logf("depth %d %s: %d pairs, %d settled further by the deeper chase", depth, v.name, pairs, deep)
+					if deep == 0 {
+						t.Fatalf("depth %d %s: the deeper chase settled no side", depth, v.name)
 					}
 				}
-				s.cfg.BackwardDepth = 2
-			}
-			t.Logf("%d pairs, %d settled further by the deeper chase", pairs, deep)
-			if deep == 0 {
-				t.Fatal("the deeper chase settled no side")
 			}
 		})
 	}

@@ -79,7 +79,6 @@ type LiveSnapshot struct {
 	ResimNS   int64 `json:"resim_ns"`
 	TotalNS   int64 `json:"total_ns"`
 
-	FullFrames     int64 `json:"full_frames"`
 	EventFrames    int64 `json:"event_frames"`
 	EventGateEvals int64 `json:"event_gate_evals"`
 	Events         int64 `json:"events"`
@@ -134,7 +133,6 @@ func (s *LiveSnapshot) Add(other LiveSnapshot) {
 	s.ExpandNS += other.ExpandNS
 	s.ResimNS += other.ResimNS
 	s.TotalNS += other.TotalNS
-	s.FullFrames += other.FullFrames
 	s.EventFrames += other.EventFrames
 	s.EventGateEvals += other.EventGateEvals
 	s.Events += other.Events
@@ -228,7 +226,6 @@ func (p *livePublisher) observe(o *FaultOutcome, r *faultRecord) {
 		d.ExpandNS += r.stages.Expand
 		d.ResimNS += r.stages.Resim
 		d.TotalNS += r.stages.Total
-		d.FullFrames += r.sim.FullFrames
 		d.EventFrames += r.sim.EventFrames
 		d.EventGateEvals += r.sim.EventGateEvals
 		d.Events += r.sim.Events

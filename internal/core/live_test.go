@@ -82,7 +82,6 @@ func resultSnapshot(res *Result) LiveSnapshot {
 		ExpandNS:           int64(st.ExpandTime),
 		ResimNS:            int64(st.ResimTime),
 		TotalNS:            res.Metrics.FaultTimeNS.Snapshot().Sum,
-		FullFrames:         st.Sim.FullFrames,
 		EventFrames:        st.Sim.EventFrames,
 		EventGateEvals:     st.Sim.EventGateEvals,
 		Events:             st.Sim.Events,

@@ -15,8 +15,9 @@ import (
 
 // collectMemo is the fault-free lane memo of pair collection (DESIGN
 // §22). For every time unit 0 < u < L it holds the verdicts of one lane
-// implication run on the fault-free frame good.Nodes[u-1] asserting
-// both values of every flip-flop unspecified in good.States[u]. A
+// implication run, under the configured schedule, on the fault-free
+// frame good.Nodes[u-1] asserting both values of every flip-flop
+// unspecified in good.States[u]. A
 // fault's candidate whose two lanes read no node where the faulty
 // machine differs from the fault-free one gets the same verdicts on the
 // faulty frame, so collectLanes copies its pair from here instead of
@@ -90,7 +91,7 @@ func (s *Simulator) collectMemo() *collectMemo {
 func (s *Simulator) buildMemo() *collectMemo {
 	m := &collectMemo{units: make([]memoUnit, max(len(s.T), 1))}
 	nn := s.cc.NumNodes()
-	b := &memoScratch{cc: s.cc, lf: s.laneFrame(), mark: make([]uint64, nn), marked: make([]netlist.NodeID, 0, nn)}
+	b := &memoScratch{cc: s.cc, lf: s.laneFrame(), rounds: s.implyRounds(), mark: make([]uint64, nn), marked: make([]netlist.NodeID, 0, nn)}
 	units, words := max(len(s.T)-1, 0), 0
 	for u := 1; u < len(s.T); u++ {
 		nx := logic.CountX(s.good.States[u])
@@ -113,9 +114,11 @@ func (s *Simulator) buildMemo() *collectMemo {
 // passes, sized once: mark and marked accumulate one lane word's
 // footprint by node (a word marks each node at most once).
 type memoScratch struct {
-	cc    *cir.CC
-	lf    *implic.LaneFrame
-	evals int
+	cc *cir.CC
+	lf *implic.LaneFrame
+	// rounds is the configured schedule's round bound (implyRounds).
+	rounds int
+	evals  int
 
 	conf, det, footMask memoSlab[uint64]
 	extraAt, extras     memoSlab[int32]
@@ -196,7 +199,7 @@ func (b *memoScratch) unit(good *seqsim.Trace, u int) memoUnit {
 			lf.AssertNextState(i, 2*k, logic.Zero)
 			lf.AssertNextState(i, 2*k+1, logic.One)
 		}
-		b.evals += lf.Imply()
+		b.evals += lf.ImplyFixpoint(b.rounds)
 		conf, det := laneVerdicts(lf, good.Outputs[u-1], nw)
 		b.conf.buf = append(b.conf.buf, conf[:nw]...)
 		b.det.buf = append(b.det.buf, det[:nw]...)

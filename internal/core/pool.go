@@ -19,21 +19,20 @@ import (
 //
 // Lifecycle: the pair-collection arenas (svArena, svIdxArena, pairs) are
 // truncated at the start of each fault's collectPairs and stay valid for
-// the rest of that fault's pipeline; the implication frames and scratch
-// slices are reset at each use; the expansion scratch is reset by each
-// expand call.
+// the rest of that fault's pipeline; each lane pass begins its lane
+// kernel afresh and scratch slices are reset at each use; the
+// expansion scratch is reset by each expand call.
 type simPools struct {
-	// pairFrame is the serial implication frame of pair collection under
-	// the Fixpoint schedule or BackwardDepth > 1. It is reset to the
-	// frame u-1 base once per time unit and restored by an O(changed)
-	// trail undo after each side of each pair.
-	pairFrame *implic.Frame
 	// laneFrame is the lane implication kernel of pair collection
-	// (collectLanes); laneXs lists the unspecified state variables of
-	// the current time unit and laneHot the ones some lane specified.
-	laneFrame *implic.LaneFrame
-	laneXs    []int
-	laneHot   []laneHot
+	// (collectLanes) and chaseFrame the one of its deeper chase levels
+	// (chase); laneXs lists the unspecified state variables of the
+	// current time unit, laneHot the ones some lane specified and
+	// chaseCols the present-state variables a chase level asserts.
+	laneFrame  *implic.LaneFrame
+	chaseFrame *implic.LaneFrame
+	laneXs     []int
+	laneHot    []laneHot
+	chaseCols  []chaseCol
 	// memoDirty, memoSlot, memoRerun and memoFresh are collectLanes'
 	// scratch for the memo path: the unit's dirty lane words, each
 	// candidate's memo rank (-1 to rerun), the candidates to rerun and
@@ -42,11 +41,6 @@ type simPools struct {
 	memoSlot  []int32
 	memoRerun []int
 	memoFresh []pairInfo
-	// deepFrames[d] is the frame reused at chase level d of deepBackward.
-	deepFrames []*implic.Frame
-	// deepNewly buffers the newly specified present-state variables of
-	// the current deepBackward level.
-	deepNewly []svAssign
 	// extraScratch buffers one side's extra assignments before they are
 	// interned into svArena.
 	extraScratch []svAssign
@@ -101,11 +95,6 @@ type simPools struct {
 func (s *Simulator) runBad(f fault.Fault) (*seqsim.Trace, seqsim.Detection, bool, error) {
 	if s.pools.badTrace == nil {
 		s.pools.badTrace = seqsim.NewTrace(s.c, len(s.T), true)
-		if ps := s.poolStats; ps != nil {
-			ps.TraceAllocs++
-		}
-	} else if ps := s.poolStats; ps != nil {
-		ps.TraceReuses++
 	}
 	at, detected, err := s.sim.RunFaultInto(s.pools.badTrace, s.T, s.good, f, true)
 	return s.pools.badTrace, at, detected, err
@@ -119,57 +108,20 @@ func (s *Simulator) resetCollect() {
 	s.pools.svIdxArena = s.pools.svIdxArena[:0]
 }
 
-// pairFrame returns the pooled pair-collection frame reset to the given
-// fault and base assignment.
-func (s *Simulator) pairFrame(f *fault.Fault, base []logic.Val) *implic.Frame {
-	if s.pools.pairFrame == nil {
-		s.pools.pairFrame = implic.NewCompiled(s.cc, f, base)
-		if ps := s.poolStats; ps != nil {
-			ps.FrameAllocs++
-		}
-		return s.pools.pairFrame
-	}
-	s.pools.pairFrame.ResetFault(f, base)
-	if ps := s.poolStats; ps != nil {
-		ps.FrameReuses++
-	}
-	return s.pools.pairFrame
-}
-
 // laneFrame returns the pooled lane implication kernel.
 func (s *Simulator) laneFrame() *implic.LaneFrame {
 	if s.pools.laneFrame == nil {
 		s.pools.laneFrame = implic.NewLaneFrame(s.cc)
-		if ps := s.poolStats; ps != nil {
-			ps.FrameAllocs++
-		}
-		return s.pools.laneFrame
-	}
-	if ps := s.poolStats; ps != nil {
-		ps.FrameReuses++
 	}
 	return s.pools.laneFrame
 }
 
-// deepFrame returns the pooled frame for chase level d of deepBackward,
-// reset to the given fault and base assignment.
-func (s *Simulator) deepFrame(d int, f *fault.Fault, base []logic.Val) *implic.Frame {
-	for len(s.pools.deepFrames) <= d {
-		s.pools.deepFrames = append(s.pools.deepFrames, nil)
+// chaseFrame returns the pooled lane kernel of the chase levels.
+func (s *Simulator) chaseFrame() *implic.LaneFrame {
+	if s.pools.chaseFrame == nil {
+		s.pools.chaseFrame = implic.NewLaneFrame(s.cc)
 	}
-	if fr := s.pools.deepFrames[d]; fr != nil {
-		fr.ResetFault(f, base)
-		if ps := s.poolStats; ps != nil {
-			ps.FrameReuses++
-		}
-		return fr
-	}
-	fr := implic.NewCompiled(s.cc, f, base)
-	s.pools.deepFrames[d] = fr
-	if ps := s.poolStats; ps != nil {
-		ps.FrameAllocs++
-	}
-	return fr
+	return s.pools.chaseFrame
 }
 
 // svReset starts a new membership epoch for the sv(u, i) set.

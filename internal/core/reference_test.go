@@ -1,12 +1,12 @@
 // Reference implementations the production engines are tested
 // against: the allocate-per-pair pair collection (collectPairsRef, a
-// fresh implication frame per pair side and a map-backed sv set) and
-// the dense serial resimulation of Section 3.4 (resimulateRef, one
-// materialized sequence at a time through full-frame evaluations).
-// TestCollectLanesCrossCheck, TestCollectDeepCrossCheck and
-// crossCheckPooled compare collectPairsRef with the lane and pooled
-// serial collection; crossCheckBPResim, testResimulate and
-// FuzzResimCrossCheck compare resimulateRef with the vector pass.
+// fresh serial implication frame per pair side and chase level, and a
+// map-backed sv set) and the dense serial resimulation of Section 3.4
+// (resimulateRef, one materialized sequence at a time through
+// full-frame evaluations). crossCheckCollect, TestCollectDeepCrossCheck
+// and FuzzCollectMemo compare collectPairsRef with the lane collection;
+// crossCheckBPResim, testResimulate and FuzzResimCrossCheck compare
+// resimulateRef with the vector pass.
 package core
 
 import (
@@ -61,12 +61,12 @@ func (s *Simulator) collectOneRef(f *fault.Fault, bad *seqsim.Trace, u, i int) p
 	for a := 0; a < 2; a++ {
 		alpha := logic.Val(a)
 		fr := implic.New(s.c, f, bad.Nodes[u-1])
-		ok := fr.AssignNextState(i, alpha) && s.imply(fr)
+		ok := fr.AssignNextState(i, alpha) && s.implyRef(fr)
 		if !ok {
 			p.conf[a] = true
 			continue
 		}
-		if s.frameDetects(fr, u-1) {
+		if s.frameDetectsRef(fr, u-1) {
 			p.detect[a] = true
 			continue
 		}
@@ -102,6 +102,37 @@ func (s *Simulator) collectOneRef(f *fault.Fault, bad *seqsim.Trace, u, i int) p
 	return p
 }
 
+// implyRef runs the configured schedule on a serial frame, counting
+// the call in the fault's record as the lane collection does.
+func (s *Simulator) implyRef(fr *implic.Frame) bool {
+	s.rec.implyCalls++
+	if s.cfg.Schedule == Fixpoint {
+		return fr.ImplyFixpoint(s.cfg.FixpointRounds)
+	}
+	return fr.ImplyTwoPass()
+}
+
+// frameDetectsRef reports whether the frame's outputs contradict the
+// fault-free outputs at time unit u.
+func (s *Simulator) frameDetectsRef(fr *implic.Frame, u int) bool {
+	g := s.good.Outputs[u]
+	for j := range g {
+		if v := fr.Output(j); v.IsBinary() && g[j].IsBinary() && v != g[j] {
+			return true
+		}
+	}
+	return false
+}
+
+// deepResult is the outcome of deepBackwardRef.
+type deepResult uint8
+
+const (
+	deepNothing deepResult = iota
+	deepConflict
+	deepDetect
+)
+
 // deepBackwardRef recursively chases newly specified present-state
 // variables into earlier frames, allocating a frame per time unit.
 func (s *Simulator) deepBackwardRef(f *fault.Fault, bad *seqsim.Trace, fr *implic.Frame, u, depth int) deepResult {
@@ -126,10 +157,10 @@ func (s *Simulator) deepBackwardRef(f *fault.Fault, bad *seqsim.Trace, fr *impli
 			return deepConflict
 		}
 	}
-	if !s.imply(prev) {
+	if !s.implyRef(prev) {
 		return deepConflict
 	}
-	if s.frameDetects(prev, u-1) {
+	if s.frameDetectsRef(prev, u-1) {
 		return deepDetect
 	}
 	return s.deepBackwardRef(f, bad, prev, u-1, depth-1)

@@ -23,40 +23,6 @@ type StageNS struct {
 	Total   int64 `json:"total_ns"`
 }
 
-// PoolStats instruments the PR 2 pooling layer: how often the pooled
-// resources were reused versus freshly allocated, and the arena
-// high-water marks. Counts are summed across RunParallel workers; peaks
-// take the maximum.
-type PoolStats struct {
-	// FrameReuses/FrameAllocs count implication-frame acquisitions (pair
-	// frame and deep-backward frames) served by ResetFault on a pooled
-	// frame versus a fresh implic.New.
-	FrameReuses int64 `json:"frame_reuses"`
-	FrameAllocs int64 `json:"frame_allocs"`
-	// TraceReuses/TraceAllocs count faulty-trace acquisitions served by
-	// the pooled RunFaultInto trace versus a fresh NewTrace.
-	TraceReuses int64 `json:"trace_reuses"`
-	TraceAllocs int64 `json:"trace_allocs"`
-	// SVArenaPeak is the high-water mark of the per-fault sv-assignment
-	// arena (entries); SVIdxArenaPeak of the sv-index arena.
-	SVArenaPeak    int64 `json:"sv_arena_peak"`
-	SVIdxArenaPeak int64 `json:"sv_idx_arena_peak"`
-	// SeqLivePeak is the largest number of sequences one expansion
-	// stood for (below twice the N_STATES budget).
-	SeqLivePeak int64 `json:"seq_live_peak"`
-}
-
-// merge folds other into p: counters add, peaks take the maximum.
-func (p *PoolStats) merge(other PoolStats) {
-	p.FrameReuses += other.FrameReuses
-	p.FrameAllocs += other.FrameAllocs
-	p.TraceReuses += other.TraceReuses
-	p.TraceAllocs += other.TraceAllocs
-	p.SVArenaPeak = max(p.SVArenaPeak, other.SVArenaPeak)
-	p.SVIdxArenaPeak = max(p.SVIdxArenaPeak, other.SVIdxArenaPeak)
-	p.SeqLivePeak = max(p.SeqLivePeak, other.SeqLivePeak)
-}
-
 // faultRecord is what one SimulateFault call measured: the one
 // per-fault observation every reporting sink reads (Result.Stages and
 // the live snapshot through livePublisher, the JSONL trace, the fault
@@ -174,11 +140,10 @@ func (s *Simulator) observeHist(o *FaultOutcome) {
 // workers cloned afterwards share them.
 func (s *Simulator) beginRun(res *Result) {
 	if !s.cfg.Metrics {
-		s.poolStats, s.hist = nil, nil
+		s.hist = nil
 		s.sim.SetFrameHists(nil, nil)
 		return
 	}
-	s.poolStats = &PoolStats{}
 	s.hist = newRunMetrics()
 	res.Metrics = s.hist
 	s.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
@@ -200,7 +165,6 @@ func (st *Stages) add(t LiveSnapshot) {
 	st.ResimVectorFrames += t.ResimVectorFrames
 	st.ResimGateEvals += t.ResimGateEvals
 	st.Sim.Merge(seqsim.SimStats{
-		EventFrames: t.EventFrames, FullFrames: t.FullFrames,
-		EventGateEvals: t.EventGateEvals, Events: t.Events,
+		EventFrames: t.EventFrames, EventGateEvals: t.EventGateEvals, Events: t.Events,
 	})
 }

@@ -26,19 +26,6 @@ func statsSetup(t *testing.T) (*netlist.Circuit, seqsim.Sequence, []fault.Fault)
 	return c, T, fault.CollapsedList(c)
 }
 
-// poolSums reduces PoolStats to its scheduling-invariant view: the
-// alloc/reuse split shifts with the worker count (each worker allocates
-// its own first frame) but the sums and the per-fault peaks do not.
-func poolSums(p PoolStats) [5]int64 {
-	return [5]int64{
-		p.FrameReuses + p.FrameAllocs,
-		p.TraceReuses + p.TraceAllocs,
-		p.SVArenaPeak,
-		p.SVIdxArenaPeak,
-		p.SeqLivePeak,
-	}
-}
-
 // countSnapshot strips a histogram snapshot down to its deterministic
 // part (everything but wall-clock content is scheduling-invariant).
 func countSnapshot(h *metrics.Histogram) metrics.Snapshot {
@@ -106,9 +93,6 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	}
 	if ser.Stages.ResimGateEvals == 0 {
 		t.Error("ResimGateEvals = 0; vector resimulation not counted")
-	}
-	if poolSums(ser.Stages.Pool) != poolSums(par.Stages.Pool) {
-		t.Errorf("pool sums differ:\n  serial:   %+v\n  parallel: %+v", ser.Stages.Pool, par.Stages.Pool)
 	}
 	if ser.Stages.Sim != par.Stages.Sim {
 		t.Errorf("sim stats differ:\n  serial:   %+v\n  parallel: %+v", ser.Stages.Sim, par.Stages.Sim)
@@ -192,7 +176,7 @@ func TestStagesMetricsOffCrossCheck(t *testing.T) {
 		t.Error("metrics-off run returned histograms")
 	}
 	if resOff.Stages.MOTFaults != 0 || resOff.Stages.ImplyCalls != 0 ||
-		resOff.Stages.Step0Time != 0 || resOff.Stages.Pool != (PoolStats{}) {
+		resOff.Stages.Step0Time != 0 || resOff.Stages.Sim != (seqsim.SimStats{}) {
 		t.Errorf("metrics-off run recorded a breakdown: %+v", resOff.Stages)
 	}
 	if resOn.Metrics == nil || resOn.Stages.MOTFaults == 0 {

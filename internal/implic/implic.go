@@ -46,7 +46,7 @@ type Frame struct {
 	forcedBuf []logic.Val
 
 	// changed is the assignment trail: nodes whose value became binary
-	// since New/Reset, in write order.
+	// since New, in write order.
 	changed []netlist.NodeID
 	// inQ marks gates already enqueued in the active worklist.
 	inQ   []bool
@@ -80,29 +80,6 @@ func NewCompiled(cc *cir.CC, flt *fault.Fault, base []logic.Val) *Frame {
 		forcedBuf:    make([]logic.Val, n),
 		inQ:          make([]bool, cc.NumGates()),
 	}
-}
-
-// Reset reinitializes the frame to a new base assignment, reusing storage.
-// The worklist is cleared sparsely from its own log: only gates actually
-// enqueued have their inQ flag unset, so the cost is O(queued), not
-// O(gates).
-func (fr *Frame) Reset(base []logic.Val) {
-	copy(fr.vals, base)
-	fr.conflict = false
-	fr.conflictNode = netlist.NoNode
-	fr.changed = fr.changed[:0]
-	fr.clearWorklist()
-}
-
-// ResetFault is Reset plus rebinding the injected fault, so one pooled
-// frame can serve frames of different faulty machines. flt may be nil for
-// a fault-free frame.
-func (fr *Frame) ResetFault(flt *fault.Fault, base []logic.Val) {
-	if flt == nil {
-		flt = &cir.NoFault
-	}
-	fr.flt = flt
-	fr.Reset(base)
 }
 
 // clearWorklist empties the gate worklist, unsetting only the inQ flags of

@@ -249,19 +249,6 @@ func TestOutputAndStateAccessors(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	c := mustParse(t, "ao", andOrBench)
-	base := baseFrame(t, c, "10", "x")
-	fr := New(c, nil, base)
-	q, _ := c.NodeByName("q")
-	fr.Assign(q, logic.One)
-	fr.Assign(q, logic.Zero) // conflict
-	fr.Reset(base)
-	if fr.Conflict() || fr.Value(q) != logic.X {
-		t.Fatal("Reset did not clear state")
-	}
-}
-
 // --- soundness property test ---
 
 // randomCircuit builds a random combinational+FF circuit.

@@ -1,7 +1,8 @@
 package implic
 
 // Lane-parallel implications: the bit-parallel counterpart of
-// Frame.ImplyTwoPass for pair collection (Section 3.1).
+// Frame.ImplyTwoPass and Frame.ImplyFixpoint for pair collection
+// (Section 3.1).
 //
 // Every candidate assertion Y_i = α of one time unit u starts from the
 // same faulty frame (the base, bad.Nodes[u-1]), so a LaneFrame runs
@@ -12,9 +13,10 @@ package implic
 // base on some lane are stored, in an epoch-stamped overlay; every
 // other node reads through to the base, broadcast to all lanes.
 //
-// The pass is the serial two-pass schedule on planes: the backward
+// Imply is the serial two-pass schedule on planes: the backward
 // closure (outputs to inputs) runs first, lanes that conflict there are
-// masked off, then the forward closure (inputs to outputs) runs. Both
+// masked off, then the forward closure (inputs to outputs) runs.
+// ImplyFixpoint repeats that round, as Frame.ImplyFixpoint does. Both
 // closures apply the same rules as Frame.inferGate and
 // Frame.evalGateForward, bitwise per lane, with the same fault
 // semantics: a stem-stuck node's driver is never evaluated or inferred
@@ -44,10 +46,10 @@ const MaxLanes = cir.Lanes4
 // running lane passes over frames of one compiled circuit. It is not
 // safe for concurrent use; create one per worker.
 //
-// A pass runs as Begin, one AssertNextState per lane, one Imply, and
-// then reads of Conflicts, Value, Output and NextState. Values are exact
-// on the pass's lanes that did not conflict; the others hold
-// unspecified values.
+// A pass runs as Begin, AssertNextState on each lane, one Imply or
+// ImplyFixpoint, and then reads of Conflicts, Value, Output, NextState
+// and PresentState. Values are exact on the pass's lanes that did not
+// conflict; the others hold unspecified values.
 type LaneFrame struct {
 	cc *cir.CC
 	// pos is cc.Positions(): gate records and fanin by position in
@@ -65,10 +67,12 @@ type LaneFrame struct {
 	base []logic.Val
 
 	// nw is the number of live lane words; active masks the pass's
-	// lanes and conf the lanes that have conflicted.
+	// lanes and conf the lanes that have conflicted. gained records
+	// that some lane gained a value in the current round.
 	nw     int
 	active [4]uint64
 	conf   [4]uint64
+	gained bool
 
 	// The bound fault: stem is the stem fault node (stemVal its stuck
 	// value), branch/pin the branch fault gate's position (-1: none) and
@@ -152,33 +156,49 @@ func (lf *LaneFrame) AssertNextState(i, lane int, v logic.Val) bool {
 
 // Imply runs the backward closure and then, on the lanes that did not
 // conflict, the forward closure, and returns the number of gates
-// evaluated in lanes.
-func (lf *LaneFrame) Imply() int {
-	// Seed the backward closure from the asserted next-state nodes.
-	for _, n := range lf.ov.Touched() {
-		lf.pushDriver(n)
-		lf.pushReaders(n)
-	}
-	// Backward: always take the highest pending position. Inference
-	// schedules fanin drivers below and sibling readers above the gate,
-	// so positions are revisited until nothing is pending.
-	for p := lf.ov.Last(); p >= 0; p = lf.ov.Last() {
-		lf.infer(p)
-	}
+// evaluated in lanes. It is ImplyFixpoint(1), the lane counterpart of
+// Frame.ImplyTwoPass.
+func (lf *LaneFrame) Imply() int { return lf.ImplyFixpoint(1) }
 
-	live := uint64(0)
-	for w := 0; w < lf.nw; w++ {
-		live |= lf.active[w] &^ lf.conf[w]
-	}
-	if live != 0 {
-		// Forward from every node the backward closure (or the
-		// assertions) changed; readers sit at higher positions, so one
-		// ascending scan reaches quiescence.
+// ImplyFixpoint alternates the backward and forward closures until no
+// lane gains a value in a round or maxRounds rounds have run, and
+// returns the number of gates evaluated in lanes. Each round re-seeds
+// from every node the pass has stored. A closure of a closed lane
+// derives nothing, so a lane that settles before the others is left
+// unchanged by their later rounds, and each lane equals
+// Frame.ImplyFixpoint(maxRounds) on its assertion.
+func (lf *LaneFrame) ImplyFixpoint(maxRounds int) int {
+	for round := 0; round < maxRounds; round++ {
+		lf.gained = false
+		// Backward: always take the highest pending position. Inference
+		// schedules fanin drivers below and sibling readers above the
+		// gate, so positions are revisited until nothing is pending.
+		for _, n := range lf.ov.Touched() {
+			lf.pushDriver(n)
+			lf.pushReaders(n)
+		}
+		for p := lf.ov.Last(); p >= 0; p = lf.ov.Last() {
+			lf.infer(p)
+		}
+
+		live := uint64(0)
+		for w := 0; w < lf.nw; w++ {
+			live |= lf.active[w] &^ lf.conf[w]
+		}
+		if live == 0 {
+			break
+		}
+		// Forward from every node the closures (or the assertions)
+		// changed; readers sit at higher positions, so one ascending
+		// scan reaches quiescence.
 		for _, n := range lf.ov.Touched() {
 			lf.pushReaders(n)
 		}
 		for p := lf.ov.Next(); p >= 0; p = lf.ov.Next() {
 			lf.eval(p)
+		}
+		if !lf.gained {
+			break
 		}
 	}
 	return lf.evals
@@ -207,6 +227,10 @@ func (lf *LaneFrame) Value(n netlist.NodeID) *cir.VV4 {
 // plus nodes loaded without a change. The slice is read-only and valid
 // until the next Begin.
 func (lf *LaneFrame) Touched() []netlist.NodeID { return lf.ov.Touched() }
+
+// PresentState returns the lane values of flip-flop i's Q node in the
+// frame (Frame.PresentState).
+func (lf *LaneFrame) PresentState(i int) *cir.VV4 { return lf.Value(lf.cc.FFQ[i]) }
 
 // Output returns the lane values of primary output j.
 func (lf *LaneFrame) Output(j int) *cir.VV4 { return lf.Value(lf.cc.Outputs[j]) }
@@ -279,7 +303,11 @@ func (lf *LaneFrame) add(n netlist.NodeID, one, zero *[4]uint64) bool {
 		lf.conf[w] |= v.One[w] & v.Zero[w] & d
 		changed |= d
 	}
-	return changed != 0
+	if changed == 0 {
+		return false
+	}
+	lf.gained = true
+	return true
 }
 
 // force merges inferred input values (one, zero) into node n and

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/fault"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
@@ -25,7 +24,7 @@ func framesEqual(t *testing.T, got, want *Frame, ctx string) {
 }
 
 // checkPristine asserts the frame's trail and worklist are empty and every
-// inQ flag is down — the invariant Mark/UndoTo and Reset rely on.
+// inQ flag is down — the invariant Mark/UndoTo relies on.
 func checkPristine(t *testing.T, fr *Frame, ctx string) {
 	t.Helper()
 	if len(fr.changed) != 0 {
@@ -142,62 +141,4 @@ func TestUndoAfterConflict(t *testing.T) {
 	ref.AssignNextState(0, logic.Zero)
 	ref.ImplyTwoPass()
 	framesEqual(t, fr, ref, "reuse after conflict")
-}
-
-// TestResetEqualsNew is the regression test for the sparse Reset: after
-// arbitrary use — including a conflict, which exercises the failure-path
-// worklist cleanup — Reset must leave the frame indistinguishable from a
-// freshly allocated one, internals included.
-func TestResetEqualsNew(t *testing.T) {
-	c := mustParse(t, "ao", andOrBench)
-	baseA := baseFrame(t, c, "00", "x")
-	baseB := baseFrame(t, c, "1x", "x")
-
-	fr := New(c, nil, baseA)
-	// Dirty the frame: run an implication to a conflict.
-	if fr.AssignNextState(0, logic.One) && fr.ImplyTwoPass() {
-		t.Fatal("expected conflict")
-	}
-	fr.Reset(baseB)
-	framesEqual(t, fr, New(c, nil, baseB), "reset after conflict")
-	checkPristine(t, fr, "reset after conflict")
-
-	// Dirty it again with a successful implication, then reset.
-	q, _ := c.NodeByName("q")
-	if !fr.Assign(q, logic.One) || !fr.ImplyTwoPass() {
-		t.Fatal("unexpected conflict")
-	}
-	fr.Reset(baseA)
-	framesEqual(t, fr, New(c, nil, baseA), "reset after success")
-	checkPristine(t, fr, "reset after success")
-}
-
-// TestResetFaultRebinds checks one pooled frame can serve different faulty
-// machines: after ResetFault the frame behaves exactly like a frame newly
-// allocated for that fault.
-func TestResetFaultRebinds(t *testing.T) {
-	c := mustParse(t, "ao", andOrBench)
-	d, _ := c.NodeByName("d")
-	f := fault.Fault{Node: d, Gate: netlist.NoGate, Stuck: logic.One}
-	baseGood := baseFrame(t, c, "10", "x")
-	baseBad := baseFrame(t, c, "00", "x", &f)
-
-	fr := New(c, nil, baseGood)
-	if !fr.AssignNextState(0, logic.One) || !fr.ImplyTwoPass() {
-		t.Fatal("unexpected conflict on fault-free frame")
-	}
-
-	fr.ResetFault(&f, baseBad)
-	// d is stuck at 1; asserting the FF latches 0 is impossible.
-	if fr.AssignNextState(0, logic.Zero) {
-		t.Fatal("assertion against stuck value accepted after ResetFault")
-	}
-	fr.ResetFault(nil, baseGood)
-	ref := New(c, nil, baseGood)
-	ref.AssignNextState(0, logic.One)
-	ref.ImplyTwoPass()
-	if !fr.AssignNextState(0, logic.One) || !fr.ImplyTwoPass() {
-		t.Fatal("unexpected conflict after rebinding back")
-	}
-	framesEqual(t, fr, ref, "rebound to fault-free")
 }

@@ -69,7 +69,6 @@ type StagesReport struct {
 	ResimSerialFallbacks int64 `json:"resim_serial_fallbacks"`
 
 	MOTFaults int             `json:"mot_faults"`
-	Pool      core.PoolStats  `json:"pool"`
 	Sim       seqsim.SimStats `json:"sim"`
 }
 
@@ -124,7 +123,6 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
 			MOTFaults:            st.MOTFaults,
-			Pool:                 st.Pool,
 			Sim:                  st.Sim,
 		},
 	}
@@ -196,15 +194,9 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit (%d gate evals)\n",
 			st.PrescreenFrames, st.PrescreenSavedFrames, st.PrescreenGateEvals)
 	}
-	if sim := st.Sim; sim.EventFrames+sim.FullFrames > 0 {
-		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events), %d full\n",
-			sim.EventFrames, sim.EventGateEvals, sim.Events, sim.FullFrames)
-	}
-	if p := st.Pool; p != (core.PoolStats{}) {
-		fmt.Fprintf(&sb, "  pools: frames %d reused / %d allocated; traces %d reused / %d allocated\n",
-			p.FrameReuses, p.FrameAllocs, p.TraceReuses, p.TraceAllocs)
-		fmt.Fprintf(&sb, "  arena peaks: sv=%d svIdx=%d liveSeqs=%d\n",
-			p.SVArenaPeak, p.SVIdxArenaPeak, p.SeqLivePeak)
+	if sim := st.Sim; sim.EventFrames > 0 {
+		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events)\n",
+			sim.EventFrames, sim.EventGateEvals, sim.Events)
 	}
 	if m := res.Metrics; m != nil {
 		fmt.Fprintf(&sb, "  pairs/fault:      %s\n", m.PairsPerFault.Snapshot())
@@ -241,8 +233,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals, s.ImplyMemoHits)
 	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
 		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals)
-	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events), %d full\n",
-		s.EventFrames, s.EventGateEvals, s.Events, s.FullFrames)
+	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events)\n",
+		s.EventFrames, s.EventGateEvals, s.Events)
 	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply~%.3f) expand=%.3f resim=%.3f total=%.3f\n",
 		float64(s.Step0NS)/1e9, float64(s.CollectNS)/1e9, float64(s.ImplyNS)/1e9,
 		float64(s.ExpandNS)/1e9, float64(s.ResimNS)/1e9, float64(s.TotalNS)/1e9)

@@ -52,7 +52,7 @@ func TestRunReportJSON(t *testing.T) {
 	if !ok {
 		t.Fatalf("stages not an object:\n%s", data)
 	}
-	for _, key := range []string{"step0_ns", "collect_ns", "imply_ns", "expand_ns", "resim_ns", "mot_faults", "pool", "sim"} {
+	for _, key := range []string{"step0_ns", "collect_ns", "imply_ns", "expand_ns", "resim_ns", "mot_faults", "sim"} {
 		if _, ok := stages[key]; !ok {
 			t.Errorf("stages missing %q:\n%s", key, data)
 		}
@@ -145,9 +145,8 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)",
 			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals,
 			res.Stages.ImplyMemoHits),
-		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events), %d full",
-			res.Stages.Sim.EventFrames, res.Stages.Sim.EventGateEvals, res.Stages.Sim.Events,
-			res.Stages.Sim.FullFrames),
+		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events)",
+			res.Stages.Sim.EventFrames, res.Stages.Sim.EventGateEvals, res.Stages.Sim.Events),
 	} {
 		if !strings.Contains(outP, want) {
 			t.Errorf("live section missing %q:\n%s", want, outP)

@@ -145,8 +145,7 @@ func TestServerRunLifecycle(t *testing.T) {
 	for {
 		samples := scrape(t, ts)
 		done := samples["motserve_faults_done_total"]
-		frames := samples["motserve_prescreen_frames_total"] + samples["motserve_event_frames_total"] +
-			samples["motserve_full_frames_total"]
+		frames := samples["motserve_prescreen_frames_total"] + samples["motserve_event_frames_total"]
 		if done < lastDone || frames < lastFrames {
 			t.Fatalf("counters went backward: done %v->%v frames %v->%v", lastDone, done, lastFrames, frames)
 		}
@@ -196,7 +195,6 @@ func TestServerRunLifecycle(t *testing.T) {
 		"motserve_imply_memo_hits_total":       float64(rep.Stages.ImplyMemoHits),
 		"motserve_event_frames_total":          float64(rep.Stages.Sim.EventFrames),
 		"motserve_event_gate_evals_total":      float64(rep.Stages.Sim.EventGateEvals),
-		"motserve_full_frames_total":           float64(rep.Stages.Sim.FullFrames),
 	} {
 		if got := samples[name]; got != want {
 			t.Errorf("final scrape %s = %v, want %v", name, got, want)

@@ -71,8 +71,6 @@ var liveCounters = []struct {
 		func(s core.LiveSnapshot) int64 { return s.ResimVectorFrames }},
 	{"resim_gate_evals_total", "Gates evaluated by bit-parallel resimulation.", false,
 		func(s core.LiveSnapshot) int64 { return s.ResimGateEvals }},
-	{"full_frames_total", "Full-pass frames simulated by the serial engine.", false,
-		func(s core.LiveSnapshot) int64 { return s.FullFrames }},
 	{"event_frames_total", "Sparse frames simulated by the event-driven evaluator.", false,
 		func(s core.LiveSnapshot) int64 { return s.EventFrames }},
 	{"event_gate_evals_total", "Gate evaluations inside event-driven frames.", false,

@@ -79,8 +79,6 @@ type (
 	// StageNS is the per-stage nanosecond breakdown of the MOT pipeline
 	// (step 0, pair collection, implications, expansion, resimulation).
 	StageNS = core.StageNS
-	// PoolStats aggregates object-pool reuse counters and arena peaks.
-	PoolStats = core.PoolStats
 	// SimStats counts serial-simulator work (delta vs. full frames).
 	SimStats = seqsim.SimStats
 	// RunMetrics holds the per-fault distribution histograms of a run
