@@ -23,10 +23,15 @@ GO ?= go
 RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
 
-.PHONY: build test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace
+.PHONY: build fmt test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace
 
 build:
 	$(GO) build ./...
+
+# Fail when gofmt would reformat any file, listing them (CI runs this).
+fmt:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -65,7 +70,7 @@ fuzz:
 perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-verify: build test vet race perfbench-test
+verify: build fmt test vet race perfbench-test
 
 # Whole-list MOT benchmarks (Table 2 circuits) with allocation stats.
 bench:

@@ -165,7 +165,7 @@ func BenchmarkResimulateVV(b *testing.B) {
 		if _, err := s.SimulateFault(g); err != nil {
 			b.Fatal(err)
 		}
-		if s.rec.resim.VectorPasses == 2 {
+		if s.rec.work.ResimVectorPasses == 2 {
 			f, found = g, true
 			break
 		}
@@ -266,6 +266,6 @@ func BenchmarkResim_sg5378(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(passes)), "passes/op")
-	b.ReportMetric(float64(s.rec.resim.VectorFrames)/float64(b.N), "frames/op")
-	b.ReportMetric(float64(s.rec.resim.GateEvals)/float64(b.N), "gate-evals/op")
+	b.ReportMetric(float64(s.rec.work.ResimVectorFrames)/float64(b.N), "frames/op")
+	b.ReportMetric(float64(s.rec.work.ResimGateEvals)/float64(b.N), "gate-evals/op")
 }

@@ -99,7 +99,7 @@ type Config struct {
 	// a subset of the faults the full procedure detects.
 	IdentificationOnly bool
 	// Metrics enables the per-stage instrumentation of Run and
-	// RunParallel: stage timers, per-fault histograms and pool gauges
+	// RunParallel: stage timers, per-fault work counters and histograms
 	// (Result.Stages breakdown and Result.Metrics). The cost is a handful
 	// of monotonic-clock reads per fault; outcomes are identical either
 	// way. Off, only the coarse prescreen/MOT stage split is recorded.

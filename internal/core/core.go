@@ -243,9 +243,10 @@ func (s *Simulator) SimulateFault(f fault.Fault) (FaultOutcome, error) {
 	}
 	out, err := s.simulateFault(f)
 	if s.cfg.Metrics {
-		s.rec.stages.Total = int64(time.Since(start))
+		s.rec.work.TotalNS = int64(time.Since(start))
 	}
-	s.rec.sim = s.sim.Stats()
+	st := s.sim.Stats()
+	s.rec.work.EventFrames, s.rec.work.EventGateEvals, s.rec.work.Events = st.EventFrames, st.EventGateEvals, st.Events
 	return out, err
 }
 
@@ -257,7 +258,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	if s.cfg.Metrics {
 		last = time.Now()
 	}
-	ns := &s.rec.stages
+	w := &s.rec.work
 
 	// Step 0: conventional fault simulation with fault dropping.
 	bad, at, detected, err := s.runBad(f)
@@ -265,7 +266,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		return out, err
 	}
 	if detected {
-		s.tick(&last, &ns.Step0)
+		s.tick(&last, &w.Step0NS)
 		out.Outcome = DetectedConventional
 		out.At = at
 		return out, nil
@@ -274,11 +275,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	// Necessary condition (C).
 	nsv, nout := s.profile(bad)
 	if !conditionC(nsv, nout) {
-		s.tick(&last, &ns.Step0)
+		s.tick(&last, &w.Step0NS)
 		out.FailedConditionC = true
 		return out, nil
 	}
-	s.tick(&last, &ns.Step0)
+	s.tick(&last, &w.Step0NS)
 
 	// Section 3.1: collect backward-implication information per pair.
 	pairs := s.collectPairs(&f, bad, nout)
@@ -290,7 +291,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		for k := range pairs {
 			p := &pairs[k]
 			if (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0)) {
-				s.tick(&last, &ns.Collect)
+				s.tick(&last, &w.CollectNS)
 				out.Outcome = DetectedMOT
 				out.ByIdentification = true
 				out.Counters.add(p.counters())
@@ -299,7 +300,7 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 			}
 		}
 	}
-	s.tick(&last, &ns.Collect)
+	s.tick(&last, &w.CollectNS)
 	if s.cfg.IdentificationOnly {
 		// Low-complexity mode (after [6]): no expansion, no resimulation.
 		return out, nil
@@ -309,14 +310,14 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	ph := s.beginPhase("expand", 0)
 	x := s.expand(pairs, bad, nsv, nout, &out)
 	s.endPhase(ph)
-	s.tick(&last, &ns.Expand)
+	s.tick(&last, &w.ExpandNS)
 
 	// Section 3.4: resimulation after expansion.
 	out.Sequences = x.lanes()
 	ph = s.beginPhase("resim", 0)
 	detected = s.resimulate(&f, bad, x, nout)
 	s.endPhase(ph)
-	s.tick(&last, &ns.Resim)
+	s.tick(&last, &w.ResimNS)
 	if detected {
 		out.Outcome = DetectedMOT
 		return out, nil
@@ -334,11 +335,11 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 		ph = s.beginPhase("expand", 1)
 		x = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
 		s.endPhase(ph)
-		s.tick(&last, &ns.Expand)
+		s.tick(&last, &w.ExpandNS)
 		ph = s.beginPhase("resim", 1)
 		detected = s.resimulate(&f, bad, x, nout)
 		s.endPhase(ph)
-		s.tick(&last, &ns.Resim)
+		s.tick(&last, &w.ResimNS)
 		if detected {
 			out.Outcome = DetectedMOT
 			out.Expansions += retry.Expansions
@@ -698,53 +699,12 @@ type Stages struct {
 	// proper).
 	MOTTime time.Duration
 
-	// The fields below are populated only with Config.Metrics.
-
-	// Step0Time covers the serial conventional resimulation of the
-	// faults entering the pipeline plus the condition (C) profile;
-	// CollectTime the pair collection of Section 3.1 including its
-	// implication runs; ExpandTime Procedure 2; ResimTime the Section
-	// 3.4 resimulation (both including the portfolio retry).
-	Step0Time   time.Duration
-	CollectTime time.Duration
-	// ImplyTime is the implication share of CollectTime: the lane
-	// implication passes and the fault-free lane memo's build, timed
-	// directly. It is a subset of CollectTime, not an additional stage.
-	ImplyTime  time.Duration
-	ExpandTime time.Duration
-	ResimTime  time.Duration
-	// ImplyCalls counts in-frame implication runs: one per asserted
-	// side of every collected pair (a lane of a lane pass or a side
-	// served from the fault-free lane memo; a side whose assertion
-	// conflicts outright runs none), plus one per lane of each
-	// deep-backward chase level (BackwardDepth > 1) whose assertions
-	// all hold.
-	ImplyCalls int64
-	// ImplyLaneEvals counts the gates the lane implication passes
-	// evaluated, backward and forward closures together (only gates a
-	// lane-divergent value reaches are evaluated), the one build of the
-	// fault-free lane memo included.
-	ImplyLaneEvals int64
-	// ImplyMemoHits counts the pairs served from the fault-free lane
-	// memo instead of a lane pass on the faulty frame.
-	ImplyMemoHits int64
-	// ResimVectorPasses counts bit-parallel resimulation passes of up to
-	// 64 lanes, portfolio retries included. ResimVectorFrames counts the
-	// time frames those passes evaluated (frames with no active lane are
-	// skipped and not counted), and ResimGateEvals the gates they
-	// evaluated (only gates a lane-divergent value reaches are evaluated,
-	// so a frame with no divergence counts none). Expansions of more
-	// than 64 sequences run one pass per 64-lane chunk, stopping at the
-	// first chunk that leaves a lane unresolved.
-	ResimVectorPasses int64
-	ResimVectorFrames int64
-	ResimGateEvals    int64
 	// MOTFaults counts the faults that entered the per-fault pipeline:
 	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.
+	// It and Work are populated only with Config.Metrics; Work's stage
+	// times are summed across workers and are therefore CPU time.
 	MOTFaults int
-	// Sim counts the serial simulator's work during step 0 (frames by
-	// evaluation mode, sparse-frame gate evaluations).
-	Sim seqsim.SimStats
+	Work
 }
 
 // Detected returns the total number of detected faults.
@@ -943,7 +903,8 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	res.Stages.MOTTime = time.Since(motStart)
 	if s.cfg.Metrics {
 		for w := range sims {
-			res.Stages.add(pubs[w].total)
+			res.Stages.MOTFaults += int(pubs[w].total.MOTFaults)
+			res.Stages.Work.Add(pubs[w].total.Work)
 		}
 	}
 	sc.finish(res)

@@ -104,8 +104,8 @@ func (s *Simulator) collectLanes(f *fault.Fault, bad *seqsim.Trace, u int, pairs
 	// Every memo side asserted on an unspecified D node, as a lane pass
 	// on the faulty frame would have.
 	served := int64(len(cands) - len(rerun))
-	s.rec.implyCalls += 2 * served
-	s.rec.implyMemoHits += served
+	s.rec.work.ImplyCalls += 2 * served
+	s.rec.work.ImplyMemoHits += served
 	return pairs
 }
 
@@ -137,7 +137,7 @@ func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cand
 			}
 		}
 		s.imply(lf, start)
-		s.rec.implyCalls += int64(asserted)
+		s.rec.work.ImplyCalls += int64(asserted)
 
 		conf, det := laneVerdicts(lf, good, nw)
 		if s.cfg.BackwardDepth > 1 {
@@ -186,9 +186,9 @@ func (s *Simulator) lanePairs(f *fault.Fault, bad *seqsim.Trace, u int, xs, cand
 // pass, charging its gate evaluations, and with metrics on the time
 // since start, to the fault's record.
 func (s *Simulator) imply(lf *implic.LaneFrame, start time.Time) {
-	s.rec.implyLaneEvals += int64(lf.ImplyFixpoint(s.implyRounds()))
+	s.rec.work.ImplyLaneEvals += int64(lf.ImplyFixpoint(s.implyRounds()))
 	if s.cfg.Metrics {
-		s.rec.stages.Imply += int64(time.Since(start))
+		s.rec.work.ImplyNS += int64(time.Since(start))
 	}
 }
 
@@ -275,7 +275,7 @@ func (s *Simulator) chase(f *fault.Fault, bad *seqsim.Trace, lf *implic.LaneFram
 		s.imply(df, start)
 		dc, dd := laneVerdicts(df, s.good.Outputs[t-1], nw)
 		for w := 0; w < nw; w++ {
-			s.rec.implyCalls += int64(bits.OnesCount64(live[w] &^ outright[w]))
+			s.rec.work.ImplyCalls += int64(bits.OnesCount64(live[w] &^ outright[w]))
 			dc[w] &= live[w]
 			dd[w] &= live[w] &^ dc[w]
 			conf[w] |= dc[w]

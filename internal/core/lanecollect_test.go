@@ -138,7 +138,7 @@ func (v collectVariant) config() Config {
 func countCalls(s *Simulator, collect func() []pairInfo) ([]pairInfo, int64) {
 	s.rec = faultRecord{}
 	pairs := clonePairs(collect())
-	return pairs, s.rec.implyCalls
+	return pairs, s.rec.work.ImplyCalls
 }
 
 // checkAgainstRef fails the test unless got, collected with calls
@@ -256,7 +256,7 @@ func TestCollectMemoCrossCheck(t *testing.T) {
 		if memoCalls != calls {
 			t.Fatalf("%s: memo path counts %d implication calls, lane passes %d", tag, memoCalls, calls)
 		}
-		served := s.rec.implyMemoHits
+		served := s.rec.work.ImplyMemoHits
 		samePairs(t, tag+" memo vs lanes", memo, all)
 		checkAgainstRef(t, tag+" memo", s, f, bad, nout, memo, memoCalls)
 		kind := 0

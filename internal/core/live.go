@@ -64,24 +64,9 @@ type LiveSnapshot struct {
 	Expansions int64 `json:"expansions"`
 	Sequences  int64 `json:"sequences"`
 
-	ImplyCalls     int64 `json:"imply_calls"`
-	ImplyLaneEvals int64 `json:"imply_lane_evals"`
-	ImplyMemoHits  int64 `json:"imply_memo_hits"`
-	ImplyNS        int64 `json:"imply_ns"`
-
-	ResimVectorPasses int64 `json:"resim_vector_passes"`
-	ResimVectorFrames int64 `json:"resim_vector_frames"`
-	ResimGateEvals    int64 `json:"resim_gate_evals"`
-
-	Step0NS   int64 `json:"step0_ns"`
-	CollectNS int64 `json:"collect_ns"`
-	ExpandNS  int64 `json:"expand_ns"`
-	ResimNS   int64 `json:"resim_ns"`
-	TotalNS   int64 `json:"total_ns"`
-
-	EventFrames    int64 `json:"event_frames"`
-	EventGateEvals int64 `json:"event_gate_evals"`
-	Events         int64 `json:"events"`
+	// Work sums the per-fault work of the pipeline faults; it stays 0
+	// with Config.Metrics off.
+	Work
 }
 
 // Snapshot copies the current state. Every publication folds in under
@@ -101,41 +86,6 @@ func (l *LiveStats) add(d LiveSnapshot) {
 	l.mu.Lock()
 	l.s.Add(d)
 	l.mu.Unlock()
-}
-
-// Add adds other to s field by field.
-func (s *LiveSnapshot) Add(other LiveSnapshot) {
-	s.RunsStarted += other.RunsStarted
-	s.RunsDone += other.RunsDone
-	s.FaultsTotal += other.FaultsTotal
-	s.FaultsDone += other.FaultsDone
-	s.Conv += other.Conv
-	s.MOT += other.MOT
-	s.PrunedConditionC += other.PrunedConditionC
-	s.PrescreenPasses += other.PrescreenPasses
-	s.PrescreenDropped += other.PrescreenDropped
-	s.PrescreenPrunedC += other.PrescreenPrunedC
-	s.PrescreenFrames += other.PrescreenFrames
-	s.PrescreenGateEvals += other.PrescreenGateEvals
-	s.MOTFaults += other.MOTFaults
-	s.Pairs += other.Pairs
-	s.Expansions += other.Expansions
-	s.Sequences += other.Sequences
-	s.ImplyCalls += other.ImplyCalls
-	s.ImplyLaneEvals += other.ImplyLaneEvals
-	s.ImplyMemoHits += other.ImplyMemoHits
-	s.ImplyNS += other.ImplyNS
-	s.ResimVectorPasses += other.ResimVectorPasses
-	s.ResimVectorFrames += other.ResimVectorFrames
-	s.ResimGateEvals += other.ResimGateEvals
-	s.Step0NS += other.Step0NS
-	s.CollectNS += other.CollectNS
-	s.ExpandNS += other.ExpandNS
-	s.ResimNS += other.ResimNS
-	s.TotalNS += other.TotalNS
-	s.EventFrames += other.EventFrames
-	s.EventGateEvals += other.EventGateEvals
-	s.Events += other.Events
 }
 
 // Undetected returns the faults classified so far as undetected.
@@ -214,21 +164,7 @@ func (p *livePublisher) observe(o *FaultOutcome, r *faultRecord) {
 	d.Expansions += int64(o.Expansions)
 	d.Sequences += int64(o.Sequences)
 	if p.metrics {
-		d.ImplyCalls += r.implyCalls
-		d.ImplyLaneEvals += r.implyLaneEvals
-		d.ImplyMemoHits += r.implyMemoHits
-		d.ResimVectorPasses += int64(r.resim.VectorPasses)
-		d.ResimVectorFrames += int64(r.resim.VectorFrames)
-		d.ResimGateEvals += int64(r.resim.GateEvals)
-		d.ImplyNS += r.stages.Imply
-		d.Step0NS += r.stages.Step0
-		d.CollectNS += r.stages.Collect
-		d.ExpandNS += r.stages.Expand
-		d.ResimNS += r.stages.Resim
-		d.TotalNS += r.stages.Total
-		d.EventFrames += r.sim.EventFrames
-		d.EventGateEvals += r.sim.EventGateEvals
-		d.Events += r.sim.Events
+		d.Work.Add(r.work)
 	}
 	if p.n++; p.n >= p.every {
 		p.flush()

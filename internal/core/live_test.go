@@ -53,6 +53,8 @@ func deterministic(s LiveSnapshot) LiveSnapshot {
 // histogram observed), since both sides sum the same fault records.
 func resultSnapshot(res *Result) LiveSnapshot {
 	st := &res.Stages
+	work := st.Work
+	work.TotalNS = res.Metrics.FaultTimeNS.Snapshot().Sum
 	return LiveSnapshot{
 		RunsStarted:        1,
 		RunsDone:           1,
@@ -70,31 +72,34 @@ func resultSnapshot(res *Result) LiveSnapshot {
 		Pairs:              int64(res.Pairs),
 		Expansions:         int64(res.Expansions),
 		Sequences:          int64(res.Sequences),
-		ImplyCalls:         st.ImplyCalls,
-		ImplyLaneEvals:     st.ImplyLaneEvals,
-		ImplyMemoHits:      st.ImplyMemoHits,
-		ImplyNS:            int64(st.ImplyTime),
-		ResimVectorPasses:  st.ResimVectorPasses,
-		ResimVectorFrames:  st.ResimVectorFrames,
-		ResimGateEvals:     st.ResimGateEvals,
-		Step0NS:            int64(st.Step0Time),
-		CollectNS:          int64(st.CollectTime),
-		ExpandNS:           int64(st.ExpandTime),
-		ResimNS:            int64(st.ResimTime),
-		TotalNS:            res.Metrics.FaultTimeNS.Snapshot().Sum,
-		EventFrames:        st.Sim.EventFrames,
-		EventGateEvals:     st.Sim.EventGateEvals,
-		Events:             st.Sim.Events,
+		Work:               work,
 	}
+}
+
+// snapshotFields returns the counter fields of *s, Work's included, and
+// their names, in field order.
+func snapshotFields(s *LiveSnapshot) ([]reflect.Value, []string) {
+	v := reflect.ValueOf(s).Elem()
+	var fields []reflect.Value
+	var names []string
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Anonymous {
+			continue
+		}
+		fields = append(fields, v.FieldByIndex(f.Index))
+		names = append(names, f.Name)
+	}
+	return fields, names
 }
 
 // diffSnapshots lists the fields where got and want differ.
 func diffSnapshots(got, want LiveSnapshot) []string {
 	var out []string
-	g, w := reflect.ValueOf(got), reflect.ValueOf(want)
-	for i := 0; i < g.NumField(); i++ {
-		if a, b := g.Field(i).Int(), w.Field(i).Int(); a != b {
-			out = append(out, fmt.Sprintf("%s = %d, want %d", g.Type().Field(i).Name, a, b))
+	g, names := snapshotFields(&got)
+	w, _ := snapshotFields(&want)
+	for i := range g {
+		if a, b := g[i].Int(), w[i].Int(); a != b {
+			out = append(out, fmt.Sprintf("%s = %d, want %d", names[i], a, b))
 		}
 	}
 	return out
@@ -136,12 +141,11 @@ func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
 func sentinelSnapshot(t *testing.T) LiveSnapshot {
 	t.Helper()
 	var s LiveSnapshot
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
+	fields, names := snapshotFields(&s)
+	for i, f := range fields {
 		if f.Kind() != reflect.Int64 {
 			t.Fatalf("LiveSnapshot field %s is %s; the sentinel scheme assumes int64 — extend this test",
-				v.Type().Field(i).Name, f.Kind())
+				names[i], f.Kind())
 		}
 		f.SetInt(int64(i + 1))
 	}
@@ -150,17 +154,16 @@ func sentinelSnapshot(t *testing.T) LiveSnapshot {
 
 // TestLiveSnapshotAddCoversAllFields guards every aggregate built with
 // Add (LiveStats publications, serve's server-level /metrics sums):
-// adding a field to LiveSnapshot without extending Add fails this test
-// instead of silently freezing one counter.
+// adding a field to LiveSnapshot without a counter table row fails this
+// test instead of silently freezing one counter.
 func TestLiveSnapshotAddCoversAllFields(t *testing.T) {
 	s := sentinelSnapshot(t)
 	sum := s
 	sum.Add(s)
-	v := reflect.ValueOf(sum)
-	for i := 0; i < v.NumField(); i++ {
-		want := int64(2 * (i + 1))
-		if got := v.Field(i).Int(); got != want {
-			t.Errorf("Add dropped field %s: got %d, want %d", v.Type().Field(i).Name, got, want)
+	fields, names := snapshotFields(&sum)
+	for i, f := range fields {
+		if want := int64(2 * (i + 1)); f.Int() != want {
+			t.Errorf("Add dropped field %s: got %d, want %d", names[i], f.Int(), want)
 		}
 	}
 }
@@ -186,11 +189,12 @@ func TestLiveScrapeParallel(t *testing.T) {
 		var prev LiveSnapshot
 		for {
 			cur := live.Snapshot()
-			pv, cv := reflect.ValueOf(prev), reflect.ValueOf(cur)
-			for i := 0; i < cv.NumField(); i++ {
-				if cv.Field(i).Int() < pv.Field(i).Int() {
+			pv, _ := snapshotFields(&prev)
+			cv, names := snapshotFields(&cur)
+			for i := range cv {
+				if cv[i].Int() < pv[i].Int() {
 					t.Errorf("scrape %d: %s went backward: %d -> %d",
-						n, cv.Type().Field(i).Name, pv.Field(i).Int(), cv.Field(i).Int())
+						n, names[i], pv[i].Int(), cv[i].Int())
 				}
 			}
 			if cur.Undetected() < 0 {

@@ -67,9 +67,9 @@ func (s *Simulator) collectMemo() *collectMemo {
 		}
 		s.memo.m = s.buildMemo()
 		if s.cfg.Metrics {
-			s.rec.stages.Imply += int64(time.Since(start))
+			s.rec.work.ImplyNS += int64(time.Since(start))
 		}
-		s.rec.implyLaneEvals += int64(s.memo.m.evals)
+		s.rec.work.ImplyLaneEvals += int64(s.memo.m.evals)
 	})
 	return s.memo.m
 }

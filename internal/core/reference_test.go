@@ -105,7 +105,7 @@ func (s *Simulator) collectOneRef(f *fault.Fault, bad *seqsim.Trace, u, i int) p
 // implyRef runs the configured schedule on a serial frame, counting
 // the call in the fault's record as the lane collection does.
 func (s *Simulator) implyRef(fr *implic.Frame) bool {
-	s.rec.implyCalls++
+	s.rec.work.ImplyCalls++
 	if s.cfg.Schedule == Fixpoint {
 		return fr.ImplyFixpoint(s.cfg.FixpointRounds)
 	}

@@ -227,7 +227,7 @@ func horizonResim(t *testing.T, s *Simulator, f *fault.Fault, bad *seqsim.Trace,
 	t.Helper()
 	s.rec = faultRecord{}
 	ok = testResimulate(t, s, f, bad, x)
-	return ok, s.rec.resim.VectorFrames, s.rec.resim.VectorPasses
+	return ok, int(s.rec.work.ResimVectorFrames), int(s.rec.work.ResimVectorPasses)
 }
 
 // TestResimHorizonLastNoutUnit: the only detection opportunity is at

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/seqsim"
 )
 
 // StageNS is a per-fault stage-time breakdown in nanoseconds. Step0
@@ -28,28 +27,20 @@ type StageNS struct {
 // the live snapshot through livePublisher, the JSONL trace, the fault
 // span's attributes and the run histograms). The pipeline's
 // instrumentation sites write it directly; SimulateFault resets it per
-// fault. Every field but stages is deterministic for a given circuit,
-// sequence, configuration and fault.
+// fault. Every count is deterministic for a given circuit, sequence,
+// configuration and fault; the stage times are zero unless
+// Config.Metrics is on (the clock is read only then).
 type faultRecord struct {
-	// stages is the fault's stage-time breakdown; zero unless
-	// Config.Metrics is on (the clock is read only then).
-	stages StageNS
-	// implyCalls counts in-frame implication runs, implyLaneEvals the
-	// gates the lane implication passes evaluated and implyMemoHits the
-	// pairs served from the fault-free lane memo (see Stages).
-	implyCalls     int64
-	implyLaneEvals int64
-	implyMemoHits  int64
-	// resim summarizes the fault's resimulation passes.
-	resim ResimTrace
-	// sim is the serial simulator's step-0 work for the fault.
-	sim seqsim.SimStats
+	// work is the fault's share of the run counters.
+	work Work
+	// resimLanes sums the lanes its resimulation passes packed.
+	resimLanes int
 }
 
 // simTrace is the record's step-0 summary as the trace and the span
 // attributes report it.
 func (r *faultRecord) simTrace() SimTrace {
-	return SimTrace{Frames: r.sim.EventFrames, Events: r.sim.Events, GateEvals: r.sim.EventGateEvals}
+	return SimTrace{Frames: r.work.EventFrames, Events: r.work.Events, GateEvals: r.work.EventGateEvals}
 }
 
 // tick adds the time since *last to the stage counter *ns and advances
@@ -120,7 +111,7 @@ func (s *Simulator) observeHist(o *FaultOutcome) {
 	m.PairsPerFault.Observe(int64(o.Pairs))
 	m.ExpansionsPerFault.Observe(int64(o.Expansions))
 	m.SequencesAtStop.Observe(int64(o.Sequences))
-	m.FaultTimeNS.Observe(r.stages.Total)
+	m.FaultTimeNS.Observe(r.work.TotalNS)
 	if s.span == 0 {
 		// Unsampled: the hot path never allocates exemplar labels.
 		return
@@ -132,7 +123,7 @@ func (s *Simulator) observeHist(o *FaultOutcome) {
 	m.PairsPerFault.SetExemplar(int64(o.Pairs), fl, sl)
 	m.ExpansionsPerFault.SetExemplar(int64(o.Expansions), fl, sl)
 	m.SequencesAtStop.SetExemplar(int64(o.Sequences), fl, sl)
-	m.FaultTimeNS.SetExemplar(r.stages.Total, fl, sl)
+	m.FaultTimeNS.SetExemplar(r.work.TotalNS, fl, sl)
 }
 
 // beginRun resets the per-run instrumentation state on s according to
@@ -147,24 +138,4 @@ func (s *Simulator) beginRun(res *Result) {
 	s.hist = newRunMetrics()
 	res.Metrics = s.hist
 	s.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
-}
-
-// add folds one worker's summed records (livePublisher.total) into the
-// run's per-fault breakdown.
-func (st *Stages) add(t LiveSnapshot) {
-	st.MOTFaults += int(t.MOTFaults)
-	st.Step0Time += time.Duration(t.Step0NS)
-	st.CollectTime += time.Duration(t.CollectNS)
-	st.ImplyTime += time.Duration(t.ImplyNS)
-	st.ExpandTime += time.Duration(t.ExpandNS)
-	st.ResimTime += time.Duration(t.ResimNS)
-	st.ImplyCalls += t.ImplyCalls
-	st.ImplyLaneEvals += t.ImplyLaneEvals
-	st.ImplyMemoHits += t.ImplyMemoHits
-	st.ResimVectorPasses += t.ResimVectorPasses
-	st.ResimVectorFrames += t.ResimVectorFrames
-	st.ResimGateEvals += t.ResimGateEvals
-	st.Sim.Merge(seqsim.SimStats{
-		EventFrames: t.EventFrames, EventGateEvals: t.EventGateEvals, Events: t.Events,
-	})
 }

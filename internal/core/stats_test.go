@@ -94,14 +94,16 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.ResimGateEvals == 0 {
 		t.Error("ResimGateEvals = 0; vector resimulation not counted")
 	}
-	if ser.Stages.Sim != par.Stages.Sim {
-		t.Errorf("sim stats differ:\n  serial:   %+v\n  parallel: %+v", ser.Stages.Sim, par.Stages.Sim)
+	type simCounts struct{ frames, gateEvals, events int64 }
+	sim := func(st Stages) simCounts { return simCounts{st.EventFrames, st.EventGateEvals, st.Events} }
+	if sim(ser.Stages) != sim(par.Stages) {
+		t.Errorf("sim stats differ:\n  serial:   %+v\n  parallel: %+v", sim(ser.Stages), sim(par.Stages))
 	}
-	if ser.Stages.Sim.EventFrames == 0 {
+	if ser.Stages.EventFrames == 0 {
 		t.Error("EventFrames = 0; step-0 resimulation not counted")
 	}
-	if ser.Stages.Sim.Events == 0 || ser.Stages.Sim.EventGateEvals == 0 {
-		t.Errorf("event counters empty: %+v", ser.Stages.Sim)
+	if ser.Stages.Events == 0 || ser.Stages.EventGateEvals == 0 {
+		t.Errorf("event counters empty: %+v", sim(ser.Stages))
 	}
 	if ser.Stages.PrescreenFrames != par.Stages.PrescreenFrames ||
 		ser.Stages.PrescreenSavedFrames != par.Stages.PrescreenSavedFrames ||
@@ -113,7 +115,7 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	if ser.Stages.PrescreenFrames == 0 || ser.Stages.PrescreenGateEvals == 0 {
 		t.Error("PrescreenFrames or PrescreenGateEvals = 0; prescreen instrumentation not reached")
 	}
-	if ser.Stages.Step0Time <= 0 || ser.Stages.CollectTime <= 0 {
+	if ser.Stages.Step0NS <= 0 || ser.Stages.CollectNS <= 0 {
 		t.Errorf("serial stage times not recorded: %+v", ser.Stages)
 	}
 
@@ -175,8 +177,7 @@ func TestStagesMetricsOffCrossCheck(t *testing.T) {
 	if resOff.Metrics != nil {
 		t.Error("metrics-off run returned histograms")
 	}
-	if resOff.Stages.MOTFaults != 0 || resOff.Stages.ImplyCalls != 0 ||
-		resOff.Stages.Step0Time != 0 || resOff.Stages.Sim != (seqsim.SimStats{}) {
+	if resOff.Stages.MOTFaults != 0 || resOff.Stages.Work != (Work{}) {
 		t.Errorf("metrics-off run recorded a breakdown: %+v", resOff.Stages)
 	}
 	if resOn.Metrics == nil || resOn.Stages.MOTFaults == 0 {

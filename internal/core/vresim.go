@@ -237,11 +237,11 @@ func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion, 
 		if s.hist != nil {
 			s.hist.ResimLanesPerPass.Observe(int64(lanes))
 		}
-		r := &s.rec.resim
-		r.VectorPasses++
-		r.VectorFrames += frames
-		r.GateEvals += gateEvals
-		r.Lanes += lanes
+		w := &s.rec.work
+		w.ResimVectorPasses++
+		w.ResimVectorFrames += int64(frames)
+		w.ResimGateEvals += int64(gateEvals)
+		s.rec.resimLanes += lanes
 	}
 	if resimHook != nil {
 		resimHook(s, f, bad, x, resolved)

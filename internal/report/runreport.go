@@ -111,11 +111,11 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			PrescreenNS:          int64(st.PrescreenTime),
 			CompileNS:            int64(st.CompileTime),
 			MOTNS:                int64(st.MOTTime),
-			Step0NS:              int64(st.Step0Time),
-			CollectNS:            int64(st.CollectTime),
-			ImplyNS:              int64(st.ImplyTime),
-			ExpandNS:             int64(st.ExpandTime),
-			ResimNS:              int64(st.ResimTime),
+			Step0NS:              st.Step0NS,
+			CollectNS:            st.CollectNS,
+			ImplyNS:              st.ImplyNS,
+			ExpandNS:             st.ExpandNS,
+			ResimNS:              st.ResimNS,
 			ImplyCalls:           st.ImplyCalls,
 			ImplyLaneEvals:       st.ImplyLaneEvals,
 			ImplyMemoHits:        st.ImplyMemoHits,
@@ -123,7 +123,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
 			MOTFaults:            st.MOTFaults,
-			Sim:                  st.Sim,
+			Sim:                  seqsim.SimStats{EventFrames: st.EventFrames, EventGateEvals: st.EventGateEvals, Events: st.Events},
 		},
 	}
 	if res.Total > 0 {
@@ -160,7 +160,7 @@ func pct(part, whole time.Duration) string {
 	return fmt.Sprintf("%.1f%%", 100*float64(part)/float64(whole))
 }
 
-// FormatRunStats renders the per-stage breakdown, pool gauges and
+// FormatRunStats renders the per-stage breakdown, work counters and
 // per-fault histograms of a run as indented text (empty when the run
 // collected no metrics beyond the coarse stage split).
 func FormatRunStats(res *core.Result) string {
@@ -169,17 +169,17 @@ func FormatRunStats(res *core.Result) string {
 	if st.MOTFaults == 0 && res.Metrics == nil {
 		return ""
 	}
-	cpu := st.Step0Time + st.CollectTime + st.ExpandTime + st.ResimTime
+	cpu := time.Duration(st.Step0NS + st.CollectNS + st.ExpandNS + st.ResimNS)
 	fmt.Fprintf(&sb, "  stage breakdown (%d MOT-pipeline faults, CPU time across workers):\n", st.MOTFaults)
 	rows := []struct {
 		name string
 		d    time.Duration
 	}{
-		{"step0 resim + cond(C)", st.Step0Time},
-		{"pair collection", st.CollectTime},
-		{"  implications", st.ImplyTime},
-		{"expansion", st.ExpandTime},
-		{"resimulation", st.ResimTime},
+		{"step0 resim + cond(C)", time.Duration(st.Step0NS)},
+		{"pair collection", time.Duration(st.CollectNS)},
+		{"  implications", time.Duration(st.ImplyNS)},
+		{"expansion", time.Duration(st.ExpandNS)},
+		{"resimulation", time.Duration(st.ResimNS)},
 	}
 	for _, r := range rows {
 		fmt.Fprintf(&sb, "    %-24s %12s  %6s\n", r.name, r.d.Round(time.Microsecond), pct(r.d, cpu))
@@ -194,9 +194,9 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit (%d gate evals)\n",
 			st.PrescreenFrames, st.PrescreenSavedFrames, st.PrescreenGateEvals)
 	}
-	if sim := st.Sim; sim.EventFrames > 0 {
+	if st.EventFrames > 0 {
 		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events)\n",
-			sim.EventFrames, sim.EventGateEvals, sim.Events)
+			st.EventFrames, st.EventGateEvals, st.Events)
 	}
 	if m := res.Metrics; m != nil {
 		fmt.Fprintf(&sb, "  pairs/fault:      %s\n", m.PairsPerFault.Snapshot())
@@ -235,7 +235,7 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals)
 	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events)\n",
 		s.EventFrames, s.EventGateEvals, s.Events)
-	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply~%.3f) expand=%.3f resim=%.3f total=%.3f\n",
+	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply=%.3f) expand=%.3f resim=%.3f total=%.3f\n",
 		float64(s.Step0NS)/1e9, float64(s.CollectNS)/1e9, float64(s.ImplyNS)/1e9,
 		float64(s.ExpandNS)/1e9, float64(s.ResimNS)/1e9, float64(s.TotalNS)/1e9)
 	return sb.String()

@@ -84,6 +84,9 @@ func TestFormatRunStats(t *testing.T) {
 	if strings.Contains(out, "(est.)") {
 		t.Errorf("FormatRunStats labels the directly timed implication row as an estimate:\n%s", out)
 	}
+	if live := FormatLiveSnapshot(core.LiveSnapshot{}); strings.Contains(live, "~") || !strings.Contains(live, "(imply=") {
+		t.Errorf("FormatLiveSnapshot marks the directly timed implication seconds as an estimate:\n%s", live)
+	}
 	if off := FormatRunStats(smallRun(t, false)); off != "" {
 		t.Errorf("metrics-off stats not empty:\n%s", off)
 	}
@@ -146,7 +149,7 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals,
 			res.Stages.ImplyMemoHits),
 		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events)",
-			res.Stages.Sim.EventFrames, res.Stages.Sim.EventGateEvals, res.Stages.Sim.Events),
+			res.Stages.EventFrames, res.Stages.EventGateEvals, res.Stages.Events),
 	} {
 		if !strings.Contains(outP, want) {
 			t.Errorf("live section missing %q:\n%s", want, outP)

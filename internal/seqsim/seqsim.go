@@ -135,14 +135,6 @@ type SimStats struct {
 	Events int64 `json:"events"`
 }
 
-// Merge adds other into s.
-func (s *SimStats) Merge(other SimStats) {
-	s.EventFrames += other.EventFrames
-	s.FullFrames += other.FullFrames
-	s.EventGateEvals += other.EventGateEvals
-	s.Events += other.Events
-}
-
 // Simulator runs three-valued simulation on one circuit. It is not safe
 // for concurrent use; create one per goroutine (the compiled circuit
 // behind it is shared read-only).

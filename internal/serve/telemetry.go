@@ -18,94 +18,20 @@ import (
 	"repro/internal/profiling"
 )
 
-// liveCounters maps every monotonic LiveSnapshot field to a Prometheus
-// counter name (without prefix) and help string. Times are exposed in
-// seconds; the *_ns fields carry nanoseconds and are scaled at
-// registration.
-var liveCounters = []struct {
-	name, help string
-	seconds    bool
-	get        func(core.LiveSnapshot) int64
-}{
-	{"runs_started_total", "Whole-list runs started.", false,
-		func(s core.LiveSnapshot) int64 { return s.RunsStarted }},
-	{"runs_done_total", "Whole-list runs completed (including failed and canceled).", false,
-		func(s core.LiveSnapshot) int64 { return s.RunsDone }},
-	{"faults_total", "Faults submitted across all runs.", false,
-		func(s core.LiveSnapshot) int64 { return s.FaultsTotal }},
-	{"faults_done_total", "Faults classified so far.", false,
-		func(s core.LiveSnapshot) int64 { return s.FaultsDone }},
-	{"detected_conventional_total", "Faults detected by conventional simulation.", false,
-		func(s core.LiveSnapshot) int64 { return s.Conv }},
-	{"detected_mot_total", "Faults detected by the MOT procedure beyond conventional.", false,
-		func(s core.LiveSnapshot) int64 { return s.MOT }},
-	{"pruned_condition_c_total", "Faults pruned by necessary condition (C).", false,
-		func(s core.LiveSnapshot) int64 { return s.PrunedConditionC }},
-	{"prescreen_passes_total", "Bit-parallel prescreen batches simulated.", false,
-		func(s core.LiveSnapshot) int64 { return s.PrescreenPasses }},
-	{"prescreen_dropped_total", "Faults classified directly by the prescreen.", false,
-		func(s core.LiveSnapshot) int64 { return s.PrescreenDropped }},
-	{"prescreen_pruned_c_total", "Undetected faults the prescreen lanes pruned by condition (C).", false,
-		func(s core.LiveSnapshot) int64 { return s.PrescreenPrunedC }},
-	{"prescreen_frames_total", "Time frames simulated by the bit-parallel prescreen.", false,
-		func(s core.LiveSnapshot) int64 { return s.PrescreenFrames }},
-	{"prescreen_gate_evals_total", "Gates evaluated by the bit-parallel prescreen.", false,
-		func(s core.LiveSnapshot) int64 { return s.PrescreenGateEvals }},
-	{"mot_faults_total", "Faults that entered the per-fault MOT pipeline.", false,
-		func(s core.LiveSnapshot) int64 { return s.MOTFaults }},
-	{"pairs_total", "Candidate (time unit, state variable) pairs collected.", false,
-		func(s core.LiveSnapshot) int64 { return s.Pairs }},
-	{"expansions_total", "Sequence-duplicating state expansions applied.", false,
-		func(s core.LiveSnapshot) int64 { return s.Expansions }},
-	{"sequences_total", "State sequences at expansion stop, summed over faults.", false,
-		func(s core.LiveSnapshot) int64 { return s.Sequences }},
-	{"imply_calls_total", "In-frame implication runs.", false,
-		func(s core.LiveSnapshot) int64 { return s.ImplyCalls }},
-	{"imply_lane_evals_total", "Gates evaluated by lane implication passes.", false,
-		func(s core.LiveSnapshot) int64 { return s.ImplyLaneEvals }},
-	{"imply_memo_hits_total", "Pair-collection pairs served from the fault-free lane memo.", false,
-		func(s core.LiveSnapshot) int64 { return s.ImplyMemoHits }},
-	{"resim_vector_passes_total", "Bit-parallel resimulation vector passes.", false,
-		func(s core.LiveSnapshot) int64 { return s.ResimVectorPasses }},
-	{"resim_vector_frames_total", "Time frames evaluated by bit-parallel resimulation.", false,
-		func(s core.LiveSnapshot) int64 { return s.ResimVectorFrames }},
-	{"resim_gate_evals_total", "Gates evaluated by bit-parallel resimulation.", false,
-		func(s core.LiveSnapshot) int64 { return s.ResimGateEvals }},
-	{"event_frames_total", "Sparse frames simulated by the event-driven evaluator.", false,
-		func(s core.LiveSnapshot) int64 { return s.EventFrames }},
-	{"event_gate_evals_total", "Gate evaluations inside event-driven frames.", false,
-		func(s core.LiveSnapshot) int64 { return s.EventGateEvals }},
-	{"events_total", "Node value changes propagated by the sparse evaluators.", false,
-		func(s core.LiveSnapshot) int64 { return s.Events }},
-	{"stage_step0_seconds_total", "CPU time in step 0 (serial resim + condition C).", true,
-		func(s core.LiveSnapshot) int64 { return s.Step0NS }},
-	{"stage_collect_seconds_total", "CPU time in pair collection (Section 3.1).", true,
-		func(s core.LiveSnapshot) int64 { return s.CollectNS }},
-	{"stage_imply_seconds_total", "CPU time in implications (subset of collect).", true,
-		func(s core.LiveSnapshot) int64 { return s.ImplyNS }},
-	{"stage_expand_seconds_total", "CPU time in state expansion (Procedure 2).", true,
-		func(s core.LiveSnapshot) int64 { return s.ExpandNS }},
-	{"stage_resim_seconds_total", "CPU time in resimulation (Section 3.4).", true,
-		func(s core.LiveSnapshot) int64 { return s.ResimNS }},
-	{"stage_mot_seconds_total", "Total CPU time in the per-fault MOT pipeline.", true,
-		func(s core.LiveSnapshot) int64 { return s.TotalNS }},
-}
-
-// RegisterLiveCounters registers one Prometheus counter per monotonic
-// LiveSnapshot field under prefix (e.g. "motserve"). snap is called per
-// scrape; it must be safe for concurrent use and each returned field
-// must be non-decreasing between calls — core.LiveStats.Snapshot and
-// sums of such snapshots over a grow-only run set both qualify.
+// RegisterLiveCounters registers one Prometheus counter per run counter
+// (core.RunCounters) under prefix (e.g. "motserve"); nanosecond
+// counters are exposed in seconds. snap is called per scrape; it must
+// be safe for concurrent use and each returned counter must be
+// non-decreasing between calls — core.LiveStats.Snapshot and sums of
+// such snapshots over a grow-only run set both qualify.
 func RegisterLiveCounters(reg *metrics.Registry, prefix string, snap func() core.LiveSnapshot) {
-	for _, m := range liveCounters {
-		m := m
-		name := prefix + "_" + m.name
-		if m.seconds {
-			reg.CounterFloatFunc(name, m.help, func() float64 {
-				return float64(m.get(snap())) * 1e-9
-			})
+	for _, c := range core.RunCounters() {
+		name := prefix + "_" + c.Family
+		get := func() int64 { s := snap(); return c.Value(&s) }
+		if c.Unit == core.Nanoseconds {
+			reg.CounterFloatFunc(name, c.Help, func() float64 { return float64(get()) * 1e-9 })
 		} else {
-			reg.CounterFunc(name, m.help, func() int64 { return m.get(snap()) })
+			reg.CounterFunc(name, c.Help, get)
 		}
 	}
 }

@@ -1,57 +1,62 @@
 package serve
 
 import (
+	"bytes"
+	"math"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
-// sentinelSnapshot builds a LiveSnapshot whose i-th field holds the
-// distinct value i+1, so any field a consumer drops or double-counts is
-// detectable by value.
-func sentinelSnapshot(t *testing.T) core.LiveSnapshot {
-	t.Helper()
-	var s core.LiveSnapshot
-	v := reflect.ValueOf(&s).Elem()
-	for i := 0; i < v.NumField(); i++ {
-		f := v.Field(i)
-		if f.Kind() != reflect.Int64 {
-			t.Fatalf("LiveSnapshot field %s is %s; the sentinel scheme assumes int64 — extend this test",
-				v.Type().Field(i).Name, f.Kind())
-		}
-		f.SetInt(int64(i + 1))
-	}
-	return s
-}
-
-// TestLiveCountersCoverAllFields guards the exposition table: every
-// LiveSnapshot field must be read by exactly one liveCounters entry —
-// no field unexposed, no field scraped under two names.
+// TestLiveCountersCoverAllFields guards the exposition: RegisterLiveCounters
+// must expose every LiveSnapshot field exactly once — no field
+// unexposed, no field scraped under two names — with the nanosecond
+// fields in seconds.
 func TestLiveCountersCoverAllFields(t *testing.T) {
-	numFields := reflect.TypeOf(core.LiveSnapshot{}).NumField()
-	if len(liveCounters) != numFields {
-		t.Fatalf("liveCounters has %d entries, LiveSnapshot has %d fields", len(liveCounters), numFields)
+	s := syntheticSnapshot()
+	field := make(map[int64]string) // distinct value -> field name
+	v := reflect.ValueOf(s)
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if !f.Anonymous {
+			field[v.FieldByIndex(f.Index).Int()] = f.Name
+		}
 	}
-	s := sentinelSnapshot(t)
-	seen := make(map[int64]string, numFields)
-	for _, m := range liveCounters {
-		got := m.get(s)
-		if got < 1 || got > int64(numFields) {
-			t.Errorf("counter %s reads %d, not a sentinel value", m.name, got)
+	reg := metrics.NewRegistry()
+	RegisterLiveCounters(reg, "x", func() core.LiveSnapshot { return s })
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[string]string) // field name -> family
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
 			continue
 		}
-		field := reflect.TypeOf(s).Field(int(got - 1)).Name
-		if prev, dup := seen[got]; dup {
-			t.Errorf("field %s read by both %s and %s", field, prev, m.name)
+		name, val, _ := strings.Cut(line, " ")
+		x, err := strconv.ParseFloat(val, 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
 		}
-		seen[got] = m.name
+		if strings.HasSuffix(name, "_seconds_total") {
+			x *= 1e9
+		}
+		f, ok := field[int64(math.Round(x))]
+		if !ok {
+			t.Errorf("%s reads %s, the value of no field", name, val)
+			continue
+		}
+		if prev, dup := seen[f]; dup {
+			t.Errorf("field %s exposed as both %s and %s", f, prev, name)
+		}
+		seen[f] = name
 	}
-	if len(seen) != numFields {
-		for i := 0; i < numFields; i++ {
-			if _, ok := seen[int64(i+1)]; !ok {
-				t.Errorf("field %s has no counter", reflect.TypeOf(s).Field(i).Name)
-			}
+	for _, f := range field {
+		if _, ok := seen[f]; !ok {
+			t.Errorf("field %s has no counter", f)
 		}
 	}
 }

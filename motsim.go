@@ -73,13 +73,18 @@ type (
 	Result = core.Result
 	// Stages holds per-stage counters and timings of a fault-list run
 	// (prescreen passes, faults dropped, wall-clock per stage, and — with
-	// Config.Metrics on — the per-stage CPU breakdown, pool gauges and
-	// serial-simulator frame counters).
+	// Config.Metrics on — the per-fault work counters and per-stage CPU
+	// breakdown of Work).
 	Stages = core.Stages
+	// Work is the per-fault work of the MOT pipeline (implication,
+	// resimulation and step-0 counts and the stage times in
+	// nanoseconds) that Stages and LiveSnapshot carry.
+	Work = core.Work
 	// StageNS is the per-stage nanosecond breakdown of the MOT pipeline
 	// (step 0, pair collection, implications, expansion, resimulation).
 	StageNS = core.StageNS
-	// SimStats counts serial-simulator work (delta vs. full frames).
+	// SimStats counts serial-simulator work (event-driven sparse frames,
+	// their gate evaluations and events, and full-pass frames).
 	SimStats = seqsim.SimStats
 	// RunMetrics holds the per-fault distribution histograms of a run
 	// (pairs, expansions, sequences at stop, per-fault time).
@@ -136,7 +141,7 @@ const (
 // conventional prescreen on (set Config.Prescreen to false to force the
 // serial per-fault conventional stage; outcomes are identical).
 // Instrumentation defaults to on (Config.Metrics); a run then carries
-// the per-stage time breakdown and pool gauges in Result.Stages and the
+// the per-stage time breakdown and work counters in Result.Stages and the
 // per-fault histograms in Result.Metrics. Set Config.TraceWriter to
 // stream one JSON object per fault (see TraceEvent); the stream is
 // byte-identical regardless of worker count unless Config.TraceTimings
