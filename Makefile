@@ -47,7 +47,8 @@ race:
 # divergence-driven step 0 against the full pass, lane implications
 # against the serial frame (two-pass and fixpoint schedules), the
 # fault-free lane memo and bit-parallel resimulation against their
-# references, and whole runs against the
+# references, the prescreen lanes (any fault order, with (C) verdicts)
+# against the serial simulator, and whole runs against the
 # exhaustive oracle. Go fuzzes one target per invocation.
 FUZZTIME ?= 15s
 FUZZ_TARGETS := \
@@ -56,6 +57,7 @@ FUZZ_TARGETS := \
 	./internal/implic:FuzzImplyLanes \
 	./internal/core:FuzzCollectMemo \
 	./internal/core:FuzzResimCrossCheck \
+	./internal/bitsim:FuzzPrescreenMatchesSerial \
 	./internal/oracle:FuzzOracleSoundness
 
 fuzz:

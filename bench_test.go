@@ -276,9 +276,13 @@ func BenchmarkPrescreenOff_sg344(b *testing.B) { benchPrescreen(b, "sg344", fals
 // list with 64 random vectors on one worker, the fault-free trace
 // included. Most gates stay off the event schedule in most frames, so
 // this is where the event-driven evaluation pays; GateEvals reports the
-// gates it evaluated per run.
-func BenchmarkConventional_sg5378(b *testing.B) {
-	e, err := circuits.SuiteEntryByName("sg5378")
+// gates it evaluated per run. BenchmarkConventional_sg35932 is the same
+// on the conv-only circuit.
+func BenchmarkConventional_sg5378(b *testing.B)  { benchConventional(b, "sg5378") }
+func BenchmarkConventional_sg35932(b *testing.B) { benchConventional(b, "sg35932") }
+
+func benchConventional(b *testing.B, name string) {
+	e, err := circuits.SuiteEntryByName(name)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -21,8 +21,10 @@
 package bitsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -98,13 +100,13 @@ type evaluator struct {
 	// base is the fault-free frame the overlay diverges from, bound per
 	// frame and never written.
 	base []logic.Val
-	// active masks the occupied, undetected lanes; nw is the number of
-	// lane words holding occupied lanes. Words at and above nw are never
-	// read, and values outside active are unspecified.
+	// active masks the occupied, undetected lanes. Every fold and compare
+	// works on all laneWords words; values outside active are unspecified
+	// and every read of them is masked by active (or by seenX, a subset).
 	active laneSet
-	nw     int
 
-	// Fault injection of the bound batch. stemAt[n] is 1 + the index in
+	// Fault injection of the bound batch. Lane k+1 carries the fault at
+	// index idx[k] of the caller's list. stemAt[n] is 1 + the index in
 	// forces of node n's stem injection (0: none); brAt[k] is 1 + the
 	// index in brs of the branch injection on the gate input pin at
 	// Fanin[k] (0: none). sites lists the positions of the gates
@@ -112,6 +114,7 @@ type evaluator struct {
 	// (event seeds, every frame; a gate may repeat), qStems the
 	// flip-flops whose Q node carries a stem fault. All of it is reset
 	// sparsely from stemNodes and brPins when the batch ends.
+	idx       []int32
 	stemAt    []int32
 	forces    []stemForce
 	stemNodes []netlist.NodeID
@@ -128,6 +131,9 @@ type evaluator struct {
 	state   []VV
 	div     []bool
 	latched []int32
+
+	// outs is writtenOutputs' scratch, sized for every output.
+	outs []int32
 
 	// seenX and passC are the condition (C) lane profile of a run that
 	// asks for it: seenX marks the lanes whose effective present state
@@ -157,16 +163,19 @@ func newEvaluator(cc *cir.CC, good *seqsim.Trace) *evaluator {
 		brs:       make([]stemForce, 0, Lanes-1),
 		state:     make([]VV, cc.NumFFs()),
 		div:       make([]bool, cc.NumFFs()),
+		outs:      make([]int32, 0, cc.NumOutputs()),
 	}
 }
 
-// load binds a batch: fault k occupies lane k+1.
-func (e *evaluator) load(faults []fault.Fault) error {
-	if len(faults) > Lanes-1 {
-		return fmt.Errorf("bitsim: batch of %d faults exceeds %d lanes", len(faults), Lanes-1)
+// load binds a batch: fault faults[idx[k]] occupies lane k+1.
+func (e *evaluator) load(faults []fault.Fault, idx []int32) error {
+	if len(idx) > Lanes-1 {
+		return fmt.Errorf("bitsim: batch of %d faults exceeds %d lanes", len(idx), Lanes-1)
 	}
 	cc := e.cc
-	for k, f := range faults {
+	e.idx = idx
+	for k, i := range idx {
+		f := faults[i]
 		lane := uint(k + 1)
 		if f.IsStem() {
 			s := e.stemAt[f.Node]
@@ -239,22 +248,19 @@ func (e *evaluator) overlay(id netlist.NodeID) *VV {
 // differs reports whether (one, zero) differs from node id's fault-free
 // value on an active lane.
 func (e *evaluator) differs(id netlist.NodeID, one, zero *[laneWords]uint64) bool {
-	b := cir.LaneBroadcast(e.base[id])
-	diff := uint64(0)
-	for w := 0; w < e.nw; w++ {
-		// ^ and | share a precedence level: parenthesize both XORs.
-		diff |= ((one[w] ^ b.One[w]) | (zero[w] ^ b.Zero[w])) & e.active[w]
-	}
-	return diff != 0
+	b, a := cir.LaneBroadcast(e.base[id]), &e.active
+	// ^ and | share a precedence level: parenthesize both XORs.
+	return ((one[0]^b.One[0])|(zero[0]^b.Zero[0]))&a[0]|
+		((one[1]^b.One[1])|(zero[1]^b.Zero[1]))&a[1]|
+		((one[2]^b.One[2])|(zero[2]^b.Zero[2]))&a[2]|
+		((one[3]^b.One[3])|(zero[3]^b.Zero[3]))&a[3] != 0
 }
 
 // store records (one, zero) as node id's value and schedules every
 // reading gate.
 func (e *evaluator) store(id netlist.NodeID, one, zero *[laneWords]uint64) {
 	v := &e.vals[id]
-	for w := 0; w < e.nw; w++ {
-		v.One[w], v.Zero[w] = one[w], zero[w]
-	}
+	v.One, v.Zero = *one, *zero
 	e.ov.Mark(id)
 	e.ov.PushReaders(id)
 }
@@ -361,7 +367,8 @@ func RunConditionC(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, fa
 
 // runAll distributes the batches over up to `workers` goroutines, each
 // with its own evaluator. failsC, when non-nil, receives the per-fault
-// condition (C) verdict.
+// condition (C) verdict. Batches are cut from the list in site order
+// (see siteOrder); results and verdicts land at the caller's indices.
 func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
 	var st Stats
 	results := make([]seqsim.FaultResult, len(faults))
@@ -379,6 +386,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 		return nil, st, fmt.Errorf("bitsim: fault-free trace covers %d frames with node values, sequence has %d",
 			len(good.Nodes), len(T))
 	}
+	order := siteOrder(cc, faults)
 	nBatches := Batches(len(faults))
 	workers = min(workers, nBatches)
 	if workers < 2 {
@@ -389,7 +397,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 			end := min(start+Lanes-1, len(faults))
 			sp := buf.Begin("batch", tr.Parent, uint64(start/(Lanes-1)))
 			buf.AttrInt(sp, "faults", int64(end-start))
-			err := e.run(T, faults[start:end], results[start:end], part(failsC, start, end), &st)
+			err := e.run(T, faults, order[start:end], results, failsC, &st)
 			buf.End(sp)
 			if err != nil {
 				return nil, st, err
@@ -421,7 +429,7 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 				end := min(start+Lanes-1, len(faults))
 				sp := buf.Begin("batch", tr.Parent, uint64(bi))
 				buf.AttrInt(sp, "faults", int64(end-start))
-				err := e.run(T, faults[start:end], results[start:end], part(failsC, start, end), &st)
+				err := e.run(T, faults, order[start:end], results, failsC, &st)
 				buf.End(sp)
 				if err != nil {
 					errs[w] = err
@@ -442,18 +450,55 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 	return results, st, nil
 }
 
-// part returns v[start:end], or nil for a nil v.
-func part(v []bool, start, end int) []bool {
-	if v == nil {
-		return nil
+// siteOrder returns the indices of faults ordered by the position in
+// cc.Order of each fault site's gate: a branch fault's gate, a stem
+// fault's driver. Primary-input and flip-flop stems, which have no
+// driver, come first; ties keep list order. Faults whose sites lie close
+// in level order tend to diverge over overlapping gates, so a batch cut
+// from this order evaluates fewer gates than one cut from the list
+// order. Lanes are bitwise independent, so the order changes no result.
+//
+// When the key and the index fit in 31 bits together, each entry packs
+// key+1 above the index and a plain integer sort orders them; otherwise
+// (lists of about 2^31/gates faults) a comparison sort computes the keys.
+func siteOrder(cc *cir.CC, faults []fault.Fault) []int32 {
+	order := make([]int32, len(faults))
+	shift := bits.Len(uint(len(faults)))
+	if shift+bits.Len(uint(cc.NumGates())) > 31 {
+		for k := range order {
+			order[k] = int32(k)
+		}
+		slices.SortFunc(order, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(sitePos(cc, &faults[a]), sitePos(cc, &faults[b])), cmp.Compare(a, b))
+		})
+		return order
 	}
-	return v[start:end]
+	for k := range faults {
+		order[k] = (sitePos(cc, &faults[k])+1)<<shift | int32(k)
+	}
+	slices.Sort(order)
+	for k := range order {
+		order[k] &= 1<<shift - 1
+	}
+	return order
 }
 
-// run simulates one batch of at most Lanes-1 faults and fills results
-// (one per fault lane), accumulating frame and gate counts into st
-// (nil-safe). A non-nil failsC (one per fault lane) additionally
-// receives the condition (C) verdict.
+// sitePos is fault f's siteOrder key: the position of its site's gate,
+// or -1 for a stem fault on an undriven node.
+func sitePos(cc *cir.CC, f *fault.Fault) int32 {
+	if !f.IsStem() {
+		return cc.OrderPos[f.Gate]
+	}
+	if d := cc.Driver[f.Node]; d != netlist.NoGate {
+		return cc.OrderPos[d]
+	}
+	return -1
+}
+
+// run simulates one batch, the faults at indices idx (at most Lanes-1),
+// and fills their entries of results, accumulating frame and gate counts
+// into st (nil-safe). A non-nil failsC additionally receives their
+// condition (C) verdicts.
 //
 // Each frame is either an event frame, evaluating only the gates a
 // lane-divergent value reaches, or a sweep frame, evaluating every gate
@@ -464,25 +509,20 @@ func part(v []bool, start, end int) []bool {
 // regime where the event bookkeeping costs more than it skips (on the
 // smallest suite circuits nearly every gate is active in nearly every
 // frame). The first frame is an event frame.
-func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
-	if err := e.load(group); err != nil {
+func (e *evaluator) run(T seqsim.Sequence, faults []fault.Fault, idx []int32, results []seqsim.FaultResult, failsC []bool, st *Stats) error {
+	if err := e.load(faults, idx); err != nil {
 		return err
 	}
 	defer e.unload()
 	cc := e.cc
-	for k := range results {
-		results[k] = seqsim.FaultResult{Fault: group[k]}
-	}
 	// active starts as every occupied fault lane; once every one is
 	// resolved the remaining frames cannot change any result (the serial
 	// simulator drops faults the same way).
 	e.active = laneSet{}
-	for k := range results {
+	for k, i := range idx {
+		results[i] = seqsim.FaultResult{Fault: faults[i]}
 		e.active.add(uint(k + 1))
 	}
-	// Lanes above len(group) are never occupied, so a partial batch (the
-	// tail of every fault list) evaluates only the words that hold lanes.
-	e.nw = (len(results) + 1 + 63) >> 6
 	// The condition (C) lane profile is kept only when failsC asks for
 	// it. The all-X power-up state usually puts every lane into seenX at
 	// frame 0, which ends the per-FF scan.
@@ -506,9 +546,10 @@ func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim
 		if scanX {
 			scanX = e.scanX()
 		}
-		e.detect(u, results)
+		outs := e.writtenOutputs()
+		e.detect(u, outs, results)
 		if cond {
-			e.markC()
+			e.markC(outs)
 		}
 		if e.active == (laneSet{}) {
 			// Early exit: the remaining frames cannot change any result.
@@ -519,9 +560,11 @@ func (e *evaluator) run(T seqsim.Sequence, group []fault.Fault, results []seqsim
 		sweep = 2*busy > len(e.Gates)
 	}
 	st.add(int64(len(T)), 0, e.evals)
-	for k := range failsC {
-		lane := uint(k + 1)
-		failsC[k] = !results[k].Detected && e.passC[lane>>6]&(1<<(lane&63)) == 0
+	if cond {
+		for k, i := range idx {
+			lane := uint(k + 1)
+			failsC[i] = !results[i].Detected && e.passC[lane>>6]&(1<<(lane&63)) == 0
+		}
 	}
 	return nil
 }
@@ -592,7 +635,7 @@ const sampleStride = 8
 // differs from the fault-free trace on an active lane — estimated from
 // every sampleStride-th gate.
 func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
-	cc, nw := e.cc, e.nw
+	cc := e.cc
 	for i, id := range cc.Inputs {
 		v := &e.vals[id]
 		*v = *cir.LaneBroadcast(pat[i])
@@ -611,82 +654,77 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 			*v = e.forces[s-1].apply(*v)
 		}
 	}
-	const allBits = ^uint64(0)
 	var tmp VV
 	for p := range e.Gates {
 		g := &e.Gates[p]
 		var one, zero [laneWords]uint64
 		switch g.Op {
 		case logic.And, logic.Nand:
-			for w := 0; w < nw; w++ {
-				one[w] = allBits
-			}
+			one = allLanes
 			for k := g.Lo; k < g.Hi; k++ {
 				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
 				}
-				for w := 0; w < nw; w++ {
-					one[w] &= in.One[w]
-					zero[w] |= in.Zero[w]
-				}
+				one[0] &= in.One[0]
+				one[1] &= in.One[1]
+				one[2] &= in.One[2]
+				one[3] &= in.One[3]
+				zero[0] |= in.Zero[0]
+				zero[1] |= in.Zero[1]
+				zero[2] |= in.Zero[2]
+				zero[3] |= in.Zero[3]
 			}
 		case logic.Xor, logic.Xnor:
-			for w := 0; w < nw; w++ {
-				zero[w] = allBits
-			}
+			zero = allLanes
 			for k := g.Lo; k < g.Hi; k++ {
 				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
 				}
-				for w := 0; w < nw; w++ {
-					o := one[w]&in.Zero[w] | zero[w]&in.One[w]
-					zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
-					one[w] = o
+				one, zero = [laneWords]uint64{
+					one[0]&in.Zero[0] | zero[0]&in.One[0],
+					one[1]&in.Zero[1] | zero[1]&in.One[1],
+					one[2]&in.Zero[2] | zero[2]&in.One[2],
+					one[3]&in.Zero[3] | zero[3]&in.One[3],
+				}, [laneWords]uint64{
+					one[0]&in.One[0] | zero[0]&in.Zero[0],
+					one[1]&in.One[1] | zero[1]&in.Zero[1],
+					one[2]&in.One[2] | zero[2]&in.Zero[2],
+					one[3]&in.One[3] | zero[3]&in.Zero[3],
 				}
 			}
 		case logic.Const0:
-			for w := 0; w < nw; w++ {
-				zero[w] = allBits
-			}
+			zero = allLanes
 		case logic.Const1:
-			for w := 0; w < nw; w++ {
-				one[w] = allBits
-			}
+			one = allLanes
 		default: // Or, Nor, Buf, Not: the or-fold
-			for w := 0; w < nw; w++ {
-				zero[w] = allBits
-			}
+			zero = allLanes
 			for k := g.Lo; k < g.Hi; k++ {
 				in := &e.vals[e.Fanin[k]]
 				if j := e.brAt[k]; j != 0 {
 					tmp = e.brs[j-1].apply(*in)
 					in = &tmp
 				}
-				for w := 0; w < nw; w++ {
-					one[w] |= in.One[w]
-					zero[w] &= in.Zero[w]
-				}
+				one[0] |= in.One[0]
+				one[1] |= in.One[1]
+				one[2] |= in.One[2]
+				one[3] |= in.One[3]
+				zero[0] &= in.Zero[0]
+				zero[1] &= in.Zero[1]
+				zero[2] &= in.Zero[2]
+				zero[3] &= in.Zero[3]
 			}
 		}
 		if g.Op != logic.Const0 && g.Op != logic.Const1 && g.Op.Inverting() {
 			one, zero = zero, one
 		}
 		v := &e.vals[g.Out]
+		v.One, v.Zero = one, zero
 		if s := e.stemAt[g.Out]; s != 0 {
-			f := &e.forces[s-1]
-			for w := 0; w < nw; w++ {
-				mask := f.maskOne[w] | f.maskZero[w]
-				v.One[w] = one[w]&^mask | f.maskOne[w]
-				v.Zero[w] = zero[w]&^mask | f.maskZero[w]
-			}
-		} else {
-			for w := 0; w < nw; w++ {
-				v.One[w], v.Zero[w] = one[w], zero[w]
-			}
+			*v = e.forces[s-1].apply(*v)
 		}
 	}
 	e.evals += int64(len(e.Gates))
@@ -709,83 +747,86 @@ func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 	return hit * len(e.Gates) / max(samples, 1)
 }
 
-// eval evaluates the gate at position p over the live words, injecting
-// the batch's branch faults on its pins and stem faults on its output.
-// The fold is inlined per operator: this is the hot core of the whole
-// prescreen, and the shared VV4Fold's per-gate constructor and
-// per-fanin call overhead dominate it otherwise. Branch-fault pins are
-// patched into a local copy of the read value, mirroring read.
+// allLanes is a lane word array with every bit set.
+var allLanes = [laneWords]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+
+// eval evaluates the gate at position p, injecting the batch's branch
+// faults on its pins and stem faults on its output. The fold is inlined
+// per operator and written out over all laneWords words: this is the hot
+// core of the whole prescreen, and the shared VV4Fold's per-gate
+// constructor and per-fanin call overhead dominate it otherwise. Words
+// without occupied lanes are folded too; every read of them is masked by
+// active, and each lane is computed from its own bits alone. Branch-fault
+// pins are patched into a local copy of the read value, mirroring read.
 func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
-	const allBits = ^uint64(0)
-	nw := e.nw
 	g := &e.Gates[p]
 	var tmp VV
 	switch g.Op {
 	case logic.And, logic.Nand:
-		for w := 0; w < nw; w++ {
-			one[w] = allBits
-		}
+		one = allLanes
 		for k := g.Lo; k < g.Hi; k++ {
 			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
 			}
-			for w := 0; w < nw; w++ {
-				one[w] &= in.One[w]
-				zero[w] |= in.Zero[w]
-			}
+			one[0] &= in.One[0]
+			one[1] &= in.One[1]
+			one[2] &= in.One[2]
+			one[3] &= in.One[3]
+			zero[0] |= in.Zero[0]
+			zero[1] |= in.Zero[1]
+			zero[2] |= in.Zero[2]
+			zero[3] |= in.Zero[3]
 		}
 	case logic.Xor, logic.Xnor:
-		for w := 0; w < nw; w++ {
-			zero[w] = allBits
-		}
+		zero = allLanes
 		for k := g.Lo; k < g.Hi; k++ {
 			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
 			}
-			for w := 0; w < nw; w++ {
-				o := one[w]&in.Zero[w] | zero[w]&in.One[w]
-				zero[w] = one[w]&in.One[w] | zero[w]&in.Zero[w]
-				one[w] = o
+			one, zero = [laneWords]uint64{
+				one[0]&in.Zero[0] | zero[0]&in.One[0],
+				one[1]&in.Zero[1] | zero[1]&in.One[1],
+				one[2]&in.Zero[2] | zero[2]&in.One[2],
+				one[3]&in.Zero[3] | zero[3]&in.One[3],
+			}, [laneWords]uint64{
+				one[0]&in.One[0] | zero[0]&in.Zero[0],
+				one[1]&in.One[1] | zero[1]&in.Zero[1],
+				one[2]&in.One[2] | zero[2]&in.Zero[2],
+				one[3]&in.One[3] | zero[3]&in.Zero[3],
 			}
 		}
 	case logic.Const0:
-		for w := 0; w < nw; w++ {
-			zero[w] = allBits
-		}
+		zero = allLanes
 	case logic.Const1:
-		for w := 0; w < nw; w++ {
-			one[w] = allBits
-		}
+		one = allLanes
 	default: // Or, Nor, Buf, Not: the or-fold
-		for w := 0; w < nw; w++ {
-			zero[w] = allBits
-		}
+		zero = allLanes
 		for k := g.Lo; k < g.Hi; k++ {
 			in := e.overlay(e.Fanin[k])
 			if j := e.brAt[k]; j != 0 {
 				tmp = e.brs[j-1].apply(*in)
 				in = &tmp
 			}
-			for w := 0; w < nw; w++ {
-				one[w] |= in.One[w]
-				zero[w] &= in.Zero[w]
-			}
+			one[0] |= in.One[0]
+			one[1] |= in.One[1]
+			one[2] |= in.One[2]
+			one[3] |= in.One[3]
+			zero[0] &= in.Zero[0]
+			zero[1] &= in.Zero[1]
+			zero[2] &= in.Zero[2]
+			zero[3] &= in.Zero[3]
 		}
 	}
 	if g.Op != logic.Const0 && g.Op != logic.Const1 && g.Op.Inverting() {
 		one, zero = zero, one
 	}
 	if s := e.stemAt[g.Out]; s != 0 {
-		f := &e.forces[s-1]
-		for w := 0; w < nw; w++ {
-			mask := f.maskOne[w] | f.maskZero[w]
-			one[w] = one[w]&^mask | f.maskOne[w]
-			zero[w] = zero[w]&^mask | f.maskZero[w]
-		}
+		v := e.forces[s-1].apply(VV{One: one, Zero: zero})
+		one, zero = v.One, v.Zero
 	}
 	return one, zero
 }
@@ -805,7 +846,7 @@ func (e *evaluator) scanX() bool {
 			continue
 		}
 		v := &e.vals[q]
-		for w := 0; w < e.nw; w++ {
+		for w := range e.seenX {
 			e.seenX[w] |= ^(v.One[w] | v.Zero[w]) & e.active[w]
 		}
 	}
@@ -817,16 +858,37 @@ func (e *evaluator) scanX() bool {
 	return false
 }
 
-// detect records frame u's detections: active lanes whose output is the
-// binary complement of a binary fault-free output. An output nobody
-// wrote carries the fault-free value and cannot mismatch. Detected lanes
-// leave the active set; the first output in declaration order is the
-// detection site, as in the serial simulator.
-func (e *evaluator) detect(u int, results []seqsim.FaultResult) {
-	for j, id := range e.cc.Outputs {
-		if !e.written(id) {
-			continue
+// writtenOutputs returns the positions in cc.Outputs of the outputs
+// written this frame, ascending: every output in a sweep frame, the
+// touched ones in an event frame. An output nobody wrote carries the
+// fault-free value, so it can neither mismatch nor hold an X where the
+// fault-free value is binary.
+func (e *evaluator) writtenOutputs() []int32 {
+	outs := e.outs[:0]
+	if e.sweep {
+		for j := range e.cc.Outputs {
+			outs = append(outs, int32(j))
 		}
+	} else {
+		for _, n := range e.ov.Touched() {
+			if j := e.cc.OutPos[n]; j >= 0 {
+				outs = append(outs, j)
+			}
+		}
+		slices.Sort(outs)
+	}
+	e.outs = outs
+	return outs
+}
+
+// detect records frame u's detections on the written outputs outs
+// (ascending positions): active lanes whose output is the binary
+// complement of a binary fault-free output. Detected lanes leave the
+// active set; the first output in declaration order is the detection
+// site, as in the serial simulator.
+func (e *evaluator) detect(u int, outs []int32, results []seqsim.FaultResult) {
+	for _, j := range outs {
+		id := e.cc.Outputs[j]
 		v := &e.vals[id]
 		var mism *[laneWords]uint64
 		switch e.base[id] {
@@ -837,30 +899,30 @@ func (e *evaluator) detect(u int, results []seqsim.FaultResult) {
 		default:
 			continue
 		}
-		for w := 0; w < e.nw; w++ {
+		for w := range e.active {
 			detected := mism[w] & e.active[w]
 			e.active[w] &^= detected
 			for detected != 0 {
 				bit := uint(bits.TrailingZeros64(detected))
 				detected &^= 1 << bit
-				k := uint(w)<<6 + bit
-				results[k-1].Detected = true
-				results[k-1].At = seqsim.Detection{Time: u, Output: j}
+				r := &results[e.idx[uint(w)<<6+bit-1]]
+				r.Detected = true
+				r.At = seqsim.Detection{Time: u, Output: int(j)}
 			}
 		}
 	}
 }
 
-// markC adds to passC the seenX lanes with an X on a primary output
-// whose fault-free value is binary. An output nobody wrote carries that
-// binary value.
-func (e *evaluator) markC() {
-	for _, id := range e.cc.Outputs {
-		if e.base[id] == logic.X || !e.written(id) {
+// markC adds to passC the seenX lanes with an X on a written primary
+// output (outs) whose fault-free value is binary.
+func (e *evaluator) markC(outs []int32) {
+	for _, j := range outs {
+		id := e.cc.Outputs[j]
+		if e.base[id] == logic.X {
 			continue
 		}
 		v := &e.vals[id]
-		for w := 0; w < e.nw; w++ {
+		for w := range e.passC {
 			e.passC[w] |= ^(v.One[w] | v.Zero[w]) & e.seenX[w]
 		}
 	}

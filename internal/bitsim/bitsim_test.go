@@ -40,7 +40,7 @@ func TestVVHelpers(t *testing.T) {
 func TestBatchTooLarge(t *testing.T) {
 	c := circuits.S27()
 	faults := make([]fault.Fault, Lanes)
-	if err := newEvaluator(cir.For(c), nil).load(faults); err == nil {
+	if err := newEvaluator(cir.For(c), nil).load(faults, siteOrder(cir.For(c), faults)); err == nil {
 		t.Fatal("oversized batch accepted")
 	}
 }
@@ -436,5 +436,130 @@ func TestRunConditionCTraceTooShort(t *testing.T) {
 	}
 	if _, _, _, err := RunConditionC(c, T, good, fault.CollapsedList(c), 1, Trace{}); err == nil {
 		t.Fatal("short fault-free trace accepted")
+	}
+}
+
+// TestSiteOrder checks both sort paths of siteOrder against its
+// contract: a permutation of the list, site keys ascending, ties in
+// list order. sg5378's collapsed list packs key and index into one
+// int32; thirteen copies of sg35932's (over 2^18 faults on 5604 gates)
+// do not, and take the comparison sort.
+func TestSiteOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		copies int
+	}{{"sg5378", 1}, {"sg35932", 13}} {
+		c, err := circuits.ByName(tc.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cc := cir.For(c)
+		var faults []fault.Fault
+		for i := 0; i < tc.copies; i++ {
+			faults = append(faults, fault.CollapsedList(c)...)
+		}
+		order := siteOrder(cc, faults)
+		seen := make([]bool, len(faults))
+		for k, i := range order {
+			if seen[i] {
+				t.Fatalf("%s: index %d repeats", tc.name, i)
+			}
+			seen[i] = true
+			if k == 0 {
+				continue
+			}
+			prev := order[k-1]
+			if a, b := sitePos(cc, &faults[prev]), sitePos(cc, &faults[i]); a > b || a == b && prev > i {
+				t.Fatalf("%s: entry %d (fault %d, site %d) after fault %d (site %d)", tc.name, k, i, b, prev, a)
+			}
+		}
+		if len(order) != len(faults) {
+			t.Fatalf("%s: %d entries for %d faults", tc.name, len(order), len(faults))
+		}
+	}
+}
+
+// TestRunConditionCOrderInvariantParallel feeds the prescreen one fault
+// list in four orders (list order, reversed, rotated, shuffled) at 1 and
+// 4 workers. sg641's collapsed list fills two batches and part of a
+// third. Every fault must get the serial simulator's result and the same
+// (C) verdict in every run, wherever it sits in the list, and the batch
+// count must not move.
+func TestRunConditionCOrderInvariantParallel(t *testing.T) {
+	c, err := circuits.ByName("sg641")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedList(c)
+	if n := len(faults); n <= 2*(Lanes-1) || n%(Lanes-1) == 0 {
+		t.Fatalf("%d faults: want more than two batches and a partial tail", n)
+	}
+	T := tgen.Random(c.NumInputs(), 32, 5)
+	s := seqsim.New(c)
+	good, err := s.Run(T, nil, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := s.RunFaults(T, good, faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, detected := len(faults), 0
+	for _, r := range serial {
+		if r.Detected {
+			detected++
+		}
+	}
+	if detected == 0 || detected == n {
+		t.Fatalf("%d of %d faults detected: the result check is vacuous", detected, n)
+	}
+	perms := map[string][]int{"list": make([]int, n), "reversed": make([]int, n), "rotated": make([]int, n)}
+	for k := range faults {
+		perms["list"][k] = k
+		perms["reversed"][k] = n - 1 - k
+		perms["rotated"][k] = (k + 100) % n
+	}
+	perms["shuffled"] = rand.New(rand.NewSource(8)).Perm(n)
+	var wantC []bool
+	var wantBatches int64
+	for _, name := range []string{"list", "reversed", "rotated", "shuffled"} {
+		perm := perms[name]
+		list := make([]fault.Fault, n)
+		for k, i := range perm {
+			list[k] = faults[i]
+		}
+		for _, workers := range []int{1, 4} {
+			res, failsC, st, err := RunConditionC(c, T, good, list, workers, Trace{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantC == nil {
+				wantC, wantBatches = make([]bool, n), st.Batches
+				fails := 0
+				for k, i := range perm {
+					wantC[i] = failsC[k]
+					if failsC[k] {
+						fails++
+					}
+				}
+				if fails == 0 || fails == n {
+					t.Fatalf("%d of %d faults fail (C): the verdict check is vacuous", fails, n)
+				}
+			}
+			if st.Batches != wantBatches {
+				t.Errorf("%s workers=%d: %d batches, want %d", name, workers, st.Batches, wantBatches)
+			}
+			if rs, _, err := RunStats(c, T, list, workers); err != nil || !reflect.DeepEqual(rs, res) {
+				t.Fatalf("%s workers=%d: RunStats results differ from RunConditionC (err %v)", name, workers, err)
+			}
+			for k, i := range perm {
+				if res[k].Fault != faults[i] || res[k].Detected != serial[i].Detected || res[k].At != serial[i].At {
+					t.Fatalf("%s workers=%d: fault %s at %d: %+v, serial %+v", name, workers, faults[i].Name(c), k, res[k], serial[i])
+				}
+				if failsC[k] != wantC[i] {
+					t.Fatalf("%s workers=%d: fault %s at %d: failsC=%v, list order %v", name, workers, faults[i].Name(c), k, failsC[k], wantC[i])
+				}
+			}
+		}
 	}
 }

@@ -221,8 +221,8 @@ func checkLaneConditionC(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, fa
 			}
 		}
 		if failsC[k] != want {
-			t.Errorf("%s (lane %d of batch %d): lane failsC=%v, serial profile says %v",
-				f.Name(c), k%(bitsim.Lanes-1)+1, k/(bitsim.Lanes-1), failsC[k], want)
+			t.Errorf("%s (list index %d): lane failsC=%v, serial profile says %v",
+				f.Name(c), k, failsC[k], want)
 		}
 	}
 	return fail, pass

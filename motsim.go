@@ -83,9 +83,6 @@ type (
 	// StageNS is the per-stage nanosecond breakdown of the MOT pipeline
 	// (step 0, pair collection, implications, expansion, resimulation).
 	StageNS = core.StageNS
-	// SimStats counts serial-simulator work (event-driven sparse frames,
-	// their gate evaluations and events, and full-pass frames).
-	SimStats = seqsim.SimStats
 	// RunMetrics holds the per-fault distribution histograms of a run
 	// (pairs, expansions, sequences at stop, per-fault time).
 	RunMetrics = core.RunMetrics
