@@ -5,7 +5,8 @@
 GO ?= go
 
 # Test names covering code that runs concurrently or reuses pooled state:
-# RunParallel scheduling, the golden per-fault traces at 1 and 4 workers
+# the worker pool both parallel stages run on (internal/workpool: claims,
+# errors, panics, cancellation), RunParallel scheduling, the golden per-fault traces at 1 and 4 workers
 # and the parallel pool-isolation run (pools must be per-worker, never
 # shared), the bit-parallel prescreen, the reference cross-checks of pair
 # collection and bit-parallel resimulation (per-worker lane evaluators
@@ -21,7 +22,7 @@ GO ?= go
 # exemplar slots (CAS writers racing exposition reads), and the
 # mutex-guarded live snapshot (workers publishing while Snapshot scrapes).
 RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
-RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace
+RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace ./internal/workpool
 
 .PHONY: build fmt test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace
 

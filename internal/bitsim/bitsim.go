@@ -22,10 +22,10 @@ package bitsim
 
 import (
 	"cmp"
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cir"
@@ -33,6 +33,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
+	"repro/internal/workpool"
 	"repro/internal/xtrace"
 )
 
@@ -334,7 +335,7 @@ func RunParallel(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, wo
 // additionally reports the work performed. The fault-free trace the
 // lanes diverge from is simulated once per call.
 func RunStats(c *netlist.Circuit, T seqsim.Sequence, faults []fault.Fault, workers int) ([]seqsim.FaultResult, Stats, error) {
-	return runAll(c, T, nil, faults, workers, Trace{}, nil)
+	return runAll(context.TODO(), c, T, nil, faults, workers, Trace{}, nil)
 }
 
 // Trace carries the optional span instrumentation of a bit-parallel
@@ -355,21 +356,23 @@ type Trace struct {
 // machine and unspecified in the faulty one — exactly the verdict the
 // serial N_sv/N_out profile of the faulty trace yields. good is the
 // fault-free trace of T with node values kept (seqsim keepNodes); nil
-// simulates it.
-func RunConditionC(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace) (results []seqsim.FaultResult, failsC []bool, st Stats, err error) {
+// simulates it. Once ctx is done no further batch starts and the call
+// returns ctx.Err(); a panicking batch returns an error wrapping
+// workpool.ErrPanic.
+func RunConditionC(ctx context.Context, c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace) (results []seqsim.FaultResult, failsC []bool, st Stats, err error) {
 	failsC = make([]bool, len(faults))
-	results, st, err = runAll(c, T, good, faults, workers, tr, failsC)
+	results, st, err = runAll(ctx, c, T, good, faults, workers, tr, failsC)
 	if err != nil {
 		return nil, nil, st, err
 	}
 	return results, failsC, st, nil
 }
 
-// runAll distributes the batches over up to `workers` goroutines, each
-// with its own evaluator. failsC, when non-nil, receives the per-fault
+// runAll runs the batches on a workpool of up to `workers` goroutines,
+// each with its own evaluator. failsC, when non-nil, receives the per-fault
 // condition (C) verdict. Batches are cut from the list in site order
 // (see siteOrder); results and verdicts land at the caller's indices.
-func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
+func runAll(ctx context.Context, c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []fault.Fault, workers int, tr Trace, failsC []bool) ([]seqsim.FaultResult, Stats, error) {
 	var st Stats
 	results := make([]seqsim.FaultResult, len(faults))
 	if len(faults) == 0 {
@@ -388,64 +391,26 @@ func runAll(c *netlist.Circuit, T seqsim.Sequence, good *seqsim.Trace, faults []
 	}
 	order := siteOrder(cc, faults)
 	nBatches := Batches(len(faults))
-	workers = min(workers, nBatches)
-	if workers < 2 {
-		buf := tr.Tracer.NewTrack("prescreen")
-		defer buf.Flush()
-		e := newEvaluator(cc, good)
-		for start := 0; start < len(faults); start += Lanes - 1 {
-			end := min(start+Lanes-1, len(faults))
-			sp := buf.Begin("batch", tr.Parent, uint64(start/(Lanes-1)))
-			buf.AttrInt(sp, "faults", int64(end-start))
-			err := e.run(T, faults, order[start:end], results, failsC, &st)
-			buf.End(sp)
-			if err != nil {
-				return nil, st, err
-			}
+	nw := workpool.Size(nBatches, workers)
+	evs := make([]*evaluator, nw)
+	bufs := make([]*xtrace.Buffer, nw)
+	for w := range evs {
+		evs[w] = newEvaluator(cc, good)
+		if tr.Tracer != nil {
+			bufs[w] = tr.Tracer.NewTrack(fmt.Sprintf("prescreen %02d", w))
 		}
-		return results, st, nil
 	}
-	errs := make([]error, workers)
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var buf *xtrace.Buffer
-			if tr.Tracer != nil {
-				buf = tr.Tracer.NewTrack(fmt.Sprintf("prescreen %02d", w))
-				defer buf.Flush()
-			}
-			e := newEvaluator(cc, good)
-			for {
-				bi := int(atomic.AddInt64(&next, 1))
-				if bi >= nBatches {
-					return
-				}
-				start := bi * (Lanes - 1)
-				end := min(start+Lanes-1, len(faults))
-				sp := buf.Begin("batch", tr.Parent, uint64(bi))
-				buf.AttrInt(sp, "faults", int64(end-start))
-				err := e.run(T, faults, order[start:end], results, failsC, &st)
-				buf.End(sp)
-				if err != nil {
-					errs[w] = err
-					// Drain the pool: push the shared index past the end so
-					// idle workers stop claiming batches.
-					atomic.StoreInt64(&next, int64(nBatches))
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, st, err
-		}
+	err := workpool.Run(ctx, nBatches, workers, func(w, bi int) error {
+		start := bi * (Lanes - 1)
+		end := min(start+Lanes-1, len(faults))
+		sp := bufs[w].Begin("batch", tr.Parent, uint64(bi))
+		bufs[w].AttrInt(sp, "faults", int64(end-start))
+		err := evs[w].run(T, faults, order[start:end], results, failsC, &st)
+		bufs[w].End(sp)
+		return err
+	}, func(w int) { bufs[w].Flush() })
+	if err != nil {
+		return nil, st, err
 	}
 	return results, st, nil
 }

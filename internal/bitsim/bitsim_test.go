@@ -1,10 +1,15 @@
 package bitsim
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/cir"
@@ -14,6 +19,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
 	"repro/internal/tgen"
+	"repro/internal/workpool"
 )
 
 func TestVVHelpers(t *testing.T) {
@@ -399,7 +405,7 @@ func TestRunConditionCParallelMatchesRunStats(t *testing.T) {
 		var wantC []bool
 		for _, workers := range []int{1, 3} {
 			for _, g := range []*seqsim.Trace{good, nil} {
-				res, failsC, st, err := RunConditionC(c, T, g, faults, workers, Trace{})
+				res, failsC, st, err := RunConditionC(context.Background(), c, T, g, faults, workers, Trace{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -434,7 +440,7 @@ func TestRunConditionCTraceTooShort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := RunConditionC(c, T, good, fault.CollapsedList(c), 1, Trace{}); err == nil {
+	if _, _, _, err := RunConditionC(context.Background(), c, T, good, fault.CollapsedList(c), 1, Trace{}); err == nil {
 		t.Fatal("short fault-free trace accepted")
 	}
 }
@@ -481,8 +487,8 @@ func TestSiteOrder(t *testing.T) {
 
 // TestRunConditionCOrderInvariantParallel feeds the prescreen one fault
 // list in four orders (list order, reversed, rotated, shuffled) at 1 and
-// 4 workers. sg641's collapsed list fills two batches and part of a
-// third. Every fault must get the serial simulator's result and the same
+// 4 workers. sg641's collapsed list fills five batches and part of a
+// sixth. Every fault must get the serial simulator's result and the same
 // (C) verdict in every run, wherever it sits in the list, and the batch
 // count must not move.
 func TestRunConditionCOrderInvariantParallel(t *testing.T) {
@@ -529,7 +535,7 @@ func TestRunConditionCOrderInvariantParallel(t *testing.T) {
 			list[k] = faults[i]
 		}
 		for _, workers := range []int{1, 4} {
-			res, failsC, st, err := RunConditionC(c, T, good, list, workers, Trace{})
+			res, failsC, st, err := RunConditionC(context.Background(), c, T, good, list, workers, Trace{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,6 +566,66 @@ func TestRunConditionCOrderInvariantParallel(t *testing.T) {
 					t.Fatalf("%s workers=%d: fault %s at %d: failsC=%v, list order %v", name, workers, faults[i].Name(c), k, failsC[k], wantC[i])
 				}
 			}
+		}
+	}
+}
+
+// TestRunConditionCPanicParallel breaks one branch fault of sg641's
+// multi-batch list (its pin lies past the gate's inputs, so loading its
+// batch panics) and asserts that the prescreen returns an error wrapping
+// workpool.ErrPanic with the panic value and the stack, at 1 and 4
+// workers, and leaves no worker goroutine behind.
+func TestRunConditionCPanicParallel(t *testing.T) {
+	c, err := circuits.ByName("sg641")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedList(c)
+	if Batches(len(faults)) < 2 {
+		t.Fatalf("%d faults fill one batch", len(faults))
+	}
+	for k := range faults {
+		if !faults[k].IsStem() {
+			faults[k].Pin = 1 << 30
+			break
+		}
+	}
+	T := tgen.Random(c.NumInputs(), 16, 5)
+	base := runtime.NumGoroutine()
+	for _, workers := range []int{1, 4} {
+		res, failsC, _, err := RunConditionC(context.Background(), c, T, nil, faults, workers, Trace{})
+		if !errors.Is(err, workpool.ErrPanic) {
+			t.Fatalf("workers=%d: err = %v, want a contained panic", workers, err)
+		}
+		if msg := err.Error(); !strings.HasPrefix(msg, "panic: runtime error: index out of range") || !strings.Contains(msg, "goroutine ") {
+			t.Errorf("workers=%d: error carries no panic value or stack: %.200s", workers, msg)
+		}
+		if res != nil || failsC != nil {
+			t.Errorf("workers=%d: panicking run returned results", workers)
+		}
+	}
+	for i := 0; runtime.NumGoroutine() > base && i < 100; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the panicking runs, %d before", n, base)
+	}
+}
+
+// TestRunConditionCCanceledParallel runs the prescreen under a done
+// context: no batch runs and the call returns the context's error.
+func TestRunConditionCCanceledParallel(t *testing.T) {
+	c, err := circuits.ByName("sg641")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	T := tgen.Random(c.NumInputs(), 16, 5)
+	for _, workers := range []int{1, 4} {
+		_, _, st, err := RunConditionC(ctx, c, T, nil, fault.CollapsedList(c), workers, Trace{})
+		if !errors.Is(err, context.Canceled) || st.Batches != 0 {
+			t.Errorf("workers=%d: err = %v after %d batches, want context.Canceled after none", workers, err, st.Batches)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package bitsim
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -70,7 +71,7 @@ func FuzzPrescreenMatchesSerial(f *testing.F) {
 			pass = nil
 		}
 		workers := 1 + rng.Intn(3)
-		res, failsC, _, err := RunConditionC(c, T, pass, list, workers, Trace{})
+		res, failsC, _, err := RunConditionC(context.Background(), c, T, pass, list, workers, Trace{})
 		if err != nil {
 			t.Fatal(err)
 		}

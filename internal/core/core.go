@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cir"
@@ -14,6 +12,7 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/seqsim"
+	"repro/internal/workpool"
 	"repro/internal/xtrace"
 )
 
@@ -766,24 +765,23 @@ func (s *Simulator) RunParallel(faults []fault.Fault, workers int, progress func
 	return s.RunParallelContext(context.Background(), faults, workers, progress)
 }
 
-// ErrPanic marks the error of a run whose worker panicked (see
-// RunParallelContext); test for it with errors.Is.
-var ErrPanic = errors.New("panic")
+// ErrPanic marks the error of a run whose worker panicked, in either
+// stage (see RunParallelContext); test for it with errors.Is.
+var ErrPanic = workpool.ErrPanic
 
 // RunParallelContext is RunParallel with cancellation: workers stop
-// claiming faults once ctx is done and the run returns ctx.Err(). The
-// prescreen stage runs to completion before the first check. A panic in
-// a worker is contained: the pool drains and the run returns an error
-// wrapping ErrPanic, naming the fault, with the panic value and stack.
+// claiming prescreen batches and faults once ctx is done and the run
+// returns ctx.Err(). A panic in a worker of either stage is contained:
+// the pool stops and the run returns an error wrapping ErrPanic, with
+// the panic value and stack; a fault-loop panic names the fault.
 func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault, workers int, progress func(done, total int)) (*Result, error) {
-	workers = max(workers, 1)
 	res := &Result{Circuit: s.c.Name, Total: len(faults), Live: s.cfg.Live}
 	res.Stages.CompileTime = s.compile
 	s.beginRun(res)
 	s.beginLive(len(faults))
 	defer s.cfg.Live.endLive()
 	sc := s.beginRunSpans(len(faults))
-	pre, err := s.prescreen(faults, workers, res, sc)
+	pre, err := s.prescreen(ctx, faults, workers, res, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -813,88 +811,58 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 			progress(d, len(faults))
 		}
 	}
-	nw := max(min(workers, len(todo)), 1)
+	nw := workpool.Size(len(todo), workers)
 	sims := make([]*Simulator, nw)
-	sims[0] = s
-	for w := 1; w < nw; w++ {
-		sims[w] = s.clone()
-	}
 	pubs := make([]livePublisher, nw)
-	errs := make([]error, nw)
-	var (
-		nextIdx int64 = -1
-		failed  atomic.Bool
-		mu      sync.Mutex
-		wg      sync.WaitGroup
-	)
-	// drain stops the pool promptly after a failure: it flags the failure
-	// and pushes the shared index past the end so no worker claims
-	// further faults from the list.
-	drain := func() {
-		failed.Store(true)
-		atomic.StoreInt64(&nextIdx, int64(len(todo)))
-	}
+	wss := make([]*workerSpans, nw)
 	for w := range sims {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sim, pub := sims[w], &pubs[w]
-			pub.init(s.cfg)
-			k := -1
-			defer func() {
-				if p := recover(); p != nil {
-					sim.tbuf, sim.span = nil, 0
-					errs[w] = fmt.Errorf("core: fault %s: %w: %v\n%s", panicName(faults, k, s.c), ErrPanic, p, debug.Stack())
-					drain()
-				}
-			}()
-			defer pub.flush()
-			defer sim.sim.FlushFrameHists()
-			ws := sc.worker(w)
-			defer ws.close()
-			for {
-				t := int(atomic.AddInt64(&nextIdx, 1))
-				if t >= len(todo) || failed.Load() {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					errs[w] = err
-					drain()
-					return
-				}
-				k = todo[t]
-				ws.begin(sim, k, faults[k])
-				o, err := sim.SimulateFault(faults[k])
-				if err == nil {
-					sim.observeHist(&o)
-				}
-				ws.end(sim, &o)
-				if err != nil {
-					errs[w] = fmt.Errorf("core: fault %s: %w", faults[k].Name(s.c), err)
-					drain()
-					return
-				}
-				pub.observe(&o, &sim.rec)
-				if recs != nil {
-					// Distinct index per fault: no write races between workers.
-					recs[k] = sim.rec
-				}
-				outcomes[k] = o
-				if progress != nil {
-					mu.Lock()
-					count++
-					progress(count, len(faults))
-					mu.Unlock()
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	sc.endStage()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		sims[w] = s
+		if w > 0 {
+			sims[w] = s.clone()
 		}
+		pubs[w].init(s.cfg)
+		wss[w] = sc.worker(w)
+	}
+	var mu sync.Mutex
+	err = workpool.Run(ctx, len(todo), workers, func(w, t int) error {
+		sim, ws, k := sims[w], wss[w], todo[t]
+		ws.begin(sim, k, faults[k])
+		o, err := sim.SimulateFault(faults[k])
+		if err == nil {
+			sim.observeHist(&o)
+		}
+		ws.end(sim, &o)
+		if err != nil {
+			return fmt.Errorf("core: fault %s: %w", faults[k].Name(s.c), err)
+		}
+		pubs[w].observe(&o, &sim.rec)
+		if recs != nil {
+			// Distinct index per fault: no write races between workers.
+			recs[k] = sim.rec
+		}
+		outcomes[k] = o
+		if progress != nil {
+			mu.Lock()
+			count++
+			progress(count, len(faults))
+			mu.Unlock()
+		}
+		return nil
+	}, func(w int) {
+		sim := sims[w]
+		wss[w].close()
+		sim.sim.FlushFrameHists()
+		pubs[w].flush()
+		// A panicking fault leaves its span armed on the simulator.
+		sim.tbuf, sim.span = nil, 0
+	})
+	sc.endStage()
+	var pe *workpool.PanicError
+	if errors.As(err, &pe) {
+		err = fmt.Errorf("core: fault %s: %w", panicName(faults, todo[pe.Job], s.c), err)
+	}
+	if err != nil {
+		return nil, err
 	}
 	res.Outcomes = outcomes
 	for k := range outcomes {
@@ -917,9 +885,6 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 // panicName names fault k for a recovered panic: its usual name, or
 // its raw fields when the fault itself is what cannot be named.
 func panicName(faults []fault.Fault, k int, c *netlist.Circuit) (name string) {
-	if k < 0 {
-		return "(none claimed)"
-	}
 	defer func() {
 		if recover() != nil {
 			name = fmt.Sprintf("%+v", faults[k])

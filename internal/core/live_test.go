@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/seqsim"
+	"repro/internal/xtrace"
 )
 
 // liveRun executes one whole-list run publishing into a fresh LiveStats.
@@ -393,10 +394,12 @@ func TestRunContextCancel(t *testing.T) {
 }
 
 // TestRunContextDone asserts an already-done context aborts before any
-// fault is simulated.
+// prescreen batch or fault is simulated.
 func TestRunContextDone(t *testing.T) {
 	c, T, faults := statsSetup(t)
-	s, err := NewSimulator(c, T, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Tracer = xtrace.New(xtrace.Options{})
+	s, err := NewSimulator(c, T, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,5 +407,11 @@ func TestRunContextDone(t *testing.T) {
 	cancel()
 	if _, err := s.RunContext(ctx, faults, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	spans, _ := cfg.Tracer.Snapshot()
+	for _, sp := range spans {
+		if sp.Name == "batch" {
+			t.Fatalf("a prescreen batch ran under a done context: %+v", sp)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -41,16 +42,17 @@ func (sc screen) outcome(k int, f fault.Fault) (FaultOutcome, bool) {
 // undetected, its condition (C) verdict, so only the faults that are
 // undetected and pass (C) enter the per-fault MOT pipeline. It returns
 // the zero screen when the prescreen is disabled or there is nothing to
-// screen. Batches are distributed over up to `workers` goroutines. With
-// tracing on (sc non-nil) the stage gets a span under the run span and
-// every bit-parallel batch a span keyed by its batch index.
-func (s *Simulator) prescreen(faults []fault.Fault, workers int, res *Result, sc *spanScope) (screen, error) {
+// screen. Batches are distributed over up to `workers` goroutines and
+// stop once ctx is done. With tracing on (sc non-nil) the stage gets a
+// span under the run span and every bit-parallel batch a span keyed by
+// its batch index.
+func (s *Simulator) prescreen(ctx context.Context, faults []fault.Fault, workers int, res *Result, sc *spanScope) (screen, error) {
 	if !s.cfg.Prescreen || len(faults) == 0 {
 		return screen{}, nil
 	}
 	start := time.Now()
 	preID := sc.beginStage("prescreen")
-	pre, failsC, st, err := bitsim.RunConditionC(s.c, s.T, s.good, faults, workers,
+	pre, failsC, st, err := bitsim.RunConditionC(ctx, s.c, s.T, s.good, faults, workers,
 		bitsim.Trace{Tracer: s.cfg.Tracer, Parent: preID})
 	sc.endStage()
 	if err != nil {

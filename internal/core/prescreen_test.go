@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/bitsim"
@@ -199,7 +200,7 @@ func checkLaneConditionC(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, fa
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre, failsC, _, err := bitsim.RunConditionC(c, T, nil, faults, 2, bitsim.Trace{})
+	pre, failsC, _, err := bitsim.RunConditionC(context.Background(), c, T, nil, faults, 2, bitsim.Trace{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package metrics provides the lightweight instrumentation primitives
-// used by the MOT pipeline: atomic counters, monotonic stage timers,
-// high-water-mark gauges, and fixed-bucket histograms. Every primitive
+// used by the MOT pipeline: atomic counters and fixed-bucket
+// histograms, plus a registry exposing them. Every primitive
 // is safe for concurrent use, costs roughly one atomic add per
 // observation, and allocates nothing after construction, so it can sit
 // on the zero-allocation per-fault hot path without perturbing it.
@@ -9,7 +9,6 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -26,36 +25,6 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Load returns the current count.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// MaxGauge tracks the maximum value observed (a high-water mark).
-// The zero value is ready to use and reports 0 until an observation.
-type MaxGauge struct{ v atomic.Int64 }
-
-// Observe raises the gauge to n if n exceeds the current maximum.
-func (g *MaxGauge) Observe(n int64) {
-	for {
-		cur := g.v.Load()
-		if n <= cur || g.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Load returns the high-water mark.
-func (g *MaxGauge) Load() int64 { return g.v.Load() }
-
-// Timer accumulates wall-clock durations measured on the monotonic
-// clock. The zero value is ready to use.
-type Timer struct{ ns atomic.Int64 }
-
-// Add accumulates a measured duration.
-func (t *Timer) Add(d time.Duration) { t.ns.Add(int64(d)) }
-
-// Since accumulates the monotonic time elapsed since start.
-func (t *Timer) Since(start time.Time) { t.ns.Add(int64(time.Since(start))) }
-
-// Duration returns the accumulated time.
-func (t *Timer) Duration() time.Duration { return time.Duration(t.ns.Load()) }
 
 // Histogram is a fixed-bucket histogram of int64 observations. Bucket
 // bounds are set at construction and never change; observation is one
@@ -368,13 +337,4 @@ func (s Snapshot) DurationString() string {
 	d := func(ns int64) time.Duration { return time.Duration(ns).Round(time.Microsecond) }
 	return fmt.Sprintf("n=%d mean=%s p50<=%s p90<=%s max=%s",
 		s.Count, d(int64(s.Mean)), d(s.Quantile(0.5)), d(s.Quantile(0.9)), d(s.Max))
-}
-
-// FormatBounds renders bucket bounds compactly for table headers.
-func FormatBounds(bounds []int64) string {
-	parts := make([]string, len(bounds))
-	for i, b := range bounds {
-		parts[i] = fmt.Sprintf("%d", b)
-	}
-	return strings.Join(parts, ",")
 }

@@ -5,31 +5,14 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 )
 
-func TestCounterAndGauge(t *testing.T) {
+func TestCounter(t *testing.T) {
 	var c Counter
-	var g MaxGauge
 	c.Inc()
 	c.Add(4)
 	if c.Load() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Load())
-	}
-	g.Observe(3)
-	g.Observe(1)
-	g.Observe(7)
-	if g.Load() != 7 {
-		t.Fatalf("gauge = %d, want 7", g.Load())
-	}
-}
-
-func TestTimer(t *testing.T) {
-	var tm Timer
-	tm.Add(3 * time.Millisecond)
-	tm.Since(time.Now().Add(-time.Millisecond))
-	if d := tm.Duration(); d < 4*time.Millisecond || d > time.Second {
-		t.Fatalf("timer = %v, want roughly 4ms", d)
 	}
 }
 
@@ -76,8 +59,6 @@ func TestHistogramQuantile(t *testing.T) {
 func TestHistogramConcurrent(t *testing.T) {
 	h := NewHistogram(ExpBounds(1, 2, 12)...)
 	var c Counter
-	var g MaxGauge
-	var tm Timer
 	const workers, per = 8, 1000
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -87,8 +68,6 @@ func TestHistogramConcurrent(t *testing.T) {
 			for i := 0; i < per; i++ {
 				h.Observe(int64(i % 512))
 				c.Inc()
-				g.Observe(int64(w*per + i))
-				tm.Add(time.Nanosecond)
 			}
 		}(w)
 	}
@@ -98,12 +77,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if c.Load() != workers*per {
 		t.Fatalf("counter = %d", c.Load())
-	}
-	if g.Load() != workers*per-1 {
-		t.Fatalf("gauge = %d, want %d", g.Load(), workers*per-1)
-	}
-	if tm.Duration() != workers*per {
-		t.Fatalf("timer = %d, want %d", tm.Duration(), workers*per)
 	}
 	var total int64
 	for _, b := range h.Snapshot().Buckets {
@@ -158,11 +131,9 @@ func TestSnapshotJSONAndString(t *testing.T) {
 func TestObserveAllocsZero(t *testing.T) {
 	h := NewHistogram(ExpBounds(1, 2, 16)...)
 	var c Counter
-	var g MaxGauge
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.Observe(37)
 		c.Inc()
-		g.Observe(37)
 	})
 	if allocs != 0 {
 		t.Fatalf("observation allocates: %v allocs/op", allocs)

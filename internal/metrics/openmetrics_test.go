@@ -64,8 +64,7 @@ func TestWriteOpenMetricsGolden(t *testing.T) {
 	r := NewRegistry()
 	reqs := r.Counter("reqs_total", "Total requests.")
 	reqs.Add(2)
-	g := r.Gauge("depth", "Queue depth.")
-	g.Set(4)
+	r.GaugeFunc("depth", "Queue depth.", func() float64 { return 4 })
 	h := r.Histogram("lat_ns", "Latency.", 10, 100)
 	h.Observe(5)
 	h.Observe(50)

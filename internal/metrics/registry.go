@@ -10,21 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// Gauge is a concurrency-safe settable instantaneous value (unlike
-// MaxGauge it can go down). The zero value is ready to use.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by delta (may be negative).
-func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // validName is the Prometheus metric-name charset.
 var validName = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
@@ -82,23 +68,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	r.register(&entry{name: name, help: help, typ: "counter",
 		value: func() float64 { return float64(c.Load()) }})
 	return c
-}
-
-// Gauge creates, registers and returns a settable gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, help: help, typ: "gauge",
-		value: func() float64 { return float64(g.Load()) }})
-	return g
-}
-
-// Timer creates, registers and returns a timer, exposed as a counter of
-// accumulated seconds (the Prometheus convention for totals of time).
-func (r *Registry) Timer(name, help string) *Timer {
-	t := &Timer{}
-	r.register(&entry{name: name, help: help, typ: "counter",
-		value: func() float64 { return t.Duration().Seconds() }})
-	return t
 }
 
 // CounterFunc registers a counter whose value is read from f at scrape

@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -16,11 +17,8 @@ func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mot_faults_total", "Faults submitted.")
 	c.Add(42)
-	g := r.Gauge("mot_runs_active", "Runs in flight.")
-	g.Set(3)
-	g.Add(-1)
-	tm := r.Timer("mot_stage_seconds_total", "Stage time.")
-	tm.Add(1500 * time.Millisecond)
+	r.GaugeFunc("mot_runs_active", "Runs in flight.", func() float64 { return 2 })
+	r.CounterFloatFunc("mot_stage_seconds_total", "Stage time.", func() float64 { return 1.5 })
 	r.GaugeFunc("mot_coverage", "Fraction detected.", func() float64 { return 0.5 })
 	r.CounterFunc("mot_done_total", "Done.", func() int64 { return 7 })
 	h := r.Histogram("mot_pairs", "Pairs per fault.", 1, 2, 4)
@@ -191,9 +189,10 @@ func parseExposition(t *testing.T, out string) map[string]float64 {
 func TestRegistryParallelScrapeCrossCheck(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("writes_total", "")
-	g := r.Gauge("level", "")
+	var level, busy atomic.Int64
+	r.GaugeFunc("level", "", func() float64 { return float64(level.Load()) })
 	h := r.Histogram("sizes", "", ExpBounds(1, 2, 8)...)
-	tm := r.Timer("busy_seconds_total", "")
+	r.CounterFloatFunc("busy_seconds_total", "", func() float64 { return time.Duration(busy.Load()).Seconds() })
 
 	const writers, perWriter = 4, 5000
 	var wg sync.WaitGroup
@@ -204,9 +203,9 @@ func TestRegistryParallelScrapeCrossCheck(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
-				g.Set(int64(i))
+				level.Store(int64(i))
 				h.Observe(int64(i%300 + 1))
-				tm.Add(time.Nanosecond)
+				busy.Add(int64(time.Nanosecond))
 			}
 		}(w)
 	}

@@ -1,16 +1,15 @@
 package netlist
 
-// Structural cone analysis: fan-in and fan-out cones within one time
-// frame, and multi-frame reachability over the sequential (flip-flop)
-// edges. Used by the synthetic-circuit generator's diagnostics, the
-// testability estimator, and by tests that reason about which faults can
-// structurally reach an observation point.
+// Structural reachability over the sequential (flip-flop) edges, built
+// from fan-in and fan-out cones within one time frame: which nodes an
+// output can observe, which the inputs can control, and each flip-flop's
+// sequential depth. motstats reports all three.
 
-// FaninCone returns the set of nodes (as a boolean slice indexed by
+// faninCone returns the set of nodes (as a boolean slice indexed by
 // NodeID) on which the value of each root combinationally depends,
 // including the roots themselves. Present-state and primary-input nodes
 // terminate the traversal.
-func (c *Circuit) FaninCone(roots ...NodeID) []bool {
+func (c *Circuit) faninCone(roots ...NodeID) []bool {
 	seen := make([]bool, c.NumNodes())
 	stack := append([]NodeID(nil), roots...)
 	for len(stack) > 0 {
@@ -31,10 +30,10 @@ func (c *Circuit) FaninCone(roots ...NodeID) []bool {
 	return seen
 }
 
-// FanoutCone returns the set of nodes whose value combinationally depends
+// fanoutCone returns the set of nodes whose value combinationally depends
 // on any of the roots, including the roots themselves. The traversal
 // stops at flip-flop D inputs (they affect the next frame, not this one).
-func (c *Circuit) FanoutCone(roots ...NodeID) []bool {
+func (c *Circuit) fanoutCone(roots ...NodeID) []bool {
 	seen := make([]bool, c.NumNodes())
 	stack := append([]NodeID(nil), roots...)
 	for len(stack) > 0 {
@@ -64,7 +63,7 @@ func (c *Circuit) ObservableNodes() []bool {
 	obs := make([]bool, c.NumNodes())
 	frontier := append([]NodeID(nil), c.Outputs...)
 	for len(frontier) > 0 {
-		cone := c.FaninCone(frontier...)
+		cone := c.faninCone(frontier...)
 		frontier = frontier[:0]
 		for n := range cone {
 			if cone[n] && !obs[n] {
@@ -94,7 +93,7 @@ func (c *Circuit) ControllableNodes() []bool {
 		}
 	}
 	for len(frontier) > 0 {
-		cone := c.FanoutCone(frontier...)
+		cone := c.fanoutCone(frontier...)
 		frontier = frontier[:0]
 		for n := range cone {
 			if cone[n] && !ctrl[n] {
@@ -136,7 +135,7 @@ func (c *Circuit) SequentialDepth() []int {
 	}
 	for round := 0; len(frontier) > 0; round++ {
 		// Propagate through combinational logic at the current depth.
-		cone := c.FanoutCone(frontier...)
+		cone := c.fanoutCone(frontier...)
 		for n := range cone {
 			if cone[n] && nodeDepth[n] > round {
 				nodeDepth[n] = round

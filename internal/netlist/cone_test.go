@@ -44,7 +44,7 @@ func ids(t *testing.T, c *Circuit, names ...string) []NodeID {
 func TestFaninCone(t *testing.T) {
 	c := coneCircuit(t)
 	d := ids(t, c, "d")[0]
-	cone := c.FaninCone(d)
+	cone := c.faninCone(d)
 	for _, name := range []string{"d", "n1", "a", "b", "q"} {
 		if !cone[ids(t, c, name)[0]] {
 			t.Errorf("fan-in cone of d should contain %s", name)
@@ -60,7 +60,7 @@ func TestFaninCone(t *testing.T) {
 func TestFanoutCone(t *testing.T) {
 	c := coneCircuit(t)
 	q := ids(t, c, "q")[0]
-	cone := c.FanoutCone(q)
+	cone := c.fanoutCone(q)
 	for _, name := range []string{"q", "d", "n2"} {
 		if !cone[ids(t, c, name)[0]] {
 			t.Errorf("fan-out cone of q should contain %s", name)

@@ -245,9 +245,6 @@ func NewFullPass(c *netlist.Circuit) *Simulator {
 // Circuit returns the simulated circuit.
 func (s *Simulator) Circuit() *netlist.Circuit { return s.cc.Net }
 
-// Compiled returns the compiled IR the simulator runs on.
-func (s *Simulator) Compiled() *cir.CC { return s.cc }
-
 // EvalFrame computes the effective value of every node for one time frame
 // of circuit c: pi are the primary-input values, ps the effective
 // present-state values, f the injected fault (use nil for fault-free), and

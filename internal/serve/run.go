@@ -438,8 +438,9 @@ func (r *Run) execute(ctx context.Context, account func(cpu time.Duration, alloc
 // simulate runs the simulation and summarizes the result. A panic
 // anywhere in it (building the simulator, the run, the report) is
 // recovered into an error carrying the stack, so the run fails instead
-// of taking the server down. Such a run, and one whose fault loop
-// contained a worker panic (core.ErrPanic), counts as panicked.
+// of taking the server down. Such a run, and one whose prescreen or
+// fault loop contained a worker panic (core.ErrPanic), counts as
+// panicked.
 func (r *Run) simulate(ctx context.Context) (rep *report.RunReport, attrs []any, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -606,22 +606,36 @@ func TestServerRegistryEvictsFinished(t *testing.T) {
 }
 
 // TestServerRunPanicFails makes a run panic outside core's fault loop
-// (building the simulator of a run whose circuit is gone) and inside it
-// (a fault whose site is out of range), and asserts each run ends
-// failed with the panic and its stack in the status and in the
+// (building the simulator of a run whose circuit is gone), inside it (a
+// fault whose site is out of range) and in a prescreen batch on two
+// workers (a branch fault whose pin is out of range), and asserts each
+// run ends failed with the panic and its stack in the status and in the
 // terminal event, instead of taking the process down.
 func TestServerRunPanicFails(t *testing.T) {
 	s, ts := newTestServer(t)
 	panicked := 0.0
-	for name, breakRun := range map[string]func(r *Run){
-		"simulator": func(r *Run) { r.circuit, r.warm = nil, core.Warm{} },
-		"fault":     func(r *Run) { r.faults[0].Node = 1 << 30 },
+	serial := RunRequest{Circuit: "s27", Random: 8, Prescreen: boolPtr(false)}
+	for name, c := range map[string]struct {
+		req      RunRequest
+		breakRun func(r *Run)
+	}{
+		"simulator": {serial, func(r *Run) { r.circuit, r.warm = nil, core.Warm{} }},
+		"fault":     {serial, func(r *Run) { r.faults[0].Node = 1 << 30 }},
+		"prescreen": {RunRequest{Circuit: "sg641", Random: 8}, func(r *Run) {
+			r.workers = 2
+			for k := range r.faults {
+				if !r.faults[k].IsStem() {
+					r.faults[k].Pin = 1 << 30
+					return
+				}
+			}
+		}},
 	} {
-		r, err := s.buildRun(RunRequest{Circuit: "s27", Random: 8, Prescreen: boolPtr(false)}, time.Now())
+		r, err := s.buildRun(c.req, time.Now())
 		if err != nil {
 			t.Fatal(err)
 		}
-		breakRun(r)
+		c.breakRun(r)
 		r.execute(context.Background(), func(time.Duration, int64) {})
 		st := r.Status()
 		if st.Status != StatusFailed || !strings.Contains(st.Error, "panic") || !strings.Contains(st.Error, "goroutine ") {
@@ -635,8 +649,8 @@ func TestServerRunPanicFails(t *testing.T) {
 		if last.Name != "status" || !strings.Contains(last.Data, `"failed"`) || !strings.Contains(last.Data, "panic") {
 			t.Errorf("%s: terminal event %s %.200s; want a failed status carrying the panic", name, last.Name, last.Data)
 		}
-		// Both a panic recovered by Run.simulate (simulator) and one the
-		// core fault loop contained (fault) count as a panicked run.
+		// A panic recovered by Run.simulate (simulator) and one the core
+		// worker pool contained (fault, prescreen) count as a panicked run.
 		panicked++
 		if got := scrape(t, ts)["motserve_runs_panicked_total"]; got != panicked {
 			t.Errorf("%s: motserve_runs_panicked_total = %v, want %v", name, got, panicked)
