@@ -49,7 +49,8 @@ race:
 # against the serial frame (two-pass and fixpoint schedules), the
 # fault-free lane memo and bit-parallel resimulation against their
 # references, the prescreen lanes (any fault order, with (C) verdicts)
-# against the serial simulator, and whole runs against the
+# against the serial simulator, the skipped portfolio retries of whole
+# runs (each resimulated, none may detect), and whole runs against the
 # exhaustive oracle. Go fuzzes one target per invocation.
 FUZZTIME ?= 15s
 FUZZ_TARGETS := \
@@ -58,6 +59,7 @@ FUZZ_TARGETS := \
 	./internal/implic:FuzzImplyLanes \
 	./internal/core:FuzzCollectMemo \
 	./internal/core:FuzzResimCrossCheck \
+	./internal/core:FuzzRetryDominance \
 	./internal/bitsim:FuzzPrescreenMatchesSerial \
 	./internal/oracle:FuzzOracleSoundness
 
@@ -81,13 +83,13 @@ bench:
 
 # Quick sg298-only slice of the whole-list benchmarks — the CI-sized
 # regression probe — plus the step-0 layer bench on sg15850 and the
-# pair-collection and resimulation layer benches on sg5378. Combine
+# pair-collection, expansion and resimulation layer benches on sg5378. Combine
 # with benchdiff:
 #   make bench-lite | tee benchdiff.out
 #   go run ./cmd/benchdiff benchdiff.out   # baseline: highest BENCH_PR<n>.json
 bench-lite:
 	$(GO) test -run xxx -bench 'Table2_sg298|PrescreenOn_sg298|LiveOverhead|ResimBitParallel|Step0_sg15850' -benchmem -benchtime 2x -count 3 .
-	$(GO) test -run xxx -bench 'CollectPairs_sg5378|Resim_sg5378' -benchmem -benchtime 2x -count 3 ./internal/core
+	$(GO) test -run xxx -bench 'CollectPairs_sg5378|Expand_sg5378|Resim_sg5378' -benchmem -benchtime 2x -count 3 ./internal/core
 
 # Sample span trace of a fully sampled sg298 run, loadable in
 # ui.perfetto.dev or chrome://tracing. CI uploads it as an artifact.
@@ -99,11 +101,12 @@ trace:
 # fault-free lane memo's build (CollectPairs_sg5378), the lane passes
 # (ImplyLanes) against the serial trail frame (ImplyReuse) and a fresh
 # frame per call (ImplyNew); the whole per-fault pipeline
-# (SimulateList); and the bit-parallel resimulation kernel on one sg1423
-# fault (ResimulateVV) and on both passes of every sg5378 pipeline fault
-# (Resim_sg5378).
+# (SimulateList); both expansions (proposed and portfolio retry) of
+# every sg5378 pipeline fault (Expand_sg5378); and the bit-parallel
+# resimulation kernel on one sg1423 fault (ResimulateVV) and on the
+# passes the sg5378 pipeline runs (Resim_sg5378).
 bench-collect:
-	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|ResimulateVV|Resim_sg5378' -benchmem ./internal/core
+	$(GO) test -run xxx -bench 'CollectPairs|SimulateList|Expand_sg5378|ResimulateVV|Resim_sg5378' -benchmem ./internal/core
 	$(GO) test -run xxx -bench 'ImplyReuse|ImplyNew|ImplyLanes' -benchmem ./internal/implic
 
 # The design-choice ablations of DESIGN.md §5 (BenchmarkAblation*):

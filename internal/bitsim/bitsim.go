@@ -229,16 +229,8 @@ func (e *evaluator) written(id netlist.NodeID) bool {
 	return e.sweep || e.ov.Live(id)
 }
 
-// value returns node id's lane values this frame. The result is
-// read-only.
-func (e *evaluator) value(id netlist.NodeID) *VV {
-	if e.sweep {
-		return &e.vals[id]
-	}
-	return e.overlay(id)
-}
-
-// overlay is value in an event frame.
+// overlay returns node id's lane values in an event frame. The result
+// is read-only.
 func (e *evaluator) overlay(id netlist.NodeID) *VV {
 	if e.ov.Live(id) {
 		return &e.vals[id]

@@ -59,6 +59,15 @@ func TestPatternWidthChecked(t *testing.T) {
 	}
 }
 
+// value returns node id's lane values this frame, in a sweep or an
+// event frame. The result is read-only.
+func (e *evaluator) value(id netlist.NodeID) *VV {
+	if e.sweep {
+		return &e.vals[id]
+	}
+	return e.overlay(id)
+}
+
 // read returns the value gate gi sees on pin pi of node id.
 func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
 	v := *e.value(id)

@@ -179,7 +179,7 @@ func BenchmarkResimulateVV(b *testing.B) {
 	}
 	nsv, nout := s.profile(bad)
 	var passes []*expansion
-	for _, pairs := range [][]pairInfo{s.collectPairs(&f, bad, nout), s.trivialPairs(bad, nout)} {
+	for _, pairs := range [][]pairInfo{s.collectPairs(&f, bad, nout), nil} {
 		var out FaultOutcome
 		passes = append(passes, cloneExpansion(s.expand(pairs, bad, nsv, nout, &out)))
 	}
@@ -206,12 +206,13 @@ func cloneExpansion(x *expansion) *expansion {
 }
 
 // BenchmarkResim_sg5378 measures Section 3.4 resimulation alone on the
-// mot-resim circuit: both resimulation passes (the proposed expansion
-// and, where it fails, the portfolio retry's) of every fault that
-// reaches resimulation in the sg5378 pipeline under its first vector
-// set (64 random patterns, seed 4). Step 0, pair collection and
-// expansion run in setup; each iteration replays the passes on the
-// recorded expansions.
+// mot-resim circuit: the resimulation passes the sg5378 pipeline runs
+// under its first vector set (64 random patterns, seed 4) for every
+// fault that reaches resimulation, the proposed expansion's and, where
+// it fails and the retry's steps differ from its own, the portfolio
+// retry's. Step 0, pair collection and expansion run in setup; each
+// iteration replays the passes on the recorded expansions. skipped/op
+// counts the retries the pipeline does not resimulate.
 func BenchmarkResim_sg5378(b *testing.B) {
 	e, err := circuits.SuiteEntryByName("sg5378")
 	if err != nil {
@@ -229,31 +230,20 @@ func BenchmarkResim_sg5378(b *testing.B) {
 		x    *expansion
 	}
 	var passes []pass
-	for _, f := range fault.CollapsedList(c) {
-		bad, _, detected, err := s.sim.RunFault(s.T, s.good, f, true)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if detected {
-			continue
-		}
-		nsv, nout := s.profile(bad)
-		if !conditionC(nsv, nout) {
-			continue
-		}
-		pairs := s.collectPairs(&f, bad, nout)
-		if slices.ContainsFunc(pairs, func(p pairInfo) bool {
-			return (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0))
-		}) {
-			continue // detected by identification: no resimulation
-		}
+	skipped := 0
+	for _, pf := range pipelineFaults(b, s) {
 		var out FaultOutcome
-		x := cloneExpansion(s.expand(pairs, bad, nsv, nout, &out))
-		passes = append(passes, pass{f, bad, nout, x})
-		if !s.resimulate(&f, bad, x, nout) {
-			x = cloneExpansion(s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &out))
-			passes = append(passes, pass{f, bad, nout, x})
+		x := cloneExpansion(s.expand(pf.pairs, pf.bad, pf.nsv, pf.nout, &out))
+		passes = append(passes, pass{pf.f, pf.bad, pf.nout, x})
+		if s.resimulate(&pf.f, pf.bad, x, pf.nout) {
+			continue
 		}
+		retry := s.expand(nil, pf.bad, pf.nsv, pf.nout, &out)
+		if sameSteps(retry.steps, x.steps) {
+			skipped++
+			continue
+		}
+		passes = append(passes, pass{pf.f, pf.bad, pf.nout, cloneExpansion(retry)})
 	}
 	s.rec = faultRecord{}
 	b.ReportAllocs()
@@ -266,6 +256,39 @@ func BenchmarkResim_sg5378(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(passes)), "passes/op")
+	b.ReportMetric(float64(skipped), "skipped/op")
 	b.ReportMetric(float64(s.rec.work.ResimVectorFrames)/float64(b.N), "frames/op")
 	b.ReportMetric(float64(s.rec.work.ResimGateEvals)/float64(b.N), "gate-evals/op")
+}
+
+// expandSink keeps the benchmarked expansions live.
+var expandSink int
+
+// BenchmarkExpand_sg5378 measures Procedure 2 alone on the mot-resim
+// circuit: both expansions, the proposed one and the portfolio retry's
+// trivial one, of every fault that reaches expansion in the sg5378
+// pipeline under its first vector set (64 random patterns, seed 4).
+// Step 0 and pair collection run in setup.
+func BenchmarkExpand_sg5378(b *testing.B) {
+	e, err := circuits.SuiteEntryByName("sg5378")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := e.Build()
+	s, err := NewSimulator(c, tgen.Random(c.NumInputs(), 64, 4), DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	faults := pipelineFaults(b, s)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range faults {
+			pf := &faults[k]
+			var out FaultOutcome
+			expandSink += len(s.expand(pf.pairs, pf.bad, pf.nsv, pf.nout, &out).steps)
+			expandSink += len(s.expand(nil, pf.bad, pf.nsv, pf.nout, &out).steps)
+		}
+	}
+	b.ReportMetric(float64(len(faults)), "faults/op")
 }

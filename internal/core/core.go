@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -330,11 +332,24 @@ func (s *Simulator) simulateFault(f fault.Fault) (FaultOutcome, error) {
 	// the baseline's trivial expansion under the same budget, making the
 	// domination structural.
 	if s.cfg.UseBackwardImplications {
+		// The retry expands into x's pooled storage: keep the proposed
+		// steps to compare with its own.
+		s.pools.steps = append(s.pools.steps[:0], x.steps...)
 		var retry FaultOutcome
 		ph = s.beginPhase("expand", 1)
-		x = s.expand(s.trivialPairs(bad, nout), bad, nsv, nout, &retry)
+		x = s.expand(nil, bad, nsv, nout, &retry)
 		s.endPhase(ph)
 		s.tick(&last, &w.ExpandNS)
+		if sameSteps(x.steps, s.pools.steps) {
+			// With the proposed steps, every lane of the proposed
+			// expansion refines the retry's, so the retry fails too
+			// (DESIGN.md §26).
+			w.ResimRetriesSkipped++
+			if retrySkipHook != nil {
+				retrySkipHook(s, &f, bad, x, nout)
+			}
+			return out, nil
+		}
 		ph = s.beginPhase("resim", 1)
 		detected = s.resimulate(&f, bad, x, nout)
 		s.endPhase(ph)
@@ -395,31 +410,6 @@ func (s *Simulator) collectPairsLanes(f *fault.Fault, bad *seqsim.Trace, nout []
 	return pairs
 }
 
-// trivialPairs enumerates trivial (single-variable) pairs for every
-// candidate (u, i), as the [4] baseline does; used as the phase 2
-// fallback when every collected pair is blocked by the expandability
-// constraint, and by the portfolio retry. The result is reused by the
-// next call. expand's fallback may recompute it while the retry's own
-// trivial pairs are in use; the list is a function of (bad, nout), so
-// that rewrites identical values.
-func (s *Simulator) trivialPairs(bad *seqsim.Trace, nout []int) []pairInfo {
-	out := s.pools.trivialPairs[:0]
-fill:
-	for u := 0; u < len(s.T) && nout[u] > 0; u++ { // nout is non-increasing
-		for i := 0; i < s.c.NumFFs(); i++ {
-			if bad.States[u][i] != logic.X {
-				continue
-			}
-			if s.cfg.MaxPairs > 0 && len(out) >= s.cfg.MaxPairs {
-				break fill
-			}
-			out = append(out, s.trivialPair(u, i))
-		}
-	}
-	s.pools.trivialPairs = out
-	return out
-}
-
 // trivialPair is the pair used at u = 0 and throughout the [4]
 // baseline: extra(u, i, a) = {(i, a)} and sv(u, i) = {i}. Its slices
 // come from a per-simulator table built once, so every trivial pair of
@@ -472,12 +462,47 @@ func (x *expansion) lanes() int { return 1 << len(x.steps) }
 // best remaining pair by the four criteria and duplicates every sequence
 // until the N_STATES budget is reached. It returns the expansion, which
 // records the duplications as steps instead of copying sequences; it
-// is valid until the next expand call.
+// is valid until the next expand call. With backward implications on,
+// expand(nil, ...) is the [4] baseline's trivial expansion the
+// portfolio retry runs: every step comes from the trivial fallback.
 func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int, out *FaultOutcome) *expansion {
 	x := s.newExpansion(bad.States)
-	s0 := x.s0
+	s.phase1(pairs, x, out)
 
-	// Phase 1 (Procedure 2, step 2).
+	// Phase 2 (Procedure 2, steps 3-10). When backward implications are
+	// enabled and the collected pairs are exhausted (their sv(u, i) sets
+	// grow with the implied extras, so the step 3 constraint can starve
+	// the budget), expansion falls back to trivial single-variable pairs,
+	// exactly as the [4] baseline expands. This engineering completion
+	// preserves the paper's observation that every fault detected by [4]
+	// is also detected by the proposed procedure.
+	var units []trivialUnit
+	fallback := false
+	for x.lanes() < s.cfg.NStates {
+		if !fallback {
+			if best := s.selectPair(pairs, x, nsv, nout); best >= 0 {
+				s.addStep(x, &pairs[best], out)
+				continue
+			}
+			if !s.cfg.UseBackwardImplications {
+				break
+			}
+			fallback, units = true, s.trivialUnits(bad, nsv, nout)
+		}
+		u, i, ok := s.nextTrivial(units, x)
+		if !ok {
+			break
+		}
+		p := s.trivialPair(u, i)
+		s.addStep(x, &p, out)
+	}
+	return x
+}
+
+// phase1 is Procedure 2, step 2: every single-sided pair forces its
+// surviving side's implications into x's base sequence.
+func (s *Simulator) phase1(pairs []pairInfo, x *expansion, out *FaultOutcome) {
+	s0 := x.s0
 	for k := range pairs {
 		p := &pairs[k]
 		var survivor int
@@ -503,43 +528,104 @@ func (s *Simulator) expand(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int,
 		}
 		x.marks[p.u] = true
 	}
+}
 
-	// Phase 2 (Procedure 2, steps 3-10). When backward implications are
-	// enabled and the collected pairs are exhausted (their sv(u, i) sets
-	// grow with the implied extras, so the step 3 constraint can starve
-	// the budget), expansion falls back to trivial single-variable pairs,
-	// exactly as the [4] baseline expands. This engineering completion
-	// preserves the paper's observation that every fault detected by [4]
-	// is also detected by the proposed procedure.
-	var fallback []pairInfo
-	for x.lanes() < s.cfg.NStates {
-		best := s.selectPair(pairs, x, nsv, nout)
-		if best < 0 && s.cfg.UseBackwardImplications {
-			if fallback == nil {
-				fallback = s.trivialPairs(bad, nout)
-			}
-			pairs = fallback
-			best = s.selectPair(pairs, x, nsv, nout)
-		}
-		if best < 0 {
-			break
-		}
-		p := &pairs[best]
-		out.Counters.add(p.counters())
-		out.Expansions++
-		for _, j := range p.sv {
-			s.seedAdd(x, j)
-		}
-		stamp := s.pools.assignStamp[p.u*s.c.NumFFs():]
-		for a := range p.extra {
-			for _, e := range p.extra[a] {
-				stamp[e.j] = s.pools.seedGen
-			}
-		}
-		x.marks[p.u] = true
-		x.steps = append(x.steps, expStep{u: p.u, extra: p.extra})
+// addStep applies pair p as phase 2's next step (Procedure 2, steps
+// 5-9): every sequence of x duplicates at p.u.
+func (s *Simulator) addStep(x *expansion, p *pairInfo, out *FaultOutcome) {
+	out.Counters.add(p.counters())
+	out.Expansions++
+	for _, j := range p.sv {
+		s.seedAdd(x, j)
 	}
-	return x
+	stamp := s.pools.assignStamp[p.u*s.c.NumFFs():]
+	for a := range p.extra {
+		for _, e := range p.extra[a] {
+			stamp[e.j] = s.pools.seedGen
+		}
+	}
+	x.marks[p.u] = true
+	x.steps = append(x.steps, expStep{u: p.u, extra: p.extra})
+}
+
+// sameSteps reports whether two expansions take the same steps: the
+// same time unit and the same extras, in the same order.
+func sameSteps(a, b []expStep) bool {
+	return slices.EqualFunc(a, b, func(p, q expStep) bool {
+		return p.u == q.u && slices.Equal(p.extra[0], q.extra[0]) && slices.Equal(p.extra[1], q.extra[1])
+	})
+}
+
+// trivialUnit is one time unit of the [4] baseline's trivial pair list
+// in the closed-form selection: its remaining candidates are the
+// flip-flops i in [next, lim) with no value in the expansion's s0 and
+// no assign stamp. nout and nsv are the unit's N_out and N_sv.
+type trivialUnit struct {
+	u, next, lim, nout, nsv int32
+}
+
+// trivialUnits prepares the closed form of selectPair over the trivial
+// pair list: one pair (u, i) per X cell of bad.States[u], for the units
+// u with N_out(u) > 0 (nout is non-increasing, so they are a prefix),
+// in (u, i) order and cut after Config.MaxPairs pairs. Every trivial
+// pair has extras of size 1, so criteria (3) and (4) always tie and
+// selectPair picks, among the units ordered by maximum N_out, then
+// minimum N_sv, then u, the first one with a candidate, and there its
+// smallest i. The cut admits only the first X cells of the last unit
+// it reaches: lim stops that unit's candidates after them. The result
+// is pooled and sorted in that selection order.
+func (s *Simulator) trivialUnits(bad *seqsim.Trace, nsv, nout []int) []trivialUnit {
+	units := s.pools.trivialUnits[:0]
+	left := s.cfg.MaxPairs // pairs the cut still admits, when MaxPairs > 0
+	for u := 0; u < len(s.T) && nout[u] > 0; u++ {
+		if nsv[u] == 0 {
+			continue
+		}
+		lim := s.c.NumFFs()
+		if s.cfg.MaxPairs > 0 {
+			if left == 0 {
+				break
+			}
+			if nsv[u] > left {
+				for i, v := range bad.States[u] {
+					if v == logic.X {
+						if left--; left == 0 {
+							lim = i + 1
+							break
+						}
+					}
+				}
+			} else {
+				left -= nsv[u]
+			}
+		}
+		units = append(units, trivialUnit{u: int32(u), lim: int32(lim), nout: int32(nout[u]), nsv: int32(nsv[u])})
+	}
+	slices.SortFunc(units, func(a, b trivialUnit) int {
+		return cmp.Or(cmp.Compare(b.nout, a.nout), cmp.Compare(a.nsv, b.nsv), cmp.Compare(a.u, b.u))
+	})
+	s.pools.trivialUnits = units
+	return units
+}
+
+// nextTrivial returns the trivial pair (u, i) selectPair would pick
+// from the list trivialUnits prepared, at x's current step, or false
+// when no pair qualifies. A cell once blocked stays blocked for the
+// rest of the expansion (phase 2 never clears an s0 value or a stamp),
+// so each unit's cursor only moves forward.
+func (s *Simulator) nextTrivial(units []trivialUnit, x *expansion) (u, i int, ok bool) {
+	nFF := s.c.NumFFs()
+	for k := range units {
+		t := &units[k]
+		row := x.s0[t.u]
+		stamp := s.pools.assignStamp[int(t.u)*nFF:]
+		for ; t.next < t.lim; t.next++ {
+			if row[t.next] == logic.X && stamp[t.next] != s.pools.seedGen {
+				return int(t.u), int(t.next), true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // selectPair returns the index of the best expandable pair under the
@@ -622,6 +708,11 @@ func (s *Simulator) unassigned(p *pairInfo, x *expansion) bool {
 // unassignedHook, when set (tests only), observes every step 3 decision
 // selectPair makes, so it can be checked against the full scan.
 var unassignedHook func(p *pairInfo, x *expansion, got bool)
+
+// retrySkipHook, when set (tests only), observes every portfolio retry
+// whose resimulation was skipped, with the retry's expansion x, so the
+// skipped verdict can be checked by running it.
+var retrySkipHook func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expansion, nout []int)
 
 // Result aggregates a whole-fault-list run.
 type Result struct {

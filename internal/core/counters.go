@@ -68,7 +68,7 @@ type Work struct {
 	ImplyNS int64 `json:"imply_ns"`
 
 	// ResimVectorPasses counts bit-parallel resimulation passes of up to
-	// 64 lanes, portfolio retries included. ResimVectorFrames counts the
+	// 64 lanes, the portfolio retries that resimulate included. ResimVectorFrames counts the
 	// time frames those passes evaluated (frames with no active lane are
 	// skipped and not counted), and ResimGateEvals the gates they
 	// evaluated (only gates a lane-divergent value reaches are evaluated,
@@ -82,7 +82,8 @@ type Work struct {
 	// Step0NS covers the serial conventional resimulation plus the
 	// condition (C) profile; CollectNS pair collection (Section 3.1)
 	// including its implication runs; ExpandNS Procedure 2; ResimNS the
-	// Section 3.4 resimulation (both including the portfolio retry);
+	// Section 3.4 resimulation (both including the portfolio retry, whose
+	// expansion ExpandNS counts even when its resimulation is skipped);
 	// TotalNS the whole SimulateFault call.
 	Step0NS   int64 `json:"step0_ns"`
 	CollectNS int64 `json:"collect_ns"`
@@ -96,6 +97,12 @@ type Work struct {
 	EventFrames    int64 `json:"event_frames"`
 	EventGateEvals int64 `json:"event_gate_evals"`
 	Events         int64 `json:"events"`
+
+	// ResimRetriesSkipped counts the portfolio retries whose
+	// resimulation did not run: their trivial expansion took the same
+	// steps as the failed proposed one, which refines it lane by lane,
+	// so the retry could not detect either (DESIGN.md §26).
+	ResimRetriesSkipped int64 `json:"resim_retries_skipped"`
 }
 
 // layout is the struct the counter table takes its offsets from.
@@ -133,6 +140,7 @@ var runCounters = [...]RunCounter{
 	{"resim_vector_passes", "resim_vector_passes_total", "Bit-parallel resimulation vector passes.", Count, unsafe.Offsetof(layout.ResimVectorPasses)},
 	{"resim_vector_frames", "resim_vector_frames_total", "Time frames evaluated by bit-parallel resimulation.", Count, unsafe.Offsetof(layout.ResimVectorFrames)},
 	{"resim_gate_evals", "resim_gate_evals_total", "Gates evaluated by bit-parallel resimulation.", Count, unsafe.Offsetof(layout.ResimGateEvals)},
+	{"resim_retries_skipped", "resim_retries_skipped_total", "Portfolio retries skipped because the failed proposed expansion dominates them.", Count, unsafe.Offsetof(layout.ResimRetriesSkipped)},
 	{"event_frames", "event_frames_total", "Sparse frames simulated by the event-driven evaluator.", Count, unsafe.Offsetof(layout.EventFrames)},
 	{"event_gate_evals", "event_gate_evals_total", "Gate evaluations inside event-driven frames.", Count, unsafe.Offsetof(layout.EventGateEvals)},
 	{"events", "events_total", "Node value changes propagated by the sparse evaluators.", Count, unsafe.Offsetof(layout.Events)},

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logic"
+	"repro/internal/seqsim"
 	"repro/internal/tgen"
 )
 
@@ -189,4 +192,148 @@ func TestExpansionLanesMatchSequences(t *testing.T) {
 			t.Logf("%s nstates %d: %d expansions, %d chunks", name, nstates, expansions, chunks)
 		}
 	}
+}
+
+// pipelineFault is one fault that reaches Procedure 2 in the pipeline,
+// with what expand reads: its faulty trace, profile and collected
+// pairs (a deep copy, so later collections cannot overwrite it).
+type pipelineFault struct {
+	f         fault.Fault
+	bad       *seqsim.Trace
+	nsv, nout []int
+	pairs     []pairInfo
+}
+
+// pipelineFaults returns the collapsed faults of s's circuit that reach
+// expansion: undetected conventionally, passing condition (C) and not
+// identified from their pairs.
+func pipelineFaults(tb testing.TB, s *Simulator) []pipelineFault {
+	tb.Helper()
+	var out []pipelineFault
+	for _, f := range fault.CollapsedList(s.c) {
+		bad, _, detected, err := s.sim.RunFault(s.T, s.good, f, true)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if detected {
+			continue
+		}
+		nsv, nout := s.profile(bad)
+		if !conditionC(nsv, nout) {
+			continue
+		}
+		pairs := slices.Clone(s.collectPairs(&f, bad, nout))
+		if slices.ContainsFunc(pairs, func(p pairInfo) bool {
+			return (p.detect[0] && p.resolved(1)) || (p.detect[1] && p.resolved(0))
+		}) {
+			continue // detected by identification: no expansion
+		}
+		for k := range pairs {
+			p := &pairs[k]
+			p.extra = [2][]svAssign{slices.Clone(p.extra[0]), slices.Clone(p.extra[1])}
+			p.sv = slices.Clone(p.sv)
+		}
+		out = append(out, pipelineFault{f, bad, nsv, nout, pairs})
+	}
+	return out
+}
+
+// sameExpansion reports where two expansions differ, or "" when their
+// steps, base sequences, marks and seeds agree.
+func sameExpansion(a, b *expansion) string {
+	switch {
+	case !sameSteps(a.steps, b.steps):
+		return fmt.Sprintf("steps %v, want %v", a.steps, b.steps)
+	case !slices.EqualFunc(a.s0, b.s0, slices.Equal[[]logic.Val]):
+		return "s0 differs"
+	case !slices.Equal(a.marks, b.marks):
+		return fmt.Sprintf("marks %v, want %v", a.marks, b.marks)
+	case !slices.Equal(a.seeds, b.seeds):
+		return fmt.Sprintf("seeds %v, want %v", a.seeds, b.seeds)
+	}
+	return ""
+}
+
+// TestTrivialSelectMatchesList checks the closed-form trivial selection
+// against selectPair over the materialized trivial pair list
+// (expandRef), for the portfolio retry (expand(nil)) and for the
+// proposed expansion's phase 2 fallback, on every pipeline fault of
+// sg298, sg641 and sg5378 under 64 random patterns (seed 4). MaxPairs 1,
+// 7 and 50 cut the trivial list inside a unit; NStates 8, 64 and 256
+// vary the number of steps. Whole expansions and the Table 3 counters
+// must agree. The collected pairs rarely run out before the budget, so
+// the proposed expansion also runs on a thinned list (every fourth
+// pair), whose fallback starts from phase 1's s0 and the stamps of the
+// collected pairs' steps. Both the fallback and a cut inside a unit
+// must occur.
+func TestTrivialSelectMatchesList(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sg5378 collection")
+	}
+	var fallbacks, cuts, compared int
+	for _, name := range []string{"sg298", "sg641", "sg5378"} {
+		e, err := circuits.SuiteEntryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := e.Build()
+		T := tgen.Random(c.NumInputs(), 64, 4)
+		for _, maxPairs := range []int{1, 7, 50, 4096} {
+			cfg := DefaultConfig()
+			cfg.MaxPairs = maxPairs
+			s, err := NewSimulator(c, T, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			faults := pipelineFaults(t, s)
+			if len(faults) == 0 {
+				t.Fatalf("%s: no pipeline fault", name)
+			}
+			for _, nstates := range []int{8, 64, 256} {
+				s.cfg.NStates = nstates
+				for _, pf := range faults {
+					list := s.trivialPairs(pf.bad, pf.nout)
+					if n := len(list); n > 0 {
+						// The cut splits a unit: its last unit lists
+						// fewer pairs than it has X cells.
+						last := list[n-1].u
+						if in := n - slices.IndexFunc(list, func(p pairInfo) bool { return p.u == last }); in < pf.nsv[last] {
+							cuts++
+						}
+					}
+					var thin []pairInfo
+					for k := 0; k < len(pf.pairs); k += 4 {
+						thin = append(thin, pf.pairs[k])
+					}
+					for _, run := range []struct {
+						name        string
+						pairs, want []pairInfo
+					}{{"retry", nil, list}, {"proposed", pf.pairs, pf.pairs}, {"thinned", thin, thin}} {
+						var got, want FaultOutcome
+						x := cloneExpansion(s.expand(run.pairs, pf.bad, pf.nsv, pf.nout, &got))
+						xr := s.expandRef(run.want, pf.bad, pf.nsv, pf.nout, &want)
+						if d := sameExpansion(x, xr); d != "" || got != want {
+							t.Fatalf("%s MaxPairs %d NStates %d fault %s, %s: %s; counters %+v/%d, want %+v/%d",
+								name, maxPairs, nstates, pf.f.Name(c), run.name, d, got.Counters, got.Expansions, want.Counters, want.Expansions)
+						}
+						compared++
+						if run.pairs != nil {
+							// The fallback ran when the pairs alone take
+							// fewer steps.
+							s.cfg.UseBackwardImplications = false
+							var only FaultOutcome
+							if n := len(s.expandRef(run.pairs, pf.bad, pf.nsv, pf.nout, &only).steps); n < len(x.steps) {
+								fallbacks++
+							}
+							s.cfg.UseBackwardImplications = true
+						}
+					}
+				}
+			}
+		}
+	}
+	if fallbacks == 0 || cuts == 0 {
+		t.Fatalf("%d expansions compared, %d fell back, %d cut: need both", compared, fallbacks, cuts)
+	}
+	t.Logf("%d expansions compared, %d fell back to trivial pairs, %d cut inside a unit", compared, fallbacks, cuts)
 }

@@ -54,10 +54,12 @@ type simPools struct {
 	// and pairInfo.sv.
 	svArena    []svAssign
 	svIdxArena []int
-	// pairs backs the slice returned by collectPairs, trivialPairs the
-	// one trivialPairs returns.
+	// pairs backs the slice returned by collectPairs, trivialUnits the
+	// one trivialUnits returns, and steps holds the proposed expansion's
+	// steps while the portfolio retry expands.
 	pairs        []pairInfo
-	trivialPairs []pairInfo
+	trivialUnits []trivialUnit
+	steps        []expStep
 	// trivial holds every flip-flop's trivial pair slices (trivialPair):
 	// zero[i] = (i, 0), one[i] = (i, 1), sv[i] = i.
 	trivial struct {

@@ -6,7 +6,9 @@
 // full-frame evaluations). crossCheckCollect, TestCollectDeepCrossCheck
 // and FuzzCollectMemo compare collectPairsRef with the lane collection;
 // crossCheckBPResim, testResimulate and FuzzResimCrossCheck compare
-// resimulateRef with the vector pass.
+// resimulateRef with the vector pass. trivialPairs and expandRef are
+// the list-based trivial expansion the closed form in expand is checked
+// against (TestTrivialSelectMatchesList).
 package core
 
 import (
@@ -51,6 +53,52 @@ func (s *Simulator) collectPairsRef(f *fault.Fault, bad *seqsim.Trace, nout []in
 		}
 	}
 	return pairs
+}
+
+// trivialPairs enumerates the [4] baseline's trivial (single-variable)
+// pairs for every candidate (u, i): the units with N_out(u) > 0, in
+// (u, i) order, cut after Config.MaxPairs pairs. It is the list the
+// phase 2 fallback and the portfolio retry select from.
+func (s *Simulator) trivialPairs(bad *seqsim.Trace, nout []int) []pairInfo {
+	var out []pairInfo
+fill:
+	for u := 0; u < len(s.T) && nout[u] > 0; u++ { // nout is non-increasing
+		for i := 0; i < s.c.NumFFs(); i++ {
+			if bad.States[u][i] != logic.X {
+				continue
+			}
+			if s.cfg.MaxPairs > 0 && len(out) >= s.cfg.MaxPairs {
+				break fill
+			}
+			out = append(out, s.trivialPair(u, i))
+		}
+	}
+	return out
+}
+
+// expandRef is expand with every phase 2 step chosen by selectPair over
+// a pair list: the collected pairs, then trivialPairs once they are
+// exhausted. expandRef(trivialPairs(...)) is the portfolio retry's
+// expansion.
+func (s *Simulator) expandRef(pairs []pairInfo, bad *seqsim.Trace, nsv, nout []int, out *FaultOutcome) *expansion {
+	x := s.newExpansion(bad.States)
+	s.phase1(pairs, x, out)
+	var fallback []pairInfo
+	for x.lanes() < s.cfg.NStates {
+		best := s.selectPair(pairs, x, nsv, nout)
+		if best < 0 && s.cfg.UseBackwardImplications {
+			if fallback == nil {
+				fallback = s.trivialPairs(bad, nout)
+			}
+			pairs = fallback
+			best = s.selectPair(pairs, x, nsv, nout)
+		}
+		if best < 0 {
+			break
+		}
+		s.addStep(x, &pairs[best], out)
+	}
+	return x
 }
 
 // collectOneRef performs backward implication of y_i at time u for both

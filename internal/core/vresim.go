@@ -69,9 +69,9 @@ import (
 // ResimTrace summarizes the resimulation passes of one fault for the
 // JSONL trace: how many 64-lane vector passes ran, the frames those
 // passes evaluated and the gates they evaluated, and the lanes they
-// packed (summed over passes — the portfolio retry adds a second
-// pass, and an expansion of more than 64 sequences one per chunk). All
-// fields are deterministic for a given configuration.
+// packed (summed over passes — a portfolio retry that is not skipped
+// adds a second pass, and an expansion of more than 64 sequences one
+// per chunk). All fields are deterministic for a given configuration.
 type ResimTrace struct {
 	VectorPasses int `json:"resim_vector_passes,omitempty"`
 	VectorFrames int `json:"resim_vector_frames,omitempty"`

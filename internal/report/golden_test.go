@@ -49,6 +49,7 @@ var stageValues = map[string]int64{
 	"EventFrames":          33,
 	"EventGateEvals":       34,
 	"Events":               35,
+	"ResimRetriesSkipped":  36,
 }
 
 // fillStages sets the integer fields of v (a struct) from stageValues.

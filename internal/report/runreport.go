@@ -63,6 +63,9 @@ type StagesReport struct {
 	ResimVectorPasses int64 `json:"resim_vector_passes"`
 	ResimVectorFrames int64 `json:"resim_vector_frames"`
 	ResimGateEvals    int64 `json:"resim_gate_evals"`
+	// ResimRetriesSkipped counts the portfolio retries the failed
+	// proposed expansion dominated: expanded, not resimulated.
+	ResimRetriesSkipped int64 `json:"resim_retries_skipped"`
 	// ResimSerialFallbacks is always 0: every expansion resimulates
 	// bit-parallel. The field stays because the benchmark harness
 	// (perfbench) reads it for its core.resim_serial_fallbacks row.
@@ -122,6 +125,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimVectorPasses:    st.ResimVectorPasses,
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
+			ResimRetriesSkipped:  st.ResimRetriesSkipped,
 			MOTFaults:            st.MOTFaults,
 			Sim:                  seqsim.SimStats{EventFrames: st.EventFrames, EventGateEvals: st.EventGateEvals, Events: st.Events},
 		},
@@ -187,8 +191,8 @@ func FormatRunStats(res *core.Result) string {
 	fmt.Fprintf(&sb, "    %-24s %12s\n", "total (CPU)", cpu.Round(time.Microsecond))
 	fmt.Fprintf(&sb, "  implication calls: %d (%d lane gate evals, %d memo hits)\n", st.ImplyCalls, st.ImplyLaneEvals, st.ImplyMemoHits)
 	if st.ResimVectorPasses > 0 {
-		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
-			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals)
+		fmt.Fprintf(&sb, "  bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d retries skipped\n",
+			st.ResimVectorPasses, st.ResimVectorFrames, st.ResimGateEvals, st.ResimRetriesSkipped)
 	}
 	if st.PrescreenFrames > 0 {
 		fmt.Fprintf(&sb, "  prescreen frames: %d simulated, %d saved by early exit (%d gate evals)\n",
@@ -231,8 +235,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)\n",
 		s.MOTFaults, s.Pairs, s.Expansions, s.Sequences, s.ImplyCalls, s.ImplyLaneEvals, s.ImplyMemoHits)
-	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals)\n",
-		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals)
+	fmt.Fprintf(&sb, "    bit-parallel resim: %d vector passes over %d frames (%d gate evals), %d retries skipped\n",
+		s.ResimVectorPasses, s.ResimVectorFrames, s.ResimGateEvals, s.ResimRetriesSkipped)
 	fmt.Fprintf(&sb, "    serial sim frames: %d event (%d gate evals, %d events)\n",
 		s.EventFrames, s.EventGateEvals, s.Events)
 	fmt.Fprintf(&sb, "    stage seconds: step0=%.3f collect=%.3f (imply=%.3f) expand=%.3f resim=%.3f total=%.3f\n",
