@@ -24,7 +24,7 @@ GO ?= go
 RACE_PATTERN := Parallel|Prescreen|CrossCheck|Server|Span|Event|Window|Exemplar|Live
 RACE_PKGS    := . ./internal/core ./internal/bitsim ./internal/cir ./internal/seqsim ./internal/metrics ./internal/serve ./internal/cache ./internal/xtrace ./internal/workpool
 
-.PHONY: build fmt test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace
+.PHONY: build fmt test vet race fuzz perfbench-test verify bench bench-lite bench-collect bench-ablation benchdiff trace loc
 
 build:
 	$(GO) build ./...
@@ -76,6 +76,12 @@ perfbench-test:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 verify: build fmt test vet race perfbench-test
+
+# Go line counts of the whole tree, perfbench included: non-test and
+# test files separately (the size figure simplicity changes report).
+loc:
+	@printf 'non-test Go lines: '; find . -path ./.git -prune -o -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l
+	@printf 'test Go lines:     '; find . -path ./.git -prune -o -name '*_test.go' -exec cat {} + | wc -l
 
 # Whole-list MOT benchmarks (Table 2 circuits) with allocation stats.
 bench:

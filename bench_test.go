@@ -333,8 +333,8 @@ var step0Setup = sync.OnceValues(func() (*step0Input, error) {
 			in.faults = append(in.faults, o.Fault)
 		}
 	}
-	if len(in.faults) != res.Stages.MOTFaults {
-		return nil, fmt.Errorf("selected %d pipeline faults, run reports %d", len(in.faults), res.Stages.MOTFaults)
+	if int64(len(in.faults)) != res.MOTFaults {
+		return nil, fmt.Errorf("selected %d pipeline faults, run reports %d", len(in.faults), res.MOTFaults)
 	}
 	in.good = sim.Good()
 	return in, nil

@@ -339,10 +339,6 @@ func run(o runOptions) error {
 			res.Stages.PrescreenTime.Round(time.Microsecond),
 			res.Stages.MOTTime.Round(time.Microsecond))
 	}
-	if res.Stages.ResimVectorPasses > 0 {
-		fmt.Fprintf(out, "  resim: %d vector passes over %d frames, %d gate evals, %d retries skipped\n",
-			res.Stages.ResimVectorPasses, res.Stages.ResimVectorFrames, res.Stages.ResimGateEvals, res.Stages.ResimRetriesSkipped)
-	}
 	fmt.Fprintf(out, "  detected conventionally: %d\n", res.Conv)
 	fmt.Fprintf(out, "  detected by MOT beyond conventional: %d (%d by identification alone)\n", res.MOT, res.Identified)
 	fmt.Fprintf(out, "  undetected faults pruned by condition (C): %d\n", res.PrunedConditionC)

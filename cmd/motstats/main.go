@@ -207,7 +207,7 @@ func runMOT(o runOptions, c *motsim.Circuit) error {
 	elapsed := time.Since(start)
 	fmt.Fprintf(o.out, "MOT run (%d random patterns, %d workers, %s): %d faults, conventional=%d MOT-extra=%d undetected=%d\n",
 		o.randomLen, o.workers, elapsed.Round(time.Millisecond),
-		res.Total, res.Conv, res.MOT, res.Total-res.Detected())
+		res.Total, res.Conv, res.MOT, res.Undetected())
 	fmt.Fprint(o.out, report.FormatRunStats(res))
 	if tracer != nil {
 		spans, _ := tracer.Snapshot()

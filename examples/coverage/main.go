@@ -24,7 +24,7 @@ func main() {
 
 	for _, length := range []int{8, 16, 32, 64} {
 		T := motsim.RandomSequence(c, length, 1298)
-		conv, base, prop := 0, 0, 0
+		var conv, base, prop int64
 
 		sim, err := motsim.New(c, T, motsim.BaselineConfig())
 		if err != nil {

@@ -100,9 +100,11 @@ type Config struct {
 	IdentificationOnly bool
 	// Metrics enables the per-stage instrumentation of Run and
 	// RunParallel: stage timers, per-fault work counters and histograms
-	// (Result.Stages breakdown and Result.Metrics). The cost is a handful
-	// of monotonic-clock reads per fault; outcomes are identical either
-	// way. Off, only the coarse prescreen/MOT stage split is recorded.
+	// (Result.Stages.Work and Result.Metrics). The cost is a handful of
+	// monotonic-clock reads per fault; outcomes are identical either
+	// way. Off, the outcome tally (Result.Tally, MOTFaults included), the
+	// prescreen counters and the coarse prescreen/MOT stage split are
+	// still recorded.
 	Metrics bool
 	// TraceWriter, when non-nil, receives an opt-in per-fault JSONL
 	// trace: one event per fault in fault-list order, recording the

@@ -718,31 +718,14 @@ var retrySkipHook func(s *Simulator, f *fault.Fault, bad *seqsim.Trace, x *expan
 type Result struct {
 	Circuit  string
 	Total    int
-	Conv     int
-	MOT      int
 	Outcomes []FaultOutcome
-	// Sums of the Table 3 counters over MOT-detected faults.
-	Sum Counters
-	// PrunedConditionC counts undetected faults rejected by the necessary
-	// condition (C) before any expansion work.
-	PrunedConditionC int
-	// Identified counts MOT detections established directly from the
-	// collected implication information (Section 3.2), without expansion.
-	Identified int
-	// Expansions is the total number of sequence-duplicating expansions
-	// across all faults.
-	Expansions int
-	// Pairs is the total number of candidate (time unit, state variable)
-	// pairs collected across all faults.
-	Pairs int
-	// Sequences is the total number of state sequences at the point each
-	// fault's expansion stopped, summed over all faults.
-	Sequences int
+	// Tally counts the outcomes: the prescreen-settled faults' plus the
+	// fault-loop workers' merged totals.
+	Tally
 	// Stages instruments the whole-list pipeline stages.
 	Stages Stages
-	// Metrics holds the run's per-fault histograms (pairs, expansions,
-	// sequences at stop, per-fault wall time); nil when Config.Metrics
-	// is off.
+	// Metrics holds the run's histograms (see Hists); nil when
+	// Config.Metrics is off.
 	Metrics *RunMetrics
 	// Live is the shared live-snapshot sink this run published into
 	// (Config.Live); nil when live stats were off. After the run
@@ -753,30 +736,11 @@ type Result struct {
 
 // Stages holds per-stage counters and wall-clock timings of a
 // whole-fault-list run (Run or RunParallel). PrescreenTime and MOTTime
-// are wall-clock; the per-fault breakdown below them is summed across
-// RunParallel workers and is therefore CPU time (it can exceed MOTTime
-// when workers > 1).
+// are wall-clock; Work's stage times are summed across RunParallel
+// workers and are therefore CPU time (they can exceed MOTTime when
+// workers > 1).
 type Stages struct {
-	// PrescreenPasses is the number of bit-parallel batches simulated by
-	// the conventional prescreen (zero when Config.Prescreen is off).
-	PrescreenPasses int
-	// PrescreenDropped is the number of faults classified as
-	// DetectedConventional directly from the prescreen lane results and
-	// therefore never handed to the per-fault MOT pipeline.
-	PrescreenDropped int
-	// PrescreenPrunedC is the number of undetected faults the prescreen
-	// lanes found failing condition (C); they are classified without
-	// entering the per-fault MOT pipeline either.
-	PrescreenPrunedC int
-	// PrescreenFrames is the number of time frames the bit-parallel
-	// prescreen actually simulated; PrescreenSavedFrames counts frames
-	// skipped by its all-lanes-resolved early exit.
-	PrescreenFrames      int64
-	PrescreenSavedFrames int64
-	// PrescreenGateEvals is the number of gates the prescreen evaluated
-	// across those frames: only the gates a lane-divergent value reaches
-	// in its event frames, every gate in its sweep frames.
-	PrescreenGateEvals int64
+	PrescreenCounts
 	// PrescreenTime is the wall-clock duration of the prescreen stage.
 	PrescreenTime time.Duration
 	// CompileTime is the wall-clock duration of the circuit IR compile
@@ -788,17 +752,10 @@ type Stages struct {
 	// serial step 0 for the faults entering it plus the MOT analysis
 	// proper).
 	MOTTime time.Duration
-
-	// MOTFaults counts the faults that entered the per-fault pipeline:
-	// with the prescreen on, Total - PrescreenDropped - PrescreenPrunedC.
-	// It and Work are populated only with Config.Metrics; Work's stage
-	// times are summed across workers and are therefore CPU time.
-	MOTFaults int
+	// Work sums the pipeline faults' work; it is populated only with
+	// Config.Metrics.
 	Work
 }
-
-// Detected returns the total number of detected faults.
-func (r *Result) Detected() int { return r.Conv + r.MOT }
 
 // AvgCounters returns the Table 3 averages over the faults detected by
 // the MOT procedure beyond conventional simulation.
@@ -807,7 +764,7 @@ func (r *Result) AvgCounters() (det, conf, extra float64) {
 		return 0, 0, 0
 	}
 	n := float64(r.MOT)
-	return float64(r.Sum.Det) / n, float64(r.Sum.Conf) / n, float64(r.Sum.Extra) / n
+	return float64(r.CtrDet) / n, float64(r.CtrConf) / n, float64(r.CtrExtra) / n
 }
 
 // Run simulates every fault in the list: RunParallel on one worker.
@@ -818,27 +775,6 @@ func (s *Simulator) Run(faults []fault.Fault, progress func(done, total int)) (*
 // RunContext is Run with cancellation (see RunParallelContext).
 func (s *Simulator) RunContext(ctx context.Context, faults []fault.Fault, progress func(done, total int)) (*Result, error) {
 	return s.RunParallelContext(ctx, faults, 1, progress)
-}
-
-// tally folds one outcome into the aggregate counters.
-func (r *Result) tally(o *FaultOutcome) {
-	switch o.Outcome {
-	case DetectedConventional:
-		r.Conv++
-	case DetectedMOT:
-		r.MOT++
-		r.Sum.add(o.Counters)
-		if o.ByIdentification {
-			r.Identified++
-		}
-	default:
-		if o.FailedConditionC {
-			r.PrunedConditionC++
-		}
-	}
-	r.Expansions += o.Expansions
-	r.Pairs += o.Pairs
-	r.Sequences += o.Sequences
 }
 
 // RunParallel simulates the fault list on `workers` goroutines (fewer
@@ -876,7 +812,6 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	if err != nil {
 		return nil, err
 	}
-	s.publishPrescreen(res)
 	// recs holds every fault's record for the JSONL trace, in fault-list
 	// order; prescreen-settled faults keep the zero record.
 	var recs []faultRecord
@@ -892,10 +827,15 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 	for k := range faults {
 		if o, ok := pre.outcome(k, faults[k]); ok {
 			outcomes[k] = o
+			res.count(&o, false)
 			continue
 		}
 		todo = append(todo, k)
 	}
+	// The prescreen-settled faults never reach a worker: publish their
+	// tally with the stage's counters.
+	res.Stages.PrescreenDropped, res.Stages.PrescreenPrunedC = res.Conv, res.PrunedConditionC
+	s.cfg.Live.add(LiveSnapshot{PrescreenCounts: res.Stages.PrescreenCounts, Tally: res.Tally})
 	count := len(faults) - len(todo)
 	if progress != nil {
 		for d := 1; d <= count; d++ {
@@ -956,16 +896,12 @@ func (s *Simulator) RunParallelContext(ctx context.Context, faults []fault.Fault
 		return nil, err
 	}
 	res.Outcomes = outcomes
-	for k := range outcomes {
-		res.tally(&outcomes[k])
-	}
 	res.Stages.MOTTime = time.Since(motStart)
-	if s.cfg.Metrics {
-		for w := range sims {
-			res.Stages.MOTFaults += int(pubs[w].total.MOTFaults)
-			res.Stages.Work.Add(pubs[w].total.Work)
-		}
+	total := LiveSnapshot{Tally: res.Tally}
+	for w := range pubs {
+		total.Add(pubs[w].total)
 	}
+	res.Tally, res.Stages.Work = total.Tally, total.Work
 	sc.finish(res)
 	if err := s.writeTrace(res, recs); err != nil {
 		return nil, fmt.Errorf("core: trace: %w", err)
@@ -995,7 +931,7 @@ func (s *Simulator) clone() *Simulator {
 		hist: s.hist,
 	}
 	if s.hist != nil {
-		c.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
+		c.sim.SetFrameHists(s.hist[EventsPerFrame], s.hist[GatesVisitedPerFrame])
 	}
 	return c
 }

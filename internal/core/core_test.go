@@ -452,8 +452,8 @@ func TestS27RunOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conv = resP.Conv
-	if resB.Conv != conv {
+	conv = int(resP.Conv)
+	if int(resB.Conv) != conv {
 		t.Errorf("conventional counts differ: %d vs %d", resP.Conv, resB.Conv)
 	}
 	if resP.Detected() < resB.Detected() {

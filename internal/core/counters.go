@@ -31,6 +31,15 @@ type RunCounter struct {
 	off uintptr
 }
 
+// Scale converts a value in the unit to its /metrics exposition unit:
+// nanoseconds to seconds, counts unchanged.
+func (u Unit) Scale() float64 {
+	if u == Nanoseconds {
+		return 1e-9
+	}
+	return 1
+}
+
 // Value reads the counter from s.
 func (c *RunCounter) Value(s *LiveSnapshot) int64 { return *c.at(unsafe.Pointer(s), 0) }
 
@@ -38,6 +47,83 @@ func (c *RunCounter) Value(s *LiveSnapshot) int64 { return *c.at(unsafe.Pointer(
 // offset base of a LiveSnapshot (0, or workBase for a Work).
 func (c *RunCounter) at(p unsafe.Pointer, base uintptr) *int64 {
 	return (*int64)(unsafe.Add(p, c.off-base))
+}
+
+// Tally counts the classified outcomes of a run's faults: the Table 2
+// detections (Conv and the MOT extras), the Table 3 counters summed over
+// the MOT-detected faults (Ctr*), and the outcomes' Pairs, Expansions
+// and Sequences summed over every fault. count classifies one outcome
+// into it; Result and LiveSnapshot carry the sum over their faults.
+type Tally struct {
+	FaultsDone int64 `json:"faults_done"`
+	Conv       int64 `json:"detected_conventional"`
+	MOT        int64 `json:"detected_mot"`
+	// PrunedConditionC counts undetected faults rejected by the
+	// necessary condition (C), in a prescreen lane or in the pipeline.
+	PrunedConditionC int64 `json:"pruned_condition_c"`
+	// Identified counts MOT detections established from the collected
+	// implication information alone (Section 3.2), without expansion.
+	Identified int64 `json:"identified"`
+	// MOTFaults counts the faults that entered the per-fault pipeline:
+	// FaultsDone - PrescreenDropped - PrescreenPrunedC.
+	MOTFaults  int64 `json:"mot_faults"`
+	Pairs      int64 `json:"pairs"`
+	Expansions int64 `json:"expansions"`
+	Sequences  int64 `json:"sequences"`
+	CtrDet     int64 `json:"ctr_det"`
+	CtrConf    int64 `json:"ctr_conf"`
+	CtrExtra   int64 `json:"ctr_extra"`
+}
+
+// count classifies outcome o into t; pipeline reports that o ran the
+// per-fault pipeline rather than being settled by the prescreen.
+func (t *Tally) count(o *FaultOutcome, pipeline bool) {
+	t.FaultsDone++
+	if pipeline {
+		t.MOTFaults++
+	}
+	switch o.Outcome {
+	case DetectedConventional:
+		t.Conv++
+	case DetectedMOT:
+		t.MOT++
+		if o.ByIdentification {
+			t.Identified++
+		}
+		t.CtrDet += int64(o.Counters.Det)
+		t.CtrConf += int64(o.Counters.Conf)
+		t.CtrExtra += int64(o.Counters.Extra)
+	default:
+		if o.FailedConditionC {
+			t.PrunedConditionC++
+		}
+	}
+	t.Pairs += int64(o.Pairs)
+	t.Expansions += int64(o.Expansions)
+	t.Sequences += int64(o.Sequences)
+}
+
+// Detected returns the faults detected so far.
+func (t Tally) Detected() int64 { return t.Conv + t.MOT }
+
+// Undetected returns the faults classified so far as undetected.
+func (t Tally) Undetected() int64 { return t.FaultsDone - t.Detected() }
+
+// PrescreenCounts are the bit-parallel prescreen's stage counters (zero
+// when Config.Prescreen is off), which Stages records and LiveSnapshot
+// sums over runs. Dropped faults are the ones the lanes detect
+// conventionally, PrunedC the undetected ones the lanes find failing
+// condition (C): neither enters the per-fault pipeline. SavedFrames
+// counts the frames its all-lanes-resolved early exit skipped, and
+// GateEvals only the gates a lane-divergent value reaches in event
+// frames, every gate in sweep frames.
+type PrescreenCounts struct {
+	PrescreenPasses      int64 `json:"prescreen_passes"`
+	PrescreenDropped     int64 `json:"prescreen_dropped"`
+	PrescreenPrunedC     int64 `json:"prescreen_pruned_c"`
+	PrescreenFrames      int64 `json:"prescreen_frames"`
+	PrescreenSavedFrames int64 `json:"prescreen_saved_frames"`
+	PrescreenGateEvals   int64 `json:"prescreen_gate_evals"`
 }
 
 // Work is the per-fault work of the MOT pipeline: what a faultRecord
@@ -115,8 +201,7 @@ const (
 )
 
 // runCounters is the counter table, in the order RegisterLiveCounters
-// exposes the families: the LiveSnapshot counters outside Work, then
-// Work's.
+// exposes the families.
 var runCounters = [...]RunCounter{
 	{"runs_started", "runs_started_total", "Whole-list runs started.", Count, unsafe.Offsetof(layout.RunsStarted)},
 	{"runs_done", "runs_done_total", "Whole-list runs completed (including failed and canceled).", Count, unsafe.Offsetof(layout.RunsDone)},
@@ -125,15 +210,20 @@ var runCounters = [...]RunCounter{
 	{"detected_conventional", "detected_conventional_total", "Faults detected by conventional simulation.", Count, unsafe.Offsetof(layout.Conv)},
 	{"detected_mot", "detected_mot_total", "Faults detected by the MOT procedure beyond conventional.", Count, unsafe.Offsetof(layout.MOT)},
 	{"pruned_condition_c", "pruned_condition_c_total", "Faults pruned by necessary condition (C).", Count, unsafe.Offsetof(layout.PrunedConditionC)},
+	{"identified", "identified_total", "MOT detections established by identification alone (Section 3.2).", Count, unsafe.Offsetof(layout.Identified)},
 	{"prescreen_passes", "prescreen_passes_total", "Bit-parallel prescreen batches simulated.", Count, unsafe.Offsetof(layout.PrescreenPasses)},
 	{"prescreen_dropped", "prescreen_dropped_total", "Faults classified directly by the prescreen.", Count, unsafe.Offsetof(layout.PrescreenDropped)},
 	{"prescreen_pruned_c", "prescreen_pruned_c_total", "Undetected faults the prescreen lanes pruned by condition (C).", Count, unsafe.Offsetof(layout.PrescreenPrunedC)},
 	{"prescreen_frames", "prescreen_frames_total", "Time frames simulated by the bit-parallel prescreen.", Count, unsafe.Offsetof(layout.PrescreenFrames)},
+	{"prescreen_saved_frames", "prescreen_saved_frames_total", "Time frames the bit-parallel prescreen skipped by its early exit.", Count, unsafe.Offsetof(layout.PrescreenSavedFrames)},
 	{"prescreen_gate_evals", "prescreen_gate_evals_total", "Gates evaluated by the bit-parallel prescreen.", Count, unsafe.Offsetof(layout.PrescreenGateEvals)},
 	{"mot_faults", "mot_faults_total", "Faults that entered the per-fault MOT pipeline.", Count, unsafe.Offsetof(layout.MOTFaults)},
 	{"pairs", "pairs_total", "Candidate (time unit, state variable) pairs collected.", Count, unsafe.Offsetof(layout.Pairs)},
 	{"expansions", "expansions_total", "Sequence-duplicating state expansions applied.", Count, unsafe.Offsetof(layout.Expansions)},
 	{"sequences", "sequences_total", "State sequences at expansion stop, summed over faults.", Count, unsafe.Offsetof(layout.Sequences)},
+	{"ctr_det", "ctr_det_total", "Table 3 det counter summed over MOT-detected faults.", Count, unsafe.Offsetof(layout.CtrDet)},
+	{"ctr_conf", "ctr_conf_total", "Table 3 conf counter summed over MOT-detected faults.", Count, unsafe.Offsetof(layout.CtrConf)},
+	{"ctr_extra", "ctr_extra_total", "Table 3 extra counter summed over MOT-detected faults.", Count, unsafe.Offsetof(layout.CtrExtra)},
 	{"imply_calls", "imply_calls_total", "In-frame implication runs.", Count, unsafe.Offsetof(layout.ImplyCalls)},
 	{"imply_lane_evals", "imply_lane_evals_total", "Gates evaluated by lane implication passes.", Count, unsafe.Offsetof(layout.ImplyLaneEvals)},
 	{"imply_memo_hits", "imply_memo_hits_total", "Pair-collection pairs served from the fault-free lane memo.", Count, unsafe.Offsetof(layout.ImplyMemoHits)},

@@ -58,6 +58,18 @@ func TestRunCounterTable(t *testing.T) {
 	if len(counters) != nfields {
 		t.Errorf("%d table rows for %d LiveSnapshot fields", len(counters), nfields)
 	}
+	// A count's family is its key with the counter suffix (faults_total
+	// has it already); a duration's is a stage's seconds.
+	for _, c := range counters {
+		switch {
+		case c.Unit == Nanoseconds:
+			if !strings.HasPrefix(c.Family, "stage_") || !strings.HasSuffix(c.Family, "_seconds_total") {
+				t.Errorf("nanosecond row %q has family %q", c.Key, c.Family)
+			}
+		case c.Family != c.Key+"_total" && c.Key != "faults_total":
+			t.Errorf("row %q has family %q", c.Key, c.Family)
+		}
+	}
 
 	var ones LiveSnapshot
 	fields, names := snapshotFields(&ones)
@@ -76,5 +88,41 @@ func TestRunCounterTable(t *testing.T) {
 		if w.Field(i).Int() != 4 {
 			t.Errorf("Work.Add of all-twos left %s = %d, want 4", w.Type().Field(i).Name, w.Field(i).Int())
 		}
+	}
+}
+
+// TestTallyCount classifies one outcome of every class and checks each
+// count: conventional detections, the Table 3 sums over the MOT
+// detections only (identified or expanded), (C) pruning, the pipeline
+// faults and the per-fault sums over every outcome.
+func TestTallyCount(t *testing.T) {
+	outcomes := []struct {
+		o        FaultOutcome
+		pipeline bool
+	}{
+		{FaultOutcome{Outcome: DetectedConventional}, false},
+		{FaultOutcome{Outcome: DetectedConventional, Pairs: 1}, true},
+		{FaultOutcome{FailedConditionC: true}, false},
+		{FaultOutcome{FailedConditionC: true, Pairs: 2}, true},
+		{FaultOutcome{Outcome: DetectedMOT, ByIdentification: true, Pairs: 3, Sequences: 1,
+			Counters: Counters{Det: 1, Conf: 2, Extra: 3}}, true},
+		{FaultOutcome{Outcome: DetectedMOT, Pairs: 5, Expansions: 2, Sequences: 4,
+			Counters: Counters{Det: 10, Conf: 20, Extra: 30}}, true},
+		{FaultOutcome{Pairs: 7, Expansions: 3, Sequences: 8,
+			Counters: Counters{Det: 100, Conf: 200, Extra: 300}}, true},
+	}
+	var got Tally
+	for i := range outcomes {
+		got.count(&outcomes[i].o, outcomes[i].pipeline)
+	}
+	want := Tally{
+		FaultsDone: 7, Conv: 2, MOT: 2, PrunedConditionC: 2, Identified: 1, MOTFaults: 5,
+		Pairs: 18, Expansions: 5, Sequences: 13, CtrDet: 11, CtrConf: 22, CtrExtra: 33,
+	}
+	if got != want {
+		t.Errorf("tally\n  got  %+v\n  want %+v", got, want)
+	}
+	if got.Detected() != 4 || got.Undetected() != 3 {
+		t.Errorf("Detected() = %d, Undetected() = %d, want 4 and 3", got.Detected(), got.Undetected())
 	}
 }

@@ -55,10 +55,7 @@ func crossCheckEventSim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, fau
 					name, faults[k].Name(c), res.Outcomes[k], resFull.Outcomes[k])
 			}
 		}
-		if res.Conv != resFull.Conv || res.MOT != resFull.MOT || res.Sum != resFull.Sum ||
-			res.Expansions != resFull.Expansions || res.Pairs != resFull.Pairs ||
-			res.Sequences != resFull.Sequences || res.Identified != resFull.Identified ||
-			res.PrunedConditionC != resFull.PrunedConditionC {
+		if res.Tally != resFull.Tally {
 			t.Fatalf("%s: aggregates differ from full-pass:\n  event-driven: %+v\n  full-pass:    %+v",
 				name, res, resFull)
 		}

@@ -40,10 +40,10 @@ func exemplarRun(t *testing.T, tracing bool) *RunMetrics {
 func TestFaultExemplarsLinkSpans(t *testing.T) {
 	m := exemplarRun(t, true)
 	for name, h := range map[string]*metrics.Histogram{
-		"PairsPerFault":      m.PairsPerFault,
-		"ExpansionsPerFault": m.ExpansionsPerFault,
-		"SequencesAtStop":    m.SequencesAtStop,
-		"FaultTimeNS":        m.FaultTimeNS,
+		"PairsPerFault":      m[PairsPerFault],
+		"ExpansionsPerFault": m[ExpansionsPerFault],
+		"SequencesAtStop":    m[SequencesAtStop],
+		"FaultTimeNS":        m[FaultTimeNS],
 	} {
 		ex := h.Exemplars()
 		if ex == nil {
@@ -68,8 +68,8 @@ func TestFaultExemplarsLinkSpans(t *testing.T) {
 	}
 
 	for name, h := range map[string]*metrics.Histogram{
-		"PairsPerFault": exemplarRun(t, false).PairsPerFault,
-		"FaultTimeNS":   exemplarRun(t, false).FaultTimeNS,
+		"PairsPerFault": exemplarRun(t, false)[PairsPerFault],
+		"FaultTimeNS":   exemplarRun(t, false)[FaultTimeNS],
 	} {
 		if ex := h.Exemplars(); ex != nil {
 			t.Errorf("%s: exemplars recorded without tracing: %+v", name, ex)

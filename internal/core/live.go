@@ -46,24 +46,11 @@ func (l *LiveStats) Metrics() *RunMetrics { return l.metrics.Load() }
 type LiveSnapshot struct {
 	RunsStarted int64 `json:"runs_started"`
 	RunsDone    int64 `json:"runs_done"`
+	FaultsTotal int64 `json:"faults_total"`
 
-	FaultsTotal      int64 `json:"faults_total"`
-	FaultsDone       int64 `json:"faults_done"`
-	Conv             int64 `json:"detected_conventional"`
-	MOT              int64 `json:"detected_mot"`
-	PrunedConditionC int64 `json:"pruned_condition_c"`
-
-	PrescreenPasses    int64 `json:"prescreen_passes"`
-	PrescreenDropped   int64 `json:"prescreen_dropped"`
-	PrescreenPrunedC   int64 `json:"prescreen_pruned_c"`
-	PrescreenFrames    int64 `json:"prescreen_frames"`
-	PrescreenGateEvals int64 `json:"prescreen_gate_evals"`
-
-	MOTFaults  int64 `json:"mot_faults"`
-	Pairs      int64 `json:"pairs"`
-	Expansions int64 `json:"expansions"`
-	Sequences  int64 `json:"sequences"`
-
+	// Tally counts the faults classified so far.
+	Tally
+	PrescreenCounts
 	// Work sums the per-fault work of the pipeline faults; it stays 0
 	// with Config.Metrics off.
 	Work
@@ -88,9 +75,6 @@ func (l *LiveStats) add(d LiveSnapshot) {
 	l.mu.Unlock()
 }
 
-// Undetected returns the faults classified so far as undetected.
-func (s LiveSnapshot) Undetected() int64 { return s.FaultsDone - s.Conv - s.MOT }
-
 // beginLive records a run starting against the shared stats: the run's
 // fault-list size and, with metrics on, the run's histogram set.
 func (s *Simulator) beginLive(total int) {
@@ -104,29 +88,12 @@ func (s *Simulator) beginLive(total int) {
 	}
 }
 
-// publishPrescreen folds the completed prescreen stage into the live
-// stats, with the classification of the faults it settled (dropped or
-// lane-pruned by condition (C)): they never reach a fault-loop worker.
-func (s *Simulator) publishPrescreen(res *Result) {
-	st := &res.Stages
-	s.cfg.Live.add(LiveSnapshot{
-		PrescreenPasses:    int64(st.PrescreenPasses),
-		PrescreenDropped:   int64(st.PrescreenDropped),
-		PrescreenPrunedC:   int64(st.PrescreenPrunedC),
-		PrescreenFrames:    st.PrescreenFrames,
-		PrescreenGateEvals: st.PrescreenGateEvals,
-		FaultsDone:         int64(st.PrescreenDropped + st.PrescreenPrunedC),
-		Conv:               int64(st.PrescreenDropped),
-		PrunedConditionC:   int64(st.PrescreenPrunedC),
-	})
-}
-
 // endLive marks one run's publications complete.
 func (l *LiveStats) endLive() { l.add(LiveSnapshot{RunsDone: 1}) }
 
 // livePublisher is one fault-loop worker's accumulator of the faults it
 // ran: pending is the delta since the last publication, total the sum
-// of every published delta, which the worker adds to Result.Stages.
+// of every published delta, which the run merges into its Result.
 // Both are plain fields owned by the worker; only flush takes the
 // shared lock.
 type livePublisher struct {
@@ -147,24 +114,9 @@ func (p *livePublisher) init(cfg Config) {
 // observe folds one fault that ran the per-fault pipeline: its outcome
 // and, with metrics on, its record.
 func (p *livePublisher) observe(o *FaultOutcome, r *faultRecord) {
-	d := &p.pending
-	d.FaultsDone++
-	d.MOTFaults++
-	switch o.Outcome {
-	case DetectedConventional:
-		d.Conv++
-	case DetectedMOT:
-		d.MOT++
-	default:
-		if o.FailedConditionC {
-			d.PrunedConditionC++
-		}
-	}
-	d.Pairs += int64(o.Pairs)
-	d.Expansions += int64(o.Expansions)
-	d.Sequences += int64(o.Sequences)
+	p.pending.count(o, true)
 	if p.metrics {
-		d.Work.Add(r.work)
+		p.pending.Work.Add(r.work)
 	}
 	if p.n++; p.n >= p.every {
 		p.flush()

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -10,8 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/seqsim"
+	"repro/internal/tgen"
 	"repro/internal/xtrace"
 )
 
@@ -48,32 +51,22 @@ func deterministic(s LiveSnapshot) LiveSnapshot {
 	return s
 }
 
-// resultSnapshot is the live snapshot one metrics-enabled run must
-// leave behind, built from its Result: every field, the wall-clock ones
-// included (TotalNS is the sum of the per-fault times the FaultTimeNS
-// histogram observed), since both sides sum the same fault records.
+// resultSnapshot is the live snapshot one run must leave behind, built
+// from its Result: every field, the wall-clock ones included (TotalNS is
+// the sum of the per-fault times the FaultTimeNS histogram observed),
+// since both sides sum the same fault records.
 func resultSnapshot(res *Result) LiveSnapshot {
-	st := &res.Stages
-	work := st.Work
-	work.TotalNS = res.Metrics.FaultTimeNS.Snapshot().Sum
+	work := res.Stages.Work
+	if res.Metrics != nil {
+		work.TotalNS = res.Metrics[FaultTimeNS].Snapshot().Sum
+	}
 	return LiveSnapshot{
-		RunsStarted:        1,
-		RunsDone:           1,
-		FaultsTotal:        int64(res.Total),
-		FaultsDone:         int64(res.Total),
-		Conv:               int64(res.Conv),
-		MOT:                int64(res.MOT),
-		PrunedConditionC:   int64(res.PrunedConditionC),
-		PrescreenPasses:    int64(st.PrescreenPasses),
-		PrescreenDropped:   int64(st.PrescreenDropped),
-		PrescreenPrunedC:   int64(st.PrescreenPrunedC),
-		PrescreenFrames:    st.PrescreenFrames,
-		PrescreenGateEvals: st.PrescreenGateEvals,
-		MOTFaults:          int64(st.MOTFaults),
-		Pairs:              int64(res.Pairs),
-		Expansions:         int64(res.Expansions),
-		Sequences:          int64(res.Sequences),
-		Work:               work,
+		RunsStarted:     1,
+		RunsDone:        1,
+		FaultsTotal:     int64(res.Total),
+		Tally:           res.Tally,
+		PrescreenCounts: res.Stages.PrescreenCounts,
+		Work:            work,
 	}
 }
 
@@ -106,33 +99,101 @@ func diffSnapshots(got, want LiveSnapshot) []string {
 	return out
 }
 
-// TestLiveSnapshotSerialParallelCrossCheck asserts the final live
-// snapshot is scheduling-invariant (serial == 8 workers) and equals the
-// merged Result/Result.Stages counters in every field, so a /metrics
-// scrape taken after the run reports exactly what the batch report does.
+// traceTally sums the lines of a JSONL trace into the Tally they
+// describe; MOTFaults, which no line records, stays 0.
+func traceTally(t *testing.T, trace string) Tally {
+	t.Helper()
+	var sum Tally
+	for _, line := range strings.Split(strings.TrimRight(trace, "\n"), "\n") {
+		var ev TraceEvent
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", line, err)
+		}
+		sum.FaultsDone++
+		switch ev.Outcome {
+		case DetectedConventional.String():
+			sum.Conv++
+		case DetectedMOT.String():
+			sum.MOT++
+			sum.CtrDet += int64(ev.CtrDet)
+			sum.CtrConf += int64(ev.CtrConf)
+			sum.CtrExtra += int64(ev.CtrExtra)
+		}
+		sum.PrunedConditionC += int64(b2i(ev.PrunedC))
+		sum.Identified += int64(b2i(ev.Identified))
+		sum.Pairs += int64(ev.Pairs)
+		sum.Expansions += int64(ev.Expansions)
+		sum.Sequences += int64(ev.Sequences)
+	}
+	return sum
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// TestLiveSnapshotSerialParallelCrossCheck asserts that every sink of a
+// run's outcomes agrees, at 1 and 4 workers, with the prescreen on and
+// off and with metrics on and off: Result's tally, the final live
+// snapshot (in every field, so a /metrics scrape taken after the run
+// reports exactly what the batch report does), the sums over the JSONL
+// trace lines and the counts of the per-fault histograms. The final
+// snapshot is also scheduling-invariant.
 func TestLiveSnapshotSerialParallelCrossCheck(t *testing.T) {
-	resS, liveS := liveRun(t, 1, nil)
-	resP, liveP := liveRun(t, 8, nil)
-
-	ss, sp := deterministic(liveS.Snapshot()), deterministic(liveP.Snapshot())
-	if ss != sp {
-		t.Errorf("live snapshot differs between 1 and 8 workers:\n  serial:   %+v\n  parallel: %+v", ss, sp)
+	e, err := circuits.SuiteEntryByName("sg298")
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	for _, res := range []*Result{resS, resP} {
-		if res.Live == nil {
-			t.Fatal("Result.Live not set")
+	c := e.Build()
+	T := tgen.Random(c.NumInputs(), 24, e.SeqSeed)
+	faults := fault.CollapsedList(c)
+	for _, prescreen := range []bool{true, false} {
+		for _, metricsOn := range []bool{true, false} {
+			name := fmt.Sprintf("prescreen=%v/metrics=%v", prescreen, metricsOn)
+			var snaps []LiveSnapshot
+			for _, workers := range []int{1, 4} {
+				cfg := DefaultConfig()
+				cfg.Prescreen, cfg.Metrics = prescreen, metricsOn
+				cfg.Live = &LiveStats{}
+				trace, res := traceRun(t, c, T, faults, cfg, workers)
+				s := res.Live.Snapshot()
+				snaps = append(snaps, deterministic(s))
+				for _, d := range diffSnapshots(s, resultSnapshot(res)) {
+					t.Errorf("%s, %d workers: final snapshot %s (merged result)", name, workers, d)
+				}
+				st := &res.Stages
+				want := traceTally(t, trace)
+				want.MOTFaults = int64(res.Total) - st.PrescreenDropped - st.PrescreenPrunedC
+				if res.Tally != want {
+					t.Errorf("%s, %d workers: tally %+v, trace sums %+v", name, workers, res.Tally, want)
+				}
+				if res.MOT == 0 || res.CtrDet == 0 || res.CtrConf == 0 || res.CtrExtra == 0 || res.Expansions == 0 {
+					t.Errorf("%s: the run exercises too few classes: %+v", name, res.Tally)
+				}
+				if (res.Metrics != nil) != metricsOn || (res.Live.Metrics() != nil) != metricsOn {
+					t.Errorf("%s: histograms present = %v", name, res.Metrics != nil)
+				}
+				if res.Metrics == nil {
+					continue
+				}
+				sums := map[string]int64{"pairs_per_fault": res.Pairs, "expansions_per_fault": res.Expansions, "sequences_at_stop": res.Sequences}
+				for h, d := range Hists() {
+					snap := res.Metrics[h].Snapshot()
+					if d.PerFault && snap.Count != res.MOTFaults {
+						t.Errorf("%s, %d workers: %s count %d, want MOTFaults %d", name, workers, d.Family, snap.Count, res.MOTFaults)
+					}
+					if sum, ok := sums[d.Family]; ok && snap.Sum != sum {
+						t.Errorf("%s, %d workers: %s sum %d, want %d", name, workers, d.Family, snap.Sum, sum)
+					}
+				}
+			}
+			if snaps[0] != snaps[1] {
+				t.Errorf("%s: live snapshot differs between 1 and 4 workers:\n  serial:   %+v\n  parallel: %+v", name, snaps[0], snaps[1])
+			}
 		}
-		s := res.Live.Snapshot()
-		for _, d := range diffSnapshots(s, resultSnapshot(res)) {
-			t.Errorf("final snapshot %s (merged result)", d)
-		}
-		if s.Undetected() != int64(res.Total-res.Detected()) {
-			t.Errorf("Undetected() = %d, want %d", s.Undetected(), res.Total-res.Detected())
-		}
-	}
-	if liveS.Metrics() == nil {
-		t.Error("LiveStats.Metrics() nil after a metrics-enabled run")
 	}
 }
 
@@ -327,9 +388,9 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if moved < res.Stages.MOTFaults {
+	if int64(moved) < res.MOTFaults {
 		t.Errorf("FaultsDone moved on only %d of %d scrapes with cadence 1 (%d pipeline faults)",
-			moved, res.Total, res.Stages.MOTFaults)
+			moved, res.Total, res.MOTFaults)
 	}
 	if got := live.Snapshot().FaultsDone; got != int64(res.Total) {
 		t.Errorf("final FaultsDone = %d, want %d", got, res.Total)
@@ -341,7 +402,7 @@ func TestLiveSnapshotMonotonic(t *testing.T) {
 func TestLiveMetricsOffStillCounts(t *testing.T) {
 	res, live := liveRun(t, 4, func(cfg *Config) { cfg.Metrics = false })
 	s := live.Snapshot()
-	if s.FaultsDone != int64(res.Total) || s.Conv != int64(res.Conv) || s.MOT != int64(res.MOT) {
+	if s.FaultsDone != int64(res.Total) || s.Tally != res.Tally {
 		t.Errorf("snapshot counters wrong with metrics off: %+v vs result %d/%d/%d",
 			s, res.Total, res.Conv, res.MOT)
 	}
@@ -413,5 +474,31 @@ func TestRunContextDone(t *testing.T) {
 		if sp.Name == "batch" {
 			t.Fatalf("a prescreen batch ran under a done context: %+v", sp)
 		}
+	}
+}
+
+// TestUnsampledPublishAllocs asserts that folding an unsampled pipeline
+// fault into the run histograms and the worker's live delta allocates
+// nothing.
+func TestUnsampledPublishAllocs(t *testing.T) {
+	c, T, faults := statsSetup(t)
+	cfg := DefaultConfig()
+	cfg.Live = &LiveStats{}
+	s, err := NewSimulator(c, T, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.beginRun(&Result{})
+	var p livePublisher
+	p.init(cfg)
+	o, err := s.SimulateFault(faults[len(faults)/2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		s.observeHist(&o)
+		p.observe(&o, &s.rec)
+	}); n != 0 {
+		t.Errorf("publishing an unsampled fault allocates %.1f times", n)
 	}
 }

@@ -31,9 +31,9 @@ func TestRunParallelKeepsCCMemSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Stages.MOTFaults == 0 || res.Stages.EventFrames == 0 {
+	if res.MOTFaults == 0 || res.Stages.EventFrames == 0 {
 		t.Fatalf("no fault reached step 0 (mot_faults %d, event frames %d)",
-			res.Stages.MOTFaults, res.Stages.EventFrames)
+			res.MOTFaults, res.Stages.EventFrames)
 	}
 	if after := cc.MemSize(); after != before {
 		t.Fatalf("compiled circuit grew from %d to %d bytes during the run", before, after)

@@ -36,8 +36,8 @@ func TestRunParallelMatchesRun(t *testing.T) {
 	if calls != len(faults) {
 		t.Errorf("progress called %d times, want %d", calls, len(faults))
 	}
-	if parallel.Conv != serial.Conv || parallel.MOT != serial.MOT || parallel.Sum != serial.Sum {
-		t.Fatalf("parallel %+v != serial %+v", parallel.Sum, serial.Sum)
+	if parallel.Tally != serial.Tally {
+		t.Fatalf("parallel %+v != serial %+v", parallel.Tally, serial.Tally)
 	}
 	for k := range faults {
 		if parallel.Outcomes[k].Outcome != serial.Outcomes[k].Outcome {

@@ -58,17 +58,11 @@ func (s *Simulator) prescreen(ctx context.Context, faults []fault.Fault, workers
 	if err != nil {
 		return screen{}, fmt.Errorf("core: prescreen: %w", err)
 	}
-	res.Stages.PrescreenPasses = int(st.Batches)
-	res.Stages.PrescreenFrames = st.Frames
-	res.Stages.PrescreenSavedFrames = st.SavedFrames
-	res.Stages.PrescreenGateEvals = st.GateEvals
-	for k, r := range pre {
-		switch {
-		case r.Detected:
-			res.Stages.PrescreenDropped++
-		case failsC[k]:
-			res.Stages.PrescreenPrunedC++
-		}
+	res.Stages.PrescreenCounts = PrescreenCounts{
+		PrescreenPasses:      st.Batches,
+		PrescreenFrames:      st.Frames,
+		PrescreenSavedFrames: st.SavedFrames,
+		PrescreenGateEvals:   st.GateEvals,
 	}
 	res.Stages.PrescreenTime = time.Since(start)
 	return screen{pre: pre, failsC: failsC}, nil

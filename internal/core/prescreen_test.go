@@ -53,16 +53,17 @@ func crossCheck(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fa
 					name, faults[k].Name(c), res.Outcomes[k], resOff.Outcomes[k])
 			}
 		}
-		if res.Conv != resOff.Conv || res.MOT != resOff.MOT || res.Sum != resOff.Sum ||
-			res.Expansions != resOff.Expansions || res.Pairs != resOff.Pairs ||
-			res.Sequences != resOff.Sequences {
-			t.Fatalf("%s: aggregates differ with prescreen", name)
+		// The tallies differ only in how many faults the pipeline ran.
+		on, off := res.Tally, resOff.Tally
+		on.MOTFaults, off.MOTFaults = 0, 0
+		if on != off {
+			t.Fatalf("%s: aggregates differ with prescreen:\n  on:  %+v\n  off: %+v", name, on, off)
 		}
 	}
 
 	// Stage counters: the prescreen must have run and dropped exactly the
 	// conventionally-detected faults; the off run records no passes.
-	if want := bitsim.Batches(len(faults)); resOn.Stages.PrescreenPasses != want {
+	if want := int64(bitsim.Batches(len(faults))); resOn.Stages.PrescreenPasses != want {
 		t.Errorf("prescreen passes = %d, want %d", resOn.Stages.PrescreenPasses, want)
 	}
 	if resOn.Stages.PrescreenDropped != resOn.Conv {
@@ -77,15 +78,15 @@ func crossCheck(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faults []fa
 			t.Errorf("%s: prescreen pruned %d faults by (C), run pruned %d",
 				name, st.PrescreenPrunedC, res.PrunedConditionC)
 		}
-		if want := res.Total - st.PrescreenDropped - st.PrescreenPrunedC; st.MOTFaults != want {
-			t.Errorf("%s: MOTFaults = %d, want total - dropped - prunedC = %d", name, st.MOTFaults, want)
+		if want := int64(res.Total) - st.PrescreenDropped - st.PrescreenPrunedC; res.MOTFaults != want {
+			t.Errorf("%s: MOTFaults = %d, want total - dropped - prunedC = %d", name, res.MOTFaults, want)
 		}
 	}
 	if resOff.Stages.PrescreenPasses != 0 || resOff.Stages.PrescreenDropped != 0 || resOff.Stages.PrescreenPrunedC != 0 {
 		t.Errorf("prescreen-off run recorded prescreen work: %+v", resOff.Stages)
 	}
-	if resOff.Stages.MOTFaults != resOff.Total {
-		t.Errorf("prescreen-off MOTFaults = %d, want every fault (%d)", resOff.Stages.MOTFaults, resOff.Total)
+	if resOff.MOTFaults != int64(resOff.Total) {
+		t.Errorf("prescreen-off MOTFaults = %d, want every fault (%d)", resOff.MOTFaults, resOff.Total)
 	}
 }
 
@@ -140,11 +141,11 @@ func TestRunAggregatesPairsSequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pairs, seqs, exps int
+	var pairs, seqs, exps int64
 	for _, o := range res.Outcomes {
-		pairs += o.Pairs
-		seqs += o.Sequences
-		exps += o.Expansions
+		pairs += int64(o.Pairs)
+		seqs += int64(o.Sequences)
+		exps += int64(o.Expansions)
 	}
 	if res.Pairs != pairs || res.Sequences != seqs || res.Expansions != exps {
 		t.Fatalf("aggregates: got pairs=%d seqs=%d exps=%d, want %d %d %d",

@@ -72,8 +72,8 @@ func (sc *spanScope) finish(res *Result) {
 	if sc == nil {
 		return
 	}
-	sc.main.AttrInt(sc.run, "conv", int64(res.Conv))
-	sc.main.AttrInt(sc.run, "mot", int64(res.MOT))
+	sc.main.AttrInt(sc.run, "conv", res.Conv)
+	sc.main.AttrInt(sc.run, "mot", res.MOT)
 	sc.main.End(sc.run)
 	sc.main.Flush()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/metrics"
@@ -54,76 +55,91 @@ func (s *Simulator) tick(last *time.Time, ns *int64) {
 	*last = now
 }
 
-// RunMetrics holds the per-fault distribution histograms of one run.
-// The histograms are concurrency-safe (see internal/metrics) and are
-// shared by every RunParallel worker; observations cover exactly the
-// faults that entered the per-fault MOT pipeline (prescreen-dropped
-// faults never reach it).
-type RunMetrics struct {
-	// PairsPerFault is the distribution of candidate (time unit, state
-	// variable) pairs collected per fault.
-	PairsPerFault *metrics.Histogram
-	// ExpansionsPerFault is the distribution of sequence-duplicating
-	// (phase 2) expansions per fault.
-	ExpansionsPerFault *metrics.Histogram
-	// SequencesAtStop is the distribution of state-sequence counts when
-	// each fault's expansion stopped.
-	SequencesAtStop *metrics.Histogram
-	// FaultTimeNS is the distribution of per-fault wall time
-	// (SimulateFault, nanoseconds).
-	FaultTimeNS *metrics.Histogram
-	// ResimLanesPerPass is the distribution of lane occupancy (sequences
-	// packed per word) over bit-parallel resimulation passes — how full
-	// the 64-lane words run in practice.
-	ResimLanesPerPass *metrics.Histogram
-	// EventsPerFrame is the distribution of node value changes (events)
-	// per event-driven sparse frame — how little of the circuit a faulty
-	// frame actually perturbs.
-	EventsPerFrame *metrics.Histogram
-	// GatesVisitedPerFrame is the distribution of gate evaluations per
-	// event-driven sparse frame — the work step 0 does per frame, which
-	// follows the fault's divergence rather than the circuit size.
-	GatesVisitedPerFrame *metrics.Histogram
+// Hist names one run histogram: its row of the histogram table and its
+// index in RunMetrics.
+type Hist int
+
+// The run histograms, in exposition order.
+const (
+	PairsPerFault        Hist = iota // candidate pairs collected per fault
+	ExpansionsPerFault               // phase 2 (sequence-duplicating) expansions per fault
+	SequencesAtStop                  // state sequences when each fault's expansion stopped
+	ResimLanesPerPass                // sequences packed per bit-parallel resimulation pass
+	EventsPerFrame                   // node value changes per event-driven sparse frame
+	GatesVisitedPerFrame             // gate evaluations per event-driven sparse frame
+	FaultTimeNS                      // per-fault wall time of SimulateFault, in nanoseconds
+	numHists
+)
+
+// HistDesc describes one run histogram: its /metrics family (without
+// the exposition prefix), HELP text, text-summary label and unit
+// (nanoseconds are exposed in seconds and printed as durations).
+// PerFault rows observe each pipeline fault once, so their count is
+// MOTFaults; the others observe resimulation passes or sparse frames.
+type HistDesc struct {
+	Family, Help, Label string
+	Unit                Unit
+	PerFault            bool
+	bounds              []int64 // bucket upper bounds
 }
 
-// newRunMetrics builds the run histograms with power-of-two bucket
-// layouts sized for the suite circuits.
+// hists is the histogram table, indexed by Hist.
+var hists = [numHists]HistDesc{
+	PairsPerFault:        {"pairs_per_fault", "Candidate pairs collected per fault.", "pairs/fault", Count, true, metrics.ExpBounds(1, 2, 14)},
+	ExpansionsPerFault:   {"expansions_per_fault", "Phase-2 expansions per fault.", "expansions/fault", Count, true, metrics.ExpBounds(1, 2, 10)},
+	SequencesAtStop:      {"sequences_at_stop", "State sequences when expansion stopped.", "sequences @stop", Count, true, metrics.ExpBounds(1, 2, 10)},
+	ResimLanesPerPass:    {"resim_lanes_per_pass", "Sequences packed per bit-parallel resimulation pass.", "resim lanes/pass", Count, false, metrics.ExpBounds(1, 2, 10)},
+	EventsPerFrame:       {"events_per_frame", "Node value changes per event-driven sparse frame.", "events/frame", Count, false, metrics.ExpBounds(1, 2, 14)},
+	GatesVisitedPerFrame: {"gates_visited_per_frame", "Gate evaluations per event-driven sparse frame.", "gates/frame", Count, false, metrics.ExpBounds(1, 2, 14)},
+	FaultTimeNS:          {"fault_seconds", "Per-fault wall time.", "fault time", Nanoseconds, true, metrics.ExpBounds(1024, 4, 14)},
+}
+
+// Hists returns the histogram table, indexed by Hist.
+func Hists() []HistDesc { return slices.Clone(hists[:]) }
+
+// RunMetrics holds the histograms of one run, indexed by Hist. They are
+// concurrency-safe (see internal/metrics) and shared by every
+// RunParallel worker.
+type RunMetrics [numHists]*metrics.Histogram
+
+// newRunMetrics builds the run histograms from the table.
 func newRunMetrics() *RunMetrics {
-	return &RunMetrics{
-		PairsPerFault:        metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
-		ExpansionsPerFault:   metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
-		SequencesAtStop:      metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
-		FaultTimeNS:          metrics.NewHistogram(metrics.ExpBounds(1024, 4, 14)...),
-		ResimLanesPerPass:    metrics.NewHistogram(metrics.ExpBounds(1, 2, 10)...),
-		EventsPerFrame:       metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
-		GatesVisitedPerFrame: metrics.NewHistogram(metrics.ExpBounds(1, 2, 14)...),
+	var m RunMetrics
+	for h := range hists {
+		m[h] = metrics.NewHistogram(hists[h].bounds...)
 	}
+	return &m
 }
 
-// observeHist feeds the record of the fault s just simulated to the
-// run histograms, and to their exemplars when the fault is
-// span-sampled. A no-op with metrics off.
+// observeHist feeds the fault s just simulated to the per-fault
+// histograms, and to their exemplars when the fault is span-sampled. A
+// no-op with metrics off.
 func (s *Simulator) observeHist(o *FaultOutcome) {
-	m, r := s.hist, &s.rec
+	m := s.hist
 	if m == nil {
 		return
 	}
-	m.PairsPerFault.Observe(int64(o.Pairs))
-	m.ExpansionsPerFault.Observe(int64(o.Expansions))
-	m.SequencesAtStop.Observe(int64(o.Sequences))
-	m.FaultTimeNS.Observe(r.work.TotalNS)
-	if s.span == 0 {
-		// Unsampled: the hot path never allocates exemplar labels.
-		return
+	v := [numHists]int64{
+		PairsPerFault:      int64(o.Pairs),
+		ExpansionsPerFault: int64(o.Expansions),
+		SequencesAtStop:    int64(o.Sequences),
+		FaultTimeNS:        s.rec.work.TotalNS,
 	}
-	// Link the fault's bucket in each histogram back to the fault and its
-	// span via OpenMetrics exemplars.
-	fl := metrics.Label{Key: "fault", Val: o.Fault.Name(s.c)}
-	sl := metrics.Label{Key: "span_id", Val: fmt.Sprintf("%016x", uint64(s.span))}
-	m.PairsPerFault.SetExemplar(int64(o.Pairs), fl, sl)
-	m.ExpansionsPerFault.SetExemplar(int64(o.Expansions), fl, sl)
-	m.SequencesAtStop.SetExemplar(int64(o.Sequences), fl, sl)
-	m.FaultTimeNS.SetExemplar(r.work.TotalNS, fl, sl)
+	// A span-sampled fault's exemplars link each bucket back to the
+	// fault and its span; an unsampled one allocates no labels.
+	var labels []metrics.Label
+	if s.span != 0 {
+		labels = []metrics.Label{{Key: "fault", Val: o.Fault.Name(s.c)},
+			{Key: "span_id", Val: fmt.Sprintf("%016x", uint64(s.span))}}
+	}
+	for h := range hists {
+		if hists[h].PerFault {
+			m[h].Observe(v[h])
+			if labels != nil {
+				m[h].SetExemplar(v[h], labels...)
+			}
+		}
+	}
 }
 
 // beginRun resets the per-run instrumentation state on s according to
@@ -137,5 +153,5 @@ func (s *Simulator) beginRun(res *Result) {
 	}
 	s.hist = newRunMetrics()
 	res.Metrics = s.hist
-	s.sim.SetFrameHists(s.hist.EventsPerFrame, s.hist.GatesVisitedPerFrame)
+	s.sim.SetFrameHists(s.hist[EventsPerFrame], s.hist[GatesVisitedPerFrame])
 }

@@ -60,11 +60,11 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 	ser := run(1)
 	par := run(8)
 
-	if ser.Stages.MOTFaults != par.Stages.MOTFaults {
-		t.Errorf("MOTFaults: serial %d, parallel %d", ser.Stages.MOTFaults, par.Stages.MOTFaults)
+	if ser.MOTFaults != par.MOTFaults {
+		t.Errorf("MOTFaults: serial %d, parallel %d", ser.MOTFaults, par.MOTFaults)
 	}
-	if want := len(faults) - ser.Stages.PrescreenDropped - ser.Stages.PrescreenPrunedC; ser.Stages.MOTFaults != want {
-		t.Errorf("MOTFaults = %d, want %d (total - dropped - lane-pruned)", ser.Stages.MOTFaults, want)
+	if want := int64(len(faults)) - ser.Stages.PrescreenDropped - ser.Stages.PrescreenPrunedC; ser.MOTFaults != want {
+		t.Errorf("MOTFaults = %d, want %d (total - dropped - lane-pruned)", ser.MOTFaults, want)
 	}
 	if ser.Stages.ImplyCalls != par.Stages.ImplyCalls {
 		t.Errorf("ImplyCalls: serial %d, parallel %d", ser.Stages.ImplyCalls, par.Stages.ImplyCalls)
@@ -126,9 +126,9 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 		name     string
 		ser, par *metrics.Histogram
 	}{
-		{"pairs", ser.Metrics.PairsPerFault, par.Metrics.PairsPerFault},
-		{"expansions", ser.Metrics.ExpansionsPerFault, par.Metrics.ExpansionsPerFault},
-		{"sequences", ser.Metrics.SequencesAtStop, par.Metrics.SequencesAtStop},
+		{"pairs", ser.Metrics[PairsPerFault], par.Metrics[PairsPerFault]},
+		{"expansions", ser.Metrics[ExpansionsPerFault], par.Metrics[ExpansionsPerFault]},
+		{"sequences", ser.Metrics[SequencesAtStop], par.Metrics[SequencesAtStop]},
 	} {
 		a, b := countSnapshot(h.ser), countSnapshot(h.par)
 		aj, _ := json.Marshal(a)
@@ -137,10 +137,10 @@ func TestStagesSerialParallelCrossCheck(t *testing.T) {
 			t.Errorf("%s histogram differs:\n  serial:   %s\n  parallel: %s", h.name, aj, bj)
 		}
 	}
-	if sc, pc := ser.Metrics.FaultTimeNS.Count(), par.Metrics.FaultTimeNS.Count(); sc != pc {
+	if sc, pc := ser.Metrics[FaultTimeNS].Count(), par.Metrics[FaultTimeNS].Count(); sc != pc {
 		t.Errorf("fault-time histogram count: serial %d, parallel %d", sc, pc)
 	}
-	if got, want := ser.Metrics.PairsPerFault.Count(), int64(ser.Stages.MOTFaults); got != want {
+	if got, want := ser.Metrics[PairsPerFault].Count(), ser.MOTFaults; got != want {
 		t.Errorf("pairs histogram count = %d, want MOTFaults = %d", got, want)
 	}
 }
@@ -177,11 +177,17 @@ func TestStagesMetricsOffCrossCheck(t *testing.T) {
 	if resOff.Metrics != nil {
 		t.Error("metrics-off run returned histograms")
 	}
-	if resOff.Stages.MOTFaults != 0 || resOff.Stages.Work != (Work{}) {
+	if resOff.Stages.Work != (Work{}) {
 		t.Errorf("metrics-off run recorded a breakdown: %+v", resOff.Stages)
 	}
-	if resOn.Metrics == nil || resOn.Stages.MOTFaults == 0 {
+	if resOn.Metrics == nil || resOn.Stages.Work == (Work{}) {
 		t.Errorf("metrics-on run recorded nothing: %+v", resOn.Stages)
+	}
+	// The pipeline size is an outcome count, kept with metrics off too.
+	want := int64(resOff.Total) - resOff.Stages.PrescreenDropped - resOff.Stages.PrescreenPrunedC
+	if resOff.MOTFaults != want || resOff.MOTFaults != resOn.MOTFaults {
+		t.Errorf("metrics-off MOTFaults = %d, want %d (total - dropped - pruned (C)) and the metrics-on %d",
+			resOff.MOTFaults, want, resOn.MOTFaults)
 	}
 }
 
@@ -236,7 +242,7 @@ func TestTraceWorkersCrossCheck(t *testing.T) {
 			timings++
 		}
 	}
-	if convs != res.Conv {
+	if int64(convs) != res.Conv {
 		t.Errorf("%d events carry a detection site, want %d (conventional detections)", convs, res.Conv)
 	}
 	if timings != 0 {
@@ -274,7 +280,7 @@ func TestTraceTimingsParallel(t *testing.T) {
 	if withTiming != len(faults) {
 		t.Errorf("%d events carry timings, want all %d", withTiming, len(faults))
 	}
-	if want := res.Stages.MOTFaults; nonzero != want {
+	if want := res.MOTFaults; int64(nonzero) != want {
 		t.Errorf("%d events have nonzero total time, want %d (MOT-pipeline faults)", nonzero, want)
 	}
 }

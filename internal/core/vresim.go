@@ -235,7 +235,7 @@ func (s *Simulator) resimulate(f *fault.Fault, bad *seqsim.Trace, x *expansion, 
 		resolved, frames, gateEvals = s.resimPass(f, bad, x, lo, all, last, ev, lc, markRows)
 		lanes := min(n-lo, 64)
 		if s.hist != nil {
-			s.hist.ResimLanesPerPass.Observe(int64(lanes))
+			s.hist[ResimLanesPerPass].Observe(int64(lanes))
 		}
 		w := &s.rec.work
 		w.ResimVectorPasses++

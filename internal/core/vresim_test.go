@@ -53,10 +53,7 @@ func crossCheckBPResim(t *testing.T, c *netlist.Circuit, T seqsim.Sequence, faul
 				faults[k].Name(c), par.Outcomes[k], res.Outcomes[k])
 		}
 	}
-	if par.Conv != res.Conv || par.MOT != res.MOT || par.Sum != res.Sum ||
-		par.Expansions != res.Expansions || par.Pairs != res.Pairs ||
-		par.Sequences != res.Sequences || par.Identified != res.Identified ||
-		par.PrunedConditionC != res.PrunedConditionC {
+	if par.Tally != res.Tally {
 		t.Fatalf("aggregates differ between parallel and serial:\n  parallel: %+v\n  serial:   %+v", par, res)
 	}
 	return checked

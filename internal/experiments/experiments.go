@@ -149,14 +149,14 @@ func Table2Rows(runs []*CircuitRun) []report.Table2Row {
 		row := report.Table2Row{
 			Circuit:   r.Entry.Name,
 			Total:     r.Proposed.Total,
-			Conv:      r.Proposed.Conv,
-			PropTotal: r.Proposed.Detected(),
-			PropExtra: r.Proposed.MOT,
+			Conv:      int(r.Proposed.Conv),
+			PropTotal: int(r.Proposed.Detected()),
+			PropExtra: int(r.Proposed.MOT),
 			Paper:     &paper,
 		}
 		if r.Baseline != nil {
-			row.BaseTotal = r.Baseline.Detected()
-			row.BaseExtra = r.Baseline.MOT
+			row.BaseTotal = int(r.Baseline.Detected())
+			row.BaseExtra = int(r.Baseline.MOT)
 		} else {
 			row.BaseTotal = row.Conv // NA: report conventional as floor
 		}

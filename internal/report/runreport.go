@@ -95,19 +95,19 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 		Faults:     res.Total,
 		Patterns:   patterns,
 		Workers:    workers,
-		Conv:       res.Conv,
-		MOT:        res.MOT,
-		Detected:   res.Detected(),
-		Identified: res.Identified,
-		PrunedC:    res.PrunedConditionC,
-		Expansions: res.Expansions,
-		Pairs:      res.Pairs,
-		Sequences:  res.Sequences,
+		Conv:       int(res.Conv),
+		MOT:        int(res.MOT),
+		Detected:   int(res.Detected()),
+		Identified: int(res.Identified),
+		PrunedC:    int(res.PrunedConditionC),
+		Expansions: int(res.Expansions),
+		Pairs:      int(res.Pairs),
+		Sequences:  int(res.Sequences),
 		ElapsedNS:  int64(elapsed),
 		Stages: StagesReport{
-			PrescreenPasses:      st.PrescreenPasses,
-			PrescreenDropped:     st.PrescreenDropped,
-			PrescreenPrunedC:     st.PrescreenPrunedC,
+			PrescreenPasses:      int(st.PrescreenPasses),
+			PrescreenDropped:     int(st.PrescreenDropped),
+			PrescreenPrunedC:     int(st.PrescreenPrunedC),
 			PrescreenFrames:      st.PrescreenFrames,
 			PrescreenSavedFrames: st.PrescreenSavedFrames,
 			PrescreenGateEvals:   st.PrescreenGateEvals,
@@ -126,7 +126,7 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 			ResimVectorFrames:    st.ResimVectorFrames,
 			ResimGateEvals:       st.ResimGateEvals,
 			ResimRetriesSkipped:  st.ResimRetriesSkipped,
-			MOTFaults:            st.MOTFaults,
+			MOTFaults:            int(res.MOTFaults),
 			Sim:                  seqsim.SimStats{EventFrames: st.EventFrames, EventGateEvals: st.EventGateEvals, Events: st.Events},
 		},
 	}
@@ -135,13 +135,13 @@ func NewRunReport(res *core.Result, method string, patterns, workers int, elapse
 	}
 	if m := res.Metrics; m != nil {
 		r.Histograms = &HistogramsReport{
-			PairsPerFault:        m.PairsPerFault.Snapshot(),
-			ExpansionsPerFault:   m.ExpansionsPerFault.Snapshot(),
-			SequencesAtStop:      m.SequencesAtStop.Snapshot(),
-			FaultTimeNS:          m.FaultTimeNS.Snapshot(),
-			ResimLanesPerPass:    m.ResimLanesPerPass.Snapshot(),
-			EventsPerFrame:       m.EventsPerFrame.Snapshot(),
-			GatesVisitedPerFrame: m.GatesVisitedPerFrame.Snapshot(),
+			PairsPerFault:        m[core.PairsPerFault].Snapshot(),
+			ExpansionsPerFault:   m[core.ExpansionsPerFault].Snapshot(),
+			SequencesAtStop:      m[core.SequencesAtStop].Snapshot(),
+			FaultTimeNS:          m[core.FaultTimeNS].Snapshot(),
+			ResimLanesPerPass:    m[core.ResimLanesPerPass].Snapshot(),
+			EventsPerFrame:       m[core.EventsPerFrame].Snapshot(),
+			GatesVisitedPerFrame: m[core.GatesVisitedPerFrame].Snapshot(),
 		}
 	}
 	return r
@@ -168,13 +168,13 @@ func pct(part, whole time.Duration) string {
 // per-fault histograms of a run as indented text (empty when the run
 // collected no metrics beyond the coarse stage split).
 func FormatRunStats(res *core.Result) string {
-	st := res.Stages
-	var sb strings.Builder
-	if st.MOTFaults == 0 && res.Metrics == nil {
+	if res.Metrics == nil {
 		return ""
 	}
+	st := res.Stages
+	var sb strings.Builder
 	cpu := time.Duration(st.Step0NS + st.CollectNS + st.ExpandNS + st.ResimNS)
-	fmt.Fprintf(&sb, "  stage breakdown (%d MOT-pipeline faults, CPU time across workers):\n", st.MOTFaults)
+	fmt.Fprintf(&sb, "  stage breakdown (%d MOT-pipeline faults, CPU time across workers):\n", res.MOTFaults)
 	rows := []struct {
 		name string
 		d    time.Duration
@@ -202,18 +202,16 @@ func FormatRunStats(res *core.Result) string {
 		fmt.Fprintf(&sb, "  serial sim frames: %d event (%d gate evals, %d events)\n",
 			st.EventFrames, st.EventGateEvals, st.Events)
 	}
-	if m := res.Metrics; m != nil {
-		fmt.Fprintf(&sb, "  pairs/fault:      %s\n", m.PairsPerFault.Snapshot())
-		fmt.Fprintf(&sb, "  expansions/fault: %s\n", m.ExpansionsPerFault.Snapshot())
-		fmt.Fprintf(&sb, "  sequences @stop:  %s\n", m.SequencesAtStop.Snapshot())
-		if lanes := m.ResimLanesPerPass.Snapshot(); lanes.Count > 0 {
-			fmt.Fprintf(&sb, "  resim lanes/pass: %s\n", lanes)
+	for h, d := range core.Hists() {
+		snap := res.Metrics[h].Snapshot()
+		if !d.PerFault && snap.Count == 0 {
+			continue
 		}
-		if ev := m.EventsPerFrame.Snapshot(); ev.Count > 0 {
-			fmt.Fprintf(&sb, "  events/frame:     %s\n", ev)
-			fmt.Fprintf(&sb, "  gates/frame:      %s\n", m.GatesVisitedPerFrame.Snapshot())
+		v := snap.String()
+		if d.Unit == core.Nanoseconds {
+			v = snap.DurationString()
 		}
-		fmt.Fprintf(&sb, "  fault time:       %s\n", m.FaultTimeNS.Snapshot().DurationString())
+		fmt.Fprintf(&sb, "  %-18s%s\n", d.Label+":", v)
 	}
 	if res.Live != nil {
 		fmt.Fprint(&sb, FormatLiveSnapshot(res.Live.Snapshot()))
@@ -231,6 +229,8 @@ func FormatLiveSnapshot(s core.LiveSnapshot) string {
 		s.RunsDone, s.RunsStarted, s.FaultsDone, s.FaultsTotal)
 	fmt.Fprintf(&sb, "    detected: %d conventional + %d MOT, %d undetected (%d pruned by condition C)\n",
 		s.Conv, s.MOT, s.Undetected(), s.PrunedConditionC)
+	fmt.Fprintf(&sb, "    MOT: %d by identification alone, Table 3 sums det=%d conf=%d extra=%d\n",
+		s.Identified, s.CtrDet, s.CtrConf, s.CtrExtra)
 	fmt.Fprintf(&sb, "    prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)\n",
 		s.PrescreenPasses, s.PrescreenDropped, s.PrescreenPrunedC, s.PrescreenFrames, s.PrescreenGateEvals)
 	fmt.Fprintf(&sb, "    pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)\n",
@@ -260,7 +260,7 @@ func ResultAttrs(res *core.Result) []any {
 		"mot", res.MOT,
 		"coverage", coverage,
 		"pruned_c", res.PrunedConditionC,
-		"mot_faults", res.Stages.MOTFaults,
+		"mot_faults", res.MOTFaults,
 		"imply_calls", res.Stages.ImplyCalls,
 	}
 }

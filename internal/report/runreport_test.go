@@ -57,7 +57,7 @@ func TestRunReportJSON(t *testing.T) {
 			t.Errorf("stages missing %q:\n%s", key, data)
 		}
 	}
-	if rep.Detected != res.Detected() || rep.Coverage <= 0 {
+	if int64(rep.Detected) != res.Detected() || rep.Coverage <= 0 {
 		t.Errorf("summary fields wrong: %+v", rep)
 	}
 }
@@ -141,12 +141,12 @@ func TestFormatLiveSnapshotMatchesMergedStats(t *testing.T) {
 	for _, want := range []string{
 		fmt.Sprintf("1/1 runs, %d/%d faults", res.Total, res.Total),
 		fmt.Sprintf("detected: %d conventional + %d MOT, %d undetected (%d pruned by condition C)",
-			res.Conv, res.MOT, res.Total-res.Detected(), res.PrunedConditionC),
+			res.Conv, res.MOT, res.Undetected(), res.PrunedConditionC),
 		fmt.Sprintf("prescreen: %d passes dropped %d faults, pruned %d by condition C (%d frames, %d gate evals)",
 			res.Stages.PrescreenPasses, res.Stages.PrescreenDropped, res.Stages.PrescreenPrunedC,
 			res.Stages.PrescreenFrames, res.Stages.PrescreenGateEvals),
 		fmt.Sprintf("pipeline: %d faults, %d pairs, %d expansions, %d sequences, %d implication calls (%d lane gate evals, %d memo hits)",
-			res.Stages.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals,
+			res.MOTFaults, res.Pairs, res.Expansions, res.Sequences, res.Stages.ImplyCalls, res.Stages.ImplyLaneEvals,
 			res.Stages.ImplyMemoHits),
 		fmt.Sprintf("serial sim frames: %d event (%d gate evals, %d events)",
 			res.Stages.EventFrames, res.Stages.EventGateEvals, res.Stages.Events),

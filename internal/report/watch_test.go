@@ -117,7 +117,7 @@ func TestFormatWatchFrame(t *testing.T) {
 	if strings.Contains(frame, "active run:") {
 		t.Error("frame shows an active run without one")
 	}
-	live := &core.LiveSnapshot{RunsStarted: 1, FaultsTotal: 2048, FaultsDone: 1024, Conv: 800}
+	live := &core.LiveSnapshot{RunsStarted: 1, FaultsTotal: 2048, Tally: core.Tally{FaultsDone: 1024, Conv: 800}}
 	withLive := FormatWatch("motserve", prev, cur, live)
 	if !strings.Contains(withLive, "active run:") || !strings.Contains(withLive, "1024/2048 faults") {
 		t.Errorf("frame with live snapshot missing the active-run section:\n%s", withLive)

@@ -38,27 +38,44 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-// syntheticSnapshot sets the k-th int64 of a LiveSnapshot, in field
-// order and nested structs included, to k*1000003: every counter holds
-// a distinct value, and the nanosecond ones scale to seconds with
-// digits to spare, so a dropped, swapped, reordered or misscaled
-// counter shows in the golden outputs.
+// syntheticKeys lists the JSON key of every LiveSnapshot counter in the
+// order the counters joined it.
+var syntheticKeys = []string{
+	"runs_started", "runs_done", "faults_total", "faults_done",
+	"detected_conventional", "detected_mot", "pruned_condition_c",
+	"prescreen_passes", "prescreen_dropped", "prescreen_pruned_c",
+	"prescreen_frames", "prescreen_gate_evals", "mot_faults", "pairs",
+	"expansions", "sequences", "imply_calls", "imply_lane_evals",
+	"imply_memo_hits", "imply_ns", "resim_vector_passes",
+	"resim_vector_frames", "resim_gate_evals", "step0_ns", "collect_ns",
+	"expand_ns", "resim_ns", "total_ns", "event_frames",
+	"event_gate_evals", "events", "resim_retries_skipped", "identified",
+	"ctr_det", "ctr_conf", "ctr_extra", "prescreen_saved_frames",
+}
+
+// syntheticSnapshot sets the counter of the k-th key of syntheticKeys to
+// k*1000003: every counter holds a distinct value, which it keeps when
+// the structs of LiveSnapshot regroup, and the nanosecond ones scale to
+// seconds with digits to spare, so a dropped, swapped, reordered or
+// misscaled counter shows in the golden outputs. It panics on a counter
+// syntheticKeys does not list.
 func syntheticSnapshot() core.LiveSnapshot {
-	var s core.LiveSnapshot
-	k := int64(0)
-	var fill func(v reflect.Value)
-	fill = func(v reflect.Value) {
-		for i := 0; i < v.NumField(); i++ {
-			switch f := v.Field(i); f.Kind() {
-			case reflect.Struct:
-				fill(f)
-			case reflect.Int64:
-				k++
-				f.SetInt(k * 1000003)
-			}
-		}
+	value := make(map[string]int64, len(syntheticKeys))
+	for k, key := range syntheticKeys {
+		value[key] = int64(k+1) * 1000003
 	}
-	fill(reflect.ValueOf(&s).Elem())
+	var s core.LiveSnapshot
+	v := reflect.ValueOf(&s).Elem()
+	for _, f := range reflect.VisibleFields(v.Type()) {
+		if f.Anonymous {
+			continue
+		}
+		x, ok := value[f.Tag.Get("json")]
+		if !ok {
+			panic("syntheticKeys lacks " + f.Tag.Get("json"))
+		}
+		v.FieldByIndex(f.Index).SetInt(x)
+	}
 	return s
 }
 

@@ -474,7 +474,7 @@ func TestServerInlineBenchAndVectors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fin.Report.Conv != want.Conv || fin.Report.MOT != want.MOT || fin.Faults != want.Total {
+	if int64(fin.Report.Conv) != want.Conv || int64(fin.Report.MOT) != want.MOT || fin.Faults != want.Total {
 		t.Errorf("server run %+v != direct run conv=%d mot=%d total=%d",
 			fin.Report, want.Conv, want.MOT, want.Total)
 	}
@@ -550,7 +550,7 @@ func TestRunTelemetryFinalScrape(t *testing.T) {
 		fmt.Sprintf("motfsim_faults_done_total %d\n", res.Total),
 		fmt.Sprintf("motfsim_detected_conventional_total %d\n", res.Conv),
 		fmt.Sprintf("motfsim_imply_calls_total %d\n", res.Stages.ImplyCalls),
-		fmt.Sprintf("motfsim_pairs_per_fault_count %d\n", res.Stages.MOTFaults),
+		fmt.Sprintf("motfsim_pairs_per_fault_count %d\n", res.MOTFaults),
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("telemetry exposition missing %q", want)

@@ -26,51 +26,34 @@ import (
 // such snapshots over a grow-only run set both qualify.
 func RegisterLiveCounters(reg *metrics.Registry, prefix string, snap func() core.LiveSnapshot) {
 	for _, c := range core.RunCounters() {
-		name := prefix + "_" + c.Family
-		get := func() int64 { s := snap(); return c.Value(&s) }
-		if c.Unit == core.Nanoseconds {
-			reg.CounterFloatFunc(name, c.Help, func() float64 { return float64(get()) * 1e-9 })
-		} else {
-			reg.CounterFunc(name, c.Help, get)
-		}
+		reg.CounterFloatFunc(prefix+"_"+c.Family, c.Help, func() float64 {
+			s := snap()
+			return float64(c.Value(&s)) * c.Unit.Scale()
+		})
 	}
 }
 
-// RegisterLiveHistograms exposes the per-fault distribution histograms
-// read from source at scrape time (e.g. a LiveStats' Metrics method, or
-// the server's latest-run accessor). The histograms are scraped mid-run
+// RegisterLiveHistograms exposes the run histograms (core.Hists) read
+// from source at scrape time (e.g. a LiveStats' Metrics method, or the
+// server's latest-run accessor). The histograms are scraped mid-run
 // directly from the concurrency-safe core collectors; while source
 // returns nil every series reads zero.
 func RegisterLiveHistograms(reg *metrics.Registry, prefix string, source func() *core.RunMetrics) {
-	hist := func(name, help string, scale float64, pick func(*core.RunMetrics) *metrics.Histogram) {
-		reg.HistogramFuncExemplars(prefix+"_"+name, help, scale,
+	for h, d := range core.Hists() {
+		reg.HistogramFuncExemplars(prefix+"_"+d.Family, d.Help, d.Unit.Scale(),
 			func() metrics.Snapshot {
 				if m := source(); m != nil {
-					return pick(m).Snapshot()
+					return m[h].Snapshot()
 				}
 				return metrics.Snapshot{}
 			},
 			func() []*metrics.Exemplar {
 				if m := source(); m != nil {
-					return pick(m).Exemplars()
+					return m[h].Exemplars()
 				}
 				return nil
 			})
 	}
-	hist("pairs_per_fault", "Candidate pairs collected per fault.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.PairsPerFault })
-	hist("expansions_per_fault", "Phase-2 expansions per fault.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.ExpansionsPerFault })
-	hist("sequences_at_stop", "State sequences when expansion stopped.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.SequencesAtStop })
-	hist("resim_lanes_per_pass", "Sequences packed per bit-parallel resimulation pass.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.ResimLanesPerPass })
-	hist("events_per_frame", "Node value changes per event-driven sparse frame.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.EventsPerFrame })
-	hist("gates_visited_per_frame", "Gate evaluations per event-driven sparse frame.", 1,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.GatesVisitedPerFrame })
-	hist("fault_seconds", "Per-fault wall time.", 1e-9,
-		func(m *core.RunMetrics) *metrics.Histogram { return m.FaultTimeNS })
 }
 
 // NewRunTelemetry wires a fresh LiveStats into a fresh Registry under

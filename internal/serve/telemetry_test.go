@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/report"
 )
 
 // TestLiveCountersCoverAllFields guards the exposition: RegisterLiveCounters
@@ -57,6 +59,59 @@ func TestLiveCountersCoverAllFields(t *testing.T) {
 	for _, f := range field {
 		if _, ok := seen[f]; !ok {
 			t.Errorf("field %s has no counter", f)
+		}
+	}
+	// syntheticKeys names every field once, and nothing else.
+	listed := make(map[string]bool)
+	for _, key := range syntheticKeys {
+		if listed[key] {
+			t.Errorf("syntheticKeys lists %q twice", key)
+		}
+		listed[key] = true
+	}
+	if len(listed) != len(field) {
+		t.Errorf("syntheticKeys lists %d keys for %d fields", len(listed), len(field))
+	}
+}
+
+// TestHistogramTable checks the histogram table against its sinks: each
+// row has a unique family and label, RegisterLiveHistograms exposes it
+// once, and FormatRunStats prints it once, each reading the row's own
+// histogram (row h holds h+1 observations).
+func TestHistogramTable(t *testing.T) {
+	hists := core.Hists()
+	var m core.RunMetrics
+	families, labels := make(map[string]bool), make(map[string]bool)
+	for h, d := range hists {
+		if families[d.Family] || labels[d.Label] {
+			t.Errorf("row %d reuses family %q or label %q", h, d.Family, d.Label)
+		}
+		families[d.Family], labels[d.Label] = true, true
+		m[h] = metrics.NewHistogram(metrics.ExpBounds(1, 2, 4)...)
+		for i := 0; i <= h; i++ {
+			m[h].Observe(3)
+		}
+	}
+	reg := metrics.NewRegistry()
+	RegisterLiveHistograms(reg, "x", func() *core.RunMetrics { return &m })
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	exposed := buf.String()
+	stats := report.FormatRunStats(&core.Result{Metrics: &m})
+	for h, d := range hists {
+		if n := strings.Count(exposed, "# TYPE x_"+d.Family+" histogram\n"); n != 1 {
+			t.Errorf("family %s registered %d times", d.Family, n)
+		}
+		if want := fmt.Sprintf("x_%s_count %d\n", d.Family, h+1); !strings.Contains(exposed, want) {
+			t.Errorf("exposition lacks %q", want)
+		}
+		if n := strings.Count(stats, "  "+d.Label+":"); n != 1 {
+			t.Errorf("label %q printed %d times", d.Label, n)
+		}
+		if want := fmt.Sprintf("  %-18sn=%d ", d.Label+":", h+1); !strings.Contains(stats, want) {
+			t.Errorf("run stats lack %q:\n%s", want, stats)
 		}
 	}
 }

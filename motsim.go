@@ -72,10 +72,14 @@ type (
 	// Result aggregates a whole fault-list run.
 	Result = core.Result
 	// Stages holds per-stage counters and timings of a fault-list run
-	// (prescreen passes, faults dropped, wall-clock per stage, and — with
+	// (the prescreen counters, wall-clock per stage, and — with
 	// Config.Metrics on — the per-fault work counters and per-stage CPU
-	// breakdown of Work).
+	// breakdown of Work). The outcome counts, MOTFaults included, are
+	// Result's Tally.
 	Stages = core.Stages
+	// Tally counts a run's classified outcomes: detections, the Table 3
+	// counter sums, pipeline faults, pairs, expansions and sequences.
+	Tally = core.Tally
 	// Work is the per-fault work of the MOT pipeline (implication,
 	// resimulation and step-0 counts and the stage times in
 	// nanoseconds) that Stages and LiveSnapshot carry.
@@ -83,8 +87,8 @@ type (
 	// StageNS is the per-stage nanosecond breakdown of the MOT pipeline
 	// (step 0, pair collection, implications, expansion, resimulation).
 	StageNS = core.StageNS
-	// RunMetrics holds the per-fault distribution histograms of a run
-	// (pairs, expansions, sequences at stop, per-fault time).
+	// RunMetrics holds the distribution histograms of a run, indexed by
+	// the run histogram constants (PairsPerFault, ..., FaultTimeNS).
 	RunMetrics = core.RunMetrics
 	// TraceEvent is one per-fault record of the JSONL trace stream
 	// written to Config.TraceWriter.
@@ -124,6 +128,18 @@ const (
 	Undetected           = core.Undetected
 	DetectedConventional = core.DetectedConventional
 	DetectedMOT          = core.DetectedMOT
+)
+
+// Run histograms: the rows of the histogram table, which index
+// Result.Metrics.
+const (
+	PairsPerFault        = core.PairsPerFault
+	ExpansionsPerFault   = core.ExpansionsPerFault
+	SequencesAtStop      = core.SequencesAtStop
+	ResimLanesPerPass    = core.ResimLanesPerPass
+	EventsPerFrame       = core.EventsPerFrame
+	GatesVisitedPerFrame = core.GatesVisitedPerFrame
+	FaultTimeNS          = core.FaultTimeNS
 )
 
 // Logic values.
