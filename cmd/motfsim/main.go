@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/profiling"
 	"repro/internal/report"
 	"repro/internal/serve"
@@ -221,8 +222,8 @@ func run(o runOptions) error {
 	defer prof.Stop()
 
 	if o.method == "conventional" {
-		// Fast path: bit-parallel conventional simulation, 63 machines at
-		// a time.
+		// Fast path: bit-parallel conventional simulation, 255 faulty
+		// machines at a time.
 		start := time.Now()
 		results, err := motsim.Conventional(c, T, faults)
 		if err != nil {
@@ -258,19 +259,9 @@ func run(o runOptions) error {
 		return nil
 	}
 
-	var cfg motsim.Config
-	switch o.method {
-	case "proposed":
-		cfg = motsim.DefaultConfig()
-	case "baseline":
-		cfg = motsim.BaselineConfig()
-	case "lowcomplexity":
-		// Implication-based identification only, after the approach of
-		// the paper's reference [6]: no state expansion.
-		cfg = motsim.DefaultConfig()
-		cfg.IdentificationOnly = true
-	default:
-		return fmt.Errorf("unknown method %q", o.method)
+	cfg, err := core.MethodConfig(o.method)
+	if err != nil {
+		return err
 	}
 	cfg.NStates = max(1, o.nstates)
 	cfg.Prescreen = o.prescreen

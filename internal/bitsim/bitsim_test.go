@@ -59,41 +59,9 @@ func TestPatternWidthChecked(t *testing.T) {
 	}
 }
 
-// value returns node id's lane values this frame, in a sweep or an
-// event frame. The result is read-only.
-func (e *evaluator) value(id netlist.NodeID) *VV {
-	if e.sweep {
-		return &e.vals[id]
-	}
-	return e.overlay(id)
-}
-
-// read returns the value gate gi sees on pin pi of node id.
-func (e *evaluator) read(gi netlist.GateID, pi int32, id netlist.NodeID) VV {
-	v := *e.value(id)
-	if j := e.brAt[e.Gates[e.cc.OrderPos[gi]].Lo+pi]; j != 0 {
-		v = e.brs[j-1].apply(v)
-	}
-	return v
-}
-
-// evalGate streams gate gi's observed inputs through the shared
-// lane-wise fold: the readable reference for the evaluator's inlined
-// eval loop, checked against logic.Eval by the per-lane gate property
-// test (the inlined loop is itself checked lane-for-lane against the
-// serial simulator by the whole-run cross-check tests).
-func (e *evaluator) evalGate(gi netlist.GateID) VV {
-	cc := e.cc
-	fo := cir.StartVV4(cc.Ops[gi])
-	lo, hi := cc.FaninStart[gi], cc.FaninStart[gi+1]
-	for k := lo; k < hi; k++ {
-		fo.Add(e.read(gi, k-lo, cc.Fanin[k]))
-	}
-	return fo.Result()
-}
-
-// gateEvalReference cross-checks evalGate against logic.Eval lane by lane
-// for random VV inputs.
+// TestGateEvalMatchesScalar cross-checks the evaluator's gate fold
+// against logic.Eval lane by lane for random lane values on every
+// input, stamped live in an event frame.
 func TestGateEvalMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ops := []logic.Op{logic.And, logic.Nand, logic.Or, logic.Nor, logic.Xor, logic.Xnor, logic.Not, logic.Buf}
@@ -115,22 +83,22 @@ func TestGateEvalMatchesScalar(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// A sweep frame reads every node straight from vals.
-		e := newEvaluator(cir.For(c), nil)
-		e.sweep = true
+		cc := cir.For(c)
+		e := newEvaluator(cc, nil)
+		e.beginFrame(make([]logic.Val, cc.NumNodes()), false)
 		// Random lane values per input.
 		scalar := make([][]logic.Val, n)
-		for i := range ins {
+		for i, id := range ins {
 			scalar[i] = make([]logic.Val, Lanes)
-			var vv VV
 			for k := 0; k < Lanes; k++ {
 				v := logic.Val(rng.Intn(3))
 				scalar[i][k] = v
-				vv.SetLane(uint(k), v)
+				e.vals[id].SetLane(uint(k), v)
 			}
-			e.vals[ins[i]] = vv
+			e.ov.Mark(id)
 		}
-		out := e.evalGate(0)
+		one, zero := e.eval(0)
+		out := VV{One: one, Zero: zero}
 		in := make([]logic.Val, n)
 		for k := 0; k < Lanes; k++ {
 			for i := range in {
@@ -454,11 +422,11 @@ func TestRunConditionCTraceTooShort(t *testing.T) {
 	}
 }
 
-// TestSiteOrder checks both sort paths of siteOrder against its
-// contract: a permutation of the list, site keys ascending, ties in
-// list order. sg5378's collapsed list packs key and index into one
-// int32; thirteen copies of sg35932's (over 2^18 faults on 5604 gates)
-// do not, and take the comparison sort.
+// TestSiteOrder checks siteOrder against its contract: a permutation
+// of the list, site keys ascending, ties in list order. It covers
+// sg5378's collapsed list and a long list, thirteen copies of
+// sg35932's (over 2^18 faults on 5604 gates), whose key and index
+// together need more than 31 bits.
 func TestSiteOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name   string

@@ -70,69 +70,3 @@ func (v *VV4) SetLane(k uint, val logic.Val) {
 
 // Not complements all lanes.
 func (v VV4) Not() VV4 { return VV4{Zero: v.One, One: v.Zero} }
-
-// VV4Fold streams a gate's input vectors through the 256-lane fold,
-// mirroring VVFold: the accumulator starts at the fold's identity
-// element so Add has no first-input special case.
-type VV4Fold struct {
-	op   logic.Op
-	kind foldKind
-	acc  VV4
-}
-
-// StartVV4 begins a fold under op.
-func StartVV4(op logic.Op) VV4Fold {
-	switch op {
-	case logic.And, logic.Nand:
-		return VV4Fold{op: op, kind: foldAnd, acc: Broadcast4(logic.One)}
-	case logic.Xor, logic.Xnor:
-		return VV4Fold{op: op, kind: foldXor, acc: Broadcast4(logic.Zero)}
-	}
-	return VV4Fold{op: op, kind: foldOr, acc: Broadcast4(logic.Zero)}
-}
-
-// Add folds the next input vector into the accumulator.
-func (f *VV4Fold) Add(v VV4) {
-	switch f.kind {
-	case foldAnd:
-		for w := 0; w < 4; w++ {
-			f.acc.One[w] &= v.One[w]
-			f.acc.Zero[w] |= v.Zero[w]
-		}
-	case foldOr:
-		for w := 0; w < 4; w++ {
-			f.acc.One[w] |= v.One[w]
-			f.acc.Zero[w] &= v.Zero[w]
-		}
-	default:
-		a := f.acc
-		for w := 0; w < 4; w++ {
-			f.acc.One[w] = a.One[w]&v.Zero[w] | a.Zero[w]&v.One[w]
-			f.acc.Zero[w] = a.One[w]&v.One[w] | a.Zero[w]&v.Zero[w]
-		}
-	}
-}
-
-// Result completes the fold, applying the operator's output inversion.
-func (f *VV4Fold) Result() VV4 {
-	switch f.op {
-	case logic.Const0:
-		return Broadcast4(logic.Zero)
-	case logic.Const1:
-		return Broadcast4(logic.One)
-	}
-	if f.op.Inverting() {
-		return f.acc.Not()
-	}
-	return f.acc
-}
-
-// EvalOpVV4 folds the gathered input vectors under op — the 256-lane
-// counterpart of EvalOp, lane-for-lane equivalent to logic.Eval.
-func EvalOpVV4(op logic.Op, in []VV4) VV4 {
-	f := StartVV4(op)
-	for _, v := range in {
-		f.Add(v)
-	}
-	return f.Result()
-}

@@ -33,53 +33,3 @@ func TestVV4Helpers(t *testing.T) {
 		t.Fatal("SetLane leaked into neighbouring lanes")
 	}
 }
-
-// TestEvalOpVV4MatchesScalar packs every input combination of every
-// operator into 256-lane words and checks EvalOpVV4 lane-for-lane
-// against the scalar EvalOp — arity 5 fills 243 of the 256 lanes, so
-// every word of the fold is exercised.
-func TestEvalOpVV4MatchesScalar(t *testing.T) {
-	vals := []logic.Val{logic.Zero, logic.One, logic.X}
-	arity := func(op logic.Op) []int {
-		switch op {
-		case logic.Const0, logic.Const1:
-			return []int{1} // inputs ignored
-		case logic.Buf, logic.Not:
-			return []int{1}
-		}
-		return []int{2, 3, 4, 5}
-	}
-	for _, op := range []logic.Op{
-		logic.Buf, logic.Not, logic.And, logic.Nand, logic.Or, logic.Nor,
-		logic.Xor, logic.Xnor, logic.Const0, logic.Const1,
-	} {
-		for _, n := range arity(op) {
-			combos := 1
-			for i := 0; i < n; i++ {
-				combos *= len(vals)
-			}
-			if combos > cir.Lanes4 {
-				t.Fatalf("arity %d overflows the %d lanes", n, cir.Lanes4)
-			}
-			in := make([]cir.VV4, n)
-			scalar := make([][]logic.Val, combos) // scalar[k] is lane k's input row
-			for k := 0; k < combos; k++ {
-				row := make([]logic.Val, n)
-				rem := k
-				for j := 0; j < n; j++ {
-					row[j] = vals[rem%len(vals)]
-					rem /= len(vals)
-					in[j].SetLane(uint(k), row[j])
-				}
-				scalar[k] = row
-			}
-			out := cir.EvalOpVV4(op, in)
-			for k := 0; k < combos; k++ {
-				want := cir.EvalOp(op, scalar[k])
-				if got := out.Lane(uint(k)); got != want {
-					t.Errorf("%v%v lane %d: vector %v, scalar %v", op, scalar[k], k, got, want)
-				}
-			}
-		}
-	}
-}

@@ -176,6 +176,24 @@ func BaselineConfig() Config {
 	return cfg
 }
 
+// MethodConfig returns the preset of a named method: "proposed"
+// (DefaultConfig), "baseline" (BaselineConfig) or "lowcomplexity",
+// implication-based identification only after the approach of the
+// paper's reference [6], with no state expansion.
+func MethodConfig(method string) (Config, error) {
+	switch method {
+	case "proposed":
+		return DefaultConfig(), nil
+	case "baseline":
+		return BaselineConfig(), nil
+	case "lowcomplexity":
+		cfg := DefaultConfig()
+		cfg.IdentificationOnly = true
+		return cfg, nil
+	}
+	return Config{}, fmt.Errorf("unknown method %q (want proposed, baseline, or lowcomplexity)", method)
+}
+
 // Validate checks the configuration.
 func (cfg Config) Validate() error {
 	switch {

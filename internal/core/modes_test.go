@@ -110,3 +110,23 @@ func TestIdentificationOnlySubset(t *testing.T) {
 		}
 	}
 }
+
+// TestMethodConfig checks the named presets and the error naming the
+// accepted methods.
+func TestMethodConfig(t *testing.T) {
+	lowComplexity := DefaultConfig()
+	lowComplexity.IdentificationOnly = true
+	for method, want := range map[string]Config{
+		"proposed":      DefaultConfig(),
+		"baseline":      BaselineConfig(),
+		"lowcomplexity": lowComplexity,
+	} {
+		if got, err := MethodConfig(method); err != nil || got != want {
+			t.Errorf("MethodConfig(%q) = %+v, %v; want %+v", method, got, err, want)
+		}
+	}
+	if _, err := MethodConfig("conventional"); err == nil ||
+		err.Error() != `unknown method "conventional" (want proposed, baseline, or lowcomplexity)` {
+		t.Errorf("MethodConfig(conventional) error = %v", err)
+	}
+}

@@ -36,7 +36,14 @@ type TraceEvent struct {
 	// fault (the portfolio retry's when it detected the fault).
 	Expansions int `json:"expansions,omitempty"`
 	Sequences  int `json:"sequences,omitempty"`
-	// CtrDet/CtrConf/CtrExtra are the fault's Table 3 counters.
+	// CtrDet/CtrConf/CtrExtra are the Table 3 counters of the fault's
+	// expansions. On a detected(MOT) line they are the counters Result
+	// and /metrics sum: the identifying pair's, or the proposed
+	// expansion's plus the portfolio retry's when the retry detected.
+	// An undetected line carries the failed proposed expansion's
+	// counters too (a failed retry's are not recorded), so summing them
+	// over the whole trace exceeds the ctr_*_total sums, which count MOT
+	// detections only.
 	CtrDet   int  `json:"ctr_det,omitempty"`
 	CtrConf  int  `json:"ctr_conf,omitempty"`
 	CtrExtra int  `json:"ctr_extra,omitempty"`

@@ -2,8 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
-	"math"
 	"strings"
 )
 
@@ -14,83 +12,6 @@ const openMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // labelEscaper applies OpenMetrics label-value escaping: backslash,
 // double quote, and line feed.
 var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// WriteOpenMetrics renders every registered metric in the OpenMetrics
-// 1.0 text format, in registration order, ending with the mandatory
-// "# EOF" terminator. It differs from WritePrometheus in three ways:
-// counter metadata names the family without the "_total" suffix (the
-// sample line keeps it, per the spec), histogram buckets carry their
-// exemplars when one was recorded (" # {labels} value" suffixes), and
-// the stream is explicitly terminated. Safe to call while writers keep
-// observing, with the same torn-scrape guarantees as WritePrometheus.
-func (r *Registry) WriteOpenMetrics(w io.Writer) error {
-	r.mu.RLock()
-	entries := make([]*entry, len(r.entries))
-	copy(entries, r.entries)
-	r.mu.RUnlock()
-	for _, e := range entries {
-		family := e.name
-		if e.typ == "counter" {
-			// OpenMetrics counter families drop the _total suffix in
-			// metadata; samples keep the full registered name. Counters
-			// registered without the suffix keep their name in both
-			// places — renaming a series between negotiated formats
-			// would be worse than the spec deviation.
-			family = strings.TrimSuffix(e.name, "_total")
-		}
-		if e.help != "" {
-			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", family, helpEscaper.Replace(e.help)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", family, e.typ); err != nil {
-			return err
-		}
-		if e.hist == nil {
-			if _, err := fmt.Fprintf(w, "%s %s\n", e.name, formatFloat(e.value())); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := writeOpenMetricsHistogram(w, e); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprint(w, "# EOF\n")
-	return err
-}
-
-// writeOpenMetricsHistogram renders one histogram family: cumulative
-// buckets with exemplar suffixes, then _sum and _count (derived from
-// the bucket sum, like the Prometheus writer, so concurrent observation
-// never tears count against the buckets).
-func writeOpenMetricsHistogram(w io.Writer, e *entry) error {
-	s := e.hist()
-	var ex []*Exemplar
-	if e.exemplars != nil {
-		ex = e.exemplars()
-	}
-	var cum int64
-	for i, b := range s.Buckets {
-		cum += b.Count
-		le := math.Inf(+1)
-		if b.Le != math.MaxInt64 {
-			le = float64(b.Le) * e.scale
-		}
-		suffix := ""
-		if i < len(ex) && ex[i] != nil {
-			suffix = formatExemplar(ex[i], e.scale)
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d%s\n", e.name, formatFloat(le), cum, suffix); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintf(w, "%s_sum %s\n", e.name, formatFloat(float64(s.Sum)*e.scale)); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintf(w, "%s_count %d\n", e.name, cum)
-	return err
-}
 
 // formatExemplar renders the OpenMetrics exemplar suffix of a bucket
 // line: " # {label="value",...} scaledValue".

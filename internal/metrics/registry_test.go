@@ -3,6 +3,7 @@ package metrics
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"math"
 	"net/http/httptest"
 	"strconv"
@@ -18,9 +19,9 @@ func TestRegistryExposition(t *testing.T) {
 	c := r.Counter("mot_faults_total", "Faults submitted.")
 	c.Add(42)
 	r.GaugeFunc("mot_runs_active", "Runs in flight.", func() float64 { return 2 })
-	r.CounterFloatFunc("mot_stage_seconds_total", "Stage time.", func() float64 { return 1.5 })
+	r.CounterFunc("mot_stage_seconds_total", "Stage time.", func() float64 { return 1.5 })
 	r.GaugeFunc("mot_coverage", "Fraction detected.", func() float64 { return 0.5 })
-	r.CounterFunc("mot_done_total", "Done.", func() int64 { return 7 })
+	r.CounterFunc("mot_done_total", "Done.", func() float64 { return 7 })
 	h := r.Histogram("mot_pairs", "Pairs per fault.", 1, 2, 4)
 	h.Observe(1)
 	h.Observe(3)
@@ -58,7 +59,7 @@ func TestRegistryExposition(t *testing.T) {
 func TestRegistryHistogramScale(t *testing.T) {
 	r := NewRegistry()
 	h := NewHistogram(1_000_000_000, 2_000_000_000)
-	r.HistogramFunc("mot_fault_seconds", "Per-fault time.", 1e-9, h.Snapshot)
+	r.HistogramFunc("mot_fault_seconds", "Per-fault time.", 1e-9, h.Snapshot, nil)
 	h.Observe(1_500_000_000)
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
@@ -84,7 +85,13 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	for name, f := range map[string]func(){
 		"duplicate":    func() { r.Counter("ok_name", "") },
 		"invalid name": func() { r.Counter("bad name", "") },
-		"bad scale":    func() { r.HistogramFunc("h", "", 0, func() Snapshot { return Snapshot{} }) },
+		"bad scale":    func() { r.HistogramFunc("h", "", 0, func() Snapshot { return Snapshot{} }, nil) },
+		"batch out of turn": func() {
+			b := r.Batch(func() {})
+			b.GaugeFunc("b1", "", func() float64 { return 0 })
+			r.GaugeFunc("between", "", func() float64 { return 0 })
+			b.GaugeFunc("b2", "", func() float64 { return 0 })
+		},
 	} {
 		func() {
 			defer func() {
@@ -192,7 +199,7 @@ func TestRegistryParallelScrapeCrossCheck(t *testing.T) {
 	var level, busy atomic.Int64
 	r.GaugeFunc("level", "", func() float64 { return float64(level.Load()) })
 	h := r.Histogram("sizes", "", ExpBounds(1, 2, 8)...)
-	r.CounterFloatFunc("busy_seconds_total", "", func() float64 { return time.Duration(busy.Load()).Seconds() })
+	r.CounterFunc("busy_seconds_total", "", func() float64 { return time.Duration(busy.Load()).Seconds() })
 
 	const writers, perWriter = 4, 5000
 	var wg sync.WaitGroup
@@ -349,5 +356,104 @@ func TestRegistryNames(t *testing.T) {
 	names := r.Names()
 	if fmt.Sprint(names) != "[a b]" {
 		t.Errorf("Names() = %v", names)
+	}
+}
+
+// TestRegistryBatchReadsOnce checks that one scrape calls a batch's
+// read once, before its first family, in both formats, and that every
+// family of the batch renders the state of that one read.
+func TestRegistryBatchReadsOnce(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("before_total", "").Inc()
+	var reads int
+	var v int64
+	b := r.Batch(func() { reads++; v = int64(reads) * 10 })
+	b.CounterFunc("b_total", "", func() float64 { return float64(v) })
+	b.GaugeFunc("b_gauge", "", func() float64 { return float64(v + 1) })
+	b.HistogramFunc("b_hist", "", 1, func() Snapshot {
+		return Snapshot{Count: 1, Sum: v, Buckets: []Bucket{{Le: math.MaxInt64, Count: 1}}}
+	}, func() []*Exemplar { return []*Exemplar{{Value: v}} })
+	r.GaugeFunc("after", "", func() float64 { return 1 })
+
+	for i, write := range []func(io.Writer) error{r.WritePrometheus, r.WriteOpenMetrics} {
+		var sb strings.Builder
+		if err := write(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if reads != i+1 {
+			t.Fatalf("scrape %d: batch read %d times in total, want %d", i+1, reads, i+1)
+		}
+		want := (i + 1) * 10
+		for _, line := range []string{
+			fmt.Sprintf("b_total %d\n", want),
+			fmt.Sprintf("b_gauge %d\n", want+1),
+			fmt.Sprintf("b_hist_sum %d\n", want),
+		} {
+			if !strings.Contains(sb.String(), line) {
+				t.Errorf("scrape %d missing %q:\n%s", i+1, line, sb.String())
+			}
+		}
+	}
+}
+
+// TestRegistryBatchParallelScrape scrapes one registry from several
+// goroutines while a writer moves the batch's source: every read
+// happens under the batch's lock (the race detector checks the shared
+// state), each scrape calls read once, and both families of a scrape
+// render the same read.
+func TestRegistryBatchParallelScrape(t *testing.T) {
+	r := NewRegistry()
+	var src, reads atomic.Int64
+	var a, b int64
+	batch := r.Batch(func() {
+		reads.Add(1)
+		a = src.Load()
+		b = a
+	})
+	batch.CounterFunc("a_total", "", func() float64 { return float64(a) })
+	batch.CounterFunc("b_total", "", func() float64 { return float64(b) })
+
+	const scrapers, perScraper = 4, 200
+	stop := make(chan struct{})
+	var wg, sg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				src.Add(1)
+			}
+		}
+	}()
+	for g := 0; g < scrapers; g++ {
+		sg.Add(1)
+		go func(om bool) {
+			defer sg.Done()
+			for i := 0; i < perScraper; i++ {
+				var sb strings.Builder
+				write := r.WritePrometheus
+				if om {
+					write = r.WriteOpenMetrics
+				}
+				if err := write(&sb); err != nil {
+					t.Error(err)
+					return
+				}
+				out := strings.TrimSuffix(sb.String(), "# EOF\n")
+				if s := parseExposition(t, out); s["a_total"] != s["b_total"] {
+					t.Errorf("one scrape rendered two reads: a_total %v, b_total %v", s["a_total"], s["b_total"])
+					return
+				}
+			}
+		}(g%2 == 1)
+	}
+	sg.Wait()
+	close(stop)
+	wg.Wait()
+	if got := reads.Load(); got != scrapers*perScraper {
+		t.Errorf("batch read %d times over %d scrapes", got, scrapers*perScraper)
 	}
 }

@@ -4,67 +4,12 @@ import (
 	"math"
 	"runtime"
 	rtm "runtime/metrics"
-	"sync"
-	"time"
 )
-
-// runtimeSamples names every runtime/metrics sample the collector
-// reads. Scalar samples feed gauges/counters directly; the two
-// float64-histogram samples are converted to Snapshot form.
-var runtimeSamples = []string{
-	"/memory/classes/heap/objects:bytes",
-	"/memory/classes/heap/stacks:bytes",
-	"/gc/heap/allocs:bytes",
-	"/gc/cycles/total:gc-cycles",
-	"/sched/pauses/total/gc:seconds",
-	"/sched/latencies:seconds",
-}
-
-// runtimeCollector batches runtime/metrics reads: one rtm.Read serves
-// every registered series of a scrape. Reads within refreshEvery of
-// each other reuse the cached samples, so a scrape touching eight
-// series costs one runtime read, while successive scrapes always see
-// fresh values.
-type runtimeCollector struct {
-	mu      sync.Mutex
-	samples []rtm.Sample
-	last    time.Time
-	byName  map[string]int
-}
-
-// refreshEvery bounds how stale cached runtime samples may be. A scrape
-// renders all runtime series well inside this window; separate scrapes
-// (even aggressive 1s dashboards) always re-read.
-const refreshEvery = 50 * time.Millisecond
-
-func newRuntimeCollector() *runtimeCollector {
-	c := &runtimeCollector{
-		samples: make([]rtm.Sample, len(runtimeSamples)),
-		byName:  make(map[string]int, len(runtimeSamples)),
-	}
-	for i, name := range runtimeSamples {
-		c.samples[i].Name = name
-		c.byName[name] = i
-	}
-	return c
-}
-
-// sample returns the current value of one named runtime metric,
-// re-reading the whole batch when the cache is stale.
-func (c *runtimeCollector) sample(name string) rtm.Value {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if now := time.Now(); now.Sub(c.last) > refreshEvery {
-		rtm.Read(c.samples)
-		c.last = now
-	}
-	return c.samples[c.byName[name]].Value
-}
 
 // uint64Of reads a scalar sample as uint64, zero when the runtime does
 // not export it (KindBad on older/newer toolchains).
-func (c *runtimeCollector) uint64Of(name string) uint64 {
-	if v := c.sample(name); v.Kind() == rtm.KindUint64 {
+func uint64Of(v rtm.Value) uint64 {
+	if v.Kind() == rtm.KindUint64 {
 		return v.Uint64()
 	}
 	return 0
@@ -76,8 +21,7 @@ func (c *runtimeCollector) uint64Of(name string) uint64 {
 // sum, so Sum is estimated from bucket midpoints (documented in the
 // series help); min/max are taken from the outermost occupied bucket
 // edges, which keeps Quantile's clamping sound.
-func (c *runtimeCollector) snapshotOf(name string) Snapshot {
-	v := c.sample(name)
+func snapshotOf(v rtm.Value) Snapshot {
 	if v.Kind() != rtm.KindFloat64Histogram {
 		return Snapshot{}
 	}
@@ -136,28 +80,42 @@ func (c *runtimeCollector) snapshotOf(name string) Snapshot {
 // RegisterRuntime registers the Go runtime health series on r under
 // prefix (e.g. "motserve" yields motserve_go_goroutines): goroutine
 // count, heap and stack bytes, cumulative allocated bytes and GC
-// cycles, and the GC pause and scheduler latency distributions. Every
-// value is read from runtime/metrics at scrape time through a shared
-// batched collector, so registration itself costs nothing at runtime.
-// The two _seconds histograms estimate their _sum from bucket midpoints
+// cycles, and the GC pause and scheduler latency distributions. The
+// series form one batch: a scrape makes one runtime/metrics read for
+// all of them, so registration itself costs nothing at runtime. The
+// two _seconds histograms estimate their _sum from bucket midpoints
 // (the runtime exports no exact sum).
 func RegisterRuntime(r *Registry, prefix string) {
-	c := newRuntimeCollector()
+	var samples []rtm.Sample
+	sample := func(name string) func() rtm.Value {
+		i := len(samples)
+		samples = append(samples, rtm.Sample{Name: name})
+		return func() rtm.Value { return samples[i].Value }
+	}
+	scalar := func(name string) func() float64 {
+		v := sample(name)
+		return func() float64 { return float64(uint64Of(v())) }
+	}
+	hist := func(name string) func() Snapshot {
+		v := sample(name)
+		return func() Snapshot { return snapshotOf(v()) }
+	}
+	b := r.Batch(func() { rtm.Read(samples) })
 	p := prefix + "_go_"
-	r.GaugeFunc(p+"goroutines", "Live goroutines (runtime.NumGoroutine).",
+	b.GaugeFunc(p+"goroutines", "Live goroutines (runtime.NumGoroutine).",
 		func() float64 { return float64(runtime.NumGoroutine()) })
-	r.GaugeFunc(p+"heap_bytes", "Bytes of live heap objects (/memory/classes/heap/objects).",
-		func() float64 { return float64(c.uint64Of("/memory/classes/heap/objects:bytes")) })
-	r.GaugeFunc(p+"stack_bytes", "Bytes of goroutine stacks (/memory/classes/heap/stacks).",
-		func() float64 { return float64(c.uint64Of("/memory/classes/heap/stacks:bytes")) })
-	r.CounterFunc(p+"alloc_bytes_total", "Cumulative bytes allocated on the heap (/gc/heap/allocs).",
-		func() int64 { return int64(c.uint64Of("/gc/heap/allocs:bytes")) })
-	r.CounterFunc(p+"gc_cycles_total", "Completed GC cycles (/gc/cycles/total).",
-		func() int64 { return int64(c.uint64Of("/gc/cycles/total:gc-cycles")) })
-	r.HistogramFunc(p+"gc_pause_seconds",
+	b.GaugeFunc(p+"heap_bytes", "Bytes of live heap objects (/memory/classes/heap/objects).",
+		scalar("/memory/classes/heap/objects:bytes"))
+	b.GaugeFunc(p+"stack_bytes", "Bytes of goroutine stacks (/memory/classes/heap/stacks).",
+		scalar("/memory/classes/heap/stacks:bytes"))
+	b.CounterFunc(p+"alloc_bytes_total", "Cumulative bytes allocated on the heap (/gc/heap/allocs).",
+		scalar("/gc/heap/allocs:bytes"))
+	b.CounterFunc(p+"gc_cycles_total", "Completed GC cycles (/gc/cycles/total).",
+		scalar("/gc/cycles/total:gc-cycles"))
+	b.HistogramFunc(p+"gc_pause_seconds",
 		"Stop-the-world GC pause distribution (/sched/pauses/total/gc; _sum estimated from bucket midpoints).",
-		1e-9, func() Snapshot { return c.snapshotOf("/sched/pauses/total/gc:seconds") })
-	r.HistogramFunc(p+"sched_latency_seconds",
+		1e-9, hist("/sched/pauses/total/gc:seconds"), nil)
+	b.HistogramFunc(p+"sched_latency_seconds",
 		"Time goroutines spend runnable before running (/sched/latencies; _sum estimated from bucket midpoints).",
-		1e-9, func() Snapshot { return c.snapshotOf("/sched/latencies:seconds") })
+		1e-9, hist("/sched/latencies:seconds"), nil)
 }

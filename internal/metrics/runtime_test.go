@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"runtime"
+	rtm "runtime/metrics"
 	"strings"
 	"testing"
 )
@@ -47,9 +48,10 @@ func TestRegisterRuntimeSeries(t *testing.T) {
 
 func TestRuntimeSnapshotBoundsIncrease(t *testing.T) {
 	runtime.GC()
-	c := newRuntimeCollector()
-	for _, name := range []string{"/sched/pauses/total/gc:seconds", "/sched/latencies:seconds"} {
-		s := c.snapshotOf(name)
+	samples := []rtm.Sample{{Name: "/sched/pauses/total/gc:seconds"}, {Name: "/sched/latencies:seconds"}}
+	rtm.Read(samples)
+	for _, sample := range samples {
+		name, s := sample.Name, snapshotOf(sample.Value)
 		if len(s.Buckets) == 0 {
 			t.Fatalf("%s: empty snapshot", name)
 		}

@@ -176,34 +176,30 @@ func (w *Window) Stats(span time.Duration) Snapshot {
 // maxInt64Bound mirrors the Histogram overflow-bucket sentinel.
 const maxInt64Bound = int64(^uint64(0) >> 1)
 
-// Rate returns the per-second observation rate over the last span.
-func (w *Window) Rate(span time.Duration) float64 {
-	if span <= 0 {
-		return 0
-	}
-	return float64(w.Stats(span).Count) / span.Seconds()
-}
-
 // RegisterWindow exposes the standard rolling series for w under name:
 // per-second observation rates over the last 1m and 5m, and p50/p95/p99
 // quantile estimates over both horizons. scale multiplies the quantile
 // values (pass 1e-9 for nanosecond observations exposed as seconds),
 // matching HistogramFunc. All series are gauges — rolling-window values
-// go down when load does.
+// go down when load does. The series form one batch: a scrape merges
+// each horizon's buckets once.
 func RegisterWindow(r *Registry, name, help string, scale float64, w *Window) {
 	if scale <= 0 {
 		panic(fmt.Sprintf("metrics: window %q scale must be positive", name))
 	}
-	quant := func(span time.Duration, q float64) func() float64 {
-		return func() float64 { return float64(w.Stats(span).Quantile(q)) * scale }
+	var m1, m5 Snapshot
+	b := r.Batch(func() { m1, m5 = w.Stats(time.Minute), w.Stats(5*time.Minute) })
+	rate := func(s *Snapshot, span time.Duration) func() float64 {
+		return func() float64 { return float64(s.Count) / span.Seconds() }
 	}
-	r.GaugeFunc(name+"_rate1m", help+" (per-second rate, last 1m).",
-		func() float64 { return w.Rate(time.Minute) })
-	r.GaugeFunc(name+"_rate5m", help+" (per-second rate, last 5m).",
-		func() float64 { return w.Rate(5 * time.Minute) })
-	r.GaugeFunc(name+"_p50_1m", help+" (p50, last 1m).", quant(time.Minute, 0.50))
-	r.GaugeFunc(name+"_p95_1m", help+" (p95, last 1m).", quant(time.Minute, 0.95))
-	r.GaugeFunc(name+"_p99_1m", help+" (p99, last 1m).", quant(time.Minute, 0.99))
-	r.GaugeFunc(name+"_p95_5m", help+" (p95, last 5m).", quant(5*time.Minute, 0.95))
-	r.GaugeFunc(name+"_p99_5m", help+" (p99, last 5m).", quant(5*time.Minute, 0.99))
+	quant := func(s *Snapshot, q float64) func() float64 {
+		return func() float64 { return float64(s.Quantile(q)) * scale }
+	}
+	b.GaugeFunc(name+"_rate1m", help+" (per-second rate, last 1m).", rate(&m1, time.Minute))
+	b.GaugeFunc(name+"_rate5m", help+" (per-second rate, last 5m).", rate(&m5, 5*time.Minute))
+	b.GaugeFunc(name+"_p50_1m", help+" (p50, last 1m).", quant(&m1, 0.50))
+	b.GaugeFunc(name+"_p95_1m", help+" (p95, last 1m).", quant(&m1, 0.95))
+	b.GaugeFunc(name+"_p99_1m", help+" (p99, last 1m).", quant(&m1, 0.99))
+	b.GaugeFunc(name+"_p95_5m", help+" (p95, last 5m).", quant(&m5, 0.95))
+	b.GaugeFunc(name+"_p99_5m", help+" (p99, last 5m).", quant(&m5, 0.99))
 }

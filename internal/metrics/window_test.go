@@ -78,8 +78,10 @@ func TestWindowQuantilesAndRate(t *testing.T) {
 	if q := s.Quantile(0.99); q < 99 || q > 100 {
 		t.Errorf("p99 = %d, want clamped near max (got %d, max %d)", q, q, s.Max)
 	}
-	if r := w.Rate(time.Minute); r < 1.6 || r > 1.7 {
-		t.Errorf("1m rate = %v, want 100/60s", r)
+	// The rate gauges divide this count by the span
+	// (TestRegisterWindowSeries).
+	if s.Count != 100 {
+		t.Errorf("1m count = %d, want 100", s.Count)
 	}
 }
 

@@ -60,20 +60,13 @@ func srcKey(req RunRequest) string {
 }
 
 // vecKey is the content identity of a request's test sequence: inline
-// vector text by hash, seeded random generation by (length, seed)
-// after the same defaulting buildRun applies.
+// vector text by hash, seeded random generation by (length, seed) of a
+// request buildRun has filled in the defaults of.
 func vecKey(req RunRequest) string {
 	if req.Vectors != "" {
 		return cache.Key(req.Vectors)
 	}
-	n, seed := req.Random, req.Seed
-	if n <= 0 {
-		n = 64
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	return fmt.Sprintf("r:%d:%d", n, seed)
+	return fmt.Sprintf("r:%d:%d", req.Random, req.Seed)
 }
 
 // goodKey keys a fault-free trace: it is valid for exactly one

@@ -290,3 +290,26 @@ func TestServerQueuedCancelLifecycle(t *testing.T) {
 	}
 	waitDone(t, ts, long.ID)
 }
+
+// TestServerDefaultSequenceCacheKey checks that the random-sequence
+// defaults (64 patterns, seed 1) key the fault-free trace like the
+// explicit request they stand for, and that another seed misses.
+func TestServerDefaultSequenceCacheKey(t *testing.T) {
+	_, ts := newTestServer(t)
+	for _, tc := range []struct {
+		req      RunRequest
+		traceHit bool
+	}{
+		{RunRequest{Circuit: "s27", Workers: 1}, false},
+		{RunRequest{Circuit: "s27", Random: 64, Seed: 1, Workers: 1}, true},
+		{RunRequest{Circuit: "s27", Random: 64, Seed: 2, Workers: 1}, false},
+	} {
+		st := waitDone(t, ts, postRun(t, ts, tc.req).ID)
+		if st.Status != StatusDone || st.Patterns != 64 {
+			t.Fatalf("%+v: status %q, %d patterns (%s)", tc.req, st.Status, st.Patterns, st.Error)
+		}
+		if st.Cache == nil || st.Cache.TraceHit != tc.traceHit {
+			t.Errorf("%+v: cache %+v, want trace hit %v", tc.req, st.Cache, tc.traceHit)
+		}
+	}
+}

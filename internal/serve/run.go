@@ -225,31 +225,24 @@ func (s *Server) buildRun(req RunRequest, now time.Time) (*Run, error) {
 				len(T[0]), c.Name, c.NumInputs())
 		}
 	default:
-		n, seed := req.Random, req.Seed
-		if n <= 0 {
-			n = 64
+		// The defaults are written into req, so the trace cache key
+		// (vecKey) names the sequence actually generated.
+		if req.Random <= 0 {
+			req.Random = 64
 		}
-		if seed == 0 {
-			seed = 1
+		if req.Seed == 0 {
+			req.Seed = 1
 		}
-		T = tgen.Random(c.NumInputs(), n, seed)
+		T = tgen.Random(c.NumInputs(), req.Random, req.Seed)
 	}
 
 	method := req.Method
 	if method == "" {
 		method = "proposed"
 	}
-	var cfg core.Config
-	switch method {
-	case "proposed":
-		cfg = core.DefaultConfig()
-	case "baseline":
-		cfg = core.BaselineConfig()
-	case "lowcomplexity":
-		cfg = core.DefaultConfig()
-		cfg.IdentificationOnly = true
-	default:
-		return nil, fmt.Errorf("unknown method %q (want proposed, baseline, or lowcomplexity)", method)
+	cfg, err := core.MethodConfig(method)
+	if err != nil {
+		return nil, err
 	}
 	if req.NStates > 0 {
 		cfg.NStates = req.NStates

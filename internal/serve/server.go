@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/profiling"
@@ -142,31 +143,35 @@ func NewServer(cfg Config) *Server {
 	}
 	RegisterLiveCounters(s.reg, cfg.Prefix, s.liveSnapshot)
 	s.reg.CounterFunc(cfg.Prefix+"_runs_panicked_total", "Runs failed by a recovered panic.",
-		func() int64 { return s.runsPanicked.Load() })
+		func() float64 { return float64(s.runsPanicked.Load()) })
 	RegisterLiveHistograms(s.reg, cfg.Prefix, s.latestMetrics)
-	s.reg.GaugeFunc(cfg.Prefix+"_runs_active", "Runs currently executing.", func() float64 {
-		return float64(s.countStatus(StatusRunning))
-	})
-	s.reg.GaugeFunc(cfg.Prefix+"_runs_queued", "Runs waiting for an execution slot.", func() float64 {
-		return float64(s.countStatus(StatusQueued))
-	})
+	var running, queued int
+	st := s.reg.Batch(func() { running, queued = s.countActive() })
+	st.GaugeFunc(cfg.Prefix+"_runs_active", "Runs currently executing.",
+		func() float64 { return float64(running) })
+	st.GaugeFunc(cfg.Prefix+"_runs_queued", "Runs waiting for an execution slot.",
+		func() float64 { return float64(queued) })
 	s.httpRequests = s.reg.Counter(cfg.Prefix+"_http_requests_total", "HTTP requests served.")
 	// The cache series register even when the cache is disabled (they
 	// then read zero forever) so dashboards need no conditional panels.
-	s.reg.CounterFunc(cfg.Prefix+"_cache_hits_total", "Cross-run cache lookups that hit.",
-		func() int64 { return s.cache.stats().Hits })
-	s.reg.CounterFunc(cfg.Prefix+"_cache_misses_total", "Cross-run cache lookups that missed.",
-		func() int64 { return s.cache.stats().Misses })
-	s.reg.CounterFunc(cfg.Prefix+"_cache_evictions_total", "Cross-run cache entries evicted.",
-		func() int64 { return s.cache.stats().Evictions })
-	s.reg.GaugeFunc(cfg.Prefix+"_cache_bytes_total", "Accounted bytes resident in the cross-run cache.",
-		func() float64 { return float64(s.cache.stats().Bytes) })
-	s.reg.CounterFunc(cfg.Prefix+"_trace_spans_total",
+	var cs cache.Stats
+	cb := s.reg.Batch(func() { cs = s.cache.stats() })
+	cb.CounterFunc(cfg.Prefix+"_cache_hits_total", "Cross-run cache lookups that hit.",
+		func() float64 { return float64(cs.Hits) })
+	cb.CounterFunc(cfg.Prefix+"_cache_misses_total", "Cross-run cache lookups that missed.",
+		func() float64 { return float64(cs.Misses) })
+	cb.CounterFunc(cfg.Prefix+"_cache_evictions_total", "Cross-run cache entries evicted.",
+		func() float64 { return float64(cs.Evictions) })
+	cb.GaugeFunc(cfg.Prefix+"_cache_bytes_total", "Accounted bytes resident in the cross-run cache.",
+		func() float64 { return float64(cs.Bytes) })
+	var spans xtrace.Stats
+	sb := s.reg.Batch(func() { spans = s.spanStats() })
+	sb.CounterFunc(cfg.Prefix+"_trace_spans_total",
 		"Spans recorded across the HTTP tracer and every run tracer.",
-		func() int64 { return s.spanStats().Spans })
-	s.reg.CounterFunc(cfg.Prefix+"_trace_spans_dropped_total",
+		func() float64 { return float64(spans.Spans) })
+	sb.CounterFunc(cfg.Prefix+"_trace_spans_dropped_total",
 		"Spans discarded because a tracer's merged span store was full.",
-		func() int64 { return s.spanStats().Dropped })
+		func() float64 { return float64(spans.Dropped) })
 	metrics.RegisterRuntime(s.reg, cfg.Prefix)
 	s.routeWin = make(map[string]*metrics.Window, len(routeNames))
 	for _, route := range routeNames {
@@ -177,12 +182,12 @@ func NewServer(cfg Config) *Server {
 	}
 	s.runWin = metrics.NewWindow(routeWindowInterval, routeWindowSpan, runLatencyBounds()...)
 	metrics.RegisterWindow(s.reg, cfg.Prefix+"_run_seconds", "Run wall time", 1e-9, s.runWin)
-	s.reg.CounterFloatFunc(cfg.Prefix+"_run_cpu_seconds_total",
+	s.reg.CounterFunc(cfg.Prefix+"_run_cpu_seconds_total",
 		"CPU time (user+system) attributed to run execution; overlapping runs each absorb the process total.",
 		func() float64 { return time.Duration(s.runCPUNS.Load()).Seconds() })
 	s.reg.CounterFunc(cfg.Prefix+"_run_alloc_bytes_total",
 		"Heap bytes allocated during run execution; overlapping runs each absorb the process total.",
-		func() int64 { return s.runAllocBytes.Load() })
+		func() float64 { return float64(s.runAllocBytes.Load()) })
 	return s
 }
 
@@ -251,19 +256,21 @@ func (s *Server) latestMetrics() *core.RunMetrics {
 	return nil
 }
 
-// countStatus counts registered runs in the given status.
-func (s *Server) countStatus(status string) int {
+// countActive counts the registered runs that are running and queued.
+func (s *Server) countActive() (running, queued int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
 	for _, r := range s.runs {
 		r.mu.Lock()
-		if r.status == status {
-			n++
+		switch r.status {
+		case StatusRunning:
+			running++
+		case StatusQueued:
+			queued++
 		}
 		r.mu.Unlock()
 	}
-	return n
+	return running, queued
 }
 
 // Handler returns the server's full HTTP surface.
@@ -291,7 +298,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if closed {
-		pending := s.countStatus(StatusQueued) + s.countStatus(StatusRunning)
+		running, queued := s.countActive()
+		pending := running + queued
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintf(w, "draining (%d runs pending)\n", pending)
 		return

@@ -20,38 +20,42 @@ import (
 
 // RegisterLiveCounters registers one Prometheus counter per run counter
 // (core.RunCounters) under prefix (e.g. "motserve"); nanosecond
-// counters are exposed in seconds. snap is called per scrape; it must
-// be safe for concurrent use and each returned counter must be
-// non-decreasing between calls — core.LiveStats.Snapshot and sums of
-// such snapshots over a grow-only run set both qualify.
+// counters are exposed in seconds. The counters form one batch: snap is
+// called once per scrape. It must be safe for concurrent use and each
+// returned counter must be non-decreasing between calls —
+// core.LiveStats.Snapshot and sums of such snapshots over a grow-only
+// run set both qualify.
 func RegisterLiveCounters(reg *metrics.Registry, prefix string, snap func() core.LiveSnapshot) {
+	var s core.LiveSnapshot
+	b := reg.Batch(func() { s = snap() })
 	for _, c := range core.RunCounters() {
-		reg.CounterFloatFunc(prefix+"_"+c.Family, c.Help, func() float64 {
-			s := snap()
+		b.CounterFunc(prefix+"_"+c.Family, c.Help, func() float64 {
 			return float64(c.Value(&s)) * c.Unit.Scale()
 		})
 	}
 }
 
 // RegisterLiveHistograms exposes the run histograms (core.Hists) read
-// from source at scrape time (e.g. a LiveStats' Metrics method, or the
+// from source once per scrape (e.g. a LiveStats' Metrics method, or the
 // server's latest-run accessor). The histograms are scraped mid-run
 // directly from the concurrency-safe core collectors; while source
 // returns nil every series reads zero.
 func RegisterLiveHistograms(reg *metrics.Registry, prefix string, source func() *core.RunMetrics) {
+	var m *core.RunMetrics
+	b := reg.Batch(func() { m = source() })
 	for h, d := range core.Hists() {
-		reg.HistogramFuncExemplars(prefix+"_"+d.Family, d.Help, d.Unit.Scale(),
+		b.HistogramFunc(prefix+"_"+d.Family, d.Help, d.Unit.Scale(),
 			func() metrics.Snapshot {
-				if m := source(); m != nil {
-					return m[h].Snapshot()
+				if m == nil {
+					return metrics.Snapshot{}
 				}
-				return metrics.Snapshot{}
+				return m[h].Snapshot()
 			},
 			func() []*metrics.Exemplar {
-				if m := source(); m != nil {
-					return m[h].Exemplars()
+				if m == nil {
+					return nil
 				}
-				return nil
+				return m[h].Exemplars()
 			})
 	}
 }

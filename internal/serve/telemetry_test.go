@@ -115,3 +115,48 @@ func TestHistogramTable(t *testing.T) {
 		}
 	}
 }
+
+// TestServerScrapeReadsSourcesOnce counts the reads behind one scrape
+// of a server holding several finished runs: the live-snapshot sum and
+// the histogram source registered the way NewServer registers them are
+// each called once per scrape, in both formats, and render the same
+// lines as the server's own exposition.
+func TestServerScrapeReadsSourcesOnce(t *testing.T) {
+	s, ts := newTestServer(t)
+	for seed := int64(1); seed <= 3; seed++ {
+		st := postRun(t, ts, RunRequest{Circuit: "s27", Random: 8, Seed: seed, Workers: 1})
+		if got := waitDone(t, ts, st.ID); got.Status != StatusDone {
+			t.Fatalf("run %s ended %s: %s", st.ID, got.Status, got.Error)
+		}
+	}
+	var snaps, hists int
+	reg := metrics.NewRegistry()
+	RegisterLiveCounters(reg, s.cfg.Prefix, func() core.LiveSnapshot { snaps++; return s.liveSnapshot() })
+	RegisterLiveHistograms(reg, s.cfg.Prefix, func() *core.RunMetrics { hists++; return s.latestMetrics() })
+	for _, om := range []bool{false, true} {
+		write, serverWrite := reg.WritePrometheus, s.Registry().WritePrometheus
+		if om {
+			write, serverWrite = reg.WriteOpenMetrics, s.Registry().WriteOpenMetrics
+		}
+		snaps, hists = 0, 0
+		var got, full strings.Builder
+		if err := write(&got); err != nil {
+			t.Fatal(err)
+		}
+		if snaps != 1 || hists != 1 {
+			t.Errorf("openmetrics=%v: one scrape read the live snapshot %d times and the histograms %d times, want 1 and 1",
+				om, snaps, hists)
+		}
+		if err := serverWrite(&full); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.SplitAfter(got.String(), "\n") {
+			if !strings.Contains(full.String(), line) {
+				t.Errorf("openmetrics=%v: the server's exposition lacks %q", om, line)
+			}
+		}
+		if !strings.Contains(got.String(), s.cfg.Prefix+"_runs_done_total 3\n") {
+			t.Errorf("openmetrics=%v: scrape does not sum the three runs:\n%s", om, got.String())
+		}
+	}
+}
